@@ -450,7 +450,8 @@ fn scenario_smoke() -> bool {
 /// CI ceiling for the median evals-per-fit of one `rank_models` pass
 /// over the six paper families on 1990-93 (scripts/verify.sh `--smoke`).
 /// The §11 speed layer (basin-finding Nelder–Mead + analytic-Jacobian
-/// polish) lands the median near 635; the ceiling leaves headroom for
+/// polish) lands the median at 449, the mean of the middle pair 263 and
+/// 635 of the six families' counts; the ceiling leaves headroom for
 /// tolerance tweaks while still catching a regression to the pre-§11
 /// exhaustive-simplex profile (median well above 2000).
 const SMOKE_EVALS_PER_FIT_CEILING: u64 = 1200;

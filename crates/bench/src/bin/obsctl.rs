@@ -11,8 +11,8 @@
 //!
 //! Everything here replays a recorded log; nothing re-runs a fit, so the
 //! tool works on logs from any machine and any session. `report`
-//! reproduces the `fitlog` binary's behavior under the subcommand
-//! vocabulary; the other subcommands are the analysis plane on top:
+//! aggregates the log into the per-family run report; the other
+//! subcommands are the analysis plane on top:
 //! `tree` reconstructs the fleet → cell → fit → attempt → solver
 //! hierarchy from logical clocks alone, `top` ranks the hottest
 //! cells/families by attributed work, `diff` compares two logs line- and

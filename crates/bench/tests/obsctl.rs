@@ -62,6 +62,10 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
 }
 
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 fn code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
@@ -183,4 +187,42 @@ fn usage_and_io_errors_exit_two() {
     assert_eq!(code(&obsctl(&["tree", malformed.to_str().unwrap()])), 2);
     let bad_flag = obsctl(&["tree", "x.jsonl", "--cells", "many"]);
     assert_eq!(code(&bad_flag), 2);
+}
+
+#[test]
+fn unreadable_log_error_names_the_path() {
+    let out = obsctl(&["report", "/nonexistent/obsctl/input.jsonl"]);
+    assert_eq!(code(&out), 2);
+    let text = stderr(&out);
+    assert!(
+        text.contains("/nonexistent/obsctl/input.jsonl"),
+        "stderr must name the missing path: {text}"
+    );
+}
+
+#[test]
+fn malformed_line_error_names_its_line_number() {
+    let log = fixture("malformed-line.jsonl", &format!("{LOG}this is not json\n"));
+    let out = obsctl(&["report", log.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    let text = stderr(&out);
+    assert!(
+        text.contains("line 17"),
+        "stderr must name the line: {text}"
+    );
+}
+
+#[test]
+fn overflowing_integer_field_exits_two_without_a_panic() {
+    // `1e300` has a zero fraction; a saturating `as u64` cast would have
+    // fed u64::MAX into the report instead of rejecting the line.
+    let log = fixture(
+        "overflow.jsonl",
+        "{\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":1e300}\n",
+    );
+    let out = obsctl(&["report", log.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    let text = stderr(&out);
+    assert!(text.contains("line 1"), "stderr: {text}");
+    assert!(!text.contains("panicked"), "must fail cleanly: {text}");
 }

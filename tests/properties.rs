@@ -6,12 +6,19 @@
 //! is hermetic — no proptest dependency.
 
 use resilience_core::bathtub::{CompetingRisksModel, QuadraticFamily, QuadraticModel};
+use resilience_core::fit::{fit_least_squares_with, FitConfig};
 use resilience_core::metrics::{actual_metric, MetricContext, MetricKind};
 use resilience_core::mixture::{ComponentKind, MixtureModel, Trend};
 use resilience_core::model::{ModelFamily, ResilienceModel};
 use resilience_data::csv::{read_series, write_series};
+use resilience_data::recessions::Recession;
 use resilience_data::PerformanceSeries;
+use resilience_obs::{
+    intern, parse_line, parse_log, Event, FailureCode, RecordingObserver, StopKind,
+};
+use resilience_optim::{Control, Parallelism};
 use resilience_stats::{ContinuousDistribution, Exponential, Normal, Weibull, XorShift64};
+use std::sync::Arc;
 
 const CASES: usize = 200;
 
@@ -434,4 +441,175 @@ fn fit_recovers_random_quadratic_truth() {
         tested >= 10,
         "only {tested} feasible cases — widen the sampler"
     );
+}
+
+/// Real log lines: every event shape in the vocabulary, then the log of
+/// one observed Quadratic fit on the 1990–93 series.
+fn real_log_lines() -> Vec<String> {
+    let mut lines: Vec<String> = Event::examples().iter().map(Event::to_json).collect();
+    let recorder = Arc::new(RecordingObserver::new());
+    let config = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..FitConfig::default()
+    };
+    fit_least_squares_with(
+        &QuadraticFamily,
+        &Recession::R1990_93.payroll_index(),
+        &config,
+        &Control::unbounded().observe(recorder.clone()),
+    )
+    .expect("quadratic fit");
+    lines.extend(recorder.take().iter().map(Event::to_json));
+    lines
+}
+
+/// Characters a mutation inserts: the JSON structure characters, digits,
+/// and multi-byte chars of two, three and four bytes.
+const INSERTED: [char; 9] = ['"', '\\', '{', '0', '7', '9', 'é', '→', '😀'];
+
+/// One to three char-level edits: truncate, delete, duplicate, insert.
+fn mutate(rng: &mut XorShift64, line: &str) -> String {
+    let mut chars: Vec<char> = line.chars().collect();
+    for _ in 0..1 + rng.next_index(3) {
+        let n = chars.len();
+        match rng.next_index(4) {
+            0 => chars.truncate(rng.next_index(n + 1)),
+            1 if n > 0 => {
+                chars.remove(rng.next_index(n));
+            }
+            2 if n > 0 => {
+                let at = rng.next_index(n);
+                chars.insert(at, chars[at]);
+            }
+            _ => {
+                let c = INSERTED[rng.next_index(INSERTED.len())];
+                chars.insert(rng.next_index(n + 1), c);
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Runs `f` on `input`, failing the test with the input if it panics.
+fn no_panic<T>(case: usize, input: &str, f: impl Fn(&str) -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(input)))
+        .unwrap_or_else(|_| panic!("case {case}: the parser panicked on {input:?}"))
+}
+
+/// Hostile input to the log reader: mutated real lines, alone and inside
+/// a log. Nothing panics; a failure is a `ParseError` carrying the bad
+/// line's 1-based number; a success survives encode → parse → encode.
+#[test]
+fn log_reader_survives_mutated_lines() {
+    let lines = real_log_lines();
+    let mut rng = XorShift64::new(0xA011);
+    let mut accepted = 0;
+    for case in 0..4000 {
+        let base = &lines[rng.next_index(lines.len())];
+        let line = mutate(&mut rng, base);
+        let alone = no_panic(case, &line, parse_line);
+        if let Err(e) = &alone {
+            assert_eq!(e.line, 0, "case {case}: a standalone line has no number");
+        }
+
+        // The mutated line at 1-based `at`, between real lines and blanks;
+        // the log reader trims each line before parsing it.
+        let before = rng.next_index(4);
+        let mut text = String::new();
+        let mut expected = Vec::new();
+        for _ in 0..before {
+            let good = &lines[rng.next_index(lines.len())];
+            expected.push(good.clone());
+            text.push_str(good);
+            text.push('\n');
+        }
+        text.push('\n');
+        let at = before + 2;
+        text.push_str(&line);
+        text.push_str("\n\n");
+        let good = &lines[rng.next_index(lines.len())];
+        text.push_str(good);
+
+        let log = no_panic(case, &text, parse_log);
+        let trimmed = line.trim();
+        match (trimmed.is_empty(), parse_line(trimmed)) {
+            (true, _) => {
+                expected.push(good.clone());
+                let reencoded: Vec<String> = log
+                    .expect("blank lines are skipped")
+                    .iter()
+                    .map(Event::to_json)
+                    .collect();
+                assert_eq!(reencoded, expected, "case {case}");
+            }
+            (false, Err(e)) => {
+                let err = log.expect_err("the bad line fails the log");
+                assert_eq!(err.line, at, "case {case}: {line:?}");
+                assert_eq!(err.message, e.message, "case {case}: {line:?}");
+            }
+            (false, Ok(event)) => {
+                accepted += 1;
+                let encoded = event.to_json();
+                let again = parse_line(&encoded)
+                    .unwrap_or_else(|e| panic!("case {case}: {encoded} does not reparse: {e}"));
+                assert_eq!(again.to_json(), encoded, "case {case}: {line:?}");
+                expected.push(encoded);
+                expected.push(good.clone());
+                let reencoded: Vec<String> = log
+                    .unwrap_or_else(|e| panic!("case {case}: {e}"))
+                    .iter()
+                    .map(Event::to_json)
+                    .collect();
+                assert_eq!(reencoded, expected, "case {case}");
+            }
+        }
+    }
+    // Some mutations (a duplicated digit, an inserted one) keep the line
+    // valid, so the success branch runs too.
+    assert!(accepted > 100, "only {accepted} mutated lines parsed");
+}
+
+/// Family and scope names that need escaping, or that are multi-byte,
+/// survive the round trip through one log line each.
+#[test]
+fn escaped_and_multibyte_names_round_trip() {
+    let names = [
+        "Comp\"Risks",
+        "back\\slash",
+        "two\nlines",
+        "bell\u{7}",
+        "Exponentielle é",
+        "Exp→Wei",
+        "Wei-Wei 🦀",
+    ];
+    let mut events = Vec::new();
+    for name in names {
+        let name = intern(name);
+        events.push(Event::FitStarted {
+            family: name,
+            starts: 3,
+        });
+        events.push(Event::FitFailed {
+            family: name,
+            kind: FailureCode::Error,
+        });
+        events.push(Event::Stop {
+            scope: name,
+            kind: StopKind::Cancelled,
+            evaluations: 4,
+        });
+        events.push(Event::WorkerPanic {
+            scope: name,
+            index: 1,
+        });
+    }
+    let mut text = String::new();
+    for event in &events {
+        let line = event.to_json();
+        assert!(!line.contains('\n'), "{line}: one line per event");
+        assert_eq!(parse_line(&line), Ok(*event), "{line}");
+        text.push_str(&line);
+        text.push('\n');
+    }
+    assert_eq!(parse_log(&text), Ok(events));
 }
