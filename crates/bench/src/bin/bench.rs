@@ -13,21 +13,25 @@
 //! the parallel outputs were bit-identical to the serial ones (they must
 //! always be — see DESIGN.md §Performance & determinism).
 //!
-//! Flags: `--smoke` (fast determinism + work-profile guard),
-//! `--scenario-smoke` (canonical scenario set generates and ranks
-//! deterministically), `--scenarios` (write only the scenario sweep
-//! baseline), `fleet` (full fleet sweep + repeatability gates →
-//! `BENCH_fleet_full.json`), `fleet --fleet-smoke` (the 64-cell CI fleet
-//! with double-run and serial-vs-`Fixed(2)` identity gates →
-//! `BENCH_fleet.json`).
+//! Flags:
+//!
+//! * `--smoke` — the CI gate runner: the `rank_models` determinism +
+//!   work-profile guard, the canonical scenario guard, then one plain and
+//!   one chaos triple of the 64-cell fleet checked by the fleet, obs and
+//!   chaos gate sets. Each of `BENCH_fleet.json`, `BENCH_obs.json` and
+//!   `BENCH_chaos.json` is rewritten only when its own gates pass; with
+//!   `OBS_SMOKE_DIR` set, the plain triple's logs and renders land there.
+//! * `--scenarios` — write only the scenario sweep baseline.
+//! * `fleet` — the 360-cell sweep + repeatability gates →
+//!   `BENCH_fleet_full.json`.
 
-use resilience_bench::chaos::{evaluate_chaos_fleet, ChaosReport};
-use resilience_bench::fleet::{evaluate_fleet, full_grid, smoke_grid, FleetReport};
+use resilience_bench::chaos::{chaos_policy, ChaosReport};
+use resilience_bench::fleet::{full_grid, run_triple, smoke_grid, FleetReport};
 use resilience_bench::harness::{
-    bench_with_budget, median_u64, FamilyTiming, Measurement, ScenarioCell, ScenarioSweepReport,
-    SpeedupReport,
+    bench_with_budget, evals_per_fit, median_u64, FamilyTiming, Measurement, ScenarioCell,
+    ScenarioSweepReport, SpeedupReport,
 };
-use resilience_bench::obs_smoke::{evaluate_obs_smoke, ObsSmokeArtifacts, ObsSmokeReport};
+use resilience_bench::obs_smoke::{ObsSmokeArtifacts, ObsSmokeReport};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::bootstrap::{
     bootstrap_band, bootstrap_band_with, BootstrapBand, BootstrapConfig,
@@ -39,7 +43,7 @@ use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy};
 use resilience_core::selection::{rank_models, Ranking};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::{catalog, Drift, EventProcess, Noise, ScenarioSpec, ShapeKind};
-use resilience_obs::{Event, HistogramId, RecordingObserver, RunReport};
+use resilience_obs::{RecordingObserver, RunReport};
 use resilience_optim::Parallelism;
 use std::sync::Arc;
 
@@ -73,22 +77,6 @@ fn run_counters(report: &RunReport) -> Vec<(String, u64)> {
         .counters
         .iter()
         .map(|(id, v)| (id.as_str().to_string(), *v))
-        .collect()
-}
-
-/// Raw `evals_per_fit` observations in fit order, straight from the
-/// event stream (the [`RunReport`] histogram buckets them; the baseline
-/// keeps the exact values so regressions diff per fit).
-fn evals_per_fit(events: &[Event]) -> Vec<u64> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Hist {
-                id: HistogramId::EvalsPerFit,
-                value,
-            } => Some(*value),
-            _ => None,
-        })
         .collect()
 }
 
@@ -247,22 +235,23 @@ fn bench_bootstrap() -> SpeedupReport {
     }
 }
 
-/// Writes the baseline JSON, or refuses — without touching any existing
-/// file — when the parallel output was not bit-identical to the serial
-/// one. A broken determinism contract must never silently replace a good
-/// baseline with a tainted one.
-fn write_report(path: &str, report: &SpeedupReport) -> bool {
-    if !report.identical {
-        eprintln!(
-            "{}: parallel output differs from serial — determinism contract broken; \
-             refusing to overwrite {path}",
-            report.benchmark
-        );
+/// Writes one baseline when its own gates pass, or refuses — without
+/// touching the committed file — when they do not: a broken determinism
+/// contract must never silently replace a good baseline with a tainted
+/// one. Prints the one-line verdict either way.
+fn write_baseline(path: &str, pass: bool, verdict: &str, json: &str) -> bool {
+    if !pass {
+        eprintln!("{verdict}\n  gates failed — refusing to overwrite {path}");
         return false;
     }
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "{:14} cores={} serial={:.1}ms parallel={:.1}ms speedup={:.2}x identical={} -> {path}",
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("{verdict} -> {path}");
+    true
+}
+
+fn write_report(path: &str, report: &SpeedupReport) -> bool {
+    let verdict = format!(
+        "{:14} cores={} serial={:.1}ms parallel={:.1}ms speedup={:.2}x identical={}",
         report.benchmark,
         report.cores,
         report.serial.min_ns() as f64 / 1e6,
@@ -270,7 +259,7 @@ fn write_report(path: &str, report: &SpeedupReport) -> bool {
         report.speedup(),
         report.identical,
     );
-    true
+    write_baseline(path, report.identical, &verdict, &report.to_json())
 }
 
 /// The scenario × noise × length grid behind `BENCH_scenarios.json`:
@@ -380,26 +369,16 @@ fn bench_scenarios() -> ScenarioSweepReport {
     }
 }
 
-/// Writes the scenario-sweep baseline, refusing — like [`write_report`]
-/// — when any cell broke the determinism contract.
 fn write_scenario_report(path: &str, report: &ScenarioSweepReport) -> bool {
-    if !report.identical {
-        eprintln!(
-            "scenario_sweep: serial vs Fixed(2) rankings differ — determinism contract broken; \
-             refusing to overwrite {path}"
-        );
-        return false;
-    }
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "scenario_sweep cells={} identical={} -> {path}",
+    let verdict = format!(
+        "scenario_sweep cells={} identical={}",
         report.cells.len(),
         report.identical
     );
-    true
+    write_baseline(path, report.identical, &verdict, &report.to_json())
 }
 
-/// Fast scenario-engine guard for `scripts/verify.sh`: the canonical
+/// Fast scenario-engine guard of `--smoke`: the canonical
 /// scenario set must generate deterministically (two generations are
 /// bit-identical) and rank deterministically (serial vs `Fixed(2)`
 /// supervised rankings bit-identical) for every scenario.
@@ -448,7 +427,7 @@ fn scenario_smoke() -> bool {
 }
 
 /// CI ceiling for the median evals-per-fit of one `rank_models` pass
-/// over the six paper families on 1990-93 (scripts/verify.sh `--smoke`).
+/// over the six paper families on 1990-93 (`bench --smoke`).
 /// The §11 speed layer (basin-finding Nelder–Mead + analytic-Jacobian
 /// polish) lands the median at 449, the mean of the middle pair 263 and
 /// 635 of the six families' counts; the ceiling leaves headroom for
@@ -456,11 +435,11 @@ fn scenario_smoke() -> bool {
 /// exhaustive-simplex profile (median well above 2000).
 const SMOKE_EVALS_PER_FIT_CEILING: u64 = 1200;
 
-/// Fast determinism + work-profile guard for `scripts/verify.sh`: one
+/// Fast determinism + work-profile guard of `--smoke`: one
 /// serial-vs-`Fixed(2)` `rank_models` comparison must be bit-identical,
 /// and the median evals-per-fit must stay under
-/// [`SMOKE_EVALS_PER_FIT_CEILING`]. No baseline files are touched.
-fn smoke() -> bool {
+/// [`SMOKE_EVALS_PER_FIT_CEILING`].
+fn rank_models_smoke() -> bool {
     let series = Recession::R1990_93.payroll_index();
     let mixtures = MixtureFamily::paper_combinations();
     let families = paper_families(&mixtures);
@@ -501,210 +480,85 @@ fn smoke() -> bool {
     identical && median <= SMOKE_EVALS_PER_FIT_CEILING
 }
 
-/// Runs the fleet repeatability evaluation on `grid`, writes the
-/// baseline to `path` when every gate holds, and reports the verdict.
-/// Wall-clock goes to stdout only — the JSON is a pure function of the
-/// grid, so repeated CI runs regenerate identical bytes.
-fn run_fleet_mode(path: &str, report: &FleetReport) -> bool {
-    if !report.gates_pass() {
-        eprintln!(
-            "fleet: repeatability gates failed (rerun={} parallel={} rollup={}) — \
-             refusing to overwrite {path}",
-            report.identical_rerun, report.identical_parallel, report.identical_rollup
-        );
-        return false;
+/// Writes the plain triple's logs and renders to `OBS_SMOKE_DIR`, when
+/// set, so CI can exercise `obsctl` against real output.
+fn write_obs_artifacts(artifacts: &ObsSmokeArtifacts) {
+    let Ok(dir) = std::env::var("OBS_SMOKE_DIR") else {
+        return;
+    };
+    let dir = std::path::Path::new(&dir);
+    for (name, bytes) in [
+        ("fleet_serial.jsonl", &artifacts.serial_jsonl),
+        ("fleet_rerun.jsonl", &artifacts.rerun_jsonl),
+        ("fleet_fixed2.jsonl", &artifacts.fixed2_jsonl),
+        ("metrics.prom", &artifacts.metrics_text),
+        ("tree.txt", &artifacts.tree_text),
+    ] {
+        std::fs::write(dir.join(name), bytes)
+            .unwrap_or_else(|e| panic!("write {}/{name}: {e}", dir.display()));
     }
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    let wall_ms: Vec<String> = report
-        .wall_ns
-        .iter()
-        .map(|ns| format!("{:.1}", *ns as f64 / 1e6))
-        .collect();
-    println!(
-        "fleet          cells={} families={} runs={} gates=pass digest={:016x} \
-         median_evals_per_fit={} wall_ms=[{}] -> {path}",
-        report.store.len(),
-        report.families.len(),
-        report.runs,
-        report.store.digest(),
-        report.median_evals_per_fit,
-        wall_ms.join(", "),
-    );
-    true
 }
 
-/// Runs the chaos-smoke evaluation (`bench fleet --chaos-smoke`): the
-/// 64-cell CI grid under the fixed chaos plan, gated on no-abort,
-/// well-formed survivors, byte-identical stores + event JSONL across
-/// serial ×2 and `Fixed(2)` passes, accounted injection, and bounded
-/// retries. Writes `BENCH_chaos.json` only when every gate holds.
-fn run_chaos_mode(path: &str, report: &ChaosReport) -> bool {
-    if !report.gates_pass() {
-        eprintln!(
-            "chaos: gates failed (no_abort={} well_formed={} rerun={} parallel={} \
-             accounted={} retries_bounded={}; injected={} breaker_opened={} half_open={} \
-             quarantined={} retries={}/{}) — refusing to overwrite {path}",
-            report.no_abort,
-            report.well_formed,
-            report.identical_rerun,
-            report.identical_parallel,
-            report.chaos_accounted,
-            report.retries_bounded,
-            report.chaos_injected,
-            report.breaker_opened,
-            report.breaker_half_open,
-            report.cells_quarantined,
-            report.retries,
-            report.retry_ceiling,
-        );
-        return false;
-    }
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "chaos          cells={} injected={} breaker_opened={} half_open={} quarantined={} \
-         retries={}/{} gates=pass digest={:016x} -> {path}",
-        report.store.len(),
-        report.chaos_injected,
-        report.breaker_opened,
-        report.breaker_half_open,
-        report.cells_quarantined,
-        report.retries,
-        report.retry_ceiling,
-        report.store.digest(),
+/// The CI gate runner (`bench --smoke`): every gate set, each fleet
+/// configuration run once as a triple (serial ×2, `Fixed(2)`). The plain
+/// triple feeds the fleet and obs gates, the chaos triple the chaos gates.
+fn smoke() -> bool {
+    let mut ok = rank_models_smoke();
+    ok &= scenario_smoke();
+
+    let grid = smoke_grid();
+    let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
+    let plain = run_triple(&grid, &families, &ExecPolicy::default());
+    let fleet = FleetReport::check(&families, &plain);
+    ok &= write_baseline(
+        "BENCH_fleet.json",
+        fleet.gates_pass(),
+        &fleet.summary(),
+        &fleet.to_json(),
     );
-    true
+    let (obs, artifacts) = ObsSmokeReport::check(&families, &plain);
+    write_obs_artifacts(&artifacts);
+    ok &= write_baseline(
+        "BENCH_obs.json",
+        obs.gates_pass(),
+        &obs.summary(),
+        &obs.to_json(),
+    );
+
+    // Forced panics are the *point* of the chaos triple; the supervisor
+    // catches every one. Silence the default hook so CI logs carry the
+    // verdict, not dozens of intentional backtraces.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let chaos_runs = run_triple(&grid, &families, &chaos_policy());
+    std::panic::set_hook(hook);
+    let chaos = ChaosReport::check(&families, &chaos_runs);
+    ok &= write_baseline(
+        "BENCH_chaos.json",
+        chaos.gates_pass(),
+        &chaos.summary(),
+        &chaos.to_json(),
+    );
+    ok
 }
 
-/// Runs the observability gate evaluation (`bench fleet --obs-smoke`):
-/// the 64-cell CI grid three times, gated on byte-identical logs, span
-/// trees, metrics expositions, and stores plus full work attribution and
-/// per-family evaluation ceilings. Writes `BENCH_obs.json` only when
-/// every gate holds; with `OBS_SMOKE_DIR` set, also writes the three
-/// JSONL logs and the metrics/tree renders there so CI can exercise
-/// `obsctl` against real output.
-fn run_obs_mode(path: &str, report: &ObsSmokeReport, artifacts: &ObsSmokeArtifacts) -> bool {
-    if let Ok(dir) = std::env::var("OBS_SMOKE_DIR") {
-        let dir = std::path::Path::new(&dir);
-        let write = |name: &str, bytes: &str| {
-            std::fs::write(dir.join(name), bytes)
-                .unwrap_or_else(|e| panic!("write {}/{name}: {e}", dir.display()));
-        };
-        write("fleet_serial.jsonl", &artifacts.serial_jsonl);
-        write("fleet_rerun.jsonl", &artifacts.rerun_jsonl);
-        write("fleet_fixed2.jsonl", &artifacts.fixed2_jsonl);
-        write("metrics.prom", &artifacts.metrics_text);
-        write("tree.txt", &artifacts.tree_text);
-    }
-    if !report.gates_pass() {
-        eprintln!(
-            "obs: gates failed (log={} tree={} metrics={} store={} cells={} \
-             attributed={} budget={}) — refusing to overwrite {path}",
-            report.identical_log,
-            report.identical_tree,
-            report.identical_metrics,
-            report.identical_store,
-            report.cells_covered,
-            report.work_attributed,
-            report.within_budget,
-        );
-        for w in &report.family_work {
-            if w.evaluations > w.ceiling {
-                eprintln!(
-                    "obs: {} burned {} evaluations (ceiling {})",
-                    w.family, w.evaluations, w.ceiling
-                );
-            }
-        }
-        return false;
-    }
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    let work: Vec<String> = report
-        .family_work
-        .iter()
-        .map(|w| format!("{}={}/{}", w.family, w.evaluations, w.ceiling))
-        .collect();
-    println!(
-        "obs            cells={} events={} gates=pass evals=[{}] -> {path}",
-        report.cells,
-        report.events,
-        work.join(", "),
-    );
-    true
+/// The 360-cell full sweep (the smoke families plus the quartic) with
+/// the repeatability gates → `BENCH_fleet_full.json`.
+fn full_fleet() -> bool {
+    let families: Vec<&dyn ModelFamily> =
+        vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+    let runs = run_triple(&full_grid(), &families, &ExecPolicy::default());
+    let report = FleetReport::check(&families, &runs);
+    write_baseline(
+        "BENCH_fleet_full.json",
+        report.gates_pass(),
+        &report.summary(),
+        &report.to_json(),
+    )
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        if !smoke() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--scenario-smoke") {
-        if !scenario_smoke() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--obs-smoke") {
-        // `bench fleet --obs-smoke`: the 64-cell CI grid through the
-        // observability gates (byte-identical logs / span trees / metrics
-        // across serial ×2 + Fixed(2), full work attribution, per-family
-        // evaluation ceilings) → `BENCH_obs.json`. Checked before the
-        // `fleet` branch: the invocation carries the `fleet` word too.
-        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
-        let (report, artifacts) = evaluate_obs_smoke(&smoke_grid(), &families);
-        if !run_obs_mode("BENCH_obs.json", &report, &artifacts) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--chaos-smoke") {
-        // `bench fleet --chaos-smoke`: the 64-cell CI grid under the
-        // fixed chaos plan with the breaker armed → `BENCH_chaos.json`.
-        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
-        // Forced panics are the *point* of this mode; the supervisor
-        // catches every one. Silence the default hook so CI logs carry
-        // the verdict, not dozens of intentional backtraces.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = evaluate_chaos_fleet(&smoke_grid(), &families);
-        std::panic::set_hook(hook);
-        if !run_chaos_mode("BENCH_chaos.json", &report) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "fleet" || a == "--fleet-smoke") {
-        // `bench fleet --fleet-smoke` (or bare `--fleet-smoke`): the
-        // 64-cell CI grid with the two bathtub families, double-run +
-        // Fixed(2) identity gates, written as the checked-in baseline.
-        // `bench fleet` alone: the 360-cell full sweep with the quartic
-        // added, written alongside it.
-        let smoke = std::env::args().any(|a| a == "--fleet-smoke");
-        let (path, grid, families): (&str, _, Vec<&dyn ModelFamily>) = if smoke {
-            (
-                "BENCH_fleet.json",
-                smoke_grid(),
-                vec![&QuadraticFamily, &CompetingRisksFamily],
-            )
-        } else {
-            (
-                "BENCH_fleet_full.json",
-                full_grid(),
-                vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily],
-            )
-        };
-        if !run_fleet_mode(path, &evaluate_fleet(&grid, &families)) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--scenarios") {
-        if !write_scenario_report("BENCH_scenarios.json", &bench_scenarios()) {
-            std::process::exit(1);
-        }
-        return;
-    }
+/// The default mode: timed serial-vs-parallel baselines.
+fn micro_bench() -> bool {
     println!(
         "predictive-resilience micro-bench (warmup {WARMUP}, min of {SAMPLES}, {} cores)",
         cores()
@@ -713,6 +567,21 @@ fn main() {
     ok &= write_report("BENCH_fitting.json", &bench_fitting());
     ok &= write_report("BENCH_bootstrap.json", &bench_bootstrap());
     ok &= write_scenario_report("BENCH_scenarios.json", &bench_scenarios());
+    ok
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let ok = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => micro_bench(),
+        ["--smoke"] => smoke(),
+        ["--scenarios"] => write_scenario_report("BENCH_scenarios.json", &bench_scenarios()),
+        ["fleet"] => full_fleet(),
+        _ => {
+            eprintln!("usage: bench [--smoke | --scenarios | fleet]");
+            std::process::exit(2);
+        }
+    };
     if !ok {
         std::process::exit(1);
     }

@@ -1,7 +1,7 @@
-//! Chaos-smoke evaluator behind `bench fleet --chaos-smoke` (DESIGN.md
-//! §14): the 64-cell CI grid run under a **fixed** [`ChaosPlan`] with the
-//! circuit breaker armed, gated on the supervisor's whole contract at
-//! once —
+//! The chaos gate set of `bench --smoke` (DESIGN.md §14): a check over
+//! a [`run_triple`](crate::fleet::run_triple) of the 64-cell CI grid
+//! under [`chaos_policy`] — a **fixed** [`ChaosPlan`] with the circuit
+//! breaker armed — gated on the supervisor's whole contract at once:
 //!
 //! 1. **no fleet abort**: every cell returns an outcome; chaos-injected
 //!    panics, deadline blowouts and retry exhaustion never escape the
@@ -22,18 +22,11 @@
 //! The verdict is written to `BENCH_chaos.json` with no wall-clock and no
 //! machine identifiers: regenerating it anywhere yields the same bytes.
 
-use crate::fleet::{cell_work, FleetStore, QUARANTINED_BITS};
+use crate::fleet::{FleetRun, FleetStore, PASSES, QUARANTINED_BITS};
 use resilience_core::chaos::ChaosPlan;
-use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{
-    rank_fleet_supervised, BreakerPolicy, CellOutcome, Control, ExecPolicy, RetryPolicy,
-};
-use resilience_data::scenario::ScenarioGrid;
-use resilience_data::PerformanceSeries;
-use resilience_obs::{CounterId, RecordingObserver, RunReport, SpanTree};
-use resilience_optim::Parallelism;
-use std::sync::Arc;
+use resilience_core::runtime::{BreakerPolicy, ExecPolicy, RetryPolicy};
+use resilience_obs::{CounterId, Event, RunReport};
 
 /// The fixed chaos plan of the CI smoke. Rates are tuned so the 64-cell
 /// grid exercises every supervisor path — forced panics, deadline
@@ -74,95 +67,6 @@ pub fn chaos_policy() -> ExecPolicy {
     }
 }
 
-/// One chaos fleet pass: the columnar store, the raw event log serialized
-/// as JSONL (the second repeatability artifact), and the roll-up.
-#[derive(Debug)]
-pub struct ChaosRun {
-    /// Per-cell results; quarantined cells sit in the sentinel column.
-    pub store: FleetStore,
-    /// Every event of the pass, one JSON object per line, in replay
-    /// order. Byte-compared across reruns by the evaluator.
-    pub events_jsonl: String,
-    /// Aggregated counters/histograms (deterministic, no wall-clock).
-    pub report: RunReport,
-    /// Number of cells the supervisor quarantined.
-    pub quarantined_cells: usize,
-    /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
-    /// abort, which the no-abort gate forbids.
-    pub aborted: bool,
-}
-
-/// Runs one chaos fleet pass over `grid` under [`chaos_policy`].
-///
-/// # Panics
-///
-/// Panics when a grid cell's spec fails to generate (grid specs are valid
-/// by construction) or when `families` is empty.
-#[must_use]
-pub fn run_fleet_chaos(
-    grid: &ScenarioGrid,
-    families: &[&dyn ModelFamily],
-    parallelism: Parallelism,
-) -> ChaosRun {
-    assert!(
-        !families.is_empty(),
-        "chaos fleet needs at least one family"
-    );
-    let cells: Vec<_> = grid.cells().collect();
-    let series: Vec<PerformanceSeries> = cells
-        .iter()
-        .map(|c| {
-            c.generate()
-                .unwrap_or_else(|e| panic!("grid cell {}: {e}", c.series_name()))
-        })
-        .collect();
-    let config = FitConfig {
-        parallelism,
-        ..FitConfig::default()
-    };
-    let rec = Arc::new(RecordingObserver::new());
-    let outcomes = rank_fleet_supervised(
-        families,
-        &series,
-        &config,
-        &chaos_policy(),
-        &Control::unbounded().observe(rec.clone()),
-    );
-    let events = rec.take();
-    let mut events_jsonl = String::new();
-    for event in &events {
-        event.write_json(&mut events_jsonl);
-        events_jsonl.push('\n');
-    }
-    let tree = SpanTree::build(&events);
-    let report = RunReport::from_events(events);
-
-    let mut store = FleetStore::with_capacity(cells.len());
-    let mut quarantined_cells = 0usize;
-    let mut aborted = false;
-    for (i, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
-        let work = cell_work(&tree, i);
-        match outcome {
-            CellOutcome::Ranked(ranking) => store.push(cell, Some(ranking), work),
-            CellOutcome::Quarantined { failures } => {
-                quarantined_cells += 1;
-                store.push_quarantined(cell, failures.len() as u32, work);
-            }
-            CellOutcome::Stopped(_) => {
-                aborted = true;
-                store.push(cell, None, work);
-            }
-        }
-    }
-    ChaosRun {
-        store,
-        events_jsonl,
-        report,
-        quarantined_cells,
-        aborted,
-    }
-}
-
 /// The chaos-smoke verdict: gates plus the exercised-path counts that
 /// make `BENCH_chaos.json` diffable.
 #[derive(Debug)]
@@ -200,8 +104,6 @@ pub struct ChaosReport {
     pub retry_ceiling: u64,
     /// Work roll-up of the canonical run.
     pub rollup: RunReport,
-    /// Number of passes the evaluation ran.
-    pub runs: usize,
 }
 
 fn counter(report: &RunReport, id: CounterId) -> u64 {
@@ -213,6 +115,96 @@ fn counter(report: &RunReport, id: CounterId) -> u64 {
 }
 
 impl ChaosReport {
+    /// Checks the chaos gates over a
+    /// [`run_triple`](crate::fleet::run_triple) of the fleet under
+    /// [`chaos_policy`] and assembles the report.
+    #[must_use]
+    pub fn check(families: &[&dyn ModelFamily], runs: &[FleetRun; 3]) -> ChaosReport {
+        let [run1, run2, run3] = runs;
+        let store = &run1.store;
+        let bytes1 = store.columns_json();
+        let log1 = run1.events_jsonl();
+        let identical_rerun = bytes1 == run2.store.columns_json() && log1 == run2.events_jsonl();
+        let identical_parallel = bytes1 == run3.store.columns_json() && log1 == run3.events_jsonl();
+
+        let no_abort = runs.iter().all(|r| !r.aborted);
+        let well_formed = (0..store.len()).all(|i| {
+            let bits = store.sse_bits[i];
+            if bits >= QUARANTINED_BITS {
+                // Quarantined cells are parked, not ranked; a `(failed)`
+                // sentinel would mean a non-quarantine hard failure, which
+                // the no-abort + supervisor contract does not produce here.
+                store.winner[i] == "(quarantined)"
+            } else {
+                f64::from_bits(bits).is_finite()
+                    && f64::from_bits(store.r2_bits[i]).is_finite()
+                    && store.ranked[i] > 0
+            }
+        });
+
+        let chaos_injected = counter(&run1.report, CounterId::ChaosInjected);
+        let injected_events = run1
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::ChaosInjected { .. }))
+            .count() as u64;
+        let breaker_opened = counter(&run1.report, CounterId::BreakerOpened);
+        let breaker_half_open = counter(&run1.report, CounterId::BreakerHalfOpen);
+        let cells_quarantined = counter(&run1.report, CounterId::CellsQuarantined);
+        let quarantined_cells = store.quarantined.iter().filter(|&&q| q > 0).count() as u64;
+        let chaos_accounted = chaos_injected == injected_events
+            && chaos_injected > 0
+            && breaker_opened > 0
+            && cells_quarantined == quarantined_cells
+            && cells_quarantined > 0;
+
+        let retries = counter(&run1.report, CounterId::Retries);
+        let max_attempts = chaos_policy().retry.map_or(1, |r| r.max_attempts) as u64;
+        let retry_ceiling = (max_attempts - 1) * (store.len() * families.len()) as u64;
+
+        ChaosReport {
+            families: families.iter().map(|f| f.name().to_string()).collect(),
+            plan: chaos_plan(),
+            store: store.clone(),
+            no_abort,
+            well_formed,
+            identical_rerun,
+            identical_parallel,
+            chaos_accounted,
+            retries_bounded: retries <= retry_ceiling,
+            chaos_injected,
+            breaker_opened,
+            breaker_half_open,
+            cells_quarantined,
+            retries,
+            retry_ceiling,
+            rollup: run1.report.clone(),
+        }
+    }
+
+    /// One-line verdict for the CI log.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        format!(
+            "chaos  cells={} no_abort={} well_formed={} rerun={} parallel={} accounted={} \
+             injected={} breaker_opened={} half_open={} quarantined={} retries={}/{} \
+             digest={:016x}",
+            self.store.len(),
+            self.no_abort,
+            self.well_formed,
+            self.identical_rerun,
+            self.identical_parallel,
+            self.chaos_accounted,
+            self.chaos_injected,
+            self.breaker_opened,
+            self.breaker_half_open,
+            self.cells_quarantined,
+            self.retries,
+            self.retry_ceiling,
+            self.store.digest(),
+        )
+    }
+
     /// Whether every chaos gate held.
     #[must_use]
     pub fn gates_pass(&self) -> bool {
@@ -248,7 +240,7 @@ impl ChaosReport {
              \"store_digest\": \"{:016x}\",\n  \"columns\": {},\n  \"rollup\": {}\n}}\n",
             self.store.len(),
             families.join(", "),
-            self.runs,
+            PASSES.len(),
             self.no_abort,
             self.well_formed,
             self.identical_rerun,
@@ -274,86 +266,12 @@ impl ChaosReport {
     }
 }
 
-/// The chaos-smoke evaluator: three passes (serial ×2, `Fixed(2)` ×1)
-/// over `grid` under [`chaos_policy`], gated as documented on the module.
-///
-/// # Panics
-///
-/// Panics when a grid cell fails to generate or `families` is empty (see
-/// [`run_fleet_chaos`]).
-#[must_use]
-pub fn evaluate_chaos_fleet(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) -> ChaosReport {
-    let run1 = run_fleet_chaos(grid, families, Parallelism::Serial);
-    let run2 = run_fleet_chaos(grid, families, Parallelism::Serial);
-    let run3 = run_fleet_chaos(grid, families, Parallelism::Fixed(2));
-
-    let bytes1 = run1.store.columns_json();
-    let identical_rerun =
-        bytes1 == run2.store.columns_json() && run1.events_jsonl == run2.events_jsonl;
-    let identical_parallel =
-        bytes1 == run3.store.columns_json() && run1.events_jsonl == run3.events_jsonl;
-
-    let no_abort = !run1.aborted && !run2.aborted && !run3.aborted;
-    let well_formed = (0..run1.store.len()).all(|i| {
-        let bits = run1.store.sse_bits[i];
-        if bits >= QUARANTINED_BITS {
-            // Quarantined cells are parked, not ranked; a `(failed)`
-            // sentinel would mean a non-quarantine hard failure, which
-            // the no-abort + supervisor contract does not produce here.
-            run1.store.winner[i] == "(quarantined)"
-        } else {
-            f64::from_bits(bits).is_finite()
-                && f64::from_bits(run1.store.r2_bits[i]).is_finite()
-                && run1.store.ranked[i] > 0
-        }
-    });
-
-    let chaos_injected = counter(&run1.report, CounterId::ChaosInjected);
-    let injected_events = run1
-        .events_jsonl
-        .lines()
-        .filter(|l| l.contains("\"ev\":\"chaos_injected\""))
-        .count() as u64;
-    let breaker_opened = counter(&run1.report, CounterId::BreakerOpened);
-    let breaker_half_open = counter(&run1.report, CounterId::BreakerHalfOpen);
-    let cells_quarantined = counter(&run1.report, CounterId::CellsQuarantined);
-    let chaos_accounted = chaos_injected == injected_events
-        && chaos_injected > 0
-        && breaker_opened > 0
-        && cells_quarantined == run1.quarantined_cells as u64
-        && cells_quarantined > 0;
-
-    let retries = counter(&run1.report, CounterId::Retries);
-    let max_attempts = chaos_policy().retry.map_or(1, |r| r.max_attempts) as u64;
-    let retry_ceiling = (max_attempts - 1) * (grid.len() * families.len()) as u64;
-    let retries_bounded = retries <= retry_ceiling;
-
-    ChaosReport {
-        families: families.iter().map(|f| f.name().to_string()).collect(),
-        plan: chaos_plan(),
-        store: run1.store,
-        no_abort,
-        well_formed,
-        identical_rerun,
-        identical_parallel,
-        chaos_accounted,
-        retries_bounded,
-        chaos_injected,
-        breaker_opened,
-        breaker_half_open,
-        cells_quarantined,
-        retries,
-        retry_ceiling,
-        rollup: run1.report,
-        runs: 3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{run_fleet, run_triple};
     use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
-    use resilience_data::scenario::{GridScenario, NoiseLevel, ShapeKind};
+    use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
 
     /// Small grid so the three-pass evaluation stays fast in debug
     /// builds; rates are high enough that chaos still fires on 16 cells.
@@ -371,43 +289,22 @@ mod tests {
     }
 
     #[test]
-    fn chaos_passes_are_bit_identical_across_reruns_and_threads() {
+    fn chaos_gates_pass_and_the_baseline_is_reproducible() {
         let grid = tiny_grid();
-        let a = run_fleet_chaos(&grid, &families(), Parallelism::Serial);
-        let b = run_fleet_chaos(&grid, &families(), Parallelism::Serial);
-        let c = run_fleet_chaos(&grid, &families(), Parallelism::Fixed(2));
-        assert_eq!(a.store.columns_json(), b.store.columns_json());
-        assert_eq!(a.store.columns_json(), c.store.columns_json());
-        assert_eq!(a.events_jsonl, b.events_jsonl);
-        assert_eq!(a.events_jsonl, c.events_jsonl);
-        assert!(!a.aborted);
-        // The plan fired: chaos events exist in the log.
-        assert!(a.events_jsonl.contains("chaos_injected"));
-    }
-
-    #[test]
-    fn quarantined_cells_land_in_the_sentinel_column() {
-        let grid = tiny_grid();
-        let run = run_fleet_chaos(&grid, &families(), Parallelism::Serial);
-        let from_store = run.store.quarantined.iter().filter(|&&q| q > 0).count();
-        assert_eq!(from_store, run.quarantined_cells);
-        for i in 0..run.store.len() {
-            if run.store.quarantined[i] > 0 {
-                assert_eq!(run.store.winner[i], "(quarantined)");
-                assert_eq!(run.store.sse_bits[i], QUARANTINED_BITS);
-            }
-        }
-    }
-
-    #[test]
-    fn report_json_is_wall_clock_free_and_reproducible() {
-        let grid = tiny_grid();
-        let report = evaluate_chaos_fleet(&grid, &families());
+        let check = || {
+            ChaosReport::check(
+                &families(),
+                &run_triple(&grid, &families(), &chaos_policy()),
+            )
+        };
+        let report = check();
         assert!(report.no_abort);
         assert!(report.well_formed);
         assert!(report.identical_rerun);
         assert!(report.identical_parallel);
         assert!(report.retries_bounded);
+        // The plan fired.
+        assert!(report.chaos_injected > 0);
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"chaos-fleet\"",
@@ -423,6 +320,26 @@ mod tests {
             "baseline must not record wall-clock"
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json, evaluate_chaos_fleet(&grid, &families()).to_json());
+        assert_eq!(json, check().to_json());
+    }
+
+    #[test]
+    fn quarantined_cells_land_in_the_sentinel_column() {
+        let grid = tiny_grid();
+        let run = run_fleet(
+            &grid,
+            &families(),
+            resilience_optim::Parallelism::Serial,
+            &chaos_policy(),
+        );
+        let from_store = run.store.quarantined.iter().filter(|&&q| q > 0).count();
+        let counted = counter(&run.report, CounterId::CellsQuarantined);
+        assert_eq!(from_store as u64, counted);
+        for i in 0..run.store.len() {
+            if run.store.quarantined[i] > 0 {
+                assert_eq!(run.store.winner[i], "(quarantined)");
+                assert_eq!(run.store.sse_bits[i], QUARANTINED_BITS);
+            }
+        }
     }
 }

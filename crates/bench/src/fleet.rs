@@ -1,16 +1,19 @@
-//! Fleet-scale batch driver with repeatability gates (DESIGN.md §13).
+//! The fleet gate runner (DESIGN.md §13): one fleet pass, the triple of
+//! passes every CI gate set checks, and the repeatability gate set.
 //!
 //! A *fleet run* generates every cell of a [`ScenarioGrid`]
 //! (scenarios × noise models × lengths × seeds), fits all of them through
-//! `rank_many_supervised` — work-stealing over the flattened
-//! series × family job list — and streams the per-cell outcomes into a
-//! columnar [`FleetStore`]. The store keeps winning SSE and adjusted R²
-//! as raw `f64` bits, so "same results" is exact byte equality, never an
-//! epsilon.
+//! `rank_fleet_supervised` — work-stealing over the flattened
+//! series × family job list — under an [`ExecPolicy`], and streams the
+//! per-cell outcomes into a columnar [`FleetStore`]. The store keeps
+//! winning SSE and adjusted R² as raw `f64` bits, so "same results" is
+//! exact byte equality, never an epsilon.
 //!
-//! [`evaluate_fleet`] is the repeatability evaluator behind
-//! `bench fleet`: it runs the same fleet three times — twice serial, once
-//! with `Fixed(2)` workers — and gates on
+//! [`run_triple`] runs the same fleet three times ([`PASSES`]: serial,
+//! serial again, `Fixed(2)` workers). Each gate set is a check over one
+//! triple: [`FleetReport::check`] here, and the chaos
+//! ([`crate::chaos`]) and observability ([`crate::obs_smoke`]) sets next
+//! door. The repeatability set gates on
 //!
 //! 1. **rerun identity**: the two serial stores serialize to identical
 //!    bytes (winners, SSE bits, obs roll-up);
@@ -24,14 +27,14 @@
 //! to stdout only — the JSON is a pure function of the grid, so CI can
 //! regenerate it and `git diff` stays clean.
 
-use crate::harness::{json_escape, median_u64};
+use crate::harness::{evals_per_fit, json_escape, median_u64};
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{rank_many_supervised, Control, ExecPolicy};
+use resilience_core::runtime::{rank_fleet_supervised, CellOutcome, Control, ExecPolicy};
 use resilience_core::selection::Ranking;
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
 use resilience_data::PerformanceSeries;
-use resilience_obs::{Event, HistogramId, RecordingObserver, RunReport, SpanTree};
+use resilience_obs::{Event, RecordingObserver, RunReport, SpanTree};
 use resilience_optim::Parallelism;
 use std::sync::Arc;
 // Sanctioned wall-clock: `wall_ns` is stdout-only progress reporting,
@@ -259,11 +262,12 @@ pub struct FleetRun {
     /// Aggregated telemetry for the whole pass (deterministic work
     /// counters — no wall-clock).
     pub report: RunReport,
-    /// Raw evals-per-fit observations in replay (= job) order.
-    pub evals_per_fit: Vec<u64>,
     /// Every event of the pass in replay order — the input for span-tree
     /// reconstruction, JSONL export, and log diffing.
     pub events: Vec<Event>,
+    /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
+    /// abort.
+    pub aborted: bool,
     /// Wall-clock for the ranking pass, nanoseconds. Informational only;
     /// never serialized into the baseline.
     pub wall_ns: u128,
@@ -284,11 +288,12 @@ impl FleetRun {
 }
 
 /// Runs one fleet pass: generates every grid cell, ranks all of them via
-/// `rank_many_supervised` under `parallelism`, and collects the store and
-/// the observed roll-up.
+/// `rank_fleet_supervised` under `parallelism` and `policy`, and collects
+/// the store and the observed roll-up.
 ///
-/// Per-cell ranking failures degrade to `(failed)` rows in the store —
-/// one poisoned cell must not abort a fleet.
+/// A cell in which every family failed never aborts the fleet. Under a
+/// breaker or chaos plan the supervisor quarantines it (the store's
+/// `(quarantined)` sentinel row); otherwise it is a `(failed)` row.
 ///
 /// # Panics
 ///
@@ -300,6 +305,7 @@ pub fn run_fleet(
     grid: &ScenarioGrid,
     families: &[&dyn ModelFamily],
     parallelism: Parallelism,
+    policy: &ExecPolicy,
 ) -> FleetRun {
     assert!(!families.is_empty(), "fleet needs at least one family");
     let cells: Vec<_> = grid.cells().collect();
@@ -316,38 +322,65 @@ pub fn run_fleet(
     };
     let rec = Arc::new(RecordingObserver::new());
     let start = Instant::now();
-    let rankings = rank_many_supervised(
+    let outcomes = rank_fleet_supervised(
         families,
         &series,
         &config,
-        &ExecPolicy::default(),
+        policy,
         &Control::unbounded().observe(rec.clone()),
     );
     let wall_ns = start.elapsed().as_nanos();
     let events = rec.take();
-    let evals_per_fit: Vec<u64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Hist {
-                id: HistogramId::EvalsPerFit,
-                value,
-            } => Some(*value),
-            _ => None,
-        })
-        .collect();
     let report = RunReport::from_events(events.iter().copied());
     let tree = SpanTree::build(&events);
+    let supervised = policy.supervises_cells();
     let mut store = FleetStore::with_capacity(cells.len());
-    for (i, (cell, ranking)) in cells.iter().zip(&rankings).enumerate() {
-        store.push(cell, ranking.as_ref().ok(), cell_work(&tree, i));
+    let mut aborted = false;
+    for (i, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
+        let work = cell_work(&tree, i);
+        match outcome {
+            CellOutcome::Ranked(ranking) => store.push(cell, Some(ranking), work),
+            CellOutcome::Quarantined { failures } if supervised => {
+                store.push_quarantined(cell, failures.len() as u32, work);
+            }
+            CellOutcome::Quarantined { .. } => store.push(cell, None, work),
+            CellOutcome::Stopped(_) => {
+                aborted = true;
+                store.push(cell, None, work);
+            }
+        }
     }
     FleetRun {
         store,
         report,
-        evals_per_fit,
         events,
+        aborted,
         wall_ns,
     }
+}
+
+/// The three passes of every gate set: serial, a serial rerun, and
+/// `Fixed(2)` workers.
+pub const PASSES: [Parallelism; 3] = [
+    Parallelism::Serial,
+    Parallelism::Serial,
+    Parallelism::Fixed(2),
+];
+
+/// Runs the fleet once per [`PASSES`] entry under `policy`: the triple
+/// every gate set checks.
+///
+/// # Panics
+///
+/// Panics when a grid cell fails to generate or `families` is empty (see
+/// [`run_fleet`]).
+#[must_use]
+pub fn run_triple(
+    grid: &ScenarioGrid,
+    families: &[&dyn ModelFamily],
+    policy: &ExecPolicy,
+) -> [FleetRun; 3] {
+    PASSES.map(|p| run_fleet(grid, families, p, policy))
 }
 
 /// Max-delta summary across all cells of the repeatability evaluation.
@@ -388,9 +421,9 @@ pub struct VarianceBand {
     pub winner_unanimous: bool,
 }
 
-/// The repeatability evaluation behind `BENCH_fleet.json`: one fleet's
-/// results plus the identity gates and delta/variance summaries from
-/// running it three times.
+/// The repeatability gate set behind `BENCH_fleet.json`: one fleet's
+/// results plus the identity gates and delta/variance summaries over a
+/// [`run_triple`].
 #[derive(Debug)]
 pub struct FleetReport {
     /// Family names fitted in every cell.
@@ -420,8 +453,6 @@ pub struct FleetReport {
     /// Total work across all three runs ([`RunReport::merge`] of the
     /// per-run roll-ups).
     pub total: RunReport,
-    /// Number of fleet passes the evaluation ran.
-    pub runs: usize,
     /// Median evals-per-fit of the canonical run.
     pub median_evals_per_fit: u64,
     /// Wall-clock per pass, nanoseconds — stdout only, never serialized.
@@ -429,10 +460,78 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Checks the repeatability gates over a [`run_triple`] of the fleet
+    /// and assembles the report.
+    #[must_use]
+    pub fn check(families: &[&dyn ModelFamily], runs: &[FleetRun; 3]) -> FleetReport {
+        let [run1, run2, run3] = runs;
+        let bytes1 = run1.store.columns_json();
+        let identical_rerun = bytes1 == run2.store.columns_json();
+        let identical_parallel = bytes1 == run3.store.columns_json();
+        let rollup1 = run1.report.to_json();
+        let identical_rollup = rollup1 == run2.report.to_json() && rollup1 == run3.report.to_json();
+
+        let delta_sse_rerun = bit_deltas(&run1.store.sse_bits, &run2.store.sse_bits);
+        let delta_r2_rerun = bit_deltas(&run1.store.r2_bits, &run2.store.r2_bits);
+        let delta_sse_parallel = bit_deltas(&run1.store.sse_bits, &run3.store.sse_bits);
+        let delta_r2_parallel = bit_deltas(&run1.store.r2_bits, &run3.store.r2_bits);
+        let max_delta = MaxDelta {
+            sse_rerun: max_of(&delta_sse_rerun),
+            r2_rerun: max_of(&delta_r2_rerun),
+            sse_parallel: max_of(&delta_sse_parallel),
+            r2_parallel: max_of(&delta_r2_parallel),
+        };
+
+        let mut total = run1.report.clone();
+        total.merge(&run2.report);
+        total.merge(&run3.report);
+
+        FleetReport {
+            families: families.iter().map(|f| f.name().to_string()).collect(),
+            store: run1.store.clone(),
+            delta_sse_rerun,
+            delta_r2_rerun,
+            delta_sse_parallel,
+            delta_r2_parallel,
+            identical_rerun,
+            identical_parallel,
+            identical_rollup,
+            max_delta,
+            bands: variance_bands(&run1.store),
+            rollup: run1.report.clone(),
+            total,
+            median_evals_per_fit: median_u64(&evals_per_fit(&run1.events)).unwrap_or(0),
+            wall_ns: runs.iter().map(|r| r.wall_ns).collect(),
+        }
+    }
+
     /// Whether every repeatability gate held.
     #[must_use]
     pub fn gates_pass(&self) -> bool {
         self.identical_rerun && self.identical_parallel && self.identical_rollup
+    }
+
+    /// One-line verdict for the CI log (wall-clock included — stdout
+    /// only).
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let wall_ms: Vec<String> = self
+            .wall_ns
+            .iter()
+            .map(|ns| format!("{:.1}", *ns as f64 / 1e6))
+            .collect();
+        format!(
+            "fleet  cells={} families={} rerun={} parallel={} rollup={} digest={:016x} \
+             median_evals_per_fit={} wall_ms=[{}]",
+            self.store.len(),
+            self.families.len(),
+            self.identical_rerun,
+            self.identical_parallel,
+            self.identical_rollup,
+            self.store.digest(),
+            self.median_evals_per_fit,
+            wall_ms.join(", "),
+        )
     }
 
     /// The `BENCH_fleet.json` document. Contains no wall-clock and no
@@ -483,7 +582,7 @@ impl FleetReport {
              \"rollup\": {},\n  \"total\": {}\n}}\n",
             self.store.len(),
             families.join(", "),
-            self.runs,
+            PASSES.len(),
             self.identical_rerun,
             self.identical_parallel,
             self.identical_rollup,
@@ -571,65 +670,8 @@ pub fn variance_bands(store: &FleetStore) -> Vec<VarianceBand> {
         .collect()
 }
 
-/// The repeatability evaluator: runs the fleet twice serially and once
-/// with `Fixed(2)` workers, gates on byte-identical stores and roll-ups,
-/// and assembles the [`FleetReport`].
-///
-/// # Panics
-///
-/// Panics when a grid cell fails to generate or `families` is empty (see
-/// [`run_fleet`]).
-#[must_use]
-pub fn evaluate_fleet(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) -> FleetReport {
-    let run1 = run_fleet(grid, families, Parallelism::Serial);
-    let run2 = run_fleet(grid, families, Parallelism::Serial);
-    let run3 = run_fleet(grid, families, Parallelism::Fixed(2));
-
-    let bytes1 = run1.store.columns_json();
-    let identical_rerun = bytes1 == run2.store.columns_json();
-    let identical_parallel = bytes1 == run3.store.columns_json();
-    let rollup1 = run1.report.to_json();
-    let identical_rollup = rollup1 == run2.report.to_json() && rollup1 == run3.report.to_json();
-
-    let delta_sse_rerun = bit_deltas(&run1.store.sse_bits, &run2.store.sse_bits);
-    let delta_r2_rerun = bit_deltas(&run1.store.r2_bits, &run2.store.r2_bits);
-    let delta_sse_parallel = bit_deltas(&run1.store.sse_bits, &run3.store.sse_bits);
-    let delta_r2_parallel = bit_deltas(&run1.store.r2_bits, &run3.store.r2_bits);
-    let max_delta = MaxDelta {
-        sse_rerun: max_of(&delta_sse_rerun),
-        r2_rerun: max_of(&delta_r2_rerun),
-        sse_parallel: max_of(&delta_sse_parallel),
-        r2_parallel: max_of(&delta_r2_parallel),
-    };
-
-    let bands = variance_bands(&run1.store);
-    let median_evals_per_fit = median_u64(&run1.evals_per_fit).unwrap_or(0);
-    let mut total = run1.report.clone();
-    total.merge(&run2.report);
-    total.merge(&run3.report);
-
-    FleetReport {
-        families: families.iter().map(|f| f.name().to_string()).collect(),
-        store: run1.store,
-        delta_sse_rerun,
-        delta_r2_rerun,
-        delta_sse_parallel,
-        delta_r2_parallel,
-        identical_rerun,
-        identical_parallel,
-        identical_rollup,
-        max_delta,
-        bands,
-        rollup: run1.report,
-        total,
-        runs: 3,
-        median_evals_per_fit,
-        wall_ns: vec![run1.wall_ns, run2.wall_ns, run3.wall_ns],
-    }
-}
-
 /// The CI smoke grid: 4 scenarios × 2 noises × 2 lengths × 4 seeds =
-/// 64 cells — the floor the `--fleet-smoke` gate must cover.
+/// 64 cells — the floor the `bench --smoke` fleet gates must cover.
 #[must_use]
 pub fn smoke_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -681,39 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn two_fleet_runs_are_bit_identical() {
+    fn fleet_gates_pass_and_the_baseline_is_reproducible() {
         let grid = tiny_grid();
-        let a = run_fleet(&grid, &families(), Parallelism::Serial);
-        let b = run_fleet(&grid, &families(), Parallelism::Serial);
-        assert_eq!(a.store, b.store);
-        assert_eq!(a.store.columns_json(), b.store.columns_json());
-        assert_eq!(a.store.digest(), b.store.digest());
-        assert_eq!(a.report.to_json(), b.report.to_json());
-        assert_eq!(a.evals_per_fit, b.evals_per_fit);
-    }
-
-    #[test]
-    fn serial_and_fixed2_fleets_match_byte_for_byte() {
-        let grid = tiny_grid();
-        let serial = run_fleet(&grid, &families(), Parallelism::Serial);
-        let fixed2 = run_fleet(&grid, &families(), Parallelism::Fixed(2));
-        assert_eq!(serial.store.columns_json(), fixed2.store.columns_json());
-        assert_eq!(serial.report.to_json(), fixed2.report.to_json());
-    }
-
-    #[test]
-    fn evaluator_passes_gates_and_zeroes_deltas_on_a_deterministic_fleet() {
-        let grid = tiny_grid();
-        let report = evaluate_fleet(&grid, &families());
+        let check = || {
+            FleetReport::check(
+                &families(),
+                &run_triple(&grid, &families(), &ExecPolicy::default()),
+            )
+        };
+        let report = check();
         assert!(report.gates_pass());
-        assert!(report.identical_rerun);
-        assert!(report.identical_parallel);
-        assert!(report.identical_rollup);
         assert_eq!(report.store.len(), grid.len());
         assert_eq!(report.max_delta.sse_rerun, 0.0);
         assert_eq!(report.max_delta.sse_parallel, 0.0);
         assert!(report.delta_sse_rerun.iter().all(|&d| d == 0.0));
-        assert_eq!(report.runs, 3);
         // The merged total counts three runs' worth of work.
         let per_run: u64 = report.rollup.counters.iter().map(|(_, v)| *v).sum();
         let total: u64 = report.total.counters.iter().map(|(_, v)| *v).sum();
@@ -725,16 +748,11 @@ mod tests {
             assert_eq!(band.seeds, 2);
             assert!(band.sse_min <= band.sse_mean && band.sse_mean <= band.sse_max);
         }
-    }
-
-    #[test]
-    fn report_json_is_structurally_sound_and_wall_clock_free() {
-        let grid = tiny_grid();
-        let report = evaluate_fleet(&grid, &families());
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"fleet\"",
             "\"cells\": 4",
+            "\"runs\": 3",
             "\"identical_rerun\": true",
             "\"identical_parallel\": true",
             "\"identical_rollup\": true",
@@ -754,7 +772,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         // And the document is reproducible byte for byte.
-        assert_eq!(json, evaluate_fleet(&grid, &families()).to_json());
+        assert_eq!(json, check().to_json());
     }
 
     #[test]
@@ -775,7 +793,12 @@ mod tests {
     #[test]
     fn work_columns_agree_with_the_rollup() {
         let grid = tiny_grid();
-        let run = run_fleet(&grid, &families(), Parallelism::Serial);
+        let run = run_fleet(
+            &grid,
+            &families(),
+            Parallelism::Serial,
+            &ExecPolicy::default(),
+        );
         // One span-tree cell per grid cell, and the per-cell work columns
         // sum to the per-family attribution of the aggregated report.
         assert_eq!(run.store.evals.len(), grid.len());

@@ -13,6 +13,7 @@
 // bans `Instant` elsewhere so it cannot leak into result paths.
 #![allow(clippy::disallowed_types)]
 
+use resilience_obs::{Event, HistogramId};
 use std::time::Instant;
 
 /// Timing samples for one benchmarked operation.
@@ -332,6 +333,22 @@ impl ScenarioSweepReport {
             cells.join(",\n")
         )
     }
+}
+
+/// Raw evals-per-fit observations of an event log, in replay (= fit)
+/// order — the exact values, where the histogram only buckets them.
+#[must_use]
+pub fn evals_per_fit(events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Hist {
+                id: HistogramId::EvalsPerFit,
+                value,
+            } => Some(*value),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Median of a set of integer observations under the same convention as

@@ -1,9 +1,10 @@
-//! Observability smoke evaluator (`bench fleet --obs-smoke`):
-//! the work-budget regression gate behind `BENCH_obs.json`.
+//! The observability gate set of `bench --smoke`: the work-budget
+//! regression gate behind `BENCH_obs.json`.
 //!
-//! Runs the CI fleet three times — twice serial, once with `Fixed(2)`
-//! workers — and gates on the *observability plane itself* being
-//! deterministic, not just the fit results:
+//! A check over the same [`run_triple`](crate::fleet::run_triple) of the
+//! CI fleet that feeds the repeatability gates — twice serial, once with
+//! `Fixed(2)` workers — that gates on the *observability plane itself*
+//! being deterministic, not just the fit results:
 //!
 //! 1. **identical_log** — the three JSONL event logs are byte-identical;
 //! 2. **identical_tree** — the [`SpanTree`] renders are byte-identical;
@@ -24,12 +25,10 @@
 //! ceilings, and the top-K hottest cells. No wall-clock, no machine
 //! identifiers — CI regenerates it and `git diff` stays clean.
 
-use crate::fleet::{run_fleet, FleetRun};
+use crate::fleet::{FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
-use resilience_data::scenario::ScenarioGrid;
 use resilience_obs::{Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
-use resilience_optim::Parallelism;
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
@@ -87,8 +86,6 @@ pub struct ObsSmokeReport {
     pub cells: usize,
     /// Family names fitted in every cell.
     pub families: Vec<String>,
-    /// Fleet passes run (always 3: serial ×2 + `Fixed(2)`).
-    pub runs: usize,
     /// Events in the canonical run's log.
     pub events: u64,
     /// Gate 1: the three JSONL logs are byte-identical.
@@ -120,6 +117,9 @@ pub struct ObsSmokeReport {
     /// Evaluations the span tree could not attribute to any cell.
     pub unattributed_evals: u64,
 }
+
+/// How many hottest cells the baseline records.
+const TOP_K: usize = 5;
 
 impl ObsSmokeReport {
     /// Whether every observability gate held.
@@ -205,7 +205,7 @@ impl ObsSmokeReport {
              \"hottest_cells\": [\n{}\n  ],\n  \"hottest_families\": [\n{}\n  ]\n}}\n",
             self.cells,
             families.join(", "),
-            self.runs,
+            PASSES.len(),
             self.events,
             self.identical_log,
             self.identical_tree,
@@ -223,117 +223,135 @@ impl ObsSmokeReport {
             hottest_families.join(",\n"),
         )
     }
-}
 
-/// How many hottest cells the baseline records.
-const TOP_K: usize = 5;
+    /// Checks the seven observability gates over a
+    /// [`run_triple`](crate::fleet::run_triple) of the fleet and assembles
+    /// the baseline aggregates (see the module docs), plus the byte
+    /// artifacts the gates compared.
+    #[must_use]
+    pub fn check(
+        families: &[&dyn ModelFamily],
+        runs: &[FleetRun; 3],
+    ) -> (ObsSmokeReport, ObsSmokeArtifacts) {
+        let [run1, run2, run3] = runs;
+        let cells = run1.store.len();
+        let log1 = run1.events_jsonl();
+        let log2 = run2.events_jsonl();
+        let log3 = run3.events_jsonl();
+        let identical_log = log1 == log2 && log1 == log3;
 
-/// Runs the observability gate evaluation: three fleet passes, the seven
-/// gates, and the baseline aggregates (see the module docs).
-///
-/// # Panics
-///
-/// Panics when a grid cell fails to generate or `families` is empty (see
-/// [`run_fleet`]).
-#[must_use]
-pub fn evaluate_obs_smoke(
-    grid: &ScenarioGrid,
-    families: &[&dyn ModelFamily],
-) -> (ObsSmokeReport, ObsSmokeArtifacts) {
-    let run1 = run_fleet(grid, families, Parallelism::Serial);
-    let run2 = run_fleet(grid, families, Parallelism::Serial);
-    let run3 = run_fleet(grid, families, Parallelism::Fixed(2));
+        let tree = SpanTree::build(&run1.events);
+        let render = |run: &FleetRun| SpanTree::build(&run.events).render(usize::MAX, 4);
+        let tree_text = tree.render(usize::MAX, 4);
+        let identical_tree = tree_text == render(run2) && tree_text == render(run3);
 
-    let log1 = run1.events_jsonl();
-    let log2 = run2.events_jsonl();
-    let log3 = run3.events_jsonl();
-    let identical_log = log1 == log2 && log1 == log3;
+        let metrics_text = MetricsSnapshot::from_report(&run1.report).render();
+        let identical_metrics = metrics_text == MetricsSnapshot::from_report(&run2.report).render()
+            && metrics_text == MetricsSnapshot::from_report(&run3.report).render();
 
-    let tree = SpanTree::build(&run1.events);
-    let render = |run: &FleetRun| SpanTree::build(&run.events).render(usize::MAX, 4);
-    let tree_text = tree.render(usize::MAX, 4);
-    let identical_tree = tree_text == render(&run2) && tree_text == render(&run3);
+        let store_bytes = run1.store.columns_json();
+        let identical_store =
+            store_bytes == run2.store.columns_json() && store_bytes == run3.store.columns_json();
 
-    let metrics_text = MetricsSnapshot::from_report(&run1.report).render();
-    let identical_metrics = metrics_text == MetricsSnapshot::from_report(&run2.report).render()
-        && metrics_text == MetricsSnapshot::from_report(&run3.report).render();
+        let cells_covered = tree.cells.len() == cells && tree.unattributed_evaluations == 0;
+        let column_total: u64 = run1.store.evals.iter().sum();
+        let family_total: u64 = run1.report.families.iter().map(|f| f.evaluations).sum();
+        let work_attributed = column_total == family_total && column_total > 0;
 
-    let store_bytes = run1.store.columns_json();
-    let identical_store =
-        store_bytes == run2.store.columns_json() && store_bytes == run3.store.columns_json();
-
-    let cells_covered = tree.cells.len() == grid.len() && tree.unattributed_evaluations == 0;
-    let column_total: u64 = run1.store.evals.iter().sum();
-    let family_total: u64 = run1.report.families.iter().map(|f| f.evaluations).sum();
-    let work_attributed = column_total == family_total && column_total > 0;
-
-    let family_work: Vec<FamilyWork> = run1
-        .report
-        .families
-        .iter()
-        .map(|f| FamilyWork {
-            family: f.name.to_string(),
-            evaluations: f.evaluations,
-            ceiling: eval_ceiling(f.name),
-        })
-        .collect();
-    let within_budget = family_work.iter().all(|w| w.evaluations <= w.ceiling);
-
-    let report = ObsSmokeReport {
-        cells: grid.len(),
-        families: families.iter().map(|f| f.name().to_string()).collect(),
-        runs: 3,
-        events: tree.events,
-        identical_log,
-        identical_tree,
-        identical_metrics,
-        identical_store,
-        cells_covered,
-        work_attributed,
-        within_budget,
-        counters: run1
+        let family_work: Vec<FamilyWork> = run1
             .report
-            .counters
+            .families
             .iter()
-            .map(|(id, v)| (id.as_str().to_string(), *v))
-            .collect(),
-        histograms: HistogramId::ALL
-            .iter()
-            .map(|id| {
-                let h = run1
-                    .report
-                    .histograms
-                    .iter()
-                    .find(|(hid, _)| hid == id)
-                    .map_or_else(Histogram::default, |(_, h)| h.clone());
-                (id.as_str().to_string(), h)
+            .map(|f| FamilyWork {
+                family: f.name.to_string(),
+                evaluations: f.evaluations,
+                ceiling: eval_ceiling(f.name),
             })
-            .collect(),
-        family_work,
-        hottest_cells: tree.hottest_cells(TOP_K, WorkMetric::Evaluations),
-        hottest_families: tree
-            .hottest_families(TOP_K, WorkMetric::Evaluations)
-            .into_iter()
-            .map(|(name, evals)| (name.to_string(), evals))
-            .collect(),
-        tree_cells: tree.cells.len(),
-        unattributed_evals: tree.unattributed_evaluations,
-    };
-    let artifacts = ObsSmokeArtifacts {
-        serial_jsonl: log1,
-        rerun_jsonl: log2,
-        fixed2_jsonl: log3,
-        metrics_text,
-        tree_text,
-    };
-    (report, artifacts)
+            .collect();
+        let within_budget = family_work.iter().all(|w| w.evaluations <= w.ceiling);
+
+        let report = ObsSmokeReport {
+            cells,
+            families: families.iter().map(|f| f.name().to_string()).collect(),
+            events: tree.events,
+            identical_log,
+            identical_tree,
+            identical_metrics,
+            identical_store,
+            cells_covered,
+            work_attributed,
+            within_budget,
+            counters: run1
+                .report
+                .counters
+                .iter()
+                .map(|(id, v)| (id.as_str().to_string(), *v))
+                .collect(),
+            histograms: HistogramId::ALL
+                .iter()
+                .map(|id| {
+                    let h = run1
+                        .report
+                        .histograms
+                        .iter()
+                        .find(|(hid, _)| hid == id)
+                        .map_or_else(Histogram::default, |(_, h)| h.clone());
+                    (id.as_str().to_string(), h)
+                })
+                .collect(),
+            family_work,
+            hottest_cells: tree.hottest_cells(TOP_K, WorkMetric::Evaluations),
+            hottest_families: tree
+                .hottest_families(TOP_K, WorkMetric::Evaluations)
+                .into_iter()
+                .map(|(name, evals)| (name.to_string(), evals))
+                .collect(),
+            tree_cells: tree.cells.len(),
+            unattributed_evals: tree.unattributed_evaluations,
+        };
+        let artifacts = ObsSmokeArtifacts {
+            serial_jsonl: log1,
+            rerun_jsonl: log2,
+            fixed2_jsonl: log3,
+            metrics_text,
+            tree_text,
+        };
+        (report, artifacts)
+    }
+
+    /// One-line verdict for the CI log, with each family's work against
+    /// its ceiling.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let work: Vec<String> = self
+            .family_work
+            .iter()
+            .map(|w| format!("{}={}/{}", w.family, w.evaluations, w.ceiling))
+            .collect();
+        format!(
+            "obs    cells={} events={} log={} tree={} metrics={} store={} covered={} \
+             attributed={} budget={} evals=[{}]",
+            self.cells,
+            self.events,
+            self.identical_log,
+            self.identical_tree,
+            self.identical_metrics,
+            self.identical_store,
+            self.cells_covered,
+            self.work_attributed,
+            self.within_budget,
+            work.join(", "),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::run_triple;
     use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
-    use resilience_data::scenario::{GridScenario, NoiseLevel, ShapeKind};
+    use resilience_core::runtime::ExecPolicy;
+    use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
 
     fn tiny_grid() -> ScenarioGrid {
         ScenarioGrid {
@@ -348,25 +366,33 @@ mod tests {
         vec![&QuadraticFamily, &CompetingRisksFamily]
     }
 
+    fn check() -> (ObsSmokeReport, ObsSmokeArtifacts) {
+        let runs = run_triple(&tiny_grid(), &families(), &ExecPolicy::default());
+        ObsSmokeReport::check(&families(), &runs)
+    }
+
     #[test]
-    fn gates_hold_on_a_deterministic_fleet() {
+    fn gates_hold_and_the_baseline_is_reproducible() {
         let grid = tiny_grid();
-        let (report, artifacts) = evaluate_obs_smoke(&grid, &families());
+        let (report, artifacts) = check();
         assert!(report.gates_pass(), "gates failed: {report:?}");
         assert_eq!(report.cells, grid.len());
         assert_eq!(report.tree_cells, grid.len());
         assert_eq!(report.unattributed_evals, 0);
-        assert_eq!(report.runs, 3);
         assert_eq!(artifacts.serial_jsonl, artifacts.rerun_jsonl);
         assert_eq!(artifacts.serial_jsonl, artifacts.fixed2_jsonl);
         assert!(artifacts.metrics_text.starts_with("# TYPE"));
         assert!(artifacts.tree_text.starts_with("fleet:"));
-    }
 
-    #[test]
-    fn baseline_json_is_reproducible_and_wall_clock_free() {
-        let grid = tiny_grid();
-        let (report, _) = evaluate_obs_smoke(&grid, &families());
+        assert!(report.hottest_cells.len() <= TOP_K);
+        assert!(!report.hottest_cells.is_empty());
+        for pair in report.hottest_cells.windows(2) {
+            assert!(pair[0].1 >= pair[1].1, "hottest cells not sorted: {pair:?}");
+        }
+        let total: u64 = report.family_work.iter().map(|w| w.evaluations).sum();
+        let hottest_sum: u64 = report.hottest_cells.iter().map(|(_, e)| e).sum();
+        assert!(hottest_sum <= total);
+
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"obs\"",
@@ -391,22 +417,7 @@ mod tests {
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let (again, _) = evaluate_obs_smoke(&grid, &families());
-        assert_eq!(json, again.to_json());
-    }
-
-    #[test]
-    fn hottest_cells_are_sorted_and_bounded() {
-        let grid = tiny_grid();
-        let (report, _) = evaluate_obs_smoke(&grid, &families());
-        assert!(report.hottest_cells.len() <= TOP_K);
-        assert!(!report.hottest_cells.is_empty());
-        for pair in report.hottest_cells.windows(2) {
-            assert!(pair[0].1 >= pair[1].1, "hottest cells not sorted: {pair:?}");
-        }
-        let total: u64 = report.family_work.iter().map(|w| w.evaluations).sum();
-        let hottest_sum: u64 = report.hottest_cells.iter().map(|(_, e)| e).sum();
-        assert!(hottest_sum <= total);
+        assert_eq!(json, check().0.to_json());
     }
 
     #[test]

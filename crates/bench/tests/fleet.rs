@@ -1,14 +1,16 @@
 //! Fleet repeatability contract, end to end (DESIGN.md §13): the same
 //! grid must produce byte-identical results stores across reruns and
-//! across worker counts, and the batch entry point must agree bit for bit
-//! with standalone per-series ranking.
+//! across worker counts, one triple of runs must satisfy every gate set
+//! that checks it, and each fleet cell must agree bit for bit with a
+//! standalone per-series ranking.
 //!
 //! The grids here are deliberately tiny — the contract is about identity,
 //! not scale, and these run in debug builds under `cargo test`. The
 //! 64-cell CI grid runs in release via `scripts/verify.sh`
-//! (`bench fleet --fleet-smoke`).
+//! (`bench --smoke`).
 
-use resilience_bench::fleet::{evaluate_fleet, run_fleet, smoke_grid, FleetStore};
+use resilience_bench::fleet::{run_fleet, run_triple, smoke_grid, FleetReport, FleetStore};
+use resilience_bench::obs_smoke::ObsSmokeReport;
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
@@ -33,31 +35,21 @@ fn families() -> Vec<&'static dyn ModelFamily> {
 }
 
 #[test]
-fn double_run_produces_byte_identical_stores_and_rollups() {
-    let grid = tiny_grid();
-    let a = run_fleet(&grid, &families(), Parallelism::Serial);
-    let b = run_fleet(&grid, &families(), Parallelism::Serial);
-    assert_eq!(
-        a.store.columns_json().as_bytes(),
-        b.store.columns_json().as_bytes()
-    );
-    assert_eq!(a.report.to_json().as_bytes(), b.report.to_json().as_bytes());
-}
-
-#[test]
-fn serial_and_fixed2_stores_are_byte_identical() {
-    let grid = tiny_grid();
-    let serial = run_fleet(&grid, &families(), Parallelism::Serial);
-    let fixed2 = run_fleet(&grid, &families(), Parallelism::Fixed(2));
-    assert_eq!(
-        serial.store.columns_json().as_bytes(),
-        fixed2.store.columns_json().as_bytes()
-    );
-    assert_eq!(
-        serial.report.to_json().as_bytes(),
-        fixed2.report.to_json().as_bytes()
-    );
+fn one_triple_feeds_the_fleet_and_obs_gate_sets() {
+    let runs = run_triple(&tiny_grid(), &families(), &ExecPolicy::default());
+    let [serial, rerun, fixed2] = &runs;
+    assert_eq!(serial.store.columns_json(), rerun.store.columns_json());
     assert_eq!(serial.store.digest(), fixed2.store.digest());
+    assert_eq!(serial.report.to_json(), fixed2.report.to_json());
+    let fleet = FleetReport::check(&families(), &runs);
+    assert!(fleet.gates_pass(), "{}", fleet.summary());
+    assert_eq!(fleet.max_delta.sse_rerun, 0.0);
+    assert_eq!(fleet.max_delta.r2_rerun, 0.0);
+    assert_eq!(fleet.max_delta.sse_parallel, 0.0);
+    assert_eq!(fleet.max_delta.r2_parallel, 0.0);
+    let (obs, artifacts) = ObsSmokeReport::check(&families(), &runs);
+    assert!(obs.gates_pass(), "{}", obs.summary());
+    assert_eq!(artifacts.serial_jsonl, serial.events_jsonl());
 }
 
 #[test]
@@ -67,7 +59,7 @@ fn fleet_cells_match_standalone_supervised_ranking() {
     // rank_models_supervised call on the same generated series.
     let grid = tiny_grid();
     let fams = families();
-    let fleet = run_fleet(&grid, &fams, Parallelism::Fixed(2));
+    let fleet = run_fleet(&grid, &fams, Parallelism::Fixed(2), &ExecPolicy::default());
     for cell in grid.cells() {
         let series = cell.generate().unwrap();
         let standalone = rank_models_supervised(
@@ -88,21 +80,6 @@ fn fleet_cells_match_standalone_supervised_ranking() {
 }
 
 #[test]
-fn evaluator_gates_hold_on_the_tiny_grid() {
-    let report = evaluate_fleet(&tiny_grid(), &families());
-    assert!(report.gates_pass());
-    assert_eq!(report.max_delta.sse_rerun, 0.0);
-    assert_eq!(report.max_delta.r2_rerun, 0.0);
-    assert_eq!(report.max_delta.sse_parallel, 0.0);
-    assert_eq!(report.max_delta.r2_parallel, 0.0);
-    // The baseline document regenerates byte-identically.
-    assert_eq!(
-        report.to_json(),
-        evaluate_fleet(&tiny_grid(), &families()).to_json()
-    );
-}
-
-#[test]
 fn smoke_grid_meets_the_ci_floor() {
     let grid = smoke_grid();
     assert!(grid.len() >= 64, "CI grid must cover at least 64 cells");
@@ -119,7 +96,13 @@ fn smoke_grid_meets_the_ci_floor() {
 #[test]
 fn store_columns_stay_aligned() {
     let grid = tiny_grid();
-    let store: FleetStore = run_fleet(&grid, &families(), Parallelism::Serial).store;
+    let store: FleetStore = run_fleet(
+        &grid,
+        &families(),
+        Parallelism::Serial,
+        &ExecPolicy::default(),
+    )
+    .store;
     assert_eq!(store.len(), grid.len());
     for col_len in [
         store.scenario.len(),

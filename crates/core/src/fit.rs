@@ -138,9 +138,9 @@ impl std::fmt::Debug for FittedModel {
 /// The SSE objective over a family's internal space, with reusable
 /// scratch so one evaluation allocates nothing. Implements the optimizer
 /// [`Objective`] trait: scalar evaluation for the simplex updates, and a
-/// batched evaluation that routes whole simplexes / DE populations through
-/// the family's single-pass [`ModelFamily::sse_batch_into`] kernel when it
-/// has one (bit-identical to the scalar path by that method's contract).
+/// batched evaluation that routes whole simplexes through the family's
+/// single-pass [`ModelFamily::sse_batch_into`] kernel when it has one
+/// (bit-identical to the scalar path by that method's contract).
 struct SseObjective<'a> {
     family: &'a dyn ModelFamily,
     times: &'a [f64],

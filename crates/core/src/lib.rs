@@ -16,8 +16,8 @@
 //!   [`bathtub::CompetingRisksModel`] (`P(t) = 2γt + α/(1+βt)`, the
 //!   Hjorth-style competing-risks form, paper Eq. 4–6).
 //! * [`mixture`] — mixtures `P(t) = a₁(t)(1−F₁(t)) + a₂(t)F₂(t)` (paper
-//!   Eq. 7) with Exponential/Weibull components (and Gamma/LogNormal
-//!   extensions) and recovery trends `a₂(t) ∈ {β, βt, e^{βt}, β·ln t}`.
+//!   Eq. 7) with Exponential/Weibull components and recovery trends
+//!   `a₂(t) ∈ {β, βt, e^{βt}, β·ln t}`.
 //!
 //! # Pipeline
 //!

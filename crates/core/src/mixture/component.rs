@@ -1,22 +1,16 @@
 //! Mixture component distributions.
 
 use crate::CoreError;
-use resilience_stats::{ContinuousDistribution, Exponential, Gamma, LogNormal, Weibull};
+use resilience_stats::{ContinuousDistribution, Exponential, Weibull};
 
-/// Which distribution family a mixture component uses.
-///
-/// The paper evaluates Exponential and Weibull (its Eq. 23); Gamma and
-/// LogNormal are workspace extensions (DESIGN.md §5).
+/// Which distribution family a mixture component uses: the paper's
+/// Exponential and Weibull (its Eq. 23).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// Exponential(rate) — 1 parameter.
     Exponential,
     /// Weibull(shape, scale) — 2 parameters.
     Weibull,
-    /// Gamma(shape, rate) — 2 parameters (extension).
-    Gamma,
-    /// LogNormal(μ, σ) — 2 parameters (extension).
-    LogNormal,
 }
 
 impl ComponentKind {
@@ -25,19 +19,16 @@ impl ComponentKind {
     pub fn n_params(&self) -> usize {
         match self {
             ComponentKind::Exponential => 1,
-            ComponentKind::Weibull | ComponentKind::Gamma | ComponentKind::LogNormal => 2,
+            ComponentKind::Weibull => 2,
         }
     }
 
-    /// Short label used in the paper's tables (`Exp`, `Wei`) and the
-    /// extension labels (`Gam`, `LogN`).
+    /// Short label used in the paper's tables (`Exp`, `Wei`).
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
             ComponentKind::Exponential => "Exp",
             ComponentKind::Weibull => "Wei",
-            ComponentKind::Gamma => "Gam",
-            ComponentKind::LogNormal => "LogN",
         }
     }
 
@@ -62,10 +53,6 @@ impl ComponentKind {
         let built = match self {
             ComponentKind::Exponential => BuiltComponent::Exponential(Exponential::new(params[0])?),
             ComponentKind::Weibull => BuiltComponent::Weibull(Weibull::new(params[0], params[1])?),
-            ComponentKind::Gamma => BuiltComponent::Gamma(Gamma::new(params[0], params[1])?),
-            ComponentKind::LogNormal => {
-                BuiltComponent::LogNormal(LogNormal::new(params[0], params[1])?)
-            }
         };
         Ok(built)
     }
@@ -87,27 +74,7 @@ impl ComponentKind {
             ComponentKind::Weibull => {
                 BuiltComponent::Weibull(Weibull::new(params[0], params[1]).ok()?)
             }
-            ComponentKind::Gamma => BuiltComponent::Gamma(Gamma::new(params[0], params[1]).ok()?),
-            ComponentKind::LogNormal => {
-                BuiltComponent::LogNormal(LogNormal::new(params[0], params[1]).ok()?)
-            }
         })
-    }
-
-    /// Whether [`BuiltComponent::cdf_gradient`] has a closed form for
-    /// this kind (the paper's Exponential and Weibull components; the
-    /// Gamma and LogNormal extensions go through incomplete-function
-    /// series and fall back to finite differences).
-    #[must_use]
-    pub fn has_cdf_gradient(&self) -> bool {
-        matches!(self, ComponentKind::Exponential | ComponentKind::Weibull)
-    }
-
-    /// Whether parameter `i` must be positive (`true` for every parameter
-    /// except LogNormal's location μ).
-    #[must_use]
-    pub fn param_positive(&self, i: usize) -> bool {
-        !(matches!(self, ComponentKind::LogNormal) && i == 0)
     }
 
     /// Data-driven candidate parameter sets for a component expected to
@@ -118,8 +85,6 @@ impl ComponentKind {
         match self {
             ComponentKind::Exponential => vec![vec![1.0 / t], vec![2.0 / t], vec![0.5 / t]],
             ComponentKind::Weibull => vec![vec![1.5, t], vec![2.5, t], vec![1.0, 2.0 * t]],
-            ComponentKind::Gamma => vec![vec![2.0, 2.0 / t], vec![1.0, 1.0 / t]],
-            ComponentKind::LogNormal => vec![vec![t.ln(), 0.5], vec![t.ln(), 1.0]],
         }
     }
 }
@@ -138,10 +103,6 @@ pub enum BuiltComponent {
     Exponential(Exponential),
     /// Weibull component.
     Weibull(Weibull),
-    /// Gamma component (extension).
-    Gamma(Gamma),
-    /// LogNormal component (extension).
-    LogNormal(LogNormal),
 }
 
 impl BuiltComponent {
@@ -151,8 +112,6 @@ impl BuiltComponent {
         match self {
             BuiltComponent::Exponential(d) => d.cdf(t),
             BuiltComponent::Weibull(d) => d.cdf(t),
-            BuiltComponent::Gamma(d) => d.cdf(t),
-            BuiltComponent::LogNormal(d) => d.cdf(t),
         }
     }
 
@@ -162,15 +121,11 @@ impl BuiltComponent {
         match self {
             BuiltComponent::Exponential(d) => d.survival(t),
             BuiltComponent::Weibull(d) => d.survival(t),
-            BuiltComponent::Gamma(d) => d.survival(t),
-            BuiltComponent::LogNormal(d) => d.survival(t),
         }
     }
 
     /// Partials of the CDF with respect to the component's *external*
-    /// parameters, written into `out[..n_params]`; returns `false` for
-    /// kinds without a closed form (see
-    /// [`ComponentKind::has_cdf_gradient`]).
+    /// parameters, written into `out[..n_params]`.
     ///
     /// Closed forms:
     ///
@@ -179,7 +134,7 @@ impl BuiltComponent {
     /// * Weibull(k, λ): `F = 1 − e^{−z}` with `z = (t/λ)^k` on `t > 0`,
     ///   so `∂F/∂k = e^{−z}·z·ln(t/λ)` and `∂F/∂λ = −e^{−z}·k·z/λ`
     ///   (both 0 for `t ≤ 0`, guarding the `0·(−∞)` NaN at `t = 0`).
-    pub fn cdf_gradient(&self, t: f64, out: &mut [f64]) -> bool {
+    pub fn cdf_gradient(&self, t: f64, out: &mut [f64]) {
         match self {
             BuiltComponent::Exponential(d) => {
                 out[0] = if t >= 0.0 {
@@ -187,7 +142,6 @@ impl BuiltComponent {
                 } else {
                     0.0
                 };
-                true
             }
             BuiltComponent::Weibull(d) => {
                 if t > 0.0 {
@@ -201,9 +155,7 @@ impl BuiltComponent {
                     out[0] = 0.0;
                     out[1] = 0.0;
                 }
-                true
             }
-            BuiltComponent::Gamma(_) | BuiltComponent::LogNormal(_) => false,
         }
     }
 }
@@ -216,8 +168,6 @@ mod tests {
     fn param_counts() {
         assert_eq!(ComponentKind::Exponential.n_params(), 1);
         assert_eq!(ComponentKind::Weibull.n_params(), 2);
-        assert_eq!(ComponentKind::Gamma.n_params(), 2);
-        assert_eq!(ComponentKind::LogNormal.n_params(), 2);
     }
 
     #[test]
@@ -239,12 +189,7 @@ mod tests {
 
     #[test]
     fn try_build_agrees_with_build() {
-        for kind in [
-            ComponentKind::Exponential,
-            ComponentKind::Weibull,
-            ComponentKind::Gamma,
-            ComponentKind::LogNormal,
-        ] {
+        for kind in [ComponentKind::Exponential, ComponentKind::Weibull] {
             for params in kind.candidate_params(8.0) {
                 assert_eq!(kind.try_build(&params), Some(kind.build(&params).unwrap()));
             }
@@ -255,22 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn positivity_flags() {
-        assert!(ComponentKind::Exponential.param_positive(0));
-        assert!(ComponentKind::Weibull.param_positive(0));
-        assert!(ComponentKind::Weibull.param_positive(1));
-        assert!(!ComponentKind::LogNormal.param_positive(0)); // μ unbounded
-        assert!(ComponentKind::LogNormal.param_positive(1));
-    }
-
-    #[test]
     fn candidates_are_buildable() {
-        for kind in [
-            ComponentKind::Exponential,
-            ComponentKind::Weibull,
-            ComponentKind::Gamma,
-            ComponentKind::LogNormal,
-        ] {
+        for kind in [ComponentKind::Exponential, ComponentKind::Weibull] {
             for params in kind.candidate_params(12.0) {
                 assert!(kind.build(&params).is_ok(), "{kind}: {params:?}");
             }

@@ -164,28 +164,16 @@ pub fn combo_name(f1: ComponentKind, f2: ComponentKind) -> &'static str {
     match (f1, f2) {
         (K::Exponential, K::Exponential) => "Exp-Exp",
         (K::Exponential, K::Weibull) => "Exp-Wei",
-        (K::Exponential, K::Gamma) => "Exp-Gam",
-        (K::Exponential, K::LogNormal) => "Exp-LogN",
         (K::Weibull, K::Exponential) => "Wei-Exp",
         (K::Weibull, K::Weibull) => "Wei-Wei",
-        (K::Weibull, K::Gamma) => "Wei-Gam",
-        (K::Weibull, K::LogNormal) => "Wei-LogN",
-        (K::Gamma, K::Exponential) => "Gam-Exp",
-        (K::Gamma, K::Weibull) => "Gam-Wei",
-        (K::Gamma, K::Gamma) => "Gam-Gam",
-        (K::Gamma, K::LogNormal) => "Gam-LogN",
-        (K::LogNormal, K::Exponential) => "LogN-Exp",
-        (K::LogNormal, K::Weibull) => "LogN-Wei",
-        (K::LogNormal, K::Gamma) => "LogN-Gam",
-        (K::LogNormal, K::LogNormal) => "LogN-LogN",
     }
 }
 
 /// The [`ModelFamily`] for mixture models with fixed component kinds and
 /// trend.
 ///
-/// Parameters are ordered `[F₁ params…, F₂ params…, β]`. The internal
-/// space log-transforms every positive parameter (all but LogNormal's μ).
+/// Parameters are ordered `[F₁ params…, F₂ params…, β]`, all positive;
+/// the internal space log-transforms every one of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixtureFamily {
     /// Degradation component kind.
@@ -217,37 +205,10 @@ impl MixtureFamily {
         .collect()
     }
 
-    /// Positivity flags for the external parameter vector.
-    fn positivity(&self) -> Vec<bool> {
-        let mut flags = Vec::with_capacity(self.n_params());
-        for i in 0..self.f1.n_params() {
-            flags.push(self.f1.param_positive(i));
-        }
-        for i in 0..self.f2.n_params() {
-            flags.push(self.f2.param_positive(i));
-        }
-        flags.push(true); // β > 0
-        flags
-    }
-
     fn split_params<'a>(&self, params: &'a [f64]) -> (&'a [f64], &'a [f64], f64) {
         let n1 = self.f1.n_params();
         let n2 = self.f2.n_params();
         (&params[..n1], &params[n1..n1 + n2], params[n1 + n2])
-    }
-
-    /// Positivity flag for external parameter `i` without materializing
-    /// the whole flag vector (hot-path counterpart of `positivity`).
-    fn param_positive_at(&self, i: usize) -> bool {
-        let n1 = self.f1.n_params();
-        let n2 = self.f2.n_params();
-        if i < n1 {
-            self.f1.param_positive(i)
-        } else if i < n1 + n2 {
-            self.f2.param_positive(i - n1)
-        } else {
-            true // β > 0
-        }
     }
 }
 
@@ -266,11 +227,7 @@ impl ModelFamily for MixtureFamily {
             self.n_params(),
             "internal dimension mismatch"
         );
-        internal
-            .iter()
-            .zip(self.positivity())
-            .map(|(&v, positive)| if positive { v.exp() } else { v })
-            .collect()
+        internal.iter().map(|v| v.exp()).collect()
     }
 
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
@@ -280,12 +237,8 @@ impl ModelFamily for MixtureFamily {
             "internal dimension mismatch"
         );
         assert_eq!(out.len(), self.n_params(), "external dimension mismatch");
-        for (i, (o, &v)) in out.iter_mut().zip(internal).enumerate() {
-            *o = if self.param_positive_at(i) {
-                v.exp()
-            } else {
-                v
-            };
+        for (o, &v) in out.iter_mut().zip(internal) {
+            *o = v.exp();
         }
     }
 
@@ -318,10 +271,6 @@ impl ModelFamily for MixtureFamily {
     /// * degradation params: `∂P/∂u_j = −θ_j·∂F₁/∂θ_j`
     /// * recovery params: `∂P/∂u_j = a₂(β, t)·θ_j·∂F₂/∂θ_j`
     /// * trend coefficient: `∂P/∂u_β = β·(∂a₂/∂β)·F₂(t)`
-    ///
-    /// Only the paper's Exp/Wei pairings have closed-form component
-    /// gradients; Gamma/LogNormal mixtures return `false` and the LM
-    /// polish falls back to finite differences.
     fn predict_jacobian_into(
         &self,
         internal: &[f64],
@@ -330,11 +279,7 @@ impl ModelFamily for MixtureFamily {
         out: &mut Matrix,
     ) -> bool {
         let n = self.n_params();
-        if internal.len() != n
-            || params.len() != n
-            || !self.f1.has_cdf_gradient()
-            || !self.f2.has_cdf_gradient()
-        {
+        if internal.len() != n || params.len() != n {
             return false;
         }
         let (p1, p2, beta) = self.split_params(params);
@@ -374,12 +319,8 @@ impl ModelFamily for MixtureFamily {
                 // Identical arithmetic to `internal_to_params_into` +
                 // the feasibility checks of `predict_params_into`.
                 let mut p = [0.0_f64; 8];
-                for (i, (o, &v)) in p[..n].iter_mut().zip(u).enumerate() {
-                    *o = if self.param_positive_at(i) {
-                        v.exp()
-                    } else {
-                        v
-                    };
+                for (o, &v) in p[..n].iter_mut().zip(u) {
+                    *o = v.exp();
                 }
                 let beta = p[n1 + n2];
                 if !(beta > 0.0) || !beta.is_finite() {
@@ -410,19 +351,14 @@ impl ModelFamily for MixtureFamily {
         }
         params
             .iter()
-            .zip(self.positivity())
-            .map(|(&v, positive)| {
-                if positive {
-                    if v > 0.0 {
-                        Ok(v.ln())
-                    } else {
-                        Err(CoreError::params(
-                            "Mixture",
-                            format!("parameter {v} must be positive"),
-                        ))
-                    }
+            .map(|&v| {
+                if v > 0.0 {
+                    Ok(v.ln())
                 } else {
-                    Ok(v)
+                    Err(CoreError::params(
+                        "Mixture",
+                        format!("parameter {v} must be positive"),
+                    ))
                 }
             })
             .collect()
@@ -576,20 +512,6 @@ mod tests {
         for (a, b) in params.iter().zip(&back) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lognormal_mu_is_unbounded() {
-        let fam = MixtureFamily {
-            f1: ComponentKind::LogNormal,
-            f2: ComponentKind::Exponential,
-            trend: Trend::Linear,
-        };
-        // μ = −1 is feasible for LogNormal.
-        let params = vec![-1.0, 0.5, 0.1, 0.01];
-        let internal = fam.params_to_internal(&params).unwrap();
-        let back = fam.internal_to_params(&internal);
-        assert!((back[0] + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::selection::{score_family, sort_rows, FailureKind, FamilyFailure, Rank
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
-use resilience_optim::parallel::{run_indexed_catch, JobPanic};
+use resilience_optim::parallel::run_indexed_catch;
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
 use std::sync::Arc;
@@ -102,6 +102,17 @@ pub struct ExecPolicy {
     /// Deterministic fault-injection plan (chaos testing, DESIGN.md §14).
     /// `None` injects nothing.
     pub chaos: Option<ChaosPlan>,
+}
+
+impl ExecPolicy {
+    /// Whether the policy supervises whole fleet cells (a breaker or a
+    /// chaos plan is configured): a cell in which every family failed is
+    /// then quarantined, with a `cell_quarantined` event, rather than
+    /// merely left without survivors.
+    #[must_use]
+    pub fn supervises_cells(&self) -> bool {
+        self.breaker.is_some() || self.chaos.is_some()
+    }
 }
 
 /// Per-family circuit breaker for fleet runs (DESIGN.md §14).
@@ -444,7 +455,7 @@ fn fit_with_retry_impl(
 }
 
 /// [`rank_models`](crate::selection::rank_models) under an [`ExecPolicy`]
-/// and an execution [`Control`].
+/// and an execution [`Control`]: a one-cell [`rank_fleet_supervised`].
 ///
 /// Each family fits in its own supervised job:
 ///
@@ -471,31 +482,14 @@ pub fn rank_models_supervised(
     policy: &ExecPolicy,
     control: &Control,
 ) -> Result<Ranking, CoreError> {
-    // Parallelize across families; the inner multi-start goes serial so
-    // the fan-out happens at exactly one level.
-    let mut inner = config.clone();
-    inner.parallelism = Parallelism::Serial;
-    // Per-family event buffers, replayed into the caller's sink in input
-    // order below so the merged log is independent of worker scheduling.
-    // Created outside the jobs: a panicking family keeps the events it
-    // buffered before dying.
-    let recorders: Option<Vec<Arc<RecordingObserver>>> = control.observed().then(|| {
-        (0..families.len())
-            .map(|_| Arc::new(RecordingObserver::new()))
-            .collect()
-    });
-    let outcomes = run_indexed_catch(config.parallelism, families.len(), |i| {
-        supervised_family_job(
-            families[i],
-            series,
-            &inner,
-            policy,
-            control,
-            recorders.as_ref().map(|recs| &recs[i]),
-            0,
-        )
-    });
-    reduce_series_outcomes(families, outcomes, recorders.as_deref(), control)
+    let mut cells = rank_fleet_supervised(
+        families,
+        std::slice::from_ref(series),
+        config,
+        policy,
+        control,
+    );
+    cells.pop().expect("one outcome per cell").into_result()
 }
 
 /// One supervised series × family job: narrows the caller's control to
@@ -603,101 +597,6 @@ fn supervised_family_job(
     score_family(family, series, &fit)
 }
 
-/// Reduces one series' per-family job outcomes into a [`Ranking`],
-/// replaying each job's event buffer into the caller's sink in family
-/// order (so the merged log is independent of worker scheduling) and
-/// converting panics into degraded failure rows.
-fn reduce_series_outcomes(
-    families: &[&dyn ModelFamily],
-    outcomes: Vec<Result<Result<crate::selection::SelectionRow, FamilyFailure>, JobPanic>>,
-    recorders: Option<&[Arc<RecordingObserver>]>,
-    control: &Control,
-) -> Result<Ranking, CoreError> {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        if let (Some(recs), Some(sink)) = (recorders, control.observer()) {
-            replay(&recs[i].take(), sink.as_ref());
-        }
-        match outcome {
-            Ok(Ok(row)) => rows.push(row),
-            Ok(Err(failure)) => {
-                control.emit(Event::FitFailed {
-                    family: failure.family_name,
-                    kind: failure.kind.code(),
-                });
-                failures.push(failure);
-            }
-            Err(panic) => {
-                control.emit(Event::WorkerPanic {
-                    scope: families[i].name(),
-                    index: i as u32,
-                });
-                control.emit(Event::FitFailed {
-                    family: families[i].name(),
-                    kind: FailureCode::Panicked,
-                });
-                failures.push(FamilyFailure {
-                    family_name: families[i].name(),
-                    reason: format!("fit: {}", panic.message),
-                    kind: FailureKind::Panicked,
-                });
-            }
-        }
-    }
-    if rows.is_empty() {
-        // Distinguish "the caller stopped us" from "nothing could fit":
-        // a stopped run with no survivors propagates the stop.
-        return Err(match control.stop_cause() {
-            Some(StopCause::DeadlineExceeded) => CoreError::timed_out("rank_models"),
-            Some(StopCause::Cancelled) => CoreError::cancelled("rank_models"),
-            None => CoreError::arg("rank_models", "no family produced a fit"),
-        });
-    }
-    sort_rows(&mut rows);
-    let degraded = !failures.is_empty();
-    Ok(Ranking {
-        rows,
-        failures,
-        degraded,
-    })
-}
-
-/// Batch entry point for fleet runs: ranks every series in `series_list`
-/// under the same policy, with work-stealing over the *flattened*
-/// series × family job list (DESIGN.md §13).
-///
-/// Flattening matters for fleet-scale throughput: a series whose families
-/// are all cheap does not leave workers idle while one expensive
-/// series × family pair finishes, because jobs are handed out one at a
-/// time from a shared atomic counter ([`run_indexed_catch`]) at the
-/// finest useful granularity. The inner multi-start runs serial, exactly
-/// like [`rank_models_supervised`].
-///
-/// Returns one outcome per series, in input order. Each outcome — the
-/// ranked rows, the typed failures, every SSE bit, and (when observed)
-/// the replayed event stream — is **bit-identical** to what a standalone
-/// [`rank_models_supervised`] call on that series would produce, for any
-/// `config.parallelism`: jobs are pure functions of their (series,
-/// family) pair and both reduction and event replay happen in input
-/// order.
-///
-/// Per-series errors (a stop with no survivors, or no family fitting)
-/// land in that series' slot; other series still rank — one poisoned cell
-/// must not abort a fleet.
-pub fn rank_many_supervised(
-    families: &[&dyn ModelFamily],
-    series_list: &[PerformanceSeries],
-    config: &FitConfig,
-    policy: &ExecPolicy,
-    control: &Control,
-) -> Vec<Result<Ranking, CoreError>> {
-    rank_fleet_supervised(families, series_list, config, policy, control)
-        .into_iter()
-        .map(CellOutcome::into_result)
-        .collect()
-}
-
 /// Outcome of one fleet cell under [`rank_fleet_supervised`].
 #[derive(Debug)]
 pub enum CellOutcome {
@@ -715,9 +614,9 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// Collapses to the legacy [`rank_many_supervised`] result shape: a
-    /// quarantined cell maps to the same `InvalidArgument` a no-survivor
-    /// ranking always produced.
+    /// Collapses to the single-series [`rank_models_supervised`] result
+    /// shape: a quarantined cell maps to the `InvalidArgument` of a
+    /// ranking in which no family fit.
     pub fn into_result(self) -> Result<Ranking, CoreError> {
         match self {
             CellOutcome::Ranked(ranking) => Ok(ranking),
@@ -814,25 +713,37 @@ impl Breaker {
     }
 }
 
-/// Fleet entry point with full supervision: work-stealing over flattened
-/// series × family jobs (like [`rank_many_supervised`], which delegates
-/// here), plus per-family circuit breaking, cell quarantine, and chaos
-/// injection when the policy asks for them (DESIGN.md §14).
+/// The ranker: ranks every series in `series_list` under one policy,
+/// with work-stealing over the *flattened* series × family job list
+/// (DESIGN.md §13), plus per-family circuit breaking, cell quarantine,
+/// and chaos injection when the policy asks for them (DESIGN.md §14).
+/// [`rank_models_supervised`] and
+/// [`rank_models`](crate::selection::rank_models) are one-cell calls of
+/// this function.
+///
+/// Jobs are handed out one at a time from a shared atomic counter
+/// ([`run_indexed_catch`]), so a cell whose families are all cheap does
+/// not leave workers idle while one expensive series × family pair
+/// finishes. The inner multi-start runs serial, so the fan-out happens at
+/// exactly one level.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
-/// work-stealing exactly as before; skip decisions are frozen from the
-/// breaker state at wave start, and every state transition happens in the
-/// serial post-wave reduction, in flattened input order, on a logical
-/// clock (the flattened job index). Result: rankings, event logs, and
-/// breaker behavior are all bit-identical across reruns and thread
-/// counts.
+/// work-stealing; skip decisions are frozen from the breaker state at
+/// wave start, and every state transition happens in the serial post-wave
+/// reduction, in flattened input order, on a logical clock (the flattened
+/// job index). The reduction replays each job's event buffer into the
+/// caller's sink, emits `fit_failed` / `worker_panic` for lost families,
+/// and sorts the survivors. Result: rankings, event logs, and breaker
+/// behavior are all bit-identical across reruns and thread counts, and
+/// without a breaker or chaos plan each cell's outcome and events equal
+/// a one-cell call on that series.
 ///
-/// A cell none of whose families produced a row is **quarantined** (or
-/// [`CellOutcome::Stopped`] when the caller's control stopped the run):
-/// downstream stores park it in a sentinel column instead of burning
-/// retry budget on it. With `policy.breaker` and `policy.chaos` both
-/// `None` this is behaviorally identical to the pre-breaker fleet path.
+/// Returns one outcome per series, in input order. A cell none of whose
+/// families produced a row is [`CellOutcome::Stopped`] when the caller's
+/// control stopped the run, and **quarantined** otherwise: downstream
+/// stores park it in a sentinel column instead of burning retry budget
+/// on it, and the other cells still rank.
 pub fn rank_fleet_supervised(
     families: &[&dyn ModelFamily],
     series_list: &[PerformanceSeries],
@@ -843,7 +754,7 @@ pub fn rank_fleet_supervised(
     let mut inner = config.clone();
     inner.parallelism = Parallelism::Serial;
     let nf = families.len();
-    let supervised = policy.breaker.is_some() || policy.chaos.is_some();
+    let supervised = policy.supervises_cells();
     let wave_cells = policy
         .breaker
         .as_ref()
@@ -877,6 +788,9 @@ pub fn rank_fleet_supervised(
                 }
             })
             .collect();
+        // Per-job event buffers, replayed into the caller's sink in input
+        // order below. Created outside the jobs: a panicking family keeps
+        // the events it buffered before dying.
         let recorders: Option<Vec<Arc<RecordingObserver>>> = control.observed().then(|| {
             (0..wave_jobs)
                 .map(|_| Arc::new(RecordingObserver::new()))
@@ -959,9 +873,8 @@ pub fn rank_fleet_supervised(
                 }
             }
             if rows.is_empty() {
-                // Same precedence as the single-series reduce: a stopped
-                // run with no survivors propagates the stop; otherwise
-                // the cell is quarantined.
+                // A stopped run with no survivors propagates the stop;
+                // otherwise the cell is quarantined.
                 match control.stop_cause() {
                     Some(StopCause::DeadlineExceeded) => {
                         cells.push(CellOutcome::Stopped(CoreError::timed_out("rank_models")));
@@ -1180,38 +1093,63 @@ mod tests {
     }
 
     #[test]
-    fn rank_many_matches_standalone_supervised_calls_bit_for_bit() {
+    fn fleet_cells_equal_one_cell_calls_in_rows_and_event_log() {
+        use resilience_obs::RecordingObserver;
+        // Under the default policy and under a retry policy whose starved
+        // iteration budget forces retries, each fleet cell's rows are
+        // bit-identical to a one-cell call on its series, and the fleet's
+        // event log is the concatenation of the one-cell logs.
         let series_list = batch_series();
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &QuarticFamily];
-        let batch = rank_many_supervised(
-            &families,
-            &series_list,
-            &FitConfig::default(),
-            &ExecPolicy::default(),
-            &Control::unbounded(),
-        );
-        assert_eq!(batch.len(), series_list.len());
-        for (series, outcome) in series_list.iter().zip(&batch) {
-            let standalone = rank_models_supervised(
+        let mut starved = FitConfig::default();
+        starved.nelder_mead.max_iterations = 3;
+        starved.lm_polish = false;
+        let retry = ExecPolicy {
+            retry: Some(RetryPolicy::default()),
+            ..ExecPolicy::default()
+        };
+        let default = (FitConfig::default(), ExecPolicy::default());
+        for (config, policy) in [(&default.0, &default.1), (&starved, &retry)] {
+            let rec = Arc::new(RecordingObserver::new());
+            let fleet = rank_fleet_supervised(
                 &families,
-                series,
-                &FitConfig::default(),
-                &ExecPolicy::default(),
-                &Control::unbounded(),
-            )
-            .unwrap();
-            let ranking = outcome.as_ref().unwrap();
-            assert_eq!(ranking.rows.len(), standalone.rows.len());
-            for (a, b) in ranking.rows.iter().zip(&standalone.rows) {
-                assert_eq!(a.family_name, b.family_name);
-                assert_eq!(a.sse.to_bits(), b.sse.to_bits());
-                assert_eq!(a.r2_adj.to_bits(), b.r2_adj.to_bits());
+                &series_list,
+                config,
+                policy,
+                &Control::unbounded().observe(rec.clone()),
+            );
+            let fleet_log = rec.take();
+            let retried = fleet_log
+                .iter()
+                .any(|e| matches!(e, Event::RetryScheduled { .. }));
+            assert_eq!(retried, policy.retry.is_some(), "{policy:?}");
+            assert_eq!(fleet.len(), series_list.len());
+            let mut concatenated = Vec::new();
+            for (series, outcome) in series_list.iter().zip(fleet) {
+                let one = Arc::new(RecordingObserver::new());
+                let standalone = rank_models_supervised(
+                    &families,
+                    series,
+                    config,
+                    policy,
+                    &Control::unbounded().observe(one.clone()),
+                )
+                .unwrap();
+                concatenated.extend(one.take());
+                let ranking = outcome.into_result().unwrap();
+                assert_eq!(ranking.rows.len(), standalone.rows.len());
+                for (a, b) in ranking.rows.iter().zip(&standalone.rows) {
+                    assert_eq!(a.family_name, b.family_name);
+                    assert_eq!(a.sse.to_bits(), b.sse.to_bits());
+                    assert_eq!(a.r2_adj.to_bits(), b.r2_adj.to_bits());
+                }
             }
+            assert_eq!(fleet_log, concatenated, "{policy:?}");
         }
     }
 
     #[test]
-    fn rank_many_results_and_events_are_invariant_to_thread_count() {
+    fn fleet_results_and_events_are_invariant_to_thread_count() {
         use resilience_obs::RecordingObserver;
         let series_list = batch_series();
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &QuarticFamily];
@@ -1221,7 +1159,7 @@ mod tests {
                 parallelism: p,
                 ..FitConfig::default()
             };
-            let rankings = rank_many_supervised(
+            let rankings = rank_fleet_supervised(
                 &families,
                 &series_list,
                 &config,
@@ -1231,7 +1169,8 @@ mod tests {
             let bits: Vec<Vec<(&'static str, u64)>> = rankings
                 .into_iter()
                 .map(|r| {
-                    r.unwrap()
+                    r.into_result()
+                        .unwrap()
                         .rows
                         .into_iter()
                         .map(|row| (row.family_name, row.sse.to_bits()))
@@ -1250,12 +1189,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_many_degrades_per_series_instead_of_aborting_the_batch() {
+    fn fleet_degrades_per_cell_instead_of_aborting() {
         // No families at all: every series fails on its own, in its own
-        // slot — the batch call itself still returns one outcome per
+        // slot — the fleet call itself still returns one outcome per
         // series.
         let series_list = batch_series();
-        let batch = rank_many_supervised(
+        let batch = rank_fleet_supervised(
             &[],
             &series_list,
             &FitConfig::default(),
@@ -1263,12 +1202,15 @@ mod tests {
             &Control::unbounded(),
         );
         assert_eq!(batch.len(), series_list.len());
-        for outcome in &batch {
-            assert!(matches!(outcome, Err(CoreError::InvalidArgument { .. })));
+        for outcome in batch {
+            assert!(matches!(
+                outcome.into_result(),
+                Err(CoreError::InvalidArgument { .. })
+            ));
         }
         // And an empty fleet is an empty result, not an error.
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily];
-        assert!(rank_many_supervised(
+        assert!(rank_fleet_supervised(
             &families,
             &[],
             &FitConfig::default(),
@@ -1589,18 +1531,10 @@ mod tests {
             })
             .sum();
         assert_eq!(counted, series_list.len() as u64);
-        // The legacy wrapper collapses quarantine to the historical
-        // no-survivor error.
-        let legacy = rank_many_supervised(
-            &families,
-            &series_list,
-            &FitConfig::default(),
-            &policy,
-            &Control::unbounded(),
-        );
-        assert!(legacy
-            .iter()
-            .all(|r| matches!(r, Err(CoreError::InvalidArgument { .. }))));
+        // A quarantined cell collapses to the no-survivor error.
+        assert!(outcomes
+            .into_iter()
+            .all(|o| matches!(o.into_result(), Err(CoreError::InvalidArgument { .. }))));
     }
 
     #[test]

@@ -12,14 +12,15 @@ use std::path::Path;
 /// Reads a `time,value` series from a reader.
 ///
 /// * Blank lines are skipped.
-/// * A first line whose fields do not both parse as numbers is treated as
-///   a header and skipped.
+/// * The first non-blank line is a header, and is skipped, when neither
+///   of its fields parses as a number. No other line may be a header.
 ///
 /// Note that a `&mut` reference can be passed as the reader.
 ///
 /// # Errors
 ///
-/// * [`DataError::Parse`] for malformed rows past the optional header.
+/// * [`DataError::Parse`] for any other row that is not two numbers,
+///   with its 1-based line number.
 /// * [`DataError::InvalidSeries`] when the parsed data violates series
 ///   invariants (see [`PerformanceSeries::new`]).
 /// * [`DataError::Io`] for underlying read failures.
@@ -37,13 +38,14 @@ pub fn read_series<R: Read>(reader: R, name: &str) -> Result<PerformanceSeries, 
     let buf = BufReader::new(reader);
     let mut times = Vec::new();
     let mut values = Vec::new();
-    let mut saw_data = false;
+    let mut first_row = true;
     for (idx, line) in buf.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
+        let may_be_header = std::mem::replace(&mut first_row, false);
         let mut fields = trimmed.split(',').map(str::trim);
         let (a, b) = match (fields.next(), fields.next()) {
             (Some(a), Some(b)) => (a, b),
@@ -64,12 +66,8 @@ pub fn read_series<R: Read>(reader: R, name: &str) -> Result<PerformanceSeries, 
             (Ok(t), Ok(v)) => {
                 times.push(t);
                 values.push(v);
-                saw_data = true;
             }
-            _ if !saw_data => {
-                // Header line.
-                continue;
-            }
+            (Err(_), Err(_)) if may_be_header => {}
             _ => {
                 return Err(DataError::Parse {
                     line: idx + 1,
@@ -159,6 +157,26 @@ mod tests {
             DataError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    #[test]
+    fn malformed_first_data_row_is_an_error_not_a_header() {
+        // A typo in the first data row (letter O for zero) must not be
+        // mistaken for a header: that row holds the nominal performance
+        // every metric normalises by.
+        for (doc, bad_line) in [
+            ("t,value\n0,1.O\n1,0.98\n2,0.99\n", 2),
+            ("0,1.O\n1,0.98\n2,0.99\n", 1),
+            ("\nt,value\nt,value\n0,1\n1,2\n", 3),
+        ] {
+            match read_series(doc.as_bytes(), "typo").unwrap_err() {
+                DataError::Parse { line, .. } => assert_eq!(line, bad_line, "{doc:?}"),
+                other => panic!("{doc:?}: expected a parse error, got {other}"),
+            }
+        }
+        // A blank line before the header is fine.
+        let s = read_series("\n\nt,value\n0,1\n1,2\n".as_bytes(), "g").unwrap();
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -16,10 +16,6 @@ pub enum SolverKind {
     NelderMead,
     /// Levenberg–Marquardt damped least squares.
     LevenbergMarquardt,
-    /// Differential evolution.
-    DifferentialEvolution,
-    /// Simulated annealing.
-    Annealing,
     /// Multi-start driver wrapping Nelder–Mead.
     MultiStart,
 }
@@ -30,8 +26,6 @@ impl SolverKind {
         match self {
             SolverKind::NelderMead => "nm",
             SolverKind::LevenbergMarquardt => "lm",
-            SolverKind::DifferentialEvolution => "de",
-            SolverKind::Annealing => "sa",
             SolverKind::MultiStart => "ms",
         }
     }
@@ -41,8 +35,6 @@ impl SolverKind {
         Some(match s {
             "nm" => SolverKind::NelderMead,
             "lm" => SolverKind::LevenbergMarquardt,
-            "de" => SolverKind::DifferentialEvolution,
-            "sa" => SolverKind::Annealing,
             "ms" => SolverKind::MultiStart,
             _ => return None,
         })
@@ -217,8 +209,6 @@ pub enum CounterId {
     LmDampingUp,
     /// Levenberg–Marquardt damping decreases (accepted steps).
     LmDampingDown,
-    /// Simulated-annealing accepted moves.
-    SaAccepted,
     /// Retry attempts scheduled by the runtime.
     Retries,
     /// Family fits lost to a deadline.
@@ -241,7 +231,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in canonical (report) order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 16] = [
         CounterId::ObjectiveEvals,
         CounterId::NmReflections,
         CounterId::NmExpansions,
@@ -249,7 +239,6 @@ impl CounterId {
         CounterId::NmShrinks,
         CounterId::LmDampingUp,
         CounterId::LmDampingDown,
-        CounterId::SaAccepted,
         CounterId::Retries,
         CounterId::Timeouts,
         CounterId::Cancellations,
@@ -271,7 +260,6 @@ impl CounterId {
             CounterId::NmShrinks => "nm_shrinks",
             CounterId::LmDampingUp => "lm_damping_up",
             CounterId::LmDampingDown => "lm_damping_down",
-            CounterId::SaAccepted => "sa_accepted",
             CounterId::Retries => "retries",
             CounterId::Timeouts => "timeouts",
             CounterId::Cancellations => "cancellations",
@@ -741,8 +729,6 @@ impl Event {
         for solver in [
             SolverKind::NelderMead,
             SolverKind::LevenbergMarquardt,
-            SolverKind::DifferentialEvolution,
-            SolverKind::Annealing,
             SolverKind::MultiStart,
         ] {
             out.push(Event::Converged {
@@ -759,7 +745,7 @@ impl Event {
             ExitReason::Stalled,
         ] {
             out.push(Event::Converged {
-                solver: SolverKind::DifferentialEvolution,
+                solver: SolverKind::MultiStart,
                 iterations: 3,
                 evaluations: 30,
                 value: f64::NEG_INFINITY,
@@ -859,8 +845,6 @@ mod tests {
         for k in [
             SolverKind::NelderMead,
             SolverKind::LevenbergMarquardt,
-            SolverKind::DifferentialEvolution,
-            SolverKind::Annealing,
             SolverKind::MultiStart,
         ] {
             assert_eq!(SolverKind::parse(k.as_str()), Some(k));
@@ -925,7 +909,7 @@ mod tests {
     #[test]
     fn integral_floats_keep_a_decimal_point() {
         let e = Event::Converged {
-            solver: SolverKind::Annealing,
+            solver: SolverKind::LevenbergMarquardt,
             iterations: 5,
             evaluations: 6,
             value: 2.0,

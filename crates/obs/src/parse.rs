@@ -506,7 +506,7 @@ mod tests {
             best: -1.5e-7,
         });
         round_trip(Event::Iteration {
-            solver: SolverKind::DifferentialEvolution,
+            solver: SolverKind::MultiStart,
             iteration: 2,
             evaluations: 60,
             best: f64::INFINITY,

@@ -33,8 +33,8 @@ pub enum WorkMetric {
     Retries,
 }
 
-/// One solver activation inside an attempt (a multi-start probe, a polish
-/// pass, a DE/SA run).
+/// One solver activation inside an attempt (a multi-start probe or a
+/// polish pass).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSpan {
     /// Emitting solver, once an iteration or termination identified it.

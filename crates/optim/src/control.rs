@@ -3,10 +3,9 @@
 //! Every solver in this crate exposes a `*_with_control` entry point that
 //! threads an [`Control`] through its iteration loop. The loop polls
 //! [`Control::stop_cause`] at well-defined cancellation points — once per
-//! simplex iteration, LM outer/inner step, DE generation, annealing step,
-//! and multi-start start — and returns a typed
-//! [`OptimError::TimedOut`]/[`OptimError::Cancelled`] instead of running
-//! to its full budget. The check is allocation-free (one atomic load plus
+//! simplex iteration, LM outer/inner step, and multi-start start — and
+//! returns a typed [`OptimError::TimedOut`]/[`OptimError::Cancelled`]
+//! instead of running to its full budget. The check is allocation-free (one atomic load plus
 //! one `Instant::now()` read), so the zero-allocation hot path of the
 //! fitting pipeline is preserved.
 //!

@@ -27,8 +27,6 @@
 //!   every iterative solver polls between iterations, turning runaway
 //!   fits into typed [`OptimError::TimedOut`] / [`OptimError::Cancelled`]
 //!   errors instead of hangs.
-//! * [`differential_evolution`] / [`annealing`] — global optimizers used
-//!   as slow-but-sure fallbacks and in ablation benches.
 //!
 //! # Examples
 //!
@@ -65,10 +63,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod annealing;
 pub mod bounds;
 pub mod control;
-pub mod differential_evolution;
 pub mod error;
 pub mod levenberg_marquardt;
 pub mod multi_start;

@@ -1,10 +1,9 @@
 //! Scalar objectives with an optional batched evaluation path.
 //!
-//! The derivative-free optimizers only ever need `f(x)`, but several of
-//! their evaluation sites are naturally *batched*: the initial Nelder–Mead
-//! simplex (`n + 1` vertices), its shrink step (`n` vertices), and the
-//! differential-evolution initial population. [`Objective::eval_batch`]
-//! lets a problem evaluate all of those points in one pass over its data
+//! Nelder–Mead only ever needs `f(x)`, but two of its evaluation sites
+//! are naturally *batched*: the initial simplex (`n + 1` vertices) and
+//! its shrink step (`n` vertices). [`Objective::eval_batch`] lets a
+//! problem evaluate all of those points in one pass over its data
 //! (structure-of-arrays scratch, autovectorizable inner loops) while the
 //! default keeps plain closures working unchanged.
 

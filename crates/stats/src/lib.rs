@@ -10,8 +10,8 @@
 //! * [`distribution`] — the [`ContinuousDistribution`] trait: densities,
 //!   CDFs, survival and hazard functions, quantiles, and moments.
 //! * Concrete distributions: [`Exponential`], [`Weibull`], [`Normal`],
-//!   [`LogNormal`], [`Gamma`], [`Uniform`], and [`Hjorth`] (the
-//!   competing-risks distribution behind the paper's bathtub model).
+//!   [`Uniform`], and [`Hjorth`] (the competing-risks distribution
+//!   behind the paper's bathtub model).
 //! * [`empirical`] — empirical CDFs from samples.
 //! * [`describe`] — descriptive statistics (means, variances, quantiles,
 //!   autocorrelation).
@@ -50,9 +50,7 @@ pub mod rng;
 pub mod sample;
 
 mod exponential;
-mod gamma;
 mod hjorth;
-mod lognormal;
 mod normal;
 mod uniform;
 mod weibull;
@@ -61,9 +59,7 @@ pub use distribution::ContinuousDistribution;
 pub use empirical::EmpiricalCdf;
 pub use error::StatsError;
 pub use exponential::Exponential;
-pub use gamma::Gamma;
 pub use hjorth::Hjorth;
-pub use lognormal::LogNormal;
 pub use normal::Normal;
 pub use rng::{RandomSource, SplitMix64, XorShift64};
 pub use uniform::Uniform;

@@ -49,49 +49,26 @@ timeout -k 30 "$SMOKE_TIMEOUT" \
     exit 1
 }
 
-echo "==> bench smoke: serial vs Fixed(2) identical + evals-per-fit ceiling (hard cap ${SMOKE_TIMEOUT}s)"
-# One fast rank_models pass (DESIGN.md §11): fails when the parallel
-# output is not bit-identical to the serial one, or when the median
-# evals-per-fit regresses above the ceiling recorded in the bench binary.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- --smoke
-
-echo "==> scenario smoke: canonical scenario set deterministic + serial/parallel identical (hard cap ${SMOKE_TIMEOUT}s)"
-# Generates the canonical scenario catalog twice (bit-identical series),
-# then ranks each series serially and with Fixed(2) workers (identical
-# rankings) — the scenario-engine determinism contract end to end.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- --scenario-smoke
-
-echo "==> fleet smoke: 64-cell grid, double-run + serial/Fixed(2) identity gates (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times (serial ×2, Fixed(2) ×1) and fails unless
-# the columnar results stores and obs roll-ups are byte-identical across
-# all runs; regenerates BENCH_fleet.json, which is a pure function of the
-# grid — `git diff` must stay clean after this step.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --fleet-smoke
-
-echo "==> chaos smoke: 64-cell grid under the fixed chaos plan, supervisor gates (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times (serial ×2, Fixed(2) ×1) under the fixed
-# fault-injection plan with the circuit breaker armed (DESIGN.md §14).
-# Fails unless: no cell aborts the fleet, every non-quarantined cell has
-# a finite winning fit, the stores AND the raw event JSONL are
-# byte-identical across all three runs, injections are exactly accounted
-# in counters, and retries stay under the policy ceiling. Regenerates
-# BENCH_chaos.json — a pure function of the grid and the plan.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --chaos-smoke
-
-echo "==> obs smoke: observability gates + obsctl end-to-end (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times through the observability gates
-# (DESIGN.md §15): the JSONL logs, span-tree renders, metrics
-# expositions, and stores must be byte-identical across serial ×2 and
-# Fixed(2), every evaluation must be attributed to a cell, and each
-# family must stay under its committed evaluation ceiling. Regenerates
-# BENCH_obs.json — a pure function of the grid — and drops the run's
-# logs into OBS_SMOKE_DIR for the obsctl checks below.
+echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)"
+# One gate runner (DESIGN.md §11, §13-§15) that runs every gate set and
+# fails when any of them breaks:
+# * rank_models on 1990-93: serial vs Fixed(2) bit-identical, and the
+#   median evals-per-fit under the ceiling recorded in the bench binary;
+# * the canonical scenario set generates and ranks deterministically;
+# * the 64-cell CI fleet runs as two triples (serial x2, Fixed(2)), one
+#   plain and one under the fixed chaos plan with the breaker armed. The
+#   plain triple feeds the fleet gates (byte-identical stores and obs
+#   roll-ups) and the obs gates (byte-identical logs, span trees,
+#   metrics; full attribution; per-family evaluation ceilings); the chaos
+#   triple feeds the chaos gates (no abort, finite survivors,
+#   byte-identical stores and event JSONL, exact injection accounting,
+#   bounded retries).
+# Each of BENCH_fleet.json, BENCH_obs.json and BENCH_chaos.json is
+# rewritten only when its own gates pass. They are pure functions of the
+# grid, so `git diff` must stay clean after this step. The plain
+# triple's logs land in OBS_SMOKE_DIR for the obsctl checks below.
 OBS_SMOKE_DIR="$OBS_SMOKE_DIR" timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --obs-smoke
+    cargo run -q --release -p resilience-bench --bin bench -- --smoke
 
 # obsctl diff of the serial vs rerun logs must be empty (exit 0); a
 # non-empty diff means the telemetry plane itself is nondeterministic.

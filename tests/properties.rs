@@ -12,7 +12,7 @@ use resilience_core::mixture::{ComponentKind, MixtureModel, Trend};
 use resilience_core::model::{ModelFamily, ResilienceModel};
 use resilience_data::csv::{read_series, write_series};
 use resilience_data::recessions::Recession;
-use resilience_data::PerformanceSeries;
+use resilience_data::{DataError, PerformanceSeries};
 use resilience_obs::{
     intern, parse_line, parse_log, Event, FailureCode, RecordingObserver, StopKind,
 };
@@ -567,6 +567,71 @@ fn log_reader_survives_mutated_lines() {
     // Some mutations (a duplicated digit, an inserted one) keep the line
     // valid, so the success branch runs too.
     assert!(accepted > 100, "only {accepted} mutated lines parsed");
+}
+
+/// Hostile input to the CSV loader: `write_series` output mutated at
+/// char level (so rows merge, split, lose or gain digits, commas and
+/// multi-byte chars). Nothing panics; a failure is a typed parse or
+/// series error, never I/O; a success keeps every non-header row, each
+/// field equal to the stored number, and drops at most one header — the
+/// first non-blank line, and only when neither of its fields is a number.
+#[test]
+fn csv_loader_survives_mutated_documents() {
+    let mut rng = XorShift64::new(0xA012);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..3000 {
+        let values = uniform_vec(&mut rng, 0.0, 2.0, 2, 12);
+        let series = PerformanceSeries::monthly("fuzz", values).unwrap();
+        let mut clean = Vec::new();
+        write_series(&mut clean, &series).unwrap();
+        let doc = mutate(&mut rng, std::str::from_utf8(&clean).unwrap());
+        let rows: Vec<&str> = doc
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect();
+        match no_panic(case, &doc, |d| read_series(d.as_bytes(), "fuzz")) {
+            Err(DataError::Parse { line, .. }) => {
+                rejected += 1;
+                assert!(
+                    (1..=doc.lines().count()).contains(&line),
+                    "case {case}: line {line} of {doc:?}"
+                );
+            }
+            Err(e) => {
+                rejected += 1;
+                assert!(
+                    !matches!(e, DataError::Io(_)),
+                    "case {case}: {e} on {doc:?}"
+                );
+            }
+            Ok(back) => {
+                accepted += 1;
+                let headers = rows.len() - back.len();
+                assert!(
+                    headers <= 1,
+                    "case {case}: {headers} rows dropped from {doc:?}"
+                );
+                let number = |field: &str| field.trim().parse::<f64>().ok();
+                if headers == 1 {
+                    let (a, b) = rows[0].split_once(',').unwrap();
+                    assert!(
+                        number(a).is_none() && number(b).is_none(),
+                        "case {case}: data row {:?} taken for a header",
+                        rows[0]
+                    );
+                }
+                for (row, (t, v)) in rows[headers..].iter().zip(back.iter()) {
+                    let (a, b) = row.split_once(',').unwrap();
+                    assert_eq!(number(a), Some(t), "case {case}: {row:?}");
+                    assert_eq!(number(b), Some(v), "case {case}: {row:?}");
+                }
+            }
+        }
+    }
+    // Digit edits keep many documents loadable, so both branches run.
+    assert!(accepted > 300, "only {accepted} mutated documents loaded");
+    assert!(rejected > 300, "only {rejected} mutated documents rejected");
 }
 
 /// Family and scope names that need escaping, or that are multi-byte,
