@@ -1,7 +1,7 @@
 //! Mixture component distributions.
 
 use crate::CoreError;
-use resilience_stats::{ContinuousDistribution, Exponential, Weibull};
+use resilience_stats::{Exponential, Weibull};
 
 /// Which distribution family a mixture component uses: the paper's
 /// Exponential and Weibull (its Eq. 23).
@@ -32,7 +32,7 @@ impl ComponentKind {
         }
     }
 
-    /// Builds the concrete distribution from its parameter slice.
+    /// Builds the concrete component from its parameter slice.
     ///
     /// # Errors
     ///
@@ -50,11 +50,12 @@ impl ComponentKind {
                 ),
             ));
         }
-        let built = match self {
-            ComponentKind::Exponential => BuiltComponent::Exponential(Exponential::new(params[0])?),
-            ComponentKind::Weibull => BuiltComponent::Weibull(Weibull::new(params[0], params[1])?),
+        // The distribution constructors own the feasibility rules.
+        let law = match self {
+            ComponentKind::Exponential => Law::exponential(Exponential::new(params[0])?),
+            ComponentKind::Weibull => Law::weibull(Weibull::new(params[0], params[1])?),
         };
-        Ok(built)
+        Ok(BuiltComponent(law))
     }
 
     /// Allocation-free variant of [`ComponentKind::build`] for the
@@ -67,14 +68,11 @@ impl ComponentKind {
         }
         // The distribution constructors carry static-str errors, so even
         // the failure path here allocates nothing.
-        Some(match self {
-            ComponentKind::Exponential => {
-                BuiltComponent::Exponential(Exponential::new(params[0]).ok()?)
-            }
-            ComponentKind::Weibull => {
-                BuiltComponent::Weibull(Weibull::new(params[0], params[1]).ok()?)
-            }
-        })
+        let law = match self {
+            ComponentKind::Exponential => Law::exponential(Exponential::new(params[0]).ok()?),
+            ComponentKind::Weibull => Law::weibull(Weibull::new(params[0], params[1]).ok()?),
+        };
+        Some(BuiltComponent(law))
     }
 
     /// Data-driven candidate parameter sets for a component expected to
@@ -95,69 +93,135 @@ impl std::fmt::Display for ComponentKind {
     }
 }
 
-/// A constructed mixture component, dispatching CDF evaluation to the
-/// concrete distribution.
+/// A constructed mixture component, evaluated in the log domain through
+/// its cumulative hazard `z(t)`: survival `e^{−z}`, CDF `−expm1(−z)`, and
+/// `z = 0` on `t ≤ 0` (DESIGN.md §11).
+///
+/// Every evaluator takes `ln t` next to `t`: a mixture computes it once
+/// per time point and shares it between both components and the
+/// `β·ln t` trend. No evaluation calls `powf`; the `powf` forms of
+/// [`resilience_stats::Weibull`] and [`resilience_stats::Exponential`]
+/// stay the reference the kernel is tested against.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BuiltComponent {
-    /// Exponential component.
-    Exponential(Exponential),
-    /// Weibull component.
-    Weibull(Weibull),
+pub struct BuiltComponent(Law);
+
+/// The per-parameter-point invariants of one component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Law {
+    /// `z = rate·t`.
+    Exponential { rate: f64 },
+    /// `z = exp(k·ln t − k·ln λ)`, with `ln λ` and `k·ln λ` computed once
+    /// at build time.
+    Weibull {
+        shape: f64,
+        scale: f64,
+        ln_scale: f64,
+        shape_ln_scale: f64,
+    },
+}
+
+impl Law {
+    fn exponential(d: Exponential) -> Law {
+        Law::Exponential { rate: d.rate() }
+    }
+
+    fn weibull(d: Weibull) -> Law {
+        let (shape, scale) = (d.shape(), d.scale());
+        let ln_scale = scale.ln();
+        Law::Weibull {
+            shape,
+            scale,
+            ln_scale,
+            shape_ln_scale: shape * ln_scale,
+        }
+    }
 }
 
 impl BuiltComponent {
+    /// Cumulative hazard `z(t)` given `ln_t = ln t`; 0 for `t ≤ 0`.
+    #[inline]
+    fn hazard(&self, t: f64, ln_t: f64) -> f64 {
+        if t <= 0.0 {
+            return 0.0;
+        }
+        match self.0 {
+            Law::Exponential { rate } => rate * t,
+            Law::Weibull {
+                shape,
+                shape_ln_scale,
+                ..
+            } => (shape * ln_t - shape_ln_scale).exp(),
+        }
+    }
+
+    /// CDF at `t`, given `ln_t = ln t` (any value when `t ≤ 0`).
+    #[inline]
+    pub(crate) fn cdf_at(&self, t: f64, ln_t: f64) -> f64 {
+        cdf_from_hazard(self.hazard(t, ln_t))
+    }
+
+    /// Survival at `t`, given `ln_t = ln t` (any value when `t ≤ 0`).
+    #[inline]
+    pub(crate) fn survival_at(&self, t: f64, ln_t: f64) -> f64 {
+        (-self.hazard(t, ln_t)).exp()
+    }
+
     /// CDF at `t`.
     #[must_use]
     pub fn cdf(&self, t: f64) -> f64 {
-        match self {
-            BuiltComponent::Exponential(d) => d.cdf(t),
-            BuiltComponent::Weibull(d) => d.cdf(t),
-        }
+        self.cdf_at(t, t.ln())
     }
 
     /// Survival at `t`.
     #[must_use]
     pub fn survival(&self, t: f64) -> f64 {
-        match self {
-            BuiltComponent::Exponential(d) => d.survival(t),
-            BuiltComponent::Weibull(d) => d.survival(t),
-        }
+        self.survival_at(t, t.ln())
     }
 
     /// Partials of the CDF with respect to the component's *external*
-    /// parameters, written into `out[..n_params]`.
+    /// parameters at `t`, given `ln_t = ln t`, written into
+    /// `out[..n_params]`. Returns the cumulative hazard `z(t)` it used, so
+    /// the caller forms `F(t)` with [`cdf_from_hazard`] instead of
+    /// evaluating it again.
     ///
     /// Closed forms:
     ///
     /// * Exponential(λ): `F = 1 − e^{−λt}` on `t ≥ 0`, so
     ///   `∂F/∂λ = t·e^{−λt}` (0 for `t < 0`).
     /// * Weibull(k, λ): `F = 1 − e^{−z}` with `z = (t/λ)^k` on `t > 0`,
-    ///   so `∂F/∂k = e^{−z}·z·ln(t/λ)` and `∂F/∂λ = −e^{−z}·k·z/λ`
+    ///   so `∂F/∂k = e^{−z}·z·(ln t − ln λ)` and `∂F/∂λ = −e^{−z}·k·z/λ`
     ///   (both 0 for `t ≤ 0`, guarding the `0·(−∞)` NaN at `t = 0`).
-    pub fn cdf_gradient(&self, t: f64, out: &mut [f64]) {
-        match self {
-            BuiltComponent::Exponential(d) => {
-                out[0] = if t >= 0.0 {
-                    t * (-d.rate() * t).exp()
-                } else {
-                    0.0
-                };
+    pub(crate) fn cdf_gradient(&self, t: f64, ln_t: f64, out: &mut [f64]) -> f64 {
+        let z = self.hazard(t, ln_t);
+        let damp = (-z).exp();
+        match self.0 {
+            Law::Exponential { .. } => {
+                out[0] = if t >= 0.0 { t * damp } else { 0.0 };
             }
-            BuiltComponent::Weibull(d) => {
+            Law::Weibull {
+                shape,
+                scale,
+                ln_scale,
+                ..
+            } => {
                 if t > 0.0 {
-                    let (k, lambda) = (d.shape(), d.scale());
-                    let r = t / lambda;
-                    let z = r.powf(k);
-                    let damp = (-z).exp();
-                    out[0] = damp * z * r.ln();
-                    out[1] = -damp * k * z / lambda;
+                    out[0] = damp * z * (ln_t - ln_scale);
+                    out[1] = -damp * shape * z / scale;
                 } else {
                     out[0] = 0.0;
                     out[1] = 0.0;
                 }
             }
         }
+        z
     }
+}
+
+/// `F = 1 − e^{−z}` from the cumulative hazard `z`, without cancellation
+/// for small `z`.
+#[inline]
+pub(crate) fn cdf_from_hazard(z: f64) -> f64 {
+    -(-z).exp_m1()
 }
 
 #[cfg(test)]

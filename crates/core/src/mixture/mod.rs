@@ -16,13 +16,15 @@
 mod component;
 mod trend;
 
+use component::cdf_from_hazard;
 pub use component::{BuiltComponent, ComponentKind};
 pub use trend::Trend;
 
-use crate::model::{sse_batch_kernel, ModelFamily, ResilienceModel};
+use crate::model::{ModelFamily, ResilienceModel, SSE_BATCH_WIDTH};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
+use resilience_math::sum::CompensatedSum;
 
 /// A fitted mixture resilience model (paper Eq. 7 with `a₁ = 1`).
 ///
@@ -46,12 +48,9 @@ use resilience_math::linalg::Matrix;
 pub struct MixtureModel {
     f1_kind: ComponentKind,
     f1_params: Vec<f64>,
-    f1: BuiltComponent,
     f2_kind: ComponentKind,
     f2_params: Vec<f64>,
-    f2: BuiltComponent,
-    trend: Trend,
-    beta: f64,
+    curve: Curve,
     name: &'static str,
 }
 
@@ -77,17 +76,18 @@ impl MixtureModel {
                 format!("trend coefficient β must be positive and finite, got {beta}"),
             ));
         }
-        let f1 = f1_kind.build(&f1_params)?;
-        let f2 = f2_kind.build(&f2_params)?;
+        let curve = Curve {
+            f1: f1_kind.build(&f1_params)?,
+            f2: f2_kind.build(&f2_params)?,
+            trend,
+            beta,
+        };
         Ok(MixtureModel {
             f1_kind,
             f1_params,
-            f1,
             f2_kind,
             f2_params,
-            f2,
-            trend,
-            beta,
+            curve,
             name: combo_name(f1_kind, f2_kind),
         })
     }
@@ -107,25 +107,25 @@ impl MixtureModel {
     /// The recovery trend.
     #[must_use]
     pub fn trend(&self) -> Trend {
-        self.trend
+        self.curve.trend
     }
 
     /// The trend coefficient `β`.
     #[must_use]
     pub fn beta(&self) -> f64 {
-        self.beta
+        self.curve.beta
     }
 
     /// The degradation term `1 − F₁(t)` alone.
     #[must_use]
     pub fn degradation_term(&self, t: f64) -> f64 {
-        self.f1.survival(t)
+        self.curve.degradation(t, t.ln())
     }
 
     /// The recovery term `a₂(t)·F₂(t)` alone.
     #[must_use]
     pub fn recovery_term(&self, t: f64) -> f64 {
-        self.trend.eval(self.beta, t) * self.f2.cdf(t)
+        self.curve.recovery(t, t.ln())
     }
 }
 
@@ -137,12 +137,12 @@ impl ResilienceModel for MixtureModel {
     fn params(&self) -> Vec<f64> {
         let mut p = self.f1_params.clone();
         p.extend_from_slice(&self.f2_params);
-        p.push(self.beta);
+        p.push(self.curve.beta);
         p
     }
 
     fn predict(&self, t: f64) -> f64 {
-        self.degradation_term(t) + self.recovery_term(t)
+        self.curve.predict(t)
     }
 
     fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
@@ -151,8 +151,69 @@ impl ResilienceModel for MixtureModel {
             out.len(),
             "predict_into requires ts and out of equal length"
         );
+        self.curve.predict_into(ts, out);
+    }
+}
+
+/// One mixture curve at one parameter point: the per-point evaluator
+/// behind every prediction path — [`MixtureModel`], the fitting
+/// objective's `predict_params_into` and the batched SSE kernel — so all
+/// of them share one expression and agree bit for bit.
+///
+/// `ln t` is computed once per time point and shared by both components
+/// and the `β·ln t` trend; the Weibull cumulative hazard is
+/// `exp(k·ln t − k·ln λ)`, so no evaluation calls `powf` (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Curve {
+    f1: BuiltComponent,
+    f2: BuiltComponent,
+    trend: Trend,
+    beta: f64,
+}
+
+impl Curve {
+    /// The curve at external parameters `[F₁ params…, F₂ params…, β]`,
+    /// or `None` when they are infeasible. Allocation-free.
+    fn try_new(family: &MixtureFamily, params: &[f64]) -> Option<Curve> {
+        if params.len() != family.n_params() {
+            return None;
+        }
+        let (p1, p2, beta) = family.split_params(params);
+        if !(beta > 0.0) || !beta.is_finite() {
+            return None;
+        }
+        Some(Curve {
+            f1: family.f1.try_build(p1)?,
+            f2: family.f2.try_build(p2)?,
+            trend: family.trend,
+            beta,
+        })
+    }
+
+    #[inline]
+    fn degradation(&self, t: f64, ln_t: f64) -> f64 {
+        self.f1.survival_at(t, ln_t)
+    }
+
+    #[inline]
+    fn recovery(&self, t: f64, ln_t: f64) -> f64 {
+        self.trend.eval_at(self.beta, t, ln_t) * self.f2.cdf_at(t, ln_t)
+    }
+
+    /// `P(t)` given `ln_t = ln t`.
+    #[inline]
+    fn predict_at(&self, t: f64, ln_t: f64) -> f64 {
+        self.degradation(t, ln_t) + self.recovery(t, ln_t)
+    }
+
+    #[inline]
+    fn predict(&self, t: f64) -> f64 {
+        self.predict_at(t, t.ln())
+    }
+
+    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
         for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.f1.survival(t) + self.trend.eval(self.beta, t) * self.f2.cdf(t);
+            *o = self.predict(t);
         }
     }
 }
@@ -248,20 +309,13 @@ impl ModelFamily for MixtureFamily {
             out.len(),
             "predict_params_into requires ts and out of equal length"
         );
-        if params.len() != self.n_params() {
-            return false;
+        match Curve::try_new(self, params) {
+            Some(curve) => {
+                curve.predict_into(ts, out);
+                true
+            }
+            None => false,
         }
-        let (p1, p2, beta) = self.split_params(params);
-        if !(beta > 0.0) || !beta.is_finite() {
-            return false;
-        }
-        let (Some(f1), Some(f2)) = (self.f1.try_build(p1), self.f2.try_build(p2)) else {
-            return false;
-        };
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = f1.survival(t) + self.trend.eval(beta, t) * f2.cdf(t);
-        }
-        true
     }
 
     /// Hand-derived partials of `P(t) = (1 − F₁(t)) + a₂(β, t)·F₂(t)`,
@@ -278,63 +332,81 @@ impl ModelFamily for MixtureFamily {
         ts: &[f64],
         out: &mut Matrix,
     ) -> bool {
-        let n = self.n_params();
-        if internal.len() != n || params.len() != n {
+        if internal.len() != self.n_params() {
             return false;
         }
-        let (p1, p2, beta) = self.split_params(params);
-        if !(beta > 0.0) || !beta.is_finite() {
-            return false;
-        }
-        let (Some(f1), Some(f2)) = (self.f1.try_build(p1), self.f2.try_build(p2)) else {
+        let Some(curve) = Curve::try_new(self, params) else {
             return false;
         };
+        let (p1, p2, beta) = self.split_params(params);
         let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
         let mut g = [0.0_f64; 2]; // component gradient scratch (≤ 2 params)
         for (i, &t) in ts.iter().enumerate() {
-            let trend = self.trend.eval(beta, t);
-            f1.cdf_gradient(t, &mut g[..n1]);
+            let ln_t = t.ln();
+            let trend = self.trend.eval_at(beta, t, ln_t);
+            curve.f1.cdf_gradient(t, ln_t, &mut g[..n1]);
             for (j, &gj) in g[..n1].iter().enumerate() {
                 out[(i, j)] = -p1[j] * gj;
             }
-            f2.cdf_gradient(t, &mut g[..n2]);
+            let z2 = curve.f2.cdf_gradient(t, ln_t, &mut g[..n2]);
             for (j, &gj) in g[..n2].iter().enumerate() {
                 out[(i, n1 + j)] = trend * p2[j] * gj;
             }
-            out[(i, n1 + n2)] = beta * self.trend.beta_gradient(beta, t) * f2.cdf(t);
+            out[(i, n1 + n2)] =
+                beta * self.trend.beta_gradient(beta, t, ln_t) * cdf_from_hazard(z2);
         }
         true
     }
 
+    /// Time-outer / point-inner over chunks of [`SSE_BATCH_WIDTH`]
+    /// points: the series is traversed once per chunk, `ln t` is computed
+    /// once per time for the whole chunk, and each point accumulates its
+    /// squared residuals in its own [`CompensatedSum`] in time order —
+    /// bit-identical to the scalar objective by construction.
     fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
+        const W: usize = SSE_BATCH_WIDTH;
         let n = self.n_params();
-        let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
-        sse_batch_kernel(
-            n,
-            internals,
-            ts,
-            ys,
-            out,
-            |u| {
-                // Identical arithmetic to `internal_to_params_into` +
-                // the feasibility checks of `predict_params_into`.
+        assert_eq!(
+            internals.len(),
+            n * out.len(),
+            "MixtureFamily::sse_batch_into: internals.len() must be n_params * out.len()"
+        );
+        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
+        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
+            let base = chunk_idx * W;
+            let k = chunk.len();
+            let mut curves: [Option<Curve>; W] = [None; W];
+            for (i, curve) in curves.iter_mut().enumerate().take(k) {
+                // Identical arithmetic to `internal_to_params_into` + the
+                // feasibility checks of `predict_params_into`.
                 let mut p = [0.0_f64; 8];
-                for (o, &v) in p[..n].iter_mut().zip(u) {
+                for (o, &v) in p[..n].iter_mut().zip(&internals[(base + i) * n..]) {
                     *o = v.exp();
                 }
-                let beta = p[n1 + n2];
-                if !(beta > 0.0) || !beta.is_finite() {
-                    return None;
+                *curve = Curve::try_new(self, &p[..n]);
+            }
+            let mut sums = [CompensatedSum::new(); W];
+            let mut finite = [true; W];
+            for (&t, &y) in ts.iter().zip(ys) {
+                let ln_t = t.ln();
+                for i in 0..k {
+                    if let Some(curve) = &curves[i] {
+                        let pred = curve.predict_at(t, ln_t);
+                        if !pred.is_finite() {
+                            finite[i] = false;
+                        }
+                        let d = y - pred;
+                        sums[i].add(d * d);
+                    }
                 }
-                let f1 = self.f1.try_build(&p[..n1])?;
-                let f2 = self.f2.try_build(&p[n1..n1 + n2])?;
-                Some((f1, f2, beta))
-            },
-            |&(f1, f2, beta), t| {
-                // Same expression as the scalar `predict_params_into`.
-                f1.survival(t) + self.trend.eval(beta, t) * f2.cdf(t)
-            },
-        );
+            }
+            for (i, o) in chunk.iter_mut().enumerate() {
+                *o = match curves[i] {
+                    Some(_) if finite[i] => sums[i].value(),
+                    _ => f64::INFINITY,
+                };
+            }
+        }
         true
     }
 
@@ -544,26 +616,133 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_paths() {
-        let fam = MixtureFamily {
-            f1: ComponentKind::Weibull,
-            f2: ComponentKind::Exponential,
-            trend: Trend::Logarithmic,
+        let ts = [0.0, 0.5, 1.0, 4.0, 15.0, 40.0];
+        for fam in MixtureFamily::paper_combinations() {
+            let n = fam.n_params();
+            // Shapes/scales for Weibull slots, rates for Exponential ones.
+            let mut external: Vec<f64> = [fam.f1, fam.f2]
+                .iter()
+                .flat_map(|kind| match kind {
+                    ComponentKind::Exponential => vec![0.05],
+                    ComponentKind::Weibull => vec![1.7, 12.0],
+                })
+                .collect();
+            external.push(0.25);
+            let internal = fam.params_to_internal(&external).unwrap();
+            let mut params = vec![0.0; n];
+            fam.internal_to_params_into(&internal, &mut params);
+            assert_eq!(params, fam.internal_to_params(&internal), "{}", fam.name());
+
+            let mut out = [f64::NAN; 6];
+            assert!(fam.predict_params_into(&params, &ts, &mut out));
+            let model = fam.build(&params).unwrap();
+            assert_eq!(out.to_vec(), model.predict_many(&ts), "{}", fam.name());
+            let mut into = [f64::NAN; 6];
+            model.predict_into(&ts, &mut into);
+            assert_eq!(into, out, "{}", fam.name());
+
+            // Infeasible: a negative first parameter, a bad β, and the
+            // wrong parameter count.
+            let mut bad = params.clone();
+            bad[0] = -bad[0];
+            assert!(!fam.predict_params_into(&bad, &ts, &mut out));
+            let mut bad = params.clone();
+            bad[n - 1] = 0.0;
+            assert!(!fam.predict_params_into(&bad, &ts, &mut out));
+            assert!(!fam.predict_params_into(&params[..n - 1], &ts, &mut out));
+        }
+    }
+
+    /// Drift oracle for the log-domain kernel (DESIGN.md §11): mixture
+    /// predictions and component CDF partials against the `powf` closed
+    /// forms of `resilience_stats`, on a seeded grid of (k, λ, rate, β) at
+    /// t = 0, t ∈ (0, 1), t = 1 and t > 1.
+    #[test]
+    fn log_domain_kernel_matches_the_powf_reference() {
+        use resilience_stats::{ContinuousDistribution, Exponential, Weibull, XorShift64};
+        const BOUND: f64 = 1e-13;
+        let rel = |got: f64, want: f64| {
+            if got == want {
+                0.0
+            } else {
+                (got - want).abs() / want.abs()
+            }
         };
-        let internal = fam.params_to_internal(&[1.7, 12.0, 0.05, 0.25]).unwrap();
-        let mut params = [0.0; 4];
-        fam.internal_to_params_into(&internal, &mut params);
-        assert_eq!(params.to_vec(), fam.internal_to_params(&internal));
-
-        let ts = [0.0, 4.0, 15.0, 40.0];
-        let mut out = [f64::NAN; 4];
-        assert!(fam.predict_params_into(&params, &ts, &mut out));
-        let model = fam.build(&params).unwrap();
-        assert_eq!(out.to_vec(), model.predict_many(&ts));
-
-        // Infeasible: negative Weibull shape, and bad β.
-        assert!(!fam.predict_params_into(&[-1.7, 12.0, 0.05, 0.25], &ts, &mut out));
-        assert!(!fam.predict_params_into(&[1.7, 12.0, 0.05, 0.0], &ts, &mut out));
-        assert!(!fam.predict_params_into(&[1.7, 12.0, 0.05], &ts, &mut out));
+        let ts: [f64; 12] = [
+            0.0, 0.1, 0.5, 0.9, 1.0, 1.5, 3.0, 7.0, 15.0, 24.0, 36.0, 47.0,
+        ];
+        let mut rng = XorShift64::new(0x00D2_1F7E);
+        let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rng.next_f64();
+        for case in 0..400 {
+            let (k1, lam1) = (uniform(0.5, 5.0), uniform(2.0, 40.0));
+            let (k2, lam2) = (uniform(0.5, 5.0), uniform(2.0, 40.0));
+            let (rate1, rate2) = (uniform(0.01, 0.5), uniform(0.01, 0.5));
+            let beta = uniform(0.05, 1.0);
+            let w1 = Weibull::new(k1, lam1).unwrap();
+            let w2 = Weibull::new(k2, lam2).unwrap();
+            let e1 = Exponential::new(rate1).unwrap();
+            let e2 = Exponential::new(rate2).unwrap();
+            let degradations: [(ComponentKind, Vec<f64>, &dyn ContinuousDistribution); 2] = [
+                (ComponentKind::Exponential, vec![rate1], &e1),
+                (ComponentKind::Weibull, vec![k1, lam1], &w1),
+            ];
+            let recoveries: [(ComponentKind, Vec<f64>, &dyn ContinuousDistribution); 2] = [
+                (ComponentKind::Exponential, vec![rate2], &e2),
+                (ComponentKind::Weibull, vec![k2, lam2], &w2),
+            ];
+            for (kind1, p1, d1) in &degradations {
+                for (kind2, p2, d2) in &recoveries {
+                    let m = MixtureModel::new(
+                        *kind1,
+                        p1.clone(),
+                        *kind2,
+                        p2.clone(),
+                        Trend::Logarithmic,
+                        beta,
+                    )
+                    .unwrap();
+                    for &t in &ts {
+                        let trend = if t <= 1.0 { 0.0 } else { beta * t.ln() };
+                        let want = d1.survival(t) + trend * d2.cdf(t);
+                        let r = rel(m.predict(t), want);
+                        assert!(r <= BOUND, "case {case} {} t={t}: {r:e}", m.name());
+                    }
+                }
+            }
+            // CDF partials against the closed forms evaluated with `powf`.
+            // Both forms share the partials' conditioning, so the relative
+            // error is divided by it: `e^{−z}` turns an absolute error in
+            // `z` into a relative one (factor `1 + z`), and `∂F/∂k`'s
+            // `ln(t/λ)` cancels near `t = λ` (factor
+            // `(|ln t| + |ln λ|) / |ln(t/λ)|`).
+            let weibull = ComponentKind::Weibull.build(&[k1, lam1]).unwrap();
+            let exponential = ComponentKind::Exponential.build(&[rate1]).unwrap();
+            let mut g = [0.0; 2];
+            for &t in &ts {
+                let (dk, dlam, cond_k, cond_lam) = if t > 0.0 {
+                    let r = t / lam1;
+                    let z = r.powf(k1);
+                    let damp = (-z).exp();
+                    let cancel = (t.ln().abs() + lam1.ln().abs()) / r.ln().abs();
+                    (
+                        damp * z * r.ln(),
+                        -damp * k1 * z / lam1,
+                        (1.0 + z) * cancel.max(1.0),
+                        1.0 + z,
+                    )
+                } else {
+                    (0.0, 0.0, 1.0, 1.0)
+                };
+                weibull.cdf_gradient(t, t.ln(), &mut g);
+                for (got, want, cond) in [(g[0], dk, cond_k), (g[1], dlam, cond_lam)] {
+                    let r = rel(got, want) / cond;
+                    assert!(r <= BOUND, "case {case} Weibull partial t={t}: {r:e}");
+                }
+                exponential.cdf_gradient(t, t.ln(), &mut g);
+                let r = rel(g[0], t * (-rate1 * t).exp());
+                assert!(r <= BOUND, "case {case} Exponential partial t={t}: {r:e}");
+            }
+        }
     }
 
     #[test]

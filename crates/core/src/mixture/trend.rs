@@ -46,6 +46,13 @@ impl Trend {
     /// continuous — though not differentiable — at `t = 1`.
     #[must_use]
     pub fn eval(&self, beta: f64, t: f64) -> f64 {
+        self.eval_at(beta, t, t.ln())
+    }
+
+    /// [`Trend::eval`] given `ln_t = ln t`, which the mixture kernel
+    /// computes once per time point and shares with its components.
+    #[inline]
+    pub(crate) fn eval_at(&self, beta: f64, t: f64, ln_t: f64) -> f64 {
         match self {
             Trend::Constant => beta,
             Trend::Linear => beta * t,
@@ -54,19 +61,19 @@ impl Trend {
                 if t <= 1.0 {
                     0.0
                 } else {
-                    beta * t.ln()
+                    beta * ln_t
                 }
             }
         }
     }
 
-    /// Partial derivative `∂a₂/∂β` at `(β, t)` — used by the analytic
-    /// mixture Jacobian.
+    /// Partial derivative `∂a₂/∂β` at `(β, t)`, given `ln_t = ln t` —
+    /// used by the analytic mixture Jacobian.
     ///
     /// The logarithmic trend's clamp makes `a₂` identically 0 on
     /// `t ≤ 1`, so its β-derivative is 0 there and `ln t` beyond.
-    #[must_use]
-    pub fn beta_gradient(&self, beta: f64, t: f64) -> f64 {
+    #[inline]
+    pub(crate) fn beta_gradient(&self, beta: f64, t: f64, ln_t: f64) -> f64 {
         match self {
             Trend::Constant => 1.0,
             Trend::Linear => t,
@@ -75,7 +82,7 @@ impl Trend {
                 if t <= 1.0 {
                     0.0
                 } else {
-                    t.ln()
+                    ln_t
                 }
             }
         }

@@ -721,11 +721,16 @@ impl Breaker {
 /// [`rank_models`](crate::selection::rank_models) are one-cell calls of
 /// this function.
 ///
-/// Jobs are handed out one at a time from a shared atomic counter
+/// The fan-out happens at exactly one level, chosen per wave. A wave with
+/// at least as many cells as `config.parallelism` has threads hands its
+/// jobs out one at a time from a shared atomic counter
 /// ([`run_indexed_catch`]), so a cell whose families are all cheap does
 /// not leave workers idle while one expensive series × family pair
-/// finishes. The inner multi-start runs serial, so the fan-out happens at
-/// exactly one level.
+/// finishes; each fit's multi-start runs serial. A smaller wave — a
+/// one-cell ranking is one — has too few cells to keep the threads busy
+/// on a handful of very unequal family jobs, so it runs its jobs in order
+/// and gives the threads to each fit's multi-start instead. Both paths
+/// give the same rows, failures and event log.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -752,7 +757,7 @@ pub fn rank_fleet_supervised(
     control: &Control,
 ) -> Vec<CellOutcome> {
     let mut inner = config.clone();
-    inner.parallelism = Parallelism::Serial;
+    let threads = config.parallelism.threads_for(usize::MAX);
     let nf = families.len();
     let supervised = policy.supervises_cells();
     let wave_cells = policy
@@ -796,7 +801,16 @@ pub fn rank_fleet_supervised(
                 .map(|_| Arc::new(RecordingObserver::new()))
                 .collect()
         });
-        let outcomes = run_indexed_catch(config.parallelism, wave_jobs, |j| {
+        // One fan-out level per wave: over the wave's jobs, or — when the
+        // wave has fewer cells than threads — over each fit's starts.
+        let job_level = if wave_end - wave_start < threads {
+            inner.parallelism = config.parallelism;
+            Parallelism::Serial
+        } else {
+            inner.parallelism = Parallelism::Serial;
+            config.parallelism
+        };
+        let outcomes = run_indexed_catch(job_level, wave_jobs, |j| {
             if skip[j] {
                 return Err(FamilyFailure {
                     family_name: families[j % nf].name(),
@@ -1181,7 +1195,14 @@ mod tests {
         };
         let (serial_bits, serial_events) = run(Parallelism::Serial);
         assert!(!serial_events.is_empty());
-        for p in [Parallelism::Fixed(2), Parallelism::Fixed(3)] {
+        // Fixed(2) and Fixed(3) fan out over the 3 cells' family jobs;
+        // Fixed(4) has more threads than cells, so it fans out over each
+        // fit's starts instead. Both paths must reproduce the serial run.
+        for p in [
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(3),
+            Parallelism::Fixed(4),
+        ] {
             let (bits, events) = run(p);
             assert_eq!(bits, serial_bits, "{p:?}");
             assert_eq!(events, serial_events, "{p:?}");

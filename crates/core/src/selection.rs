@@ -303,9 +303,11 @@ pub(crate) fn sort_rows(rows: &mut [SelectionRow]) {
 /// Fits each family to the full series and ranks them by AICc (ascending;
 /// ties and zero-SSE fits sort first).
 ///
-/// Families fit in parallel according to `config.parallelism` (the
-/// per-family multi-start runs serially so the two levels do not
-/// oversubscribe); results are identical for every thread count. Families
+/// Fits run in parallel according to `config.parallelism`, fanned out
+/// over each family's multi-start starts (a one-cell ranking has fewer
+/// cells than threads; see
+/// [`rank_fleet_supervised`](crate::runtime::rank_fleet_supervised));
+/// results are identical for every thread count. Families
 /// that fail — including by panicking, which is isolated per family —
 /// are reported in [`Ranking::failures`] with the underlying error, not
 /// silently omitted.

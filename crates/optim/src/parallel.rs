@@ -1,19 +1,20 @@
 //! Deterministic fan-out over OS threads.
 //!
 //! The fitting pipeline parallelizes three embarrassingly parallel loops:
-//! multi-start optimization (over starts), model ranking (over families)
-//! and bootstrap bands (over replicates). All three go through
-//! [`run_indexed`], which runs a job-per-index closure on a scoped thread
-//! pool and returns results **in index order** — so any reduction over
-//! the output is independent of scheduling, and parallel results are
-//! bit-identical to serial ones.
+//! multi-start optimization (over starts), model ranking (over series ×
+//! family jobs) and bootstrap bands (over replicates), one level at a
+//! time. All three go through [`run_indexed`] or [`run_indexed_catch`],
+//! which run a job-per-index closure on a scoped thread pool and return
+//! results **in index order** — so any reduction over the output is
+//! independent of scheduling, and parallel results are bit-identical to
+//! serial ones.
 //!
 //! The pool is `std`-only (`std::thread::scope`), keeping the workspace
 //! hermetic: no rayon, no crates.io.
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -94,13 +95,42 @@ impl Parallelism {
 /// depend on the thread count or scheduling. With one thread (or one
 /// job) everything runs on the calling thread.
 ///
-/// Panics in `job` propagate to the caller once the scope joins. Use
+/// A panic in `job` reaches the caller with the payload of the
+/// lowest-index panicking job — the one a serial run raises — at every
+/// thread count; with more than one thread, once every job has run. Use
 /// [`run_indexed_catch`] to isolate panics per job instead.
 pub fn run_indexed<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    // On the calling thread the first panic is already the lowest-index
+    // one: no catch needed.
+    if parallelism.threads_for(jobs) <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    run_caught(parallelism, jobs, job)
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
+}
+
+/// The pool behind [`run_indexed`] and [`run_indexed_catch`]: runs every
+/// job under [`catch_unwind`] — the one catch site of both — and returns
+/// each job's result or panic payload in index order.
+///
+/// Catching inside the job keeps a panic's payload intact:
+/// `std::thread::scope` would otherwise replace it with "a scoped thread
+/// panicked" on a worker thread, while the serial path raised the
+/// original. The closure is wrapped in [`AssertUnwindSafe`]: jobs here are
+/// pure functions of their index over shared *read-only* state, so there
+/// is no partially-mutated state to observe after a panic.
+fn run_caught<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let job = |i: usize| catch_unwind(AssertUnwindSafe(|| job(i)));
     let threads = parallelism.threads_for(jobs);
     if threads <= 1 {
         return (0..jobs).map(job).collect();
@@ -109,7 +139,8 @@ where
     let next = AtomicUsize::new(0);
     // One slot per job: threads write disjoint slots, so the per-slot
     // mutexes are never contended.
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+        (0..jobs).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -162,15 +193,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Like [`run_indexed`], but a panic in one job is confined to that job.
 ///
-/// Each job runs under [`std::panic::catch_unwind`]; a panicking job
-/// yields `Err(JobPanic)` in its slot while every other job still runs
-/// and returns its result. Output stays in index order, so the
-/// serial/parallel bit-identity guarantee of [`run_indexed`] carries
-/// over — including which jobs fail.
-///
-/// The closure is wrapped in [`AssertUnwindSafe`]: jobs here are pure
-/// functions of their index over shared *read-only* state, so there is no
-/// partially-mutated state to observe after a panic.
+/// A panicking job yields `Err(JobPanic)` in its slot while every other
+/// job still runs and returns its result. Output stays in index order, so
+/// the serial/parallel bit-identity guarantee of [`run_indexed`] carries
+/// over — including which jobs fail and with which message.
 pub fn run_indexed_catch<T, F>(
     parallelism: Parallelism,
     jobs: usize,
@@ -180,12 +206,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed(parallelism, jobs, |i| {
-        catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|payload| JobPanic {
-            index: i,
-            message: panic_message(payload),
+    run_caught(parallelism, jobs, job)
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| {
+            slot.map_err(|payload| JobPanic {
+                index,
+                message: panic_message(payload),
+            })
         })
-    })
+        .collect()
 }
 
 #[cfg(test)]
@@ -301,6 +331,28 @@ mod tests {
                     assert_eq!(*r.as_ref().unwrap(), i * 10);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn run_indexed_raises_the_serial_panic_at_every_thread_count() {
+        for p in [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(4),
+        ] {
+            let payload = silence_panics(|| {
+                catch_unwind(|| {
+                    run_indexed(p, 8, |i| {
+                        if i % 3 == 1 {
+                            panic!("boom at {i}");
+                        }
+                        i
+                    })
+                })
+            })
+            .unwrap_err();
+            assert_eq!(panic_message(payload), "boom at 1", "{p:?}");
         }
     }
 

@@ -52,8 +52,9 @@ timeout -k 30 "$SMOKE_TIMEOUT" \
 echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)"
 # One gate runner (DESIGN.md §11, §13-§15) that runs every gate set and
 # fails when any of them breaks:
-# * rank_models on 1990-93: serial vs Fixed(2) bit-identical, and the
-#   median evals-per-fit under the ceiling recorded in the bench binary;
+# * rank_models on 1990-93: serial vs Fixed(2) bit-identical, the
+#   median evals-per-fit and each of the six families' evaluations under
+#   the ceilings recorded in the bench binary;
 # * the canonical scenario set generates and ranks deterministically;
 # * the 64-cell CI fleet runs as two triples (serial x2, Fixed(2)), one
 #   plain and one under the fixed chaos plan with the breaker armed. The

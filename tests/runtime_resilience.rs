@@ -72,7 +72,9 @@ impl ModelFamily for SleepyFamily {
 }
 
 /// A family whose objective panics: a buggy implementation that must be
-/// isolated, never allowed to take down a multi-family run.
+/// isolated, never allowed to take down a multi-family run. It has three
+/// starts, so at two or more threads its multi-start panics on worker
+/// threads too.
 struct PanickyFamily;
 
 impl ModelFamily for PanickyFamily {
@@ -95,7 +97,7 @@ impl ModelFamily for PanickyFamily {
         Err(CoreError::params("Panicky", "never buildable"))
     }
     fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        vec![vec![1.0]]
+        vec![vec![1.0], vec![2.0], vec![3.0]]
     }
 }
 
@@ -168,7 +170,8 @@ fn cancel_token_stops_a_running_fit_from_another_thread() {
 }
 
 /// Acceptance: a panicking family yields a degraded ranking with the
-/// surviving rows — the panic is isolated, classified, and reported.
+/// surviving rows — the panic is isolated, classified, and reported with
+/// its own message at every thread count.
 #[test]
 fn panicking_family_degrades_the_ranking_instead_of_poisoning_it() {
     // Silence the default panic hook for the injected panic; failures in
@@ -177,27 +180,38 @@ fn panicking_family_degrades_the_ranking_instead_of_poisoning_it() {
     std::panic::set_hook(Box::new(|_| {}));
     let series = Recession::R1990_93.payroll_index();
     let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &PanickyFamily];
-    let outcome = rank_models_supervised(
-        &families,
-        &series,
-        &FitConfig::default(),
-        &ExecPolicy::default(),
-        &Control::unbounded(),
-    );
+    let outcomes: Vec<_> = [Parallelism::Serial, Parallelism::Fixed(2)]
+        .into_iter()
+        .map(|parallelism| {
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            let outcome = rank_models_supervised(
+                &families,
+                &series,
+                &config,
+                &ExecPolicy::default(),
+                &Control::unbounded(),
+            );
+            (parallelism, outcome)
+        })
+        .collect();
     std::panic::set_hook(hook);
-    let ranking = outcome.unwrap();
-    assert!(ranking.degraded);
-    assert_eq!(ranking.rows.len(), 1);
-    assert_eq!(ranking.rows[0].family_name, "Quadratic");
-    assert!(ranking.rows[0].sse.is_finite());
-    assert_eq!(ranking.failures.len(), 1);
-    assert_eq!(ranking.failures[0].family_name, "Panicky");
-    assert_eq!(ranking.failures[0].kind, FailureKind::Panicked);
-    assert!(
-        ranking.failures[0].reason.contains("injected panic"),
-        "reason should carry the panic message: {}",
-        ranking.failures[0].reason
-    );
+    for (parallelism, outcome) in outcomes {
+        let ranking = outcome.unwrap();
+        assert!(ranking.degraded, "{parallelism:?}");
+        assert_eq!(ranking.rows.len(), 1, "{parallelism:?}");
+        assert_eq!(ranking.rows[0].family_name, "Quadratic");
+        assert!(ranking.rows[0].sse.is_finite());
+        assert_eq!(ranking.failures.len(), 1, "{parallelism:?}");
+        assert_eq!(ranking.failures[0].family_name, "Panicky");
+        assert_eq!(ranking.failures[0].kind, FailureKind::Panicked);
+        assert_eq!(
+            ranking.failures[0].reason, "fit: injected panic in Panicky::predict_params_into",
+            "{parallelism:?}: the reason must carry the panic message"
+        );
+    }
 }
 
 /// A per-family time budget converts one runaway family into a
