@@ -429,26 +429,29 @@ fn scenario_smoke() -> bool {
 
 /// CI ceiling for the median evals-per-fit of one `rank_models` pass
 /// over the six paper families on 1990-93 (`bench --smoke`).
-/// The §11 speed layer (basin-finding Nelder–Mead + analytic-Jacobian
-/// polish) lands the median at 449, the mean of the middle pair 263 and
-/// 635 of the six families' counts; the ceiling leaves headroom for
-/// tolerance tweaks while still catching a regression to the pre-§11
-/// exhaustive-simplex profile (median well above 2000).
+/// The §11 speed layer (basin-finding Nelder–Mead, analytic-Jacobian
+/// polish, the mixtures' profiled coefficient) lands the median at 188,
+/// the mean of the middle pair 182 and 194 of the six families' counts;
+/// the ceiling leaves headroom for tolerance tweaks while still catching
+/// a regression to the pre-§11 exhaustive-simplex profile (median well
+/// above 2000).
 const SMOKE_EVALS_PER_FIT_CEILING: u64 = 1200;
 
 /// CI ceilings on each paper family's objective evaluations over every
 /// start of the same observed pass, about 1.5× the 1990-93 totals
-/// (Quadratic 746, Competing Risks 1 734, Exp-Exp 4 839, Wei-Exp 11 159,
-/// Exp-Wei 14 283, Wei-Wei 15 793) — the obs gate's headroom. The four
-/// mixtures are ~99% of a ranking's time, so these gate the work that
-/// costs it, where the median above is set by the cheap families.
+/// (Quadratic 746, Competing Risks 1 734, Exp-Exp 981, Wei-Exp 1 751,
+/// Exp-Wei 1 851, Wei-Wei 6 902) — the obs gate's headroom. The four
+/// mixtures are ~97% of a ranking's time, so these gate the work that
+/// costs it, where the median above is set by the cheap families. A
+/// mixture that loses its profiled coefficient and searches β again
+/// (4 839, 11 159, 14 283 and 15 793) fails its ceiling.
 const SMOKE_FAMILY_EVAL_CEILINGS: [(&str, u64); 6] = [
     ("Quadratic", 1_150),
     ("Competing Risks", 2_600),
-    ("Exp-Exp", 7_300),
-    ("Wei-Exp", 16_800),
-    ("Exp-Wei", 21_500),
-    ("Wei-Wei", 23_700),
+    ("Exp-Exp", 1_500),
+    ("Wei-Exp", 2_600),
+    ("Exp-Wei", 2_800),
+    ("Wei-Wei", 10_400),
 ];
 
 /// Fast determinism + work-profile guard of `--smoke`: one

@@ -438,8 +438,8 @@ impl ModelFamily for SeededFamily<'_> {
     }
 
     // Forward the allocation-free hot-path hooks so replicate refits keep
-    // the wrapped family's specialized implementations — including the
-    // analytic Jacobian and the batched SSE kernel.
+    // the wrapped family's specialized implementations — the analytic
+    // Jacobian, the batched SSE kernel and the linear-coefficient profile.
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         self.inner.internal_to_params_into(internal, out);
     }
@@ -465,6 +465,22 @@ impl ModelFamily for SeededFamily<'_> {
     fn nm_iteration_scale(&self) -> usize {
         self.inner.nm_iteration_scale()
     }
+
+    fn has_linear_coefficient(&self) -> bool {
+        self.inner.has_linear_coefficient()
+    }
+
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        column: &mut [f64],
+    ) -> bool {
+        self.inner
+            .linear_design_into(nonlinear, ts, ln_ts, offset, column)
+    }
 }
 
 #[cfg(test)]
@@ -477,6 +493,34 @@ mod tests {
         BootstrapConfig {
             replicates: 60,
             ..BootstrapConfig::default()
+        }
+    }
+
+    /// Seeded from the bare family's first guess, a replicate-style refit
+    /// matches the bare fit limited to that start — which it would not if
+    /// the wrapper dropped the linear-coefficient hook and searched β.
+    #[test]
+    fn seeded_mixture_fits_keep_the_linear_coefficient_profile() {
+        let s = Recession::R1990_93.payroll_index();
+        let config = FitConfig {
+            max_starts: 1,
+            parallelism: Parallelism::Serial,
+            ..FitConfig::default()
+        };
+        for family in crate::mixture::MixtureFamily::paper_combinations() {
+            let seeded = SeededFamily {
+                inner: &family,
+                seed_params: family.initial_guesses(&s).remove(0),
+            };
+            let bare = fit_least_squares(&family, &s, &config).unwrap();
+            let wrapped = fit_least_squares(&seeded, &s, &config).unwrap();
+            assert_eq!(
+                wrapped.sse.to_bits(),
+                bare.sse.to_bits(),
+                "{}",
+                family.name()
+            );
+            assert_eq!(wrapped.evaluations, bare.evaluations, "{}", family.name());
         }
     }
 

@@ -11,8 +11,8 @@ use crate::model::{ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
-use resilience_math::sum::sum_squared_diff;
-use resilience_obs::{Event, HistogramId};
+use resilience_math::sum::{sum_squared_diff, CompensatedSum};
+use resilience_obs::{CounterId, Event, HistogramId};
 use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
 use resilience_optim::multi_start::multi_start_nelder_mead_with_control;
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
@@ -64,7 +64,9 @@ pub struct FitConfig {
     /// Levenberg–Marquardt settings for the polish phase.
     pub lm: LmConfig,
     /// Cap on the number of starting points taken from
-    /// [`ModelFamily::initial_guesses`].
+    /// [`ModelFamily::initial_guesses`], applied after a family with a
+    /// linear coefficient has merged the guesses that coincide once the
+    /// coefficient is dropped.
     pub max_starts: usize,
     /// Thread fan-out for the multi-start phase. Every setting produces
     /// bit-identical results; see `DESIGN.md` §Performance & determinism.
@@ -111,7 +113,11 @@ pub struct FittedModel {
     pub params: Vec<f64>,
     /// Sum of squared errors on the fitting data (paper Eq. 9).
     pub sse: f64,
-    /// Number of objective evaluations consumed across all starts.
+    /// Objective evaluations of the winning Nelder–Mead run plus the
+    /// Levenberg–Marquardt polish, plus one when a profiled fit rescores
+    /// its lifted winner (DESIGN.md §11). The losing starts are not
+    /// counted here; the observed `Counter` events carry every start's
+    /// work.
     pub evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
@@ -192,6 +198,125 @@ impl Objective for SseObjective<'_> {
             }
         }
     }
+}
+
+/// The variable-projection objective (DESIGN.md §11) for a family with a
+/// trailing linear coefficient ([`ModelFamily::has_linear_coefficient`]):
+/// Nelder–Mead moves over the other internal coordinates `u`, and at each
+/// `u` the coefficient is solved exactly by [`solve_linear_coefficient`].
+/// Reuses its offset and column buffers, so an evaluation allocates
+/// nothing.
+struct ProfiledObjective<'a> {
+    family: &'a dyn ModelFamily,
+    times: &'a [f64],
+    ln_times: &'a [f64],
+    observed: &'a [f64],
+    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
+}
+
+impl<'a> ProfiledObjective<'a> {
+    fn new(
+        family: &'a dyn ModelFamily,
+        times: &'a [f64],
+        ln_times: &'a [f64],
+        observed: &'a [f64],
+    ) -> Self {
+        ProfiledObjective {
+            family,
+            times,
+            ln_times,
+            observed,
+            scratch: RefCell::new((vec![0.0; times.len()], vec![0.0; times.len()])),
+        }
+    }
+
+    /// The optimal coefficient at `u` and the SSE it leaves, or `None`
+    /// where the profile is undefined.
+    fn solve(&self, u: &[f64]) -> Option<(f64, f64)> {
+        let mut guard = self.scratch.borrow_mut();
+        let (offset, column) = &mut *guard;
+        if !self
+            .family
+            .linear_design_into(u, self.times, self.ln_times, offset, column)
+        {
+            return None;
+        }
+        solve_linear_coefficient(self.observed, offset, column)
+    }
+
+    /// Lifts a Nelder–Mead winner `u` back to the full internal vector
+    /// `[u, ln β]`, leaving `u` untouched, and rescores it with the full
+    /// objective — one more evaluation — so the fit's SSE is the fitted
+    /// model's own. `None` only if the profile is undefined at `u`, which
+    /// a finite winner rules out.
+    fn lift(&self, best: OptimReport) -> Option<OptimReport> {
+        let (beta, _) = self.solve(&best.params)?;
+        let mut params = best.params;
+        params.push(beta.ln());
+        let value = SseObjective::new(self.family, self.times, self.observed).eval(&params);
+        Some(OptimReport {
+            params,
+            value,
+            evaluations: best.evaluations + 1,
+            ..best
+        })
+    }
+}
+
+impl Objective for ProfiledObjective<'_> {
+    fn eval(&self, u: &[f64]) -> f64 {
+        self.solve(u).map_or(f64::INFINITY, |(_, sse)| sse)
+    }
+}
+
+/// The least-squares coefficient of one design column and the SSE it
+/// leaves: for `observed ≈ offset + β·column`,
+/// `β = ⟨observed − offset, column⟩ / ⟨column, column⟩` and
+/// `SSE = Σ (observed − offset − β·column)²`, each sum compensated.
+///
+/// Returns `None` — which the fit's profiled objective maps to `+∞`, like
+/// an infeasible point — when the slice lengths disagree, the column
+/// vanishes (its squared norm is zero, subnormal or non-finite), `β` is
+/// not finite, `β ≤ 0` (the families' coefficient is positive), or the
+/// SSE is not finite.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_core::fit::solve_linear_coefficient;
+/// let (beta, sse) = solve_linear_coefficient(&[1.0, 3.0], &[0.0, 1.0], &[0.5, 1.0]).unwrap();
+/// assert_eq!((beta, sse), (2.0, 0.0));
+/// assert!(solve_linear_coefficient(&[1.0, 3.0], &[0.0, 1.0], &[0.0, 0.0]).is_none());
+/// ```
+#[must_use]
+pub fn solve_linear_coefficient(
+    observed: &[f64],
+    offset: &[f64],
+    column: &[f64],
+) -> Option<(f64, f64)> {
+    if offset.len() != observed.len() || column.len() != observed.len() {
+        return None;
+    }
+    let (mut rg, mut gg) = (CompensatedSum::new(), CompensatedSum::new());
+    for ((&y, &o), &g) in observed.iter().zip(offset).zip(column) {
+        rg.add((y - o) * g);
+        gg.add(g * g);
+    }
+    let gg = gg.value();
+    if !(gg >= f64::MIN_POSITIVE && gg.is_finite()) {
+        return None;
+    }
+    let beta = rg.value() / gg;
+    if !(beta > 0.0 && beta.is_finite()) {
+        return None;
+    }
+    let mut sse = CompensatedSum::new();
+    for ((&y, &o), &g) in observed.iter().zip(offset).zip(column) {
+        let d = (y - o) - beta * g;
+        sse.add(d * d);
+    }
+    let sse = sse.value();
+    sse.is_finite().then_some((beta, sse))
 }
 
 /// The least-squares residual problem `r_i = y_i − P(t_i; θ(u))` over the
@@ -312,12 +437,6 @@ pub fn fit_least_squares_with(
     let times = series.times();
     let n_params = family.n_params();
 
-    // SSE objective over the internal space; infeasible parameters map to
-    // +∞ so the simplex contracts away from them. Each instance owns
-    // scratch buffers (zero heap allocations per evaluation); the factory
-    // hands every worker thread of the multi-start phase its own instance.
-    let make_objective = || SseObjective::new(family, times, observed);
-
     // Families whose landscapes need longer simplex walks scale the
     // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
     // for the paper families the factor is 1 and this is `config`'s cap
@@ -330,101 +449,46 @@ pub fn fit_least_squares_with(
         ..config.nelder_mead.clone()
     };
 
-    let traced = control.observed();
-    let map_stop = |e: OptimError| match e {
-        OptimError::TimedOut { .. } => CoreError::timed_out("fit_least_squares"),
-        OptimError::Cancelled { .. } => CoreError::cancelled("fit_least_squares"),
-        other => CoreError::Fit(other),
-    };
-
-    // Warm-start probe: one serial Nelder–Mead run seeded from the
-    // provided optimum. Seeded this close, it usually converges in a
-    // fraction of the cold phase's budget and short-circuits it entirely
-    // (see [`WarmStart`]). A probe that fails to convert or start is not
-    // an error — the cold phase below covers for it — but a deadline or
-    // cancellation stop propagates like any other.
-    let mut warm_report: Option<OptimReport> = None;
-    let mut fit_started_emitted = false;
-    let mut short_circuit = false;
-    if let Some(warm) = &config.warm_start {
-        if let Ok(internal) = family.params_to_internal(&warm.params) {
-            if traced {
-                control.emit(Event::FitStarted {
-                    family: family.name(),
-                    starts: 1,
-                });
-                fit_started_emitted = true;
-            }
-            let objective = make_objective();
-            match NelderMead::new(nm_config.clone())
-                .minimize_with_control(&objective, &internal, control)
-            {
-                Ok(report) => {
-                    short_circuit = report.termination == TerminationReason::Converged
-                        && report.evaluations <= warm.max_evaluations;
-                    warm_report = Some(report);
-                }
-                Err(e) if e.is_stop() => return Err(map_stop(e)),
-                Err(_) => {}
-            }
-        }
-    }
-
-    let cold = if short_circuit {
-        None
+    // Nelder–Mead sees one of two objectives over the internal space, both
+    // mapping infeasible points to +∞ so the simplex contracts away from
+    // them. Each instance owns scratch buffers (zero heap allocations per
+    // evaluation); the factory hands every worker thread of the
+    // multi-start phase its own instance. A family with a linear
+    // coefficient is searched without it: the profiled objective solves it
+    // at every point, and the winner is lifted back to the full vector
+    // (DESIGN.md §11). Everything else is shared.
+    let best = if family.has_linear_coefficient() && n_params >= 2 {
+        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        let make_objective = || ProfiledObjective::new(family, times, &ln_times, observed);
+        let best = nelder_mead_phase(
+            &make_objective,
+            family,
+            series,
+            config,
+            &nm_config,
+            true,
+            control,
+        )?;
+        let lifted = make_objective().lift(best).ok_or_else(|| {
+            CoreError::guard(
+                "fit_least_squares",
+                Violation::NonFiniteOutput,
+                format!("no linear coefficient at the {} winner", family.name()),
+            )
+        })?;
+        control.count(CounterId::ObjectiveEvals, 1);
+        lifted
     } else {
-        // Collect internal starting points from the family's guesses.
-        let starts: Vec<Vec<f64>> = family
-            .initial_guesses(series)
-            .into_iter()
-            .filter_map(|g| family.params_to_internal(&g).ok())
-            .take(config.max_starts)
-            .collect();
-        if starts.is_empty() && warm_report.is_none() {
-            return Err(CoreError::Fit(
-                resilience_optim::OptimError::AllStartsFailed { attempts: 0 },
-            ));
-        }
-        if traced && !fit_started_emitted {
-            control.emit(Event::FitStarted {
-                family: family.name(),
-                starts: starts.len() as u32,
-            });
-        }
-        if starts.is_empty() {
-            None
-        } else {
-            match multi_start_nelder_mead_with_control(
-                &make_objective,
-                &starts,
-                &nm_config,
-                config.parallelism,
-                control,
-            ) {
-                Ok(report) => Some(report),
-                Err(e) if e.is_stop() => return Err(map_stop(e)),
-                // Every cold start failed: fatal only without a warm fit.
-                Err(e) => match warm_report {
-                    Some(_) => None,
-                    None => return Err(map_stop(e)),
-                },
-            }
-        }
-    };
-
-    // Reduce: the warm result is conceptually start 0, so it wins ties
-    // (same strict `<` rule as the multi-start driver).
-    let best = match (warm_report, cold) {
-        (Some(w), Some(c)) => {
-            if c.value < w.value {
-                c
-            } else {
-                w
-            }
-        }
-        (Some(w), None) => w,
-        (None, Some(c)) => c,
-        (None, None) => unreachable!("guarded by the empty-starts check above"),
+        let make_objective = || SseObjective::new(family, times, observed);
+        nelder_mead_phase(
+            &make_objective,
+            family,
+            series,
+            config,
+            &nm_config,
+            false,
+            control,
+        )?
     };
     let nm_converged = best.termination == TerminationReason::Converged;
     let mut lm_converged = false;
@@ -475,7 +539,7 @@ pub fn fit_least_squares_with(
     let params = family.internal_to_params(&best_internal);
     guard::finite_outputs(family.name(), &params)?;
     let model = family.build(&params)?;
-    if traced {
+    if control.observed() {
         // The fit span closes here; `evaluations` is the winning start
         // plus polish (counter events above carry the per-start totals).
         control.emit(Event::FitFinished {
@@ -498,11 +562,141 @@ pub fn fit_least_squares_with(
     })
 }
 
+/// The Nelder–Mead phase of a fit: the warm probe, the cold multi-start
+/// and their reduction, over the space `make_objective` searches. That is
+/// every internal coordinate, or with `profiled` all but the trailing
+/// linear coefficient: each start then drops that coordinate, and starts
+/// that coincide in the rest are merged, keeping the first, before
+/// `config.max_starts` applies.
+fn nelder_mead_phase<F, G>(
+    make_objective: &G,
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    config: &FitConfig,
+    nm_config: &NelderMeadConfig,
+    profiled: bool,
+    control: &Control,
+) -> Result<OptimReport, CoreError>
+where
+    F: Objective,
+    G: Fn() -> F + Sync,
+{
+    let traced = control.observed();
+    let map_stop = |e: OptimError| match e {
+        OptimError::TimedOut { .. } => CoreError::timed_out("fit_least_squares"),
+        OptimError::Cancelled { .. } => CoreError::cancelled("fit_least_squares"),
+        other => CoreError::Fit(other),
+    };
+    let search_point = |params: &[f64]| {
+        let mut internal = family.params_to_internal(params).ok()?;
+        if profiled {
+            internal.pop();
+        }
+        Some(internal)
+    };
+
+    // Warm-start probe: one serial Nelder–Mead run seeded from the
+    // provided optimum. Seeded this close, it usually converges in a
+    // fraction of the cold phase's budget and short-circuits it entirely
+    // (see [`WarmStart`]). A probe that fails to convert or start is not
+    // an error — the cold phase below covers for it — but a deadline or
+    // cancellation stop propagates like any other.
+    let mut warm_report: Option<OptimReport> = None;
+    let mut fit_started_emitted = false;
+    let mut short_circuit = false;
+    if let Some(warm) = &config.warm_start {
+        if let Some(internal) = search_point(&warm.params) {
+            if traced {
+                control.emit(Event::FitStarted {
+                    family: family.name(),
+                    starts: 1,
+                });
+                fit_started_emitted = true;
+            }
+            let objective = make_objective();
+            match NelderMead::new(nm_config.clone())
+                .minimize_with_control(&objective, &internal, control)
+            {
+                Ok(report) => {
+                    short_circuit = report.termination == TerminationReason::Converged
+                        && report.evaluations <= warm.max_evaluations;
+                    warm_report = Some(report);
+                }
+                Err(e) if e.is_stop() => return Err(map_stop(e)),
+                Err(_) => {}
+            }
+        }
+    }
+
+    let cold = if short_circuit {
+        None
+    } else {
+        // Collect starting points from the family's guesses.
+        let mut starts: Vec<Vec<f64>> = Vec::new();
+        for point in family
+            .initial_guesses(series)
+            .iter()
+            .filter_map(|g| search_point(g))
+        {
+            if starts.len() == config.max_starts {
+                break;
+            }
+            if !(profiled && starts.contains(&point)) {
+                starts.push(point);
+            }
+        }
+        if starts.is_empty() && warm_report.is_none() {
+            return Err(CoreError::Fit(OptimError::AllStartsFailed { attempts: 0 }));
+        }
+        if traced && !fit_started_emitted {
+            control.emit(Event::FitStarted {
+                family: family.name(),
+                starts: starts.len() as u32,
+            });
+        }
+        if starts.is_empty() {
+            None
+        } else {
+            match multi_start_nelder_mead_with_control(
+                make_objective,
+                &starts,
+                nm_config,
+                config.parallelism,
+                control,
+            ) {
+                Ok(report) => Some(report),
+                Err(e) if e.is_stop() => return Err(map_stop(e)),
+                // Every cold start failed: fatal only without a warm fit.
+                Err(e) => match warm_report {
+                    Some(_) => None,
+                    None => return Err(map_stop(e)),
+                },
+            }
+        }
+    };
+
+    // Reduce: the warm result is conceptually start 0, so it wins ties
+    // (same strict `<` rule as the multi-start driver).
+    Ok(match (warm_report, cold) {
+        (Some(w), Some(c)) => {
+            if c.value < w.value {
+                c
+            } else {
+                w
+            }
+        }
+        (Some(w), None) => w,
+        (None, Some(c)) => c,
+        (None, None) => unreachable!("guarded by the empty-starts check above"),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bathtub::{CompetingRisksFamily, QuadraticFamily};
     use crate::mixture::MixtureFamily;
+    use resilience_data::recessions::Recession;
 
     fn quadratic_series(noise: f64) -> PerformanceSeries {
         let mut wiggle = 0.41_f64;
@@ -568,34 +762,158 @@ mod tests {
 
     #[test]
     fn fit_parallelism_is_bit_identical() {
-        let s = quadratic_series(0.002);
-        let serial = fit_least_squares(
-            &QuadraticFamily,
-            &s,
-            &FitConfig {
-                parallelism: Parallelism::Serial,
-                ..FitConfig::default()
-            },
-        )
-        .unwrap();
-        for p in [
-            Parallelism::Fixed(1),
-            Parallelism::Fixed(4),
-            Parallelism::Auto,
-        ] {
-            let fit = fit_least_squares(
-                &QuadraticFamily,
-                &s,
-                &FitConfig {
-                    parallelism: p,
-                    ..FitConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(fit.params, serial.params, "{p:?}");
-            assert_eq!(fit.sse, serial.sse, "{p:?}");
-            assert_eq!(fit.evaluations, serial.evaluations, "{p:?}");
+        let mixtures = MixtureFamily::paper_combinations();
+        let recession = Recession::R1990_93.payroll_index();
+        let mut cases: Vec<(&dyn ModelFamily, PerformanceSeries)> =
+            vec![(&QuadraticFamily, quadratic_series(0.002))];
+        for family in &mixtures {
+            cases.push((family, recession.clone()));
         }
+        for (family, s) in &cases {
+            let fit_with = |parallelism| {
+                let config = FitConfig {
+                    parallelism,
+                    ..FitConfig::default()
+                };
+                fit_least_squares(*family, s, &config).unwrap()
+            };
+            let serial = fit_with(Parallelism::Serial);
+            for p in [
+                Parallelism::Fixed(1),
+                Parallelism::Fixed(2),
+                Parallelism::Fixed(4),
+                Parallelism::Auto,
+            ] {
+                let fit = fit_with(p);
+                let name = family.name();
+                assert_eq!(fit.params, serial.params, "{name} {p:?}");
+                assert_eq!(fit.sse.to_bits(), serial.sse.to_bits(), "{name} {p:?}");
+                assert_eq!(fit.evaluations, serial.evaluations, "{name} {p:?}");
+            }
+        }
+    }
+
+    /// At random feasible component points of each paper mixture, the
+    /// profiled SSE is the minimum over the coefficient: no greater than
+    /// the full objective at `β*`, `β*/2` and `2β*`, and `β*` is where a
+    /// golden-section search over `ln β` on the full objective lands.
+    #[test]
+    fn profiled_sse_is_the_minimum_over_the_coefficient() {
+        use crate::mixture::ComponentKind;
+        use resilience_optim::scalar::golden_section;
+        use resilience_stats::XorShift64;
+
+        let s = Recession::R1990_93.payroll_index();
+        let (times, observed) = (s.times(), s.values());
+        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        let mut rng = XorShift64::new(0x0B57_A7E5);
+        for family in MixtureFamily::paper_combinations() {
+            let profile = ProfiledObjective::new(&family, times, &ln_times, observed);
+            let full = SseObjective::new(&family, times, observed);
+            let mut checked = 0;
+            for case in 0..200 {
+                let mut u = Vec::new();
+                for kind in [family.f1, family.f2] {
+                    let mut draw = |lo: f64, hi: f64| (lo + (hi - lo) * rng.next_f64()).ln();
+                    match kind {
+                        ComponentKind::Exponential => u.push(draw(0.005, 0.5)),
+                        ComponentKind::Weibull => u.extend([draw(0.5, 5.0), draw(2.0, 60.0)]),
+                    }
+                }
+                let Some((beta, sse)) = profile.solve(&u) else {
+                    continue;
+                };
+                let full_at = |b: f64| {
+                    let mut x = u.clone();
+                    x.push(b.ln());
+                    full.eval(&x)
+                };
+                let name = family.name();
+                // At β* the two objectives differ only by rounding.
+                assert!(
+                    sse <= full_at(beta) * (1.0 + 1e-12),
+                    "{name} case {case}: {sse:e} vs {:e}",
+                    full_at(beta)
+                );
+                for b in [0.5 * beta, 2.0 * beta] {
+                    assert!(sse <= full_at(b), "{name} case {case}: β = {b:e}");
+                }
+                let m = golden_section(|v| full_at(v.exp()), -20.0, 10.0, 1e-12, 500).unwrap();
+                let rel = (m.x.exp() - beta).abs() / beta;
+                assert!(
+                    rel <= 1e-6,
+                    "{name} case {case}: β* = {beta:e}, rel {rel:e}"
+                );
+                checked += 1;
+            }
+            assert!(checked >= 100, "{}: only {checked} points", family.name());
+        }
+    }
+
+    #[test]
+    fn undefined_profiles_are_infinite_not_panics() {
+        let family = MixtureFamily::paper_combinations()[1]; // Wei-Exp
+        let u = [1.5_f64.ln(), 12.0_f64.ln(), 0.05_f64.ln()];
+        let times: Vec<f64> = (0..48).map(f64::from).collect();
+        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        let ones = vec![1.0; times.len()];
+        let zeros = vec![0.0; times.len()];
+
+        // Data at zero lies below the degradation term, so β* < 0.
+        let below = ProfiledObjective::new(&family, &times, &ln_times, &zeros);
+        assert!(below.solve(&u).is_none());
+        assert_eq!(below.eval(&u), f64::INFINITY);
+
+        let profile = ProfiledObjective::new(&family, &times, &ln_times, &ones);
+        assert!(profile.eval(&u).is_finite());
+        // F₂'s rate so small that the column squares to zero.
+        let vanishing = [u[0], u[1], -700.0];
+        assert_eq!(profile.eval(&vanishing), f64::INFINITY);
+        // Infeasible and wrong-length points.
+        assert_eq!(profile.eval(&[f64::NAN, u[1], u[2]]), f64::INFINITY);
+        assert_eq!(profile.eval(&u[..2]), f64::INFINITY);
+
+        // The log trend is zero on t ≤ 1, so there the column is zero.
+        let early = [0.0, 0.25, 0.5, 1.0];
+        let ln_early = early.map(f64::ln);
+        let clamped = ProfiledObjective::new(&family, &early, &ln_early, &ones[..4]);
+        assert_eq!(clamped.eval(&u), f64::INFINITY);
+
+        assert!(solve_linear_coefficient(&[1.0, 2.0], &[1.0], &[1.0, 1.0]).is_none());
+        assert!(solve_linear_coefficient(&[1.0], &[0.0], &[f64::INFINITY]).is_none());
+        assert!(solve_linear_coefficient(&[1.0], &[f64::NAN], &[1.0]).is_none());
+        assert!(solve_linear_coefficient(&[1.0], &[0.0], &[1e-160]).is_none());
+    }
+
+    #[test]
+    fn profiled_mixtures_merge_starts_that_share_their_components() {
+        use crate::mixture::Trend;
+        use resilience_obs::RecordingObserver;
+        use std::sync::Arc;
+
+        let s = Recession::R1990_93.payroll_index();
+        let starts = |family: &dyn ModelFamily| {
+            let rec = Arc::new(RecordingObserver::new());
+            let control = Control::unbounded().observe(rec.clone());
+            let _ = fit_least_squares_with(family, &s, &FitConfig::default(), &control);
+            rec.take()
+                .iter()
+                .find_map(|e| match e {
+                    Event::FitStarted { starts, .. } => Some(*starts),
+                    _ => None,
+                })
+                .expect("a fit_started event")
+        };
+        for family in MixtureFamily::paper_combinations() {
+            assert_eq!(family.initial_guesses(&s).len(), 18);
+            assert_eq!(starts(&family), 9, "{}", family.name());
+        }
+        let exponential_trend = MixtureFamily {
+            trend: Trend::Exponential,
+            ..MixtureFamily::paper_combinations()[1]
+        };
+        assert!(!exponential_trend.has_linear_coefficient());
+        assert_eq!(starts(&exponential_trend), 18);
     }
 
     #[test]

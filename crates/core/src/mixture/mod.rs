@@ -410,6 +410,49 @@ impl ModelFamily for MixtureFamily {
         true
     }
 
+    /// β is linear under every trend but `e^{βt}`.
+    fn has_linear_coefficient(&self) -> bool {
+        self.trend != Trend::Exponential
+    }
+
+    /// `offset = 1 − F₁(t)` and `column = a₂(1, t)·F₂(t)`, so that
+    /// `P(t) = offset + β·column`; the components are built from
+    /// `exp(nonlinear)` exactly as `internal_to_params_into` would.
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        column: &mut [f64],
+    ) -> bool {
+        let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
+        let n = ts.len();
+        if !self.has_linear_coefficient()
+            || nonlinear.len() != n1 + n2
+            || ln_ts.len() != n
+            || offset.len() != n
+            || column.len() != n
+        {
+            return false;
+        }
+        let mut p = [0.0_f64; 4];
+        for (o, &v) in p.iter_mut().zip(nonlinear) {
+            *o = v.exp();
+        }
+        let (Some(f1), Some(f2)) = (
+            self.f1.try_build(&p[..n1]),
+            self.f2.try_build(&p[n1..n1 + n2]),
+        ) else {
+            return false;
+        };
+        for (i, (&t, &ln_t)) in ts.iter().zip(ln_ts).enumerate() {
+            offset[i] = f1.survival_at(t, ln_t);
+            column[i] = self.trend.eval_at(1.0, t, ln_t) * f2.cdf_at(t, ln_t);
+        }
+        true
+    }
+
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         if params.len() != self.n_params() {
             return Err(CoreError::params(
@@ -650,6 +693,53 @@ mod tests {
             bad[n - 1] = 0.0;
             assert!(!fam.predict_params_into(&bad, &ts, &mut out));
             assert!(!fam.predict_params_into(&params[..n - 1], &ts, &mut out));
+        }
+    }
+
+    #[test]
+    fn linear_design_reconstructs_the_curve() {
+        let ts = [0.0, 0.5, 1.0, 4.0, 15.0, 40.0];
+        let ln_ts = ts.map(f64::ln);
+        let (mut offset, mut column, mut curve) = ([0.0; 6], [0.0; 6], [0.0; 6]);
+        for base in MixtureFamily::paper_combinations() {
+            for trend in Trend::ALL {
+                let fam = MixtureFamily { trend, ..base };
+                let mut external: Vec<f64> = [fam.f1, fam.f2]
+                    .iter()
+                    .flat_map(|kind| match kind {
+                        ComponentKind::Exponential => vec![0.05],
+                        ComponentKind::Weibull => vec![1.7, 12.0],
+                    })
+                    .collect();
+                let beta = 0.25;
+                external.push(beta);
+                let internal = fam.params_to_internal(&external).unwrap();
+                let u = &internal[..internal.len() - 1];
+                let ok = fam.linear_design_into(u, &ts, &ln_ts, &mut offset, &mut column);
+                assert_eq!(ok, trend != Trend::Exponential, "{} {trend}", fam.name());
+                if !ok {
+                    continue;
+                }
+                let params = fam.internal_to_params(&internal);
+                assert!(fam.predict_params_into(&params, &ts, &mut curve));
+                for i in 0..ts.len() {
+                    let rebuilt = offset[i] + params[params.len() - 1] * column[i];
+                    assert!(
+                        (rebuilt - curve[i]).abs() <= 1e-15 * curve[i].abs(),
+                        "{} {trend} t={}: {rebuilt} vs {}",
+                        fam.name(),
+                        ts[i],
+                        curve[i]
+                    );
+                }
+                // Infeasible points and mismatched buffers are refusals.
+                let nan = vec![f64::NAN; u.len()];
+                assert!(!fam.linear_design_into(&nan, &ts, &ln_ts, &mut offset, &mut column));
+                assert!(!fam.linear_design_into(&internal, &ts, &ln_ts, &mut offset, &mut column));
+                assert!(!fam.linear_design_into(u, &ts, &ln_ts[..5], &mut offset, &mut column));
+                assert!(!fam.linear_design_into(u, &ts, &ln_ts, &mut offset[..5], &mut column));
+                assert!(!fam.linear_design_into(u, &ts[..5], &ln_ts, &mut offset, &mut column));
+            }
         }
     }
 

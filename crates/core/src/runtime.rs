@@ -232,9 +232,10 @@ impl ModelFamily for JitteredFamily<'_> {
     }
 
     // Forward the allocation-free hot-path hooks so retried fits keep the
-    // wrapped family's specialized implementations — including the
-    // analytic Jacobian and the batched SSE kernel, without which a
-    // retried fit would silently fall back to the slow paths.
+    // wrapped family's specialized implementations — the analytic
+    // Jacobian, the batched SSE kernel and the linear-coefficient profile,
+    // without which a retried fit would silently fall back to the slow
+    // paths.
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         self.inner.internal_to_params_into(internal, out);
     }
@@ -259,6 +260,22 @@ impl ModelFamily for JitteredFamily<'_> {
 
     fn nm_iteration_scale(&self) -> usize {
         self.inner.nm_iteration_scale()
+    }
+
+    fn has_linear_coefficient(&self) -> bool {
+        self.inner.has_linear_coefficient()
+    }
+
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        column: &mut [f64],
+    ) -> bool {
+        self.inner
+            .linear_design_into(nonlinear, ts, ln_ts, offset, column)
     }
 }
 
@@ -937,6 +954,38 @@ mod tests {
             })
             .collect();
         PerformanceSeries::monthly("quad", values).unwrap()
+    }
+
+    /// A zero-amplitude jitter without a center hands the fit the bare
+    /// family's starts, so only a forgotten hook forward could make the
+    /// wrapped fit differ from the bare one.
+    #[test]
+    fn jittered_mixture_fits_keep_the_linear_coefficient_profile() {
+        let s = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let config = FitConfig {
+            parallelism: Parallelism::Serial,
+            ..FitConfig::default()
+        };
+        for family in crate::mixture::MixtureFamily::paper_combinations() {
+            let jittered = JitteredFamily {
+                inner: &family,
+                seed: 7,
+                attempt: 2,
+                amplitude: 0.0,
+                center: None,
+            };
+            assert_eq!(jittered.initial_guesses(&s), family.initial_guesses(&s));
+            let bare = fit_least_squares_with(&family, &s, &config, &Control::unbounded()).unwrap();
+            let wrapped =
+                fit_least_squares_with(&jittered, &s, &config, &Control::unbounded()).unwrap();
+            assert_eq!(
+                wrapped.sse.to_bits(),
+                bare.sse.to_bits(),
+                "{}",
+                family.name()
+            );
+            assert_eq!(wrapped.evaluations, bare.evaluations, "{}", family.name());
+        }
     }
 
     #[test]

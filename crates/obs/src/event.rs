@@ -285,7 +285,9 @@ pub enum HistogramId {
     EvalsPerStart,
     /// Iterations consumed by a single multi-start start.
     IterationsPerStart,
-    /// Objective evaluations consumed by one whole family fit.
+    /// Objective evaluations of one family fit's winning start plus its
+    /// polish (`FittedModel::evaluations`), not the losing starts; each
+    /// start's own count is in [`HistogramId::EvalsPerStart`].
     EvalsPerFit,
     /// Attempts (1 + retries) a family fit needed.
     AttemptsPerFit,

@@ -12,7 +12,9 @@ use std::cell::{Cell, RefCell};
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
-use resilience_core::fit::{fit_least_squares, fit_least_squares_with, FitConfig, WarmStart};
+use resilience_core::fit::{
+    fit_least_squares, fit_least_squares_with, solve_linear_coefficient, FitConfig, WarmStart,
+};
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_data::recessions::Recession;
@@ -96,7 +98,8 @@ fn all_families(mixtures: &[MixtureFamily]) -> Vec<&dyn ModelFamily> {
 }
 
 /// One SSE-objective evaluation allocates nothing, for every family: the
-/// exact scratch-buffer pattern `fit_least_squares` uses.
+/// exact scratch-buffer pattern `fit_least_squares` uses. The same holds
+/// for the profiled objective of the families with a linear coefficient.
 #[test]
 fn sse_objective_is_allocation_free() {
     let series = Recession::R1990_93.payroll_index();
@@ -164,6 +167,45 @@ fn sse_objective_is_allocation_free() {
             "{}: infeasible probe allocated {delta} times over 100 calls",
             family.name(),
         );
+
+        if !family.has_linear_coefficient() {
+            continue;
+        }
+        // The profiled objective of a family with a linear coefficient:
+        // the design hook over reusable offset and column buffers, then
+        // the closed-form coefficient.
+        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        let u = &internal[..internal.len() - 1];
+        let buffers = RefCell::new((vec![0.0; times.len()], vec![0.0; times.len()]));
+        let profiled = |x: &[f64]| -> f64 {
+            let mut guard = buffers.borrow_mut();
+            let (offset, column) = &mut *guard;
+            if !family.linear_design_into(x, times, &ln_times, offset, column) {
+                return f64::INFINITY;
+            }
+            solve_linear_coefficient(observed, offset, column).map_or(f64::INFINITY, |(_, sse)| sse)
+        };
+        assert!(
+            profiled(u).is_finite(),
+            "{}: profiled objective",
+            family.name()
+        );
+        let nan_u = vec![f64::NAN; u.len()];
+        assert_eq!(profiled(&nan_u), f64::INFINITY, "{}", family.name());
+        for (path, x) in [("feasible", u), ("infeasible", &nan_u[..])] {
+            let mut acc = 0.0;
+            let delta = min_delta(3, || {
+                for _ in 0..100 {
+                    acc += profiled(x);
+                }
+            });
+            assert_eq!(
+                delta,
+                0,
+                "{}: {path} profiled objective allocated {delta} times over 100 calls",
+                family.name(),
+            );
+        }
     }
 }
 
