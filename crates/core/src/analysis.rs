@@ -56,21 +56,6 @@ pub fn evaluate_model(
     holdout: usize,
     alpha: f64,
 ) -> Result<ModelEvaluation, CoreError> {
-    evaluate_model_with(family, series, holdout, alpha, &FitConfig::default())
-}
-
-/// [`evaluate_model`] with an explicit fit configuration.
-///
-/// # Errors
-///
-/// Propagates split, fit, and validation failures.
-pub fn evaluate_model_with(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    holdout: usize,
-    alpha: f64,
-    config: &FitConfig,
-) -> Result<ModelEvaluation, CoreError> {
     if holdout == 0 || holdout + 2 > series.len() {
         return Err(CoreError::arg(
             "evaluate_model",
@@ -81,7 +66,7 @@ pub fn evaluate_model_with(
         ));
     }
     let split = series.split_at(series.len() - holdout)?;
-    let fit = fit_least_squares(family, &split.train, config)?;
+    let fit = fit_least_squares(family, &split.train, &FitConfig::default())?;
     let gof = gof_report(fit.model.as_ref(), &split, series, alpha)?;
     // Guard layer (DESIGN.md §8): no evaluation row leaves this driver
     // with a silent NaN — every table the paper reports is built on

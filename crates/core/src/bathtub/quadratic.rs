@@ -449,6 +449,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_recovery_level_is_a_typed_error() {
+        use crate::fit::{fit_least_squares, FitConfig};
+        use resilience_data::recessions::Recession;
+        let series = Recession::R1990_93.payroll_index();
+        let fit = fit_least_squares(&QuadraticFamily, &series, &FitConfig::default()).unwrap();
+        let m = QuadraticModel::new(fit.params[0], fit.params[1], fit.params[2]).unwrap();
+        assert!(matches!(m.recovery_time(f64::NAN), Err(CoreError::Math(_))));
+        assert!(matches!(
+            m.time_to_recover(f64::NAN, 0.0, 40.0),
+            Err(CoreError::Math(_))
+        ));
+    }
+
+    #[test]
     fn area_closed_form_eq3_matches_quadrature() {
         let m = model();
         let analytic = m.area(0.0, 47.0).unwrap();

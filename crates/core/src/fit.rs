@@ -14,7 +14,7 @@ use resilience_math::linalg::Matrix;
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, HistogramId};
 use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
-use resilience_optim::multi_start::multi_start_nelder_mead_with_control;
+use resilience_optim::multi_start::multi_start_nelder_mead;
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
 use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
@@ -510,11 +510,9 @@ pub fn fit_least_squares_with(
         // A failed or stopped polish is not a fit failure: the multi-start
         // winner above is already a complete answer, so `Err` here (LM
         // divergence, deadline, cancellation) just skips the refinement.
-        if let Ok(report) = LevenbergMarquardt::new(config.lm.clone()).minimize_with_control(
-            &problem,
-            &best_internal,
-            control,
-        ) {
+        if let Ok(report) =
+            LevenbergMarquardt::new(config.lm.clone()).minimize(&problem, &best_internal, control)
+        {
             evaluations += report.evaluations;
             lm_converged = report.termination == TerminationReason::Converged;
             if report.value < best_sse {
@@ -614,9 +612,7 @@ where
                 fit_started_emitted = true;
             }
             let objective = make_objective();
-            match NelderMead::new(nm_config.clone())
-                .minimize_with_control(&objective, &internal, control)
-            {
+            match NelderMead::new(nm_config.clone()).minimize(&objective, &internal, control) {
                 Ok(report) => {
                     short_circuit = report.termination == TerminationReason::Converged
                         && report.evaluations <= warm.max_evaluations;
@@ -657,7 +653,7 @@ where
         if starts.is_empty() {
             None
         } else {
-            match multi_start_nelder_mead_with_control(
+            match multi_start_nelder_mead(
                 make_objective,
                 &starts,
                 nm_config,

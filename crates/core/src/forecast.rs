@@ -88,25 +88,10 @@ pub fn forecast(
     horizon: usize,
     alpha: f64,
 ) -> Result<Forecast, CoreError> {
-    forecast_with(family, series, horizon, alpha, &FitConfig::default())
-}
-
-/// [`forecast`] with an explicit fit configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`forecast`].
-pub fn forecast_with(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    horizon: usize,
-    alpha: f64,
-    config: &FitConfig,
-) -> Result<Forecast, CoreError> {
     if horizon == 0 {
         return Err(CoreError::arg("forecast", "horizon must be positive"));
     }
-    let fit = fit_least_squares(family, series, config)?;
+    let fit = fit_least_squares(family, series, &FitConfig::default())?;
     let sigma = residual_sigma(sse(fit.model.as_ref(), series), series.len())?;
     let times = series.times();
     let last_t = times[times.len() - 1];

@@ -44,7 +44,6 @@ pub mod noise;
 pub mod recessions;
 pub mod scenario;
 pub mod series;
-pub mod transform;
 
 pub use error::DataError;
 pub use fault::{Fault, FaultError};

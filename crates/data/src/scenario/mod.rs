@@ -316,6 +316,36 @@ mod tests {
     }
 
     #[test]
+    fn infinite_recovery_rates_fail_validation_and_name_the_rate() {
+        let rate = f64::INFINITY;
+        for recovery in [
+            Recovery::Exponential { rate },
+            Recovery::Logistic {
+                rate,
+                midpoint: 5.0,
+            },
+            Recovery::Partial {
+                fraction: 0.6,
+                rate,
+            },
+        ] {
+            let mut spec = v_spec();
+            spec.shocks[0] = Shock::Pulse {
+                start: 0.0,
+                trough: 12.0,
+                depth: 0.05,
+                sharpness: 1.2,
+                recovery,
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(&err, DataError::InvalidSeries { detail, .. } if detail.contains("rate")),
+                "{recovery:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn event_only_scenario_is_valid() {
         let spec = ScenarioSpec {
             n: 200,

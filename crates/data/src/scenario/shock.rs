@@ -77,28 +77,34 @@ impl Recovery {
     }
 
     pub(crate) fn validate(&self, what: &'static str) -> Result<(), DataError> {
+        // A rate of +∞ makes `rate · 0` NaN at the trough, so rates must be
+        // finite as well as positive.
         match *self {
-            Recovery::Exponential { rate } if !(rate > 0.0) => Err(DataError::invalid(
-                what,
-                format!("recovery rate must be positive, got {rate}"),
-            )),
+            Recovery::Exponential { rate } if !(rate > 0.0 && rate.is_finite()) => {
+                Err(DataError::invalid(
+                    what,
+                    format!("recovery rate must be positive and finite, got {rate}"),
+                ))
+            }
             Recovery::Smoothstep { duration } if !(duration > 0.0) => Err(DataError::invalid(
                 what,
                 format!("recovery duration must be positive, got {duration}"),
             )),
-            Recovery::Logistic { rate, midpoint } if !(rate > 0.0) || !(midpoint > 0.0) => {
+            Recovery::Logistic { rate, midpoint }
+                if !(rate > 0.0 && rate.is_finite() && midpoint > 0.0) =>
+            {
                 Err(DataError::invalid(
                     what,
-                    format!("logistic recovery needs rate > 0 and midpoint > 0, got {rate}/{midpoint}"),
+                    format!("logistic recovery needs a positive finite rate and midpoint > 0, got {rate}/{midpoint}"),
                 ))
             }
             Recovery::Partial { fraction, rate }
-                if !(fraction > 0.0 && fraction <= 1.0 && rate > 0.0) =>
+                if !(fraction > 0.0 && fraction <= 1.0 && rate > 0.0 && rate.is_finite()) =>
             {
                 Err(DataError::invalid(
                     what,
                     format!(
-                        "partial recovery needs fraction in (0, 1] and rate > 0, got {fraction}/{rate}"
+                        "partial recovery needs fraction in (0, 1] and a positive finite rate, got {fraction}/{rate}"
                     ),
                 ))
             }

@@ -2,8 +2,8 @@
 //!
 //! The empirical (“actual”) side of the paper's interval metrics treats the
 //! observed monthly series as a piecewise-linear curve; this module holds
-//! the shared interpolation helper plus min/argmin utilities used to find
-//! the trough time `t_d`.
+//! the shared interpolation helper plus the argmin used to find the trough
+//! time `t_d`.
 
 use crate::MathError;
 
@@ -121,30 +121,6 @@ pub fn argmin(values: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the maximum value (first occurrence). Returns `None` for empty
-/// input or when every value is NaN.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::interp::argmax;
-/// assert_eq!(argmax(&[3.0, 5.0, 2.0]), Some(1));
-/// ```
-#[must_use]
-pub fn argmax(values: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,10 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn argmin_argmax_basic() {
+    fn argmin_basic() {
         let v = [0.99, 0.95, 0.97, 0.95, 1.02];
         assert_eq!(argmin(&v), Some(1), "first trough wins");
-        assert_eq!(argmax(&v), Some(4));
     }
 
     #[test]

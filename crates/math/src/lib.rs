@@ -5,20 +5,20 @@
 //! (Silva et al., RWS 2022). It provides exactly the machinery the higher
 //! layers need:
 //!
-//! * [`special`] — special functions (`ln Γ`, `erf`, regularized incomplete
-//!   gamma and beta functions, digamma) used by the probability
-//!   distributions in `resilience-stats`.
-//! * [`quad`] — one-dimensional quadrature (trapezoid, Simpson, adaptive
-//!   Simpson, Gauss–Legendre, Romberg) used to evaluate the interval-based
-//!   resilience metrics when no closed form exists.
-//! * [`roots`] — scalar root finding (bisection, Newton, secant, Brent)
-//!   used for quantile inversion and recovery-time solving.
-//! * [`poly`] — polynomial evaluation and low-degree root formulas used by
-//!   the quadratic bathtub model.
-//! * [`linalg`] — small dense matrices with LU / Cholesky / QR solvers used
-//!   by the Levenberg–Marquardt optimizer in `resilience-optim`.
-//! * [`sum`] — compensated (Kahan/Neumaier) and pairwise summation used to
-//!   keep goodness-of-fit accumulations stable.
+//! * [`special`] — `ln Γ` for the Weibull moments and the error function
+//!   family (`erf`, `erfc`, `inv_erf`) behind the normal distribution in
+//!   `resilience-stats`.
+//! * [`quad`] — adaptive Simpson quadrature for the interval-based
+//!   resilience metrics of curves without a closed-form area, plus a
+//!   composite trapezoid rule.
+//! * [`roots`] — Brent root finding (with geometric bracket expansion) for
+//!   quantile inversion and recovery-time solving.
+//! * [`poly`] — polynomial evaluation and the quadratic root formula used
+//!   by the quadratic bathtub model.
+//! * [`linalg`] — small dense matrices with the LU solver used by the
+//!   Levenberg–Marquardt optimizer in `resilience-optim`.
+//! * [`sum`] — compensated (Neumaier) summation used to keep
+//!   goodness-of-fit accumulations stable.
 //! * [`interp`] — piecewise-linear interpolation over sampled curves.
 //!
 //! # Examples

@@ -1,5 +1,4 @@
-//! Small dense linear algebra: column-major matrices with LU, Cholesky,
-//! and QR solvers.
+//! Small dense linear algebra: row-major matrices with an LU solver.
 //!
 //! The Levenberg–Marquardt optimizer in `resilience-optim` solves the
 //! normal equations `(JᵀJ + λ diag(JᵀJ)) δ = Jᵀr` at every step; the
@@ -277,91 +276,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Cholesky factor `L` with `self = L·Lᵀ` for a symmetric positive
-    /// definite matrix; returns the lower-triangular factor.
-    ///
-    /// # Errors
-    ///
-    /// * [`MathError::Shape`] when the matrix is not square.
-    /// * [`MathError::Singular`] when the matrix is not positive definite.
-    pub fn cholesky(&self) -> Result<Matrix, MathError> {
-        if self.rows != self.cols {
-            return Err(MathError::shape(
-                "Matrix::cholesky",
-                format!("matrix is {}x{}, not square", self.rows, self.cols),
-            ));
-        }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut acc = self[(i, j)];
-                for k in 0..j {
-                    acc -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if acc <= 0.0 {
-                        return Err(MathError::Singular {
-                            what: "Matrix::cholesky",
-                            n,
-                        });
-                    }
-                    l[(i, j)] = acc.sqrt();
-                } else {
-                    l[(i, j)] = acc / l[(j, j)];
-                }
-            }
-        }
-        Ok(l)
-    }
-
-    /// Solves `self · x = b` for a symmetric positive definite matrix via
-    /// Cholesky (twice as fast and more stable than LU for the LM normal
-    /// equations).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::cholesky`] plus a shape check on `b`.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, MathError> {
-        if b.len() != self.rows {
-            return Err(MathError::shape(
-                "Matrix::solve_spd",
-                format!(
-                    "rhs has {} entries for an {}-dim system",
-                    b.len(),
-                    self.rows
-                ),
-            ));
-        }
-        let l = self.cholesky()?;
-        let n = self.rows;
-        // Forward solve L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut acc = b[i];
-            for k in 0..i {
-                acc -= l[(i, k)] * y[k];
-            }
-            y[i] = acc / l[(i, i)];
-        }
-        // Back solve Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for k in (i + 1)..n {
-                acc -= l[(k, i)] * x[k];
-            }
-            x[i] = acc / l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Returns `true` if every entry is finite.
     #[must_use]
     pub fn is_finite(&self) -> bool {
@@ -500,45 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_rows(
-            3,
-            3,
-            vec![25.0, 15.0, -5.0, 15.0, 18.0, 0.0, -5.0, 0.0, 11.0],
-        )
-        .unwrap();
-        let l = a.cholesky().unwrap();
-        let back = l.matmul(&l.transpose()).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(approx_eq(back[(i, j)], a[(i, j)], 1e-10, 1e-10));
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
-        assert!(matches!(a.cholesky(), Err(MathError::Singular { .. })));
-    }
-
-    #[test]
-    fn solve_spd_matches_lu() {
-        let a = Matrix::from_rows(
-            3,
-            3,
-            vec![25.0, 15.0, -5.0, 15.0, 18.0, 0.0, -5.0, 0.0, 11.0],
-        )
-        .unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let x1 = a.solve(&b).unwrap();
-        let x2 = a.solve_spd(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!(approx_eq(*u, *v, 1e-10, 1e-10));
-        }
-    }
-
-    #[test]
     fn norm_and_dot() {
         assert!(approx_eq(norm2(&[3.0, 4.0]), 5.0, 1e-15, 0.0));
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
@@ -551,9 +426,8 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_and_finiteness() {
+    fn finiteness() {
         let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert!(approx_eq(a.frobenius_norm(), 5.0, 1e-12, 0.0));
         assert!(a.is_finite());
         let mut b = a.clone();
         b[(0, 0)] = f64::NAN;

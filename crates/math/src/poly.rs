@@ -3,7 +3,7 @@
 //! The quadratic bathtub model (paper Eq. 1–3) is a polynomial hazard: its
 //! recovery time (Eq. 2) is a quadratic root, its area (Eq. 3) a cubic
 //! antiderivative. This module provides a small dense polynomial type plus
-//! numerically careful quadratic and cubic solvers.
+//! a numerically careful quadratic solver.
 
 use crate::MathError;
 
@@ -155,8 +155,9 @@ impl std::fmt::Display for Polynomial {
 ///
 /// # Errors
 ///
-/// Returns [`MathError::Domain`] when all coefficients are zero (the
-/// identically-zero equation has no meaningful root set).
+/// Returns [`MathError::Domain`] when a coefficient is not finite, when all
+/// coefficients are zero (the identically-zero equation has no meaningful
+/// root set), or when `b² − 4ac` overflows so that a root comes out NaN.
 ///
 /// # Examples
 ///
@@ -167,6 +168,12 @@ impl std::fmt::Display for Polynomial {
 /// # Ok::<(), resilience_math::MathError>(())
 /// ```
 pub fn quadratic_roots(a: f64, b: f64, c: f64) -> Result<Vec<f64>, MathError> {
+    if !(a.is_finite() && b.is_finite() && c.is_finite()) {
+        return Err(MathError::domain(
+            "quadratic_roots",
+            format!("coefficients must be finite, got a={a}, b={b}, c={c}"),
+        ));
+    }
     if a == 0.0 {
         if b == 0.0 {
             if c == 0.0 {
@@ -195,69 +202,14 @@ pub fn quadratic_roots(a: f64, b: f64, c: f64) -> Result<Vec<f64>, MathError> {
     } else {
         (q / a, c / q)
     };
-    let mut roots = vec![r1, r2];
-    roots.sort_by(|x, y| x.partial_cmp(y).expect("roots are finite"));
-    Ok(roots)
-}
-
-/// Real roots of the cubic `a x³ + b x² + c x + d = 0`, ascending.
-///
-/// Uses the trigonometric method for three real roots and Cardano's
-/// formula otherwise; degenerate leading coefficients fall back to
-/// [`quadratic_roots`].
-///
-/// # Errors
-///
-/// Returns [`MathError::Domain`] when all coefficients are zero.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::poly::cubic_roots;
-/// // (x−1)(x−2)(x−3) = x³ − 6x² + 11x − 6
-/// let roots = cubic_roots(1.0, -6.0, 11.0, -6.0)?;
-/// assert_eq!(roots.len(), 3);
-/// assert!((roots[0] - 1.0).abs() < 1e-9);
-/// assert!((roots[2] - 3.0).abs() < 1e-9);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn cubic_roots(a: f64, b: f64, c: f64, d: f64) -> Result<Vec<f64>, MathError> {
-    if a == 0.0 {
-        return quadratic_roots(b, c, d);
+    if r1.is_nan() || r2.is_nan() {
+        return Err(MathError::domain(
+            "quadratic_roots",
+            format!("b² − 4ac overflows for a={a}, b={b}, c={c}"),
+        ));
     }
-    // Depressed cubic t³ + pt + q with x = t − b/(3a).
-    let shift = b / (3.0 * a);
-    let p = (3.0 * a * c - b * b) / (3.0 * a * a);
-    let q = (2.0 * b * b * b - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a * a * a);
-    let disc = -(4.0 * p * p * p + 27.0 * q * q);
-    let mut roots = if disc > 0.0 {
-        // Three distinct real roots: trigonometric method.
-        let m = 2.0 * (-p / 3.0).sqrt();
-        let theta = (3.0 * q / (p * m)).acos() / 3.0;
-        let two_pi_3 = 2.0 * std::f64::consts::PI / 3.0;
-        vec![
-            m * theta.cos() - shift,
-            m * (theta - two_pi_3).cos() - shift,
-            m * (theta + two_pi_3).cos() - shift,
-        ]
-    } else if p == 0.0 && q == 0.0 {
-        vec![-shift]
-    } else {
-        // One real root: Cardano with stable cube roots.
-        let half_q = q / 2.0;
-        let inner = half_q * half_q + p * p * p / 27.0;
-        let sqrt_inner = inner.max(0.0).sqrt();
-        let u = (-half_q + sqrt_inner).cbrt();
-        let v = (-half_q - sqrt_inner).cbrt();
-        let mut rs = vec![u + v - shift];
-        if inner == 0.0 && q != 0.0 {
-            // Double root case.
-            rs.push(-u - shift);
-        }
-        rs
-    };
-    roots.sort_by(|x, y| x.partial_cmp(y).expect("roots are finite"));
-    roots.dedup_by(|x, y| (*x - *y).abs() < 1e-12 * (1.0 + x.abs()));
+    let mut roots = vec![r1, r2];
+    roots.sort_by(|x, y| x.partial_cmp(y).expect("roots are not NaN"));
     Ok(roots)
 }
 
@@ -355,42 +307,28 @@ mod tests {
     }
 
     #[test]
-    fn cubic_three_real_roots() {
-        let roots = cubic_roots(1.0, -6.0, 11.0, -6.0).unwrap();
-        assert_eq!(roots.len(), 3);
-        for (got, want) in roots.iter().zip([1.0, 2.0, 3.0]) {
-            assert!(approx_eq(*got, want, 1e-9, 1e-9));
+    fn quadratic_rejects_non_finite_coefficients() {
+        for (a, b, c) in [
+            (f64::NAN, 1.0, 1.0),
+            (1.0, 1.0, f64::NAN),
+            (f64::INFINITY, 1.0, -1.0),
+        ] {
+            assert!(
+                matches!(quadratic_roots(a, b, c), Err(MathError::Domain { .. })),
+                "({a}, {b}, {c})"
+            );
         }
     }
 
     #[test]
-    fn cubic_one_real_root() {
-        // x³ + x + 1 has a single real root ≈ −0.6823278.
-        let roots = cubic_roots(1.0, 0.0, 1.0, 1.0).unwrap();
-        assert_eq!(roots.len(), 1);
-        assert!(approx_eq(roots[0], -0.682_327_803_828_019_3, 1e-10, 1e-10));
-    }
-
-    #[test]
-    fn cubic_triple_root() {
-        // (x−2)³ = x³ − 6x² + 12x − 8.
-        let roots = cubic_roots(1.0, -6.0, 12.0, -8.0).unwrap();
-        assert_eq!(roots.len(), 1);
-        assert!(approx_eq(roots[0], 2.0, 1e-7, 1e-7));
-    }
-
-    #[test]
-    fn cubic_degenerates_to_quadratic() {
-        let roots = cubic_roots(0.0, 1.0, -3.0, 2.0).unwrap();
-        assert_eq!(roots.len(), 2);
-    }
-
-    #[test]
-    fn cubic_roots_satisfy_equation() {
-        let (a, b, c, d) = (2.0, -3.0, -11.0, 6.0);
-        for r in cubic_roots(a, b, c, d).unwrap() {
-            let v = a * r * r * r + b * r * r + c * r + d;
-            assert!(v.abs() < 1e-8, "residual {v} at root {r}");
+    fn quadratic_rejects_an_overflowing_discriminant() {
+        // (1e300, 1e300, 1e300): b² and 4ac both overflow to +∞, so b² − 4ac
+        // is NaN. (f64::MAX, 0, −1): b² − 4ac is +∞ and √∞/(2a) is ∞/∞.
+        for (a, b, c) in [(1e300, 1e300, 1e300), (f64::MAX, 0.0, -1.0)] {
+            assert!(
+                matches!(quadratic_roots(a, b, c), Err(MathError::Domain { .. })),
+                "({a}, {b}, {c})"
+            );
         }
     }
 }

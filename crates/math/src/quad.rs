@@ -14,9 +14,9 @@ use crate::MathError;
 
 /// Composite trapezoid rule with `n ≥ 1` panels.
 ///
-/// Error is `O(h²)`; prefer [`simpson`] or [`adaptive_simpson`] unless the
-/// integrand is only piecewise smooth (the trapezoid rule is exact for the
-/// piecewise-linear empirical curves used by the *actual* metric values).
+/// Error is `O(h²)`; prefer [`adaptive_simpson`] unless the integrand is
+/// only piecewise smooth (the trapezoid rule is exact for piecewise-linear
+/// curves).
 ///
 /// # Errors
 ///
@@ -50,89 +50,6 @@ pub fn trapezoid<F: FnMut(f64) -> f64>(
         sum += eval(&mut f, a + i as f64 * h, "trapezoid")?;
     }
     Ok(sum * h)
-}
-
-/// Integrates a sampled curve `(t_i, y_i)` with the trapezoid rule.
-///
-/// This is the discrete form used for the “actual” side of the paper's
-/// interval-based metrics, where the curve is only known at the monthly
-/// observations.
-///
-/// # Errors
-///
-/// * [`MathError::Shape`] when the slices differ in length or have fewer
-///   than two points.
-/// * [`MathError::Domain`] when the abscissae are not strictly increasing.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::quad::trapezoid_sampled;
-/// let t = [0.0, 1.0, 2.0];
-/// let y = [0.0, 1.0, 2.0];
-/// assert!((trapezoid_sampled(&t, &y)? - 2.0).abs() < 1e-15);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn trapezoid_sampled(t: &[f64], y: &[f64]) -> Result<f64, MathError> {
-    if t.len() != y.len() {
-        return Err(MathError::shape(
-            "trapezoid_sampled",
-            format!("t has {} points but y has {}", t.len(), y.len()),
-        ));
-    }
-    if t.len() < 2 {
-        return Err(MathError::shape(
-            "trapezoid_sampled",
-            "need at least two samples",
-        ));
-    }
-    let mut acc = 0.0;
-    for i in 1..t.len() {
-        let dt = t[i] - t[i - 1];
-        if dt <= 0.0 {
-            return Err(MathError::domain(
-                "trapezoid_sampled",
-                format!("abscissae must be strictly increasing at index {i}"),
-            ));
-        }
-        acc += 0.5 * dt * (y[i] + y[i - 1]);
-    }
-    Ok(acc)
-}
-
-/// Composite Simpson rule with `n` panels (`n` is rounded up to even).
-///
-/// Error is `O(h⁴)` for smooth integrands.
-///
-/// # Errors
-///
-/// * [`MathError::Domain`] when `n == 0` or `a > b`.
-/// * [`MathError::NonFinite`] when the integrand returns NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::quad::simpson;
-/// let area = simpson(|x| x * x, 0.0, 3.0, 8)?; // exact for cubics
-/// assert!((area - 9.0).abs() < 1e-12);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> Result<f64, MathError> {
-    check_interval("simpson", a, b)?;
-    if n == 0 {
-        return Err(MathError::domain("simpson", "need at least one panel"));
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-    let n = if n.is_multiple_of(2) { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = eval(&mut f, a, "simpson")? + eval(&mut f, b, "simpson")?;
-    for i in 1..n {
-        let weight = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += weight * eval(&mut f, a + i as f64 * h, "simpson")?;
-    }
-    Ok(sum * h / 3.0)
 }
 
 /// Adaptive Simpson quadrature with error target `tol` and recursion depth
@@ -217,180 +134,6 @@ fn adaptive_step<F: FnMut(f64) -> f64>(
     Ok(l + r)
 }
 
-/// Nodes/weights for Gauss–Legendre quadrature on [−1, 1], order 10.
-/// Symmetric halves; (node, weight).
-const GL10: [(f64, f64); 5] = [
-    (0.148_874_338_981_631_21, 0.295_524_224_714_752_87),
-    (0.433_395_394_129_247_2, 0.269_266_719_309_996_35),
-    (0.679_409_568_299_024_4, 0.219_086_362_515_982_04),
-    (0.865_063_366_688_984_5, 0.149_451_349_150_580_6),
-    (0.973_906_528_517_171_7, 0.066_671_344_308_688_14),
-];
-
-/// Nodes/weights for Gauss–Legendre quadrature on [−1, 1], order 20.
-const GL20: [(f64, f64); 10] = [
-    (0.076_526_521_133_497_33, 0.152_753_387_130_725_85),
-    (0.227_785_851_141_645_08, 0.149_172_986_472_603_75),
-    (0.373_706_088_715_419_56, 0.142_096_109_318_382_05),
-    (0.510_867_001_950_827_1, 0.131_688_638_449_176_63),
-    (0.636_053_680_726_515, 0.118_194_531_961_518_42),
-    (0.746_331_906_460_150_8, 0.101_930_119_817_240_44),
-    (0.839_116_971_822_218_8, 0.083_276_741_576_704_75),
-    (0.912_234_428_251_326, 0.062_672_048_334_109_06),
-    (0.963_971_927_277_913_8, 0.040_601_429_800_386_94),
-    (0.993_128_599_185_094_9, 0.017_614_007_139_152_12),
-];
-
-/// Fixed-order Gauss–Legendre quadrature (order 10 or 20) over `[a, b]`.
-///
-/// Exact for polynomials up to degree `2·order − 1`; very efficient for the
-/// smooth parametric curves produced by the resilience models.
-///
-/// # Errors
-///
-/// * [`MathError::Domain`] when `a > b` or the order is unsupported.
-/// * [`MathError::NonFinite`] when the integrand returns NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::quad::gauss_legendre;
-/// let area = gauss_legendre(f64::exp, 0.0, 1.0, 10)?;
-/// assert!((area - (std::f64::consts::E - 1.0)).abs() < 1e-14);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn gauss_legendre<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    order: usize,
-) -> Result<f64, MathError> {
-    check_interval("gauss_legendre", a, b)?;
-    if a == b {
-        return Ok(0.0);
-    }
-    let half: &[(f64, f64)] = match order {
-        10 => &GL10,
-        20 => &GL20,
-        _ => {
-            return Err(MathError::domain(
-                "gauss_legendre",
-                format!("supported orders are 10 and 20, got {order}"),
-            ))
-        }
-    };
-    let c = 0.5 * (b - a);
-    let d = 0.5 * (a + b);
-    let mut sum = 0.0;
-    for &(x, w) in half {
-        sum += w
-            * (eval(&mut f, d + c * x, "gauss_legendre")?
-                + eval(&mut f, d - c * x, "gauss_legendre")?);
-    }
-    Ok(c * sum)
-}
-
-/// Composite Gauss–Legendre: splits `[a, b]` into `panels` sub-intervals and
-/// applies order-20 Gauss–Legendre on each.
-///
-/// # Errors
-///
-/// Same conditions as [`gauss_legendre`], plus `panels == 0`.
-pub fn gauss_legendre_composite<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    panels: usize,
-) -> Result<f64, MathError> {
-    check_interval("gauss_legendre_composite", a, b)?;
-    if panels == 0 {
-        return Err(MathError::domain(
-            "gauss_legendre_composite",
-            "need at least one panel",
-        ));
-    }
-    let h = (b - a) / panels as f64;
-    let mut total = 0.0;
-    for i in 0..panels {
-        let lo = a + i as f64 * h;
-        total += gauss_legendre(&mut f, lo, lo + h, 20)?;
-    }
-    Ok(total)
-}
-
-/// Romberg integration: Richardson-extrapolated trapezoid rule.
-///
-/// Halts when two successive diagonal entries agree to `tol`, or errors
-/// after `max_levels` refinements.
-///
-/// # Errors
-///
-/// * [`MathError::Domain`] for bad intervals/tolerances.
-/// * [`MathError::NoConvergence`] if the tableau does not settle.
-/// * [`MathError::NonFinite`] when the integrand returns NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::quad::romberg;
-/// let area = romberg(|x| 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 20)?;
-/// assert!((area - std::f64::consts::FRAC_PI_4).abs() < 1e-11);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn romberg<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_levels: usize,
-) -> Result<f64, MathError> {
-    check_interval("romberg", a, b)?;
-    if !(tol > 0.0) {
-        return Err(MathError::domain(
-            "romberg",
-            format!("tolerance must be positive, got {tol}"),
-        ));
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-    let max_levels = max_levels.max(2);
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(max_levels);
-    let mut h = b - a;
-    let first = 0.5 * h * (eval(&mut f, a, "romberg")? + eval(&mut f, b, "romberg")?);
-    rows.push(vec![first]);
-    for level in 1..max_levels {
-        h *= 0.5;
-        // Trapezoid refinement: add midpoints of the previous grid.
-        let points = 1usize << (level - 1);
-        let mut mid_sum = 0.0;
-        for i in 0..points {
-            let x = a + (2 * i + 1) as f64 * h;
-            mid_sum += eval(&mut f, x, "romberg")?;
-        }
-        let t = 0.5 * rows[level - 1][0] + h * mid_sum;
-        let mut row = vec![t];
-        for k in 1..=level {
-            let factor = 4f64.powi(k as i32);
-            let extrap = (factor * row[k - 1] - rows[level - 1][k - 1]) / (factor - 1.0);
-            row.push(extrap);
-        }
-        let prev_diag = rows[level - 1][level - 1];
-        let diag = row[level];
-        rows.push(row);
-        if (diag - prev_diag).abs() <= tol * (1.0 + diag.abs()) {
-            return Ok(diag);
-        }
-    }
-    let last = rows[max_levels - 1][max_levels - 1];
-    let prev = rows[max_levels - 2][max_levels - 2];
-    Err(MathError::NoConvergence {
-        what: "romberg",
-        iterations: max_levels,
-        last_error: (last - prev).abs(),
-    })
-}
-
 fn check_interval(what: &'static str, a: f64, b: f64) -> Result<(), MathError> {
     if !a.is_finite() || !b.is_finite() {
         return Err(MathError::domain(
@@ -456,35 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn trapezoid_sampled_matches_continuous() {
-        let t: Vec<f64> = (0..=100).map(|i| i as f64 * 0.01).collect();
-        let y: Vec<f64> = t.iter().map(|&x| x * x).collect();
-        let v = trapezoid_sampled(&t, &y).unwrap();
-        assert!(approx_eq(v, 1.0 / 3.0, 1e-4, 1e-4));
-    }
-
-    #[test]
-    fn trapezoid_sampled_rejects_bad_shapes() {
-        assert!(trapezoid_sampled(&[0.0, 1.0], &[0.0]).is_err());
-        assert!(trapezoid_sampled(&[0.0], &[0.0]).is_err());
-        assert!(trapezoid_sampled(&[0.0, 0.0], &[1.0, 2.0]).is_err());
-        assert!(trapezoid_sampled(&[1.0, 0.5], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn simpson_exact_for_cubic() {
-        let v = simpson(|x| x * x * x - x, 0.0, 2.0, 2).unwrap();
-        assert!(approx_eq(v, 2.0, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn simpson_rounds_odd_panels_up() {
-        let odd = simpson(f64::sin, 0.0, 1.0, 3).unwrap();
-        let even = simpson(f64::sin, 0.0, 1.0, 4).unwrap();
-        assert!(approx_eq(odd, even, 1e-12, 1e-12));
-    }
-
-    #[test]
     fn adaptive_simpson_smooth() {
         let v = adaptive_simpson(f64::sin, 0.0, std::f64::consts::PI, 1e-12, 30).unwrap();
         assert!(approx_eq(v, 2.0, 1e-10, 1e-10));
@@ -522,62 +236,21 @@ mod tests {
     }
 
     #[test]
-    fn gauss_legendre_polynomial_exactness() {
-        // Order 10 integrates degree-19 polynomials exactly.
-        let v = gauss_legendre(|x| x.powi(19) + x.powi(4), -1.0, 1.0, 10).unwrap();
-        assert!(approx_eq(v, 0.4, 1e-13, 1e-12));
-        let v20 = gauss_legendre(|x| x.powi(39) + 1.0, -1.0, 1.0, 20).unwrap();
-        assert!(approx_eq(v20, 2.0, 1e-13, 1e-12));
-    }
-
-    #[test]
-    fn gauss_legendre_rejects_unsupported_order() {
-        assert!(gauss_legendre(|x| x, 0.0, 1.0, 7).is_err());
-    }
-
-    #[test]
-    fn gauss_legendre_composite_long_interval() {
-        let v = gauss_legendre_composite(f64::sin, 0.0, 20.0, 8).unwrap();
-        let exact = 1.0 - 20f64.cos();
-        assert!(approx_eq(v, exact, 1e-10, 1e-10));
-    }
-
-    #[test]
-    fn gauss_legendre_composite_rejects_zero_panels() {
-        assert!(gauss_legendre_composite(|x| x, 0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn romberg_converges_on_smooth() {
-        let v = romberg(f64::exp, 0.0, 2.0, 1e-12, 20).unwrap();
-        assert!(approx_eq(v, 2f64.exp() - 1.0, 1e-10, 1e-12));
-    }
-
-    #[test]
-    fn romberg_reports_non_convergence() {
-        // max_levels too small to resolve the oscillation.
-        let r = romberg(|x| (50.0 * x).sin(), 0.0, 10.0, 1e-14, 3);
-        assert!(matches!(r, Err(MathError::NoConvergence { .. })));
-    }
-
-    #[test]
-    fn all_rules_agree_on_resilience_like_curve() {
-        // A V-shaped dip-and-recover curve similar to what the models produce.
+    fn adaptive_simpson_matches_closed_form_on_resilience_like_curve() {
+        // A V-shaped dip-and-recover curve similar to what the models produce:
+        // 1 − 0.05·exp(−0.015(t − 10)²) over [0, 40].
         let f = |t: f64| 1.0 - 0.05 * (-0.3 * (t - 10.0).powi(2) / 20.0).exp();
-        let a = 0.0;
-        let b = 40.0;
-        let s = simpson(f, a, b, 4096).unwrap();
-        let ad = adaptive_simpson(f, a, b, 1e-12, 40).unwrap();
-        let gl = gauss_legendre_composite(f, a, b, 8).unwrap();
-        let ro = romberg(f, a, b, 1e-12, 22).unwrap();
-        assert!(approx_eq(s, ad, 1e-9, 1e-12));
-        assert!(approx_eq(ad, gl, 1e-9, 1e-12));
-        assert!(approx_eq(gl, ro, 1e-9, 1e-12));
+        let v = adaptive_simpson(f, 0.0, 40.0, 1e-12, 40).unwrap();
+        let k: f64 = 0.015;
+        let exact = 40.0
+            - 0.05 * (std::f64::consts::PI / k).sqrt() / 2.0
+                * (crate::special::erf(30.0 * k.sqrt()) + crate::special::erf(10.0 * k.sqrt()));
+        assert!(approx_eq(v, exact, 1e-10, 0.0));
     }
 
     #[test]
     fn non_finite_endpoints_rejected() {
-        assert!(simpson(|x| x, f64::NAN, 1.0, 2).is_err());
-        assert!(gauss_legendre(|x| x, 0.0, f64::INFINITY, 10).is_err());
+        assert!(trapezoid(|x| x, f64::NAN, 1.0, 2).is_err());
+        assert!(adaptive_simpson(|x| x, 0.0, f64::INFINITY, 1e-10, 10).is_err());
     }
 }

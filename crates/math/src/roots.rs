@@ -20,235 +20,10 @@ pub struct Root {
     pub iterations: usize,
 }
 
-/// Bisection on a bracketing interval `[lo, hi]`.
-///
-/// Robust but linearly convergent; use [`brent`] unless you need the
-/// guaranteed bracket-halving behaviour.
-///
-/// # Errors
-///
-/// * [`MathError::NoBracket`] when `f(lo)` and `f(hi)` have the same sign.
-/// * [`MathError::NoConvergence`] when `max_iter` is exhausted.
-/// * [`MathError::Domain`] for invalid intervals or tolerances.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::roots::bisection;
-/// let r = bisection(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200)?;
-/// assert!((r.x - std::f64::consts::SQRT_2).abs() < 1e-10);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn bisection<F: FnMut(f64) -> f64>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Root, MathError> {
-    check_args("bisection", lo, hi, tol)?;
-    let mut lo = lo;
-    let mut hi = hi;
-    let mut f_lo = f(lo);
-    let f_hi = f(hi);
-    if f_lo == 0.0 {
-        return Ok(Root {
-            x: lo,
-            f_x: 0.0,
-            iterations: 0,
-        });
-    }
-    if f_hi == 0.0 {
-        return Ok(Root {
-            x: hi,
-            f_x: 0.0,
-            iterations: 0,
-        });
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(MathError::NoBracket {
-            what: "bisection",
-            f_lo,
-            f_hi,
-        });
-    }
-    for i in 1..=max_iter {
-        let mid = 0.5 * (lo + hi);
-        let f_mid = f(mid);
-        if f_mid == 0.0 || 0.5 * (hi - lo) < tol {
-            return Ok(Root {
-                x: mid,
-                f_x: f_mid,
-                iterations: i,
-            });
-        }
-        if f_mid.signum() == f_lo.signum() {
-            lo = mid;
-            f_lo = f_mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Err(MathError::NoConvergence {
-        what: "bisection",
-        iterations: max_iter,
-        last_error: hi - lo,
-    })
-}
-
-/// Newton–Raphson iteration from an initial guess with an explicit
-/// derivative.
-///
-/// # Errors
-///
-/// * [`MathError::NoConvergence`] if `max_iter` is exhausted or the
-///   derivative vanishes.
-/// * [`MathError::NonFinite`] if an iterate escapes to NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::roots::newton;
-/// let r = newton(|x| x * x - 2.0, |x| 2.0 * x, 1.0, 1e-14, 50)?;
-/// assert!((r.x - std::f64::consts::SQRT_2).abs() < 1e-12);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn newton<F, D>(
-    mut f: F,
-    mut df: D,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Root, MathError>
-where
-    F: FnMut(f64) -> f64,
-    D: FnMut(f64) -> f64,
-{
-    if !(tol > 0.0) {
-        return Err(MathError::domain(
-            "newton",
-            format!("tolerance must be positive, got {tol}"),
-        ));
-    }
-    let mut x = x0;
-    for i in 1..=max_iter {
-        let fx = f(x);
-        if !fx.is_finite() {
-            return Err(MathError::NonFinite {
-                what: "newton",
-                at: x,
-            });
-        }
-        let dfx = df(x);
-        if dfx == 0.0 || !dfx.is_finite() {
-            return Err(MathError::NoConvergence {
-                what: "newton",
-                iterations: i,
-                last_error: fx.abs(),
-            });
-        }
-        let next = x - fx / dfx;
-        if !next.is_finite() {
-            return Err(MathError::NonFinite {
-                what: "newton",
-                at: x,
-            });
-        }
-        if (next - x).abs() <= tol * (1.0 + x.abs()) {
-            return Ok(Root {
-                x: next,
-                f_x: f(next),
-                iterations: i,
-            });
-        }
-        x = next;
-    }
-    Err(MathError::NoConvergence {
-        what: "newton",
-        iterations: max_iter,
-        last_error: f(x).abs(),
-    })
-}
-
-/// Secant method from two initial guesses (derivative-free Newton).
-///
-/// # Errors
-///
-/// * [`MathError::NoConvergence`] if `max_iter` is exhausted or the secant
-///   slope degenerates.
-/// * [`MathError::NonFinite`] if an iterate escapes to NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::roots::secant;
-/// let r = secant(|x| x.cos() - x, 0.0, 1.0, 1e-13, 100)?;
-/// assert!((r.x - 0.7390851332151607).abs() < 1e-11);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn secant<F: FnMut(f64) -> f64>(
-    mut f: F,
-    x0: f64,
-    x1: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Root, MathError> {
-    if !(tol > 0.0) {
-        return Err(MathError::domain(
-            "secant",
-            format!("tolerance must be positive, got {tol}"),
-        ));
-    }
-    let mut a = x0;
-    let mut b = x1;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    for i in 1..=max_iter {
-        if fb == 0.0 {
-            return Ok(Root {
-                x: b,
-                f_x: 0.0,
-                iterations: i,
-            });
-        }
-        let denom = fb - fa;
-        if denom == 0.0 || !denom.is_finite() {
-            return Err(MathError::NoConvergence {
-                what: "secant",
-                iterations: i,
-                last_error: fb.abs(),
-            });
-        }
-        let next = b - fb * (b - a) / denom;
-        if !next.is_finite() {
-            return Err(MathError::NonFinite {
-                what: "secant",
-                at: b,
-            });
-        }
-        if (next - b).abs() <= tol * (1.0 + b.abs()) {
-            return Ok(Root {
-                x: next,
-                f_x: f(next),
-                iterations: i,
-            });
-        }
-        a = b;
-        fa = fb;
-        b = next;
-        fb = f(b);
-    }
-    Err(MathError::NoConvergence {
-        what: "secant",
-        iterations: max_iter,
-        last_error: fb.abs(),
-    })
-}
-
 /// Brent's method: inverse-quadratic interpolation with bisection fallback.
 ///
-/// The default root finder across the workspace — superlinear on smooth
-/// functions and never worse than bisection.
+/// The workspace's root finder — superlinear on smooth functions and never
+/// worse than bisection.
 ///
 /// # Errors
 ///
@@ -445,59 +220,25 @@ mod tests {
     }
 
     #[test]
-    fn bisection_finds_simple_root() {
-        let r = bisection(f_cubic, 0.0, 2.0, 1e-12, 200).unwrap();
-        assert!((r.x - 1.0).abs() < 1e-10);
+    fn brent_finds_simple_root_of_cubic() {
+        // Interval chosen so no bisection midpoint lands on the root.
+        let r = brent(f_cubic, 4.1, 6.3, 1e-13, 200).unwrap();
+        assert!((r.x - 5.0).abs() < 1e-9);
+        // Bisection alone needs ~44 halvings to shrink 2.2 below 1e-13.
+        assert!(r.iterations < 44, "{} iterations", r.iterations);
     }
 
     #[test]
-    fn bisection_endpoint_root_short_circuits() {
-        let r = bisection(|x| x, 0.0, 1.0, 1e-12, 10).unwrap();
+    fn brent_endpoint_root_short_circuits() {
+        let r = brent(|x| x, 0.0, 1.0, 1e-12, 10).unwrap();
         assert_eq!(r.x, 0.0);
         assert_eq!(r.iterations, 0);
     }
 
     #[test]
-    fn bisection_no_bracket() {
-        assert!(matches!(
-            bisection(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
-            Err(MathError::NoBracket { .. })
-        ));
-    }
-
-    #[test]
-    fn bisection_rejects_bad_interval() {
-        assert!(bisection(|x| x, 1.0, 0.0, 1e-12, 10).is_err());
-        assert!(bisection(|x| x, 0.0, 1.0, -1.0, 10).is_err());
-    }
-
-    #[test]
-    fn newton_quadratic_convergence() {
-        let r = newton(|x| x * x - 612.0, |x| 2.0 * x, 10.0, 1e-14, 100).unwrap();
-        assert!((r.x - 612f64.sqrt()).abs() < 1e-10);
-        assert!(r.iterations < 12);
-    }
-
-    #[test]
-    fn newton_zero_derivative_errors() {
-        let r = newton(|x| x * x + 1.0, |_| 0.0, 1.0, 1e-12, 10);
-        assert!(matches!(r, Err(MathError::NoConvergence { .. })));
-    }
-
-    #[test]
-    fn secant_matches_newton() {
-        let n = newton(|x| x.exp() - 3.0, |x| x.exp(), 1.0, 1e-13, 100).unwrap();
-        let s = secant(|x| x.exp() - 3.0, 0.5, 1.5, 1e-13, 100).unwrap();
-        assert!((n.x - s.x).abs() < 1e-9);
-    }
-
-    #[test]
-    fn brent_beats_bisection_iterations() {
-        // Interval chosen so no bisection midpoint lands on the root.
-        let b = brent(f_cubic, 4.1, 6.3, 1e-13, 200).unwrap();
-        let bi = bisection(f_cubic, 4.1, 6.3, 1e-13, 200).unwrap();
-        assert!((b.x - 5.0).abs() < 1e-9);
-        assert!(b.iterations <= bi.iterations);
+    fn brent_rejects_bad_interval() {
+        assert!(brent(|x| x, 1.0, 0.0, 1e-12, 10).is_err());
+        assert!(brent(|x| x, 0.0, 1.0, -1.0, 10).is_err());
     }
 
     #[test]
@@ -518,7 +259,6 @@ mod tests {
             Err(MathError::NoBracket { .. })
         ));
     }
-
     #[test]
     fn bracket_root_expands_upward() {
         let (lo, hi) = bracket_root(|x| x - 100.0, 0.0, 1.0, 60).unwrap();

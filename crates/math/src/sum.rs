@@ -1,4 +1,4 @@
-//! Compensated and pairwise summation.
+//! Compensated summation.
 //!
 //! SSE/PMSE accumulations (paper Eq. 9–10) sum many numbers that span
 //! orders of magnitude (squared residuals of 1e-8 next to 1e-2). Naive
@@ -66,40 +66,6 @@ impl Extend<f64> for CompensatedSum {
     }
 }
 
-/// Compensated sum of a slice.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::sum::compensated_sum;
-/// assert_eq!(compensated_sum(&[1e16, 1.0, -1e16]), 1.0);
-/// ```
-#[must_use]
-pub fn compensated_sum(values: &[f64]) -> f64 {
-    values.iter().copied().collect::<CompensatedSum>().value()
-}
-
-/// Pairwise (cascade) summation: `O(log n)` error growth with no
-/// per-element overhead, used where the full Neumaier machinery is
-/// overkill.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::sum::pairwise_sum;
-/// let v: Vec<f64> = (1..=100).map(f64::from).collect();
-/// assert_eq!(pairwise_sum(&v), 5050.0);
-/// ```
-#[must_use]
-pub fn pairwise_sum(values: &[f64]) -> f64 {
-    const BASE: usize = 32;
-    if values.len() <= BASE {
-        return values.iter().sum();
-    }
-    let mid = values.len() / 2;
-    pairwise_sum(&values[..mid]) + pairwise_sum(&values[mid..])
-}
-
 /// Compensated sum of squared residuals `Σ (a_i − b_i)²` — the exact shape
 /// of the paper's Eq. 9.
 ///
@@ -139,14 +105,14 @@ mod tests {
 
     #[test]
     fn kahan_extreme_magnitudes() {
-        assert_eq!(compensated_sum(&[1e100, 1.0, -1e100]), 1.0);
-        assert_eq!(compensated_sum(&[1.0, 1e100, 1.0, -1e100]), 2.0);
+        let sum = |v: &[f64]| v.iter().copied().collect::<CompensatedSum>().value();
+        assert_eq!(sum(&[1e100, 1.0, -1e100]), 1.0);
+        assert_eq!(sum(&[1.0, 1e100, 1.0, -1e100]), 2.0);
     }
 
     #[test]
     fn empty_sum_is_zero() {
-        assert_eq!(compensated_sum(&[]), 0.0);
-        assert_eq!(pairwise_sum(&[]), 0.0);
+        assert_eq!(CompensatedSum::new().value(), 0.0);
     }
 
     #[test]
@@ -154,24 +120,6 @@ mod tests {
         let mut s: CompensatedSum = [1.0, 2.0, 3.0].into_iter().collect();
         s.extend([4.0, 5.0]);
         assert_eq!(s.value(), 15.0);
-    }
-
-    #[test]
-    fn pairwise_matches_exact_on_integers() {
-        let v: Vec<f64> = (1..=1000).map(f64::from).collect();
-        assert_eq!(pairwise_sum(&v), 500_500.0);
-    }
-
-    #[test]
-    fn pairwise_beats_naive_on_ill_conditioned() {
-        // Alternating large/small values.
-        let mut v = Vec::new();
-        for i in 0..10_000 {
-            v.push(if i % 2 == 0 { 1e10 } else { 0.123_456_789 });
-        }
-        let exact = 5_000.0 * 1e10 + 5_000.0 * 0.123_456_789;
-        let pw = pairwise_sum(&v);
-        assert!((pw - exact).abs() / exact < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cooperative cancellation and deadlines for the iteration loops.
 //!
-//! Every solver in this crate exposes a `*_with_control` entry point that
-//! threads an [`Control`] through its iteration loop. The loop polls
+//! Every solver in this crate takes a [`Control`] in its one entry point
+//! and threads it through its iteration loop. The loop polls
 //! [`Control::stop_cause`] at well-defined cancellation points — once per
 //! simplex iteration, LM outer/inner step, and multi-start start — and
 //! returns a typed [`OptimError::TimedOut`]/[`OptimError::Cancelled`]
@@ -108,8 +108,8 @@ impl std::fmt::Display for StopCause {
 /// Execution control for one solver call: an optional cancel token plus
 /// an optional wall-clock deadline.
 ///
-/// The default ([`Control::unbounded`]) never stops anything, so legacy
-/// entry points delegate to the `*_with_control` variants at zero cost.
+/// The default ([`Control::unbounded`]) never stops anything, so an
+/// uncontrolled solver call costs only the poll.
 ///
 /// # Examples
 ///

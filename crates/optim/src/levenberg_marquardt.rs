@@ -1,10 +1,10 @@
 //! Levenberg–Marquardt damped least squares.
 //!
-//! Fast local refinement for the paper's Eq. 8 once Nelder–Mead (or a grid
-//! seed) has placed the iterate in the right basin. Uses the Marquardt
-//! scaling `(JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr` with multiplicative damping
-//! adaptation, and a forward-difference Jacobian from
-//! [`crate::problem::forward_jacobian`].
+//! Fast local refinement for the paper's Eq. 8 once Nelder–Mead has placed
+//! the iterate in the right basin. Uses the Marquardt scaling
+//! `(JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr` with multiplicative damping adaptation,
+//! and the problem's analytic Jacobian when it has one, else a
+//! forward-difference Jacobian from [`crate::problem::forward_jacobian`].
 
 use crate::control::Control;
 use crate::problem::{forward_jacobian, LeastSquares};
@@ -77,6 +77,7 @@ impl LmConfig {
 /// ```
 /// use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
 /// use resilience_optim::problem::ClosureLeastSquares;
+/// use resilience_optim::Control;
 ///
 /// // Fit y = a·e^{−b·t} to noiseless data (a = 2, b = 0.3).
 /// let data: Vec<(f64, f64)> = (0..25)
@@ -89,7 +90,7 @@ impl LmConfig {
 ///     }
 /// });
 /// let report = LevenbergMarquardt::new(LmConfig::default())
-///     .minimize(&problem, &[1.0, 0.1])?;
+///     .minimize(&problem, &[1.0, 0.1], &Control::unbounded())?;
 /// assert!((report.params[0] - 2.0).abs() < 1e-8);
 /// assert!((report.params[1] - 0.3).abs() < 1e-8);
 /// # Ok::<(), resilience_optim::OptimError>(())
@@ -106,7 +107,12 @@ impl LevenbergMarquardt {
         LevenbergMarquardt { config }
     }
 
-    /// Minimizes `‖r(θ)‖²` from the starting point `x0`.
+    /// Minimizes `‖r(θ)‖²` from the starting point `x0` under an
+    /// execution [`Control`].
+    ///
+    /// Each outer iteration and each damped inner step is a cooperative
+    /// cancellation point. Pass [`Control::unbounded`] for an uncontrolled
+    /// run.
     ///
     /// # Errors
     ///
@@ -116,24 +122,8 @@ impl LevenbergMarquardt {
     ///   `x0`.
     /// * [`OptimError::Numerical`] when the damped normal equations are
     ///   singular beyond recovery.
+    /// * [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
     pub fn minimize<P: LeastSquares + ?Sized>(
-        &self,
-        problem: &P,
-        x0: &[f64],
-    ) -> Result<OptimReport, OptimError> {
-        self.minimize_with_control(problem, x0, &Control::unbounded())
-    }
-
-    /// [`LevenbergMarquardt::minimize`] under an execution [`Control`].
-    ///
-    /// Each outer iteration and each damped inner step is a cooperative
-    /// cancellation point.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`LevenbergMarquardt::minimize`] returns, plus
-    /// [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
-    pub fn minimize_with_control<P: LeastSquares + ?Sized>(
         &self,
         problem: &P,
         x0: &[f64],
@@ -313,7 +303,7 @@ mod tests {
     fn fits_exponential_decay_exactly() {
         let p = exp_decay_problem(2.0, 0.3, 30);
         let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[1.0, 0.1])
+            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
             .unwrap();
         assert!(r.value < 1e-20, "sse = {}", r.value);
         assert!((r.params[0] - 2.0).abs() < 1e-8);
@@ -330,7 +320,7 @@ mod tests {
             }
         });
         let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[0.0, 0.0])
+            .minimize(&p, &[0.0, 0.0], &Control::unbounded())
             .unwrap();
         assert!(r.value < 1e-18);
         assert!(r.iterations <= 5);
@@ -357,7 +347,7 @@ mod tests {
             }
         });
         let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[1.0, 0.1])
+            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
             .unwrap();
         assert!((r.params[0] - 1.5).abs() < 0.05, "{:?}", r.params);
         assert!((r.params[1] - 0.4).abs() < 0.05);
@@ -367,9 +357,11 @@ mod tests {
     fn rejects_underdetermined_and_mismatched() {
         let p = ClosureLeastSquares::new(3, 2, |_, out| out.fill(0.0));
         let lm = LevenbergMarquardt::new(LmConfig::default());
-        assert!(lm.minimize(&p, &[0.0, 0.0, 0.0]).is_err());
+        assert!(lm
+            .minimize(&p, &[0.0, 0.0, 0.0], &Control::unbounded())
+            .is_err());
         let p2 = ClosureLeastSquares::new(2, 5, |_, out| out.fill(0.0));
-        assert!(lm.minimize(&p2, &[0.0]).is_err());
+        assert!(lm.minimize(&p2, &[0.0], &Control::unbounded()).is_err());
     }
 
     #[test]
@@ -379,7 +371,7 @@ mod tests {
         });
         let lm = LevenbergMarquardt::new(LmConfig::default());
         assert!(matches!(
-            lm.minimize(&p, &[-1.0]),
+            lm.minimize(&p, &[-1.0], &Control::unbounded()),
             Err(OptimError::BadStartingPoint { .. })
         ));
     }
@@ -388,7 +380,7 @@ mod tests {
     fn already_optimal_terminates_quickly() {
         let p = exp_decay_problem(2.0, 0.3, 20);
         let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[2.0, 0.3])
+            .minimize(&p, &[2.0, 0.3], &Control::unbounded())
             .unwrap();
         assert!(r.iterations <= 3);
         assert!(r.value < 1e-20);
@@ -401,7 +393,7 @@ mod tests {
             out.copy_from_slice(&[1.0, -1.0, 0.5]);
         });
         let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[0.0])
+            .minimize(&p, &[0.0], &Control::unbounded())
             .unwrap();
         assert_eq!(r.termination, TerminationReason::Stalled);
         assert!((r.value - 2.25).abs() < 1e-12);
@@ -409,32 +401,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_times_out() {
-        use crate::control::Control;
         use std::time::Duration;
         let p = exp_decay_problem(2.0, 0.3, 30);
         let control = Control::with_deadline(Duration::ZERO);
         assert!(matches!(
-            LevenbergMarquardt::new(LmConfig::default()).minimize_with_control(
-                &p,
-                &[1.0, 0.1],
-                &control
-            ),
+            LevenbergMarquardt::new(LmConfig::default()).minimize(&p, &[1.0, 0.1], &control),
             Err(OptimError::TimedOut { .. })
         ));
-    }
-
-    #[test]
-    fn unbounded_control_matches_plain_minimize() {
-        use crate::control::Control;
-        let p = exp_decay_problem(2.0, 0.3, 30);
-        let lm = LevenbergMarquardt::new(LmConfig::default());
-        let a = lm.minimize(&p, &[1.0, 0.1]).unwrap();
-        let b = lm
-            .minimize_with_control(&p, &[1.0, 0.1], &Control::unbounded())
-            .unwrap();
-        assert_eq!(a.params, b.params);
-        assert_eq!(a.value, b.value);
-        assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]
@@ -445,7 +418,7 @@ mod tests {
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::unbounded().observe(rec.clone());
         let report = LevenbergMarquardt::new(LmConfig::default())
-            .minimize_with_control(&p, &[1.0, 0.1], &control)
+            .minimize(&p, &[1.0, 0.1], &control)
             .unwrap();
         let events = rec.take();
         assert!(events.iter().any(|e| matches!(
@@ -488,7 +461,7 @@ mod tests {
         };
         let p = exp_decay_problem(1.0, 0.1, 5);
         assert!(LevenbergMarquardt::new(bad)
-            .minimize(&p, &[1.0, 0.1])
+            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
             .is_err());
     }
 }

@@ -12,12 +12,13 @@
 //! * [`levenberg_marquardt`] — damped Gauss–Newton for fast local
 //!   refinement of least-squares fits.
 //! * [`scalar`] — golden-section and Brent minimization for 1-D
-//!   subproblems (e.g. profiling a single parameter).
+//!   subproblems (e.g. locating a curve's trough).
 //! * [`bounds`] — smooth parameter transforms (log / logistic) that turn
 //!   box-constrained fitting into unconstrained fitting; this is how the
 //!   quadratic bathtub validity region `−2√(αγ) < β < 0` is enforced.
-//! * [`multi_start`] — grid seeding and multi-start drivers that make the
-//!   nonconvex fits reproducible without hand-tuned initial guesses.
+//! * [`multi_start`] — the multi-start driver that runs Nelder–Mead from
+//!   every starting point, in parallel, and keeps the best result
+//!   bit-identically for every thread count.
 //! * [`parallel`] — a `std`-only scoped thread pool ([`Parallelism`],
 //!   [`parallel::run_indexed`]) whose index-ordered results make parallel
 //!   runs bit-identical to serial ones, plus a panic-isolating variant
@@ -34,6 +35,7 @@
 //!
 //! ```
 //! use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+//! use resilience_optim::Control;
 //!
 //! let data: Vec<(f64, f64)> = (0..20)
 //!     .map(|i| {
@@ -50,7 +52,7 @@
 //!         .sum()
 //! };
 //! let report = NelderMead::new(NelderMeadConfig::default())
-//!     .minimize(&sse, &[1.0, 0.1])?;
+//!     .minimize(&sse, &[1.0, 0.1], &Control::unbounded())?;
 //! assert!((report.params[0] - 3.0).abs() < 1e-4);
 //! assert!((report.params[1] - 0.25).abs() < 1e-4);
 //! # Ok::<(), resilience_optim::OptimError>(())

@@ -1,10 +1,11 @@
-//! Grid seeding and multi-start drivers.
+//! The multi-start Nelder–Mead driver.
 //!
 //! The resilience fits are nonconvex (the mixture SSE surface in
 //! particular has local minima corresponding to "all degradation" or "all
 //! recovery" explanations). The paper does not describe its seeding; we
 //! make fitting deterministic and robust by running the local optimizer
-//! from a small grid or set of starts and keeping the best result.
+//! from each family's data-driven starting points and keeping the best
+//! result.
 
 use crate::control::Control;
 use crate::nelder_mead::{NelderMead, NelderMeadConfig};
@@ -15,154 +16,8 @@ use crate::OptimError;
 use resilience_obs::{replay, Event, HistogramId, RecordingObserver};
 use std::sync::Arc;
 
-/// Generates a full-factorial grid of starting points.
-///
-/// `axes[i]` lists candidate values for coordinate `i`; the output is the
-/// Cartesian product (row-major, first axis slowest).
-///
-/// # Errors
-///
-/// Returns [`OptimError::InvalidConfig`] when any axis is empty or the
-/// grid would exceed `1_000_000` points.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::grid_points;
-/// let grid = grid_points(&[vec![0.0, 1.0], vec![5.0, 6.0, 7.0]])?;
-/// assert_eq!(grid.len(), 6);
-/// assert_eq!(grid[0], vec![0.0, 5.0]);
-/// assert_eq!(grid[5], vec![1.0, 7.0]);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn grid_points(axes: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, OptimError> {
-    if axes.is_empty() {
-        return Err(OptimError::config("grid_points", "no axes given"));
-    }
-    let mut total = 1usize;
-    for (i, axis) in axes.iter().enumerate() {
-        if axis.is_empty() {
-            return Err(OptimError::config(
-                "grid_points",
-                format!("axis {i} is empty"),
-            ));
-        }
-        total = total.saturating_mul(axis.len());
-        if total > 1_000_000 {
-            return Err(OptimError::config(
-                "grid_points",
-                "grid exceeds 1,000,000 points",
-            ));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    let mut idx = vec![0usize; axes.len()];
-    loop {
-        out.push(idx.iter().zip(axes).map(|(&i, a)| a[i]).collect());
-        // Odometer increment, last axis fastest.
-        let mut k = axes.len();
-        loop {
-            if k == 0 {
-                return Ok(out);
-            }
-            k -= 1;
-            idx[k] += 1;
-            if idx[k] < axes[k].len() {
-                break;
-            }
-            idx[k] = 0;
-        }
-    }
-}
-
-/// Linearly spaced values, inclusive of both endpoints.
-///
-/// # Errors
-///
-/// Returns [`OptimError::InvalidConfig`] when `n == 0` or the endpoints
-/// are not finite.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::linspace;
-/// assert_eq!(linspace(0.0, 1.0, 3)?, vec![0.0, 0.5, 1.0]);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Result<Vec<f64>, OptimError> {
-    if n == 0 {
-        return Err(OptimError::config("linspace", "n must be positive"));
-    }
-    if !lo.is_finite() || !hi.is_finite() {
-        return Err(OptimError::config("linspace", "endpoints must be finite"));
-    }
-    if n == 1 {
-        return Ok(vec![0.5 * (lo + hi)]);
-    }
-    let step = (hi - lo) / (n - 1) as f64;
-    Ok((0..n).map(|i| lo + step * i as f64).collect())
-}
-
-/// Runs Nelder–Mead from every start and returns the best report.
-///
-/// Starts whose objective is non-finite are skipped; only if *every*
-/// start fails does this error.
-///
-/// # Errors
-///
-/// * [`OptimError::InvalidConfig`] when `starts` is empty.
-/// * [`OptimError::AllStartsFailed`] when no start produced a finite
-///   optimum.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::multi_start_nelder_mead;
-/// use resilience_optim::nelder_mead::NelderMeadConfig;
-///
-/// // Two-basin objective: global minimum at x = 3, local at x = -2.
-/// let f = |p: &[f64]| {
-///     let x = p[0];
-///     ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
-/// };
-/// let starts = vec![vec![-3.0], vec![0.0], vec![4.0]];
-/// let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default())?;
-/// assert!((best.params[0] - 3.0).abs() < 1e-4);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn multi_start_nelder_mead<F: Objective>(
-    f: &F,
-    starts: &[Vec<f64>],
-    config: &NelderMeadConfig,
-) -> Result<OptimReport, OptimError> {
-    if starts.is_empty() {
-        return Err(OptimError::config(
-            "multi_start_nelder_mead",
-            "no starts given",
-        ));
-    }
-    let optimizer = NelderMead::new(config.clone());
-    let mut best: Option<OptimReport> = None;
-    let mut failures = 0usize;
-    for start in starts {
-        match optimizer.minimize(f, start) {
-            Ok(report) => {
-                let better = match &best {
-                    Some(b) => report.value < b.value,
-                    None => true,
-                };
-                if better {
-                    best = Some(report);
-                }
-            }
-            Err(_) => failures += 1,
-        }
-    }
-    best.ok_or(OptimError::AllStartsFailed { attempts: failures })
-}
-
-/// Parallel [`multi_start_nelder_mead`], bit-identical to the serial
-/// driver for every thread count.
+/// Runs Nelder–Mead from every start and returns the best report,
+/// bit-identically for every thread count.
 ///
 /// Because stateful objectives (e.g. ones carrying reusable scratch
 /// buffers) are rarely `Sync`, this takes an objective *factory*: each
@@ -171,53 +26,9 @@ pub fn multi_start_nelder_mead<F: Objective>(
 ///
 /// Every start is minimized independently; the winner is then reduced in
 /// **start order** with a strict `value <` comparison, so ties keep the
-/// earliest start — exactly the serial driver's first-best-wins rule —
-/// and the result does not depend on scheduling.
-///
-/// # Errors
-///
-/// * [`OptimError::InvalidConfig`] when `starts` is empty.
-/// * [`OptimError::AllStartsFailed`] when no start produced a finite
-///   optimum.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::multi_start_nelder_mead_with;
-/// use resilience_optim::nelder_mead::NelderMeadConfig;
-/// use resilience_optim::Parallelism;
-///
-/// let make = || |p: &[f64]| (p[0] - 3.0_f64).powi(2);
-/// let starts = vec![vec![-2.5], vec![0.5], vec![5.0]];
-/// let best = multi_start_nelder_mead_with(
-///     &make,
-///     &starts,
-///     &NelderMeadConfig::default(),
-///     Parallelism::Auto,
-/// )?;
-/// assert!((best.params[0] - 3.0).abs() < 1e-4);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn multi_start_nelder_mead_with<F, G>(
-    make_objective: &G,
-    starts: &[Vec<f64>],
-    config: &NelderMeadConfig,
-    parallelism: Parallelism,
-) -> Result<OptimReport, OptimError>
-where
-    F: Objective,
-    G: Fn() -> F + Sync,
-{
-    multi_start_nelder_mead_with_control(
-        make_objective,
-        starts,
-        config,
-        parallelism,
-        &Control::unbounded(),
-    )
-}
-
-/// [`multi_start_nelder_mead_with`] under an execution [`Control`].
+/// earliest start and the result does not depend on scheduling. Starts
+/// whose objective is non-finite are skipped; only if *every* start fails
+/// does this error.
 ///
 /// The control is shared by every start: once the deadline passes or the
 /// token fires, in-flight starts stop at their next iteration and pending
@@ -232,7 +43,33 @@ where
 ///   control stopped the run.
 /// * [`OptimError::AllStartsFailed`] when no start produced a finite
 ///   optimum.
-pub fn multi_start_nelder_mead_with_control<F, G>(
+///
+/// # Examples
+///
+/// ```
+/// use resilience_optim::multi_start::multi_start_nelder_mead;
+/// use resilience_optim::nelder_mead::NelderMeadConfig;
+/// use resilience_optim::{Control, Parallelism};
+///
+/// // Two-basin objective: global minimum at x = 3, local at x = -2.
+/// let make = || {
+///     |p: &[f64]| {
+///         let x = p[0];
+///         ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
+///     }
+/// };
+/// let starts = vec![vec![-3.0], vec![0.0], vec![4.0]];
+/// let best = multi_start_nelder_mead(
+///     &make,
+///     &starts,
+///     &NelderMeadConfig::default(),
+///     Parallelism::Auto,
+///     &Control::unbounded(),
+/// )?;
+/// assert!((best.params[0] - 3.0).abs() < 1e-4);
+/// # Ok::<(), resilience_optim::OptimError>(())
+/// ```
+pub fn multi_start_nelder_mead<F, G>(
     make_objective: &G,
     starts: &[Vec<f64>],
     config: &NelderMeadConfig,
@@ -260,7 +97,7 @@ where
             let rec = Arc::new(RecordingObserver::new());
             let sub = control.with_observer(rec.clone());
             sub.emit(Event::StartBegan { index: i as u32 });
-            let result = optimizer.minimize_with_control(&f, &starts[i], &sub);
+            let result = optimizer.minimize(&f, &starts[i], &sub);
             if let Ok(report) = &result {
                 sub.emit(Event::Hist {
                     id: HistogramId::EvalsPerStart,
@@ -273,10 +110,7 @@ where
             }
             (result, Some(rec.take()))
         } else {
-            (
-                optimizer.minimize_with_control(&f, &starts[i], control),
-                None,
-            )
+            (optimizer.minimize(&f, &starts[i], control), None)
         }
     });
     // Replay every buffer before the reduction: a stopped run propagates a
@@ -315,39 +149,42 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn grid_cartesian_product() {
-        let g = grid_points(&[vec![1.0, 2.0], vec![10.0]]).unwrap();
-        assert_eq!(g, vec![vec![1.0, 10.0], vec![2.0, 10.0]]);
+    /// The serial driver: every start in order, first strictly better value
+    /// wins. An independent implementation that the production driver must
+    /// match bit for bit at every thread count.
+    fn serial_oracle<F: Objective>(
+        f: &F,
+        starts: &[Vec<f64>],
+        config: &NelderMeadConfig,
+    ) -> Result<OptimReport, OptimError> {
+        let optimizer = NelderMead::new(config.clone());
+        let mut best: Option<OptimReport> = None;
+        let mut failures = 0usize;
+        for start in starts {
+            match optimizer.minimize(f, start, &Control::unbounded()) {
+                Ok(report) => {
+                    if best.as_ref().is_none_or(|b| report.value < b.value) {
+                        best = Some(report);
+                    }
+                }
+                Err(_) => failures += 1,
+            }
+        }
+        best.ok_or(OptimError::AllStartsFailed { attempts: failures })
     }
 
-    #[test]
-    fn grid_rejects_bad_axes() {
-        assert!(grid_points(&[]).is_err());
-        assert!(grid_points(&[vec![], vec![1.0]]).is_err());
-        // 101^3 > 1e6
-        let big = vec![linspace(0.0, 1.0, 101).unwrap(); 3];
-        assert!(grid_points(&big).is_err());
-    }
-
-    #[test]
-    fn grid_three_axes_count_and_order() {
-        let g = grid_points(&[vec![0.0, 1.0], vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
-        assert_eq!(g.len(), 8);
-        assert_eq!(g[0], vec![0.0, 0.0, 0.0]);
-        assert_eq!(g[1], vec![0.0, 0.0, 1.0]); // last axis fastest
-        assert_eq!(g[7], vec![1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn linspace_basics() {
-        assert_eq!(
-            linspace(0.0, 10.0, 5).unwrap(),
-            vec![0.0, 2.5, 5.0, 7.5, 10.0]
-        );
-        assert_eq!(linspace(1.0, 3.0, 1).unwrap(), vec![2.0]);
-        assert!(linspace(0.0, 1.0, 0).is_err());
-        assert!(linspace(f64::NAN, 1.0, 2).is_err());
+    /// The production driver, serial and unbounded.
+    fn serial<F: Objective + Copy + Sync>(
+        f: F,
+        starts: &[Vec<f64>],
+    ) -> Result<OptimReport, OptimError> {
+        multi_start_nelder_mead(
+            &|| f,
+            starts,
+            &NelderMeadConfig::default(),
+            Parallelism::Serial,
+            &Control::unbounded(),
+        )
     }
 
     #[test]
@@ -360,12 +197,12 @@ mod tests {
         };
         // A single start near the wrong basin converges locally…
         let local = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[-2.5])
+            .minimize(&f, &[-2.5], &Control::unbounded())
             .unwrap();
         assert!((local.params[0] + 2.0).abs() < 0.2);
         // …but multi-start finds the global one.
         let starts = vec![vec![-2.5], vec![0.5], vec![5.0]];
-        let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()).unwrap();
+        let best = serial(f, &starts).unwrap();
         assert!((best.params[0] - 3.0).abs() < 1e-3);
     }
 
@@ -379,7 +216,7 @@ mod tests {
             }
         };
         let starts = vec![vec![-5.0], vec![2.0]];
-        let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()).unwrap();
+        let best = serial(f, &starts).unwrap();
         assert!((best.params[0] - 1.0).abs() < 1e-5);
     }
 
@@ -388,7 +225,7 @@ mod tests {
         let f = |_: &[f64]| f64::NAN;
         let starts = vec![vec![0.0], vec![1.0]];
         assert!(matches!(
-            multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()),
+            serial(f, &starts),
             Err(OptimError::AllStartsFailed { attempts: 2 })
         ));
     }
@@ -396,7 +233,7 @@ mod tests {
     #[test]
     fn multi_start_rejects_empty() {
         let f = |p: &[f64]| p[0];
-        assert!(multi_start_nelder_mead(&f, &[], &NelderMeadConfig::default()).is_err());
+        assert!(serial(f, &[]).is_err());
     }
 
     #[test]
@@ -410,7 +247,7 @@ mod tests {
             .map(|i| vec![f64::from(i) - 4.0, 0.3 * f64::from(i)])
             .collect();
         let cfg = NelderMeadConfig::default();
-        let serial = multi_start_nelder_mead(&f, &starts, &cfg).unwrap();
+        let serial = serial_oracle(&f, &starts, &cfg).unwrap();
         for p in [
             Parallelism::Serial,
             Parallelism::Fixed(1),
@@ -418,7 +255,8 @@ mod tests {
             Parallelism::Fixed(4),
             Parallelism::Auto,
         ] {
-            let par = multi_start_nelder_mead_with(&|| f, &starts, &cfg, p).unwrap();
+            let par =
+                multi_start_nelder_mead(&|| f, &starts, &cfg, p, &Control::unbounded()).unwrap();
             assert_eq!(par.params, serial.params, "{p:?}");
             assert_eq!(par.value, serial.value, "{p:?}");
             assert_eq!(par.evaluations, serial.evaluations, "{p:?}");
@@ -436,9 +274,14 @@ mod tests {
             Parallelism::Fixed(2),
             Parallelism::Fixed(4),
         ] {
-            let best =
-                multi_start_nelder_mead_with(&|| f, &starts, &NelderMeadConfig::default(), p)
-                    .unwrap();
+            let best = multi_start_nelder_mead(
+                &|| f,
+                &starts,
+                &NelderMeadConfig::default(),
+                p,
+                &Control::unbounded(),
+            )
+            .unwrap();
             assert!(best.params[0] > 0.0, "{p:?}: {:?}", best.params);
         }
     }
@@ -448,11 +291,12 @@ mod tests {
         let make = || |_: &[f64]| f64::NAN;
         let starts = vec![vec![0.0], vec![1.0], vec![2.0]];
         assert!(matches!(
-            multi_start_nelder_mead_with(
+            multi_start_nelder_mead(
                 &make,
                 &starts,
                 &NelderMeadConfig::default(),
-                Parallelism::Fixed(2)
+                Parallelism::Fixed(2),
+                &Control::unbounded(),
             ),
             Err(OptimError::AllStartsFailed { attempts: 3 })
         ));
@@ -460,20 +304,13 @@ mod tests {
 
     #[test]
     fn stopped_multi_start_reports_timeout_not_all_starts_failed() {
-        use crate::control::Control;
         use std::time::Duration;
         let make = || |p: &[f64]| (p[0] - 1.0).powi(2);
         let starts = vec![vec![0.0], vec![5.0], vec![-3.0]];
         let control = Control::with_deadline(Duration::ZERO);
         for p in [Parallelism::Serial, Parallelism::Fixed(2)] {
             assert!(matches!(
-                multi_start_nelder_mead_with_control(
-                    &make,
-                    &starts,
-                    &NelderMeadConfig::default(),
-                    p,
-                    &control
-                ),
+                multi_start_nelder_mead(&make, &starts, &NelderMeadConfig::default(), p, &control),
                 Err(OptimError::TimedOut { .. })
             ));
         }
@@ -481,7 +318,6 @@ mod tests {
 
     #[test]
     fn event_logs_are_identical_across_thread_counts() {
-        use crate::control::Control;
         let make = || {
             |p: &[f64]| {
                 let x = p[0];
@@ -493,8 +329,7 @@ mod tests {
         let trace = |parallelism: Parallelism| {
             let rec = Arc::new(RecordingObserver::new());
             let control = Control::unbounded().observe(rec.clone());
-            multi_start_nelder_mead_with_control(&make, &starts, &cfg, parallelism, &control)
-                .unwrap();
+            multi_start_nelder_mead(&make, &starts, &cfg, parallelism, &control).unwrap();
             rec.take()
         };
         let serial = trace(Parallelism::Serial);
@@ -519,14 +354,13 @@ mod tests {
 
     #[test]
     fn stopped_run_still_replays_its_stop_events() {
-        use crate::control::Control;
         use resilience_obs::StopKind;
         use std::time::Duration;
         let make = || |p: &[f64]| (p[0] - 1.0).powi(2);
         let starts = vec![vec![0.0], vec![5.0]];
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::with_deadline(Duration::ZERO).observe(rec.clone());
-        let result = multi_start_nelder_mead_with_control(
+        let result = multi_start_nelder_mead(
             &make,
             &starts,
             &NelderMeadConfig::default(),
@@ -558,11 +392,12 @@ mod tests {
             }
         };
         let starts = vec![vec![0.0], vec![4.0], vec![9.0]];
-        let best = multi_start_nelder_mead_with(
+        let best = multi_start_nelder_mead(
             &make,
             &starts,
             &NelderMeadConfig::default(),
             Parallelism::Fixed(3),
+            &Control::unbounded(),
         )
         .unwrap();
         assert!((best.params[0] - 2.0).abs() < 1e-5);

@@ -90,13 +90,14 @@ impl NelderMeadConfig {
 ///
 /// ```
 /// use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+/// use resilience_optim::Control;
 /// // Rosenbrock's banana.
 /// let f = |p: &[f64]| (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2);
 /// let report = NelderMead::new(NelderMeadConfig {
 ///     max_iterations: 5000,
 ///     ..NelderMeadConfig::default()
 /// })
-/// .minimize(&f, &[-1.2, 1.0])?;
+/// .minimize(&f, &[-1.2, 1.0], &Control::unbounded())?;
 /// assert!((report.params[0] - 1.0).abs() < 1e-4);
 /// # Ok::<(), resilience_optim::OptimError>(())
 /// ```
@@ -112,7 +113,7 @@ impl NelderMead {
         NelderMead { config }
     }
 
-    /// Minimizes `f` starting from `x0`.
+    /// Minimizes `f` starting from `x0` under an execution [`Control`].
     ///
     /// Non-finite objective values are treated as `+∞` (the simplex moves
     /// away from them); only a non-finite value at `x0` itself is an
@@ -121,26 +122,18 @@ impl NelderMead {
     /// with a vectorized batch path are amortized automatically; plain
     /// closures work unchanged.
     ///
+    /// The iteration loop (and the initial simplex) is a cooperative
+    /// cancellation point: when the control's deadline passes or its token
+    /// fires, the run stops within one iteration and returns a typed error
+    /// instead of its best-so-far point. Pass [`Control::unbounded`] for an
+    /// uncontrolled run.
+    ///
     /// # Errors
     ///
     /// * [`OptimError::InvalidConfig`] for bad configuration or empty `x0`.
     /// * [`OptimError::BadStartingPoint`] when `f(x0)` is non-finite.
-    pub fn minimize<F: Objective>(&self, f: &F, x0: &[f64]) -> Result<OptimReport, OptimError> {
-        self.minimize_with_control(f, x0, &Control::unbounded())
-    }
-
-    /// [`NelderMead::minimize`] under an execution [`Control`].
-    ///
-    /// The iteration loop (and each vertex of the initial simplex) is a
-    /// cooperative cancellation point: when the control's deadline passes
-    /// or its token fires, the run stops within one iteration and returns
-    /// a typed error instead of its best-so-far point.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`NelderMead::minimize`] returns, plus
-    /// [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
-    pub fn minimize_with_control<F: Objective>(
+    /// * [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
+    pub fn minimize<F: Objective>(
         &self,
         f: &F,
         x0: &[f64],
@@ -356,7 +349,7 @@ mod tests {
     #[test]
     fn minimizes_sphere() {
         let r = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&sphere, &[3.0, -4.0, 5.0])
+            .minimize(&sphere, &[3.0, -4.0, 5.0], &Control::unbounded())
             .unwrap();
         assert!(r.converged());
         assert!(r.value < 1e-10);
@@ -372,7 +365,7 @@ mod tests {
             max_iterations: 10_000,
             ..NelderMeadConfig::default()
         })
-        .minimize(&f, &[-1.2, 1.0])
+        .minimize(&f, &[-1.2, 1.0], &Control::unbounded())
         .unwrap();
         assert!((r.params[0] - 1.0).abs() < 1e-4, "{:?}", r.params);
         assert!((r.params[1] - 1.0).abs() < 1e-4);
@@ -382,7 +375,7 @@ mod tests {
     fn one_dimensional_works() {
         let f = |p: &[f64]| (p[0] - 7.0).powi(2) + 2.0;
         let r = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[0.0])
+            .minimize(&f, &[0.0], &Control::unbounded())
             .unwrap();
         assert!((r.params[0] - 7.0).abs() < 1e-5);
         assert!((r.value - 2.0).abs() < 1e-9);
@@ -399,7 +392,7 @@ mod tests {
             }
         };
         let r = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[0.5])
+            .minimize(&f, &[0.5], &Control::unbounded())
             .unwrap();
         assert!((r.params[0] - 1.0).abs() < 1e-5);
     }
@@ -408,7 +401,11 @@ mod tests {
     fn rejects_bad_start() {
         let f = |_: &[f64]| f64::NAN;
         assert!(matches!(
-            NelderMead::new(NelderMeadConfig::default()).minimize(&f, &[0.0]),
+            NelderMead::new(NelderMeadConfig::default()).minimize(
+                &f,
+                &[0.0],
+                &Control::unbounded()
+            ),
             Err(OptimError::BadStartingPoint { .. })
         ));
     }
@@ -417,18 +414,22 @@ mod tests {
     fn rejects_empty_start_and_bad_config() {
         let f = sphere;
         assert!(NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[])
+            .minimize(&f, &[], &Control::unbounded())
             .is_err());
         let bad = NelderMeadConfig {
             f_tol: 0.0,
             ..NelderMeadConfig::default()
         };
-        assert!(NelderMead::new(bad).minimize(&f, &[1.0]).is_err());
+        assert!(NelderMead::new(bad)
+            .minimize(&f, &[1.0], &Control::unbounded())
+            .is_err());
         let bad2 = NelderMeadConfig {
             max_iterations: 0,
             ..NelderMeadConfig::default()
         };
-        assert!(NelderMead::new(bad2).minimize(&f, &[1.0]).is_err());
+        assert!(NelderMead::new(bad2)
+            .minimize(&f, &[1.0], &Control::unbounded())
+            .is_err());
     }
 
     #[test]
@@ -438,7 +439,7 @@ mod tests {
             max_iterations: 2,
             ..NelderMeadConfig::default()
         })
-        .minimize(&f, &[100.0])
+        .minimize(&f, &[100.0], &Control::unbounded())
         .unwrap();
         assert_eq!(r.termination, TerminationReason::MaxIterations);
         assert_eq!(r.iterations, 2);
@@ -447,7 +448,7 @@ mod tests {
     #[test]
     fn evaluation_count_is_tracked() {
         let r = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&sphere, &[1.0, 1.0])
+            .minimize(&sphere, &[1.0, 1.0], &Control::unbounded())
             .unwrap();
         assert!(r.evaluations >= r.iterations);
     }
@@ -456,7 +457,7 @@ mod tests {
     fn flat_objective_converges_immediately() {
         let f = |_: &[f64]| 5.0;
         let r = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[1.0, 2.0])
+            .minimize(&f, &[1.0, 2.0], &Control::unbounded())
             .unwrap();
         assert!(r.converged());
         assert_eq!(r.value, 5.0);
@@ -464,7 +465,6 @@ mod tests {
 
     #[test]
     fn expired_deadline_times_out_instead_of_iterating() {
-        use crate::control::Control;
         use std::time::Duration;
         // A slow objective (~50 µs/eval) with a huge budget: an already
         // expired deadline must cut the run off almost immediately.
@@ -481,39 +481,21 @@ mod tests {
         });
         let control = Control::with_deadline(Duration::ZERO);
         assert!(matches!(
-            nm.minimize_with_control(&f, &[100.0], &control),
+            nm.minimize(&f, &[100.0], &control),
             Err(OptimError::TimedOut { .. })
         ));
     }
 
     #[test]
     fn cancel_token_stops_the_run() {
-        use crate::control::{CancelToken, Control};
+        use crate::control::CancelToken;
         let token = CancelToken::new();
         token.cancel();
         let control = Control::with_token(&token);
         assert!(matches!(
-            NelderMead::new(NelderMeadConfig::default()).minimize_with_control(
-                &sphere,
-                &[3.0, -4.0],
-                &control
-            ),
+            NelderMead::new(NelderMeadConfig::default()).minimize(&sphere, &[3.0, -4.0], &control),
             Err(OptimError::Cancelled { .. })
         ));
-    }
-
-    #[test]
-    fn unbounded_control_is_bit_identical_to_plain_minimize() {
-        use crate::control::Control;
-        let plain = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&sphere, &[3.0, -4.0, 5.0])
-            .unwrap();
-        let controlled = NelderMead::new(NelderMeadConfig::default())
-            .minimize_with_control(&sphere, &[3.0, -4.0, 5.0], &Control::unbounded())
-            .unwrap();
-        assert_eq!(plain.params, controlled.params);
-        assert_eq!(plain.value, controlled.value);
-        assert_eq!(plain.evaluations, controlled.evaluations);
     }
 
     #[test]
@@ -523,7 +505,7 @@ mod tests {
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::unbounded().observe(rec.clone());
         let report = NelderMead::new(NelderMeadConfig::default())
-            .minimize_with_control(&sphere, &[3.0, -4.0], &control)
+            .minimize(&sphere, &[3.0, -4.0], &control)
             .unwrap();
         let events = rec.take();
 
@@ -595,11 +577,11 @@ mod tests {
         use resilience_obs::RecordingObserver;
         use std::sync::Arc;
         let plain = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&sphere, &[3.0, -4.0])
+            .minimize(&sphere, &[3.0, -4.0], &Control::unbounded())
             .unwrap();
         let control = Control::unbounded().observe(Arc::new(RecordingObserver::new()));
         let traced = NelderMead::new(NelderMeadConfig::default())
-            .minimize_with_control(&sphere, &[3.0, -4.0], &control)
+            .minimize(&sphere, &[3.0, -4.0], &control)
             .unwrap();
         assert_eq!(plain, traced);
     }
@@ -612,7 +594,7 @@ mod tests {
             max_iterations: 20_000,
             ..NelderMeadConfig::default()
         })
-        .minimize(&f, &[9e3, 2e-4])
+        .minimize(&f, &[9e3, 2e-4], &Control::unbounded())
         .unwrap();
         assert!(r.value < 1e-6, "value = {}", r.value);
     }

@@ -1,9 +1,12 @@
 //! One-dimensional minimization: golden-section and Brent's parabolic
 //! method.
 //!
-//! Used to profile single parameters (e.g. sweeping the mixture trend
-//! coefficient β with other parameters fixed) and to locate curve troughs
-//! when the analytic minimum is unavailable.
+//! Golden-section locates a fitted curve's trough when the model has no
+//! analytic minimum (`ResilienceModel::trough_time` in `resilience-core`),
+//! and the fit tests use it as the reference search over the mixtures'
+//! ln β, which the fit itself solves in closed form. Brent's method is the
+//! faster scalar minimizer for a future 1-D profile search, such as the
+//! Competing Risks ln β.
 
 use crate::OptimError;
 

@@ -155,86 +155,6 @@ pub fn median(values: &[f64]) -> Result<f64, StatsError> {
     quantile(values, 0.5)
 }
 
-/// Sample skewness (adjusted Fisher–Pearson, `g1` with bias correction).
-///
-/// # Errors
-///
-/// Returns [`StatsError::NotEnoughData`] when fewer than three
-/// observations are given, and [`StatsError::InvalidParameter`] when the
-/// variance is zero.
-pub fn skewness(values: &[f64]) -> Result<f64, StatsError> {
-    let n = values.len();
-    if n < 3 {
-        return Err(StatsError::NotEnoughData {
-            what: "skewness",
-            needed: 3,
-            got: n,
-        });
-    }
-    let m = mean(values)?;
-    let mut m2 = 0.0;
-    let mut m3 = 0.0;
-    for &v in values {
-        let d = v - m;
-        m2 += d * d;
-        m3 += d * d * d;
-    }
-    m2 /= n as f64;
-    m3 /= n as f64;
-    if m2 == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            what: "skewness",
-            param: "variance",
-            value: 0.0,
-            constraint: "variance > 0",
-        });
-    }
-    let g1 = m3 / m2.powf(1.5);
-    let nf = n as f64;
-    Ok(g1 * (nf * (nf - 1.0)).sqrt() / (nf - 2.0))
-}
-
-/// Sample excess kurtosis (bias-corrected), 0 for a normal population.
-///
-/// # Errors
-///
-/// Returns [`StatsError::NotEnoughData`] when fewer than four
-/// observations are given, and [`StatsError::InvalidParameter`] when the
-/// variance is zero.
-pub fn excess_kurtosis(values: &[f64]) -> Result<f64, StatsError> {
-    let n = values.len();
-    if n < 4 {
-        return Err(StatsError::NotEnoughData {
-            what: "excess_kurtosis",
-            needed: 4,
-            got: n,
-        });
-    }
-    let m = mean(values)?;
-    let mut m2 = 0.0;
-    let mut m4 = 0.0;
-    for &v in values {
-        let d = v - m;
-        let d2 = d * d;
-        m2 += d2;
-        m4 += d2 * d2;
-    }
-    let nf = n as f64;
-    m2 /= nf;
-    m4 /= nf;
-    if m2 == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            what: "excess_kurtosis",
-            param: "variance",
-            value: 0.0,
-            constraint: "variance > 0",
-        });
-    }
-    // Bias-corrected excess kurtosis (the standard G2 estimator).
-    let g2 = m4 / (m2 * m2) - 3.0;
-    Ok(((nf - 1.0) / ((nf - 2.0) * (nf - 3.0))) * ((nf + 1.0) * g2 + 6.0))
-}
-
 /// Lag-`k` sample autocorrelation.
 ///
 /// Useful for inspecting residual structure after a model fit (white
@@ -270,37 +190,6 @@ pub fn autocorrelation(values: &[f64], k: usize) -> Result<f64, StatsError> {
         });
     }
     Ok(num / den)
-}
-
-/// Minimum and maximum, ignoring nothing (NaN rejected).
-///
-/// # Errors
-///
-/// * [`StatsError::NotEnoughData`] for an empty slice.
-/// * [`StatsError::InvalidParameter`] when the data contain NaN.
-pub fn min_max(values: &[f64]) -> Result<(f64, f64), StatsError> {
-    if values.is_empty() {
-        return Err(StatsError::NotEnoughData {
-            what: "min_max",
-            needed: 1,
-            got: 0,
-        });
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in values {
-        if v.is_nan() {
-            return Err(StatsError::InvalidParameter {
-                what: "min_max",
-                param: "values",
-                value: f64::NAN,
-                constraint: "no NaN values",
-            });
-        }
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    Ok((lo, hi))
 }
 
 #[cfg(test)]
@@ -363,40 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn skewness_signs() {
-        // Right-skewed data has positive skewness.
-        let right = [1.0, 1.0, 1.0, 2.0, 2.0, 10.0];
-        assert!(skewness(&right).unwrap() > 0.0);
-        let left = [-10.0, -2.0, -2.0, -1.0, -1.0, -1.0];
-        assert!(skewness(&left).unwrap() < 0.0);
-        // Symmetric data ~ 0.
-        let sym = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(skewness(&sym).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn skewness_rejects_constant_and_short() {
-        assert!(skewness(&[1.0, 2.0]).is_err());
-        assert!(skewness(&[3.0, 3.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn kurtosis_signs() {
-        // Heavy-tailed data (outliers) ⇒ positive excess kurtosis.
-        let heavy = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0, -10.0];
-        assert!(excess_kurtosis(&heavy).unwrap() > 1.0);
-        // A uniform-ish spread is platykurtic (negative excess).
-        let flat: Vec<f64> = (0..20).map(f64::from).collect();
-        assert!(excess_kurtosis(&flat).unwrap() < 0.0);
-    }
-
-    #[test]
-    fn kurtosis_rejects_degenerate() {
-        assert!(excess_kurtosis(&[1.0, 2.0, 3.0]).is_err());
-        assert!(excess_kurtosis(&[2.0, 2.0, 2.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn autocorrelation_of_alternating_series() {
         let v = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
         let r1 = autocorrelation(&v, 1).unwrap();
@@ -418,12 +273,5 @@ mod tests {
     fn autocorrelation_errors() {
         assert!(autocorrelation(&[1.0, 2.0], 1).is_err());
         assert!(autocorrelation(&[2.0, 2.0, 2.0, 2.0], 1).is_err());
-    }
-
-    #[test]
-    fn min_max_basic() {
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]).unwrap(), (-1.0, 3.0));
-        assert!(min_max(&[]).is_err());
-        assert!(min_max(&[1.0, f64::NAN]).is_err());
     }
 }

@@ -4,10 +4,8 @@ use crate::StatsError;
 
 /// An empirical CDF built from a sample.
 ///
-/// Used by the test suite to validate samplers against their parent
-/// distributions (Kolmogorov–Smirnov-style checks) and available to users
-/// who want a nonparametric degradation/recovery component in the mixture
-/// model.
+/// The residual diagnostics in `resilience-core` use it for their
+/// Kolmogorov–Smirnov normality check.
 ///
 /// # Examples
 ///

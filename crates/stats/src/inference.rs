@@ -2,14 +2,11 @@
 //!
 //! The paper's confidence band (its Eq. 12–13) is
 //! `ΔP(t_i) ± z_{1−α/2}·σ` with `σ² = SSE/(n−2)`; this module supplies the
-//! critical values and a reusable symmetric-interval helper. Student-t
-//! critical values are also provided for small-sample users, along with a
-//! nonparametric bootstrap percentile interval (an extension the paper
-//! lists as future work).
+//! normal critical value, a reusable symmetric-interval helper, the
+//! empirical coverage of a set of intervals, and the Kolmogorov–Smirnov
+//! p-value the residual diagnostics use.
 
 use crate::{ContinuousDistribution, Normal, StatsError};
-use resilience_math::roots;
-use resilience_math::special::reg_inc_beta;
 
 /// Two-sided standard-normal critical value `z_{1−α/2}`.
 ///
@@ -33,63 +30,6 @@ pub fn z_critical(alpha: f64) -> Result<f64, StatsError> {
         });
     }
     Normal::standard().quantile(1.0 - alpha / 2.0)
-}
-
-/// CDF of Student's t distribution with `nu` degrees of freedom.
-///
-/// Evaluated through the regularized incomplete beta function.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] unless `nu > 0`.
-pub fn t_cdf(x: f64, nu: f64) -> Result<f64, StatsError> {
-    if !(nu > 0.0) || !nu.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            what: "t_cdf",
-            param: "nu",
-            value: nu,
-            constraint: "nu > 0 and finite",
-        });
-    }
-    if x == 0.0 {
-        return Ok(0.5);
-    }
-    let z = nu / (nu + x * x);
-    let half_tail = 0.5 * reg_inc_beta(z, nu / 2.0, 0.5)?;
-    Ok(if x > 0.0 { 1.0 - half_tail } else { half_tail })
-}
-
-/// Two-sided Student-t critical value `t_{1−α/2, ν}`.
-///
-/// # Errors
-///
-/// * [`StatsError::InvalidProbability`] unless `alpha ∈ (0, 1)`.
-/// * [`StatsError::InvalidParameter`] unless `nu > 0`.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_stats::inference::t_critical;
-/// // t_{0.975, 10} = 2.228138852
-/// let t = t_critical(0.05, 10.0)?;
-/// assert!((t - 2.228138852).abs() < 1e-6);
-/// # Ok::<(), resilience_stats::StatsError>(())
-/// ```
-pub fn t_critical(alpha: f64, nu: f64) -> Result<f64, StatsError> {
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(StatsError::InvalidProbability {
-            what: "t_critical",
-            value: alpha,
-        });
-    }
-    let target = 1.0 - alpha / 2.0;
-    // t quantile via root finding: monotone CDF, bracket from the normal
-    // quantile (t is heavier-tailed, so the t critical value is larger).
-    let z = z_critical(alpha)?;
-    let f = |x: f64| t_cdf(x, nu).unwrap_or(f64::NAN) - target;
-    let hi = (z * 10.0).max(10.0);
-    let root = roots::brent(f, 0.0, hi, 1e-12, 200)?;
-    Ok(root.x)
 }
 
 /// A symmetric confidence interval `center ± half_width`.
@@ -168,38 +108,6 @@ pub fn normal_interval(
         center,
         half_width: z * sigma,
     })
-}
-
-/// Percentile bootstrap interval from resampled statistics.
-///
-/// Given the statistic evaluated on `resamples`, returns the
-/// `[α/2, 1−α/2]` percentile interval. This is the nonparametric
-/// alternative to Eq. 13 listed as an extension in DESIGN.md §5.
-///
-/// # Errors
-///
-/// * [`StatsError::NotEnoughData`] when fewer than 10 resamples are given.
-/// * [`StatsError::InvalidProbability`] unless `alpha ∈ (0, 1)`.
-pub fn bootstrap_percentile_interval(
-    resamples: &[f64],
-    alpha: f64,
-) -> Result<(f64, f64), StatsError> {
-    if resamples.len() < 10 {
-        return Err(StatsError::NotEnoughData {
-            what: "bootstrap_percentile_interval",
-            needed: 10,
-            got: resamples.len(),
-        });
-    }
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(StatsError::InvalidProbability {
-            what: "bootstrap_percentile_interval",
-            value: alpha,
-        });
-    }
-    let lo = crate::describe::quantile(resamples, alpha / 2.0)?;
-    let hi = crate::describe::quantile(resamples, 1.0 - alpha / 2.0)?;
-    Ok((lo, hi))
 }
 
 /// Asymptotic p-value of the one-sample Kolmogorov–Smirnov statistic:
@@ -303,39 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn t_cdf_symmetry_and_center() {
-        assert_eq!(t_cdf(0.0, 5.0).unwrap(), 0.5);
-        let p = t_cdf(1.3, 7.0).unwrap();
-        let q = t_cdf(-1.3, 7.0).unwrap();
-        assert!((p + q - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn t_cdf_approaches_normal_for_large_nu() {
-        let n = Normal::standard();
-        for &x in &[-2.0, -0.5, 0.7, 1.96] {
-            let t = t_cdf(x, 1e6).unwrap();
-            assert!((t - n.cdf(x)).abs() < 1e-5, "x = {x}");
-        }
-    }
-
-    #[test]
-    fn t_critical_reference_values() {
-        // Classic table values.
-        assert!((t_critical(0.05, 1.0).unwrap() - 12.706_204_736).abs() < 1e-4);
-        assert!((t_critical(0.05, 10.0).unwrap() - 2.228_138_852).abs() < 1e-6);
-        assert!((t_critical(0.05, 30.0).unwrap() - 2.042_272_456).abs() < 1e-6);
-    }
-
-    #[test]
-    fn t_critical_larger_than_z() {
-        let z = z_critical(0.05).unwrap();
-        for &nu in &[2.0, 5.0, 20.0, 100.0] {
-            assert!(t_critical(0.05, nu).unwrap() > z, "nu = {nu}");
-        }
-    }
-
-    #[test]
     fn confidence_interval_geometry() {
         let ci = ConfidenceInterval {
             center: 1.0,
@@ -355,15 +230,6 @@ mod tests {
         let wide = normal_interval(0.0, 0.2, 0.05).unwrap();
         assert!((wide.half_width - 2.0 * narrow.half_width).abs() < 1e-12);
         assert!(normal_interval(0.0, -1.0, 0.05).is_err());
-    }
-
-    #[test]
-    fn bootstrap_interval_brackets_center() {
-        let resamples: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let (lo, hi) = bootstrap_percentile_interval(&resamples, 0.05).unwrap();
-        assert!((lo - 0.025).abs() < 0.01);
-        assert!((hi - 0.975).abs() < 0.01);
-        assert!(bootstrap_percentile_interval(&resamples[..5], 0.05).is_err());
     }
 
     #[test]

@@ -10,17 +10,15 @@
 //! * [`distribution`] — the [`ContinuousDistribution`] trait: densities,
 //!   CDFs, survival and hazard functions, quantiles, and moments.
 //! * Concrete distributions: [`Exponential`], [`Weibull`], [`Normal`],
-//!   [`Uniform`], and [`Hjorth`] (the competing-risks distribution
-//!   behind the paper's bathtub model).
+//!   and [`Hjorth`] (the competing-risks distribution behind the paper's
+//!   bathtub model).
 //! * [`empirical`] — empirical CDFs from samples.
 //! * [`describe`] — descriptive statistics (means, variances, quantiles,
 //!   autocorrelation).
-//! * [`inference`] — normal and Student-t critical values, confidence
-//!   interval helpers.
-//! * [`ols`] — simple ordinary least squares for diagnostics.
+//! * [`inference`] — normal critical values, confidence-interval helpers,
+//!   empirical coverage and the Kolmogorov–Smirnov p-value.
 //! * [`rng`] — the workspace's canonical deterministic PRNG
 //!   ([`XorShift64`], [`SplitMix64`], the [`RandomSource`] trait).
-//! * [`sample`] — inverse-transform sampling over any [`RandomSource`].
 //!
 //! # Examples
 //!
@@ -45,14 +43,11 @@ pub mod distribution;
 pub mod empirical;
 pub mod error;
 pub mod inference;
-pub mod ols;
 pub mod rng;
-pub mod sample;
 
 mod exponential;
 mod hjorth;
 mod normal;
-mod uniform;
 mod weibull;
 
 pub use distribution::ContinuousDistribution;
@@ -62,5 +57,4 @@ pub use exponential::Exponential;
 pub use hjorth::Hjorth;
 pub use normal::Normal;
 pub use rng::{RandomSource, SplitMix64, XorShift64};
-pub use uniform::Uniform;
 pub use weibull::Weibull;

@@ -107,6 +107,14 @@ timeout -k 30 "$SMOKE_TIMEOUT" \
     exit 1
 }
 
+echo "==> perf: the repository benchmark's own tests (hard cap ${SMOKE_TIMEOUT}s)"
+# perf/ is a workspace of its own, so the steps above never compile it.
+# Building it here catches a change under crates/ that breaks one of its
+# imports; its contract test runs the binary and checks that the fail
+# shares and exact counts repeat.
+timeout -k 30 "$SMOKE_TIMEOUT" \
+    cargo test --release --offline -q --manifest-path perf/Cargo.toml
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 

@@ -12,6 +12,7 @@ use resilience_core::mixture::{ComponentKind, MixtureModel, Trend};
 use resilience_core::model::{ModelFamily, ResilienceModel};
 use resilience_data::csv::{read_series, write_series};
 use resilience_data::recessions::Recession;
+use resilience_data::scenario::{Drift, EventProcess, Noise, Recovery, ScenarioSpec, Shock};
 use resilience_data::{DataError, PerformanceSeries};
 use resilience_obs::{
     intern, parse_line, parse_log, Event, FailureCode, RecordingObserver, StopKind,
@@ -369,6 +370,7 @@ fn hjorth_distribution_invariants() {
 #[test]
 fn nelder_mead_never_worsens() {
     use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+    use resilience_optim::Control;
     let mut rng = XorShift64::new(0xA00E);
     for case in 0..CASES {
         let x0 = uniform_vec(&mut rng, -5.0, 5.0, 1, 4);
@@ -376,7 +378,7 @@ fn nelder_mead_never_worsens() {
         let f = move |p: &[f64]| p.iter().map(|x| (x - shift) * (x - shift)).sum::<f64>();
         let start_value = f(&x0);
         let report = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &x0)
+            .minimize(&f, &x0, &Control::unbounded())
             .unwrap();
         assert!(report.value <= start_value + 1e-12, "case {case}");
     }
@@ -632,6 +634,155 @@ fn csv_loader_survives_mutated_documents() {
     // Digit edits keep many documents loadable, so both branches run.
     assert!(accepted > 300, "only {accepted} mutated documents loaded");
     assert!(rejected > 300, "only {rejected} mutated documents rejected");
+}
+
+/// Values a hostile spec field draws from: signed zeros and ones,
+/// subnormals, huge and infinite magnitudes, and NaN.
+const HOSTILE: [f64; 13] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    1e300,
+    -1e300,
+    f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+/// One spec field: a hostile value one time in four, otherwise an
+/// ordinary one in `[lo, hi)`, so that valid specs are common too.
+fn spec_field(rng: &mut XorShift64, lo: f64, hi: f64) -> f64 {
+    if rng.next_index(4) == 0 {
+        HOSTILE[rng.next_index(HOSTILE.len())]
+    } else {
+        uniform(rng, lo, hi)
+    }
+}
+
+fn fuzz_recovery(rng: &mut XorShift64) -> Recovery {
+    match rng.next_index(5) {
+        0 => Recovery::Exponential {
+            rate: spec_field(rng, 0.0, 1.0),
+        },
+        1 => Recovery::Smoothstep {
+            duration: spec_field(rng, 0.0, 30.0),
+        },
+        2 => Recovery::Logistic {
+            rate: spec_field(rng, 0.0, 2.0),
+            midpoint: spec_field(rng, 0.0, 20.0),
+        },
+        3 => Recovery::Partial {
+            fraction: spec_field(rng, 0.0, 1.0),
+            rate: spec_field(rng, 0.0, 1.0),
+        },
+        _ => Recovery::None,
+    }
+}
+
+fn fuzz_shock(rng: &mut XorShift64) -> Shock {
+    match rng.next_index(4) {
+        0 => Shock::Pulse {
+            start: spec_field(rng, 0.0, 20.0),
+            trough: spec_field(rng, 0.0, 40.0),
+            depth: spec_field(rng, 0.0, 0.5),
+            sharpness: spec_field(rng, 0.0, 3.0),
+            recovery: fuzz_recovery(rng),
+        },
+        1 => Shock::Step {
+            at: spec_field(rng, 0.0, 40.0),
+            depth: spec_field(rng, 0.0, 0.5),
+            recovery: fuzz_recovery(rng),
+        },
+        2 => Shock::Ramp {
+            start: spec_field(rng, 0.0, 20.0),
+            end: spec_field(rng, 0.0, 40.0),
+            depth: spec_field(rng, 0.0, 0.5),
+            recovery: fuzz_recovery(rng),
+        },
+        _ => Shock::Outage {
+            at: spec_field(rng, 0.0, 40.0),
+            restore_at: spec_field(rng, 0.0, 60.0),
+            depth: spec_field(rng, 0.0, 0.5),
+        },
+    }
+}
+
+/// A spec covering every shock, recovery, noise, drift and event-process
+/// variant, with hostile or ordinary fields and a hostile or usual length.
+fn fuzz_spec(rng: &mut XorShift64) -> ScenarioSpec {
+    const LENGTHS: [usize; 6] = [0, 3, 4, 5, 48, 200];
+    const MAX_EVENTS: [usize; 4] = [0, 1, 7, EventProcess::DEFAULT_MAX_EVENTS];
+    let n = LENGTHS[rng.next_index(LENGTHS.len())];
+    let shocks = (0..rng.next_index(3)).map(|_| fuzz_shock(rng)).collect();
+    let events = (rng.next_index(3) == 0).then(|| EventProcess {
+        outage_rate: spec_field(rng, 0.0, 0.5),
+        mean_restore: spec_field(rng, 0.0, 10.0),
+        mean_depth: spec_field(rng, 0.0, 0.2),
+        max_depth: spec_field(rng, 0.0, 0.5),
+        seed: rng.next_u64(),
+        max_events: MAX_EVENTS[rng.next_index(MAX_EVENTS.len())],
+    });
+    let drift = match rng.next_index(2) {
+        0 => Drift::None,
+        _ => Drift::Linear {
+            total: spec_field(rng, -0.1, 0.1),
+        },
+    };
+    let noise = match rng.next_index(3) {
+        0 => Noise::None,
+        1 => Noise::Gaussian {
+            sd: spec_field(rng, 0.0, 0.01),
+            seed: rng.next_u64(),
+        },
+        _ => Noise::Uniform {
+            amplitude: spec_field(rng, 0.0, 0.01),
+            seed: rng.next_u64(),
+        },
+    };
+    let floor = (rng.next_index(2) == 0).then(|| spec_field(rng, -1.0, 1.0));
+    ScenarioSpec {
+        n,
+        shocks,
+        events,
+        drift,
+        noise,
+        floor,
+    }
+}
+
+/// Hostile scenario specs. Nothing panics; `Ok` is exactly `n` finite
+/// values; a failure is a typed `InvalidSeries` error. Specs have no text
+/// form, so there is no round trip to check.
+#[test]
+fn scenario_specs_survive_hostile_fields() {
+    let mut rng = XorShift64::new(0xA013);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..10_000 {
+        let spec = fuzz_spec(&mut rng);
+        let generated =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.generate("fuzz")))
+                .unwrap_or_else(|_| panic!("case {case}: generate panicked on {spec:?}"));
+        match generated {
+            Ok(series) => {
+                accepted += 1;
+                assert_eq!(series.len(), spec.n, "case {case}: {spec:?}");
+                assert!(
+                    series.values().iter().all(|v| v.is_finite()),
+                    "case {case}: {spec:?}"
+                );
+            }
+            Err(DataError::InvalidSeries { .. }) => rejected += 1,
+            Err(e) => panic!("case {case}: untyped failure {e} on {spec:?}"),
+        }
+    }
+    // Ordinary fields keep many specs valid, so both branches run.
+    assert!(accepted > 500, "only {accepted} specs generated");
+    assert!(rejected > 1000, "only {rejected} specs rejected");
 }
 
 /// Family and scope names that need escaping, or that are multi-byte,
