@@ -21,13 +21,14 @@
 //!   one chaos triple of the 64-cell fleet checked by the fleet, obs and
 //!   chaos gate sets. Each of `BENCH_fleet.json`, `BENCH_obs.json` and
 //!   `BENCH_chaos.json` is rewritten only when its own gates pass; with
-//!   `OBS_SMOKE_DIR` set, the plain triple's logs and renders land there.
+//!   `OBS_SMOKE_DIR` set, the plain triple's logs and renders and the
+//!   chaos triple's canonical log land there.
 //! * `--scenarios` — write only the scenario sweep baseline.
 //! * `fleet` — the 360-cell sweep + repeatability gates →
 //!   `BENCH_fleet_full.json`.
 
 use resilience_bench::chaos::{chaos_policy, ChaosReport};
-use resilience_bench::fleet::{full_grid, run_triple, smoke_grid, FleetReport};
+use resilience_bench::fleet::{full_grid, run_triple, smoke_grid, FleetReport, FleetRun};
 use resilience_bench::harness::{
     bench_with_budget, evals_per_fit, median_u64, FamilyTiming, Measurement, ScenarioCell,
     ScenarioSweepReport, SpeedupReport,
@@ -519,9 +520,10 @@ fn rank_models_smoke() -> bool {
     identical && median <= SMOKE_EVALS_PER_FIT_CEILING && within
 }
 
-/// Writes the plain triple's logs and renders to `OBS_SMOKE_DIR`, when
-/// set, so CI can exercise `obsctl` against real output.
-fn write_obs_artifacts(artifacts: &ObsSmokeArtifacts) {
+/// Writes the plain triple's logs and renders, and the chaos triple's
+/// canonical log, to `OBS_SMOKE_DIR`, when set, so CI can exercise
+/// `obsctl` against real output.
+fn write_obs_artifacts(artifacts: &ObsSmokeArtifacts, chaos: &FleetRun) {
     let Ok(dir) = std::env::var("OBS_SMOKE_DIR") else {
         return;
     };
@@ -532,6 +534,7 @@ fn write_obs_artifacts(artifacts: &ObsSmokeArtifacts) {
         ("fleet_fixed2.jsonl", &artifacts.fixed2_jsonl),
         ("metrics.prom", &artifacts.metrics_text),
         ("tree.txt", &artifacts.tree_text),
+        ("fleet_chaos.jsonl", &chaos.events_jsonl()),
     ] {
         std::fs::write(dir.join(name), bytes)
             .unwrap_or_else(|e| panic!("write {}/{name}: {e}", dir.display()));
@@ -556,7 +559,6 @@ fn smoke() -> bool {
         &fleet.to_json(),
     );
     let (obs, artifacts) = ObsSmokeReport::check(&families, &plain);
-    write_obs_artifacts(&artifacts);
     ok &= write_baseline(
         "BENCH_obs.json",
         obs.gates_pass(),
@@ -571,6 +573,7 @@ fn smoke() -> bool {
     std::panic::set_hook(Box::new(|_| {}));
     let chaos_runs = run_triple(&grid, &families, &chaos_policy());
     std::panic::set_hook(hook);
+    write_obs_artifacts(&artifacts, &chaos_runs[0]);
     let chaos = ChaosReport::check(&families, &chaos_runs);
     ok &= write_baseline(
         "BENCH_chaos.json",

@@ -9,14 +9,20 @@
 //! 64-cell CI grid runs in release via `scripts/verify.sh`
 //! (`bench --smoke`).
 
+use resilience_bench::chaos::chaos_policy;
 use resilience_bench::fleet::{run_fleet, run_triple, smoke_grid, FleetReport, FleetStore};
 use resilience_bench::obs_smoke::ObsSmokeReport;
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy};
+use resilience_core::runtime::{
+    rank_fleet_supervised, rank_models_supervised, CellOutcome, Control, ExecPolicy,
+};
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
+use resilience_data::PerformanceSeries;
+use resilience_obs::{FitOutcome, RecordingObserver, SpanTree};
 use resilience_optim::Parallelism;
+use std::sync::Arc;
 
 fn tiny_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -117,4 +123,72 @@ fn store_columns_stay_aligned() {
     ] {
         assert_eq!(col_len, store.len());
     }
+}
+
+#[test]
+fn chaos_span_tree_agrees_with_the_runtime_cell_by_cell() {
+    // Under the CI chaos plan, the tree built from the log has one cell
+    // per grid cell, one fit per family, and every fit and quarantine
+    // mark agrees with the runtime's own outcome for that cell.
+    let fams = families();
+    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
+    let series: Vec<PerformanceSeries> = smoke_grid()
+        .cells()
+        .map(|c| c.generate().unwrap())
+        .collect();
+    let config = FitConfig {
+        parallelism: Parallelism::Fixed(2),
+        ..FitConfig::default()
+    };
+    let rec = Arc::new(RecordingObserver::new());
+    let outcomes = rank_fleet_supervised(
+        &fams,
+        &series,
+        &config,
+        &chaos_policy(),
+        &Control::unbounded().observe(rec.clone()),
+    );
+    let tree = SpanTree::build(&rec.take());
+    assert_eq!(tree.cells.len(), 64);
+    assert_eq!(outcomes.len(), 64);
+    let (mut lost, mut failed, mut quarantined) = (0, 0, 0);
+    for (i, (cell, outcome)) in tree.cells.iter().zip(&outcomes).enumerate() {
+        assert_eq!(cell.cell as usize, i);
+        let fitted: Vec<&str> = cell.fits.iter().map(|f| f.family).collect();
+        assert_eq!(fitted, names, "cell {i}");
+        let (rows, failures) = match outcome {
+            CellOutcome::Ranked(r) => (r.rows.iter().map(|r| r.family_name).collect(), &r.failures),
+            CellOutcome::Quarantined { failures } => (Vec::new(), failures),
+            CellOutcome::Stopped(e) => panic!("cell {i} stopped: {e}"),
+        };
+        for fit in &cell.fits {
+            let failure = failures.iter().find(|f| f.family_name == fit.family);
+            match fit.outcome {
+                FitOutcome::Completed { .. } => {
+                    assert!(rows.contains(&fit.family), "cell {i}: {}", fit.family);
+                }
+                FitOutcome::Failed(code) => {
+                    failed += 1;
+                    assert_eq!(failure.map(|f| f.kind.code()), Some(code), "cell {i}");
+                }
+                // Observer loss: the job ran, but its telemetry did not.
+                FitOutcome::Lost => {
+                    lost += 1;
+                    assert!(
+                        rows.contains(&fit.family) || failure.is_some(),
+                        "cell {i}: {}",
+                        fit.family
+                    );
+                }
+            }
+        }
+        let parked = matches!(outcome, CellOutcome::Quarantined { .. });
+        assert_eq!(cell.quarantined.is_some(), parked, "cell {i}");
+        quarantined += u32::from(parked);
+    }
+    // The plan exercised every shape the check covers.
+    assert!(
+        lost > 0 && failed > 0 && quarantined > 0,
+        "{lost} {failed} {quarantined}"
+    );
 }

@@ -5,20 +5,25 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// A synthetic two-cell fleet log: each cell fits Quadratic then Glacial.
+/// A synthetic two-cell fleet log: each cell fits Quadratic then Glacial,
+/// each fit inside the `job` frame that names its cell.
 const LOG: &str = "\
+{\"ev\":\"job\",\"cell\":0,\"family\":\"Quadratic\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Quadratic\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":12}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Quadratic\",\"sse\":0.5,\"evals\":12,\"converged\":true}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":12}\n\
+{\"ev\":\"job\",\"cell\":0,\"family\":\"Glacial\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Glacial\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":30}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Glacial\",\"sse\":1.5,\"evals\":30,\"converged\":false}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":30}\n\
+{\"ev\":\"job\",\"cell\":1,\"family\":\"Quadratic\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Quadratic\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":8}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Quadratic\",\"sse\":0.25,\"evals\":8,\"converged\":true}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":8}\n\
+{\"ev\":\"job\",\"cell\":1,\"family\":\"Glacial\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Glacial\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":40}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Glacial\",\"sse\":2.5,\"evals\":40,\"converged\":false}\n\
@@ -26,18 +31,22 @@ const LOG: &str = "\
 
 /// `LOG` with one field changed (the second Glacial fit's eval count).
 const LOG_DRIFTED: &str = "\
+{\"ev\":\"job\",\"cell\":0,\"family\":\"Quadratic\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Quadratic\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":12}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Quadratic\",\"sse\":0.5,\"evals\":12,\"converged\":true}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":12}\n\
+{\"ev\":\"job\",\"cell\":0,\"family\":\"Glacial\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Glacial\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":30}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Glacial\",\"sse\":1.5,\"evals\":30,\"converged\":false}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":30}\n\
+{\"ev\":\"job\",\"cell\":1,\"family\":\"Quadratic\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Quadratic\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":8}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Quadratic\",\"sse\":0.25,\"evals\":8,\"converged\":true}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":8}\n\
+{\"ev\":\"job\",\"cell\":1,\"family\":\"Glacial\"}\n\
 {\"ev\":\"fit_started\",\"family\":\"Glacial\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":44}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Glacial\",\"sse\":2.5,\"evals\":44,\"converged\":false}\n\
@@ -150,7 +159,7 @@ fn diff_of_drifted_logs_names_the_field_with_exit_one() {
     let out = obsctl(&["diff", a.to_str().unwrap(), b.to_str().unwrap()]);
     assert_eq!(code(&out), 1);
     let text = stdout(&out);
-    assert!(text.contains("line 14"), "wrong line: {text}");
+    assert!(text.contains("line 18"), "wrong line: {text}");
     assert!(text.contains("n: 40 -> 44"), "field not localized: {text}");
 
     let report = obsctl(&["diff", a.to_str().unwrap(), b.to_str().unwrap(), "--report"]);
@@ -168,7 +177,7 @@ fn export_emits_the_metrics_exposition() {
     let out = obsctl(&["export", log.to_str().unwrap()]);
     assert_eq!(code(&out), 0);
     let text = stdout(&out);
-    assert!(text.contains("resilience_events_total 16"));
+    assert!(text.contains("resilience_events_total 20"));
     assert!(text.contains("resilience_objective_evals_total 90"));
     assert!(text.contains("resilience_family_evaluations_total{family=\"Glacial\"} 70"));
     assert!(text.contains("# TYPE resilience_evals_per_fit histogram"));
@@ -207,9 +216,27 @@ fn malformed_line_error_names_its_line_number() {
     assert_eq!(code(&out), 2);
     let text = stderr(&out);
     assert!(
-        text.contains("line 17"),
+        text.contains("line 21"),
         "stderr must name the line: {text}"
     );
+}
+
+#[test]
+fn a_huge_cell_index_renders_one_cell() {
+    // A cell index is an id, not a length: the tree never allocates
+    // cells up to it.
+    let log = fixture(
+        "huge-cell.jsonl",
+        "{\"ev\":\"cell_quarantined\",\"cell\":4000000000,\"failures\":1}\n",
+    );
+    let tree = obsctl(&["tree", log.to_str().unwrap()]);
+    assert_eq!(code(&tree), 0, "{}", stderr(&tree));
+    let text = stdout(&tree);
+    assert!(text.starts_with("fleet: 1 cells, 0 fits"), "{text}");
+    assert!(text.contains("cell 4000000000: 0 fits"), "{text}");
+    let top = obsctl(&["top", log.to_str().unwrap()]);
+    assert_eq!(code(&top), 0, "{}", stderr(&top));
+    assert!(stdout(&top).contains("cell 4000000000"), "{}", stdout(&top));
 }
 
 #[test]

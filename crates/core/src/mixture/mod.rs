@@ -115,18 +115,6 @@ impl MixtureModel {
     pub fn beta(&self) -> f64 {
         self.curve.beta
     }
-
-    /// The degradation term `1 − F₁(t)` alone.
-    #[must_use]
-    pub fn degradation_term(&self, t: f64) -> f64 {
-        self.curve.degradation(t, t.ln())
-    }
-
-    /// The recovery term `a₂(t)·F₂(t)` alone.
-    #[must_use]
-    pub fn recovery_term(&self, t: f64) -> f64 {
-        self.curve.recovery(t, t.ln())
-    }
 }
 
 impl ResilienceModel for MixtureModel {
@@ -582,15 +570,6 @@ mod tests {
         let late = m.predict(47.0);
         assert!(trough_region < early, "curve must dip below nominal");
         assert!(late > trough_region, "curve must recover from the trough");
-    }
-
-    #[test]
-    fn terms_decompose() {
-        let m = wei_exp();
-        for &t in &[0.0, 5.0, 20.0, 47.0] {
-            let sum = m.degradation_term(t) + m.recovery_term(t);
-            assert!((m.predict(t) - sum).abs() < 1e-14);
-        }
     }
 
     #[test]

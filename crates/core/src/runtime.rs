@@ -408,7 +408,6 @@ fn fit_with_retry_impl(
                 }
                 control.emit(Event::ChaosInjected {
                     kind: resilience_obs::ChaosKind::Transient,
-                    cell: ctx.cell,
                     family: family.name(),
                 });
                 control.count(CounterId::ChaosInjected, 1);
@@ -545,7 +544,6 @@ fn supervised_family_job(
         Some(fault) => {
             family_control.emit(Event::ChaosInjected {
                 kind: fault.kind(),
-                cell,
                 family: family.name(),
             });
             family_control.count(CounterId::ChaosInjected, 1);
@@ -590,7 +588,6 @@ fn supervised_family_job(
             Some(ctx) if ctx.plan.transient(cell, family.name(), 1) => {
                 fit_control.emit(Event::ChaosInjected {
                     kind: resilience_obs::ChaosKind::Transient,
-                    cell,
                     family: family.name(),
                 });
                 fit_control.count(CounterId::ChaosInjected, 1);
@@ -754,12 +751,14 @@ impl Breaker {
 /// work-stealing; skip decisions are frozen from the breaker state at
 /// wave start, and every state transition happens in the serial post-wave
 /// reduction, in flattened input order, on a logical clock (the flattened
-/// job index). The reduction replays each job's event buffer into the
+/// job index). The reduction opens each job's frame with a `job` event
+/// naming its cell and family, replays the job's event buffer into the
 /// caller's sink, emits `fit_failed` / `worker_panic` for lost families,
 /// and sorts the survivors. Result: rankings, event logs, and breaker
 /// behavior are all bit-identical across reruns and thread counts, and
 /// without a breaker or chaos plan each cell's outcome and events equal
-/// a one-cell call on that series.
+/// a one-cell call on that series, apart from the cell index on its
+/// `job` lines.
 ///
 /// Returns one outcome per series, in input order. A cell none of whose
 /// families produced a row is [`CellOutcome::Stopped`] when the caller's
@@ -846,8 +845,9 @@ pub fn rank_fleet_supervised(
             )
         });
 
-        // Serial reduction in flattened input order: replay each job's
-        // event buffer, update the breaker machine, and assemble cells.
+        // Serial reduction in flattened input order: open each job's
+        // frame, replay its event buffer, update the breaker machine, and
+        // assemble cells. The job's verdicts below fall inside its frame.
         let mut outcomes = outcomes.into_iter();
         for (w, cell) in (wave_start..wave_end).enumerate() {
             let mut rows = Vec::new();
@@ -856,6 +856,10 @@ pub fn rank_fleet_supervised(
                 let j = w * nf + f;
                 let clock = (cell * nf + f) as u64;
                 let family = families[f].name();
+                control.emit(Event::JobStarted {
+                    cell: cell as u32,
+                    family,
+                });
                 if let (Some(recs), Some(sink)) = (recorders.as_ref(), control.observer()) {
                     replay(&recs[j].take(), sink.as_ref());
                 }
@@ -1188,7 +1192,7 @@ mod tests {
             assert_eq!(retried, policy.retry.is_some(), "{policy:?}");
             assert_eq!(fleet.len(), series_list.len());
             let mut concatenated = Vec::new();
-            for (series, outcome) in series_list.iter().zip(fleet) {
+            for (i, (series, outcome)) in series_list.iter().zip(fleet).enumerate() {
                 let one = Arc::new(RecordingObserver::new());
                 let standalone = rank_models_supervised(
                     &families,
@@ -1198,7 +1202,15 @@ mod tests {
                     &Control::unbounded().observe(one.clone()),
                 )
                 .unwrap();
-                concatenated.extend(one.take());
+                // A one-cell call is cell 0: renumber its `job` lines to
+                // the fleet index.
+                concatenated.extend(one.take().into_iter().map(|e| match e {
+                    Event::JobStarted { cell: 0, family } => Event::JobStarted {
+                        cell: i as u32,
+                        family,
+                    },
+                    e => e,
+                }));
                 let ranking = outcome.into_result().unwrap();
                 assert_eq!(ranking.rows.len(), standalone.rows.len());
                 for (a, b) in ranking.rows.iter().zip(&standalone.rows) {

@@ -9,8 +9,7 @@
 //!   family (`erf`, `erfc`, `inv_erf`) behind the normal distribution in
 //!   `resilience-stats`.
 //! * [`quad`] — adaptive Simpson quadrature for the interval-based
-//!   resilience metrics of curves without a closed-form area, plus a
-//!   composite trapezoid rule.
+//!   resilience metrics of curves without a closed-form area.
 //! * [`roots`] — Brent root finding (with geometric bracket expansion) for
 //!   quantile inversion and recovery-time solving.
 //! * [`poly`] — polynomial evaluation and the quadratic root formula used

@@ -3,54 +3,14 @@
 //! The interval-based resilience metrics of the paper (its Eq. 14–21) are
 //! integrals of a fitted performance curve `P(t)`. The bathtub models have
 //! closed-form areas (paper Eq. 3 and 6) but the mixture models do not, so
-//! the metrics layer falls back to the routines here.
+//! the metrics layer falls back to [`adaptive_simpson`].
 //!
-//! All routines integrate a callable `f: f64 -> f64` over a finite interval
-//! `[a, b]` and reject non-finite integrand values with
+//! It integrates a callable `f: f64 -> f64` over a finite interval
+//! `[a, b]` and rejects non-finite integrand values with
 //! [`MathError::NonFinite`] rather than silently propagating NaN into a
 //! reported metric.
 
 use crate::MathError;
-
-/// Composite trapezoid rule with `n ≥ 1` panels.
-///
-/// Error is `O(h²)`; prefer [`adaptive_simpson`] unless the integrand is
-/// only piecewise smooth (the trapezoid rule is exact for piecewise-linear
-/// curves).
-///
-/// # Errors
-///
-/// * [`MathError::Domain`] when `n == 0` or `a > b`.
-/// * [`MathError::NonFinite`] when the integrand returns NaN/∞.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::quad::trapezoid;
-/// let area = trapezoid(|x| x, 0.0, 1.0, 1)?; // exact for linear f
-/// assert!((area - 0.5).abs() < 1e-15);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn trapezoid<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    n: usize,
-) -> Result<f64, MathError> {
-    check_interval("trapezoid", a, b)?;
-    if n == 0 {
-        return Err(MathError::domain("trapezoid", "need at least one panel"));
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (eval(&mut f, a, "trapezoid")? + eval(&mut f, b, "trapezoid")?);
-    for i in 1..n {
-        sum += eval(&mut f, a + i as f64 * h, "trapezoid")?;
-    }
-    Ok(sum * h)
-}
 
 /// Adaptive Simpson quadrature with error target `tol` and recursion depth
 /// limit `max_depth`.
@@ -165,40 +125,6 @@ mod tests {
     use crate::approx_eq;
 
     #[test]
-    fn trapezoid_exact_for_linear() {
-        let v = trapezoid(|x| 2.0 * x + 1.0, 0.0, 4.0, 1).unwrap();
-        assert!(approx_eq(v, 20.0, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn trapezoid_converges_quadratically() {
-        let exact = 2.0; // ∫₀^π sin
-        let e1 = (trapezoid(f64::sin, 0.0, std::f64::consts::PI, 50).unwrap() - exact).abs();
-        let e2 = (trapezoid(f64::sin, 0.0, std::f64::consts::PI, 100).unwrap() - exact).abs();
-        assert!(
-            e2 < e1 / 3.5,
-            "halving h should quarter the error: {e1} -> {e2}"
-        );
-    }
-
-    #[test]
-    fn trapezoid_rejects_zero_panels_and_reversed_interval() {
-        assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(trapezoid(|x| x, 1.0, 0.0, 4).is_err());
-    }
-
-    #[test]
-    fn trapezoid_degenerate_interval_is_zero() {
-        assert_eq!(trapezoid(|x| x * x, 2.0, 2.0, 4).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn trapezoid_rejects_nan_integrand() {
-        let err = trapezoid(|_| f64::NAN, 0.0, 1.0, 2).unwrap_err();
-        assert!(matches!(err, MathError::NonFinite { .. }));
-    }
-
-    #[test]
     fn adaptive_simpson_smooth() {
         let v = adaptive_simpson(f64::sin, 0.0, std::f64::consts::PI, 1e-12, 30).unwrap();
         assert!(approx_eq(v, 2.0, 1e-10, 1e-10));
@@ -250,7 +176,6 @@ mod tests {
 
     #[test]
     fn non_finite_endpoints_rejected() {
-        assert!(trapezoid(|x| x, f64::NAN, 1.0, 2).is_err());
         assert!(adaptive_simpson(|x| x, 0.0, f64::INFINITY, 1e-10, 10).is_err());
     }
 }

@@ -326,6 +326,14 @@ impl HistogramId {
 /// events and replays them in index order).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
+    /// The supervised runtime is about to replay one (cell, family) job:
+    /// every event up to the next `job` line belongs to this job.
+    JobStarted {
+        /// Fleet cell index (0 for single-series runs).
+        cell: u32,
+        /// Family name (interned).
+        family: &'static str,
+    },
     /// A family fit began; `starts` is the number of multi-start seeds.
     FitStarted {
         /// Family name (interned).
@@ -414,12 +422,11 @@ pub enum Event {
         /// Replicates so far that failed to refit.
         failed: u32,
     },
-    /// A chaos plan injected a fault into one (cell, family) job.
+    /// A chaos plan injected a fault into one (cell, family) job; the
+    /// job's `job` line names the cell.
     ChaosInjected {
         /// Which fault was injected.
         kind: ChaosKind,
-        /// Fleet cell index (0 for single-series runs).
-        cell: u32,
         /// Family name (interned).
         family: &'static str,
     },
@@ -512,6 +519,7 @@ impl Event {
     /// The event's `"ev"` tag in the JSONL encoding.
     pub const fn tag(&self) -> &'static str {
         match self {
+            Event::JobStarted { .. } => "job",
             Event::FitStarted { .. } => "fit_started",
             Event::FitFinished { .. } => "fit_finished",
             Event::FitFailed { .. } => "fit_failed",
@@ -539,6 +547,10 @@ impl Event {
         out.push_str(self.tag());
         out.push('"');
         match *self {
+            Event::JobStarted { cell, family } => {
+                let _ = write!(out, ",\"cell\":{cell},\"family\":");
+                write_json_str(out, family);
+            }
             Event::FitStarted { family, starts } => {
                 out.push_str(",\"family\":");
                 write_json_str(out, family);
@@ -621,9 +633,8 @@ impl Event {
                     ",\"done\":{done},\"total\":{total},\"failed\":{failed}"
                 );
             }
-            Event::ChaosInjected { kind, cell, family } => {
-                let _ = write!(out, ",\"kind\":\"{}\",\"cell\":{cell}", kind.as_str());
-                out.push_str(",\"family\":");
+            Event::ChaosInjected { kind, family } => {
+                let _ = write!(out, ",\"kind\":\"{}\",\"family\":", kind.as_str());
                 write_json_str(out, family);
             }
             Event::BreakerOpened {
@@ -676,6 +687,7 @@ impl Event {
     pub fn examples() -> Vec<Event> {
         let family = "Quadratic";
         let mut out = vec![
+            Event::JobStarted { cell: 7, family },
             Event::FitStarted { family, starts: 8 },
             Event::FitFinished {
                 family,
@@ -762,11 +774,7 @@ impl Event {
             });
         }
         for kind in ChaosKind::ALL {
-            out.push(Event::ChaosInjected {
-                kind,
-                cell: 4,
-                family,
-            });
+            out.push(Event::ChaosInjected { kind, family });
         }
         for id in CounterId::ALL {
             out.push(Event::Counter { id, delta: 5 });
@@ -779,7 +787,8 @@ impl Event {
         // match until it is represented above.
         for e in &out {
             match e {
-                Event::FitStarted { .. }
+                Event::JobStarted { .. }
+                | Event::FitStarted { .. }
                 | Event::FitFinished { .. }
                 | Event::FitFailed { .. }
                 | Event::StartBegan { .. }

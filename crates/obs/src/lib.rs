@@ -1,10 +1,12 @@
 //! Deterministic telemetry for the `predictive-resilience` workspace.
 //!
 //! The fitting pipeline (parallel multi-start solvers, supervised ranking,
-//! bootstrap bands) emits span-style [`Event`]s — `fit_started`,
-//! `iteration`, `converged`, `retry_scheduled`, `deadline_exceeded`,
-//! `worker_panic`, `bootstrap_chunk_done` — plus monotonic counters and
-//! histograms, into any sink implementing [`Observer`].
+//! bootstrap bands) emits span-style [`Event`]s — `job` (the (cell,
+//! family) frame the supervised runtime opens before each job's events),
+//! `fit_started`, `iteration`, `converged`, `retry_scheduled`,
+//! `deadline_exceeded`, `worker_panic`, `bootstrap_chunk_done` — plus
+//! monotonic counters and histograms, into any sink implementing
+//! [`Observer`].
 //!
 //! Two properties are load-bearing and covered by tests:
 //!
@@ -33,7 +35,8 @@
 //! * [`metrics`] — live [`MetricsRegistry`] observer and
 //!   [`MetricsSnapshot`] with deterministic Prometheus-style exposition.
 //! * [`span`] — [`SpanTree`] reconstruction of the fleet → cell → fit →
-//!   attempt → solver hierarchy from a log, with top-K work queries.
+//!   attempt → solver hierarchy from a log, grouped by its `job` lines,
+//!   with top-K work queries.
 //! * [`diff`] — byte/field-level log and report diffing
 //!   (empty output ⇔ identical).
 //!

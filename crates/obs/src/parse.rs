@@ -354,6 +354,10 @@ impl<'a> Fields<'a> {
     fn event(&self) -> Result<Event, ParseError> {
         let tag = self.str("ev")?;
         let event = match tag {
+            "job" => Event::JobStarted {
+                cell: self.u32("cell")?,
+                family: self.interned("family")?,
+            },
             "fit_started" => Event::FitStarted {
                 family: self.interned("family")?,
                 starts: self.u32("starts")?,
@@ -404,7 +408,6 @@ impl<'a> Fields<'a> {
             },
             "chaos_injected" => Event::ChaosInjected {
                 kind: self.tag("kind", "chaos kind", ChaosKind::parse)?,
-                cell: self.u32("cell")?,
                 family: self.interned("family")?,
             },
             "breaker_opened" => Event::BreakerOpened {
@@ -541,9 +544,12 @@ mod tests {
             total: 400,
             failed: 3,
         });
+        round_trip(Event::JobStarted {
+            cell: 17,
+            family: intern("Hjorth"),
+        });
         round_trip(Event::ChaosInjected {
             kind: ChaosKind::Deadline,
-            cell: 17,
             family: intern("Hjorth"),
         });
         round_trip(Event::BreakerOpened {

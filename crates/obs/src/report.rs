@@ -375,9 +375,10 @@ impl RunReport {
                 Event::Hist { id, value } => {
                     histograms[hist_slot(id)].observe(value);
                 }
-                // Chaos/supervision events carry no span-attributable work;
-                // their totals arrive as explicit Counter deltas emitted by
-                // the runtime alongside them.
+                // Job frames and chaos/supervision events carry no
+                // span-attributable work; supervision totals arrive as
+                // explicit Counter deltas emitted alongside them.
+                Event::JobStarted { .. } => {}
                 Event::ChaosInjected { .. } => {}
                 Event::BreakerOpened { .. } => {}
                 Event::BreakerHalfOpen { .. } => {}

@@ -2,23 +2,23 @@
 //! fleet → cell → family fit → attempt → solver.
 //!
 //! [`SpanTree::build`] replays a log (recorded in-process or parsed from
-//! JSONL) and rebuilds the nesting the runtime flattened away, keyed purely
-//! on logical clocks — event order, cell indices carried by chaos and
-//! quarantine events, attempt numbers, and evaluation counters. No
-//! wall-clock values exist anywhere in the input (the workspace clippy ban
-//! enforces this), so the tree built from a log is a pure function of the
-//! log bytes: byte-identical logs yield byte-identical [`SpanTree::render`]
-//! output regardless of the worker count that produced them.
+//! JSONL) and groups its events by the ids they carry. The supervised
+//! runtime replays each (cell, family) job's buffered events serially
+//! and opens each job with a `job` line naming its cell and family; every
+//! event up to the next `job` line belongs to that job, the reduction's
+//! verdicts (`fit_failed`, `worker_panic`, breaker transitions,
+//! `cell_quarantined`) included. Inside a job, attempt 1 opens at the
+//! first `fit_started`, `chaos_injected`, `worker_panic` or solver-level
+//! event, and `retry_scheduled` opens the attempt it names. A log without
+//! `job` lines — a standalone fit, retry loop or bootstrap band, each one
+//! fit — is one implicit job in cell 0, opened by its first fit-level
+//! event; evaluations outside any job are unattributed.
 //!
-//! Reconstruction relies on the replay discipline established in PR 5/8:
-//! the runtime buffers each (cell, family) job's events and replays the
-//! buffers serially in flattened cell-major order, appending each job's
-//! reduction verdict (`fit_failed`, `worker_panic`, breaker transitions,
-//! `cell_quarantined`) right after the job's own events. Within one job a
-//! retried attempt re-emits `fit_started` (always preceded by
-//! `retry_scheduled`), chaos-exhausted jobs emit no `fit_started` at all,
-//! and an observer-loss job leaves only its `chaos_injected` line — the
-//! builder handles each of these shapes explicitly.
+//! No wall-clock values exist anywhere in the input (the workspace clippy
+//! ban enforces this), so the tree built from a log is a pure function of
+//! the log bytes: byte-identical logs yield byte-identical
+//! [`SpanTree::render`] output regardless of the worker count that
+//! produced them.
 
 use crate::event::{ChaosKind, CounterId, Event, ExitReason, FailureCode, SolverKind, StopKind};
 use crate::report::BootstrapProgress;
@@ -90,6 +90,21 @@ impl AttemptSpan {
             chaos: Vec::new(),
         }
     }
+
+    /// The open span of `solver`, opening one (and closing a mismatched
+    /// predecessor) as needed.
+    fn solver_mut(&mut self, solver: SolverKind) -> &mut SolverSpan {
+        let reuse = self
+            .solvers
+            .last()
+            .is_some_and(|s| s.exit.is_none() && s.solver.is_none_or(|k| k == solver));
+        if !reuse {
+            self.solvers.push(SolverSpan::new(None));
+        }
+        let span = self.solvers.last_mut().expect("span pushed above");
+        span.solver = Some(solver);
+        span
+    }
 }
 
 /// How a family fit ended.
@@ -110,8 +125,8 @@ pub enum FitOutcome {
     Lost,
 }
 
-/// One family fit inside a cell: the `fit_started` → terminal span, with
-/// its retry attempts nested inside.
+/// One family fit inside a cell: one job's span, with its retry attempts
+/// nested inside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitSpan {
     /// Family name.
@@ -135,6 +150,14 @@ impl FitSpan {
             outcome: FitOutcome::Lost,
             panicked: false,
         }
+    }
+
+    /// The current attempt, opening attempt 1 on first use.
+    fn attempt_mut(&mut self) -> &mut AttemptSpan {
+        if self.attempts.is_empty() {
+            self.attempts.push(AttemptSpan::new(1));
+        }
+        self.attempts.last_mut().expect("attempt pushed above")
     }
 
     /// Objective evaluations attributed to the fit (sum over attempts).
@@ -166,10 +189,8 @@ pub struct CellSpan {
     pub fits: Vec<FitSpan>,
     /// Failure count at quarantine, when the supervisor parked the cell.
     pub quarantined: Option<u32>,
-    /// Circuit-breaker transitions replayed while this cell was current.
+    /// Circuit-breaker transitions replayed inside this cell's jobs.
     pub breaker_transitions: u64,
-    /// Evaluations observed in this cell outside any open fit span.
-    pub orphan_evaluations: u64,
 }
 
 impl CellSpan {
@@ -179,13 +200,12 @@ impl CellSpan {
             fits: Vec::new(),
             quarantined: None,
             breaker_transitions: 0,
-            orphan_evaluations: 0,
         }
     }
 
-    /// Objective evaluations attributed to the cell (fits plus orphans).
+    /// Objective evaluations attributed to the cell (sum over its fits).
     pub fn evaluations(&self) -> u64 {
-        self.orphan_evaluations + self.fits.iter().map(FitSpan::evaluations).sum::<u64>()
+        self.fits.iter().map(FitSpan::evaluations).sum()
     }
 
     /// Retry attempts attributed to the cell.
@@ -208,230 +228,93 @@ pub struct SpanTree {
     pub cells: Vec<CellSpan>,
     /// Latest bootstrap progress seen in the log.
     pub bootstrap: Option<BootstrapProgress>,
-    /// Evaluations observed before any cell context existed.
+    /// Evaluations observed outside any job.
     pub unattributed_evaluations: u64,
     /// Total events consumed.
     pub events: u64,
 }
 
 /// Builder state while replaying the log.
+#[derive(Default)]
 struct Builder {
     tree: SpanTree,
-    /// Index of the cell currently receiving events.
-    current: Option<usize>,
-    /// Whether the last fit of the current cell is still open.
-    fit_open: bool,
-    /// A `retry_scheduled` was seen and the attempt's re-emitted
-    /// `fit_started` is expected next.
-    awaiting_retry_start: bool,
+    /// Position in `tree.cells` of the open job's cell, whose last fit is
+    /// the job's. `None` before the first job.
+    job: Option<usize>,
 }
 
 impl Builder {
-    fn new() -> Self {
-        Self {
-            tree: SpanTree::default(),
-            current: None,
-            fit_open: false,
-            awaiting_retry_start: false,
+    /// Position of the cell named `index`: the last cell if it has that
+    /// index, otherwise a new one.
+    fn cell(&mut self, index: u32) -> usize {
+        if self.tree.cells.last().is_none_or(|c| c.cell != index) {
+            self.tree.cells.push(CellSpan::new(index));
         }
+        self.tree.cells.len() - 1
     }
 
-    /// Cell currently receiving events, creating cell 0 on first use.
-    fn cell_mut(&mut self) -> &mut CellSpan {
-        if self.current.is_none() {
-            self.tree.cells.push(CellSpan::new(0));
-            self.current = Some(0);
+    /// Opens a job for `family` in cell `index`, with no attempts yet.
+    fn open_job(&mut self, index: u32, family: &'static str) {
+        let c = self.cell(index);
+        self.tree.cells[c].fits.push(FitSpan::new(family));
+        self.job = Some(c);
+    }
+
+    /// The open job's fit for a fit-level event naming `family`. Before
+    /// any job, this opens the implicit job (cell 0) of a log without
+    /// `job` lines.
+    fn fit(&mut self, family: &'static str) -> &mut FitSpan {
+        if self.job.is_none() {
+            self.open_job(0, family);
         }
-        let i = self.current.expect("current cell set above");
-        &mut self.tree.cells[i]
+        let c = self.job.expect("a job is open");
+        self.tree.cells[c].fits.last_mut().expect("a job has a fit")
     }
 
-    /// Makes `cell` the current cell, creating intermediate cells as
-    /// needed (cell indices from chaos/quarantine events are
-    /// authoritative). Any fit left open in another cell lost its
-    /// terminal event and is closed as [`FitOutcome::Lost`].
-    fn advance_to_cell(&mut self, cell: u32) {
-        let idx = cell as usize;
-        if self.current == Some(idx) {
-            return;
-        }
-        self.close_open_fit();
-        while self.tree.cells.len() <= idx {
-            let next = self.tree.cells.len() as u32;
-            self.tree.cells.push(CellSpan::new(next));
-        }
-        self.current = Some(idx);
+    /// [`Builder::fit`] with its attempt 1 opened.
+    fn running(&mut self, family: &'static str) -> &mut FitSpan {
+        let fit = self.fit(family);
+        fit.attempt_mut();
+        fit
     }
 
-    /// Starts the next sequential cell (job replay crossed a cell
-    /// boundary without an explicit cell-indexed event).
-    fn start_next_cell(&mut self) {
-        self.close_open_fit();
-        let next = self.tree.cells.len() as u32;
-        self.tree.cells.push(CellSpan::new(next));
-        self.current = Some(self.tree.cells.len() - 1);
-    }
-
-    /// Closes a still-open fit as lost (no terminal event arrived).
-    fn close_open_fit(&mut self) {
-        self.fit_open = false;
-        self.awaiting_retry_start = false;
-    }
-
-    /// The open fit, if any (always the last fit of the current cell).
-    fn open_fit_mut(&mut self) -> Option<&mut FitSpan> {
-        if !self.fit_open {
-            return None;
-        }
-        let i = self.current?;
-        self.tree.cells[i].fits.last_mut()
-    }
-
-    /// Family of the open fit, if any.
-    fn open_family(&self) -> Option<&'static str> {
-        if !self.fit_open {
-            return None;
-        }
-        let i = self.current?;
-        self.tree.cells[i].fits.last().map(|f| f.family)
-    }
-
-    /// A new job for `family` is starting: close any open fit (the
-    /// previous job is over) and, when the current cell already ran this
-    /// family, advance to the next cell. Per-cell family rosters repeat
-    /// identically across cells, so a repeated family is exactly the
-    /// cell boundary.
-    fn job_boundary(&mut self, family: &'static str) {
-        if self.open_family().is_some_and(|f| f != family) {
-            self.close_open_fit();
-        }
-        let repeated = self
-            .current
-            .map(|i| &self.tree.cells[i])
-            .is_some_and(|c| c.fits.iter().any(|f| f.family == family));
-        if repeated {
-            self.start_next_cell();
-        }
-    }
-
-    /// Opens a fresh fit (with attempt 1 ready for work) and marks it open.
-    fn open_fit(&mut self, family: &'static str) -> &mut FitSpan {
-        let cell = self.cell_mut();
-        let mut fit = FitSpan::new(family);
-        fit.attempts.push(AttemptSpan::new(1));
-        cell.fits.push(fit);
-        self.fit_open = true;
-        self.awaiting_retry_start = false;
-        self.current
-            .and_then(|i| self.tree.cells[i].fits.last_mut())
-            .expect("fit pushed above")
-    }
-
-    /// The open fit's current attempt, if a fit is open.
+    /// The open job's current attempt, if a job is open.
     fn attempt_mut(&mut self) -> Option<&mut AttemptSpan> {
-        let fit = self.open_fit_mut()?;
-        if fit.attempts.is_empty() {
-            fit.attempts.push(AttemptSpan::new(1));
-        }
-        fit.attempts.last_mut()
+        let fit = self.tree.cells[self.job?].fits.last_mut()?;
+        Some(fit.attempt_mut())
     }
 
-    /// Charges `delta` evaluations to the innermost open scope.
-    fn charge_evaluations(&mut self, delta: u64) {
-        if let Some(attempt) = self.attempt_mut() {
-            attempt.evaluations += delta;
-        } else if self.current.is_some() {
-            self.cell_mut().orphan_evaluations += delta;
-        } else {
-            self.tree.unattributed_evaluations += delta;
+    /// Charges `evaluations` to the open job's current attempt, which it
+    /// returns, or to the unattributed total outside any job.
+    fn charge(&mut self, evaluations: u64) -> Option<&mut AttemptSpan> {
+        if self.job.is_none() {
+            self.tree.unattributed_evaluations += evaluations;
         }
-    }
-
-    /// The current attempt's open solver span, opening one (and closing a
-    /// mismatched predecessor) as needed.
-    fn solver_mut(&mut self, solver: SolverKind) -> Option<&mut SolverSpan> {
         let attempt = self.attempt_mut()?;
-        let reuse = attempt
-            .solvers
-            .last()
-            .is_some_and(|s| s.exit.is_none() && s.solver.is_none_or(|k| k == solver));
-        if !reuse {
-            attempt.solvers.push(SolverSpan::new(None));
-        }
-        let span = attempt.solvers.last_mut().expect("span pushed above");
-        span.solver = Some(solver);
-        Some(span)
+        attempt.evaluations += evaluations;
+        Some(attempt)
     }
 
     fn consume(&mut self, event: &Event) {
         self.tree.events += 1;
         match *event {
-            Event::FitStarted { family, starts } => {
-                let retry = self.awaiting_retry_start && self.open_family() == Some(family);
-                if retry {
-                    // A retried attempt re-emits fit_started; the attempt
-                    // span was already opened by retry_scheduled.
-                    self.awaiting_retry_start = false;
-                    if let Some(fit) = self.open_fit_mut() {
-                        fit.starts = starts;
-                    }
-                } else {
-                    self.job_boundary(family);
-                    self.open_fit(family).starts = starts;
-                }
-            }
+            Event::JobStarted { cell, family } => self.open_job(cell, family),
+            // A retried attempt re-emits fit_started: only the pool size.
+            Event::FitStarted { family, starts } => self.running(family).starts = starts,
             Event::FitFinished {
                 family,
                 sse,
                 evaluations,
                 converged,
             } => {
-                if self.open_family() != Some(family) {
-                    self.job_boundary(family);
-                    self.open_fit(family);
-                }
-                if let Some(fit) = self.open_fit_mut() {
-                    fit.outcome = FitOutcome::Completed {
-                        sse,
-                        evaluations,
-                        converged,
-                    };
-                }
-                self.close_open_fit();
+                self.fit(family).outcome = FitOutcome::Completed {
+                    sse,
+                    evaluations,
+                    converged,
+                };
             }
-            Event::FitFailed { family, kind } => {
-                if self.open_family() != Some(family) {
-                    // A completed fit the selection layer then rejected
-                    // (e.g. a degenerate SSE failing the ranking
-                    // criteria) re-terminates as `fit_failed` right
-                    // after its `fit_finished`: attach the verdict to
-                    // that fit instead of inventing a phantom job.
-                    let rejected = !self.fit_open
-                        && self
-                            .current
-                            .and_then(|i| self.tree.cells[i].fits.last())
-                            .is_some_and(|f| {
-                                f.family == family
-                                    && matches!(f.outcome, FitOutcome::Completed { .. })
-                            });
-                    if rejected {
-                        let i = self.current.expect("checked above");
-                        let fit = self.tree.cells[i].fits.last_mut().expect("checked above");
-                        fit.outcome = FitOutcome::Failed(kind);
-                        return;
-                    }
-                    // A fit that never emitted its own events (breaker
-                    // skip, empty-buffer panic): record a closed fit.
-                    self.job_boundary(family);
-                    let cell = self.cell_mut();
-                    cell.fits.push(FitSpan::new(family));
-                    self.fit_open = true;
-                }
-                if let Some(fit) = self.open_fit_mut() {
-                    fit.outcome = FitOutcome::Failed(kind);
-                }
-                self.close_open_fit();
-            }
+            // Also the selection layer's verdict on a fit that finished.
+            Event::FitFailed { family: f, kind } => self.fit(f).outcome = FitOutcome::Failed(kind),
             Event::StartBegan { index } => {
                 if let Some(attempt) = self.attempt_mut() {
                     attempt.solvers.push(SolverSpan::new(Some(index)));
@@ -443,7 +326,8 @@ impl Builder {
                 evaluations,
                 ..
             } => {
-                if let Some(span) = self.solver_mut(solver) {
+                if let Some(attempt) = self.attempt_mut() {
+                    let span = attempt.solver_mut(solver);
                     span.iterations = span.iterations.max(iteration);
                     span.evaluations = span.evaluations.max(evaluations);
                 }
@@ -455,45 +339,26 @@ impl Builder {
                 value,
                 reason,
             } => {
-                if let Some(span) = self.solver_mut(solver) {
+                if let Some(attempt) = self.attempt_mut() {
+                    let span = attempt.solver_mut(solver);
                     span.iterations = iterations;
                     span.evaluations = evaluations;
                     span.exit = Some(reason);
                     span.value = Some(value);
                 }
             }
-            Event::RetryScheduled { family, attempt } => {
-                if self.open_family() != Some(family) {
-                    // Chaos retry-exhaustion jobs schedule retries without
-                    // ever reaching fit_started; chaos_injected usually
-                    // opened the fit already, but open one defensively.
-                    self.job_boundary(family);
-                    self.open_fit(family);
-                }
-                if let Some(fit) = self.open_fit_mut() {
-                    fit.attempts.push(AttemptSpan::new(attempt));
-                }
-                self.awaiting_retry_start = true;
+            // A retry follows attempt 1, even one that left no events.
+            Event::RetryScheduled { family, attempt: n } => {
+                self.running(family).attempts.push(AttemptSpan::new(n));
             }
             Event::Stop {
                 kind, evaluations, ..
             } => {
-                if let Some(attempt) = self.attempt_mut() {
-                    attempt.evaluations += evaluations;
+                if let Some(attempt) = self.charge(evaluations) {
                     attempt.stopped = Some(kind);
-                } else {
-                    self.charge_evaluations(evaluations);
                 }
             }
-            Event::WorkerPanic { scope, .. } => {
-                if self.open_family() != Some(scope) {
-                    self.job_boundary(scope);
-                    self.open_fit(scope);
-                }
-                if let Some(fit) = self.open_fit_mut() {
-                    fit.panicked = true;
-                }
-            }
+            Event::WorkerPanic { scope, .. } => self.running(scope).panicked = true,
             Event::BootstrapChunkDone {
                 done,
                 total,
@@ -505,33 +370,25 @@ impl Builder {
                     failed,
                 });
             }
-            Event::ChaosInjected { kind, cell, family } => {
-                // The carried cell index is authoritative — no roster
-                // heuristics here.
-                self.advance_to_cell(cell);
-                if self.open_family() != Some(family) {
-                    self.close_open_fit();
-                    self.open_fit(family);
-                }
-                if let Some(attempt) = self.attempt_mut() {
-                    attempt.chaos.push(kind);
-                }
-            }
+            Event::ChaosInjected { kind, family: f } => self.fit(f).attempt_mut().chaos.push(kind),
             Event::BreakerOpened { .. }
             | Event::BreakerHalfOpen { .. }
             | Event::BreakerClosed { .. } => {
-                self.cell_mut().breaker_transitions += 1;
-            }
-            Event::CellQuarantined { cell, failures } => {
-                self.advance_to_cell(cell);
-                self.cell_mut().quarantined = Some(failures);
-            }
-            Event::Counter { id, delta } => {
-                if id == CounterId::ObjectiveEvals {
-                    self.charge_evaluations(delta);
+                if let Some(c) = self.job {
+                    self.tree.cells[c].breaker_transitions += 1;
                 }
             }
-            Event::Hist { .. } => {}
+            Event::CellQuarantined { cell, failures } => {
+                let c = self.cell(cell);
+                self.tree.cells[c].quarantined = Some(failures);
+            }
+            Event::Counter {
+                id: CounterId::ObjectiveEvals,
+                delta,
+            } => {
+                self.charge(delta);
+            }
+            Event::Counter { .. } | Event::Hist { .. } => {}
         }
     }
 }
@@ -542,11 +399,10 @@ impl SpanTree {
     where
         I: IntoIterator<Item = &'a Event>,
     {
-        let mut builder = Builder::new();
+        let mut builder = Builder::default();
         for event in events {
             builder.consume(event);
         }
-        builder.close_open_fit();
         builder.tree
     }
 
@@ -626,9 +482,6 @@ impl SpanTree {
             }
             if cell.breaker_transitions > 0 {
                 let _ = write!(out, ", {} breaker transitions", cell.breaker_transitions);
-            }
-            if cell.orphan_evaluations > 0 {
-                let _ = write!(out, ", {} orphan evals", cell.orphan_evaluations);
             }
             out.push('\n');
             if max_depth < 2 {
@@ -715,7 +568,11 @@ impl SpanTree {
 mod tests {
     use super::*;
     use crate::event::HistogramId;
-    use crate::parse::intern;
+    use crate::parse::{intern, parse_log};
+
+    fn job(cell: u32, family: &'static str) -> Event {
+        Event::JobStarted { cell, family }
+    }
 
     fn started(family: &'static str) -> Event {
         Event::FitStarted { family, starts: 4 }
@@ -737,24 +594,30 @@ mod tests {
         }
     }
 
+    fn chaos(kind: ChaosKind, family: &'static str) -> Event {
+        Event::ChaosInjected { kind, family }
+    }
+
     #[test]
     fn selection_rejection_reterminates_the_completed_fit() {
         let q = intern("Quadratic");
         let g = intern("Glacial");
         let events = vec![
+            job(0, q),
             started(q),
             evals(7),
             finished(q, 7),
             // The selection layer rejected the numerically-complete fit:
-            // a trailing verdict for the same job, not a new one.
+            // a trailing verdict inside the same job.
             Event::FitFailed {
                 family: q,
                 kind: FailureCode::Error,
             },
+            job(0, g),
             started(g),
             evals(5),
             finished(g, 5),
-            // The next cell reuses the roster — still exactly two cells.
+            job(1, q),
             started(q),
             evals(3),
             finished(q, 3),
@@ -769,20 +632,24 @@ mod tests {
     }
 
     #[test]
-    fn rebuilds_cells_from_repeated_family_rosters() {
+    fn cells_come_from_job_lines() {
         let q = intern("Quadratic");
         let g = intern("Glacial");
-        // Two cells x two families; the repeated roster is the boundary.
+        // Two cells x two families; each `job` line names its cell.
         let events = vec![
+            job(0, q),
             started(q),
             evals(10),
             finished(q, 10),
+            job(0, g),
             started(g),
             evals(20),
             finished(g, 20),
+            job(1, q),
             started(q),
             evals(30),
             finished(q, 30),
+            job(1, g),
             started(g),
             evals(40),
             finished(g, 40),
@@ -808,6 +675,7 @@ mod tests {
     fn retry_reemits_fit_started_within_the_same_fit() {
         let q = intern("Quadratic");
         let events = vec![
+            job(0, q),
             started(q),
             Event::Stop {
                 scope: intern("nelder_mead"),
@@ -832,6 +700,28 @@ mod tests {
         assert_eq!(fit.evaluations(), 20);
         assert_eq!(fit.retries(), 1);
         assert!(matches!(fit.outcome, FitOutcome::Completed { .. }));
+    }
+
+    #[test]
+    fn a_log_without_job_lines_is_one_implicit_fit() {
+        // A standalone retry loop whose unconverged attempts each finish
+        // before the next is scheduled: still one fit in cell 0.
+        let q = intern("Quadratic");
+        let mut events = Vec::new();
+        for attempt in 1..=3 {
+            if attempt > 1 {
+                events.push(Event::RetryScheduled { family: q, attempt });
+            }
+            events.extend([started(q), evals(9), finished(q, 9)]);
+        }
+        let tree = SpanTree::build(&events);
+        assert_eq!(tree.cells.len(), 1);
+        let fit = &tree.cells[0].fits[0];
+        assert_eq!(tree.fits(), 1);
+        let attempts: Vec<u32> = fit.attempts.iter().map(|a| a.attempt).collect();
+        assert_eq!(attempts, vec![1, 2, 3]);
+        assert_eq!(fit.evaluations(), 27);
+        assert_eq!(tree.retries(), 2);
     }
 
     #[test]
@@ -885,11 +775,8 @@ mod tests {
         let events = vec![
             // Cell 0: retry-exhaustion chaos on Quadratic — no fit_started
             // at all, just chaos, a scheduled retry, and the verdict.
-            Event::ChaosInjected {
-                kind: ChaosKind::Exhaustion,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::Exhaustion, q),
             Event::Counter {
                 id: CounterId::ChaosInjected,
                 delta: 1,
@@ -903,6 +790,7 @@ mod tests {
                 kind: FailureCode::Error,
             },
             // Glacial was skipped by an open breaker: verdict only.
+            job(0, g),
             Event::FitFailed {
                 family: g,
                 kind: FailureCode::Skipped,
@@ -917,9 +805,11 @@ mod tests {
                 failures: 2,
             },
             // Cell 1 runs clean.
+            job(1, q),
             started(q),
             evals(11),
             finished(q, 11),
+            job(1, g),
             started(g),
             evals(5),
             finished(g, 5),
@@ -947,23 +837,54 @@ mod tests {
     }
 
     #[test]
+    fn a_chaos_deadline_job_is_one_fit_in_one_cell() {
+        // The injection opens the job's attempt before the fit's own
+        // fit_started: still one fit, not a second cell.
+        let q = intern("Quadratic");
+        let g = intern("Glacial");
+        let events = vec![
+            job(0, q),
+            chaos(ChaosKind::Deadline, q),
+            started(q),
+            Event::Stop {
+                scope: intern("nelder_mead"),
+                kind: StopKind::Deadline,
+                evaluations: 4,
+            },
+            Event::FitFailed {
+                family: q,
+                kind: FailureCode::TimedOut,
+            },
+            job(0, g),
+            started(g),
+            evals(5),
+            finished(g, 5),
+        ];
+        let tree = SpanTree::build(&events);
+        assert_eq!(tree.cells.len(), 1);
+        assert_eq!(tree.fits(), 2);
+        let fit = &tree.cells[0].fits[0];
+        assert_eq!(fit.attempts.len(), 1);
+        assert_eq!(fit.attempts[0].chaos, vec![ChaosKind::Deadline]);
+        assert_eq!(fit.attempts[0].stopped, Some(StopKind::Deadline));
+        assert_eq!(fit.starts, 4);
+        assert_eq!(fit.outcome, FitOutcome::Failed(FailureCode::TimedOut));
+        assert_eq!(tree.cells[0].evaluations(), 9);
+    }
+
+    #[test]
     fn observer_loss_leaves_a_lost_fit() {
         let q = intern("Quadratic");
         let events = vec![
             // Cell 0: the observer was dropped after chaos_injected; the
             // job's own telemetry never reached the log.
-            Event::ChaosInjected {
-                kind: ChaosKind::ObserverLoss,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::ObserverLoss, q),
             // Cell 1 (single-family roster): same family again.
-            Event::ChaosInjected {
-                kind: ChaosKind::ObserverLoss,
-                cell: 1,
-                family: q,
-            },
+            job(1, q),
+            chaos(ChaosKind::ObserverLoss, q),
             // Cell 2 runs clean.
+            job(2, q),
             started(q),
             evals(3),
             finished(q, 3),
@@ -982,11 +903,8 @@ mod tests {
     fn panic_verdicts_attach_to_the_failing_fit() {
         let q = intern("Quadratic");
         let events = vec![
-            Event::ChaosInjected {
-                kind: ChaosKind::Panic,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::Panic, q),
             Event::WorkerPanic { scope: q, index: 0 },
             Event::FitFailed {
                 family: q,
@@ -998,6 +916,20 @@ mod tests {
         assert!(fit.panicked);
         assert_eq!(fit.outcome, FitOutcome::Failed(FailureCode::Panicked));
         assert_eq!(fit.attempts[0].chaos, vec![ChaosKind::Panic]);
+    }
+
+    #[test]
+    fn a_huge_cell_index_names_one_cell() {
+        for line in [
+            r#"{"ev":"job","cell":4294967295,"family":"Quadratic"}"#,
+            r#"{"ev":"cell_quarantined","cell":4294967295,"failures":1}"#,
+        ] {
+            let tree = SpanTree::build(&parse_log(line).unwrap());
+            assert_eq!(tree.cells.len(), 1, "{line}");
+            assert_eq!(tree.cells[0].cell, u32::MAX);
+            let rendered = tree.render(usize::MAX, 4);
+            assert!(rendered.contains("cell 4294967295: "), "{rendered}");
+        }
     }
 
     #[test]

@@ -67,7 +67,8 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 # Each of BENCH_fleet.json, BENCH_obs.json and BENCH_chaos.json is
 # rewritten only when its own gates pass. They are pure functions of the
 # grid, so `git diff` must stay clean after this step. The plain
-# triple's logs land in OBS_SMOKE_DIR for the obsctl checks below.
+# triple's logs and the chaos triple's canonical log land in
+# OBS_SMOKE_DIR for the obsctl checks below.
 OBS_SMOKE_DIR="$OBS_SMOKE_DIR" timeout -k 30 "$SMOKE_TIMEOUT" \
     cargo run -q --release -p resilience-bench --bin bench -- --smoke
 
@@ -97,6 +98,16 @@ timeout -k 30 "$SMOKE_TIMEOUT" \
     "$OBS_SMOKE_DIR/fleet_serial.jsonl" --depth 1 \
     | grep -q "^fleet: 64 cells" || {
     echo "obs smoke: obsctl tree did not reconstruct the 64-cell fleet" >&2
+    exit 1
+}
+# The chaos log, read back from JSONL, must group into exactly one cell
+# per grid cell and one fit per (cell, family) job: injected faults,
+# retries and quarantines must not split or merge cells.
+timeout -k 30 "$SMOKE_TIMEOUT" \
+    cargo run -q --release -p resilience-bench --bin obsctl -- tree \
+    "$OBS_SMOKE_DIR/fleet_chaos.jsonl" --depth 1 \
+    | grep -q "^fleet: 64 cells, 128 fits," || {
+    echo "obs smoke: obsctl tree did not group the chaos log into 64 cells of 2 fits" >&2
     exit 1
 }
 timeout -k 30 "$SMOKE_TIMEOUT" \

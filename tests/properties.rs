@@ -15,7 +15,8 @@ use resilience_data::recessions::Recession;
 use resilience_data::scenario::{Drift, EventProcess, Noise, Recovery, ScenarioSpec, Shock};
 use resilience_data::{DataError, PerformanceSeries};
 use resilience_obs::{
-    intern, parse_line, parse_log, Event, FailureCode, RecordingObserver, StopKind,
+    intern, parse_line, parse_log, Event, FailureCode, RecordingObserver, RunReport, SpanTree,
+    StopKind,
 };
 use resilience_optim::{Control, Parallelism};
 use resilience_stats::{ContinuousDistribution, Exponential, Normal, Weibull, XorShift64};
@@ -495,12 +496,14 @@ fn mutate(rng: &mut XorShift64, line: &str) -> String {
 /// Runs `f` on `input`, failing the test with the input if it panics.
 fn no_panic<T>(case: usize, input: &str, f: impl Fn(&str) -> T) -> T {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(input)))
-        .unwrap_or_else(|_| panic!("case {case}: the parser panicked on {input:?}"))
+        .unwrap_or_else(|_| panic!("case {case}: panicked on {input:?}"))
 }
 
 /// Hostile input to the log reader: mutated real lines, alone and inside
 /// a log. Nothing panics; a failure is a `ParseError` carrying the bad
-/// line's 1-based number; a success survives encode → parse → encode.
+/// line's 1-based number; a success survives encode → parse → encode, and
+/// its span tree and run report build without a panic, the tree with no
+/// more cells than the log has events.
 #[test]
 fn log_reader_survives_mutated_lines() {
     let lines = real_log_lines();
@@ -533,6 +536,18 @@ fn log_reader_survives_mutated_lines() {
         text.push_str(good);
 
         let log = no_panic(case, &text, parse_log);
+        if let Ok(events) = &log {
+            let tree = no_panic(case, &text, |_| SpanTree::build(events));
+            assert!(
+                tree.cells.len() <= events.len(),
+                "case {case}: {} cells from {} events in {text:?}",
+                tree.cells.len(),
+                events.len()
+            );
+            no_panic(case, &text, |_| {
+                RunReport::from_events(events.iter().copied())
+            });
+        }
         let trimmed = line.trim();
         match (trimmed.is_empty(), parse_line(trimmed)) {
             (true, _) => {
