@@ -23,9 +23,9 @@
 //! Per-cell deltas and the max-delta summary are recorded in
 //! `BENCH_fleet.json` even though the gates force them to zero: if a
 //! future change breaks bit-identity, the baseline diff shows *where* and
-//! *by how much*, not just that a boolean flipped. Wall-clock is printed
-//! to stdout only — the JSON is a pure function of the grid, so CI can
-//! regenerate it and `git diff` stays clean.
+//! *by how much*, not just that a boolean flipped. Nothing here reads a
+//! clock: the JSON is a pure function of the grid, so CI can regenerate it
+//! and `git diff` stays clean.
 
 use crate::harness::{evals_per_fit, json_escape, median_u64};
 use resilience_core::fit::FitConfig;
@@ -37,11 +37,6 @@ use resilience_data::PerformanceSeries;
 use resilience_obs::{Event, RecordingObserver, RunReport, SpanTree};
 use resilience_optim::Parallelism;
 use std::sync::Arc;
-// Sanctioned wall-clock: `wall_ns` is stdout-only progress reporting,
-// never serialized into a baseline (`clippy.toml` bans `Instant`
-// everywhere results are stored).
-#[allow(clippy::disallowed_types)]
-use std::time::Instant;
 
 /// Sentinel bits recorded for a cell whose ranking failed outright (no
 /// family produced a fit). `u64::MAX` is not the bit pattern of any
@@ -268,9 +263,6 @@ pub struct FleetRun {
     /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
     /// abort.
     pub aborted: bool,
-    /// Wall-clock for the ranking pass, nanoseconds. Informational only;
-    /// never serialized into the baseline.
-    pub wall_ns: u128,
 }
 
 impl FleetRun {
@@ -300,7 +292,6 @@ impl FleetRun {
 /// Panics when a grid cell's spec fails to generate (grid specs are
 /// valid by construction) or when `families` is empty.
 #[must_use]
-#[allow(clippy::disallowed_types)] // wall_ns is stdout-only, never stored
 pub fn run_fleet(
     grid: &ScenarioGrid,
     families: &[&dyn ModelFamily],
@@ -321,7 +312,6 @@ pub fn run_fleet(
         ..FitConfig::default()
     };
     let rec = Arc::new(RecordingObserver::new());
-    let start = Instant::now();
     let outcomes = rank_fleet_supervised(
         families,
         &series,
@@ -329,7 +319,6 @@ pub fn run_fleet(
         policy,
         &Control::unbounded().observe(rec.clone()),
     );
-    let wall_ns = start.elapsed().as_nanos();
     let events = rec.take();
     let report = RunReport::from_events(events.iter().copied());
     let tree = SpanTree::build(&events);
@@ -355,7 +344,6 @@ pub fn run_fleet(
         report,
         events,
         aborted,
-        wall_ns,
     }
 }
 
@@ -455,8 +443,6 @@ pub struct FleetReport {
     pub total: RunReport,
     /// Median evals-per-fit of the canonical run.
     pub median_evals_per_fit: u64,
-    /// Wall-clock per pass, nanoseconds — stdout only, never serialized.
-    pub wall_ns: Vec<u128>,
 }
 
 impl FleetReport {
@@ -501,7 +487,6 @@ impl FleetReport {
             rollup: run1.report.clone(),
             total,
             median_evals_per_fit: median_u64(&evals_per_fit(&run1.events)).unwrap_or(0),
-            wall_ns: runs.iter().map(|r| r.wall_ns).collect(),
         }
     }
 
@@ -511,18 +496,12 @@ impl FleetReport {
         self.identical_rerun && self.identical_parallel && self.identical_rollup
     }
 
-    /// One-line verdict for the CI log (wall-clock included — stdout
-    /// only).
+    /// One-line verdict for the CI log.
     #[must_use]
     pub fn summary(&self) -> String {
-        let wall_ms: Vec<String> = self
-            .wall_ns
-            .iter()
-            .map(|ns| format!("{:.1}", *ns as f64 / 1e6))
-            .collect();
         format!(
             "fleet  cells={} families={} rerun={} parallel={} rollup={} digest={:016x} \
-             median_evals_per_fit={} wall_ms=[{}]",
+             median_evals_per_fit={}",
             self.store.len(),
             self.families.len(),
             self.identical_rerun,
@@ -530,7 +509,6 @@ impl FleetReport {
             self.identical_rollup,
             self.store.digest(),
             self.median_evals_per_fit,
-            wall_ms.join(", "),
         )
     }
 

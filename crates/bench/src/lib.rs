@@ -3,9 +3,10 @@
 //! Each public function regenerates one table or figure of *Predictive
 //! Resilience Modeling* (Silva et al., RWS 2022) and returns it as a
 //! rendered text block. The `repro` binary prints them; the `bench`
-//! binary times the underlying computations with the in-repo [`harness`]
-//! (no criterion — the workspace builds offline). DESIGN.md §4 maps each
-//! experiment to the modules it exercises.
+//! binary runs the determinism and work gates ([`fleet`], [`obs_smoke`],
+//! [`chaos`], and the shared [`harness`]) and writes their `BENCH_*.json`
+//! baselines. Timings come from `perf`, the repository benchmark. DESIGN.md
+//! §4 maps each experiment to the modules it exercises.
 
 pub mod chaos;
 pub mod fleet;

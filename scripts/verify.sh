@@ -54,7 +54,9 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 # fails when any of them breaks:
 # * rank_models on 1990-93: serial vs Fixed(2) bit-identical, the
 #   median evals-per-fit and each of the six families' evaluations under
-#   the ceilings recorded in the bench binary;
+#   the ceilings recorded in the bench binary -> BENCH_fitting.json;
+# * bootstrap_band on 1990-93: serial vs Fixed(2) bit-identical ->
+#   BENCH_bootstrap.json;
 # * the canonical scenario set generates and ranks deterministically;
 # * the 64-cell CI fleet runs as two triples (serial x2, Fixed(2)), one
 #   plain and one under the fixed chaos plan with the breaker armed. The
@@ -63,14 +65,27 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 #   metrics; full attribution; per-family evaluation ceilings); the chaos
 #   triple feeds the chaos gates (no abort, finite survivors,
 #   byte-identical stores and event JSONL, exact injection accounting,
-#   bounded retries).
-# Each of BENCH_fleet.json, BENCH_obs.json and BENCH_chaos.json is
-# rewritten only when its own gates pass. They are pure functions of the
-# grid, so `git diff` must stay clean after this step. The plain
-# triple's logs and the chaos triple's canonical log land in
-# OBS_SMOKE_DIR for the obsctl checks below.
+#   bounded retries) -> BENCH_fleet.json, BENCH_obs.json, BENCH_chaos.json;
+# * the 360-cell fleet runs as one plain triple checked by the fleet
+#   gates -> BENCH_fleet_full.json.
+# Each baseline is rewritten only when its own gates pass. They are pure
+# functions of their inputs, so regenerating them must be a no-op: copies
+# taken before the run are kept in OBS_SMOKE_DIR and compared byte for
+# byte afterwards. The plain triple's logs and the chaos triple's canonical
+# log land in OBS_SMOKE_DIR for the obsctl checks below.
+cp BENCH_*.json "$OBS_SMOKE_DIR/"
 OBS_SMOKE_DIR="$OBS_SMOKE_DIR" timeout -k 30 "$SMOKE_TIMEOUT" \
     cargo run -q --release -p resilience-bench --bin bench -- --smoke
+drifted=""
+for before in "$OBS_SMOKE_DIR"/BENCH_*.json; do
+    name="$(basename "$before")"
+    cmp -s "$before" "$name" || drifted="$drifted $name"
+done
+if [ -n "$drifted" ]; then
+    echo "bench smoke: regenerating the baselines changed:$drifted" >&2
+    echo "(a gate's output changed; review with: git diff --$drifted)" >&2
+    exit 1
+fi
 
 # obsctl diff of the serial vs rerun logs must be empty (exit 0); a
 # non-empty diff means the telemetry plane itself is nondeterministic.
