@@ -127,7 +127,7 @@ impl ChaosReport {
         let identical_rerun = bytes1 == run2.store.columns_json() && log1 == run2.events_jsonl();
         let identical_parallel = bytes1 == run3.store.columns_json() && log1 == run3.events_jsonl();
 
-        let no_abort = runs.iter().all(|r| !r.aborted);
+        let no_abort = runs.iter().all(|r| !r.aborted());
         let well_formed = (0..store.len()).all(|i| {
             let bits = store.sse_bits[i];
             if bits >= QUARANTINED_BITS {

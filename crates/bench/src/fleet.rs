@@ -260,12 +260,20 @@ pub struct FleetRun {
     /// Every event of the pass in replay order — the input for span-tree
     /// reconstruction, JSONL export, and log diffing.
     pub events: Vec<Event>,
-    /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
-    /// abort.
-    pub aborted: bool,
+    /// The runtime's own outcome for each cell, in cell-index order.
+    pub outcomes: Vec<CellOutcome>,
 }
 
 impl FleetRun {
+    /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
+    /// abort.
+    #[must_use]
+    pub fn aborted(&self) -> bool {
+        self.outcomes
+            .iter()
+            .any(|o| matches!(o, CellOutcome::Stopped(_)))
+    }
+
     /// The pass's events serialized as JSONL, byte-identical across runs
     /// of the same grid.
     #[must_use]
@@ -324,7 +332,6 @@ pub fn run_fleet(
     let tree = SpanTree::build(&events);
     let supervised = policy.supervises_cells();
     let mut store = FleetStore::with_capacity(cells.len());
-    let mut aborted = false;
     for (i, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
         let work = cell_work(&tree, i);
         match outcome {
@@ -332,9 +339,7 @@ pub fn run_fleet(
             CellOutcome::Quarantined { failures } if supervised => {
                 store.push_quarantined(cell, failures.len() as u32, work);
             }
-            CellOutcome::Quarantined { .. } => store.push(cell, None, work),
-            CellOutcome::Stopped(_) => {
-                aborted = true;
+            CellOutcome::Quarantined { .. } | CellOutcome::Stopped(_) => {
                 store.push(cell, None, work);
             }
         }
@@ -343,7 +348,7 @@ pub fn run_fleet(
         store,
         report,
         events,
-        aborted,
+        outcomes,
     }
 }
 

@@ -18,7 +18,10 @@
 //!    roll-up's per-family evaluation totals;
 //! 7. **within_budget** — each family's evaluation total stays under its
 //!    committed ceiling ([`EVAL_CEILINGS`]), so an optimizer regression
-//!    that silently doubles the work budget fails CI.
+//!    that silently doubles the work budget fails CI;
+//! 8. **log_bounded** — the canonical log holds at most
+//!    [`EVENTS_PER_START_CEILING`] events per multi-start `start` line, so
+//!    a per-iteration event that creeps back into the log fails CI.
 //!
 //! The JSON baseline is a pure function of the grid: counter totals,
 //! histogram bucket vectors and percentiles, per-family work against
@@ -28,7 +31,7 @@
 use crate::fleet::{FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
-use resilience_obs::{Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
+use resilience_obs::{Event, Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
@@ -41,6 +44,20 @@ pub const EVAL_CEILINGS: &[(&str, u64)] = &[("Quadratic", 85_000), ("Competing R
 /// enough for any single family on the smoke grid, tight enough that a
 /// runaway solver loop still trips the gate.
 pub const DEFAULT_EVAL_CEILING: u64 = 300_000;
+
+/// Committed ceiling on the canonical log's events per `start` line. An
+/// observed solver run writes a bounded number of lines whatever its
+/// iteration count; the smoke grid's log measures 9.46 per start (6 649
+/// events, 703 starts), and the ceiling is about 1.5× that. A log with a
+/// line per solver iteration (179 per start) fails the gate.
+pub const EVENTS_PER_START_CEILING: u64 = 14;
+
+/// The `log_bounded` gate: `events` within [`EVENTS_PER_START_CEILING`]
+/// per start, over a log with at least one start.
+#[must_use]
+pub fn log_bounded(events: u64, starts: u64) -> bool {
+    starts > 0 && events <= EVENTS_PER_START_CEILING * starts
+}
 
 /// The evaluation ceiling for `family` ([`EVAL_CEILINGS`] lookup with the
 /// [`DEFAULT_EVAL_CEILING`] fallback).
@@ -88,6 +105,8 @@ pub struct ObsSmokeReport {
     pub families: Vec<String>,
     /// Events in the canonical run's log.
     pub events: u64,
+    /// `start` lines (multi-start seeds) in the canonical run's log.
+    pub starts: u64,
     /// Gate 1: the three JSONL logs are byte-identical.
     pub identical_log: bool,
     /// Gate 2: the three span-tree renders are byte-identical.
@@ -102,6 +121,8 @@ pub struct ObsSmokeReport {
     pub work_attributed: bool,
     /// Gate 7: every family under its evaluation ceiling.
     pub within_budget: bool,
+    /// Gate 8: the log within [`EVENTS_PER_START_CEILING`] events per start.
+    pub log_bounded: bool,
     /// Counter totals of the canonical run, in [`resilience_obs::CounterId`] order.
     pub counters: Vec<(String, u64)>,
     /// Histograms of the canonical run, in [`HistogramId`] order.
@@ -132,6 +153,7 @@ impl ObsSmokeReport {
             && self.cells_covered
             && self.work_attributed
             && self.within_budget
+            && self.log_bounded
     }
 
     /// The `BENCH_obs.json` document — a pure function of the grid, so
@@ -197,9 +219,12 @@ impl ObsSmokeReport {
             .collect();
         format!(
             "{{\n  \"benchmark\": \"obs\",\n  \"cells\": {},\n  \"families\": [{}],\n  \
-             \"runs\": {},\n  \"events\": {},\n  \"gates\": {{\"identical_log\": {}, \
+             \"runs\": {},\n  \"events\": {},\n  \"starts\": {},\n  \
+             \"events_per_start\": {:.2},\n  \"events_per_start_ceiling\": {},\n  \
+             \"gates\": {{\"identical_log\": {}, \
              \"identical_tree\": {}, \"identical_metrics\": {}, \"identical_store\": {}, \
-             \"cells_covered\": {}, \"work_attributed\": {}, \"within_budget\": {}}},\n  \
+             \"cells_covered\": {}, \"work_attributed\": {}, \"within_budget\": {}, \
+             \"log_bounded\": {}}},\n  \
              \"tree_cells\": {},\n  \"unattributed_evals\": {},\n  \"counters\": {{\n{}\n  }},\n  \
              \"histograms\": {{\n{}\n  }},\n  \"family_work\": [\n{}\n  ],\n  \
              \"hottest_cells\": [\n{}\n  ],\n  \"hottest_families\": [\n{}\n  ]\n}}\n",
@@ -207,6 +232,9 @@ impl ObsSmokeReport {
             families.join(", "),
             PASSES.len(),
             self.events,
+            self.starts,
+            self.events_per_start(),
+            EVENTS_PER_START_CEILING,
             self.identical_log,
             self.identical_tree,
             self.identical_metrics,
@@ -214,6 +242,7 @@ impl ObsSmokeReport {
             self.cells_covered,
             self.work_attributed,
             self.within_budget,
+            self.log_bounded,
             self.tree_cells,
             self.unattributed_evals,
             counters.join(",\n"),
@@ -224,7 +253,7 @@ impl ObsSmokeReport {
         )
     }
 
-    /// Checks the seven observability gates over a
+    /// Checks the eight observability gates over a
     /// [`run_triple`](crate::fleet::run_triple) of the fleet and assembles
     /// the baseline aggregates (see the module docs), plus the byte
     /// artifacts the gates compared.
@@ -269,11 +298,17 @@ impl ObsSmokeReport {
             })
             .collect();
         let within_budget = family_work.iter().all(|w| w.evaluations <= w.ceiling);
+        let starts = run1
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::StartBegan { .. }))
+            .count() as u64;
 
         let report = ObsSmokeReport {
             cells,
             families: families.iter().map(|f| f.name().to_string()).collect(),
             events: tree.events,
+            starts,
             identical_log,
             identical_tree,
             identical_metrics,
@@ -281,6 +316,7 @@ impl ObsSmokeReport {
             cells_covered,
             work_attributed,
             within_budget,
+            log_bounded: log_bounded(tree.events, starts),
             counters: run1
                 .report
                 .counters
@@ -319,6 +355,16 @@ impl ObsSmokeReport {
         (report, artifacts)
     }
 
+    /// Mean events per `start` line in the canonical log (0 without one).
+    #[must_use]
+    pub fn events_per_start(&self) -> f64 {
+        if self.starts == 0 {
+            0.0
+        } else {
+            self.events as f64 / self.starts as f64
+        }
+    }
+
     /// One-line verdict for the CI log, with each family's work against
     /// its ceiling.
     #[must_use]
@@ -329,10 +375,12 @@ impl ObsSmokeReport {
             .map(|w| format!("{}={}/{}", w.family, w.evaluations, w.ceiling))
             .collect();
         format!(
-            "obs    cells={} events={} log={} tree={} metrics={} store={} covered={} \
-             attributed={} budget={} evals=[{}]",
+            "obs    cells={} events={} per_start={:.2}/{} log={} tree={} metrics={} store={} \
+             covered={} attributed={} budget={} bounded={} evals=[{}]",
             self.cells,
             self.events,
+            self.events_per_start(),
+            EVENTS_PER_START_CEILING,
             self.identical_log,
             self.identical_tree,
             self.identical_metrics,
@@ -340,6 +388,7 @@ impl ObsSmokeReport {
             self.cells_covered,
             self.work_attributed,
             self.within_budget,
+            self.log_bounded,
             work.join(", "),
         )
     }
@@ -400,6 +449,8 @@ mod tests {
             "\"runs\": 3",
             "\"gates\": {\"identical_log\": true",
             "\"within_budget\": true",
+            "\"log_bounded\": true",
+            "\"events_per_start_ceiling\": 14",
             "\"counters\": {",
             "\"objective_evals\":",
             "\"histograms\": {",
@@ -418,6 +469,26 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json, check().0.to_json());
+    }
+
+    #[test]
+    fn a_log_with_a_line_per_iteration_fails_the_volume_gate() {
+        // The smoke grid's 703 starts: 9.46 events per start passes, and
+        // 179 per start, the log that wrote every solver iteration, fails.
+        assert!(log_bounded(6_649, 703));
+        assert!(log_bounded(EVENTS_PER_START_CEILING * 703, 703));
+        assert!(!log_bounded(EVENTS_PER_START_CEILING * 703 + 1, 703));
+        assert!(!log_bounded(179 * 703, 703));
+        assert!(!log_bounded(0, 0), "a log without starts proves nothing");
+
+        let (mut report, _) = check();
+        assert!(report.log_bounded, "{report:?}");
+        assert!(report.starts > 0);
+        report.events = 179 * report.starts;
+        report.log_bounded = log_bounded(report.events, report.starts);
+        assert!(!report.gates_pass());
+        assert!(report.to_json().contains("\"log_bounded\": false"));
+        assert!(report.summary().contains("per_start=179.00/14"));
     }
 
     #[test]

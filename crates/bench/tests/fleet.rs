@@ -10,19 +10,21 @@
 //! (`bench --smoke`).
 
 use resilience_bench::chaos::chaos_policy;
-use resilience_bench::fleet::{run_fleet, run_triple, smoke_grid, FleetReport, FleetStore};
+use resilience_bench::fleet::{
+    run_fleet, run_triple, smoke_grid, FleetReport, FleetRun, FleetStore,
+};
 use resilience_bench::obs_smoke::ObsSmokeReport;
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
+use resilience_core::chaos::ChaosPlan;
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{
-    rank_fleet_supervised, rank_models_supervised, CellOutcome, Control, ExecPolicy,
+    rank_models_supervised, BreakerPolicy, CellOutcome, Control, ExecPolicy, RetryPolicy,
 };
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
-use resilience_data::PerformanceSeries;
-use resilience_obs::{FitOutcome, RecordingObserver, SpanTree};
+use resilience_obs::{CounterId, Event, FitOutcome, SpanTree};
 use resilience_optim::Parallelism;
-use std::sync::Arc;
+use resilience_stats::XorShift64;
 
 fn tiny_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -125,70 +127,179 @@ fn store_columns_stay_aligned() {
     }
 }
 
-#[test]
-fn chaos_span_tree_agrees_with_the_runtime_cell_by_cell() {
-    // Under the CI chaos plan, the tree built from the log has one cell
-    // per grid cell, one fit per family, and every fit and quarantine
-    // mark agrees with the runtime's own outcome for that cell.
-    let fams = families();
-    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
-    let series: Vec<PerformanceSeries> = smoke_grid()
-        .cells()
-        .map(|c| c.generate().unwrap())
-        .collect();
-    let config = FitConfig {
-        parallelism: Parallelism::Fixed(2),
-        ..FitConfig::default()
-    };
-    let rec = Arc::new(RecordingObserver::new());
-    let outcomes = rank_fleet_supervised(
-        &fams,
-        &series,
-        &config,
-        &chaos_policy(),
-        &Control::unbounded().observe(rec.clone()),
-    );
-    let tree = SpanTree::build(&rec.take());
-    assert_eq!(tree.cells.len(), 64);
-    assert_eq!(outcomes.len(), 64);
-    let (mut lost, mut failed, mut quarantined) = (0, 0, 0);
-    for (i, (cell, outcome)) in tree.cells.iter().zip(&outcomes).enumerate() {
-        assert_eq!(cell.cell as usize, i);
+/// Fit shapes [`check_tree_against_runtime`] met, so a caller can
+/// require that a plan exercised them.
+#[derive(Debug, Default)]
+struct Shapes {
+    lost: u32,
+    failed: u32,
+    quarantined: u32,
+}
+
+/// Checks the span tree built from `run`'s log against the runtime's own
+/// outcome for every cell: one tree cell per grid cell, one fit per
+/// family, no cell stopped, every fit's terminal state and every
+/// quarantine mark as the `CellOutcome` says. Every attempt's evaluations
+/// must also equal the sum of its solver spans': the grid's bathtub
+/// families spend no evaluation outside a solver run, and a solver that
+/// a stop cut short is charged from its stop line.
+fn check_tree_against_runtime(run: &FleetRun, names: &[&str], context: &str) -> Shapes {
+    let tree = SpanTree::build(&run.events);
+    assert_eq!(tree.cells.len(), run.outcomes.len(), "{context}");
+    let mut shapes = Shapes::default();
+    for (i, (cell, outcome)) in tree.cells.iter().zip(&run.outcomes).enumerate() {
+        assert_eq!(cell.cell as usize, i, "{context}");
         let fitted: Vec<&str> = cell.fits.iter().map(|f| f.family).collect();
-        assert_eq!(fitted, names, "cell {i}");
+        assert_eq!(fitted, names, "{context}: cell {i}");
         let (rows, failures) = match outcome {
             CellOutcome::Ranked(r) => (r.rows.iter().map(|r| r.family_name).collect(), &r.failures),
             CellOutcome::Quarantined { failures } => (Vec::new(), failures),
-            CellOutcome::Stopped(e) => panic!("cell {i} stopped: {e}"),
+            CellOutcome::Stopped(e) => panic!("{context}: cell {i} stopped: {e}"),
         };
         for fit in &cell.fits {
             let failure = failures.iter().find(|f| f.family_name == fit.family);
             match fit.outcome {
                 FitOutcome::Completed { .. } => {
-                    assert!(rows.contains(&fit.family), "cell {i}: {}", fit.family);
+                    assert!(
+                        rows.contains(&fit.family),
+                        "{context}: cell {i}: {}",
+                        fit.family
+                    );
                 }
                 FitOutcome::Failed(code) => {
-                    failed += 1;
-                    assert_eq!(failure.map(|f| f.kind.code()), Some(code), "cell {i}");
+                    shapes.failed += 1;
+                    assert_eq!(
+                        failure.map(|f| f.kind.code()),
+                        Some(code),
+                        "{context}: cell {i}"
+                    );
                 }
                 // Observer loss: the job ran, but its telemetry did not.
                 FitOutcome::Lost => {
-                    lost += 1;
+                    shapes.lost += 1;
                     assert!(
                         rows.contains(&fit.family) || failure.is_some(),
-                        "cell {i}: {}",
+                        "{context}: cell {i}: {}",
                         fit.family
                     );
                 }
             }
+            for attempt in &fit.attempts {
+                let solver_evals: u64 = attempt.solvers.iter().map(|s| s.evaluations).sum();
+                assert_eq!(
+                    attempt.evaluations, solver_evals,
+                    "{context}: cell {i} {} attempt {}",
+                    fit.family, attempt.attempt
+                );
+            }
         }
         let parked = matches!(outcome, CellOutcome::Quarantined { .. });
-        assert_eq!(cell.quarantined.is_some(), parked, "cell {i}");
-        quarantined += u32::from(parked);
+        assert_eq!(cell.quarantined.is_some(), parked, "{context}: cell {i}");
+        shapes.quarantined += u32::from(parked);
     }
+    shapes
+}
+
+#[test]
+fn chaos_span_tree_agrees_with_the_runtime_cell_by_cell() {
+    // Under the CI chaos plan, the tree built from the log agrees with
+    // the runtime's own outcome for every one of the 64 cells.
+    let fams = families();
+    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
+    let run = run_fleet(&smoke_grid(), &fams, Parallelism::Fixed(2), &chaos_policy());
+    assert_eq!(run.outcomes.len(), 64);
+    let shapes = check_tree_against_runtime(&run, &names, "CI chaos plan");
     // The plan exercised every shape the check covers.
     assert!(
-        lost > 0 && failed > 0 && quarantined > 0,
-        "{lost} {failed} {quarantined}"
+        shapes.lost > 0 && shapes.failed > 0 && shapes.quarantined > 0,
+        "{shapes:?}"
+    );
+}
+
+/// A per-mille rate drawn uniformly from 0–200.
+fn per_mille(rng: &mut XorShift64) -> u16 {
+    rng.next_index(201) as u16
+}
+
+#[test]
+fn random_chaos_plans_keep_the_supervisor_contract() {
+    // Seeded draws of the chaos plan, the breaker, the retry schedule
+    // and the worker count, on a 16-cell subset of the CI grid. The
+    // invariants are checked directly: the CI gate set pins the fixed
+    // plan's retry ceiling and requires that plan to fire.
+    let grid = ScenarioGrid {
+        lengths: vec![32],
+        seeds: vec![42, 43],
+        ..smoke_grid()
+    };
+    let fams = families();
+    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
+    let jobs = (grid.len() * fams.len()) as u64;
+    assert_eq!(grid.len(), 16);
+    let mut rng = XorShift64::new(0xC4A0_5EED);
+    let mut seen = Shapes::default();
+    for draw in 0..8 {
+        let plan = ChaosPlan {
+            seed: rng.next_u64(),
+            panic_per_mille: per_mille(&mut rng),
+            deadline_per_mille: per_mille(&mut rng),
+            exhaustion_per_mille: per_mille(&mut rng),
+            observer_loss_per_mille: per_mille(&mut rng),
+            transient_per_mille: per_mille(&mut rng),
+        };
+        let max_attempts = 1 + rng.next_index(3);
+        let policy = ExecPolicy {
+            family_budget: None,
+            retry: Some(RetryPolicy {
+                max_attempts,
+                ..RetryPolicy::default()
+            }),
+            breaker: Some(BreakerPolicy {
+                threshold: 1 + rng.next_index(4) as u32,
+                cooldown: 1 + rng.next_index(4) as u32,
+                wave: 1 + rng.next_index(16),
+            }),
+            chaos: Some(plan),
+        };
+        let workers = 2 + rng.next_index(3);
+        let context = format!("draw {draw} (Fixed({workers}), {policy:?})");
+
+        let serial = run_fleet(&grid, &fams, Parallelism::Serial, &policy);
+        let parallel = run_fleet(&grid, &fams, Parallelism::Fixed(workers), &policy);
+        assert!(!parallel.aborted(), "{context}");
+        assert_eq!(
+            serial.store.columns_json(),
+            parallel.store.columns_json(),
+            "{context}"
+        );
+        assert!(
+            serial.events_jsonl() == parallel.events_jsonl(),
+            "{context}: the serial and parallel logs differ"
+        );
+
+        let injected = serial
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::ChaosInjected { .. }))
+            .count() as u64;
+        assert_eq!(
+            serial.report.counter(CounterId::ChaosInjected),
+            injected,
+            "{context}"
+        );
+        let retries = serial.report.counter(CounterId::Retries);
+        assert!(
+            retries <= (max_attempts as u64 - 1) * jobs,
+            "{context}: {retries} retries"
+        );
+        let shapes = check_tree_against_runtime(&serial, &names, &context);
+        seen.lost += shapes.lost;
+        seen.failed += shapes.failed;
+        seen.quarantined += shapes.quarantined;
+    }
+    // Together the draws exercised every shape the check covers.
+    assert!(
+        seen.lost > 0 && seen.failed > 0 && seen.quarantined > 0,
+        "{seen:?}"
     );
 }

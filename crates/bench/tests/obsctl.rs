@@ -211,14 +211,26 @@ fn unreadable_log_error_names_the_path() {
 
 #[test]
 fn malformed_line_error_names_its_line_number() {
-    let log = fixture("malformed-line.jsonl", &format!("{LOG}this is not json\n"));
-    let out = obsctl(&["report", log.to_str().unwrap()]);
-    assert_eq!(code(&out), 2);
-    let text = stderr(&out);
-    assert!(
-        text.contains("line 21"),
-        "stderr must name the line: {text}"
-    );
+    // A line that is not JSON, and a per-iteration line from the old log
+    // format: solvers no longer write one, so its tag is unknown.
+    let cases = [
+        ("malformed-line.jsonl", "this is not json", "line 21"),
+        (
+            "iteration-line.jsonl",
+            r#"{"ev":"iteration","solver":"nm","iter":1,"evals":3,"best":0.5}"#,
+            r#"line 21: unknown event tag "iteration""#,
+        ),
+    ];
+    for (name, line, expected) in cases {
+        let log = fixture(name, &format!("{LOG}{line}\n"));
+        let out = obsctl(&["report", log.to_str().unwrap()]);
+        assert_eq!(code(&out), 2, "{name}");
+        let text = stderr(&out);
+        assert!(
+            text.contains(expected),
+            "stderr must name the line and its error: {text}"
+        );
+    }
 }
 
 #[test]

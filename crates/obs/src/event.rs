@@ -4,8 +4,9 @@
 //! Events are `Copy`, carry only stack data (`&'static str` names, integer
 //! logical clocks, `f64` objective values), and **never** contain wall-clock
 //! timestamps — determinism across serial and parallel runs depends on it.
-//! Position in the log, iteration indices, and evaluation counters are the
-//! only notions of time.
+//! Position in the log and evaluation counters are the only notions of
+//! time. A solver run writes a bounded number of events whatever its
+//! iteration count: its totals come once, at termination or at a stop.
 
 use std::fmt::Write as _;
 
@@ -16,8 +17,6 @@ pub enum SolverKind {
     NelderMead,
     /// Levenberg–Marquardt damped least squares.
     LevenbergMarquardt,
-    /// Multi-start driver wrapping Nelder–Mead.
-    MultiStart,
 }
 
 impl SolverKind {
@@ -26,7 +25,6 @@ impl SolverKind {
         match self {
             SolverKind::NelderMead => "nm",
             SolverKind::LevenbergMarquardt => "lm",
-            SolverKind::MultiStart => "ms",
         }
     }
 
@@ -35,9 +33,24 @@ impl SolverKind {
         Some(match s {
             "nm" => SolverKind::NelderMead,
             "lm" => SolverKind::LevenbergMarquardt,
-            "ms" => SolverKind::MultiStart,
             _ => return None,
         })
+    }
+
+    /// The `scope` of a stop raised inside this solver's run.
+    pub const fn stop_scope(self) -> &'static str {
+        match self {
+            SolverKind::NelderMead => "nelder_mead",
+            SolverKind::LevenbergMarquardt => "levenberg_marquardt",
+        }
+    }
+
+    /// Inverse of [`SolverKind::stop_scope`]: the solver a stop's scope
+    /// names, if it names one (a stop can also be scoped to a stage).
+    pub fn from_stop_scope(scope: &str) -> Option<SolverKind> {
+        [SolverKind::NelderMead, SolverKind::LevenbergMarquardt]
+            .into_iter()
+            .find(|k| k.stop_scope() == scope)
     }
 }
 
@@ -211,9 +224,10 @@ pub enum CounterId {
     LmDampingDown,
     /// Retry attempts scheduled by the runtime.
     Retries,
-    /// Family fits lost to a deadline.
+    /// Solver runs stopped by a deadline (one per `deadline_exceeded`
+    /// line). A timed-out multi-start fit counts once per stopped start.
     Timeouts,
-    /// Family fits lost to cancellation.
+    /// Solver runs stopped by a cancellation (one per `cancelled` line).
     Cancellations,
     /// Bootstrap replicates that refit successfully.
     BootstrapReplicatesOk,
@@ -320,7 +334,7 @@ impl HistogramId {
 
 /// One telemetry event.
 ///
-/// All time-like fields are logical clocks: iteration indices, evaluation
+/// All time-like fields are logical clocks: iteration and evaluation
 /// counts, start indices. Two runs of the same seed emit the same events in
 /// the same order regardless of thread count (the pipeline buffers per-job
 /// events and replays them in index order).
@@ -364,17 +378,6 @@ pub enum Event {
         /// Index of the start in the seed pool.
         index: u32,
     },
-    /// One solver iteration completed.
-    Iteration {
-        /// Emitting solver.
-        solver: SolverKind,
-        /// Iteration index (logical clock, 1-based).
-        iteration: u64,
-        /// Cumulative objective evaluations at the end of the iteration.
-        evaluations: u64,
-        /// Best objective value seen so far.
-        best: f64,
-    },
     /// A solver terminated normally.
     Converged {
         /// Emitting solver.
@@ -397,7 +400,8 @@ pub enum Event {
     },
     /// A solver or pipeline stage hit its deadline or a cancellation.
     Stop {
-        /// Where the stop was observed (e.g. `"nelder_mead"`, `"fit"`).
+        /// Where the stop was observed: a solver's
+        /// [`SolverKind::stop_scope`], or a stage such as `"fit"`.
         scope: &'static str,
         /// Deadline or cancellation.
         kind: StopKind,
@@ -524,7 +528,6 @@ impl Event {
             Event::FitFinished { .. } => "fit_finished",
             Event::FitFailed { .. } => "fit_failed",
             Event::StartBegan { .. } => "start",
-            Event::Iteration { .. } => "iteration",
             Event::Converged { .. } => "converged",
             Event::RetryScheduled { .. } => "retry_scheduled",
             Event::Stop { kind, .. } => kind.as_str(),
@@ -575,19 +578,6 @@ impl Event {
             }
             Event::StartBegan { index } => {
                 let _ = write!(out, ",\"index\":{index}");
-            }
-            Event::Iteration {
-                solver,
-                iteration,
-                evaluations,
-                best,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"solver\":\"{}\",\"iter\":{iteration},\"evals\":{evaluations},\"best\":",
-                    solver.as_str()
-                );
-                write_f64(out, best);
             }
             Event::Converged {
                 solver,
@@ -696,12 +686,6 @@ impl Event {
                 converged: true,
             },
             Event::StartBegan { index: 3 },
-            Event::Iteration {
-                solver: SolverKind::NelderMead,
-                iteration: 7,
-                evaluations: 21,
-                best: f64::NAN,
-            },
             Event::Converged {
                 solver: SolverKind::LevenbergMarquardt,
                 iterations: 12,
@@ -740,16 +724,15 @@ impl Event {
         ] {
             out.push(Event::FitFailed { family, kind });
         }
-        for solver in [
-            SolverKind::NelderMead,
-            SolverKind::LevenbergMarquardt,
-            SolverKind::MultiStart,
+        for (solver, value) in [
+            (SolverKind::NelderMead, f64::NAN),
+            (SolverKind::LevenbergMarquardt, -0.5),
         ] {
             out.push(Event::Converged {
                 solver,
                 iterations: 1,
                 evaluations: 2,
-                value: -0.5,
+                value,
                 reason: ExitReason::Stalled,
             });
         }
@@ -759,7 +742,7 @@ impl Event {
             ExitReason::Stalled,
         ] {
             out.push(Event::Converged {
-                solver: SolverKind::MultiStart,
+                solver: SolverKind::NelderMead,
                 iterations: 3,
                 evaluations: 30,
                 value: f64::NEG_INFINITY,
@@ -792,7 +775,6 @@ impl Event {
                 | Event::FitFinished { .. }
                 | Event::FitFailed { .. }
                 | Event::StartBegan { .. }
-                | Event::Iteration { .. }
                 | Event::Converged { .. }
                 | Event::RetryScheduled { .. }
                 | Event::Stop { .. }
@@ -853,13 +835,12 @@ mod tests {
         for id in HistogramId::ALL {
             assert_eq!(HistogramId::parse(id.as_str()), Some(id));
         }
-        for k in [
-            SolverKind::NelderMead,
-            SolverKind::LevenbergMarquardt,
-            SolverKind::MultiStart,
-        ] {
+        for k in [SolverKind::NelderMead, SolverKind::LevenbergMarquardt] {
             assert_eq!(SolverKind::parse(k.as_str()), Some(k));
+            assert_eq!(SolverKind::from_stop_scope(k.stop_scope()), Some(k));
         }
+        assert_eq!(SolverKind::from_stop_scope("fit"), None);
+        assert_eq!(SolverKind::parse("ms"), None);
         for r in [
             ExitReason::Converged,
             ExitReason::MaxIterations,
@@ -901,20 +882,20 @@ mod tests {
 
     #[test]
     fn non_finite_floats_encode_as_strings() {
-        let e = Event::Iteration {
-            solver: SolverKind::NelderMead,
-            iteration: 1,
-            evaluations: 2,
-            best: f64::INFINITY,
-        };
-        assert!(e.to_json().contains("\"best\":\"inf\""));
-        let e = Event::Iteration {
-            solver: SolverKind::NelderMead,
-            iteration: 1,
-            evaluations: 2,
-            best: f64::NAN,
-        };
-        assert!(e.to_json().contains("\"best\":\"nan\""));
+        for (value, token) in [
+            (f64::INFINITY, "\"value\":\"inf\""),
+            (f64::NEG_INFINITY, "\"value\":\"-inf\""),
+            (f64::NAN, "\"value\":\"nan\""),
+        ] {
+            let e = Event::Converged {
+                solver: SolverKind::NelderMead,
+                iterations: 1,
+                evaluations: 2,
+                value,
+                reason: ExitReason::Stalled,
+            };
+            assert!(e.to_json().contains(token), "{}", e.to_json());
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! The fitting pipeline (parallel multi-start solvers, supervised ranking,
 //! bootstrap bands) emits span-style [`Event`]s — `job` (the (cell,
 //! family) frame the supervised runtime opens before each job's events),
-//! `fit_started`, `iteration`, `converged`, `retry_scheduled`,
+//! `fit_started`, `start`, `converged`, `retry_scheduled`,
 //! `deadline_exceeded`, `worker_panic`, `bootstrap_chunk_done` — plus
 //! monotonic counters and histograms, into any sink implementing
-//! [`Observer`].
+//! [`Observer`]. A solver run writes a bounded number of events whatever
+//! its iteration count: nothing is written per iteration.
 //!
 //! Two properties are load-bearing and covered by tests:
 //!
-//! 1. **Determinism.** Events carry logical clocks only (iteration indices,
+//! 1. **Determinism.** Events carry logical clocks only (iteration and
 //!    evaluation counts, start/replicate indices) — never wall-clock
 //!    values. Parallel pipeline stages buffer events per job
 //!    ([`RecordingObserver`]) and replay them in index order, so serial and

@@ -375,12 +375,6 @@ impl<'a> Fields<'a> {
             "start" => Event::StartBegan {
                 index: self.u32("index")?,
             },
-            "iteration" => Event::Iteration {
-                solver: self.solver()?,
-                iteration: self.u64("iter")?,
-                evaluations: self.u64("evals")?,
-                best: self.f64("best")?,
-            },
             "converged" => Event::Converged {
                 solver: self.solver()?,
                 iterations: self.u64("iters")?,
@@ -502,17 +496,19 @@ mod tests {
             kind: FailureCode::TimedOut,
         });
         round_trip(Event::StartBegan { index: 3 });
-        round_trip(Event::Iteration {
+        round_trip(Event::Converged {
             solver: SolverKind::NelderMead,
-            iteration: 17,
+            iterations: 17,
             evaluations: 120,
-            best: -1.5e-7,
+            value: -1.5e-7,
+            reason: ExitReason::MaxIterations,
         });
-        round_trip(Event::Iteration {
-            solver: SolverKind::MultiStart,
-            iteration: 2,
+        round_trip(Event::Converged {
+            solver: SolverKind::NelderMead,
+            iterations: 2,
             evaluations: 60,
-            best: f64::INFINITY,
+            value: f64::INFINITY,
+            reason: ExitReason::Stalled,
         });
         round_trip(Event::Converged {
             solver: SolverKind::LevenbergMarquardt,
@@ -603,6 +599,14 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse_line("{}").is_err());
         assert!(parse_line("{\"ev\":\"nope\"}").is_err());
+        // Solvers write no per-iteration lines, and no multi-start solver.
+        let old = parse_line("{\"ev\":\"iteration\",\"solver\":\"nm\",\"iter\":1,\"evals\":3}");
+        assert_eq!(old.unwrap_err().message, "unknown event tag \"iteration\"");
+        assert!(parse_line(
+            "{\"ev\":\"converged\",\"solver\":\"ms\",\"iters\":1,\"evals\":2,\
+             \"value\":0.5,\"reason\":\"converged\"}"
+        )
+        .is_err());
         assert!(parse_line("{\"ev\":\"start\",\"index\":-1}").is_err());
         assert!(parse_line("{\"ev\":\"start\",\"index\":0}x").is_err());
     }

@@ -321,7 +321,6 @@ impl RunReport {
                     }
                 }
                 Event::StartBegan { .. } => {}
-                Event::Iteration { .. } => {}
                 Event::Converged { iterations, .. } => {
                     if let Some(i) = current {
                         families[i].iterations += iterations;
@@ -661,12 +660,6 @@ mod tests {
                 starts: 2,
             },
             Event::StartBegan { index: 0 },
-            Event::Iteration {
-                solver: SolverKind::NelderMead,
-                iteration: 1,
-                evaluations: 5,
-                best: 3.0,
-            },
             Event::Converged {
                 solver: SolverKind::NelderMead,
                 iterations: 10,

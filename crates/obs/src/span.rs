@@ -37,13 +37,15 @@ pub enum WorkMetric {
 /// polish pass).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSpan {
-    /// Emitting solver, once an iteration or termination identified it.
+    /// Emitting solver, once its `converged` line or a stop scoped to it
+    /// ([`SolverKind::stop_scope`]) identified it.
     pub solver: Option<SolverKind>,
     /// Multi-start seed index when the span was opened by a `start` event.
     pub start_index: Option<u32>,
-    /// Total iterations (cumulative clock from the last event seen).
-    pub iterations: u64,
-    /// Total objective evaluations reported by the solver's own events.
+    /// Total iterations, known only from a `converged` line: a stop
+    /// carries no iteration count.
+    pub iterations: Option<u64>,
+    /// Total objective evaluations, from the `converged` line or the stop.
     pub evaluations: u64,
     /// Termination reason when the solver exited normally.
     pub exit: Option<ExitReason>,
@@ -56,7 +58,7 @@ impl SolverSpan {
         Self {
             solver: None,
             start_index,
-            iterations: 0,
+            iterations: None,
             evaluations: 0,
             exit: None,
             value: None,
@@ -168,15 +170,6 @@ impl FitSpan {
     /// Retry attempts beyond the first.
     pub fn retries(&self) -> u64 {
         (self.attempts.len() as u64).saturating_sub(1)
-    }
-
-    /// Solver iterations attributed to the fit.
-    pub fn iterations(&self) -> u64 {
-        self.attempts
-            .iter()
-            .flat_map(|a| &a.solvers)
-            .map(|s| s.iterations)
-            .sum()
     }
 }
 
@@ -320,18 +313,6 @@ impl Builder {
                     attempt.solvers.push(SolverSpan::new(Some(index)));
                 }
             }
-            Event::Iteration {
-                solver,
-                iteration,
-                evaluations,
-                ..
-            } => {
-                if let Some(attempt) = self.attempt_mut() {
-                    let span = attempt.solver_mut(solver);
-                    span.iterations = span.iterations.max(iteration);
-                    span.evaluations = span.evaluations.max(evaluations);
-                }
-            }
             Event::Converged {
                 solver,
                 iterations,
@@ -341,7 +322,7 @@ impl Builder {
             } => {
                 if let Some(attempt) = self.attempt_mut() {
                     let span = attempt.solver_mut(solver);
-                    span.iterations = iterations;
+                    span.iterations = Some(iterations);
                     span.evaluations = evaluations;
                     span.exit = Some(reason);
                     span.value = Some(value);
@@ -352,10 +333,17 @@ impl Builder {
                 self.running(family).attempts.push(AttemptSpan::new(n));
             }
             Event::Stop {
-                kind, evaluations, ..
+                scope,
+                kind,
+                evaluations,
             } => {
                 if let Some(attempt) = self.charge(evaluations) {
                     attempt.stopped = Some(kind);
+                    // A solver stopped mid-run writes no `converged` line:
+                    // its stop is the only record of it and its work.
+                    if let Some(solver) = SolverKind::from_stop_scope(scope) {
+                        attempt.solver_mut(solver).evaluations = evaluations;
+                    }
                 }
             }
             Event::WorkerPanic { scope, .. } => self.running(scope).panicked = true,
@@ -537,11 +525,13 @@ impl SpanTree {
                         if let Some(i) = span.start_index {
                             let _ = write!(out, " start {i}");
                         }
-                        let _ = write!(
-                            out,
-                            ": iters={} evals={}",
-                            span.iterations, span.evaluations
-                        );
+                        match span.iterations {
+                            Some(n) => {
+                                let _ = write!(out, ": iters={n}");
+                            }
+                            None => out.push_str(": iters=?"),
+                        }
+                        let _ = write!(out, " evals={}", span.evaluations);
                         if let Some(exit) = span.exit {
                             let _ = write!(out, " exit={}", exit.as_str());
                         }
@@ -730,12 +720,6 @@ mod tests {
         let events = vec![
             started(q),
             Event::StartBegan { index: 0 },
-            Event::Iteration {
-                solver: SolverKind::NelderMead,
-                iteration: 5,
-                evaluations: 12,
-                best: 2.0,
-            },
             Event::Converged {
                 solver: SolverKind::NelderMead,
                 iterations: 9,
@@ -758,14 +742,85 @@ mod tests {
         assert_eq!(attempt.solvers.len(), 2);
         assert_eq!(attempt.solvers[0].solver, Some(SolverKind::NelderMead));
         assert_eq!(attempt.solvers[0].start_index, Some(0));
-        assert_eq!(attempt.solvers[0].iterations, 9);
+        assert_eq!(attempt.solvers[0].iterations, Some(9));
         assert_eq!(attempt.solvers[0].exit, Some(ExitReason::Converged));
         assert_eq!(
             attempt.solvers[1].solver,
             Some(SolverKind::LevenbergMarquardt)
         );
         assert_eq!(attempt.solvers[1].start_index, None);
-        assert_eq!(tree.cells[0].fits[0].iterations(), 12);
+        assert_eq!(attempt.solvers[1].iterations, Some(3));
+        let solver_evals: u64 = attempt.solvers.iter().map(|s| s.evaluations).sum();
+        assert_eq!(solver_evals, attempt.evaluations);
+    }
+
+    #[test]
+    fn a_solver_stopped_mid_run_is_named_by_its_stop() {
+        // Start 0 converges; start 1's Nelder–Mead run hits the deadline
+        // mid-run, so its only record is the stop line.
+        let q = intern("Quadratic");
+        let nm = |iterations, evaluations| Event::Converged {
+            solver: SolverKind::NelderMead,
+            iterations,
+            evaluations,
+            value: 1.5,
+            reason: ExitReason::Converged,
+        };
+        let events = vec![
+            job(0, q),
+            started(q),
+            Event::StartBegan { index: 0 },
+            nm(9, 20),
+            evals(20),
+            Event::StartBegan { index: 1 },
+            Event::Stop {
+                scope: intern("nelder_mead"),
+                kind: StopKind::Deadline,
+                evaluations: 6,
+            },
+            Event::FitFailed {
+                family: q,
+                kind: FailureCode::TimedOut,
+            },
+        ];
+        let tree = SpanTree::build(&events);
+        let attempt = &tree.cells[0].fits[0].attempts[0];
+        assert_eq!(attempt.stopped, Some(StopKind::Deadline));
+        assert_eq!(attempt.evaluations, 26);
+        let stopped = &attempt.solvers[1];
+        assert_eq!(stopped.solver, Some(SolverKind::NelderMead));
+        assert_eq!(stopped.start_index, Some(1));
+        assert_eq!(stopped.evaluations, 6);
+        assert_eq!(
+            stopped.iterations, None,
+            "a stop carries no iteration count"
+        );
+        assert_eq!(stopped.exit, None);
+        let solver_evals: u64 = attempt.solvers.iter().map(|s| s.evaluations).sum();
+        assert_eq!(solver_evals, attempt.evaluations);
+        let rendered = tree.render(1, 4);
+        assert!(
+            rendered.contains("nm start 1: iters=? evals=6\n"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("nm start 0: iters=9 evals=20 exit=converged\n"),
+            "{rendered}"
+        );
+
+        // A stop scoped to a pipeline stage names no solver.
+        let events = vec![
+            started(q),
+            Event::StartBegan { index: 0 },
+            Event::Stop {
+                scope: intern("fit"),
+                kind: StopKind::Cancelled,
+                evaluations: 0,
+            },
+        ];
+        let tree = SpanTree::build(&events);
+        let span = &tree.cells[0].fits[0].attempts[0].solvers[0];
+        assert_eq!(span.solver, None);
     }
 
     #[test]

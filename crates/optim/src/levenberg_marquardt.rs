@@ -159,7 +159,6 @@ impl LevenbergMarquardt {
         let mut lambda = self.config.initial_lambda;
         let mut iterations = 0usize;
         let mut termination = TerminationReason::MaxIterations;
-        let observed = control.observed();
         // Damping-adaptation tallies, flushed as counter events only at
         // termination so the solve/step loop stays allocation-free.
         let (mut damping_up, mut damping_down) = (0u64, 0u64);
@@ -167,8 +166,9 @@ impl LevenbergMarquardt {
         // finite-difference fallback replaces it wholesale.
         let mut analytic_jac = Matrix::zeros(m, n);
 
+        let scope = SolverKind::LevenbergMarquardt.stop_scope();
         while iterations < self.config.max_iterations {
-            control.check_stop("levenberg_marquardt", evaluations)?;
+            control.check_stop(scope, evaluations)?;
             iterations += 1;
             // Analytic Jacobian when the problem provides one (free in
             // objective evaluations); otherwise forward differences at a
@@ -193,7 +193,7 @@ impl LevenbergMarquardt {
             // Inner loop: increase λ until a step decreases the SSE.
             let mut stepped = false;
             while lambda <= self.config.max_lambda {
-                control.check_stop("levenberg_marquardt", evaluations)?;
+                control.check_stop(scope, evaluations)?;
                 // (JᵀJ + λ diag(JᵀJ)) δ = Jᵀr
                 let mut damped = jtj.clone();
                 for i in 0..n {
@@ -238,14 +238,6 @@ impl LevenbergMarquardt {
                 lambda *= self.config.lambda_factor;
                 damping_up += 1;
             }
-            if observed {
-                control.emit(Event::Iteration {
-                    solver: SolverKind::LevenbergMarquardt,
-                    iteration: iterations as u64,
-                    evaluations: evaluations as u64,
-                    best: sse,
-                });
-            }
             if !stepped {
                 // Damping maxed out without any acceptable step: the
                 // iterate is at (or numerically at) a local minimum.
@@ -257,7 +249,7 @@ impl LevenbergMarquardt {
             }
         }
 
-        if observed {
+        if control.observed() {
             control.emit(Event::Converged {
                 solver: SolverKind::LevenbergMarquardt,
                 iterations: iterations as u64,

@@ -177,7 +177,8 @@ impl NelderMead {
         let mut batch_values = vec![0.0; n];
         // Build the initial simplex: x0 plus a step along each axis, all n
         // off-origin vertices evaluated in one batch.
-        control.check_stop("nelder_mead", evaluations.get())?;
+        let scope = SolverKind::NelderMead.stop_scope();
+        control.check_stop(scope, evaluations.get())?;
         for i in 0..n {
             let vertex = &mut batch_points[i * n..(i + 1) * n];
             vertex.copy_from_slice(x0);
@@ -195,7 +196,6 @@ impl NelderMead {
         sort(&mut simplex);
 
         let cfg = &self.config;
-        let observed = control.observed();
         let mut iterations = 0usize;
         // Step-type tallies, batched as plain integer locals and flushed as
         // counter events only at termination — the iteration loop stays
@@ -209,7 +209,7 @@ impl NelderMead {
         let mut reflected = vec![0.0; n];
         let mut extra = vec![0.0; n];
         let termination = loop {
-            control.check_stop("nelder_mead", evaluations.get())?;
+            control.check_stop(scope, evaluations.get())?;
             if iterations >= cfg.max_iterations {
                 break TerminationReason::MaxIterations;
             }
@@ -303,18 +303,10 @@ impl NelderMead {
                 }
             }
             sort(&mut simplex);
-            if observed {
-                control.emit(Event::Iteration {
-                    solver: SolverKind::NelderMead,
-                    iteration: iterations as u64,
-                    evaluations: evaluations.get() as u64,
-                    best: simplex[0].1,
-                });
-            }
         };
 
         let (params, value) = simplex.swap_remove(0);
-        if observed {
+        if control.observed() {
             control.emit(Event::Converged {
                 solver: SolverKind::NelderMead,
                 iterations: iterations as u64,
@@ -499,77 +491,72 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_traces_iterations_and_flushes_counters() {
+    fn telemetry_is_bounded_whatever_the_iteration_count() {
         use resilience_obs::{CounterId, Event, RecordingObserver, SolverKind};
         use std::sync::Arc;
-        let rec = Arc::new(RecordingObserver::new());
-        let control = Control::unbounded().observe(rec.clone());
-        let report = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&sphere, &[3.0, -4.0], &control)
+        for max_iterations in [2, 20, 200, 20_000] {
+            let rec = Arc::new(RecordingObserver::new());
+            let control = Control::unbounded().observe(rec.clone());
+            let report = NelderMead::new(NelderMeadConfig {
+                max_iterations,
+                ..NelderMeadConfig::default()
+            })
+            .minimize(&sphere, &[3.0, -4.0, 5.0], &control)
             .unwrap();
-        let events = rec.take();
+            let events = rec.take();
 
-        // The final pass that only *detects* convergence increments the
-        // iteration count but performs no simplex step, so it emits no
-        // Iteration event.
-        let iterations = events
-            .iter()
-            .filter(|e| matches!(e, Event::Iteration { .. }))
-            .count();
-        assert!(
-            iterations == report.iterations || iterations + 1 == report.iterations,
-            "{iterations} events vs {} iterations",
-            report.iterations
-        );
-        // Exactly one terminal event, carrying the report's totals.
-        let terminal: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Converged {
-                    solver,
-                    iterations,
-                    evaluations,
-                    ..
-                } => Some((*solver, *iterations, *evaluations)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            terminal,
-            vec![(
-                SolverKind::NelderMead,
-                report.iterations as u64,
-                report.evaluations as u64
-            )]
-        );
-        // The flushed eval counter matches the report.
-        let evals: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Counter {
-                    id: CounterId::ObjectiveEvals,
-                    delta,
-                } => Some(*delta),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(evals, report.evaluations as u64);
-        // Step-type counters account for every stepped iteration.
-        let steps: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Counter {
-                    id:
-                        CounterId::NmReflections
-                        | CounterId::NmExpansions
-                        | CounterId::NmContractions
-                        | CounterId::NmShrinks,
-                    delta,
-                } => Some(*delta),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(steps, iterations as u64);
+            // One terminal event carrying the report's totals, then at
+            // most one flush per counter: nothing per iteration.
+            let terminal: Vec<_> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Converged {
+                        solver,
+                        iterations,
+                        evaluations,
+                        ..
+                    } => Some((*solver, *iterations, *evaluations)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                terminal,
+                vec![(
+                    SolverKind::NelderMead,
+                    report.iterations as u64,
+                    report.evaluations as u64
+                )]
+            );
+            let counters: Vec<(CounterId, u64)> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Counter { id, delta } => Some((*id, *delta)),
+                    _ => None,
+                })
+                .collect();
+            assert!(counters.len() <= 5, "{counters:?}");
+            assert_eq!(events.len(), 1 + counters.len(), "{events:?}");
+            // The flushed eval counter matches the report.
+            let evals: u64 = counters
+                .iter()
+                .filter(|(id, _)| *id == CounterId::ObjectiveEvals)
+                .map(|&(_, delta)| delta)
+                .sum();
+            assert_eq!(evals, report.evaluations as u64);
+            // Step-type counters account for every stepped iteration; the
+            // final pass that only detects convergence takes no step.
+            let steps: u64 = counters
+                .iter()
+                .filter(|(id, _)| *id != CounterId::ObjectiveEvals)
+                .map(|&(_, delta)| delta)
+                .sum();
+            let stepped = if report.converged() {
+                report.iterations - 1
+            } else {
+                report.iterations
+            };
+            assert_eq!(steps, stepped as u64, "max_iterations={max_iterations}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Same pool as `degraded_ranking` — two healthy families, one whose
 //! objective is pathologically slow (blows its 100 ms budget), one that
-//! panics — but this time the run is observed: every solver iteration,
-//! retry, stop, and failure lands in an in-memory event log, which the
+//! panics — but this time the run is observed: every solver run's totals,
+//! retry, stop, and failure land in an in-memory event log, which the
 //! [`RunReport`] aggregation turns into the table printed at the end.
 //! The log is deterministic (logical clocks only, never wall-clock), so
 //! apart from which families time out, re-running prints the same trace.

@@ -62,7 +62,8 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 #   plain and one under the fixed chaos plan with the breaker armed. The
 #   plain triple feeds the fleet gates (byte-identical stores and obs
 #   roll-ups) and the obs gates (byte-identical logs, span trees,
-#   metrics; full attribution; per-family evaluation ceilings); the chaos
+#   metrics; full attribution; per-family evaluation ceilings; at most
+#   14 log events per multi-start `start` line); the chaos
 #   triple feeds the chaos gates (no abort, finite survivors,
 #   byte-identical stores and event JSONL, exact injection accounting,
 #   bounded retries) -> BENCH_fleet.json, BENCH_obs.json, BENCH_chaos.json;

@@ -18,7 +18,9 @@ use resilience_core::fit::{
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_data::recessions::Recession;
-use resilience_obs::{parse_log, Event, JsonlObserver, NullObserver, Observer, SolverKind};
+use resilience_obs::{
+    parse_log, Event, ExitReason, JsonlObserver, NullObserver, Observer, SolverKind,
+};
 use resilience_optim::{Control, Parallelism};
 use std::sync::Arc;
 
@@ -422,18 +424,20 @@ fn null_observer_keeps_the_fit_allocation_footprint() {
 
 /// The log reader borrows every key and string value from the input and
 /// reuses one field buffer for the whole log (DESIGN.md §15, "Reading
-/// logs"): 100 000 `iteration` lines cost only the ~17 doublings of the
-/// returned `Vec<Event>`, not an allocation per line.
+/// logs"): 100 000 `converged` lines, each with two string tags and a
+/// float, cost only the ~17 doublings of the returned `Vec<Event>`, not
+/// an allocation per line.
 #[test]
 fn parse_log_allocates_per_log_not_per_line() {
     const LINES: u64 = 100_000;
     let mut text = String::new();
     for i in 0..LINES {
-        Event::Iteration {
+        Event::Converged {
             solver: SolverKind::NelderMead,
-            iteration: i + 1,
+            iterations: i + 1,
             evaluations: 2 * i + 6,
-            best: 1.0 / (i as f64 + 3.0),
+            value: 1.0 / (i as f64 + 3.0),
+            reason: ExitReason::Converged,
         }
         .write_json(&mut text);
         text.push('\n');
@@ -445,6 +449,6 @@ fn parse_log_allocates_per_log_not_per_line() {
     assert_eq!(events.len() as u64, LINES);
     assert!(
         delta < 64,
-        "parsing {LINES} iteration lines allocated {delta} times"
+        "parsing {LINES} converged lines allocated {delta} times"
     );
 }

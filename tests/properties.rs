@@ -5,7 +5,9 @@
 //! index and drawn values appear in the assertion message) and the suite
 //! is hermetic — no proptest dependency.
 
-use resilience_core::bathtub::{CompetingRisksModel, QuadraticFamily, QuadraticModel};
+use resilience_core::bathtub::{
+    CompetingRisksFamily, CompetingRisksModel, QuadraticFamily, QuadraticModel,
+};
 use resilience_core::fit::{fit_least_squares_with, FitConfig};
 use resilience_core::metrics::{actual_metric, MetricContext, MetricKind};
 use resilience_core::mixture::{ComponentKind, MixtureModel, Trend};
@@ -446,23 +448,27 @@ fn fit_recovers_random_quadratic_truth() {
     );
 }
 
-/// Real log lines: every event shape in the vocabulary, then the log of
-/// one observed Quadratic fit on the 1990–93 series.
+/// Real log lines: every event shape in the vocabulary, then the logs of
+/// observed fits of the two bathtub families the fleet gates run
+/// (Quadratic and Competing Risks) on the 1990–93 series.
 fn real_log_lines() -> Vec<String> {
     let mut lines: Vec<String> = Event::examples().iter().map(Event::to_json).collect();
-    let recorder = Arc::new(RecordingObserver::new());
     let config = FitConfig {
         parallelism: Parallelism::Serial,
         ..FitConfig::default()
     };
-    fit_least_squares_with(
-        &QuadraticFamily,
-        &Recession::R1990_93.payroll_index(),
-        &config,
-        &Control::unbounded().observe(recorder.clone()),
-    )
-    .expect("quadratic fit");
-    lines.extend(recorder.take().iter().map(Event::to_json));
+    let families: [&dyn ModelFamily; 2] = [&QuadraticFamily, &CompetingRisksFamily];
+    for family in families {
+        let recorder = Arc::new(RecordingObserver::new());
+        fit_least_squares_with(
+            family,
+            &Recession::R1990_93.payroll_index(),
+            &config,
+            &Control::unbounded().observe(recorder.clone()),
+        )
+        .expect("bathtub fit");
+        lines.extend(recorder.take().iter().map(Event::to_json));
+    }
     lines
 }
 
