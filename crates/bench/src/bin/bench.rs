@@ -8,8 +8,9 @@
 //! `--smoke` is the only invocation. In order, it runs
 //!
 //! 1. the `rank_models` gate over the six paper families on 1990-93:
-//!    serial vs `Fixed(2)` bit-identity, the median evals-per-fit and each
-//!    family's evaluations under their ceilings → `BENCH_fitting.json`;
+//!    serial vs `Fixed(2)` bit-identity of the rankings and of the event
+//!    logs, the median evals-per-fit and each family's evaluations under
+//!    their ceilings → `BENCH_fitting.json`;
 //! 2. the `bootstrap_band` gate: serial vs `Fixed(2)` bit-identity of the
 //!    200-replicate Quadratic band → `BENCH_bootstrap.json`;
 //! 3. the canonical scenario guard;
@@ -170,12 +171,14 @@ fn work_gate_failures(evals_per_fit: &[u64], per_family: &[(String, u64)]) -> Ve
     failures
 }
 
-/// The `rank_models` gate → `BENCH_fitting.json`: one
-/// serial-vs-`Fixed(2)` comparison over the six paper families on
-/// 1990-93 must be bit-identical, and one observed serial pass must pass
-/// [`work_gate_failures`]. The observed pass also supplies the baseline's
-/// counters and per-family evaluations; supervised ranking under the
-/// default policy is numerically identical to plain `rank_models`.
+/// The `rank_models` gate → `BENCH_fitting.json`: over the six paper
+/// families on 1990-93, the serial and `Fixed(2)` rankings must be
+/// bit-identical, an observed `Fixed(2)` pass must log exactly the events
+/// of an observed serial pass (both fold into `identical`), and the
+/// serial pass must pass [`work_gate_failures`]. The observed serial pass
+/// also supplies the baseline's counters and per-family evaluations;
+/// supervised ranking under the default policy is numerically identical
+/// to plain `rank_models`.
 fn rank_models_gate() -> Result<bool, ExitCode> {
     let series = Recession::R1990_93.payroll_index();
     let mixtures = MixtureFamily::paper_combinations();
@@ -189,21 +192,32 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         rank_models(&families, &series, &config(Parallelism::Serial)).expect("serial rank_models");
     let fixed2 = rank_models(&families, &series, &config(Parallelism::Fixed(2)))
         .expect("fixed(2) rank_models");
-    let identical = rankings_identical(&serial, &fixed2);
-    if !identical {
+    let rankings_match = rankings_identical(&serial, &fixed2);
+    if !rankings_match {
         eprintln!("rank_models: serial vs Fixed(2) outputs differ — determinism broken");
     }
 
-    let rec = Arc::new(RecordingObserver::new());
-    rank_models_supervised(
-        &families,
-        &series,
-        &config(Parallelism::Serial),
-        &ExecPolicy::default(),
-        &Control::unbounded().observe(rec.clone()),
-    )
-    .expect("observed rank_models");
-    let events = rec.take();
+    let observed_log = |p: Parallelism| {
+        let rec = Arc::new(RecordingObserver::new());
+        rank_models_supervised(
+            &families,
+            &series,
+            &config(p),
+            &ExecPolicy::default(),
+            &Control::unbounded().observe(rec.clone()),
+        )
+        .expect("observed rank_models");
+        rec.take()
+    };
+    let events = observed_log(Parallelism::Serial);
+    // At Fixed(2) a one-cell ranking pools every family's starts and
+    // replays each start's event buffer at its family's finish: the log
+    // must still be the serial one, event for event.
+    let logs_match = observed_log(Parallelism::Fixed(2)) == events;
+    if !logs_match {
+        eprintln!("rank_models: serial vs Fixed(2) event logs differ — start replay out of order");
+    }
+    let identical = rankings_match && logs_match;
     let evals = evals_per_fit(&events);
     let observed = RunReport::from_events(events);
     let per_family: Vec<(String, u64)> = observed

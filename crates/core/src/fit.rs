@@ -14,7 +14,7 @@ use resilience_math::linalg::Matrix;
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, HistogramId};
 use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
-use resilience_optim::multi_start::multi_start_nelder_mead;
+use resilience_optim::multi_start::{multi_start, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
 use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
@@ -68,8 +68,12 @@ pub struct FitConfig {
     /// linear coefficient has merged the guesses that coincide once the
     /// coefficient is dropped.
     pub max_starts: usize,
-    /// Thread fan-out for the multi-start phase. Every setting produces
-    /// bit-identical results; see `DESIGN.md` §Performance & determinism.
+    /// Worker threads. A single fit runs its starts on this many; the
+    /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
+    /// [`crate::selection::rank_models`]) spends them on its jobs when a
+    /// wave has at least as many cells as threads, and otherwise on the
+    /// starts of all the wave's fits in one pool. Every setting produces
+    /// bit-identical results; see `DESIGN.md` §7 (threading model).
     pub parallelism: Parallelism,
     /// Optional warm start (previous optimum); see [`WarmStart`].
     pub warm_start: Option<WarmStart>,
@@ -116,9 +120,13 @@ pub struct FittedModel {
     /// Objective evaluations of the winning Nelder–Mead run plus the
     /// Levenberg–Marquardt polish, plus one when a profiled fit rescores
     /// its lifted winner (DESIGN.md §11). The losing starts are not
-    /// counted here; the observed `Counter` events carry every start's
-    /// work.
+    /// counted here; [`FittedModel::total_evaluations`] counts them.
     pub evaluations: usize,
+    /// Every objective evaluation the fit spent: the warm probe, every
+    /// cold start (winner and losers), the lift and the polish. A solver
+    /// run that failed or was stopped is not counted, so this equals the
+    /// total of the fit's observed `objective_evals` counters.
+    pub total_evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
     /// budget). The default Nelder–Mead tolerances are basin-finding
@@ -136,6 +144,7 @@ impl std::fmt::Debug for FittedModel {
             .field("params", &self.params)
             .field("sse", &self.sse)
             .field("evaluations", &self.evaluations)
+            .field("total_evaluations", &self.total_evaluations)
             .field("converged", &self.converged)
             .finish()
     }
@@ -422,6 +431,11 @@ pub fn fit_least_squares(
 /// multi-start winner is already a valid fit, so the polish is skipped
 /// and that winner is returned.
 ///
+/// The fit runs its three phases in a row: the plan (the warm probe and
+/// the starts), every start in one [`multi_start`] pool of
+/// `config.parallelism` threads, and the finish (reduce, lift, polish,
+/// guard).
+///
 /// # Errors
 ///
 /// Everything [`fit_least_squares`] returns, plus [`CoreError::TimedOut`]
@@ -433,258 +447,362 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    let observed = series.values();
-    let times = series.times();
-    let n_params = family.n_params();
-
-    // Families whose landscapes need longer simplex walks scale the
-    // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
-    // for the paper families the factor is 1 and this is `config`'s cap
-    // unchanged. Applies to the warm probe and the cold phase alike.
-    let nm_config = NelderMeadConfig {
-        max_iterations: config
-            .nelder_mead
-            .max_iterations
-            .saturating_mul(family.nm_iteration_scale()),
-        ..config.nelder_mead.clone()
-    };
-
-    // Nelder–Mead sees one of two objectives over the internal space, both
-    // mapping infeasible points to +∞ so the simplex contracts away from
-    // them. Each instance owns scratch buffers (zero heap allocations per
-    // evaluation); the factory hands every worker thread of the
-    // multi-start phase its own instance. A family with a linear
-    // coefficient is searched without it: the profiled objective solves it
-    // at every point, and the winner is lifted back to the full vector
-    // (DESIGN.md §11). Everything else is shared.
-    let best = if family.has_linear_coefficient() && n_params >= 2 {
-        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
-        let make_objective = || ProfiledObjective::new(family, times, &ln_times, observed);
-        let best = nelder_mead_phase(
-            &make_objective,
-            family,
-            series,
-            config,
-            &nm_config,
-            true,
-            control,
-        )?;
-        let lifted = make_objective().lift(best).ok_or_else(|| {
-            CoreError::guard(
-                "fit_least_squares",
-                Violation::NonFiniteOutput,
-                format!("no linear coefficient at the {} winner", family.name()),
-            )
-        })?;
-        control.count(CounterId::ObjectiveEvals, 1);
-        lifted
+    let ln_times = if profiles(family) {
+        ln_table(series.times())
     } else {
-        let make_objective = || SseObjective::new(family, times, observed);
-        nelder_mead_phase(
-            &make_objective,
-            family,
-            series,
-            config,
-            &nm_config,
-            false,
-            control,
-        )?
+        Vec::new()
     };
-    let nm_converged = best.termination == TerminationReason::Converged;
-    let mut lm_converged = false;
-    let mut best_internal = best.params;
-    let mut best_sse = best.value;
-    let mut evaluations = best.evaluations;
-
-    if config.lm_polish {
-        // The residual problem carries the family's analytic Jacobian when
-        // it has one (all six paper families; DESIGN.md §11), so LM skips
-        // its finite-difference sweeps; reusable scratch keeps the polish
-        // allocation-free per iteration either way.
-        let problem = FamilyResiduals {
-            family,
-            times,
-            observed,
-            params_scratch: RefCell::new(vec![0.0; n_params]),
-        };
-        // A failed or stopped polish is not a fit failure: the multi-start
-        // winner above is already a complete answer, so `Err` here (LM
-        // divergence, deadline, cancellation) just skips the refinement.
-        if let Ok(report) =
-            LevenbergMarquardt::new(config.lm.clone()).minimize(&problem, &best_internal, control)
-        {
-            evaluations += report.evaluations;
-            lm_converged = report.termination == TerminationReason::Converged;
-            if report.value < best_sse {
-                best_sse = report.value;
-                best_internal = report.params;
-            }
-        }
-    }
-    let converged = nm_converged || lm_converged;
-
-    // Guard layer (DESIGN.md §8): the optimizer can only hand back a
-    // finite SSE because the objective maps off-domain points to +∞, but
-    // a regression anywhere in that chain would otherwise leak NaN into
-    // every downstream table. Fail loudly instead.
-    if !best_sse.is_finite() {
-        return Err(CoreError::guard(
-            "fit_least_squares",
-            Violation::NonFiniteOutput,
-            format!("final SSE for {} is {best_sse}", family.name()),
-        ));
-    }
-    let params = family.internal_to_params(&best_internal);
-    guard::finite_outputs(family.name(), &params)?;
-    let model = family.build(&params)?;
-    if control.observed() {
-        // The fit span closes here; `evaluations` is the winning start
-        // plus polish (counter events above carry the per-start totals).
-        control.emit(Event::FitFinished {
-            family: family.name(),
-            sse: best_sse,
-            evaluations: evaluations as u64,
-            converged,
-        });
-        control.emit(Event::Hist {
-            id: HistogramId::EvalsPerFit,
-            value: evaluations as u64,
-        });
-    }
-    Ok(FittedModel {
-        model,
-        params,
-        sse: best_sse,
-        evaluations,
-        converged,
-    })
+    let plan = FitPlan::new(family, series, &ln_times, config, control)?;
+    let cold = multi_start(config.parallelism, plan.starts(), control, |i, c| {
+        plan.minimize_start(i, c)
+    });
+    plan.finish(cold, config, control)
 }
 
-/// The Nelder–Mead phase of a fit: the warm probe, the cold multi-start
-/// and their reduction, over the space `make_objective` searches. That is
-/// every internal coordinate, or with `profiled` all but the trailing
-/// linear coefficient: each start then drops that coordinate, and starts
-/// that coincide in the rest are merged, keeping the first, before
-/// `config.max_starts` applies.
-fn nelder_mead_phase<F, G>(
-    make_objective: &G,
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    config: &FitConfig,
-    nm_config: &NelderMeadConfig,
-    profiled: bool,
-    control: &Control,
-) -> Result<OptimReport, CoreError>
-where
-    F: Objective,
-    G: Fn() -> F + Sync,
-{
-    let traced = control.observed();
-    let map_stop = |e: OptimError| match e {
+/// Whether `family` is searched without its trailing linear coefficient,
+/// which every evaluation then solves exactly (DESIGN.md §11).
+fn profiles(family: &dyn ModelFamily) -> bool {
+    family.has_linear_coefficient() && family.n_params() >= 2
+}
+
+/// `ln t` for every time: the table a profiled fit's design reads
+/// (DESIGN.md §11).
+pub(crate) fn ln_table(times: &[f64]) -> Vec<f64> {
+    times.iter().map(|t| t.ln()).collect()
+}
+
+/// The typed error of a Nelder–Mead phase that failed or stopped.
+fn phase_error(e: OptimError) -> CoreError {
+    match e {
         OptimError::TimedOut { .. } => CoreError::timed_out("fit_least_squares"),
         OptimError::Cancelled { .. } => CoreError::cancelled("fit_least_squares"),
         other => CoreError::Fit(other),
-    };
-    let search_point = |params: &[f64]| {
-        let mut internal = family.params_to_internal(params).ok()?;
-        if profiled {
-            internal.pop();
-        }
-        Some(internal)
-    };
-
-    // Warm-start probe: one serial Nelder–Mead run seeded from the
-    // provided optimum. Seeded this close, it usually converges in a
-    // fraction of the cold phase's budget and short-circuits it entirely
-    // (see [`WarmStart`]). A probe that fails to convert or start is not
-    // an error — the cold phase below covers for it — but a deadline or
-    // cancellation stop propagates like any other.
-    let mut warm_report: Option<OptimReport> = None;
-    let mut fit_started_emitted = false;
-    let mut short_circuit = false;
-    if let Some(warm) = &config.warm_start {
-        if let Some(internal) = search_point(&warm.params) {
-            if traced {
-                control.emit(Event::FitStarted {
-                    family: family.name(),
-                    starts: 1,
-                });
-                fit_started_emitted = true;
-            }
-            let objective = make_objective();
-            match NelderMead::new(nm_config.clone()).minimize(&objective, &internal, control) {
-                Ok(report) => {
-                    short_circuit = report.termination == TerminationReason::Converged
-                        && report.evaluations <= warm.max_evaluations;
-                    warm_report = Some(report);
-                }
-                Err(e) if e.is_stop() => return Err(map_stop(e)),
-                Err(_) => {}
-            }
-        }
     }
+}
 
-    let cold = if short_circuit {
-        None
-    } else {
-        // Collect starting points from the family's guesses.
-        let mut starts: Vec<Vec<f64>> = Vec::new();
+/// A fit between its plan and its finish.
+///
+/// [`FitPlan::new`] is the plan phase: the warm probe, if any, and the
+/// cold starts. Each start then runs on its own through
+/// [`FitPlan::minimize_start`], in any order and on any thread, and its
+/// result goes into a [`StartReduction`]. [`FitPlan::finish`] reduces,
+/// lifts, polishes and guards. [`fit_least_squares_with`] runs the phases
+/// in a row; the ranker plans every family of a small wave, runs all their
+/// starts in one pool, then finishes each (DESIGN.md §13). Both give
+/// bit-identical fits and event logs.
+pub(crate) struct FitPlan<'a> {
+    family: &'a dyn ModelFamily,
+    series: &'a PerformanceSeries,
+    /// `ln t` per time when the fit is profiled (DESIGN.md §11): its
+    /// Nelder–Mead search then leaves out the trailing linear coefficient.
+    ln_times: Option<&'a [f64]>,
+    optimizer: NelderMead,
+    /// The warm probe's result, when it ran and did not fail.
+    warm: Option<OptimReport>,
+    /// The cold starts' search points, [`FitPlan::dim`] coordinates each.
+    starts: Vec<f64>,
+    dim: usize,
+}
+
+impl<'a> FitPlan<'a> {
+    /// The plan phase: the warm probe and the cold starts.
+    ///
+    /// The starts are the family's guesses in the search space: every
+    /// internal coordinate, or for a profiled family all but the trailing
+    /// linear coefficient, in which case guesses that coincide in the rest
+    /// are merged, keeping the first, before `config.max_starts` applies.
+    /// `ln_times` is [`ln_table`] of the series' times; only a profiled
+    /// family reads it.
+    ///
+    /// # Errors
+    ///
+    /// A stop during the warm probe, and [`OptimError::AllStartsFailed`]
+    /// when no guess converts to a start and there is no warm result.
+    pub(crate) fn new(
+        family: &'a dyn ModelFamily,
+        series: &'a PerformanceSeries,
+        ln_times: &'a [f64],
+        config: &FitConfig,
+        control: &Control,
+    ) -> Result<FitPlan<'a>, CoreError> {
+        let profiled = profiles(family);
+        // Families whose landscapes need longer simplex walks scale the
+        // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
+        // for the paper families the factor is 1 and this is `config`'s cap
+        // unchanged. Applies to the warm probe and the cold phase alike.
+        let nm_config = NelderMeadConfig {
+            max_iterations: config
+                .nelder_mead
+                .max_iterations
+                .saturating_mul(family.nm_iteration_scale()),
+            ..config.nelder_mead.clone()
+        };
+        let mut plan = FitPlan {
+            family,
+            series,
+            ln_times: profiled.then_some(ln_times),
+            optimizer: NelderMead::new(nm_config),
+            warm: None,
+            starts: Vec::new(),
+            dim: family.n_params() - usize::from(profiled),
+        };
+        let traced = control.observed();
+
+        // Warm-start probe: one serial Nelder–Mead run seeded from the
+        // provided optimum. Seeded this close, it usually converges in a
+        // fraction of the cold phase's budget and short-circuits it entirely
+        // (see [`WarmStart`]). A probe that fails to convert or start is not
+        // an error — the cold phase covers for it — but a deadline or
+        // cancellation stop propagates like any other.
+        let mut fit_started_emitted = false;
+        if let Some(warm) = &config.warm_start {
+            if let Some(internal) = plan.search_point(&warm.params) {
+                if traced {
+                    control.emit(Event::FitStarted {
+                        family: family.name(),
+                        starts: 1,
+                    });
+                    fit_started_emitted = true;
+                }
+                match plan.minimize(&internal, control) {
+                    Ok(report) => {
+                        let short_circuit = report.termination == TerminationReason::Converged
+                            && report.evaluations <= warm.max_evaluations;
+                        plan.warm = Some(report);
+                        if short_circuit {
+                            return Ok(plan);
+                        }
+                    }
+                    Err(e) if e.is_stop() => return Err(phase_error(e)),
+                    Err(_) => {}
+                }
+            }
+        }
+
+        let mut starts = Vec::new();
+        let mut n_starts = 0;
         for point in family
             .initial_guesses(series)
             .iter()
-            .filter_map(|g| search_point(g))
+            .filter_map(|g| plan.search_point(g))
         {
-            if starts.len() == config.max_starts {
+            if n_starts == config.max_starts {
                 break;
             }
-            if !(profiled && starts.contains(&point)) {
-                starts.push(point);
+            if !(profiled && starts.chunks_exact(plan.dim).any(|s| s == point)) {
+                starts.extend_from_slice(&point);
+                n_starts += 1;
             }
         }
-        if starts.is_empty() && warm_report.is_none() {
+        // Every planned fit of a pooled wave holds its starts until its
+        // finish, so keep only what they use.
+        starts.shrink_to_fit();
+        plan.starts = starts;
+        if n_starts == 0 && plan.warm.is_none() {
             return Err(CoreError::Fit(OptimError::AllStartsFailed { attempts: 0 }));
         }
         if traced && !fit_started_emitted {
             control.emit(Event::FitStarted {
                 family: family.name(),
-                starts: starts.len() as u32,
+                starts: n_starts as u32,
             });
         }
-        if starts.is_empty() {
+        Ok(plan)
+    }
+
+    /// `params` in the search space, or `None` when they do not convert.
+    fn search_point(&self, params: &[f64]) -> Option<Vec<f64>> {
+        let mut internal = self.family.params_to_internal(params).ok()?;
+        if self.ln_times.is_some() {
+            internal.pop();
+        }
+        debug_assert_eq!(internal.len(), self.dim, "{}", self.family.name());
+        Some(internal)
+    }
+
+    /// The number of cold starts (zero after a short-circuiting warm
+    /// probe).
+    pub(crate) fn starts(&self) -> usize {
+        self.starts.len() / self.dim
+    }
+
+    /// The dimension of the Nelder–Mead search.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Nelder–Mead from `x0` over a private instance of the fit's
+    /// objective: the full SSE, or the profiled one. Either maps
+    /// infeasible points to +∞, so the simplex contracts away from them,
+    /// and owns scratch buffers, so an evaluation allocates nothing.
+    fn minimize(&self, x0: &[f64], control: &Control) -> Result<OptimReport, OptimError> {
+        let (times, observed) = (self.series.times(), self.series.values());
+        match self.ln_times {
+            Some(ln_times) => self.optimizer.minimize(
+                &ProfiledObjective::new(self.family, times, ln_times, observed),
+                x0,
+                control,
+            ),
+            None => self.optimizer.minimize(
+                &SseObjective::new(self.family, times, observed),
+                x0,
+                control,
+            ),
+        }
+    }
+
+    /// Runs cold start `i` under `control`.
+    pub(crate) fn minimize_start(
+        &self,
+        i: usize,
+        control: &Control,
+    ) -> Result<OptimReport, OptimError> {
+        self.minimize(&self.starts[i * self.dim..(i + 1) * self.dim], control)
+    }
+
+    /// The finish phase: reduces the warm result and `cold`, the reduction
+    /// of every cold start, lifts a profiled winner, polishes it and
+    /// guards the result.
+    ///
+    /// # Errors
+    ///
+    /// A stopped cold start, every cold start failing without a warm
+    /// result, and the guard errors of [`fit_least_squares`].
+    pub(crate) fn finish(
+        self,
+        cold: StartReduction,
+        config: &FitConfig,
+        control: &Control,
+    ) -> Result<FittedModel, CoreError> {
+        let FitPlan {
+            family,
+            series,
+            ln_times,
+            warm,
+            starts,
+            ..
+        } = self;
+        let (times, observed) = (series.times(), series.values());
+        let mut total_evaluations = warm.as_ref().map_or(0, |w| w.evaluations) + cold.evaluations();
+        let cold = if starts.is_empty() {
             None
         } else {
-            match multi_start_nelder_mead(
-                make_objective,
-                &starts,
-                nm_config,
-                config.parallelism,
-                control,
-            ) {
+            match cold.finish() {
                 Ok(report) => Some(report),
-                Err(e) if e.is_stop() => return Err(map_stop(e)),
+                Err(e) if e.is_stop() => return Err(phase_error(e)),
                 // Every cold start failed: fatal only without a warm fit.
-                Err(e) => match warm_report {
+                Err(e) => match warm {
                     Some(_) => None,
-                    None => return Err(map_stop(e)),
+                    None => return Err(phase_error(e)),
                 },
             }
-        }
-    };
+        };
+        // Reduce: the warm result is conceptually start 0, so it wins ties
+        // (same strict `<` rule as the start reduction).
+        let best = match (warm, cold) {
+            (Some(w), Some(c)) => {
+                if c.value < w.value {
+                    c
+                } else {
+                    w
+                }
+            }
+            (Some(w), None) => w,
+            (None, Some(c)) => c,
+            (None, None) => unreachable!("a plan has a warm result or cold starts"),
+        };
+        // A profiled winner is lifted back to the full internal vector
+        // (DESIGN.md §11).
+        let best = match ln_times {
+            Some(ln_times) => {
+                let lifted = ProfiledObjective::new(family, times, ln_times, observed)
+                    .lift(best)
+                    .ok_or_else(|| {
+                        CoreError::guard(
+                            "fit_least_squares",
+                            Violation::NonFiniteOutput,
+                            format!("no linear coefficient at the {} winner", family.name()),
+                        )
+                    })?;
+                control.count(CounterId::ObjectiveEvals, 1);
+                total_evaluations += 1;
+                lifted
+            }
+            None => best,
+        };
+        let nm_converged = best.termination == TerminationReason::Converged;
+        let mut lm_converged = false;
+        let mut best_internal = best.params;
+        let mut best_sse = best.value;
+        let mut evaluations = best.evaluations;
 
-    // Reduce: the warm result is conceptually start 0, so it wins ties
-    // (same strict `<` rule as the multi-start driver).
-    Ok(match (warm_report, cold) {
-        (Some(w), Some(c)) => {
-            if c.value < w.value {
-                c
-            } else {
-                w
+        if config.lm_polish {
+            // The residual problem carries the family's analytic Jacobian when
+            // it has one (all six paper families; DESIGN.md §11), so LM skips
+            // its finite-difference sweeps; reusable scratch keeps the polish
+            // allocation-free per iteration either way.
+            let problem = FamilyResiduals {
+                family,
+                times,
+                observed,
+                params_scratch: RefCell::new(vec![0.0; family.n_params()]),
+            };
+            // A failed or stopped polish is not a fit failure: the multi-start
+            // winner above is already a complete answer, so `Err` here (LM
+            // divergence, deadline, cancellation) just skips the refinement.
+            if let Ok(report) = LevenbergMarquardt::new(config.lm.clone()).minimize(
+                &problem,
+                &best_internal,
+                control,
+            ) {
+                evaluations += report.evaluations;
+                total_evaluations += report.evaluations;
+                lm_converged = report.termination == TerminationReason::Converged;
+                if report.value < best_sse {
+                    best_sse = report.value;
+                    best_internal = report.params;
+                }
             }
         }
-        (Some(w), None) => w,
-        (None, Some(c)) => c,
-        (None, None) => unreachable!("guarded by the empty-starts check above"),
-    })
+        let converged = nm_converged || lm_converged;
+
+        // Guard layer (DESIGN.md §8): the optimizer can only hand back a
+        // finite SSE because the objective maps off-domain points to +∞, but
+        // a regression anywhere in that chain would otherwise leak NaN into
+        // every downstream table. Fail loudly instead.
+        if !best_sse.is_finite() {
+            return Err(CoreError::guard(
+                "fit_least_squares",
+                Violation::NonFiniteOutput,
+                format!("final SSE for {} is {best_sse}", family.name()),
+            ));
+        }
+        let params = family.internal_to_params(&best_internal);
+        guard::finite_outputs(family.name(), &params)?;
+        let model = family.build(&params)?;
+        if control.observed() {
+            // The fit span closes here; `evaluations` is the winning start
+            // plus polish (counter events above carry the per-start totals).
+            control.emit(Event::FitFinished {
+                family: family.name(),
+                sse: best_sse,
+                evaluations: evaluations as u64,
+                converged,
+            });
+            control.emit(Event::Hist {
+                id: HistogramId::EvalsPerFit,
+                value: evaluations as u64,
+            });
+        }
+        Ok(FittedModel {
+            model,
+            params,
+            sse: best_sse,
+            evaluations,
+            total_evaluations,
+            converged,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -943,6 +1061,77 @@ mod tests {
         let dbg = format!("{fit:?}");
         assert!(dbg.contains("Quadratic"));
         assert!(dbg.contains("converged"));
+        assert!(dbg.contains(&format!("evaluations: {}", fit.evaluations)));
+        assert!(dbg.contains(&format!("total_evaluations: {}", fit.total_evaluations)));
+    }
+
+    /// `total_evaluations` is every evaluation a fit spent — the total of
+    /// its observed `objective_evals` counters — at every thread count,
+    /// while `evaluations` keeps counting the winner, the lift and the
+    /// polish only. Pinned on 1990-93, with a warm-started refit whose
+    /// probe short-circuits the cold phase.
+    #[test]
+    fn total_evaluations_equal_the_observed_counter_total() {
+        use crate::bathtub::QuarticFamily;
+        use resilience_obs::RecordingObserver;
+        use std::sync::Arc;
+
+        let s = Recession::R1990_93.payroll_index();
+        let mixtures = MixtureFamily::paper_combinations();
+        let mut families: Vec<&dyn ModelFamily> =
+            vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+        families.extend(mixtures.iter().map(|m| m as &dyn ModelFamily));
+        // (all evaluations, winner + lift + polish); Quartic is not in the
+        // smoke gate's `evals_per_fit`, so only its total is pinned.
+        let expected = [
+            (746, Some(263)),
+            (1734, Some(194)),
+            (679, None),
+            (981, Some(130)),
+            (1751, Some(182)),
+            (1851, Some(182)),
+            (6902, Some(344)),
+        ];
+        let observed_fit = |family: &dyn ModelFamily, config: &FitConfig| {
+            let rec = Arc::new(RecordingObserver::new());
+            let control = Control::unbounded().observe(rec.clone());
+            let fit = fit_least_squares_with(family, &s, config, &control).unwrap();
+            let counted: u64 = rec
+                .take()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Counter {
+                        id: CounterId::ObjectiveEvals,
+                        delta,
+                    } => Some(*delta),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(fit.total_evaluations as u64, counted, "{}", family.name());
+            fit
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            for (family, (total, winner)) in families.iter().zip(expected) {
+                let fit = observed_fit(*family, &config);
+                let name = family.name();
+                assert_eq!(fit.total_evaluations, total, "{name} {parallelism:?}");
+                if let Some(winner) = winner {
+                    assert_eq!(fit.evaluations, winner, "{name} {parallelism:?}");
+                }
+            }
+            let cold = observed_fit(&QuadraticFamily, &config);
+            let warm_config = FitConfig {
+                warm_start: Some(WarmStart::new(cold.params.clone())),
+                ..config.clone()
+            };
+            let warm = observed_fit(&QuadraticFamily, &warm_config);
+            assert!(warm.total_evaluations < cold.total_evaluations);
+            assert_eq!(warm.total_evaluations, warm.evaluations, "{parallelism:?}");
+        }
     }
 
     #[test]

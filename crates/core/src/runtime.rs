@@ -26,16 +26,19 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{fit_least_squares_with, FitConfig, FittedModel, WarmStart};
+use crate::fit::{fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel, WarmStart};
 use crate::model::{ModelFamily, ResilienceModel};
-use crate::selection::{score_family, sort_rows, FailureKind, FamilyFailure, Ranking};
+use crate::selection::{
+    score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
+};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
-use resilience_optim::parallel::run_indexed_catch;
+use resilience_optim::multi_start::{run_start, StartReduction};
+use resilience_optim::parallel::{catch_job, run_each, run_indexed_catch, JobPanic};
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 pub use resilience_optim::{CancelToken, Control};
@@ -89,9 +92,14 @@ impl RetryPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct ExecPolicy {
     /// Wall-clock budget for each family's fit. The clock starts when the
-    /// family's job starts (not when the ranking call starts), and is
-    /// capped by the caller's overall [`Control`] deadline, never
-    /// extending it. `None` means no per-family limit.
+    /// family's own work starts, not when the ranking call starts: when
+    /// its job begins on a worker, or, in a wave that pools the starts of
+    /// all its fits ([`rank_fleet_supervised`]), when the family's warm
+    /// probe or first start begins, and for a family with neither, when
+    /// its job finishes. Time spent queueing behind other families' work
+    /// never counts. The budget is capped by the caller's overall
+    /// [`Control`] deadline, never extending it. `None` means no
+    /// per-family limit.
     pub family_budget: Option<Duration>,
     /// Retry schedule for non-converged fits. `None` means single-shot.
     pub retry: Option<RetryPolicy>,
@@ -326,7 +334,10 @@ pub fn fit_with_retry(
     policy: &RetryPolicy,
     control: &Control,
 ) -> Result<SupervisedFit, CoreError> {
-    fit_with_retry_impl(family, series, config, policy, control, None)
+    let first = first_attempt(family, Some(policy), None, control, || {
+        fit_least_squares_with(family, series, config, control)
+    });
+    retry_after(family, series, config, policy, control, None, first)
 }
 
 /// Chaos context threaded into the retry loop by the supervised jobs:
@@ -339,113 +350,104 @@ struct ChaosCtx<'a> {
 }
 
 impl ChaosCtx<'_> {
-    /// The typed error a chaos-failed attempt produces. A plain
-    /// deterministic error (not a stop): the retry schedule treats it
+    /// The fault that fails attempt `attempt` before it fits, if any: an
+    /// exhaustion fault fails every attempt, so the schedule runs (and is
+    /// charged) to its policy bound; a transient fault fails this attempt
+    /// only, and the next draws its own stream and may succeed. The
+    /// transient is accounted with a `chaos_injected` event. The error is
+    /// a plain deterministic one, not a stop: the retry schedule treats it
     /// like any other failed attempt.
-    fn attempt_error(&self, what: &'static str) -> CoreError {
-        CoreError::arg(what, "chaos: injected fault")
+    fn attempt_fault(
+        &self,
+        family: &dyn ModelFamily,
+        attempt: usize,
+        control: &Control,
+        what: &'static str,
+    ) -> Option<CoreError> {
+        if !self.exhaust {
+            if !self
+                .plan
+                .transient(self.cell, family.name(), attempt as u32)
+            {
+                return None;
+            }
+            control.emit(Event::ChaosInjected {
+                kind: resilience_obs::ChaosKind::Transient,
+                family: family.name(),
+            });
+            control.count(CounterId::ChaosInjected, 1);
+        }
+        Some(CoreError::arg(what, "chaos: injected fault"))
     }
 }
 
-fn fit_with_retry_impl(
+/// Attempt 1 of a job: the error of a retry policy that allows no
+/// attempt, a chaos fault, or `run` — the fit, or in a pooled wave its
+/// plan.
+fn first_attempt<T>(
+    family: &dyn ModelFamily,
+    retry: Option<&RetryPolicy>,
+    chaos: Option<&ChaosCtx<'_>>,
+    control: &Control,
+    run: impl FnOnce() -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let what = match retry {
+        Some(retry) if retry.max_attempts == 0 => {
+            return Err(CoreError::arg(
+                "fit_with_retry",
+                "max_attempts must be >= 1",
+            ))
+        }
+        Some(_) => "fit_with_retry",
+        None => "fit",
+    };
+    match chaos.and_then(|ctx| ctx.attempt_fault(family, 1, control, what)) {
+        Some(fault) => Err(fault),
+        None => run(),
+    }
+}
+
+/// A job's fit after attempt 1, whose outcome is `first`: with the
+/// retries `policy.retry` asks for, if any.
+fn retried(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    config: &FitConfig,
+    policy: &ExecPolicy,
+    control: &Control,
+    chaos: Option<&ChaosCtx<'_>>,
+    first: Result<FittedModel, CoreError>,
+) -> Result<FittedModel, CoreError> {
+    match &policy.retry {
+        Some(retry) => {
+            retry_after(family, series, config, retry, control, chaos, first).map(|s| s.fit)
+        }
+        None => first,
+    }
+}
+
+/// The retry schedule after attempt 1, whose outcome is `first`: attempts
+/// 2 to `policy.max_attempts` until one converges, keeping the best fit by
+/// SSE. With zero attempts allowed, `first` is [`first_attempt`]'s error
+/// and nothing more runs.
+fn retry_after(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
     config: &FitConfig,
     policy: &RetryPolicy,
     control: &Control,
     chaos: Option<&ChaosCtx<'_>>,
+    first: Result<FittedModel, CoreError>,
 ) -> Result<SupervisedFit, CoreError> {
-    if policy.max_attempts == 0 {
-        return Err(CoreError::arg(
-            "fit_with_retry",
-            "max_attempts must be >= 1",
-        ));
-    }
     let mut best: Option<FittedModel> = None;
     let mut last_err: Option<CoreError> = None;
-    let mut attempts = 0usize;
-    for attempt in 1..=policy.max_attempts {
-        if attempt > 1 {
-            // A stopped run exits *before* charging the retry: the
-            // attempt would be dead on arrival, and a cancellation (or an
-            // expired deadline) is a property of the whole run, not a
-            // failure this family should burn budget on. Polling here —
-            // ahead of the retry event/counter — keeps the telemetry
-            // honest: no `retry_scheduled` is ever logged for an attempt
-            // that cannot run.
-            if let Some(cause) = control.stop_cause() {
-                return Err(match cause {
-                    StopCause::DeadlineExceeded => CoreError::timed_out("fit_with_retry"),
-                    StopCause::Cancelled => CoreError::cancelled("fit_with_retry"),
-                });
-            }
-        }
-        attempts = attempt;
-        if let Some(ctx) = chaos {
-            if ctx.exhaust {
-                // Job-boundary exhaustion fault: every attempt fails, so
-                // the schedule runs (and is charged) to its policy bound.
-                if attempt > 1 {
-                    control.emit(Event::RetryScheduled {
-                        family: family.name(),
-                        attempt: attempt as u32,
-                    });
-                    control.count(CounterId::Retries, 1);
-                }
-                last_err = Some(ctx.attempt_error("fit_with_retry"));
-                continue;
-            }
-            if ctx.plan.transient(ctx.cell, family.name(), attempt as u32) {
-                // Transient per-attempt fault: this attempt fails
-                // retryably; the next attempt draws its own stream and
-                // may succeed.
-                if attempt > 1 {
-                    control.emit(Event::RetryScheduled {
-                        family: family.name(),
-                        attempt: attempt as u32,
-                    });
-                    control.count(CounterId::Retries, 1);
-                }
-                control.emit(Event::ChaosInjected {
-                    kind: resilience_obs::ChaosKind::Transient,
-                    family: family.name(),
-                });
-                control.count(CounterId::ChaosInjected, 1);
-                last_err = Some(ctx.attempt_error("fit_with_retry"));
-                continue;
-            }
-        }
-        let outcome = if attempt == 1 {
-            fit_least_squares_with(family, series, config, control)
-        } else {
-            control.emit(Event::RetryScheduled {
-                family: family.name(),
-                attempt: attempt as u32,
-            });
-            control.count(CounterId::Retries, 1);
-            // With a best-so-far fit, retries warm-start from its optimum
-            // (the probe usually short-circuits the whole cold phase) and
-            // jitter *around* it; without one, the cold grid is all there
-            // is. Either way the schedule stays a pure function of the
-            // policy — the warm center is itself deterministic.
-            let mut retry_config = config.clone();
-            if let Some(fit) = &best {
-                retry_config.warm_start = Some(WarmStart::new(fit.params.clone()));
-            }
-            let jittered = JitteredFamily {
-                inner: family,
-                seed: policy.base_seed,
-                attempt: attempt as u64,
-                amplitude: policy.amplitude(attempt),
-                center: best.as_ref().map(|fit| fit.params.clone()),
-            };
-            fit_least_squares_with(&jittered, series, &retry_config, control)
-        };
+    let mut attempt = 1;
+    let mut outcome = first;
+    loop {
         match outcome {
             Ok(fit) => {
                 let done = fit.converged;
-                let better = best.as_ref().is_none_or(|b| fit.sse < b.sse);
-                if better {
+                if best.as_ref().is_none_or(|b| fit.sse < b.sse) {
                     best = Some(fit);
                 }
                 if done {
@@ -455,14 +457,61 @@ fn fit_with_retry_impl(
             Err(e) if e.is_stop() => return Err(e),
             Err(e) => last_err = Some(e),
         }
+        if attempt >= policy.max_attempts {
+            break;
+        }
+        // A stopped run exits *before* charging the retry: the attempt
+        // would be dead on arrival, and a cancellation (or an expired
+        // deadline) is a property of the whole run, not a failure this
+        // family should burn budget on. Polling here — ahead of the retry
+        // event/counter — keeps the telemetry honest: no
+        // `retry_scheduled` is ever logged for an attempt that cannot run.
+        if let Some(cause) = control.stop_cause() {
+            return Err(match cause {
+                StopCause::DeadlineExceeded => CoreError::timed_out("fit_with_retry"),
+                StopCause::Cancelled => CoreError::cancelled("fit_with_retry"),
+            });
+        }
+        attempt += 1;
+        control.emit(Event::RetryScheduled {
+            family: family.name(),
+            attempt: attempt as u32,
+        });
+        control.count(CounterId::Retries, 1);
+        if let Some(fault) =
+            chaos.and_then(|ctx| ctx.attempt_fault(family, attempt, control, "fit_with_retry"))
+        {
+            outcome = Err(fault);
+            continue;
+        }
+        // With a best-so-far fit, retries warm-start from its optimum
+        // (the probe usually short-circuits the whole cold phase) and
+        // jitter *around* it; without one, the cold grid is all there
+        // is. Either way the schedule stays a pure function of the
+        // policy — the warm center is itself deterministic.
+        let mut retry_config = config.clone();
+        if let Some(fit) = &best {
+            retry_config.warm_start = Some(WarmStart::new(fit.params.clone()));
+        }
+        let jittered = JitteredFamily {
+            inner: family,
+            seed: policy.base_seed,
+            attempt: attempt as u64,
+            amplitude: policy.amplitude(attempt),
+            center: best.as_ref().map(|fit| fit.params.clone()),
+        };
+        outcome = fit_least_squares_with(&jittered, series, &retry_config, control);
     }
     match best {
         Some(fit) => {
             control.emit(Event::Hist {
                 id: HistogramId::AttemptsPerFit,
-                value: attempts as u64,
+                value: attempt as u64,
             });
-            Ok(SupervisedFit { fit, attempts })
+            Ok(SupervisedFit {
+                fit,
+                attempts: attempt,
+            })
         }
         // All attempts errored; `last_err` is necessarily set.
         None => Err(last_err
@@ -508,95 +557,96 @@ pub fn rank_models_supervised(
     cells.pop().expect("one outcome per cell").into_result()
 }
 
-/// One supervised series × family job: narrows the caller's control to
-/// the per-family budget (the clock starts here, on the worker, so
-/// queueing behind other jobs does not consume a family's budget),
-/// attaches the job's event buffer, fits — with retry when the policy
-/// asks for it — and scores.
-fn supervised_family_job(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    inner: &FitConfig,
-    policy: &ExecPolicy,
-    control: &Control,
-    recorder: Option<&Arc<RecordingObserver>>,
-    cell: u32,
-) -> Result<crate::selection::SelectionRow, FamilyFailure> {
-    let family_control = match policy.family_budget {
-        Some(budget) => control.narrowed(budget),
-        None => control.clone(),
-    };
-    let family_control = match recorder {
-        Some(rec) => family_control.observe(rec.clone()),
-        None => family_control,
-    };
-    // Chaos injection (DESIGN.md §14). The accounting event goes into the
-    // job's recorder *before* the fault takes effect, so even a forced
-    // panic or an observer loss leaves the injection on the record — the
-    // smoke gate reconciles injected faults against these events.
-    let fault = policy
-        .chaos
-        .as_ref()
-        .and_then(|plan| plan.job_fault(cell, family.name()));
-    let mut exhaust = false;
-    let fit_control = match fault {
-        None => family_control.clone(),
-        Some(fault) => {
-            family_control.emit(Event::ChaosInjected {
-                kind: fault.kind(),
-                family: family.name(),
-            });
-            family_control.count(CounterId::ChaosInjected, 1);
-            match fault {
-                ChaosFault::ForcedPanic => {
-                    panic!("chaos: forced panic in {}", family.name())
-                }
-                // Zero budget makes the solver's *first* cancellation
-                // point fire — the timeout travels through the real stop
-                // machinery, deterministically, with no wall-clock in any
-                // stored value.
-                ChaosFault::DeadlineBlowout => family_control.narrowed(Duration::ZERO),
-                // The fit proceeds untraced: result paths must survive
-                // losing their telemetry sink.
-                ChaosFault::ObserverLoss => family_control.unobserved(),
-                ChaosFault::RetryExhaustion => {
-                    exhaust = true;
-                    family_control.clone()
-                }
-            }
-        }
-    };
-    let chaos_ctx = policy.chaos.as_ref().map(|plan| ChaosCtx {
-        plan,
-        cell,
-        exhaust,
-    });
-    let fit_outcome = match &policy.retry {
-        Some(retry) => fit_with_retry_impl(
-            family,
-            series,
-            inner,
-            retry,
-            &fit_control,
-            chaos_ctx.as_ref(),
-        )
-        .map(|s| s.fit),
-        None => match chaos_ctx {
-            // Single-shot under chaos: an exhaustion fault or a transient
-            // hit on the only attempt fails the job outright.
-            Some(ctx) if ctx.exhaust => Err(ctx.attempt_error("fit")),
-            Some(ctx) if ctx.plan.transient(cell, family.name(), 1) => {
-                fit_control.emit(Event::ChaosInjected {
-                    kind: resilience_obs::ChaosKind::Transient,
+/// The control a family's job fits under: the caller's control with the
+/// job's event buffer attached and its chaos fault applied, narrowed to
+/// `ExecPolicy::family_budget` when the family's solver work begins.
+struct JobControl {
+    base: Control,
+    budget: Option<Duration>,
+    started: OnceLock<Control>,
+}
+
+impl JobControl {
+    /// Sets up job (`cell`, `family`): attaches `recorder`, draws the
+    /// job's chaos fault (DESIGN.md §14) and applies it. The fault's
+    /// accounting event goes into the job's recorder *before* the fault
+    /// takes effect, so even a forced panic or an observer loss leaves the
+    /// injection on the record — the smoke gate reconciles injected faults
+    /// against these events.
+    ///
+    /// # Panics
+    ///
+    /// On purpose, under a forced-panic fault.
+    fn new<'p>(
+        family: &dyn ModelFamily,
+        policy: &'p ExecPolicy,
+        control: &Control,
+        recorder: Option<&Arc<RecordingObserver>>,
+        cell: u32,
+    ) -> (JobControl, Option<ChaosCtx<'p>>) {
+        let observed = match recorder {
+            Some(rec) => control.with_observer(rec.clone()),
+            None => control.clone(),
+        };
+        let fault = policy
+            .chaos
+            .as_ref()
+            .and_then(|plan| plan.job_fault(cell, family.name()));
+        let base = match fault {
+            None => observed,
+            Some(fault) => {
+                observed.emit(Event::ChaosInjected {
+                    kind: fault.kind(),
                     family: family.name(),
                 });
-                fit_control.count(CounterId::ChaosInjected, 1);
-                Err(ctx.attempt_error("fit"))
+                observed.count(CounterId::ChaosInjected, 1);
+                match fault {
+                    ChaosFault::ForcedPanic => {
+                        panic!("chaos: forced panic in {}", family.name())
+                    }
+                    // Zero budget makes the solver's *first* cancellation
+                    // point fire — the timeout travels through the real
+                    // stop machinery, deterministically, with no
+                    // wall-clock in any stored value.
+                    ChaosFault::DeadlineBlowout => observed.narrowed(Duration::ZERO),
+                    // The fit proceeds untraced: result paths must survive
+                    // losing their telemetry sink.
+                    ChaosFault::ObserverLoss => observed.unobserved(),
+                    ChaosFault::RetryExhaustion => observed,
+                }
             }
-            _ => fit_least_squares_with(family, series, inner, &fit_control),
-        },
-    };
-    let fit = fit_outcome.map_err(|e| {
+        };
+        let chaos = policy.chaos.as_ref().map(|plan| ChaosCtx {
+            plan,
+            cell,
+            exhaust: fault == Some(ChaosFault::RetryExhaustion),
+        });
+        let job = JobControl {
+            base,
+            budget: policy.family_budget,
+            started: OnceLock::new(),
+        };
+        (job, chaos)
+    }
+
+    /// The control with the family budget's clock running: the first call
+    /// starts it. Every later call, from any thread, shares its deadline.
+    fn started(&self) -> &Control {
+        match self.budget {
+            None => &self.base,
+            Some(budget) => self.started.get_or_init(|| self.base.narrowed(budget)),
+        }
+    }
+}
+
+/// A family's fit outcome as its ranking row, or as the typed failure
+/// that replaces the row.
+fn score(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    outcome: Result<FittedModel, CoreError>,
+) -> Result<SelectionRow, FamilyFailure> {
+    let fit = outcome.map_err(|e| {
         let kind = match e {
             CoreError::TimedOut { .. } => FailureKind::TimedOut,
             CoreError::Cancelled { .. } => FailureKind::Cancelled,
@@ -609,6 +659,279 @@ fn supervised_family_job(
         }
     })?;
     score_family(family, series, &fit)
+}
+
+/// The failure row of a job its open breaker skipped.
+fn skipped(family: &dyn ModelFamily) -> FamilyFailure {
+    FamilyFailure {
+        family_name: family.name(),
+        reason: "breaker open: fit skipped".into(),
+        kind: FailureKind::Skipped,
+    }
+}
+
+/// One supervised series × family job, whole, for a wave that fans out
+/// over its jobs: sets up the job's control (the family budget's clock
+/// starts here, on the worker, so queueing behind other jobs does not
+/// consume a family's budget), fits — with retry when the policy asks for
+/// it — and scores.
+fn supervised_family_job(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    inner: &FitConfig,
+    policy: &ExecPolicy,
+    control: &Control,
+    recorder: Option<&Arc<RecordingObserver>>,
+    cell: u32,
+) -> Result<SelectionRow, FamilyFailure> {
+    let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
+    let control = job.started();
+    let first = first_attempt(
+        family,
+        policy.retry.as_ref(),
+        chaos.as_ref(),
+        control,
+        || fit_least_squares_with(family, series, inner, control),
+    );
+    let outcome = retried(
+        family,
+        series,
+        inner,
+        policy,
+        control,
+        chaos.as_ref(),
+        first,
+    );
+    score(family, series, outcome)
+}
+
+/// The outcome of one wave job: its row or failure, or its panic.
+type JobOutcome = Result<Result<SelectionRow, FamilyFailure>, JobPanic>;
+
+/// One job of a wave that pools its starts, between its plan and its
+/// finish (see [`pooled_wave`]).
+struct PooledJob<'a> {
+    family: &'a dyn ModelFamily,
+    series: &'a PerformanceSeries,
+    control: JobControl,
+    chaos: Option<ChaosCtx<'a>>,
+    /// Attempt 1: its planned fit, or the error that ended it before any
+    /// start ran (a chaos fault, a planning failure, a retry policy that
+    /// allows no attempt).
+    first: Result<FitPlan<'a>, CoreError>,
+    /// What attempt 1's starts left as they finished, in any order.
+    run: Mutex<StartsRun>,
+}
+
+/// The running state of one job's pooled starts.
+#[derive(Default)]
+struct StartsRun {
+    reduction: StartReduction,
+    /// Each start's event buffer by start index, when observed.
+    events: Vec<Option<Vec<Event>>>,
+    /// The lowest-index start that panicked, with its message.
+    panic: Option<JobPanic>,
+}
+
+impl<'a> PooledJob<'a> {
+    /// The plan phase, on the calling thread: the job's control and chaos
+    /// draw, then attempt 1 up to its starts.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        family: &'a dyn ModelFamily,
+        series: &'a PerformanceSeries,
+        ln_times: &'a [f64],
+        config: &FitConfig,
+        policy: &'a ExecPolicy,
+        control: &Control,
+        recorder: Option<&Arc<RecordingObserver>>,
+        cell: u32,
+    ) -> PooledJob<'a> {
+        let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
+        // Only a warm probe makes the plan do solver work, so only then
+        // does the plan start the family budget's clock.
+        let plan_control = if config.warm_start.is_some() {
+            job.started()
+        } else {
+            &job.base
+        };
+        let first = first_attempt(
+            family,
+            policy.retry.as_ref(),
+            chaos.as_ref(),
+            plan_control,
+            || FitPlan::new(family, series, ln_times, config, plan_control),
+        );
+        let starts = first.as_ref().map_or(0, FitPlan::starts);
+        // One buffer slot per start, filled as the starts finish.
+        let events = if job.base.observed() {
+            (0..starts).map(|_| None).collect()
+        } else {
+            Vec::new()
+        };
+        PooledJob {
+            family,
+            series,
+            control: job,
+            chaos,
+            first,
+            run: Mutex::new(StartsRun {
+                events,
+                ..StartsRun::default()
+            }),
+        }
+    }
+
+    /// Attempt 1's cold starts: none unless it is a planned fit.
+    fn starts(&self) -> usize {
+        self.first.as_ref().map_or(0, FitPlan::starts)
+    }
+
+    /// The dimension of attempt 1's search (0 unless it is a planned fit).
+    fn dim(&self) -> usize {
+        self.first.as_ref().map_or(0, FitPlan::dim)
+    }
+
+    /// Attempt 1's start `i`, on a pool worker. A panic is confined to the
+    /// start and fails the job at its finish.
+    fn run_start(&self, i: usize) {
+        let Ok(plan) = &self.first else {
+            unreachable!("only planned fits have starts")
+        };
+        let control = self.control.started();
+        let start = catch_job(i, || run_start(i, control, |c| plan.minimize_start(i, c)));
+        let mut run = self.run.lock().expect("start state poisoned");
+        match start {
+            Ok(start) => {
+                if let Some(events) = start.events {
+                    run.events[i] = Some(events);
+                }
+                run.reduction.add(i, start.result);
+            }
+            Err(panic) => {
+                if run.panic.as_ref().is_none_or(|p| i < p.index) {
+                    run.panic = Some(panic);
+                }
+            }
+        }
+    }
+
+    /// The finish phase, on the calling thread: replays the start buffers
+    /// in start order, finishes attempt 1, runs the retries the policy
+    /// asks for and scores. A panicked start fails the job with the lowest
+    /// panicking start's message, and none of the start buffers, as when
+    /// its fit's own pool re-raises that panic.
+    fn finish(self, job: usize, config: &FitConfig, policy: &ExecPolicy) -> JobOutcome {
+        let run = self.run.into_inner().expect("start state poisoned");
+        if let Some(panic) = run.panic {
+            return Err(JobPanic {
+                index: job,
+                message: panic.message,
+            });
+        }
+        catch_job(job, || {
+            let control = self.control.started();
+            let first = self.first.and_then(|plan| {
+                if let Some(sink) = control.observer() {
+                    for events in run.events.iter().flatten() {
+                        replay(events, sink.as_ref());
+                    }
+                }
+                plan.finish(run.reduction, config, control)
+            });
+            let outcome = retried(
+                self.family,
+                self.series,
+                config,
+                policy,
+                control,
+                self.chaos.as_ref(),
+                first,
+            );
+            score(self.family, self.series, outcome)
+        })
+    }
+}
+
+/// Runs a wave with fewer cells than `config.parallelism` has threads:
+///
+/// 1. plans every job on the calling thread, in input order, with its
+///    chaos draw and attempt 1 up to its starts;
+/// 2. runs every start of every planned fit in one pool, longest search
+///    first: jobs by descending search dimension, ties in input order,
+///    each job's starts in start order — an order the plans fix, never
+///    the timing;
+/// 3. finishes the jobs on the calling thread, in input order: replays
+///    each job's start buffers in start order, reduces, polishes, retries
+///    and scores.
+///
+/// Rows, failures and the event log equal a run of the jobs one after
+/// another, because the reduction of each job's starts is index-ordered
+/// whatever order they finish in, and every buffer is replayed in start
+/// order.
+#[allow(clippy::too_many_arguments)]
+fn pooled_wave(
+    families: &[&dyn ModelFamily],
+    cells: &[PerformanceSeries],
+    first_cell: usize,
+    config: &FitConfig,
+    policy: &ExecPolicy,
+    control: &Control,
+    skip: &[bool],
+    recorders: Option<&[Arc<RecordingObserver>]>,
+) -> Vec<JobOutcome> {
+    let nf = families.len();
+    let ln_tables: Vec<Vec<f64>> = cells.iter().map(|s| ln_table(s.times())).collect();
+    let jobs: Vec<Option<Result<PooledJob<'_>, JobPanic>>> = (0..cells.len() * nf)
+        .map(|j| {
+            (!skip[j]).then(|| {
+                catch_job(j, || {
+                    PooledJob::new(
+                        families[j % nf],
+                        &cells[j / nf],
+                        &ln_tables[j / nf],
+                        config,
+                        policy,
+                        control,
+                        recorders.map(|recs| &recs[j]),
+                        (first_cell + j / nf) as u32,
+                    )
+                })
+            })
+        })
+        .collect();
+
+    // The dispatch order, a function of the plans: jobs by descending
+    // search dimension, ties in input order, each job's starts in start
+    // order. `ends[s]` is one past the last pool index of `order[s]`.
+    let mut order: Vec<&PooledJob<'_>> = jobs
+        .iter()
+        .flatten()
+        .flatten()
+        .filter(|job| job.starts() > 0)
+        .collect();
+    order.sort_by_key(|job| std::cmp::Reverse(job.dim()));
+    let ends: Vec<usize> = order
+        .iter()
+        .scan(0, |end, job| {
+            *end += job.starts();
+            Some(*end)
+        })
+        .collect();
+    run_each(config.parallelism, ends.last().copied().unwrap_or(0), |k| {
+        let slot = ends.partition_point(|&end| end <= k);
+        let job = order[slot];
+        job.run_start(k + job.starts() - ends[slot]);
+    });
+
+    jobs.into_iter()
+        .enumerate()
+        .map(|(j, job)| match job {
+            None => Ok(Err(skipped(families[j % nf]))),
+            Some(Err(panic)) => Err(panic),
+            Some(Ok(job)) => job.finish(j, config, policy),
+        })
+        .collect()
 }
 
 /// Outcome of one fleet cell under [`rank_fleet_supervised`].
@@ -740,11 +1063,14 @@ impl Breaker {
 /// jobs out one at a time from a shared atomic counter
 /// ([`run_indexed_catch`]), so a cell whose families are all cheap does
 /// not leave workers idle while one expensive series × family pair
-/// finishes; each fit's multi-start runs serial. A smaller wave — a
-/// one-cell ranking is one — has too few cells to keep the threads busy
-/// on a handful of very unequal family jobs, so it runs its jobs in order
-/// and gives the threads to each fit's multi-start instead. Both paths
-/// give the same rows, failures and event log.
+/// finishes; each fit's multi-start runs serial. A smaller wave — every
+/// one-cell ranking at two or more threads is one — has too few cells to
+/// keep the threads busy on a handful of very unequal family jobs. It
+/// plans every job on the calling thread, runs the starts of all its fits
+/// in one pool, longest search first, and finishes each job on the
+/// calling thread in input order; retries after attempt 1 run there too,
+/// with the caller's `parallelism`. Both paths give the same rows,
+/// failures and event log.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -772,7 +1098,10 @@ pub fn rank_fleet_supervised(
     policy: &ExecPolicy,
     control: &Control,
 ) -> Vec<CellOutcome> {
-    let mut inner = config.clone();
+    let inner = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..config.clone()
+    };
     let threads = config.parallelism.threads_for(usize::MAX);
     let nf = families.len();
     let supervised = policy.supervises_cells();
@@ -818,32 +1147,35 @@ pub fn rank_fleet_supervised(
                 .collect()
         });
         // One fan-out level per wave: over the wave's jobs, or — when the
-        // wave has fewer cells than threads — over each fit's starts.
-        let job_level = if wave_end - wave_start < threads {
-            inner.parallelism = config.parallelism;
-            Parallelism::Serial
-        } else {
-            inner.parallelism = Parallelism::Serial;
-            config.parallelism
-        };
-        let outcomes = run_indexed_catch(job_level, wave_jobs, |j| {
-            if skip[j] {
-                return Err(FamilyFailure {
-                    family_name: families[j % nf].name(),
-                    reason: "breaker open: fit skipped".into(),
-                    kind: FailureKind::Skipped,
-                });
-            }
-            supervised_family_job(
-                families[j % nf],
-                &series_list[wave_start + j / nf],
-                &inner,
+        // wave has fewer cells than threads — over the starts of all its
+        // fits at once.
+        let outcomes = if wave_end - wave_start < threads {
+            pooled_wave(
+                families,
+                &series_list[wave_start..wave_end],
+                wave_start,
+                config,
                 policy,
                 control,
-                recorders.as_ref().map(|recs| &recs[j]),
-                (wave_start + j / nf) as u32,
+                &skip,
+                recorders.as_deref(),
             )
-        });
+        } else {
+            run_indexed_catch(config.parallelism, wave_jobs, |j| {
+                if skip[j] {
+                    return Err(skipped(families[j % nf]));
+                }
+                supervised_family_job(
+                    families[j % nf],
+                    &series_list[wave_start + j / nf],
+                    &inner,
+                    policy,
+                    control,
+                    recorders.as_ref().map(|recs| &recs[j]),
+                    (wave_start + j / nf) as u32,
+                )
+            })
+        };
 
         // Serial reduction in flattened input order: open each job's
         // frame, replay its event buffer, update the breaker machine, and
@@ -1257,8 +1589,8 @@ mod tests {
         let (serial_bits, serial_events) = run(Parallelism::Serial);
         assert!(!serial_events.is_empty());
         // Fixed(2) and Fixed(3) fan out over the 3 cells' family jobs;
-        // Fixed(4) has more threads than cells, so it fans out over each
-        // fit's starts instead. Both paths must reproduce the serial run.
+        // Fixed(4) has more threads than cells, so it pools the starts of
+        // every fit instead. Both paths must reproduce the serial run.
         for p in [
             Parallelism::Fixed(2),
             Parallelism::Fixed(3),
@@ -1688,6 +2020,329 @@ mod tests {
             let (par, par_events) = run(p);
             assert_eq!(par_events, events, "{p:?}");
             assert_eq!(format!("{par:?}"), format!("{outcomes:?}"), "{p:?}");
+        }
+    }
+
+    /// A constant curve `y = c` fitted from the given starting guesses:
+    /// a family whose starts can be made to fail, panic or dawdle one by
+    /// one. Its prediction sleeps for `nap`, panics, naming `c`, once `c`
+    /// exceeds `panic_above`, and is non-finite everywhere when `finite`
+    /// is false.
+    struct ConstantProbe {
+        name: &'static str,
+        guesses: &'static [f64],
+        panic_above: f64,
+        finite: bool,
+        nap: Duration,
+    }
+
+    impl ConstantProbe {
+        fn new(name: &'static str, guesses: &'static [f64]) -> ConstantProbe {
+            ConstantProbe {
+                name,
+                guesses,
+                panic_above: f64::INFINITY,
+                finite: true,
+                nap: Duration::ZERO,
+            }
+        }
+    }
+
+    struct Constant(f64);
+
+    impl ResilienceModel for Constant {
+        fn name(&self) -> &'static str {
+            "Constant"
+        }
+        fn params(&self) -> Vec<f64> {
+            vec![self.0]
+        }
+        fn predict(&self, _t: f64) -> f64 {
+            self.0
+        }
+    }
+
+    impl ModelFamily for ConstantProbe {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn n_params(&self) -> usize {
+            1
+        }
+        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
+            internal.to_vec()
+        }
+        fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
+            Ok(params.to_vec())
+        }
+        fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
+            Ok(Box::new(Constant(params[0])))
+        }
+        fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
+            self.guesses.iter().map(|&g| vec![g]).collect()
+        }
+        fn predict_params_into(&self, params: &[f64], _ts: &[f64], out: &mut [f64]) -> bool {
+            std::thread::sleep(self.nap);
+            let c = params[0];
+            if c > self.panic_above {
+                panic!("injected panic at c = {c}");
+            }
+            out.fill(if self.finite { c } else { f64::NAN });
+            true
+        }
+    }
+
+    /// A one-cell ranking's rows and failures (as their `Debug` text: SSE
+    /// and R² print with every bit) and its event log.
+    fn one_cell_trace(
+        families: &[&dyn ModelFamily],
+        series: &PerformanceSeries,
+        config: &FitConfig,
+        policy: &ExecPolicy,
+        parallelism: Parallelism,
+    ) -> (String, Vec<Event>) {
+        use resilience_obs::RecordingObserver;
+        let rec = Arc::new(RecordingObserver::new());
+        let config = FitConfig {
+            parallelism,
+            ..config.clone()
+        };
+        let ranking = rank_models_supervised(
+            families,
+            series,
+            &config,
+            policy,
+            &Control::unbounded().observe(rec.clone()),
+        );
+        (format!("{ranking:?}"), rec.take())
+    }
+
+    /// Every thread count gives the serial one-cell ranking: rows,
+    /// failures and event log. `Serial` runs the jobs one after another;
+    /// every other level here has more threads than the cell count, so it
+    /// pools the starts of all the families. Returns the serial trace.
+    fn assert_pooled_matches_serial(
+        families: &[&dyn ModelFamily],
+        series: &PerformanceSeries,
+        config: &FitConfig,
+        policy: &ExecPolicy,
+    ) -> (String, Vec<Event>) {
+        let serial = one_cell_trace(families, series, config, policy, Parallelism::Serial);
+        for p in [
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(3),
+            Parallelism::Fixed(4),
+            Parallelism::Auto,
+        ] {
+            let (ranking, events) = one_cell_trace(families, series, config, policy, p);
+            assert_eq!(ranking, serial.0, "{p:?}");
+            assert_eq!(events, serial.1, "{p:?}");
+        }
+        serial
+    }
+
+    fn paper_families(mixtures: &[crate::mixture::MixtureFamily]) -> Vec<&dyn ModelFamily> {
+        let mut families: Vec<&dyn ModelFamily> =
+            vec![&QuadraticFamily, &crate::bathtub::CompetingRisksFamily];
+        families.extend(mixtures.iter().map(|m| m as &dyn ModelFamily));
+        families
+    }
+
+    #[test]
+    fn pooled_ranking_of_the_paper_families_matches_serial() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let mixtures = crate::mixture::MixtureFamily::paper_combinations();
+        let (ranking, events) = assert_pooled_matches_serial(
+            &paper_families(&mixtures),
+            &series,
+            &FitConfig::default(),
+            &ExecPolicy::default(),
+        );
+        assert!(ranking.contains("degraded: false"), "{ranking}");
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, Event::StartBegan { .. }))
+            .count();
+        // 3 + 8 + 4 × 9 starts (DESIGN.md §11).
+        assert_eq!(starts, 47);
+    }
+
+    #[test]
+    fn pooled_ranking_with_retries_matches_serial() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let mixtures = crate::mixture::MixtureFamily::paper_combinations();
+        let mut starved = FitConfig::default();
+        starved.nelder_mead.max_iterations = 3;
+        starved.lm_polish = false;
+        let policy = ExecPolicy {
+            retry: Some(RetryPolicy::default()),
+            ..ExecPolicy::default()
+        };
+        let (_, events) =
+            assert_pooled_matches_serial(&paper_families(&mixtures), &series, &starved, &policy);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::RetryScheduled { attempt: 2, .. })));
+    }
+
+    #[test]
+    fn pooled_ranking_under_chaos_matches_serial() {
+        use resilience_obs::ChaosKind;
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let mixtures = crate::mixture::MixtureFamily::paper_combinations();
+        let mut families = paper_families(&mixtures);
+        families.push(&QuarticFamily);
+        // The first seed whose one cell draws every job fault and a
+        // transient on some unfaulted family's first attempt.
+        let plan = (0..10_000)
+            .map(|seed| ChaosPlan {
+                seed,
+                panic_per_mille: 120,
+                deadline_per_mille: 120,
+                exhaustion_per_mille: 120,
+                observer_loss_per_mille: 120,
+                transient_per_mille: 300,
+            })
+            .find(|plan| {
+                let faults: Vec<_> = families
+                    .iter()
+                    .map(|f| plan.job_fault(0, f.name()))
+                    .collect();
+                [
+                    ChaosFault::ForcedPanic,
+                    ChaosFault::DeadlineBlowout,
+                    ChaosFault::RetryExhaustion,
+                    ChaosFault::ObserverLoss,
+                ]
+                .iter()
+                .all(|k| faults.contains(&Some(*k)))
+                    && families
+                        .iter()
+                        .zip(&faults)
+                        .any(|(f, fault)| fault.is_none() && plan.transient(0, f.name(), 1))
+            })
+            .expect("a seed that draws every fault");
+        let policy = ExecPolicy {
+            retry: Some(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            }),
+            chaos: Some(plan),
+            ..ExecPolicy::default()
+        };
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (ranking, events) =
+            assert_pooled_matches_serial(&families, &series, &FitConfig::default(), &policy);
+        std::panic::set_hook(hook);
+        for kind in [
+            ChaosKind::Panic,
+            ChaosKind::Deadline,
+            ChaosKind::Exhaustion,
+            ChaosKind::ObserverLoss,
+            ChaosKind::Transient,
+        ] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, Event::ChaosInjected { kind: k, .. } if *k == kind)),
+                "{kind:?} not injected"
+            );
+        }
+        for kind in ["Panicked", "TimedOut", "Error"] {
+            assert!(ranking.contains(kind), "no {kind} failure: {ranking}");
+        }
+    }
+
+    #[test]
+    fn pooled_ranking_with_a_panicking_start_matches_serial() {
+        // Starts 2 and 3 panic; the family fails with start 2's message,
+        // the one a serial run raises.
+        let probe = ConstantProbe {
+            panic_above: 5.0,
+            ..ConstantProbe::new("Probe", &[0.5, 0.6, 7.0, 9.0])
+        };
+        let series = quadratic_series();
+        let families: Vec<&dyn ModelFamily> = vec![
+            &QuadraticFamily,
+            &probe,
+            &crate::bathtub::CompetingRisksFamily,
+        ];
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (ranking, events) = assert_pooled_matches_serial(
+            &families,
+            &series,
+            &FitConfig::default(),
+            &ExecPolicy::default(),
+        );
+        std::panic::set_hook(hook);
+        assert!(
+            ranking.contains(r#"reason: "fit: injected panic at c = 7", kind: Panicked"#),
+            "{ranking}"
+        );
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::WorkerPanic { scope: "Probe", .. })));
+    }
+
+    #[test]
+    fn pooled_ranking_with_a_family_whose_starts_all_fail_matches_serial() {
+        let never = ConstantProbe {
+            finite: false,
+            ..ConstantProbe::new("NeverFinite", &[0.5, 1.0, 1.5, 2.0, 2.5])
+        };
+        let series = quadratic_series();
+        let families: Vec<&dyn ModelFamily> = vec![&never, &QuadraticFamily, &QuarticFamily];
+        let (ranking, _) = assert_pooled_matches_serial(
+            &families,
+            &series,
+            &FitConfig::default(),
+            &ExecPolicy::default(),
+        );
+        assert!(
+            ranking.contains(
+                r#"reason: "fit: fit failed: all 5 multi-start attempts failed", kind: Error"#
+            ),
+            "{ranking}"
+        );
+    }
+
+    /// A family budget's clock starts with the family's own work, so time
+    /// spent waiting for a worker never counts. The slow family's two
+    /// starts fill both workers until its budget runs out, and it times
+    /// out; the fast family queued behind them still gets its whole budget
+    /// and ranks, as it does when the jobs run one after another.
+    #[test]
+    fn family_budgets_do_not_count_time_queued_behind_other_families() {
+        let slow = ConstantProbe {
+            nap: Duration::from_millis(5),
+            ..ConstantProbe::new("Slow", &[0.5, 1.5])
+        };
+        let fast = ConstantProbe::new("Fast", &[1.0]);
+        let families: Vec<&dyn ModelFamily> = vec![&slow, &fast];
+        let policy = ExecPolicy {
+            family_budget: Some(Duration::from_millis(50)),
+            ..ExecPolicy::default()
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            let ranking = rank_models_supervised(
+                &families,
+                &quadratic_series(),
+                &config,
+                &policy,
+                &Control::unbounded(),
+            )
+            .unwrap();
+            assert_eq!(ranking.rows.len(), 1, "{parallelism:?}: {ranking:?}");
+            assert_eq!(ranking.rows[0].family_name, "Fast");
+            assert_eq!(ranking.failures.len(), 1, "{parallelism:?}");
+            assert_eq!(ranking.failures[0].family_name, "Slow");
+            assert_eq!(ranking.failures[0].kind, FailureKind::TimedOut);
         }
     }
 

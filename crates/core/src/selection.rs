@@ -303,9 +303,10 @@ pub(crate) fn sort_rows(rows: &mut [SelectionRow]) {
 /// Fits each family to the full series and ranks them by AICc (ascending;
 /// ties and zero-SSE fits sort first).
 ///
-/// Fits run in parallel according to `config.parallelism`, fanned out
-/// over each family's multi-start starts (a one-cell ranking has fewer
-/// cells than threads; see
+/// Fits run in parallel according to `config.parallelism`: with two or
+/// more threads, the starts of every family's fit share one pool, longest
+/// search first, and each fit then finishes on the calling thread (a
+/// one-cell ranking has fewer cells than threads; see
 /// [`rank_fleet_supervised`](crate::runtime::rank_fleet_supervised));
 /// results are identical for every thread count. Families
 /// that fail — including by panicking, which is isolated per family —

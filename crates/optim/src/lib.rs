@@ -13,16 +13,17 @@
 //!   refinement of least-squares fits.
 //! * [`scalar`] — golden-section and Brent minimization for 1-D
 //!   subproblems (e.g. locating a curve's trough).
-//! * [`bounds`] — smooth parameter transforms (log / logistic) that turn
-//!   box-constrained fitting into unconstrained fitting; this is how the
-//!   quadratic bathtub validity region `−2√(αγ) < β < 0` is enforced.
-//! * [`multi_start`] — the multi-start driver that runs Nelder–Mead from
-//!   every starting point, in parallel, and keeps the best result
-//!   bit-identically for every thread count.
+//! * [`multi_start`] — the multi-start driver: a start runner that buffers
+//!   each start's events, a start reduction that keeps the winner a
+//!   serial loop would keep whatever order the starts finish in, and
+//!   their composition over one pool, bit-identical for every thread
+//!   count.
 //! * [`parallel`] — a `std`-only scoped thread pool ([`Parallelism`],
 //!   [`parallel::run_indexed`]) whose index-ordered results make parallel
 //!   runs bit-identical to serial ones, plus a panic-isolating variant
-//!   ([`parallel::run_indexed_catch`]) for supervised fan-out.
+//!   ([`parallel::run_indexed_catch`]) for supervised fan-out and a
+//!   slot-free one ([`parallel::run_each`]) for jobs that keep their own
+//!   results.
 //! * [`control`] — cooperative execution control ([`Control`],
 //!   [`CancelToken`]): per-call deadlines and cancellation tokens that
 //!   every iterative solver polls between iterations, turning runaway
@@ -65,7 +66,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bounds;
 pub mod control;
 pub mod error;
 pub mod levenberg_marquardt;
@@ -77,7 +77,6 @@ pub mod problem;
 pub mod report;
 pub mod scalar;
 
-pub use bounds::{ParamSpace, Transform};
 pub use control::{CancelToken, Control, StopCause};
 pub use error::OptimError;
 pub use objective::Objective;

@@ -115,43 +115,90 @@ where
         .collect()
 }
 
-/// The pool behind [`run_indexed`] and [`run_indexed_catch`]: runs every
-/// job under [`catch_unwind`] — the one catch site of both — and returns
-/// each job's result or panic payload in index order.
+/// Runs `job` under [`catch_unwind`]: the one catch site of
+/// [`run_indexed`], [`run_indexed_catch`] and [`catch_job`].
 ///
-/// Catching inside the job keeps a panic's payload intact:
-/// `std::thread::scope` would otherwise replace it with "a scoped thread
-/// panicked" on a worker thread, while the serial path raised the
-/// original. The closure is wrapped in [`AssertUnwindSafe`]: jobs here are
-/// pure functions of their index over shared *read-only* state, so there
-/// is no partially-mutated state to observe after a panic.
-fn run_caught<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let job = |i: usize| catch_unwind(AssertUnwindSafe(|| job(i)));
-    let threads = parallelism.threads_for(jobs);
-    if threads <= 1 {
-        return (0..jobs).map(job).collect();
-    }
+/// The closure is wrapped in [`AssertUnwindSafe`]: jobs here are pure
+/// functions over shared *read-only* state, or write only state that
+/// belongs to the job, so no other job can observe a partial update
+/// after a panic.
+fn caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
+    catch_unwind(AssertUnwindSafe(job))
+}
 
+/// Runs `job(0..jobs)` for its effects: the pool of [`run_indexed`]
+/// without its per-job result slots, for jobs that leave their results
+/// where the caller keeps them. Workers pull indices from the same atomic
+/// counter, so jobs start in index order and unequal jobs balance; with
+/// one thread (or one job) everything runs on the calling thread, in
+/// index order.
+///
+/// A panic in `job` reaches the caller as in [`run_indexed`]: with the
+/// payload of the lowest-index panicking job, at every thread count.
+pub fn run_each<F>(parallelism: Parallelism, jobs: usize, job: F)
+where
+    F: Fn(usize) + Sync,
+{
+    if parallelism.threads_for(jobs) <= 1 {
+        (0..jobs).for_each(job);
+        return;
+    }
+    let first_panic = Mutex::new(None);
+    workers(parallelism, jobs, |i| {
+        if let Err(payload) = caught(|| job(i)) {
+            let mut first = first_panic.lock().expect("panic slot poisoned");
+            if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                *first = Some((i, payload));
+            }
+        }
+    });
+    if let Some((_, payload)) = first_panic.into_inner().expect("panic slot poisoned") {
+        resume_unwind(payload);
+    }
+}
+
+/// The threads of the pool: `parallelism.threads_for(jobs)` scoped
+/// workers, each pulling the next index from one atomic counter until
+/// `jobs` run out. `job` must not panic: every caller catches inside it,
+/// which also keeps a panic's payload intact, where `std::thread::scope`
+/// would replace it with "a scoped thread panicked".
+fn workers<F>(parallelism: Parallelism, jobs: usize, job: F)
+where
+    F: Fn(usize) + Sync,
+{
     let next = AtomicUsize::new(0);
-    // One slot per job: threads write disjoint slots, so the per-slot
-    // mutexes are never contended.
-    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..parallelism.threads_for(jobs) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= jobs {
                     break;
                 }
-                let value = job(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
+                job(i);
             });
         }
+    });
+}
+
+/// The pool behind [`run_indexed`] and [`run_indexed_catch`]: runs every
+/// job [`caught`] and returns each job's result or panic payload in index
+/// order.
+fn run_caught<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let job = |i: usize| caught(|| job(i));
+    if parallelism.threads_for(jobs) <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    // One slot per job: threads write disjoint slots, so the per-slot
+    // mutexes are never contended.
+    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+        (0..jobs).map(|_| Mutex::new(None)).collect();
+    workers(parallelism, jobs, |i| {
+        let value = job(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
     });
     slots
         .into_iter()
@@ -181,6 +228,15 @@ impl fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
+impl JobPanic {
+    fn new(index: usize, payload: Box<dyn std::any::Any + Send>) -> JobPanic {
+        JobPanic {
+            index,
+            message: panic_message(payload),
+        }
+    }
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -189,6 +245,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Runs job `index` on the calling thread with its panic confined to it:
+/// a panic becomes `Err(JobPanic)`, with the message [`run_indexed_catch`]
+/// would give it. For jobs that run on the caller between pooled phases.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_optim::parallel::catch_job;
+/// std::panic::set_hook(Box::new(|_| {}));
+/// let out = catch_job(3, || -> u32 { panic!("boom") });
+/// let _ = std::panic::take_hook();
+/// assert_eq!(out.unwrap_err().to_string(), "job 3 panicked: boom");
+/// assert_eq!(catch_job(0, || 7), Ok(7));
+/// ```
+pub fn catch_job<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic> {
+    caught(job).map_err(|payload| JobPanic::new(index, payload))
 }
 
 /// Like [`run_indexed`], but a panic in one job is confined to that job.
@@ -209,12 +283,7 @@ where
     run_caught(parallelism, jobs, job)
         .into_iter()
         .enumerate()
-        .map(|(index, slot)| {
-            slot.map_err(|payload| JobPanic {
-                index,
-                message: panic_message(payload),
-            })
-        })
+        .map(|(index, slot)| slot.map_err(|payload| JobPanic::new(index, payload)))
         .collect()
 }
 
@@ -254,6 +323,12 @@ mod tests {
         ] {
             let out = run_indexed(p, 100, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+            // The slot-free pool runs every index exactly once.
+            let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            run_each(p, 100, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{p:?}");
         }
     }
 
@@ -335,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_raises_the_serial_panic_at_every_thread_count() {
+    fn run_indexed_and_run_each_raise_the_serial_panic_at_every_thread_count() {
         for p in [
             Parallelism::Serial,
             Parallelism::Fixed(2),
@@ -353,6 +428,17 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(panic_message(payload), "boom at 1", "{p:?}");
+            let payload = silence_panics(|| {
+                catch_unwind(|| {
+                    run_each(p, 8, |i| {
+                        if i % 3 == 1 {
+                            panic!("boom at {i}");
+                        }
+                    })
+                })
+            })
+            .unwrap_err();
+            assert_eq!(panic_message(payload), "boom at 1", "run_each {p:?}");
         }
     }
 

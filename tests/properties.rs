@@ -515,7 +515,7 @@ fn log_reader_survives_mutated_lines() {
     let lines = real_log_lines();
     let mut rng = XorShift64::new(0xA011);
     let mut accepted = 0;
-    for case in 0..4000 {
+    for case in 0..10_000 {
         let base = &lines[rng.next_index(lines.len())];
         let line = mutate(&mut rng, base);
         let alone = no_panic(case, &line, parse_line);

@@ -223,23 +223,27 @@ fn family_budget_times_out_the_slow_family_only() {
         nap: Duration::from_millis(20),
     };
     let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &sleepy];
-    let config = FitConfig {
-        parallelism: Parallelism::Serial,
-        ..FitConfig::default()
-    };
     let policy = ExecPolicy {
         family_budget: Some(Duration::from_millis(50)),
         ..ExecPolicy::default()
     };
-    let ranking =
-        rank_models_supervised(&families, &series, &config, &policy, &Control::unbounded())
-            .unwrap();
-    assert!(ranking.degraded);
-    assert_eq!(ranking.rows.len(), 1);
-    assert_eq!(ranking.rows[0].family_name, "Quadratic");
-    assert_eq!(ranking.failures.len(), 1);
-    assert_eq!(ranking.failures[0].family_name, "Sleepy");
-    assert_eq!(ranking.failures[0].kind, FailureKind::TimedOut);
+    // Serial runs the jobs one after another; Fixed(2) pools both
+    // families' starts.
+    for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+        let config = FitConfig {
+            parallelism,
+            ..FitConfig::default()
+        };
+        let ranking =
+            rank_models_supervised(&families, &series, &config, &policy, &Control::unbounded())
+                .unwrap();
+        assert!(ranking.degraded, "{parallelism:?}");
+        assert_eq!(ranking.rows.len(), 1, "{parallelism:?}");
+        assert_eq!(ranking.rows[0].family_name, "Quadratic");
+        assert_eq!(ranking.failures.len(), 1, "{parallelism:?}");
+        assert_eq!(ranking.failures[0].family_name, "Sleepy");
+        assert_eq!(ranking.failures[0].kind, FailureKind::TimedOut);
+    }
 }
 
 /// Acceptance: a checkpointed-then-resumed bootstrap is bit-identical to

@@ -62,7 +62,11 @@ fn to_jsonl(events: &[Event]) -> String {
 fn event_log_bytes_are_identical_across_thread_counts() {
     let serial = to_jsonl(&traced_ranking(Parallelism::Serial));
     assert!(!serial.is_empty());
-    for p in [Parallelism::Fixed(2), Parallelism::Fixed(4)] {
+    for p in [
+        Parallelism::Fixed(2),
+        Parallelism::Fixed(3),
+        Parallelism::Fixed(4),
+    ] {
         let parallel = to_jsonl(&traced_ranking(p));
         assert_eq!(parallel, serial, "{p:?} log diverged from serial");
     }
