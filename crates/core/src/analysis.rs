@@ -117,7 +117,10 @@ pub struct MetricComparison {
 ///
 /// # Errors
 ///
-/// Propagates metric computation failures.
+/// * [`CoreError::InvalidArgument`] when `evaluations` is empty, mixes
+///   holdout horizons, or holds out too much of `series` to leave a
+///   training prefix.
+/// * Propagates metric computation failures.
 pub fn metrics_comparison(
     evaluations: &[ModelEvaluation],
     series: &PerformanceSeries,
@@ -131,6 +134,15 @@ pub fn metrics_comparison(
         return Err(CoreError::arg(
             "metrics_comparison",
             "evaluations use different holdout horizons",
+        ));
+    }
+    if holdout + 2 > series.len() {
+        return Err(CoreError::arg(
+            "metrics_comparison",
+            format!(
+                "holdout {holdout} leaves no usable training prefix of series with {} points",
+                series.len()
+            ),
         ));
     }
     let split = series.split_at(series.len() - holdout)?;
@@ -285,6 +297,16 @@ mod tests {
         assert!(metrics_comparison(&evals, &s, 0.5).is_err());
         evals.truncate(1);
         assert!(metrics_comparison(&evals, &s, 0.5).is_ok());
+        // A horizon longer than the compared series is an error, not an
+        // underflow.
+        let long = [evaluate_model(&QuadraticFamily, &s, 30, 0.05).unwrap()];
+        let short = Recession::R2020_21.payroll_index();
+        assert_eq!(short.len(), 24);
+        let err = metrics_comparison(&long, &short, 0.5).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidArgument { .. }),
+            "expected InvalidArgument, got {err}"
+        );
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! where the fit constrains the curve weakly (extrapolation beyond the
 //! training window) — exactly the region the predictive metrics use.
 
-use crate::fit::{fit_least_squares, fit_least_squares_with, FitConfig};
+use crate::fit::{fit_from, fit_least_squares_with, FitConfig};
 use crate::model::ModelFamily;
 use crate::CoreError;
-use resilience_data::noise::XorShift64;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{CounterId, Event};
 use resilience_optim::parallel::run_indexed_catch;
 use resilience_optim::{Control, Parallelism};
 use resilience_stats::describe::quantile;
+use resilience_stats::XorShift64;
 
 /// A pointwise bootstrap *prediction* band: each limit reflects both
 /// parameter uncertainty (replicate refits) and observation noise (a
@@ -293,13 +293,6 @@ pub fn bootstrap_band_checkpointed(
     refit_config.max_starts = refit_config.max_starts.max(1);
     refit_config.parallelism = Parallelism::Serial;
 
-    // Start from the base optimum: wrap the family so initial_guesses
-    // returns only the base parameters.
-    let wrapped = SeededFamily {
-        inner: family,
-        seed_params: cp.seed_params.clone(),
-    };
-
     while cp.next_rep < config.replicates {
         let remaining = config.replicates - cp.next_rep;
         // Unbounded runs take everything in one chunk (no reason to pay
@@ -314,6 +307,7 @@ pub fn bootstrap_band_checkpointed(
         };
         let start = cp.next_rep;
         let (times, fitted, residuals) = (&cp.times, &cp.fitted, &cp.residuals);
+        let base_optimum = std::slice::from_ref(&cp.seed_params);
         // Each replicate owns a counter-derived RNG stream, so its draws
         // are a pure function of (seed, replicate index): replicates can
         // run on any thread, in any order, across any pause/resume split,
@@ -327,7 +321,14 @@ pub fn bootstrap_band_checkpointed(
                     .collect();
                 let synth =
                     PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
-                let fit = fit_least_squares(&wrapped, &synth, &refit_config).ok()?;
+                let fit = fit_from(
+                    family,
+                    &synth,
+                    base_optimum,
+                    &refit_config,
+                    &Control::unbounded(),
+                )
+                .ok()?;
                 let mut preds = vec![0.0; n];
                 fit.model.predict_into(times, &mut preds);
                 for p in &mut preds {
@@ -405,122 +406,17 @@ pub fn bootstrap_band_checkpointed(
     }))
 }
 
-/// A family adapter that replaces the data-driven starting points with a
-/// fixed seed (the base fit's optimum).
-struct SeededFamily<'a> {
-    inner: &'a dyn ModelFamily,
-    seed_params: Vec<f64>,
-}
-
-impl ModelFamily for SeededFamily<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn n_params(&self) -> usize {
-        self.inner.n_params()
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        self.inner.internal_to_params(internal)
-    }
-
-    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.inner.params_to_internal(params)
-    }
-
-    fn build(&self, params: &[f64]) -> Result<Box<dyn crate::model::ResilienceModel>, CoreError> {
-        self.inner.build(params)
-    }
-
-    fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        vec![self.seed_params.clone()]
-    }
-
-    // Forward the allocation-free hot-path hooks so replicate refits keep
-    // the wrapped family's specialized implementations — the analytic
-    // Jacobian, the batched SSE kernel and the linear-coefficient profile.
-    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
-        self.inner.internal_to_params_into(internal, out);
-    }
-
-    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        self.inner.predict_params_into(params, ts, out)
-    }
-
-    fn predict_jacobian_into(
-        &self,
-        internal: &[f64],
-        params: &[f64],
-        ts: &[f64],
-        out: &mut resilience_math::linalg::Matrix,
-    ) -> bool {
-        self.inner.predict_jacobian_into(internal, params, ts, out)
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        self.inner.sse_batch_into(internals, ts, ys, out)
-    }
-
-    fn nm_iteration_scale(&self) -> usize {
-        self.inner.nm_iteration_scale()
-    }
-
-    fn has_linear_coefficient(&self) -> bool {
-        self.inner.has_linear_coefficient()
-    }
-
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        ln_ts: &[f64],
-        offset: &mut [f64],
-        column: &mut [f64],
-    ) -> bool {
-        self.inner
-            .linear_design_into(nonlinear, ts, ln_ts, offset, column)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bathtub::QuadraticFamily;
+    use crate::mixture::{ComponentKind, MixtureFamily, Trend};
     use resilience_data::recessions::Recession;
 
     fn quick_config() -> BootstrapConfig {
         BootstrapConfig {
             replicates: 60,
             ..BootstrapConfig::default()
-        }
-    }
-
-    /// Seeded from the bare family's first guess, a replicate-style refit
-    /// matches the bare fit limited to that start — which it would not if
-    /// the wrapper dropped the linear-coefficient hook and searched β.
-    #[test]
-    fn seeded_mixture_fits_keep_the_linear_coefficient_profile() {
-        let s = Recession::R1990_93.payroll_index();
-        let config = FitConfig {
-            max_starts: 1,
-            parallelism: Parallelism::Serial,
-            ..FitConfig::default()
-        };
-        for family in crate::mixture::MixtureFamily::paper_combinations() {
-            let seeded = SeededFamily {
-                inner: &family,
-                seed_params: family.initial_guesses(&s).remove(0),
-            };
-            let bare = fit_least_squares(&family, &s, &config).unwrap();
-            let wrapped = fit_least_squares(&seeded, &s, &config).unwrap();
-            assert_eq!(
-                wrapped.sse.to_bits(),
-                bare.sse.to_bits(),
-                "{}",
-                family.name()
-            );
-            assert_eq!(wrapped.evaluations, bare.evaluations, "{}", family.name());
         }
     }
 
@@ -566,31 +462,42 @@ mod tests {
         assert_eq!(a.upper, b.upper);
     }
 
+    /// Quadratic, and Wei-Exp, whose replicate refits search its profiled
+    /// components from the base optimum (DESIGN.md §11).
     #[test]
     fn band_is_invariant_to_thread_count() {
         let series = Recession::R1990_93.payroll_index();
-        let run = |p: Parallelism| {
-            bootstrap_band(
-                &QuadraticFamily,
-                &series,
-                &FitConfig::default(),
-                &BootstrapConfig {
-                    parallelism: p,
-                    ..quick_config()
-                },
-            )
-            .unwrap()
+        let wei_exp = MixtureFamily {
+            f1: ComponentKind::Weibull,
+            f2: ComponentKind::Exponential,
+            trend: Trend::Logarithmic,
         };
-        let serial = run(Parallelism::Serial);
-        for p in [
-            Parallelism::Fixed(1),
-            Parallelism::Fixed(4),
-            Parallelism::Auto,
-        ] {
-            let par = run(p);
-            assert_eq!(par.lower, serial.lower, "{p:?}");
-            assert_eq!(par.upper, serial.upper, "{p:?}");
-            assert_eq!(par.replicates, serial.replicates, "{p:?}");
+        let families: [&dyn ModelFamily; 2] = [&QuadraticFamily, &wei_exp];
+        for family in families {
+            let run = |p: Parallelism| {
+                bootstrap_band(
+                    family,
+                    &series,
+                    &FitConfig::default(),
+                    &BootstrapConfig {
+                        parallelism: p,
+                        ..quick_config()
+                    },
+                )
+                .unwrap()
+            };
+            let serial = run(Parallelism::Serial);
+            let name = family.name();
+            for p in [
+                Parallelism::Fixed(1),
+                Parallelism::Fixed(4),
+                Parallelism::Auto,
+            ] {
+                let par = run(p);
+                assert_eq!(par.lower, serial.lower, "{name} {p:?}");
+                assert_eq!(par.upper, serial.upper, "{name} {p:?}");
+                assert_eq!(par.replicates, serial.replicates, "{name} {p:?}");
+            }
         }
     }
 

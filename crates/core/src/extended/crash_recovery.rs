@@ -106,12 +106,6 @@ impl CrashRecoveryModel {
             && params[4].is_finite()
     }
 
-    /// The crash (trough) time `t_c`.
-    #[must_use]
-    pub fn crash_time(&self) -> f64 {
-        self.crash_time
-    }
-
     /// The trough level `p_min`.
     #[must_use]
     pub fn minimum(&self) -> f64 {

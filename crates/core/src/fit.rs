@@ -447,12 +447,31 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
+    fit_from(
+        family,
+        series,
+        &family.initial_guesses(series),
+        config,
+        control,
+    )
+}
+
+/// [`fit_least_squares_with`] searching from `guesses` instead of the
+/// family's own [`ModelFamily::initial_guesses`]: a retry's jittered
+/// points, or a bootstrap replicate's base optimum.
+pub(crate) fn fit_from(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    guesses: &[Vec<f64>],
+    config: &FitConfig,
+    control: &Control,
+) -> Result<FittedModel, CoreError> {
     let ln_times = if profiles(family) {
         ln_table(series.times())
     } else {
         Vec::new()
     };
-    let plan = FitPlan::new(family, series, &ln_times, config, control)?;
+    let plan = FitPlan::new(family, series, &ln_times, guesses, config, control)?;
     let cold = multi_start(config.parallelism, plan.starts(), control, |i, c| {
         plan.minimize_start(i, c)
     });
@@ -507,12 +526,12 @@ pub(crate) struct FitPlan<'a> {
 impl<'a> FitPlan<'a> {
     /// The plan phase: the warm probe and the cold starts.
     ///
-    /// The starts are the family's guesses in the search space: every
-    /// internal coordinate, or for a profiled family all but the trailing
-    /// linear coefficient, in which case guesses that coincide in the rest
-    /// are merged, keeping the first, before `config.max_starts` applies.
-    /// `ln_times` is [`ln_table`] of the series' times; only a profiled
-    /// family reads it.
+    /// The starts are `guesses` in the search space: every internal
+    /// coordinate, or for a profiled family all but the trailing linear
+    /// coefficient, in which case guesses that coincide in the rest are
+    /// merged, keeping the first, before `config.max_starts` applies.
+    /// Guesses that do not convert are dropped. `ln_times` is
+    /// [`ln_table`] of the series' times; only a profiled family reads it.
     ///
     /// # Errors
     ///
@@ -522,6 +541,7 @@ impl<'a> FitPlan<'a> {
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
         ln_times: &'a [f64],
+        guesses: &[Vec<f64>],
         config: &FitConfig,
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
@@ -581,11 +601,7 @@ impl<'a> FitPlan<'a> {
 
         let mut starts = Vec::new();
         let mut n_starts = 0;
-        for point in family
-            .initial_guesses(series)
-            .iter()
-            .filter_map(|g| plan.search_point(g))
-        {
+        for point in guesses.iter().filter_map(|g| plan.search_point(g)) {
             if n_starts == config.max_starts {
                 break;
             }

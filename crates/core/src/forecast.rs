@@ -46,20 +46,6 @@ impl std::fmt::Debug for Forecast {
     }
 }
 
-impl Forecast {
-    /// The forecast time of recovery to `level`, if it occurs within the
-    /// forecast horizon.
-    #[must_use]
-    pub fn recovery_within_horizon(&self, level: f64) -> Option<f64> {
-        let last_obs_t = self.points.first().map(|p| p.t - 1.0)?;
-        let horizon_end = self.points.last().map(|p| p.t)?;
-        self.fit
-            .model
-            .time_to_recover(level, last_obs_t, horizon_end)
-            .ok()
-    }
-}
-
 /// Fits `family` to the entire observed series and forecasts the next
 /// `horizon` time steps (continuing the series' mean step size).
 ///
@@ -204,17 +190,6 @@ mod tests {
         let series = Recession::R1990_93.payroll_index();
         assert!(recovery_outlook(&QuadraticFamily, &series, &[], 10.0).is_err());
         assert!(recovery_outlook(&QuadraticFamily, &series, &[1.0], 0.0).is_err());
-    }
-
-    #[test]
-    fn recovery_within_horizon_consistency() {
-        let series = Recession::R1990_93.payroll_index();
-        let fc = forecast(&CompetingRisksFamily, &series, 60, 0.05).unwrap();
-        // The model ends above nominal already, so recovery to a level it
-        // has passed clamps to the window start.
-        if let Some(t) = fc.recovery_within_horizon(1.0) {
-            assert!(t >= 47.0 - 1e-9);
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! # Ok::<(), resilience_core::CoreError>(())
 //! ```
 
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::model::ResilienceModel;
 use crate::CoreError;
 
 /// The kinds of numerical-domain violation the guard layer detects.
@@ -36,8 +36,6 @@ pub enum Violation {
     NonFiniteInput,
     /// A computed result (prediction, SSE, metric) was NaN or infinite.
     NonFiniteOutput,
-    /// Parameters were finite but outside the family's validity domain.
-    ParameterDomain,
 }
 
 impl Violation {
@@ -47,7 +45,6 @@ impl Violation {
         match self {
             Violation::NonFiniteInput => "non-finite input",
             Violation::NonFiniteOutput => "non-finite output",
-            Violation::ParameterDomain => "parameter outside domain",
         }
     }
 }
@@ -73,23 +70,6 @@ pub fn finite_input(what: &'static str, value: f64) -> Result<f64, CoreError> {
             Violation::NonFiniteInput,
             format!("got {value}"),
         ))
-    }
-}
-
-/// Checks that every element of an input slice is finite.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Numerical`] with [`Violation::NonFiniteInput`]
-/// naming the first offending index.
-pub fn finite_inputs(what: &'static str, values: &[f64]) -> Result<(), CoreError> {
-    match values.iter().position(|v| !v.is_finite()) {
-        None => Ok(()),
-        Some(i) => Err(CoreError::guard(
-            what,
-            Violation::NonFiniteInput,
-            format!("element {i} is {}", values[i]),
-        )),
     }
 }
 
@@ -150,31 +130,10 @@ pub fn guarded_predict(model: &dyn ResilienceModel, t: f64) -> Result<f64, CoreE
     }
 }
 
-/// Checks an external parameter vector against a family's domain: every
-/// entry finite, and the family's own predicate (`params_to_internal`)
-/// accepts it.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Numerical`] with [`Violation::NonFiniteInput`]
-/// for NaN/∞ entries or [`Violation::ParameterDomain`] for finite but
-/// infeasible parameters.
-pub fn check_params(family: &dyn ModelFamily, params: &[f64]) -> Result<(), CoreError> {
-    finite_inputs(family.name(), params)?;
-    if let Err(e) = family.params_to_internal(params) {
-        return Err(CoreError::guard(
-            family.name(),
-            Violation::ParameterDomain,
-            e.to_string(),
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bathtub::{QuadraticFamily, QuadraticModel};
+    use crate::bathtub::QuadraticModel;
 
     #[test]
     fn scalar_guards_pass_and_fail() {
@@ -188,7 +147,7 @@ mod tests {
 
     #[test]
     fn slice_guards_name_offending_index() {
-        assert!(finite_inputs("v", &[1.0, 2.0]).is_ok());
+        assert!(finite_outputs("v", &[1.0, 2.0]).is_ok());
         let e = finite_outputs("v", &[1.0, f64::NAN, 3.0]).unwrap_err();
         assert!(e.to_string().contains("element 1"), "{e}");
         assert!(e.to_string().contains("non-finite output"), "{e}");
@@ -223,40 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn check_params_separates_violation_kinds() {
-        // Feasible quadratic bathtub parameters.
-        assert!(check_params(&QuadraticFamily, &[1.0, -0.012, 0.0004]).is_ok());
-        // NaN entry: non-finite input.
-        let e = check_params(&QuadraticFamily, &[1.0, f64::NAN, 0.0004]).unwrap_err();
-        assert!(matches!(
-            e,
-            CoreError::Numerical {
-                violation: Violation::NonFiniteInput,
-                ..
-            }
-        ));
-        // Finite but infeasible (β > 0): parameter-domain violation.
-        let e = check_params(&QuadraticFamily, &[1.0, 0.5, 0.0004]).unwrap_err();
-        assert!(matches!(
-            e,
-            CoreError::Numerical {
-                violation: Violation::ParameterDomain,
-                ..
-            }
-        ));
-        assert!(e.to_string().contains("Quadratic"), "{e}");
-    }
-
-    #[test]
     fn violation_labels_unique() {
-        let labels: std::collections::HashSet<_> = [
-            Violation::NonFiniteInput,
-            Violation::NonFiniteOutput,
-            Violation::ParameterDomain,
-        ]
-        .iter()
-        .map(Violation::label)
-        .collect();
-        assert_eq!(labels.len(), 3);
+        assert_ne!(
+            Violation::NonFiniteInput.label(),
+            Violation::NonFiniteOutput.label()
+        );
     }
 }

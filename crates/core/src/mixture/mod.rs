@@ -92,18 +92,6 @@ impl MixtureModel {
         })
     }
 
-    /// The degradation component kind.
-    #[must_use]
-    pub fn degradation_kind(&self) -> ComponentKind {
-        self.f1_kind
-    }
-
-    /// The recovery component kind.
-    #[must_use]
-    pub fn recovery_kind(&self) -> ComponentKind {
-        self.f2_kind
-    }
-
     /// The recovery trend.
     #[must_use]
     pub fn trend(&self) -> Trend {
@@ -346,7 +334,7 @@ impl ModelFamily for MixtureFamily {
         true
     }
 
-    /// Time-outer / point-inner over chunks of [`SSE_BATCH_WIDTH`]
+    /// Time-outer / point-inner over chunks of `SSE_BATCH_WIDTH` (8)
     /// points: the series is traversed once per chunk, `ln t` is computed
     /// once per time for the whole chunk, and each point accumulates its
     /// squared residuals in its own [`CompensatedSum`] in time order —

@@ -12,9 +12,8 @@
 //!   parameter-space analogue of exponential backoff).
 //! * [`rank_models_supervised`] — [`crate::selection::rank_models`] under
 //!   an [`ExecPolicy`]: per-family time budgets, optional retry, and
-//!   per-family panic isolation. Failures degrade the
-//!   [`Ranking`](crate::selection::Ranking) (`degraded: true`, typed
-//!   [`FailureKind`](crate::selection::FailureKind) reasons) instead of
+//!   per-family panic isolation. Failures degrade the [`Ranking`]
+//!   (`degraded: true`, typed [`FailureKind`] reasons) instead of
 //!   poisoning it.
 //!
 //! Everything here preserves the workspace's determinism contract: retry
@@ -26,8 +25,10 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel, WarmStart};
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::fit::{
+    fit_from, fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel, WarmStart,
+};
+use crate::model::ModelFamily;
 use crate::selection::{
     score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
 };
@@ -172,119 +173,33 @@ pub struct SupervisedFit {
 /// the right basin, the jitter only has to escape a simplex stall.
 const WARM_RETRY_STARTS: usize = 8;
 
-/// A family adapter that perturbs starting points with deterministic
-/// zero-mean jitter; everything else forwards. With a `center` (the best
-/// fit so far), guesses are jittered copies of that optimum instead of
-/// the family's cold grid — resampling the basin we already found rather
-/// than re-exploring from scratch.
-struct JitteredFamily<'a> {
-    inner: &'a dyn ModelFamily,
-    seed: u64,
-    attempt: u64,
-    amplitude: f64,
-    center: Option<Vec<f64>>,
-}
-
-impl ModelFamily for JitteredFamily<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
+/// The starting points of retry `attempt` (≥ 2): the family's own
+/// guesses, or with a `center` (the best fit so far) `WARM_RETRY_STARTS`
+/// copies of it, each jittered by zero-mean noise, guess by guess and
+/// coordinate by coordinate, drawn from `XorShift64::stream(base_seed,
+/// attempt)` — resampling the basin already found rather than
+/// re-exploring from scratch. A fresh stream per (seed, attempt) keeps
+/// every retry schedule a pure function of the policy. Jitter is relative
+/// (`1 + |g|`) so parameters spanning orders of magnitude are all
+/// perturbed proportionally; infeasible jittered guesses are dropped by
+/// the fit, like infeasible data-driven ones.
+fn jittered_guesses(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    policy: &RetryPolicy,
+    attempt: usize,
+    center: Option<&[f64]>,
+) -> Vec<Vec<f64>> {
+    let amplitude = policy.amplitude(attempt);
+    let mut rng = XorShift64::stream(policy.base_seed, attempt as u64);
+    let mut guesses = match center {
+        Some(center) => vec![center.to_vec(); WARM_RETRY_STARTS],
+        None => family.initial_guesses(series),
+    };
+    for g in guesses.iter_mut().flatten() {
+        *g += amplitude * (2.0 * rng.next_f64() - 1.0) * (1.0 + g.abs());
     }
-
-    fn n_params(&self) -> usize {
-        self.inner.n_params()
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        self.inner.internal_to_params(internal)
-    }
-
-    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.inner.params_to_internal(params)
-    }
-
-    fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
-        self.inner.build(params)
-    }
-
-    fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        // A fresh stream per (seed, attempt) keeps every call — and every
-        // retry schedule — a pure function of the policy. Jitter is
-        // relative (`1 + |g|`) so parameters spanning orders of magnitude
-        // are all perturbed proportionally; infeasible perturbed guesses
-        // are dropped later by `params_to_internal`, exactly like
-        // infeasible data-driven guesses.
-        let mut rng = XorShift64::stream(self.seed, self.attempt);
-        let mut jitter = |guess: &mut Vec<f64>| {
-            for g in guess.iter_mut() {
-                *g += self.amplitude * (2.0 * rng.next_f64() - 1.0) * (1.0 + g.abs());
-            }
-        };
-        match &self.center {
-            Some(center) => (0..WARM_RETRY_STARTS)
-                .map(|_| {
-                    let mut guess = center.clone();
-                    jitter(&mut guess);
-                    guess
-                })
-                .collect(),
-            None => self
-                .inner
-                .initial_guesses(series)
-                .into_iter()
-                .map(|mut guess| {
-                    jitter(&mut guess);
-                    guess
-                })
-                .collect(),
-        }
-    }
-
-    // Forward the allocation-free hot-path hooks so retried fits keep the
-    // wrapped family's specialized implementations — the analytic
-    // Jacobian, the batched SSE kernel and the linear-coefficient profile,
-    // without which a retried fit would silently fall back to the slow
-    // paths.
-    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
-        self.inner.internal_to_params_into(internal, out);
-    }
-
-    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        self.inner.predict_params_into(params, ts, out)
-    }
-
-    fn predict_jacobian_into(
-        &self,
-        internal: &[f64],
-        params: &[f64],
-        ts: &[f64],
-        out: &mut resilience_math::linalg::Matrix,
-    ) -> bool {
-        self.inner.predict_jacobian_into(internal, params, ts, out)
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        self.inner.sse_batch_into(internals, ts, ys, out)
-    }
-
-    fn nm_iteration_scale(&self) -> usize {
-        self.inner.nm_iteration_scale()
-    }
-
-    fn has_linear_coefficient(&self) -> bool {
-        self.inner.has_linear_coefficient()
-    }
-
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        ln_ts: &[f64],
-        offset: &mut [f64],
-        column: &mut [f64],
-    ) -> bool {
-        self.inner
-            .linear_design_into(nonlinear, ts, ln_ts, offset, column)
-    }
+    guesses
 }
 
 /// Fits `family` to `series`, retrying from jittered starting points when
@@ -493,14 +408,9 @@ fn retry_after(
         if let Some(fit) = &best {
             retry_config.warm_start = Some(WarmStart::new(fit.params.clone()));
         }
-        let jittered = JitteredFamily {
-            inner: family,
-            seed: policy.base_seed,
-            attempt: attempt as u64,
-            amplitude: policy.amplitude(attempt),
-            center: best.as_ref().map(|fit| fit.params.clone()),
-        };
-        outcome = fit_least_squares_with(&jittered, series, &retry_config, control);
+        let center = best.as_ref().map(|fit| fit.params.as_slice());
+        let guesses = jittered_guesses(family, series, policy, attempt, center);
+        outcome = fit_from(family, series, &guesses, &retry_config, control);
     }
     match best {
         Some(fit) => {
@@ -760,7 +670,10 @@ impl<'a> PooledJob<'a> {
             policy.retry.as_ref(),
             chaos.as_ref(),
             plan_control,
-            || FitPlan::new(family, series, ln_times, config, plan_control),
+            || {
+                let guesses = family.initial_guesses(series);
+                FitPlan::new(family, series, ln_times, &guesses, config, plan_control)
+            },
         );
         let starts = first.as_ref().map_or(0, FitPlan::starts);
         // One buffer slot per start, filled as the starts finish.
@@ -1279,6 +1192,7 @@ pub fn rank_fleet_supervised(
 mod tests {
     use super::*;
     use crate::bathtub::{QuadraticFamily, QuarticFamily};
+    use crate::model::ResilienceModel;
 
     fn quadratic_series() -> PerformanceSeries {
         let mut wiggle = 0.41_f64;
@@ -1290,38 +1204,6 @@ mod tests {
             })
             .collect();
         PerformanceSeries::monthly("quad", values).unwrap()
-    }
-
-    /// A zero-amplitude jitter without a center hands the fit the bare
-    /// family's starts, so only a forgotten hook forward could make the
-    /// wrapped fit differ from the bare one.
-    #[test]
-    fn jittered_mixture_fits_keep_the_linear_coefficient_profile() {
-        let s = resilience_data::recessions::Recession::R1990_93.payroll_index();
-        let config = FitConfig {
-            parallelism: Parallelism::Serial,
-            ..FitConfig::default()
-        };
-        for family in crate::mixture::MixtureFamily::paper_combinations() {
-            let jittered = JitteredFamily {
-                inner: &family,
-                seed: 7,
-                attempt: 2,
-                amplitude: 0.0,
-                center: None,
-            };
-            assert_eq!(jittered.initial_guesses(&s), family.initial_guesses(&s));
-            let bare = fit_least_squares_with(&family, &s, &config, &Control::unbounded()).unwrap();
-            let wrapped =
-                fit_least_squares_with(&jittered, &s, &config, &Control::unbounded()).unwrap();
-            assert_eq!(
-                wrapped.sse.to_bits(),
-                bare.sse.to_bits(),
-                "{}",
-                family.name()
-            );
-            assert_eq!(wrapped.evaluations, bare.evaluations, "{}", family.name());
-        }
     }
 
     #[test]

@@ -117,13 +117,6 @@ impl Fault {
         format!("time,value\n0,1.0\n1,0.98\n{bad_row}\n3,0.99\n")
     }
 
-    /// Whether this fault is representable as in-memory numbers (the
-    /// CSV-shape faults only exist at the parsing layer).
-    #[must_use]
-    pub fn is_numeric(&self) -> bool {
-        !matches!(self, Fault::CorruptRow | Fault::TruncatedRow)
-    }
-
     /// Corrupts a clean `(times, values)` pair in place. For the
     /// CSV-shape faults ([`Fault::CorruptRow`], [`Fault::TruncatedRow`])
     /// the numeric stand-in is a NaN value — the closest in-memory

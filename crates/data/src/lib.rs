@@ -15,6 +15,10 @@
 //! it through [`csv::read_series`] and run every fit unchanged. DESIGN.md
 //! §2 records this substitution and why it preserves the paper's findings.
 //!
+//! Every random draw here — series noise, outage processes — comes from a
+//! seeded [`resilience_stats::XorShift64`], so a generated series is a
+//! pure function of its spec.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,7 +44,6 @@
 pub mod csv;
 pub mod error;
 pub mod fault;
-pub mod noise;
 pub mod recessions;
 pub mod scenario;
 pub mod series;

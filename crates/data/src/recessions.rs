@@ -211,15 +211,6 @@ impl std::fmt::Display for Recession {
     }
 }
 
-/// All seven curves, in chronological order — the full Fig. 2 data set.
-#[must_use]
-pub fn all_payroll_curves() -> Vec<PerformanceSeries> {
-    Recession::ALL
-        .iter()
-        .map(Recession::payroll_index)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,14 +331,6 @@ mod tests {
         assert_eq!(Recession::R1980.shape(), ShapeKind::W);
         assert_eq!(Recession::R2020_21.shape(), ShapeKind::L);
         assert_eq!(Recession::R1990_93.shape(), ShapeKind::U);
-    }
-
-    #[test]
-    fn all_payroll_curves_order() {
-        let curves = all_payroll_curves();
-        assert_eq!(curves.len(), 7);
-        assert_eq!(curves[0].name(), "1974-76");
-        assert_eq!(curves[6].name(), "2020-21");
     }
 
     #[test]

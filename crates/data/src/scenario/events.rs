@@ -13,9 +13,9 @@
 //! across runs, platforms, and thread counts, and event `k`'s draws
 //! cannot shift when another event's sampling changes.
 
-use crate::noise::XorShift64;
 use crate::scenario::shock::Shock;
 use crate::DataError;
+use resilience_stats::XorShift64;
 
 /// One realized outage event: performance drops by `depth` at `at` and
 /// restores instantly at `restore_at`.

@@ -57,9 +57,9 @@ pub use events::{EventProcess, Outage};
 pub use grid::{GridCell, GridScenario, NoiseLevel, ScenarioGrid};
 pub use shock::{smoothstep, Recovery, Shock};
 
-use crate::noise::XorShift64;
 use crate::series::PerformanceSeries;
 use crate::DataError;
+use resilience_stats::XorShift64;
 
 /// Secular background trend added to the nominal level.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -11,7 +11,7 @@ use std::fmt;
 #[non_exhaustive]
 pub enum MathError {
     /// An argument was outside the mathematical domain of the function
-    /// (e.g. `ln_gamma(0.0)`, a negative variance, an empty interval).
+    /// (e.g. `inv_erf(1.5)`, a negative variance, an empty interval).
     Domain {
         /// Name of the offending routine.
         what: &'static str,

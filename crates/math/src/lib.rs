@@ -5,13 +5,12 @@
 //! (Silva et al., RWS 2022). It provides exactly the machinery the higher
 //! layers need:
 //!
-//! * [`special`] — `ln Γ` for the Weibull moments and the error function
-//!   family (`erf`, `erfc`, `inv_erf`) behind the normal distribution in
-//!   `resilience-stats`.
+//! * [`special`] — the error function family (`erf`, `erfc`, `inv_erf`)
+//!   behind the normal distribution in `resilience-stats`.
 //! * [`quad`] — adaptive Simpson quadrature for the interval-based
 //!   resilience metrics of curves without a closed-form area.
-//! * [`roots`] — Brent root finding (with geometric bracket expansion) for
-//!   quantile inversion and recovery-time solving.
+//! * [`roots`] — Brent root finding for the inverse error function and
+//!   recovery-time solving.
 //! * [`poly`] — polynomial evaluation and the quadratic root formula used
 //!   by the quadratic bathtub model.
 //! * [`linalg`] — small dense matrices with the LU solver used by the
@@ -48,9 +47,6 @@ pub mod special;
 pub mod sum;
 
 pub use error::MathError;
-
-/// Machine-epsilon-scale tolerance used as a default across the crate.
-pub const EPS: f64 = f64::EPSILON;
 
 /// Returns `true` when two floats agree to within `abs_tol` or `rel_tol`
 /// (whichever is looser), treating NaN as never close.

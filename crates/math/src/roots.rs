@@ -1,11 +1,9 @@
 //! Scalar root finding.
 //!
-//! The workspace needs roots in three places: inverting distribution CDFs
-//! (quantiles of the Weibull mixture components that lack closed forms),
-//! solving the recovery-time equations of the bathtub models (paper Eq. 2
-//! and Eq. 5 cover the closed-form cases; the general path solves
-//! `P(t) = level` numerically), and locating curve minima via derivative
-//! sign changes.
+//! The workspace needs roots in two places: inverting `erf` (the normal
+//! quantile, [`crate::special::inv_erf`]) and solving the recovery-time
+//! equations of the models (paper Eq. 2 and Eq. 5 cover the closed-form
+//! cases; the general path solves `P(t) = level` numerically).
 
 use crate::MathError;
 
@@ -136,65 +134,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Expands an interval geometrically around `[lo, hi]` until it brackets a
-/// sign change of `f`, then returns the bracketing interval.
-///
-/// Useful when only a rough location of the root is known (e.g. searching
-/// for a recovery time beyond the observed data).
-///
-/// # Errors
-///
-/// * [`MathError::NoBracket`] when no sign change is found within
-///   `max_expansions`.
-/// * [`MathError::Domain`] for invalid intervals.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::roots::{bracket_root, brent};
-/// let f = |x: f64| x - 37.5;
-/// let (lo, hi) = bracket_root(f, 0.0, 1.0, 60)?;
-/// let root = brent(f, lo, hi, 1e-12, 100)?;
-/// assert!((root.x - 37.5).abs() < 1e-9);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn bracket_root<F: FnMut(f64) -> f64>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    max_expansions: usize,
-) -> Result<(f64, f64), MathError> {
-    if !(lo < hi) || !lo.is_finite() || !hi.is_finite() {
-        return Err(MathError::domain(
-            "bracket_root",
-            format!("need finite lo < hi, got [{lo}, {hi}]"),
-        ));
-    }
-    let mut lo = lo;
-    let mut hi = hi;
-    let mut f_lo = f(lo);
-    let mut f_hi = f(hi);
-    const GROW: f64 = 1.6;
-    for _ in 0..max_expansions {
-        if f_lo.signum() != f_hi.signum() {
-            return Ok((lo, hi));
-        }
-        // Expand the side with the smaller |f| — the root is likelier there.
-        if f_lo.abs() < f_hi.abs() {
-            lo -= GROW * (hi - lo);
-            f_lo = f(lo);
-        } else {
-            hi += GROW * (hi - lo);
-            f_hi = f(hi);
-        }
-    }
-    Err(MathError::NoBracket {
-        what: "bracket_root",
-        f_lo,
-        f_hi,
-    })
-}
-
 fn check_args(what: &'static str, lo: f64, hi: f64, tol: f64) -> Result<(), MathError> {
     if !lo.is_finite() || !hi.is_finite() || lo >= hi {
         return Err(MathError::domain(
@@ -259,26 +198,6 @@ mod tests {
             Err(MathError::NoBracket { .. })
         ));
     }
-    #[test]
-    fn bracket_root_expands_upward() {
-        let (lo, hi) = bracket_root(|x| x - 100.0, 0.0, 1.0, 60).unwrap();
-        assert!(lo < 100.0 && 100.0 < hi);
-    }
-
-    #[test]
-    fn bracket_root_expands_downward() {
-        let (lo, hi) = bracket_root(|x| x + 50.0, 0.0, 1.0, 60).unwrap();
-        assert!(lo < -50.0 && -50.0 < hi);
-    }
-
-    #[test]
-    fn bracket_root_gives_up() {
-        assert!(matches!(
-            bracket_root(|x| x * x + 1.0, 0.0, 1.0, 5),
-            Err(MathError::NoBracket { .. })
-        ));
-    }
-
     #[test]
     fn recovery_time_style_problem() {
         // P(t) = 1 − 0.04·exp(−((t−12)/8)²); find when P returns to 0.995

@@ -1,10 +1,10 @@
-//! Special functions: `ln Γ` (the Weibull moments) and the error function
-//! family (the normal CDF and quantile behind the Eq. 13 bands).
+//! Special functions: the error function family (the normal CDF and
+//! quantile behind the Eq. 13 bands).
 //!
-//! Implementations follow the classical algorithms: the Lanczos
-//! approximation for `ln Γ`, and `erf`/`erfc` through the regularized
-//! incomplete gamma function `P(1/2, x²)`, evaluated by its power series
-//! below `x² < 3/2` and its continued fraction above. `inv_erf` inverts
+//! Implementations follow the classical algorithms: `erf`/`erfc` through
+//! the regularized incomplete gamma function `P(1/2, x²)` (whose prefactor
+//! takes `ln Γ` from the Lanczos approximation), evaluated by its power
+//! series below `x² < 3/2` and its continued fraction above. `inv_erf` inverts
 //! `erf` with Brent's method plus a Newton polish. Accuracies are on the
 //! order of 1e-12 or better over the domains the workspace exercises, and
 //! each routine is unit-tested against high-precision reference values.
@@ -25,34 +25,9 @@ const LANCZOS_COEF: [f64; 9] = [
     1.505_632_735_149_311_6e-7,
 ];
 
-/// Natural logarithm of the gamma function, `ln Γ(x)`, for `x > 0`.
-///
-/// Uses the Lanczos approximation with reflection for small arguments.
-/// Absolute error is below 1e-12 for `x ∈ (0, 1e10)`.
-///
-/// # Errors
-///
-/// Returns [`MathError::Domain`] when `x ≤ 0` or `x` is not finite.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_math::special::ln_gamma;
-/// // Γ(5) = 24
-/// assert!((ln_gamma(5.0)?.exp() - 24.0).abs() < 1e-10);
-/// # Ok::<(), resilience_math::MathError>(())
-/// ```
-pub fn ln_gamma(x: f64) -> Result<f64, MathError> {
-    if !x.is_finite() || x <= 0.0 {
-        return Err(MathError::domain(
-            "ln_gamma",
-            format!("x must be finite and positive, got {x}"),
-        ));
-    }
-    Ok(ln_gamma_unchecked(x))
-}
-
-/// `ln Γ(x)` without the domain check; callers must guarantee `x > 0`.
+/// `ln Γ(x)` for `x > 0` (callers guarantee it) by the Lanczos
+/// approximation, with reflection below `1/2`; absolute error is below
+/// 1e-12 for `x ∈ (0, 1e10)`. The incomplete gamma function's prefactor.
 fn ln_gamma_unchecked(x: f64) -> f64 {
     if x < 0.5 {
         // Reflection formula: Γ(x)Γ(1−x) = π / sin(πx).
@@ -251,7 +226,7 @@ mod tests {
         for (i, &f) in factorials.iter().enumerate() {
             let x = (i + 1) as f64;
             assert!(
-                approx_eq(ln_gamma(x).unwrap(), f64::ln(f), TOL, TOL),
+                approx_eq(ln_gamma_unchecked(x), f64::ln(f), TOL, TOL),
                 "ln_gamma({x})"
             );
         }
@@ -259,7 +234,7 @@ mod tests {
 
     #[test]
     fn ln_gamma_half_integers() {
-        let gamma = |x: f64| ln_gamma(x).unwrap().exp();
+        let gamma = |x: f64| ln_gamma_unchecked(x).exp();
         let sqrt_pi = std::f64::consts::PI.sqrt();
         assert!(approx_eq(gamma(0.5), sqrt_pi, TOL, TOL));
         assert!(approx_eq(gamma(1.5), 0.5 * sqrt_pi, TOL, TOL));
@@ -270,7 +245,7 @@ mod tests {
     fn ln_gamma_small_argument_reflection() {
         // Γ(0.1) = 9.513507698668732...
         assert!(approx_eq(
-            ln_gamma(0.1).unwrap().exp(),
+            ln_gamma_unchecked(0.1).exp(),
             9.513_507_698_668_732,
             1e-10,
             1e-10
@@ -282,18 +257,11 @@ mod tests {
         // Stirling series with the 1/(12x) correction gives
         // ln Γ(100.5) ≈ 361.43554047 to ~1e-8.
         assert!(approx_eq(
-            ln_gamma(100.5).unwrap(),
+            ln_gamma_unchecked(100.5),
             361.435_540_47,
             1e-6,
             1e-10
         ));
-    }
-
-    #[test]
-    fn ln_gamma_rejects_nonpositive() {
-        assert!(ln_gamma(0.0).is_err());
-        assert!(ln_gamma(-1.5).is_err());
-        assert!(ln_gamma(f64::NAN).is_err());
     }
 
     #[test]

@@ -26,15 +26,15 @@
 //! Modules:
 //!
 //! * [`event`] — the event vocabulary and its flat JSON encoding.
-//! * [`observer`] — the [`Observer`] trait, [`NullObserver`],
-//!   [`RecordingObserver`], [`TeeObserver`].
+//! * [`observer`] — the [`Observer`] trait, [`NullObserver`] and
+//!   [`RecordingObserver`].
 //! * [`jsonl`] — the JSONL file sink ([`JsonlObserver`]).
 //! * [`parse`] — JSONL → [`Event`] parsing ([`parse_log`]) with string
 //!   interning.
 //! * [`report`] — [`RunReport`] aggregation: per-family totals as a table
 //!   and machine-readable JSON, with `Option`-typed (`NaN`-free) rates.
-//! * [`metrics`] — live [`MetricsRegistry`] observer and
-//!   [`MetricsSnapshot`] with deterministic Prometheus-style exposition.
+//! * [`metrics`] — [`MetricsSnapshot`], a [`RunReport`]'s totals in a
+//!   deterministic Prometheus-style exposition.
 //! * [`span`] — [`SpanTree`] reconstruction of the fleet → cell → fit →
 //!   attempt → solver hierarchy from a log, grouped by its `job` lines,
 //!   with top-K work queries.
@@ -77,8 +77,8 @@ pub use event::{
     ChaosKind, CounterId, Event, ExitReason, FailureCode, HistogramId, SolverKind, StopKind,
 };
 pub use jsonl::JsonlObserver;
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use observer::{replay, NullObserver, Observer, RecordingObserver, TeeObserver};
+pub use metrics::MetricsSnapshot;
+pub use observer::{replay, NullObserver, Observer, RecordingObserver};
 pub use parse::{intern, parse_line, parse_log, ParseError};
 pub use report::{BootstrapProgress, FamilyStats, Histogram, RunReport};
 pub use span::{AttemptSpan, CellSpan, FitOutcome, FitSpan, SolverSpan, SpanTree, WorkMetric};

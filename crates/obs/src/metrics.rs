@@ -1,15 +1,9 @@
-//! Live metrics registry and deterministic Prometheus-style exposition.
+//! Deterministic Prometheus-style exposition of a run's totals.
 //!
-//! Two entry points share one snapshot type:
-//!
-//! * [`MetricsRegistry`] is an [`Observer`] that folds counter, histogram,
-//!   stop, and bootstrap events into totals *while a run executes* — the
-//!   in-process state a `/metrics` endpoint scrapes. It tracks global
-//!   totals only; per-family attribution needs span context and is the
-//!   report's job.
-//! * [`MetricsSnapshot::from_report`] converts a finished [`RunReport`]
-//!   (aggregated from a recorded or parsed log) into the same snapshot,
-//!   including per-family series.
+//! [`MetricsSnapshot::from_report`] converts a finished [`RunReport`]
+//! (aggregated from a recorded or parsed log) into a snapshot, including
+//! per-family series. The report is the one aggregation of a log's
+//! counters; the snapshot only re-shapes it for exposition.
 //!
 //! [`MetricsSnapshot::render`] emits the text exposition format. The output
 //! is a pure function of the snapshot: metric families appear in canonical
@@ -18,65 +12,12 @@
 //! series are exposed — which keeps the bytes identical across runs and
 //! platforms and lets CI `cmp` the file against a golden copy.
 
-use crate::event::{CounterId, Event, HistogramId, StopKind};
-use crate::observer::Observer;
+use crate::event::{CounterId, HistogramId};
 use crate::report::{BootstrapProgress, FamilyStats, Histogram, RunReport};
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Prefix for every exposed metric name.
 const PREFIX: &str = "resilience_";
-
-struct RegistryState {
-    counters: [u64; CounterId::ALL.len()],
-    histograms: [Histogram; HistogramId::ALL.len()],
-    bootstrap: Option<BootstrapProgress>,
-    events: u64,
-}
-
-/// An [`Observer`] that maintains live counter/histogram totals.
-///
-/// Attach it (typically inside a `TeeObserver` next to the JSONL sink) and
-/// call [`MetricsRegistry::snapshot`] at any point to export current
-/// totals. Counter semantics mirror [`RunReport::from_events`]: `Stop`
-/// events charge their carried evaluations to `objective_evals` and bump
-/// `timeouts`/`cancellations`, so a registry snapshot agrees with the
-/// report built from the same log.
-pub struct MetricsRegistry {
-    state: Mutex<RegistryState>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self {
-            state: Mutex::new(RegistryState {
-                counters: [0; CounterId::ALL.len()],
-                histograms: std::array::from_fn(|_| Histogram::default()),
-                bootstrap: None,
-                events: 0,
-            }),
-        }
-    }
-
-    /// Copies the current totals out of the registry.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let state = self.state.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            counters: state.counters,
-            histograms: state.histograms.clone(),
-            families: Vec::new(),
-            bootstrap: state.bootstrap,
-            events: state.events,
-        }
-    }
-}
 
 fn counter_slot(id: CounterId) -> usize {
     CounterId::ALL
@@ -92,43 +33,6 @@ fn hist_slot(id: HistogramId) -> usize {
         .expect("id is in ALL")
 }
 
-impl Observer for MetricsRegistry {
-    fn record(&self, event: &Event) {
-        let mut state = self.state.lock().expect("metrics registry poisoned");
-        state.events += 1;
-        match *event {
-            Event::Counter { id, delta } => {
-                state.counters[counter_slot(id)] += delta;
-            }
-            Event::Hist { id, value } => {
-                state.histograms[hist_slot(id)].observe(value);
-            }
-            Event::Stop {
-                kind, evaluations, ..
-            } => {
-                state.counters[counter_slot(CounterId::ObjectiveEvals)] += evaluations;
-                let id = match kind {
-                    StopKind::Deadline => CounterId::Timeouts,
-                    StopKind::Cancelled => CounterId::Cancellations,
-                };
-                state.counters[counter_slot(id)] += 1;
-            }
-            Event::BootstrapChunkDone {
-                done,
-                total,
-                failed,
-            } => {
-                state.bootstrap = Some(BootstrapProgress {
-                    done,
-                    total,
-                    failed,
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Point-in-time totals ready for text exposition.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -136,7 +40,7 @@ pub struct MetricsSnapshot {
     pub counters: [u64; CounterId::ALL.len()],
     /// Every histogram in [`HistogramId::ALL`] order, empties included.
     pub histograms: [Histogram; HistogramId::ALL.len()],
-    /// Per-family totals (empty for live registry snapshots).
+    /// Per-family totals.
     pub families: Vec<FamilyStats>,
     /// Latest bootstrap progress, if any.
     pub bootstrap: Option<BootstrapProgress>,
@@ -263,7 +167,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FailureCode;
+    use crate::event::{Event, FailureCode, StopKind};
     use crate::parse::intern;
 
     fn sample_events() -> Vec<Event> {
@@ -290,29 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn registry_totals_agree_with_report() {
-        let registry = MetricsRegistry::new();
-        for e in sample_events() {
-            registry.record(&e);
-        }
-        let snap = registry.snapshot();
-        let report = RunReport::from_events(sample_events());
-        assert_eq!(snap.events, report.events);
-        for id in CounterId::ALL {
-            assert_eq!(snap.counter(id), report.counter(id), "{}", id.as_str());
-        }
-        assert_eq!(snap.counter(CounterId::ObjectiveEvals), 34);
-        assert_eq!(snap.counter(CounterId::Timeouts), 1);
-        assert_eq!(snap.bootstrap, report.bootstrap);
-    }
-
-    #[test]
     fn exposition_is_deterministic_and_complete() {
-        let registry = MetricsRegistry::new();
-        for e in sample_events() {
-            registry.record(&e);
-        }
-        let text = registry.snapshot().render();
+        let snapshot = MetricsSnapshot::from_report(&RunReport::from_events(sample_events()));
+        let text = snapshot.render();
         // Every counter appears, including ones that never fired.
         for id in CounterId::ALL {
             assert!(
@@ -335,7 +219,7 @@ mod tests {
         assert!(text.contains("resilience_evals_per_fit_p50 30"));
         assert!(text.contains("resilience_bootstrap_replicates{state=\"done\"} 2"));
         // Rendering twice yields identical bytes.
-        assert_eq!(text, registry.snapshot().render());
+        assert_eq!(text, snapshot.render());
     }
 
     #[test]
@@ -368,17 +252,6 @@ mod tests {
         assert!(
             text.contains("resilience_family_failures_total{family=\"Glacial\"} 1"),
             "{text}"
-        );
-        // Live snapshots have no family series; report snapshots do, and
-        // the global totals agree between the two paths.
-        let registry = MetricsRegistry::new();
-        registry.record(&Event::Counter {
-            id: CounterId::ObjectiveEvals,
-            delta: 12,
-        });
-        assert_eq!(
-            registry.snapshot().counter(CounterId::ObjectiveEvals),
-            MetricsSnapshot::from_report(&report).counter(CounterId::ObjectiveEvals)
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The [`Observer`] sink trait and the in-process sinks.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
 //! * [`NullObserver`] — the default. Reports `enabled() == false`, so
 //!   instrumented code skips event construction entirely; the hot path is
@@ -9,12 +9,11 @@
 //! * [`RecordingObserver`] — buffers events in memory. Also the building
 //!   block for deterministic parallel telemetry: each parallel job records
 //!   into its own buffer and the coordinator replays buffers in index order.
-//! * [`TeeObserver`] — fans one event stream out to several sinks.
 //!
 //! The JSONL file sink lives in [`crate::jsonl`].
 
 use crate::event::Event;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A telemetry sink.
 ///
@@ -98,41 +97,6 @@ impl Observer for RecordingObserver {
     }
 }
 
-/// Fans one event stream out to several sinks.
-///
-/// `enabled()` is true if any child is enabled; disabled children still
-/// receive nothing.
-pub struct TeeObserver {
-    sinks: Vec<Arc<dyn Observer>>,
-}
-
-impl TeeObserver {
-    /// Builds a tee over `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn Observer>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl Observer for TeeObserver {
-    fn record(&self, event: &Event) {
-        for sink in &self.sinks {
-            if sink.enabled() {
-                sink.record(event);
-            }
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 /// Replays `events` into `sink` in order. A convenience for the
 /// per-job-buffer / index-ordered-replay pattern.
 pub fn replay(events: &[Event], sink: &dyn Observer) {
@@ -170,20 +134,6 @@ mod tests {
             }
         );
         assert!(rec.is_empty());
-    }
-
-    #[test]
-    fn tee_fans_out_and_skips_disabled_children() {
-        let a = Arc::new(RecordingObserver::new());
-        let b = Arc::new(RecordingObserver::new());
-        let tee = TeeObserver::new(vec![a.clone(), Arc::new(NullObserver), b.clone()]);
-        assert!(tee.enabled());
-        tee.record(&Event::StartBegan { index: 7 });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-
-        let empty = TeeObserver::new(vec![Arc::new(NullObserver)]);
-        assert!(!empty.enabled());
     }
 
     #[test]

@@ -156,20 +156,16 @@ impl Control {
     /// as unbounded.
     #[must_use]
     pub fn with_deadline(budget: Duration) -> Self {
-        Control::unbounded().deadline_in(budget)
+        Control {
+            deadline: Instant::now().checked_add(budget),
+            ..Control::unbounded()
+        }
     }
 
     /// A control driven by `token`.
     #[must_use]
     pub fn with_token(token: &CancelToken) -> Self {
         Control::unbounded().token(token)
-    }
-
-    /// Sets the deadline to `budget` from now (builder style).
-    #[must_use]
-    pub fn deadline_in(mut self, budget: Duration) -> Self {
-        self.deadline = Instant::now().checked_add(budget);
-        self
     }
 
     /// Attaches a cancel token (builder style).

@@ -1,39 +1,22 @@
 //! The [`ContinuousDistribution`] trait.
 //!
-//! The mixture resilience model (paper Eq. 7) composes arbitrary CDFs
-//! `F₁`, `F₂`; this trait is the abstraction that lets
-//! `resilience-core::mixture` accept any distribution in this crate — or a
-//! user-defined one — as a degradation or recovery component.
-
-use crate::StatsError;
-use resilience_math::roots;
+//! The mixture resilience model (paper Eq. 7) composes two CDFs `F₁`,
+//! `F₂` through `S₁(t) + trend(t)·F₂(t)`. The mixtures evaluate their
+//! components in the log domain (`resilience-core::mixture`); this trait
+//! is what the closed-form reference for that kernel, and the normality
+//! diagnostic's Kolmogorov–Smirnov statistic, read.
 
 /// A continuous probability distribution on (a subset of) the real line.
 ///
-/// Implementors must provide [`pdf`](ContinuousDistribution::pdf) and
-/// [`cdf`](ContinuousDistribution::cdf); everything else has default
-/// implementations in terms of those two, with closed forms overridden
-/// where available.
-///
 /// # Conventions
 ///
-/// * `cdf` must be nondecreasing with limits 0 and 1; evaluation outside
-///   the support clamps rather than errors (e.g. `Exponential::cdf(-1.0)`
-///   is 0), which is what the mixture model needs when it sweeps `t` from
-///   the hazard time onward.
-/// * `quantile(p)` requires `p ∈ (0, 1)` and returns
-///   [`StatsError::InvalidProbability`] otherwise.
+/// `cdf` must be nondecreasing with limits 0 and 1; evaluation outside
+/// the support clamps rather than errors (e.g. `Exponential::cdf(-1.0)`
+/// is 0), which is what the mixture model needs when it sweeps `t` from
+/// the hazard time onward.
 pub trait ContinuousDistribution {
-    /// Probability density function at `x`.
-    fn pdf(&self, x: f64) -> f64;
-
     /// Cumulative distribution function at `x`.
     fn cdf(&self, x: f64) -> f64;
-
-    /// Natural log of the density; defaults to `ln(pdf)`.
-    fn ln_pdf(&self, x: f64) -> f64 {
-        self.pdf(x).ln()
-    }
 
     /// Survival (reliability) function `S(x) = 1 − F(x)`.
     ///
@@ -41,74 +24,16 @@ pub trait ContinuousDistribution {
     fn survival(&self, x: f64) -> f64 {
         1.0 - self.cdf(x)
     }
-
-    /// Hazard (failure-rate) function `h(x) = f(x) / S(x)`.
-    fn hazard(&self, x: f64) -> f64 {
-        let s = self.survival(x);
-        if s <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.pdf(x) / s
-        }
-    }
-
-    /// Cumulative hazard `H(x) = −ln S(x)`.
-    fn cumulative_hazard(&self, x: f64) -> f64 {
-        -self.survival(x).ln()
-    }
-
-    /// Quantile function (inverse CDF) at probability `p ∈ (0, 1)`.
-    ///
-    /// The default implementation inverts the CDF numerically with Brent's
-    /// method over an expanding bracket; distributions with closed-form
-    /// inverses override it.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::InvalidProbability`] when `p ∉ (0, 1)`.
-    /// * [`StatsError::Numerical`] when bracketing or root finding fails.
-    fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability {
-                what: "quantile",
-                value: p,
-            });
-        }
-        let f = |x: f64| self.cdf(x) - p;
-        let (lo, hi) = roots::bracket_root(f, 0.0, 1.0, 200)?;
-        let root = roots::brent(f, lo, hi, 1e-12, 200)?;
-        Ok(root.x)
-    }
-
-    /// Mean of the distribution, when it exists.
-    fn mean(&self) -> Option<f64>;
-
-    /// Variance of the distribution, when it exists.
-    fn variance(&self) -> Option<f64>;
-
-    /// Standard deviation, when the variance exists.
-    fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A minimal triangular-ish distribution implemented through the trait
-    /// defaults to exercise them.
+    /// The unit exponential through the trait's defaults.
     struct HalfLine;
 
     impl ContinuousDistribution for HalfLine {
-        fn pdf(&self, x: f64) -> f64 {
-            if x < 0.0 {
-                0.0
-            } else {
-                (-x).exp()
-            }
-        }
-
         fn cdf(&self, x: f64) -> f64 {
             if x < 0.0 {
                 0.0
@@ -116,76 +41,12 @@ mod tests {
                 1.0 - (-x).exp()
             }
         }
-
-        fn mean(&self) -> Option<f64> {
-            Some(1.0)
-        }
-
-        fn variance(&self) -> Option<f64> {
-            Some(1.0)
-        }
     }
 
     #[test]
-    fn default_survival_and_hazard() {
+    fn default_survival() {
         let d = HalfLine;
         assert!((d.survival(1.0) - (-1.0f64).exp()).abs() < 1e-12);
-        // Exponential hazard is constant 1.
-        assert!((d.hazard(0.5) - 1.0).abs() < 1e-10);
-        assert!((d.hazard(3.0) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn default_cumulative_hazard() {
-        let d = HalfLine;
-        assert!((d.cumulative_hazard(2.0) - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn default_quantile_inverts_cdf() {
-        let d = HalfLine;
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            let x = d.quantile(p).unwrap();
-            assert!((d.cdf(x) - p).abs() < 1e-9, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn quantile_rejects_bad_probability() {
-        let d = HalfLine;
-        assert!(d.quantile(0.0).is_err());
-        assert!(d.quantile(1.0).is_err());
-        assert!(d.quantile(-0.5).is_err());
-        assert!(d.quantile(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn std_dev_from_variance() {
-        let d = HalfLine;
-        assert_eq!(d.std_dev(), Some(1.0));
-    }
-
-    #[test]
-    fn hazard_is_infinite_past_support() {
-        struct Bounded;
-        impl ContinuousDistribution for Bounded {
-            fn pdf(&self, x: f64) -> f64 {
-                if (0.0..1.0).contains(&x) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            fn cdf(&self, x: f64) -> f64 {
-                x.clamp(0.0, 1.0)
-            }
-            fn mean(&self) -> Option<f64> {
-                Some(0.5)
-            }
-            fn variance(&self) -> Option<f64> {
-                Some(1.0 / 12.0)
-            }
-        }
-        assert_eq!(Bounded.hazard(2.0), f64::INFINITY);
+        assert_eq!(d.survival(-1.0), 1.0);
     }
 }

@@ -70,12 +70,6 @@ impl EmpiricalCdf {
         self.sorted.is_empty()
     }
 
-    /// The sorted sample.
-    #[must_use]
-    pub fn sorted_sample(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Kolmogorov–Smirnov statistic against a reference CDF:
     /// `sup_x |F̂(x) − F(x)|` evaluated at the jump points.
     pub fn ks_statistic<F: Fn(f64) -> f64>(&self, reference: F) -> f64 {
@@ -112,11 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn len_and_sorted() {
+    fn len_and_is_empty() {
         let cdf = EmpiricalCdf::new(vec![3.0, 1.0, 2.0]).unwrap();
         assert_eq!(cdf.len(), 3);
         assert!(!cdf.is_empty());
-        assert_eq!(cdf.sorted_sample(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

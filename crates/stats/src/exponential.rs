@@ -13,7 +13,6 @@ use crate::{ContinuousDistribution, StatsError};
 /// use resilience_stats::{ContinuousDistribution, Exponential};
 /// let e = Exponential::new(0.5)?;
 /// assert!((e.cdf(2.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-15);
-/// assert_eq!(e.mean(), Some(2.0));
 /// # Ok::<(), resilience_stats::StatsError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,24 +39,6 @@ impl Exponential {
         Ok(Exponential { rate })
     }
 
-    /// Creates the distribution from its mean `1/λ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `mean` is finite
-    /// and positive.
-    pub fn from_mean(mean: f64) -> Result<Self, StatsError> {
-        if !(mean > 0.0) || !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                what: "Exponential",
-                param: "mean",
-                value: mean,
-                constraint: "mean > 0 and finite",
-            });
-        }
-        Exponential::new(1.0 / mean)
-    }
-
     /// The rate parameter `λ`.
     #[must_use]
     pub fn rate(&self) -> f64 {
@@ -66,14 +47,6 @@ impl Exponential {
 }
 
 impl ContinuousDistribution for Exponential {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x < 0.0 {
             0.0
@@ -88,40 +61,6 @@ impl ContinuousDistribution for Exponential {
         } else {
             (-self.rate * x).exp()
         }
-    }
-
-    fn hazard(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate
-        }
-    }
-
-    fn cumulative_hazard(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * x
-        }
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability {
-                what: "Exponential::quantile",
-                value: p,
-            });
-        }
-        Ok(-(-p).ln_1p() / self.rate)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.rate)
-    }
-
-    fn variance(&self) -> Option<f64> {
-        Some(1.0 / (self.rate * self.rate))
     }
 }
 
@@ -138,56 +77,10 @@ mod tests {
     }
 
     #[test]
-    fn from_mean_roundtrip() {
-        let e = Exponential::from_mean(4.0).unwrap();
-        assert_eq!(e.mean(), Some(4.0));
-        assert_eq!(e.rate(), 0.25);
-        assert!(Exponential::from_mean(0.0).is_err());
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let e = Exponential::new(1.7).unwrap();
-        let total =
-            resilience_math::quad::adaptive_simpson(|x| e.pdf(x), 0.0, 50.0, 1e-12, 40).unwrap();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cdf_matches_integral_of_pdf() {
-        let e = Exponential::new(0.8).unwrap();
-        for &x in &[0.5, 1.0, 3.0] {
-            let int =
-                resilience_math::quad::adaptive_simpson(|t| e.pdf(t), 0.0, x, 1e-12, 40).unwrap();
-            assert!((int - e.cdf(x)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn negative_support_clamps() {
         let e = Exponential::new(1.0).unwrap();
-        assert_eq!(e.pdf(-1.0), 0.0);
         assert_eq!(e.cdf(-1.0), 0.0);
         assert_eq!(e.survival(-1.0), 1.0);
-        assert_eq!(e.hazard(-1.0), 0.0);
-    }
-
-    #[test]
-    fn constant_hazard() {
-        let e = Exponential::new(2.5).unwrap();
-        for &x in &[0.0, 1.0, 10.0] {
-            assert_eq!(e.hazard(x), 2.5);
-        }
-    }
-
-    #[test]
-    fn quantile_closed_form() {
-        let e = Exponential::new(2.0).unwrap();
-        let m = e.quantile(0.5).unwrap();
-        assert!((m - 2f64.ln() / 2.0).abs() < 1e-14);
-        for &p in &[0.01, 0.25, 0.75, 0.999] {
-            assert!((e.cdf(e.quantile(p).unwrap()) - p).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -196,13 +89,5 @@ mod tests {
         let e = Exponential::new(0.3).unwrap();
         let (s, t) = (1.2, 3.4);
         assert!((e.survival(s + t) - e.survival(s) * e.survival(t)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn moments() {
-        let e = Exponential::new(4.0).unwrap();
-        assert_eq!(e.mean(), Some(0.25));
-        assert_eq!(e.variance(), Some(0.0625));
-        assert_eq!(e.std_dev(), Some(0.25));
     }
 }

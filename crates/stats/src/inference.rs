@@ -6,7 +6,7 @@
 //! empirical coverage of a set of intervals, and the Kolmogorov–Smirnov
 //! p-value the residual diagnostics use.
 
-use crate::{ContinuousDistribution, Normal, StatsError};
+use crate::{Normal, StatsError};
 
 /// Two-sided standard-normal critical value `z_{1−α/2}`.
 ///

@@ -7,18 +7,19 @@
 //! and the validation layer needs normal critical values for confidence
 //! intervals (its Eq. 13). This crate supplies:
 //!
-//! * [`distribution`] — the [`ContinuousDistribution`] trait: densities,
-//!   CDFs, survival and hazard functions, quantiles, and moments.
-//! * Concrete distributions: [`Exponential`], [`Weibull`], [`Normal`],
-//!   and [`Hjorth`] (the competing-risks distribution behind the paper's
-//!   bathtub model).
+//! * [`distribution`] — the [`ContinuousDistribution`] trait: a CDF and
+//!   its survival function.
+//! * Concrete distributions: [`Exponential`] and [`Weibull`] (the
+//!   mixture components' closed forms, the reference the log-domain
+//!   mixture kernel is checked against), and [`Normal`] (its quantile
+//!   gives the critical values, its CDF the normality diagnostic).
 //! * [`empirical`] — empirical CDFs from samples.
 //! * [`describe`] — descriptive statistics (means, variances, quantiles,
 //!   autocorrelation).
 //! * [`inference`] — normal critical values, confidence-interval helpers,
 //!   empirical coverage and the Kolmogorov–Smirnov p-value.
 //! * [`rng`] — the workspace's canonical deterministic PRNG
-//!   ([`XorShift64`], [`SplitMix64`], the [`RandomSource`] trait).
+//!   ([`XorShift64`], and [`SplitMix64`], which seeds its streams).
 //!
 //! # Examples
 //!
@@ -46,7 +47,6 @@ pub mod inference;
 pub mod rng;
 
 mod exponential;
-mod hjorth;
 mod normal;
 mod weibull;
 
@@ -54,7 +54,6 @@ pub use distribution::ContinuousDistribution;
 pub use empirical::EmpiricalCdf;
 pub use error::StatsError;
 pub use exponential::Exponential;
-pub use hjorth::Hjorth;
 pub use normal::Normal;
-pub use rng::{RandomSource, SplitMix64, XorShift64};
+pub use rng::{SplitMix64, XorShift64};
 pub use weibull::Weibull;

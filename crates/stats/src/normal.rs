@@ -6,7 +6,8 @@ use resilience_math::special::{erf, erfc, inv_erf};
 /// Normal distribution with mean `μ` and standard deviation `σ > 0`.
 ///
 /// Used by the inference layer for the `z_{1−α/2}` critical values in the
-/// paper's confidence-interval construction (its Eq. 13).
+/// paper's confidence-interval construction (its Eq. 13), and by the
+/// residual-normality diagnostic.
 ///
 /// # Examples
 ///
@@ -60,16 +61,21 @@ impl Normal {
         }
     }
 
-    /// The mean `μ`.
-    #[must_use]
-    pub fn mu(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard deviation `σ`.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.std_dev
+    /// Quantile function (inverse CDF) at probability `p ∈ (0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// * [`StatsError::InvalidProbability`] when `p ∉ (0, 1)`.
+    /// * [`StatsError::Numerical`] when the inverse error function fails.
+    pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
+        if !(p > 0.0 && p < 1.0) {
+            return Err(StatsError::InvalidProbability {
+                what: "Normal::quantile",
+                value: p,
+            });
+        }
+        let z = std::f64::consts::SQRT_2 * inv_erf(2.0 * p - 1.0)?;
+        Ok(self.mean + self.std_dev * z)
     }
 
     fn z(&self, x: f64) -> f64 {
@@ -84,41 +90,12 @@ impl Default for Normal {
 }
 
 impl ContinuousDistribution for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        let z = self.z(x);
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    fn ln_pdf(&self, x: f64) -> f64 {
-        let z = self.z(x);
-        -0.5 * z * z - self.std_dev.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         0.5 * (1.0 + erf(self.z(x) / std::f64::consts::SQRT_2))
     }
 
     fn survival(&self, x: f64) -> f64 {
         0.5 * erfc(self.z(x) / std::f64::consts::SQRT_2)
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability {
-                what: "Normal::quantile",
-                value: p,
-            });
-        }
-        let z = std::f64::consts::SQRT_2 * inv_erf(2.0 * p - 1.0)?;
-        Ok(self.mean + self.std_dev * z)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-
-    fn variance(&self) -> Option<f64> {
-        Some(self.std_dev * self.std_dev)
     }
 }
 
@@ -148,21 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn pdf_symmetry_and_peak() {
-        let n = Normal::new(2.0, 3.0).unwrap();
-        assert!((n.pdf(2.0 + 1.5) - n.pdf(2.0 - 1.5)).abs() < 1e-15);
-        assert!(n.pdf(2.0) > n.pdf(2.5));
-    }
-
-    #[test]
-    fn ln_pdf_consistent() {
-        let n = Normal::new(-1.0, 0.5).unwrap();
-        for &x in &[-2.0, -1.0, 0.0, 3.0] {
-            assert!((n.ln_pdf(x) - n.pdf(x).ln()).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn quantile_critical_values() {
         let n = Normal::standard();
         // The z-values used by 90/95/99% confidence intervals.
@@ -186,13 +148,5 @@ mod tests {
         // S(6) ≈ 9.865876450377018e-10; the 1 − cdf form would lose digits.
         let s = n.survival(6.0);
         assert!((s - 9.865_876_450_377_018e-10).abs() / s < 1e-9);
-    }
-
-    #[test]
-    fn moments() {
-        let n = Normal::new(3.0, 4.0).unwrap();
-        assert_eq!(n.mean(), Some(3.0));
-        assert_eq!(n.variance(), Some(16.0));
-        assert_eq!(n.std_dev(), Some(4.0));
     }
 }

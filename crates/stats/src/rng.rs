@@ -13,46 +13,6 @@
 //!   bootstrap layers draw from. [`XorShift64::stream`] derives the
 //!   counter-indexed substreams that make the parallel bootstrap
 //!   schedule-invariant.
-//! * [`RandomSource`] — the trait the samplers and stochastic optimizers
-//!   are generic over, replacing `rand::Rng`.
-
-/// A source of uniform random bits, with derived `f64` and Gaussian
-/// draws.
-///
-/// Implementations must be deterministic functions of their seed/state.
-/// All provided methods are allocation-free.
-pub trait RandomSource {
-    /// Next raw 64-bit value.
-    fn next_u64(&mut self) -> u64;
-
-    /// Uniform value in `[0, 1)` using the top 53 bits (a full
-    /// `f64` mantissa).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform index in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`.
-    fn next_index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "next_index requires n > 0");
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Standard normal deviate via Box–Muller.
-    fn next_gaussian(&mut self) -> f64 {
-        let u1 = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-}
 
 /// SplitMix64: Steele, Lea & Flood's 64-bit mixer.
 ///
@@ -63,7 +23,7 @@ pub trait RandomSource {
 /// # Examples
 ///
 /// ```
-/// use resilience_stats::rng::{RandomSource, SplitMix64};
+/// use resilience_stats::SplitMix64;
 /// let mut a = SplitMix64::new(1);
 /// let mut b = SplitMix64::new(2);
 /// assert_ne!(a.next_u64(), b.next_u64()); // adjacent seeds decorrelate
@@ -88,10 +48,9 @@ impl SplitMix64 {
     pub fn mix(seed: u64) -> u64 {
         SplitMix64::new(seed).next_u64()
     }
-}
 
-impl RandomSource for SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -104,13 +63,12 @@ impl RandomSource for SplitMix64 {
 ///
 /// Not cryptographic; used to perturb synthetic curves and drive the
 /// bootstrap. The algorithm (and therefore every historical stream) is
-/// identical to the generator that previously lived in
-/// `resilience_data::noise`.
+/// frozen: synthetic data and bootstrap bands depend on it bit for bit.
 ///
 /// # Examples
 ///
 /// ```
-/// use resilience_stats::rng::{RandomSource, XorShift64};
+/// use resilience_stats::XorShift64;
 /// let mut a = XorShift64::new(42);
 /// let mut b = XorShift64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
@@ -141,8 +99,7 @@ impl XorShift64 {
         XorShift64::new(SplitMix64::mix(seed ^ SplitMix64::mix(index)))
     }
 
-    /// Next raw 64-bit value (inherent mirror of the trait method, so
-    /// callers don't need the trait in scope).
+    /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
@@ -152,12 +109,13 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Uniform value in `[0, 1)` (inherent mirror).
+    /// Uniform value in `[0, 1)` using the top 53 bits (a full `f64`
+    /// mantissa).
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Uniform index in `[0, n)` (inherent mirror).
+    /// Uniform index in `[0, n)`.
     ///
     /// # Panics
     ///
@@ -167,7 +125,7 @@ impl XorShift64 {
         (self.next_u64() % n as u64) as usize
     }
 
-    /// Standard normal deviate via Box–Muller (inherent mirror).
+    /// Standard normal deviate via Box–Muller.
     pub fn next_gaussian(&mut self) -> f64 {
         let u1 = loop {
             let u = self.next_f64();
@@ -177,12 +135,6 @@ impl XorShift64 {
         };
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-}
-
-impl RandomSource for XorShift64 {
-    fn next_u64(&mut self) -> u64 {
-        XorShift64::next_u64(self)
     }
 }
 
@@ -214,9 +166,8 @@ mod tests {
 
     #[test]
     fn xorshift_matches_legacy_noise_stream() {
-        // The first outputs of seed 42, frozen from the original
-        // resilience_data::noise implementation; synthetic data must not
-        // change under the rng consolidation.
+        // The first outputs of seed 42, frozen since the first synthetic
+        // data was generated; synthetic data must never change.
         let mut g = XorShift64::new(42);
         assert_eq!(g.next_u64(), 620_241_905_386_665_794);
         assert_eq!(g.next_u64(), 10_789_630_473_491_264_163);
@@ -279,7 +230,7 @@ mod tests {
 
     #[test]
     fn next_index_stays_in_range() {
-        let mut g = SplitMix64::new(5);
+        let mut g = XorShift64::new(5);
         for _ in 0..1000 {
             assert!(g.next_index(7) < 7);
         }

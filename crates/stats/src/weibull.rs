@@ -1,7 +1,6 @@
 //! Weibull distribution.
 
 use crate::{ContinuousDistribution, StatsError};
-use resilience_math::special::ln_gamma;
 
 /// Weibull distribution with shape `k > 0` and scale `λ > 0`.
 ///
@@ -67,22 +66,6 @@ impl Weibull {
 }
 
 impl ContinuousDistribution for Weibull {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            // Density at zero: 0 for k > 1, λ⁻¹ for k = 1, +∞ for k < 1.
-            return match self.shape.partial_cmp(&1.0) {
-                Some(std::cmp::Ordering::Greater) => 0.0,
-                Some(std::cmp::Ordering::Equal) => 1.0 / self.scale,
-                _ => f64::INFINITY,
-            };
-        }
-        let z = x / self.scale;
-        (self.shape / self.scale) * z.powf(self.shape - 1.0) * (-z.powf(self.shape)).exp()
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
@@ -97,46 +80,6 @@ impl ContinuousDistribution for Weibull {
         } else {
             (-(x / self.scale).powf(self.shape)).exp()
         }
-    }
-
-    fn hazard(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            return self.pdf(0.0) * 1.0; // S(0) = 1
-        }
-        let z = x / self.scale;
-        (self.shape / self.scale) * z.powf(self.shape - 1.0)
-    }
-
-    fn cumulative_hazard(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            (x / self.scale).powf(self.shape)
-        }
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability {
-                what: "Weibull::quantile",
-                value: p,
-            });
-        }
-        Ok(self.scale * (-(-p).ln_1p()).powf(1.0 / self.shape))
-    }
-
-    fn mean(&self) -> Option<f64> {
-        let g = ln_gamma(1.0 + 1.0 / self.shape).ok()?.exp();
-        Some(self.scale * g)
-    }
-
-    fn variance(&self) -> Option<f64> {
-        let g1 = ln_gamma(1.0 + 1.0 / self.shape).ok()?.exp();
-        let g2 = ln_gamma(1.0 + 2.0 / self.shape).ok()?.exp();
-        Some(self.scale * self.scale * (g2 - g1 * g1))
     }
 }
 
@@ -158,77 +101,7 @@ mod tests {
         let e = crate::Exponential::new(0.5).unwrap();
         for &x in &[0.0, 0.5, 1.0, 4.0, 10.0] {
             assert!((w.cdf(x) - e.cdf(x)).abs() < 1e-14, "x = {x}");
-            assert!((w.pdf(x) - e.pdf(x)).abs() < 1e-14, "x = {x}");
-        }
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf_difference() {
-        // Integrate away from the k < 1 endpoint singularity and compare
-        // against the CDF increment, which is exact.
-        for &(k, lam) in &[(0.8, 1.0), (1.5, 2.0), (3.0, 0.7)] {
-            let w = Weibull::new(k, lam).unwrap();
-            let (a, b) = (0.05 * lam, 10.0 * lam);
-            let total =
-                resilience_math::quad::adaptive_simpson(|x| w.pdf(x), a, b, 1e-11, 40).unwrap();
-            let want = w.cdf(b) - w.cdf(a);
-            assert!(
-                (total - want).abs() < 1e-8,
-                "k={k}, λ={lam}: {total} vs {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn hazard_shapes() {
-        // k < 1: decreasing hazard; k = 1: constant; k > 1: increasing.
-        let dec = Weibull::new(0.5, 1.0).unwrap();
-        assert!(dec.hazard(0.5) > dec.hazard(2.0));
-        let con = Weibull::new(1.0, 1.0).unwrap();
-        assert!((con.hazard(0.5) - con.hazard(2.0)).abs() < 1e-14);
-        let inc = Weibull::new(2.0, 1.0).unwrap();
-        assert!(inc.hazard(0.5) < inc.hazard(2.0));
-    }
-
-    #[test]
-    fn quantile_roundtrip() {
-        let w = Weibull::new(1.7, 3.2).unwrap();
-        for &p in &[0.01, 0.1, 0.5, 0.9, 0.99] {
-            let x = w.quantile(p).unwrap();
-            assert!((w.cdf(x) - p).abs() < 1e-12, "p = {p}");
-        }
-        assert!(w.quantile(1.0).is_err());
-    }
-
-    #[test]
-    fn mean_special_cases() {
-        // k = 1: mean = λ. k = 2: mean = λ·√π/2.
-        let w1 = Weibull::new(1.0, 3.0).unwrap();
-        assert!((w1.mean().unwrap() - 3.0).abs() < 1e-12);
-        let w2 = Weibull::new(2.0, 3.0).unwrap();
-        assert!((w2.mean().unwrap() - 3.0 * std::f64::consts::PI.sqrt() / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_positive_and_matches_k1() {
-        let w = Weibull::new(1.0, 2.0).unwrap();
-        assert!((w.variance().unwrap() - 4.0).abs() < 1e-10);
-        let w2 = Weibull::new(3.3, 1.1).unwrap();
-        assert!(w2.variance().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn density_at_zero_by_shape() {
-        assert_eq!(Weibull::new(2.0, 1.0).unwrap().pdf(0.0), 0.0);
-        assert_eq!(Weibull::new(1.0, 2.0).unwrap().pdf(0.0), 0.5);
-        assert_eq!(Weibull::new(0.5, 1.0).unwrap().pdf(0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn cumulative_hazard_matches_survival() {
-        let w = Weibull::new(2.5, 4.0).unwrap();
-        for &x in &[0.5, 1.0, 5.0] {
-            assert!((w.cumulative_hazard(x) + w.survival(x).ln()).abs() < 1e-12);
+            assert!((w.survival(x) - e.survival(x)).abs() < 1e-14, "x = {x}");
         }
     }
 

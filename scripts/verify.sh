@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full offline verification: build, tests, formatting, lints.
+# Full offline verification: build, tests, regeneration checks, formatting,
+# lints, docs.
 # Run from the repository root. Fails fast on the first broken step.
 #
 # Test invocations run under a hard wall-clock timeout (the same
@@ -90,6 +91,22 @@ if [ -n "$drifted" ]; then
     exit 1
 fi
 
+echo "==> repro all: the recorded run regenerates byte for byte (hard cap ${SMOKE_TIMEOUT}s)"
+# repro_output.txt is the recorded run of every paper table and figure.
+# It is a pure function of the code, so regenerating it must change no
+# byte; a change that moves a number on purpose regenerates the file and
+# reports the drift.
+timeout -k 30 "$SMOKE_TIMEOUT" \
+    cargo run -q --release -p resilience-bench --bin repro -- all \
+    > "$OBS_SMOKE_DIR/repro_output.txt"
+cmp -s "$OBS_SMOKE_DIR/repro_output.txt" repro_output.txt || {
+    echo "repro: regenerating the recorded run changed repro_output.txt:" >&2
+    diff repro_output.txt "$OBS_SMOKE_DIR/repro_output.txt" | head -n 20 >&2 || true
+    echo "(if the drift is intended, regenerate with:" >&2
+    echo " cargo run --release -q -p resilience-bench --bin repro all > repro_output.txt)" >&2
+    exit 1
+}
+
 # obsctl diff of the serial vs rerun logs must be empty (exit 0); a
 # non-empty diff means the telemetry plane itself is nondeterministic.
 timeout -k 30 "$SMOKE_TIMEOUT" \
@@ -149,5 +166,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# A doc link to a deleted or private item is a rustdoc warning; failing
+# on it keeps the crate docs pointing at code that exists.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "verify: all checks passed"

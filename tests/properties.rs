@@ -240,22 +240,16 @@ fn csv_roundtrip() {
     }
 }
 
-/// Distribution sanity across random parameters: CDFs are monotone,
-/// bounded, and inverse-consistent.
+/// The normal quantile (the critical values' source) inverts its CDF
+/// across random parameters.
 #[test]
 fn distribution_quantile_roundtrip() {
     let mut rng = XorShift64::new(0xA009);
     for case in 0..CASES {
-        let shape = uniform(&mut rng, 0.3, 5.0);
-        let scale = uniform(&mut rng, 0.1, 20.0);
+        let mean = uniform(&mut rng, 0.3, 5.0);
+        let sd = uniform(&mut rng, 0.1, 20.0);
         let p = uniform(&mut rng, 0.01, 0.99);
-        let w = Weibull::new(shape, scale).unwrap();
-        let x = w.quantile(p).unwrap();
-        assert!((w.cdf(x) - p).abs() < 1e-9, "case {case}");
-        let e = Exponential::new(1.0 / scale).unwrap();
-        let xe = e.quantile(p).unwrap();
-        assert!((e.cdf(xe) - p).abs() < 1e-9, "case {case}");
-        let n = Normal::new(shape, scale).unwrap();
+        let n = Normal::new(mean, sd).unwrap();
         let xn = n.quantile(p).unwrap();
         assert!((n.cdf(xn) - p).abs() < 1e-9, "case {case}");
     }
@@ -340,32 +334,6 @@ fn double_bathtub_area() {
             (analytic - numeric).abs() < 1e-6 * (1.0 + analytic.abs()),
             "case {case}: analytic {analytic} vs numeric {numeric}"
         );
-    }
-}
-
-/// Hjorth distribution invariants across random parameters.
-#[test]
-fn hjorth_distribution_invariants() {
-    use resilience_stats::Hjorth;
-    let mut rng = XorShift64::new(0xA00D);
-    for case in 0..CASES {
-        let delta = uniform(&mut rng, 0.001, 0.5);
-        let theta = uniform(&mut rng, 0.1, 3.0);
-        let beta = uniform(&mut rng, 0.05, 2.0);
-        let x = uniform(&mut rng, 0.1, 30.0);
-        let h = Hjorth::new(delta, theta, beta).unwrap();
-        // Survival = exp(−cumulative hazard).
-        assert!(
-            (h.survival(x) - (-h.cumulative_hazard(x)).exp()).abs() < 1e-10,
-            "case {case}"
-        );
-        // Hazard is the sum of its two competing parts.
-        let want = delta * x + theta / (1.0 + beta * x);
-        assert!((h.hazard(x) - want).abs() < 1e-12, "case {case}");
-        // CDF in [0, 1] and monotone over a step.
-        let c = h.cdf(x);
-        assert!((0.0..=1.0).contains(&c), "case {case}");
-        assert!(h.cdf(x + 1.0) >= c, "case {case}");
     }
 }
 
