@@ -22,7 +22,7 @@ use resilience_core::runtime::{
     rank_models_supervised, BreakerPolicy, CellOutcome, Control, ExecPolicy, RetryPolicy,
 };
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
-use resilience_obs::{CounterId, Event, FitOutcome, SpanTree};
+use resilience_obs::{AttemptSpan, CounterId, Event, FitOutcome, SolverKind, SpanTree};
 use resilience_optim::Parallelism;
 use resilience_stats::XorShift64;
 
@@ -136,16 +136,36 @@ struct Shapes {
     quarantined: u32,
 }
 
+/// The one evaluation an attempt spends outside its solver runs, if it
+/// has one: the rescoring of an exact fit (its `fit_started` announced no
+/// starts, and no stop cut it short) or of a profiled winner lifted back
+/// to every coordinate, which the Levenberg–Marquardt polish always
+/// follows (DESIGN.md §11).
+fn rescorings(family: &dyn ModelFamily, attempt: &AttemptSpan) -> u64 {
+    let exact = attempt.starts == Some(0) && attempt.stopped.is_none();
+    let searches_nonlinear = (1..family.n_params()).contains(&family.linear_coefficients().len());
+    let lifted = searches_nonlinear
+        && attempt
+            .solvers
+            .iter()
+            .any(|s| s.solver == Some(SolverKind::LevenbergMarquardt));
+    u64::from(exact || lifted)
+}
+
 /// Checks the span tree built from `run`'s log against the runtime's own
 /// outcome for every cell: one tree cell per grid cell, one fit per
 /// family, no cell stopped, every fit's terminal state and every
 /// quarantine mark as the `CellOutcome` says. Every attempt's evaluations
-/// must also equal the sum of its solver spans': the grid's bathtub
-/// families spend no evaluation outside a solver run, and a solver that
-/// a stop cut short is charged from its stop line.
-fn check_tree_against_runtime(run: &FleetRun, names: &[&str], context: &str) -> Shapes {
+/// must also equal the sum of its solver spans' plus its [`rescorings`]:
+/// a solver that a stop cut short is charged from its stop line.
+fn check_tree_against_runtime(
+    run: &FleetRun,
+    families: &[&dyn ModelFamily],
+    context: &str,
+) -> Shapes {
     let tree = SpanTree::build(&run.events);
     assert_eq!(tree.cells.len(), run.outcomes.len(), "{context}");
+    let names: Vec<&str> = families.iter().map(|f| f.name()).collect();
     let mut shapes = Shapes::default();
     for (i, (cell, outcome)) in tree.cells.iter().zip(&run.outcomes).enumerate() {
         assert_eq!(cell.cell as usize, i, "{context}");
@@ -156,7 +176,7 @@ fn check_tree_against_runtime(run: &FleetRun, names: &[&str], context: &str) -> 
             CellOutcome::Quarantined { failures } => (Vec::new(), failures),
             CellOutcome::Stopped(e) => panic!("{context}: cell {i} stopped: {e}"),
         };
-        for fit in &cell.fits {
+        for (fit, family) in cell.fits.iter().zip(families) {
             let failure = failures.iter().find(|f| f.family_name == fit.family);
             match fit.outcome {
                 FitOutcome::Completed { .. } => {
@@ -187,9 +207,11 @@ fn check_tree_against_runtime(run: &FleetRun, names: &[&str], context: &str) -> 
             for attempt in &fit.attempts {
                 let solver_evals: u64 = attempt.solvers.iter().map(|s| s.evaluations).sum();
                 assert_eq!(
-                    attempt.evaluations, solver_evals,
+                    attempt.evaluations,
+                    solver_evals + rescorings(*family, attempt),
                     "{context}: cell {i} {} attempt {}",
-                    fit.family, attempt.attempt
+                    fit.family,
+                    attempt.attempt
                 );
             }
         }
@@ -205,10 +227,9 @@ fn chaos_span_tree_agrees_with_the_runtime_cell_by_cell() {
     // Under the CI chaos plan, the tree built from the log agrees with
     // the runtime's own outcome for every one of the 64 cells.
     let fams = families();
-    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
     let run = run_fleet(&smoke_grid(), &fams, Parallelism::Fixed(2), &chaos_policy());
     assert_eq!(run.outcomes.len(), 64);
-    let shapes = check_tree_against_runtime(&run, &names, "CI chaos plan");
+    let shapes = check_tree_against_runtime(&run, &fams, "CI chaos plan");
     // The plan exercised every shape the check covers.
     assert!(
         shapes.lost > 0 && shapes.failed > 0 && shapes.quarantined > 0,
@@ -233,7 +254,6 @@ fn random_chaos_plans_keep_the_supervisor_contract() {
         ..smoke_grid()
     };
     let fams = families();
-    let names: Vec<&str> = fams.iter().map(|f| f.name()).collect();
     let jobs = (grid.len() * fams.len()) as u64;
     assert_eq!(grid.len(), 16);
     let mut rng = XorShift64::new(0xC4A0_5EED);
@@ -292,7 +312,7 @@ fn random_chaos_plans_keep_the_supervisor_contract() {
             retries <= (max_attempts as u64 - 1) * jobs,
             "{context}: {retries} retries"
         );
-        let shapes = check_tree_against_runtime(&serial, &names, &context);
+        let shapes = check_tree_against_runtime(&serial, &fams, &context);
         seen.lost += shapes.lost;
         seen.failed += shapes.failed;
         seen.quarantined += shapes.quarantined;

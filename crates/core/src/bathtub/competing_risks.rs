@@ -1,6 +1,6 @@
 //! The competing-risks bathtub model (paper Eq. 4–6).
 
-use crate::model::{ModelFamily, ResilienceModel, SSE_BATCH_WIDTH};
+use crate::model::{ModelFamily, ResilienceModel, Sign, SSE_BATCH_WIDTH};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -344,6 +344,56 @@ impl ModelFamily for CompetingRisksFamily {
             }
         }
         true
+    }
+
+    /// `α` and `γ` are linear and positive: `P(t) = α·1/(1+βt) + γ·2t`.
+    /// The search moves over `ln β` alone.
+    fn linear_coefficients(&self) -> &'static [Sign] {
+        &[Sign::Positive, Sign::Positive]
+    }
+
+    /// At `nonlinear = [ln β]`: the columns `1/(1+βt)` and `2t`, and a
+    /// zero offset.
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        columns: &mut [f64],
+    ) -> bool {
+        let n = ts.len();
+        let &[ln_beta] = nonlinear else {
+            return false;
+        };
+        let beta = ln_beta.exp();
+        if !(beta > 0.0 && beta.is_finite())
+            || ln_ts.len() != n
+            || offset.len() != n
+            || columns.len() != 2 * n
+        {
+            return false;
+        }
+        offset.fill(0.0);
+        let (decay, recovery) = columns.split_at_mut(n);
+        for ((d, r), &t) in decay.iter_mut().zip(recovery).zip(ts) {
+            *d = 1.0 / (1.0 + beta * t);
+            *r = 2.0 * t;
+        }
+        true
+    }
+
+    /// `[ln β]`, the middle internal coordinate.
+    fn nonlinear_coordinates(&self, internal: &[f64]) -> Vec<f64> {
+        internal.get(1).map(|&u| vec![u]).unwrap_or_default()
+    }
+
+    /// `[ln α, ln β, ln γ]`, with `ln β` copied as is.
+    fn join_linear(&self, nonlinear: &[f64], coefficients: &[f64]) -> Option<Vec<f64>> {
+        match (nonlinear, coefficients) {
+            (&[ln_beta], &[alpha, gamma]) => Some(vec![alpha.ln(), ln_beta, gamma.ln()]),
+            _ => None,
+        }
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {

@@ -27,46 +27,67 @@ pub use quadratic::{QuadraticFamily, QuadraticModel};
 pub use quartic::{QuarticFamily, QuarticModel};
 
 use resilience_data::PerformanceSeries;
-use resilience_math::linalg::Matrix;
+use resilience_math::linalg::least_squares_qr;
 
-/// Fits a polynomial of the given degree to a series by ordinary least
-/// squares (normal equations). Returns ascending coefficients.
-///
-/// Used to seed the bathtub fits: the unconstrained polynomial optimum is
-/// an excellent starting point for the constrained search.
-pub(crate) fn polynomial_ols(series: &PerformanceSeries, degree: usize) -> Option<Vec<f64>> {
-    let n = series.len();
-    let p = degree + 1;
-    if n < p {
-        return None;
-    }
-    // Fit in the scaled variable u = t/T to keep the normal equations
-    // well conditioned (raw powers up to t⁸ in the Gram matrix would lose
-    // all precision for t ~ 48), then rescale the coefficients back.
-    let t_scale = series
-        .times()
-        .iter()
-        .fold(0.0f64, |acc, t| acc.max(t.abs()))
-        .max(1.0);
-    let mut design = Matrix::zeros(n, p);
-    for (i, (t, _)) in series.iter().enumerate() {
-        let u = t / t_scale;
-        let mut pow = 1.0;
-        for j in 0..p {
-            design[(i, j)] = pow;
-            pow *= u;
+/// Writes the monomial design `tʲ`, column `j` at
+/// `columns[j·n .. (j + 1)·n]` for `j < columns.len() / n`, where
+/// `n = ts.len()`: the columns of the polynomial families' linear
+/// coefficients.
+fn monomial_columns_into(ts: &[f64], columns: &mut [f64]) {
+    let n = ts.len();
+    for j in 0..columns.len() / n.max(1) {
+        for (i, &t) in ts.iter().enumerate() {
+            columns[j * n + i] = if j == 0 {
+                1.0
+            } else {
+                columns[(j - 1) * n + i] * t
+            };
         }
     }
-    let gram = design.gram();
-    let rhs = design.transpose_matvec(series.values()).ok()?;
-    let scaled = gram.solve(&rhs).ok()?;
-    Some(
-        scaled
-            .into_iter()
-            .enumerate()
-            .map(|(k, c)| c / t_scale.powi(k as i32))
-            .collect(),
-    )
+}
+
+/// The polynomial families' [`crate::ModelFamily::linear_design_into`]:
+/// no nonlinear coordinate, a zero offset and the monomial columns. `false`
+/// on a nonempty `nonlinear` or on lengths that disagree.
+fn polynomial_design_into(
+    degree: usize,
+    nonlinear: &[f64],
+    ts: &[f64],
+    ln_ts: &[f64],
+    offset: &mut [f64],
+    columns: &mut [f64],
+) -> bool {
+    let n = ts.len();
+    if !nonlinear.is_empty()
+        || n == 0
+        || ln_ts.len() != n
+        || offset.len() != n
+        || columns.len() != n * (degree + 1)
+    {
+        return false;
+    }
+    offset.fill(0.0);
+    monomial_columns_into(ts, columns);
+    true
+}
+
+/// Fits a polynomial of the given degree to a series by ordinary least
+/// squares: Householder QR on the monomial design, the solve the exact
+/// polynomial fits make (DESIGN.md §11). Returns ascending coefficients,
+/// or `None` when the design is rank deficient (fewer distinct times than
+/// coefficients).
+///
+/// Seeds the Quadratic search where its exact fit is not representable:
+/// the unconstrained optimum, projected into the bathtub region, is an
+/// excellent starting point for the constrained search.
+pub(crate) fn polynomial_ols(series: &PerformanceSeries, degree: usize) -> Option<Vec<f64>> {
+    let ts = series.times();
+    let mut columns = vec![0.0; ts.len() * (degree + 1)];
+    monomial_columns_into(ts, &mut columns);
+    let mut rhs = series.values().to_vec();
+    least_squares_qr(&mut columns, &mut rhs, degree + 1)?;
+    rhs.truncate(degree + 1);
+    Some(rhs)
 }
 
 #[cfg(test)]

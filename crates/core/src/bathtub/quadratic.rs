@@ -1,6 +1,6 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
-use crate::model::{ModelFamily, ResilienceModel, SSE_BATCH_WIDTH};
+use crate::model::{ModelFamily, ResilienceModel, Sign, SSE_BATCH_WIDTH};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -351,6 +351,41 @@ impl ModelFamily for QuadraticFamily {
         true
     }
 
+    /// All three parameters are linear (Eq. 1); `α` and `γ` are positive.
+    /// No nonlinear coordinate is left, so a fit is one least-squares
+    /// solve whenever [`ModelFamily::join_linear`] accepts its optimum.
+    fn linear_coefficients(&self) -> &'static [Sign] {
+        &[Sign::Positive, Sign::Free, Sign::Positive]
+    }
+
+    /// The columns `1, t, t²` and a zero offset.
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        columns: &mut [f64],
+    ) -> bool {
+        super::polynomial_design_into(2, nonlinear, ts, ln_ts, offset, columns)
+    }
+
+    /// `[ln α, logit s, ln γ]` when the coefficients lie strictly inside
+    /// the region `internal_to_params` maps onto: `α, γ > 0` and
+    /// `s = −β/(2√(αγ))` strictly inside its clamp `[1e-9, 1 − 1e-9]`.
+    /// Elsewhere the constrained optimum lies on the region's boundary,
+    /// which only the search reaches, so `None`.
+    fn join_linear(&self, nonlinear: &[f64], coefficients: &[f64]) -> Option<Vec<f64>> {
+        let &[alpha, beta, gamma] = coefficients else {
+            return None;
+        };
+        if !(nonlinear.is_empty() && alpha > 0.0 && gamma > 0.0) {
+            return None;
+        }
+        let s = -beta / (2.0 * (alpha * gamma).sqrt());
+        (s > 1e-9 && s < 1.0 - 1e-9).then(|| vec![alpha.ln(), (s / (1.0 - s)).ln(), gamma.ln()])
+    }
+
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         if params.len() != 3 {
             return Err(CoreError::params("Quadratic", "expected 3 parameters"));
@@ -375,7 +410,8 @@ impl ModelFamily for QuadraticFamily {
     fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
         let mut guesses = Vec::new();
         let nominal = series.nominal().max(1e-6);
-        // Guess 1: unconstrained polynomial OLS projected into the region.
+        // Guess 1: the unconstrained least-squares optimum, the exact fit's
+        // solve, projected into the region.
         if let Some(c) = super::polynomial_ols(series, 2) {
             let alpha = c[0].max(1e-6);
             let gamma = c[2].max(1e-9);

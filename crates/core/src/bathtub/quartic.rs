@@ -9,7 +9,7 @@
 //! scenarios" the paper's abstract calls for. DESIGN.md §5 tracks this as
 //! an extension experiment.
 
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::poly::Polynomial;
@@ -93,10 +93,11 @@ impl ResilienceModel for QuarticModel {
     }
 }
 
-/// The [`ModelFamily`] for [`QuarticModel`]: unconstrained, seeded by
-/// polynomial OLS (which is already the global least-squares optimum —
-/// the optimizer then has nothing left to do, making this family
-/// essentially a linear fit in the same pipeline).
+/// The [`ModelFamily`] for [`QuarticModel`]: unconstrained and linear in
+/// all five coefficients, so a fit is one least-squares solve — Householder
+/// QR on the monomial design, with no search and no polish (DESIGN.md §11).
+/// Only a rank-deficient design (fewer than five distinct times) falls back
+/// to the search, from the flat guess.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuarticFamily;
 
@@ -134,6 +135,23 @@ impl ModelFamily for QuarticFamily {
         true
     }
 
+    /// All five coefficients are linear and unconstrained.
+    fn linear_coefficients(&self) -> &'static [Sign] {
+        &[Sign::Free; 5]
+    }
+
+    /// The columns `1, t, …, t⁴` and a zero offset.
+    fn linear_design_into(
+        &self,
+        nonlinear: &[f64],
+        ts: &[f64],
+        ln_ts: &[f64],
+        offset: &mut [f64],
+        columns: &mut [f64],
+    ) -> bool {
+        super::polynomial_design_into(4, nonlinear, ts, ln_ts, offset, columns)
+    }
+
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         if params.len() != 5 {
             return Err(CoreError::params("Quartic", "expected 5 parameters"));
@@ -150,14 +168,11 @@ impl ModelFamily for QuarticFamily {
         ])?))
     }
 
+    /// The flat curve at the nominal level. The fit asks for guesses only
+    /// when its exact solve fails, and then the least-squares fit they
+    /// could offer fails too.
     fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        let mut guesses = Vec::new();
-        if let Some(c) = super::polynomial_ols(series, 4) {
-            guesses.push(c);
-        }
-        // Flat fallback.
-        guesses.push(vec![series.nominal(), 0.0, 0.0, 0.0, 0.0]);
-        guesses
+        vec![vec![series.nominal(), 0.0, 0.0, 0.0, 0.0]]
     }
 }
 
@@ -201,17 +216,36 @@ mod tests {
     }
 
     #[test]
-    fn family_ols_seed_is_global_optimum() {
-        // Noiseless quartic data: the OLS guess reproduces it exactly.
+    fn exact_fit_recovers_a_noiseless_quartic() {
+        // One least-squares solve reproduces noiseless quartic data: no
+        // search, one evaluation (the rescoring).
+        use crate::fit::{fit_least_squares, FitConfig};
         let coeffs = [1.0, -0.04, 0.003, -6e-5, 4e-7];
         let truth = QuarticModel::new(coeffs).unwrap();
         let values: Vec<f64> = (0..48).map(|i| truth.predict(i as f64)).collect();
         let s = PerformanceSeries::monthly("w", values).unwrap();
-        let guesses = QuarticFamily.initial_guesses(&s);
-        let g = &guesses[0];
-        for (got, want) in g.iter().zip(coeffs) {
-            assert!((got - want).abs() < 1e-6, "{g:?}");
+        let fit = fit_least_squares(&QuarticFamily, &s, &FitConfig::default()).unwrap();
+        assert_eq!((fit.evaluations, fit.total_evaluations), (1, 1));
+        assert!(fit.converged);
+        for (got, want) in fit.params.iter().zip(coeffs) {
+            assert!(
+                (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                "{:?}",
+                fit.params
+            );
         }
+        assert!(fit.sse < 1e-25, "{}", fit.sse);
+    }
+
+    #[test]
+    fn too_few_times_fall_back_to_the_search() {
+        // Four times cannot fix five coefficients: the design is rank
+        // deficient, so the fit searches from the flat guess instead.
+        use crate::fit::{fit_least_squares, FitConfig};
+        let s = PerformanceSeries::monthly("short", vec![1.0, 0.97, 0.96, 0.99]).unwrap();
+        let fit = fit_least_squares(&QuarticFamily, &s, &FitConfig::default()).unwrap();
+        assert!(fit.total_evaluations > 1);
+        assert!(fit.sse < 1e-6, "{}", fit.sse);
     }
 
     #[test]

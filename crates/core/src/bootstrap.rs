@@ -324,7 +324,7 @@ pub fn bootstrap_band_checkpointed(
                 let fit = fit_from(
                     family,
                     &synth,
-                    base_optimum,
+                    Some(base_optimum),
                     &refit_config,
                     &Control::unbounded(),
                 )

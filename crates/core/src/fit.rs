@@ -5,12 +5,15 @@
 //! (especially for mixtures), fitting runs multi-start Nelder–Mead from
 //! the family's data-driven guesses in the *internal* (unconstrained)
 //! space, then optionally polishes the winner with Levenberg–Marquardt.
+//! Coefficients a family is linear in are solved exactly at every point
+//! of the search instead of searched; a family linear in all of them is
+//! fit by one least-squares solve (DESIGN.md §11).
 
 use crate::guard::{self, Violation};
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
-use resilience_math::linalg::Matrix;
+use resilience_math::linalg::{least_squares_qr, Matrix};
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, HistogramId};
 use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
@@ -64,9 +67,9 @@ pub struct FitConfig {
     /// Levenberg–Marquardt settings for the polish phase.
     pub lm: LmConfig,
     /// Cap on the number of starting points taken from
-    /// [`ModelFamily::initial_guesses`], applied after a family with a
-    /// linear coefficient has merged the guesses that coincide once the
-    /// coefficient is dropped.
+    /// [`ModelFamily::initial_guesses`], applied after a family with
+    /// linear coefficients has merged the guesses that coincide in its
+    /// nonlinear coordinates.
     pub max_starts: usize,
     /// Worker threads. A single fit runs its starts on this many; the
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
@@ -119,8 +122,9 @@ pub struct FittedModel {
     pub sse: f64,
     /// Objective evaluations of the winning Nelder–Mead run plus the
     /// Levenberg–Marquardt polish, plus one when a profiled fit rescores
-    /// its lifted winner (DESIGN.md §11). The losing starts are not
-    /// counted here; [`FittedModel::total_evaluations`] counts them.
+    /// its lifted winner (DESIGN.md §11); an exact fit's one, its
+    /// rescoring. The losing starts are not counted here;
+    /// [`FittedModel::total_evaluations`] counts them.
     pub evaluations: usize,
     /// Every objective evaluation the fit spent: the warm probe, every
     /// cold start (winner and losers), the lift and the polish. A solver
@@ -129,11 +133,11 @@ pub struct FittedModel {
     pub total_evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
-    /// budget). The default Nelder–Mead tolerances are basin-finding
-    /// loose, so the polish converging is the usual certificate. A
-    /// non-converged fit is still usable — it is the best point found —
-    /// but it is what [`crate::runtime::RetryPolicy`] retries with
-    /// jittered starts.
+    /// budget); always for an exact fit. The default Nelder–Mead
+    /// tolerances are basin-finding loose, so the polish converging is
+    /// the usual certificate. A non-converged fit is still usable — it is
+    /// the best point found — but it is what
+    /// [`crate::runtime::RetryPolicy`] retries with jittered starts.
     pub converged: bool,
 }
 
@@ -209,17 +213,18 @@ impl Objective for SseObjective<'_> {
     }
 }
 
-/// The variable-projection objective (DESIGN.md §11) for a family with a
-/// trailing linear coefficient ([`ModelFamily::has_linear_coefficient`]):
-/// Nelder–Mead moves over the other internal coordinates `u`, and at each
-/// `u` the coefficient is solved exactly by [`solve_linear_coefficient`].
-/// Reuses its offset and column buffers, so an evaluation allocates
-/// nothing.
+/// The variable-projection objective (DESIGN.md §11) of a family with
+/// linear coefficients ([`ModelFamily::linear_coefficients`]): Nelder–Mead
+/// moves over the nonlinear coordinates `u`, and at each `u` the
+/// coefficients are solved exactly by [`solve_linear_coefficients`]. Reuses
+/// its offset and column buffers, so an evaluation allocates nothing.
 struct ProfiledObjective<'a> {
     family: &'a dyn ModelFamily,
     times: &'a [f64],
     ln_times: &'a [f64],
     observed: &'a [f64],
+    /// The offset, whose first `k` entries hold the coefficients after a
+    /// solve, and the `k` columns.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -230,39 +235,60 @@ impl<'a> ProfiledObjective<'a> {
         ln_times: &'a [f64],
         observed: &'a [f64],
     ) -> Self {
+        let (n, k) = (times.len(), family.linear_coefficients().len());
         ProfiledObjective {
             family,
             times,
             ln_times,
             observed,
-            scratch: RefCell::new((vec![0.0; times.len()], vec![0.0; times.len()])),
+            scratch: RefCell::new((vec![0.0; n], vec![0.0; n * k])),
         }
     }
 
-    /// The optimal coefficient at `u` and the SSE it leaves, or `None`
-    /// where the profile is undefined.
-    fn solve(&self, u: &[f64]) -> Option<(f64, f64)> {
+    /// The SSE the optimal coefficients at `u` leave, or `None` where the
+    /// profile is undefined. The coefficients stay in the scratch, for
+    /// [`ProfiledObjective::coefficients`].
+    fn solve(&self, u: &[f64]) -> Option<f64> {
         let mut guard = self.scratch.borrow_mut();
-        let (offset, column) = &mut *guard;
+        let (offset, columns) = &mut *guard;
         if !self
             .family
-            .linear_design_into(u, self.times, self.ln_times, offset, column)
+            .linear_design_into(u, self.times, self.ln_times, offset, columns)
         {
             return None;
         }
-        solve_linear_coefficient(self.observed, offset, column)
+        solve_linear_coefficients(
+            self.observed,
+            offset,
+            columns,
+            self.family.linear_coefficients(),
+        )
     }
 
-    /// Lifts a Nelder–Mead winner `u` back to the full internal vector
-    /// `[u, ln β]`, leaving `u` untouched, and rescores it with the full
-    /// objective — one more evaluation — so the fit's SSE is the fitted
-    /// model's own. `None` only if the profile is undefined at `u`, which
-    /// a finite winner rules out.
+    /// The coefficients of the last successful [`ProfiledObjective::solve`].
+    fn coefficients(&self) -> Vec<f64> {
+        let k = self.family.linear_coefficients().len();
+        self.scratch.borrow().0[..k].to_vec()
+    }
+
+    /// The full internal point at the nonlinear point `u`
+    /// ([`ModelFamily::join_linear`] of `u` and its optimal coefficients),
+    /// rescored with the full objective so that the SSE is the fitted
+    /// model's own. `None` where the profile is undefined or the family
+    /// cannot represent the coefficients.
+    fn lift_point(&self, u: &[f64]) -> Option<(Vec<f64>, f64)> {
+        self.solve(u)?;
+        let internal = self.family.join_linear(u, &self.coefficients())?;
+        let value = SseObjective::new(self.family, self.times, self.observed).eval(&internal);
+        Some((internal, value))
+    }
+
+    /// Lifts a Nelder–Mead winner `u` back to the full internal vector,
+    /// leaving `u` untouched, and rescores it — one more evaluation. `None`
+    /// only if the profile is undefined at `u`, which a finite winner rules
+    /// out.
     fn lift(&self, best: OptimReport) -> Option<OptimReport> {
-        let (beta, _) = self.solve(&best.params)?;
-        let mut params = best.params;
-        params.push(beta.ln());
-        let value = SseObjective::new(self.family, self.times, self.observed).eval(&params);
+        let (params, value) = self.lift_point(&best.params)?;
         Some(OptimReport {
             params,
             value,
@@ -274,7 +300,7 @@ impl<'a> ProfiledObjective<'a> {
 
 impl Objective for ProfiledObjective<'_> {
     fn eval(&self, u: &[f64]) -> f64 {
-        self.solve(u).map_or(f64::INFINITY, |(_, sse)| sse)
+        self.solve(u).unwrap_or(f64::INFINITY)
     }
 }
 
@@ -326,6 +352,59 @@ pub fn solve_linear_coefficient(
     }
     let sse = sse.value();
     sse.is_finite().then_some((beta, sse))
+}
+
+/// The least-squares coefficients of `k = signs.len()` design columns and
+/// the SSE they leave: for `observed ≈ offset + Σⱼ cⱼ·xⱼ`, with column `xⱼ`
+/// at `columns[j·n .. (j + 1)·n]` (`n = observed.len()`), returns the SSE
+/// and leaves `c` in `offset[..k]`.
+///
+/// One positive column is [`solve_linear_coefficient`], bit for bit, which
+/// only reads `offset` and `columns` before `β` overwrites `offset[0]`. Any
+/// other design is solved by Householder QR ([`least_squares_qr`]): it
+/// overwrites `offset` with `observed − offset` and then with the
+/// solution and the rotated residual, and `columns` with its factors.
+///
+/// Returns `None` — which the fit's profiled objective maps to `+∞`, like
+/// an infeasible point — when the lengths disagree, the design is rank
+/// deficient, a coefficient is not finite or breaks its [`Sign`], or the
+/// SSE is not finite. Allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_core::fit::solve_linear_coefficients;
+/// use resilience_core::model::Sign;
+/// // 1 + 2t at t = 0, 1, 2, as two columns over a zero offset.
+/// let mut offset = [0.0; 3];
+/// let mut columns = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0];
+/// let sse = solve_linear_coefficients(&[1.0, 3.0, 5.0], &mut offset, &mut columns, &[Sign::Free; 2]);
+/// assert!(sse.unwrap() < 1e-28);
+/// assert!((offset[0] - 1.0).abs() < 1e-14 && (offset[1] - 2.0).abs() < 1e-14);
+/// ```
+pub fn solve_linear_coefficients(
+    observed: &[f64],
+    offset: &mut [f64],
+    columns: &mut [f64],
+    signs: &[Sign],
+) -> Option<f64> {
+    if let [Sign::Positive] = signs {
+        let (beta, sse) = solve_linear_coefficient(observed, offset, columns)?;
+        offset[0] = beta;
+        return Some(sse);
+    }
+    if offset.len() != observed.len() {
+        return None;
+    }
+    for (o, &y) in offset.iter_mut().zip(observed) {
+        *o = y - *o;
+    }
+    let sse = least_squares_qr(columns, offset, signs.len())?;
+    let signed = offset.iter().zip(signs).all(|(&c, sign)| match sign {
+        Sign::Positive => c > 0.0,
+        Sign::Free => true,
+    });
+    signed.then_some(sse)
 }
 
 /// The least-squares residual problem `r_i = y_i − P(t_i; θ(u))` over the
@@ -431,38 +510,35 @@ pub fn fit_least_squares(
 /// multi-start winner is already a valid fit, so the polish is skipped
 /// and that winner is returned.
 ///
-/// The fit runs its three phases in a row: the plan (the warm probe and
-/// the starts), every start in one [`multi_start`] pool of
-/// `config.parallelism` threads, and the finish (reduce, lift, polish,
-/// guard).
+/// The fit runs its three phases in a row: the plan (an exact solve, or
+/// the warm probe and the starts), every start in one [`multi_start`] pool
+/// of `config.parallelism` threads, and the finish (reduce, lift, polish,
+/// guard). A family with no nonlinear coordinate left (Quadratic, Quartic;
+/// DESIGN.md §11) whose least-squares optimum it can represent skips the
+/// search and the polish: its fit is that solve, and the control is
+/// polled once before it is rescored.
 ///
 /// # Errors
 ///
 /// Everything [`fit_least_squares`] returns, plus [`CoreError::TimedOut`]
 /// and [`CoreError::Cancelled`] when the control stops the multi-start
-/// phase.
+/// phase or an exact fit.
 pub fn fit_least_squares_with(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    fit_from(
-        family,
-        series,
-        &family.initial_guesses(series),
-        config,
-        control,
-    )
+    fit_from(family, series, None, config, control)
 }
 
 /// [`fit_least_squares_with`] searching from `guesses` instead of the
-/// family's own [`ModelFamily::initial_guesses`]: a retry's jittered
-/// points, or a bootstrap replicate's base optimum.
+/// family's own [`ModelFamily::initial_guesses`] (`None`): a retry's
+/// jittered points, or a bootstrap replicate's base optimum.
 pub(crate) fn fit_from(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
-    guesses: &[Vec<f64>],
+    guesses: Option<&[Vec<f64>]>,
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
@@ -478,10 +554,10 @@ pub(crate) fn fit_from(
     plan.finish(cold, config, control)
 }
 
-/// Whether `family` is searched without its trailing linear coefficient,
-/// which every evaluation then solves exactly (DESIGN.md §11).
+/// Whether `family` solves linear coefficients exactly instead of
+/// searching them (DESIGN.md §11).
 fn profiles(family: &dyn ModelFamily) -> bool {
-    family.has_linear_coefficient() && family.n_params() >= 2
+    (1..=family.n_params()).contains(&family.linear_coefficients().len())
 }
 
 /// `ln t` for every time: the table a profiled fit's design reads
@@ -490,7 +566,8 @@ pub(crate) fn ln_table(times: &[f64]) -> Vec<f64> {
     times.iter().map(|t| t.ln()).collect()
 }
 
-/// The typed error of a Nelder–Mead phase that failed or stopped.
+/// The typed error of a Nelder–Mead phase, or of an exact fit's poll, that
+/// failed or stopped.
 fn phase_error(e: OptimError) -> CoreError {
     match e {
         OptimError::TimedOut { .. } => CoreError::timed_out("fit_least_squares"),
@@ -501,10 +578,10 @@ fn phase_error(e: OptimError) -> CoreError {
 
 /// A fit between its plan and its finish.
 ///
-/// [`FitPlan::new`] is the plan phase: the warm probe, if any, and the
-/// cold starts. Each start then runs on its own through
-/// [`FitPlan::minimize_start`], in any order and on any thread, and its
-/// result goes into a [`StartReduction`]. [`FitPlan::finish`] reduces,
+/// [`FitPlan::new`] is the plan phase: an exact solve, or else the warm
+/// probe, if any, and the cold starts. Each start then runs on its own
+/// through [`FitPlan::minimize_start`], in any order and on any thread, and
+/// its result goes into a [`StartReduction`]. [`FitPlan::finish`] reduces,
 /// lifts, polishes and guards. [`fit_least_squares_with`] runs the phases
 /// in a row; the ranker plans every family of a small wave, runs all their
 /// starts in one pool, then finishes each (DESIGN.md §13). Both give
@@ -512,10 +589,13 @@ fn phase_error(e: OptimError) -> CoreError {
 pub(crate) struct FitPlan<'a> {
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
-    /// `ln t` per time when the fit is profiled (DESIGN.md §11): its
-    /// Nelder–Mead search then leaves out the trailing linear coefficient.
+    /// `ln t` per time when the search is profiled (DESIGN.md §11): it
+    /// then moves over the nonlinear coordinates alone.
     ln_times: Option<&'a [f64]>,
     optimizer: NelderMead,
+    /// An exact fit's internal point and SSE: the plan then has no warm
+    /// probe and no starts.
+    exact: Option<(Vec<f64>, f64)>,
     /// The warm probe's result, when it ran and did not fail.
     warm: Option<OptimReport>,
     /// The cold starts' search points, [`FitPlan::dim`] coordinates each.
@@ -524,14 +604,23 @@ pub(crate) struct FitPlan<'a> {
 }
 
 impl<'a> FitPlan<'a> {
-    /// The plan phase: the warm probe and the cold starts.
+    /// The plan phase: an exact solve, or the warm probe and the cold
+    /// starts.
     ///
-    /// The starts are `guesses` in the search space: every internal
-    /// coordinate, or for a profiled family all but the trailing linear
-    /// coefficient, in which case guesses that coincide in the rest are
-    /// merged, keeping the first, before `config.max_starts` applies.
-    /// Guesses that do not convert are dropped. `ln_times` is
-    /// [`ln_table`] of the series' times; only a profiled family reads it.
+    /// A profiled family with no nonlinear coordinate is solved exactly
+    /// when [`ModelFamily::join_linear`] accepts the least-squares
+    /// coefficients; the plan logs its `fit_started` with zero starts and
+    /// computes no guesses. A rejected solve logs and counts nothing, and
+    /// the fit searches every internal coordinate, as a family without
+    /// linear coefficients does.
+    ///
+    /// Otherwise the starts are `guesses`, or the family's own when `None`,
+    /// in the search space: every internal coordinate, or for a profiled
+    /// family its nonlinear coordinates, in which case guesses that
+    /// coincide there are merged, keeping the first, before
+    /// `config.max_starts` applies. Guesses that do not convert are
+    /// dropped. `ln_times` is [`ln_table`] of the series' times; only a
+    /// profiled family reads it.
     ///
     /// # Errors
     ///
@@ -541,11 +630,13 @@ impl<'a> FitPlan<'a> {
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
         ln_times: &'a [f64],
-        guesses: &[Vec<f64>],
+        guesses: Option<&[Vec<f64>]>,
         config: &FitConfig,
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
-        let profiled = profiles(family);
+        let traced = control.observed();
+        let (n_params, k) = (family.n_params(), family.linear_coefficients().len());
+        let mut profiled = profiles(family);
         // Families whose landscapes need longer simplex walks scale the
         // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
         // for the paper families the factor is 1 and this is `config`'s cap
@@ -560,13 +651,33 @@ impl<'a> FitPlan<'a> {
         let mut plan = FitPlan {
             family,
             series,
-            ln_times: profiled.then_some(ln_times),
+            ln_times: None,
             optimizer: NelderMead::new(nm_config),
+            exact: None,
             warm: None,
             starts: Vec::new(),
-            dim: family.n_params() - usize::from(profiled),
+            dim: 0,
         };
-        let traced = control.observed();
+        if profiled && k == n_params {
+            let (times, observed) = (series.times(), series.values());
+            let solved = ProfiledObjective::new(family, times, ln_times, observed)
+                .lift_point(&[])
+                .filter(|(_, sse)| sse.is_finite());
+            if solved.is_some() {
+                if traced {
+                    control.emit(Event::FitStarted {
+                        family: family.name(),
+                        starts: 0,
+                    });
+                }
+                plan.exact = solved;
+                return Ok(plan);
+            }
+            profiled = false;
+        }
+        plan.ln_times = profiled.then_some(ln_times);
+        let dim = if profiled { n_params - k } else { n_params };
+        plan.dim = dim;
 
         // Warm-start probe: one serial Nelder–Mead run seeded from the
         // provided optimum. Seeded this close, it usually converges in a
@@ -599,13 +710,21 @@ impl<'a> FitPlan<'a> {
             }
         }
 
+        let own;
+        let guesses = match guesses {
+            Some(guesses) => guesses,
+            None => {
+                own = family.initial_guesses(series);
+                &own
+            }
+        };
         let mut starts = Vec::new();
         let mut n_starts = 0;
         for point in guesses.iter().filter_map(|g| plan.search_point(g)) {
             if n_starts == config.max_starts {
                 break;
             }
-            if !(profiled && starts.chunks_exact(plan.dim).any(|s| s == point)) {
+            if !(profiled && starts.chunks_exact(dim).any(|s| s == point)) {
                 starts.extend_from_slice(&point);
                 n_starts += 1;
             }
@@ -628,21 +747,22 @@ impl<'a> FitPlan<'a> {
 
     /// `params` in the search space, or `None` when they do not convert.
     fn search_point(&self, params: &[f64]) -> Option<Vec<f64>> {
-        let mut internal = self.family.params_to_internal(params).ok()?;
-        if self.ln_times.is_some() {
-            internal.pop();
-        }
-        debug_assert_eq!(internal.len(), self.dim, "{}", self.family.name());
-        Some(internal)
+        let internal = self.family.params_to_internal(params).ok()?;
+        let point = match self.ln_times {
+            Some(_) => self.family.nonlinear_coordinates(&internal),
+            None => internal,
+        };
+        debug_assert_eq!(point.len(), self.dim, "{}", self.family.name());
+        Some(point)
     }
 
-    /// The number of cold starts (zero after a short-circuiting warm
-    /// probe).
+    /// The number of cold starts (zero for an exact fit and after a
+    /// short-circuiting warm probe).
     pub(crate) fn starts(&self) -> usize {
-        self.starts.len() / self.dim
+        self.starts.len().checked_div(self.dim).unwrap_or(0)
     }
 
-    /// The dimension of the Nelder–Mead search.
+    /// The dimension of the Nelder–Mead search (zero for an exact fit).
     pub(crate) fn dim(&self) -> usize {
         self.dim
     }
@@ -678,12 +798,14 @@ impl<'a> FitPlan<'a> {
 
     /// The finish phase: reduces the warm result and `cold`, the reduction
     /// of every cold start, lifts a profiled winner, polishes it and
-    /// guards the result.
+    /// guards the result. An exact fit polls `control` once (scope
+    /// `"fit"`), counts its one evaluation, the rescoring, and is guarded
+    /// the same way, unpolished.
     ///
     /// # Errors
     ///
-    /// A stopped cold start, every cold start failing without a warm
-    /// result, and the guard errors of [`fit_least_squares`].
+    /// A stopped cold start or exact fit, every cold start failing without
+    /// a warm result, and the guard errors of [`fit_least_squares`].
     pub(crate) fn finish(
         self,
         cold: StartReduction,
@@ -694,11 +816,17 @@ impl<'a> FitPlan<'a> {
             family,
             series,
             ln_times,
+            exact,
             warm,
             starts,
             ..
         } = self;
         let (times, observed) = (series.times(), series.values());
+        if let Some((internal, sse)) = exact {
+            control.check_stop("fit", 0).map_err(phase_error)?;
+            control.count(CounterId::ObjectiveEvals, 1);
+            return finished(family, control, internal, sse, 1, 1, true);
+        }
         let mut total_evaluations = warm.as_ref().map_or(0, |w| w.evaluations) + cold.evaluations();
         let cold = if starts.is_empty() {
             None
@@ -737,7 +865,7 @@ impl<'a> FitPlan<'a> {
                         CoreError::guard(
                             "fit_least_squares",
                             Violation::NonFiniteOutput,
-                            format!("no linear coefficient at the {} winner", family.name()),
+                            format!("no linear coefficients at the {} winner", family.name()),
                         )
                     })?;
                 control.count(CounterId::ObjectiveEvals, 1);
@@ -780,45 +908,65 @@ impl<'a> FitPlan<'a> {
                 }
             }
         }
-        let converged = nm_converged || lm_converged;
-
-        // Guard layer (DESIGN.md §8): the optimizer can only hand back a
-        // finite SSE because the objective maps off-domain points to +∞, but
-        // a regression anywhere in that chain would otherwise leak NaN into
-        // every downstream table. Fail loudly instead.
-        if !best_sse.is_finite() {
-            return Err(CoreError::guard(
-                "fit_least_squares",
-                Violation::NonFiniteOutput,
-                format!("final SSE for {} is {best_sse}", family.name()),
-            ));
-        }
-        let params = family.internal_to_params(&best_internal);
-        guard::finite_outputs(family.name(), &params)?;
-        let model = family.build(&params)?;
-        if control.observed() {
-            // The fit span closes here; `evaluations` is the winning start
-            // plus polish (counter events above carry the per-start totals).
-            control.emit(Event::FitFinished {
-                family: family.name(),
-                sse: best_sse,
-                evaluations: evaluations as u64,
-                converged,
-            });
-            control.emit(Event::Hist {
-                id: HistogramId::EvalsPerFit,
-                value: evaluations as u64,
-            });
-        }
-        Ok(FittedModel {
-            model,
-            params,
-            sse: best_sse,
+        finished(
+            family,
+            control,
+            best_internal,
+            best_sse,
             evaluations,
             total_evaluations,
-            converged,
-        })
+            nm_converged || lm_converged,
+        )
     }
+}
+
+/// A fit's last step: guards the winner, builds its model and closes the
+/// fit span.
+fn finished(
+    family: &dyn ModelFamily,
+    control: &Control,
+    internal: Vec<f64>,
+    sse: f64,
+    evaluations: usize,
+    total_evaluations: usize,
+    converged: bool,
+) -> Result<FittedModel, CoreError> {
+    // Guard layer (DESIGN.md §8): the optimizer can only hand back a
+    // finite SSE because the objective maps off-domain points to +∞, but
+    // a regression anywhere in that chain would otherwise leak NaN into
+    // every downstream table. Fail loudly instead.
+    if !sse.is_finite() {
+        return Err(CoreError::guard(
+            "fit_least_squares",
+            Violation::NonFiniteOutput,
+            format!("final SSE for {} is {sse}", family.name()),
+        ));
+    }
+    let params = family.internal_to_params(&internal);
+    guard::finite_outputs(family.name(), &params)?;
+    let model = family.build(&params)?;
+    if control.observed() {
+        // The fit span closes here; `evaluations` is the winning start
+        // plus polish (counter events above carry the per-start totals).
+        control.emit(Event::FitFinished {
+            family: family.name(),
+            sse,
+            evaluations: evaluations as u64,
+            converged,
+        });
+        control.emit(Event::Hist {
+            id: HistogramId::EvalsPerFit,
+            value: evaluations as u64,
+        });
+    }
+    Ok(FittedModel {
+        model,
+        params,
+        sse,
+        evaluations,
+        total_evaluations,
+        converged,
+    })
 }
 
 #[cfg(test)]
@@ -890,16 +1038,36 @@ mod tests {
         assert_eq!(a.sse, b.sse);
     }
 
+    /// A falling, concave series: the Quadratic least-squares optimum has
+    /// `γ < 0`, outside the bathtub region, so the fit searches.
+    fn concave_series() -> PerformanceSeries {
+        let mut wiggle = 0.29_f64;
+        let values: Vec<f64> = (0..40)
+            .map(|i| {
+                let t = i as f64;
+                wiggle = (wiggle * 151.0).fract();
+                1.0 - 0.002 * t - 0.00002 * t * t + 0.001 * (wiggle - 0.5)
+            })
+            .collect();
+        PerformanceSeries::monthly("concave", values).unwrap()
+    }
+
     #[test]
     fn fit_parallelism_is_bit_identical() {
+        use crate::bathtub::QuarticFamily;
         let mixtures = MixtureFamily::paper_combinations();
         let recession = Recession::R1990_93.payroll_index();
-        let mut cases: Vec<(&dyn ModelFamily, PerformanceSeries)> =
-            vec![(&QuadraticFamily, quadratic_series(0.002))];
+        // (family, series, whether the fit is one exact solve)
+        let mut cases: Vec<(&dyn ModelFamily, PerformanceSeries, bool)> = vec![
+            (&QuadraticFamily, quadratic_series(0.002), true),
+            (&QuadraticFamily, concave_series(), false),
+            (&CompetingRisksFamily, recession.clone(), false),
+            (&QuarticFamily, recession.clone(), true),
+        ];
         for family in &mixtures {
-            cases.push((family, recession.clone()));
+            cases.push((family, recession.clone(), false));
         }
-        for (family, s) in &cases {
+        for (family, s, exact) in &cases {
             let fit_with = |parallelism| {
                 let config = FitConfig {
                     parallelism,
@@ -908,6 +1076,7 @@ mod tests {
                 fit_least_squares(*family, s, &config).unwrap()
             };
             let serial = fit_with(Parallelism::Serial);
+            assert_eq!(serial.total_evaluations == 1, *exact, "{}", family.name());
             for p in [
                 Parallelism::Fixed(1),
                 Parallelism::Fixed(2),
@@ -950,9 +1119,10 @@ mod tests {
                         ComponentKind::Weibull => u.extend([draw(0.5, 5.0), draw(2.0, 60.0)]),
                     }
                 }
-                let Some((beta, sse)) = profile.solve(&u) else {
+                let Some(sse) = profile.solve(&u) else {
                     continue;
                 };
+                let beta = profile.coefficients()[0];
                 let full_at = |b: f64| {
                     let mut x = u.clone();
                     x.push(b.ln());
@@ -1042,7 +1212,7 @@ mod tests {
             trend: Trend::Exponential,
             ..MixtureFamily::paper_combinations()[1]
         };
-        assert!(!exponential_trend.has_linear_coefficient());
+        assert!(exponential_trend.linear_coefficients().is_empty());
         assert_eq!(starts(&exponential_trend), 18);
     }
 
@@ -1084,8 +1254,8 @@ mod tests {
     /// `total_evaluations` is every evaluation a fit spent — the total of
     /// its observed `objective_evals` counters — at every thread count,
     /// while `evaluations` keeps counting the winner, the lift and the
-    /// polish only. Pinned on 1990-93, with a warm-started refit whose
-    /// probe short-circuits the cold phase.
+    /// polish only. Pinned on 1990-93, with a warm-started Competing Risks
+    /// refit whose probe short-circuits the cold phase.
     #[test]
     fn total_evaluations_equal_the_observed_counter_total() {
         use crate::bathtub::QuarticFamily;
@@ -1098,11 +1268,12 @@ mod tests {
             vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
         families.extend(mixtures.iter().map(|m| m as &dyn ModelFamily));
         // (all evaluations, winner + lift + polish); Quartic is not in the
-        // smoke gate's `evals_per_fit`, so only its total is pinned.
+        // smoke gate's `evals_per_fit`, so only its total is pinned. The
+        // exact fits spend one evaluation, their rescoring.
         let expected = [
-            (746, Some(263)),
-            (1734, Some(194)),
-            (679, None),
+            (1, Some(1)),
+            (277, Some(41)),
+            (1, None),
             (981, Some(130)),
             (1751, Some(182)),
             (1851, Some(182)),
@@ -1139,15 +1310,83 @@ mod tests {
                     assert_eq!(fit.evaluations, winner, "{name} {parallelism:?}");
                 }
             }
-            let cold = observed_fit(&QuadraticFamily, &config);
+            let cold = observed_fit(&CompetingRisksFamily, &config);
             let warm_config = FitConfig {
                 warm_start: Some(WarmStart::new(cold.params.clone())),
                 ..config.clone()
             };
-            let warm = observed_fit(&QuadraticFamily, &warm_config);
+            let warm = observed_fit(&CompetingRisksFamily, &warm_config);
             assert!(warm.total_evaluations < cold.total_evaluations);
             assert_eq!(warm.total_evaluations, warm.evaluations, "{parallelism:?}");
         }
+    }
+
+    /// What an exact fit logs and counts: its plan's `fit_started` with no
+    /// starts, one evaluation (the rescoring), `fit_finished` and
+    /// `evals_per_fit`; under an expired deadline, its finish's one poll.
+    /// A rejected solve leaves no trace: the boundary fit's log opens with
+    /// the search's three starts.
+    #[test]
+    fn exact_fits_log_one_evaluation_and_rejected_solves_nothing() {
+        use resilience_obs::{RecordingObserver, StopKind};
+        use std::sync::Arc;
+
+        let observed = |series: &PerformanceSeries, control: Control| {
+            let rec = Arc::new(RecordingObserver::new());
+            let fit = fit_least_squares_with(
+                &QuadraticFamily,
+                series,
+                &FitConfig::default(),
+                &control.observe(rec.clone()),
+            );
+            (fit, rec.take())
+        };
+        let quadratic = quadratic_series(0.002);
+        let (fit, events) = observed(&quadratic, Control::unbounded());
+        let fit = fit.unwrap();
+        let family = "Quadratic";
+        assert_eq!(
+            events,
+            [
+                Event::FitStarted { family, starts: 0 },
+                Event::Counter {
+                    id: CounterId::ObjectiveEvals,
+                    delta: 1
+                },
+                Event::FitFinished {
+                    family,
+                    sse: fit.sse,
+                    evaluations: 1,
+                    converged: true
+                },
+                Event::Hist {
+                    id: HistogramId::EvalsPerFit,
+                    value: 1
+                },
+            ]
+        );
+
+        let (fit, events) = observed(
+            &quadratic,
+            Control::with_deadline(std::time::Duration::ZERO),
+        );
+        assert!(matches!(fit, Err(CoreError::TimedOut { .. })));
+        assert_eq!(
+            events,
+            [
+                Event::FitStarted { family, starts: 0 },
+                Event::Stop {
+                    scope: "fit",
+                    kind: StopKind::Deadline,
+                    evaluations: 0
+                },
+            ]
+        );
+
+        let (fit, events) = observed(&concave_series(), Control::unbounded());
+        assert!(fit.unwrap().total_evaluations > 1);
+        assert_eq!(events[0], Event::FitStarted { family, starts: 3 });
+        assert_eq!(events[1], Event::StartBegan { index: 0 });
     }
 
     #[test]

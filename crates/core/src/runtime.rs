@@ -410,7 +410,7 @@ fn retry_after(
         }
         let center = best.as_ref().map(|fit| fit.params.as_slice());
         let guesses = jittered_guesses(family, series, policy, attempt, center);
-        outcome = fit_from(family, series, &guesses, &retry_config, control);
+        outcome = fit_from(family, series, Some(&guesses), &retry_config, control);
     }
     match best {
         Some(fit) => {
@@ -659,7 +659,8 @@ impl<'a> PooledJob<'a> {
     ) -> PooledJob<'a> {
         let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
         // Only a warm probe makes the plan do solver work, so only then
-        // does the plan start the family budget's clock.
+        // does the plan start the family budget's clock. An exact fit's
+        // solve does none: it polls the control in its finish.
         let plan_control = if config.warm_start.is_some() {
             job.started()
         } else {
@@ -670,10 +671,7 @@ impl<'a> PooledJob<'a> {
             policy.retry.as_ref(),
             chaos.as_ref(),
             plan_control,
-            || {
-                let guesses = family.initial_guesses(series);
-                FitPlan::new(family, series, ln_times, &guesses, config, plan_control)
-            },
+            || FitPlan::new(family, series, ln_times, None, config, plan_control),
         );
         let starts = first.as_ref().map_or(0, FitPlan::starts);
         // One buffer slot per start, filled as the starts finish.
@@ -769,11 +767,12 @@ impl<'a> PooledJob<'a> {
 /// Runs a wave with fewer cells than `config.parallelism` has threads:
 ///
 /// 1. plans every job on the calling thread, in input order, with its
-///    chaos draw and attempt 1 up to its starts;
+///    chaos draw and attempt 1 up to its starts — an exact fit's plan is
+///    its solve, with no start;
 /// 2. runs every start of every planned fit in one pool, longest search
 ///    first: jobs by descending search dimension, ties in input order,
 ///    each job's starts in start order — an order the plans fix, never
-///    the timing;
+///    the timing; a job with no start waits for its finish;
 /// 3. finishes the jobs on the calling thread, in input order: replays
 ///    each job's start buffers in start order, reduces, polishes, retries
 ///    and scores.
@@ -1191,7 +1190,7 @@ pub fn rank_fleet_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bathtub::{QuadraticFamily, QuarticFamily};
+    use crate::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
     use crate::model::ResilienceModel;
 
     fn quadratic_series() -> PerformanceSeries {
@@ -1226,17 +1225,24 @@ mod tests {
         assert_eq!(sup.fit.sse, plain.sse);
     }
 
-    #[test]
-    fn retry_recovers_from_a_starved_iteration_budget() {
-        // A tiny iteration budget leaves the first attempt non-converged;
-        // the schedule must keep trying (from jittered starts) and return
-        // the best SSE seen, with attempts > 1.
-        let s = quadratic_series();
+    /// A fit configuration whose 3-iteration Nelder–Mead and skipped
+    /// polish leave a searching fit non-converged.
+    fn starved() -> FitConfig {
         let mut config = FitConfig::default();
         config.nelder_mead.max_iterations = 3;
         config.lm_polish = false;
+        config
+    }
+
+    #[test]
+    fn retry_recovers_from_a_starved_iteration_budget() {
+        // A tiny iteration budget leaves the first attempt of a searching
+        // family non-converged; the schedule must keep trying (from
+        // jittered starts) and return the best SSE seen, with attempts > 1.
+        let s = quadratic_series();
+        let config = starved();
         let sup = fit_with_retry(
-            &QuadraticFamily,
+            &CompetingRisksFamily,
             &s,
             &config,
             &RetryPolicy::default(),
@@ -1246,19 +1252,31 @@ mod tests {
         assert_eq!(sup.attempts, RetryPolicy::default().max_attempts);
         assert!(!sup.fit.converged);
         // Best-by-SSE: never worse than the single-shot fit.
-        let single = crate::fit::fit_least_squares(&QuadraticFamily, &s, &config).unwrap();
+        let single = crate::fit::fit_least_squares(&CompetingRisksFamily, &s, &config).unwrap();
         assert!(sup.fit.sse <= single.sse);
+
+        // An exact fit has no iteration to starve: it converges on attempt
+        // 1, with its one evaluation, and is never retried.
+        let exact = fit_with_retry(
+            &QuadraticFamily,
+            &s,
+            &config,
+            &RetryPolicy::default(),
+            &Control::unbounded(),
+        )
+        .unwrap();
+        assert_eq!(exact.attempts, 1);
+        assert!(exact.fit.converged);
+        assert_eq!((exact.fit.evaluations, exact.fit.total_evaluations), (1, 1));
     }
 
     #[test]
     fn retry_schedule_is_deterministic() {
         let s = quadratic_series();
-        let mut config = FitConfig::default();
-        config.nelder_mead.max_iterations = 3;
-        config.lm_polish = false;
+        let config = starved();
         let run = || {
             fit_with_retry(
-                &QuadraticFamily,
+                &CompetingRisksFamily,
                 &s,
                 &config,
                 &RetryPolicy::default(),
@@ -1380,11 +1398,11 @@ mod tests {
         // iteration budget forces retries, each fleet cell's rows are
         // bit-identical to a one-cell call on its series, and the fleet's
         // event log is the concatenation of the one-cell logs.
+        // Competing Risks searches, so the starved budget retries it;
+        // Quartic's exact fits run alongside as zero-start jobs.
         let series_list = batch_series();
-        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &QuarticFamily];
-        let mut starved = FitConfig::default();
-        starved.nelder_mead.max_iterations = 3;
-        starved.lm_polish = false;
+        let families: Vec<&dyn ModelFamily> = vec![&CompetingRisksFamily, &QuarticFamily];
+        let starved = starved();
         let retry = ExecPolicy {
             retry: Some(RetryPolicy::default()),
             ..ExecPolicy::default()
@@ -1521,13 +1539,11 @@ mod tests {
         use resilience_obs::{CounterId, Event, HistogramId, RecordingObserver};
         use std::sync::Arc;
         let s = quadratic_series();
-        let mut config = FitConfig::default();
-        config.nelder_mead.max_iterations = 3;
-        config.lm_polish = false;
+        let config = starved();
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::unbounded().observe(rec.clone());
         let sup = fit_with_retry(
-            &QuadraticFamily,
+            &CompetingRisksFamily,
             &s,
             &config,
             &RetryPolicy::default(),
@@ -2024,8 +2040,7 @@ mod tests {
     }
 
     fn paper_families(mixtures: &[crate::mixture::MixtureFamily]) -> Vec<&dyn ModelFamily> {
-        let mut families: Vec<&dyn ModelFamily> =
-            vec![&QuadraticFamily, &crate::bathtub::CompetingRisksFamily];
+        let mut families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
         families.extend(mixtures.iter().map(|m| m as &dyn ModelFamily));
         families
     }
@@ -2045,23 +2060,21 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Event::StartBegan { .. }))
             .count();
-        // 3 + 8 + 4 × 9 starts (DESIGN.md §11).
-        assert_eq!(starts, 47);
+        // Quadratic's exact fit has none, Competing Risks' 8 guesses merge
+        // into 6 starts in ln β, and each mixture has 9 (DESIGN.md §11).
+        assert_eq!(starts, 6 + 4 * 9);
     }
 
     #[test]
     fn pooled_ranking_with_retries_matches_serial() {
         let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
         let mixtures = crate::mixture::MixtureFamily::paper_combinations();
-        let mut starved = FitConfig::default();
-        starved.nelder_mead.max_iterations = 3;
-        starved.lm_polish = false;
         let policy = ExecPolicy {
             retry: Some(RetryPolicy::default()),
             ..ExecPolicy::default()
         };
         let (_, events) =
-            assert_pooled_matches_serial(&paper_families(&mixtures), &series, &starved, &policy);
+            assert_pooled_matches_serial(&paper_families(&mixtures), &series, &starved(), &policy);
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::RetryScheduled { attempt: 2, .. })));
@@ -2145,11 +2158,7 @@ mod tests {
             ..ConstantProbe::new("Probe", &[0.5, 0.6, 7.0, 9.0])
         };
         let series = quadratic_series();
-        let families: Vec<&dyn ModelFamily> = vec![
-            &QuadraticFamily,
-            &probe,
-            &crate::bathtub::CompetingRisksFamily,
-        ];
+        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &probe, &CompetingRisksFamily];
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let (ranking, events) = assert_pooled_matches_serial(

@@ -1,9 +1,12 @@
-//! Small dense linear algebra: row-major matrices with an LU solver.
+//! Small dense linear algebra: row-major matrices with an LU solver, and
+//! a Householder QR least-squares solve.
 //!
 //! The Levenberg–Marquardt optimizer in `resilience-optim` solves the
 //! normal equations `(JᵀJ + λ diag(JᵀJ)) δ = Jᵀr` at every step; the
 //! resilience models have 2–5 parameters, so a simple dense implementation
-//! with partial pivoting is both sufficient and easy to audit.
+//! with partial pivoting is both sufficient and easy to audit. The fits
+//! that solve linear coefficients exactly, and the polynomial fit that
+//! seeds the quadratic search, go through [`least_squares_qr`].
 
 use crate::MathError;
 
@@ -323,6 +326,83 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Linear least squares by Householder QR: the `x` that minimizes
+/// `‖b − A·x‖₂` for the `n × k` matrix `A` stored column by column in `a`
+/// (column `j` is `a[j·n .. (j + 1)·n]`), where `n = b.len()`. As in
+/// LAPACK's `gels`, the solution overwrites `b[..k]`; `b[k..]` holds the
+/// residual rotated by `Qᵀ`, and the returned value is its sum of squares,
+/// summed with compensation. `a` is overwritten with `R` and scratch.
+///
+/// Returns `None`, leaving `a` and `b` unspecified, when `k = 0`,
+/// `a.len() ≠ n·k`, `n < k`, a result is not finite, or `A` is rank
+/// deficient: some column keeps no more than `n·ε` of its norm once the
+/// columns before it are projected out.
+///
+/// Householder QR is backward stable column by column and exactly
+/// equivariant under power-of-two column scaling, so it needs no rescaled
+/// variable to solve a monomial design `tʲ` well: unlike the normal
+/// equations, it never squares the condition number. Allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_math::linalg::least_squares_qr;
+/// // y = 1 + 2t at t = 0, 1, 2, plus a residual of ±0.1 around it.
+/// let mut a = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0];
+/// let mut b = [1.1, 2.8, 5.1];
+/// let sse = least_squares_qr(&mut a, &mut b, 2).unwrap();
+/// assert!((b[0] - 1.0).abs() < 1e-12 && (b[1] - 2.0).abs() < 1e-12);
+/// assert!((sse - 0.06).abs() < 1e-12);
+/// ```
+pub fn least_squares_qr(a: &mut [f64], b: &mut [f64], k: usize) -> Option<f64> {
+    let n = b.len();
+    if k == 0 || n < k || a.len() != n * k {
+        return None;
+    }
+    for j in 0..k {
+        let (done, rest) = a.split_at_mut((j + 1) * n);
+        let column = &mut done[j * n..];
+        let full: f64 = column.iter().map(|v| v * v).sum();
+        let below: f64 = column[j..].iter().map(|v| v * v).sum();
+        let (full, below) = (full.sqrt(), below.sqrt());
+        if !(below > n as f64 * f64::EPSILON * full) || !full.is_finite() {
+            return None;
+        }
+        // The reflector `v = column[j..] − α·e₁`, with `α` of the opposite
+        // sign to `column[j]` so that forming `v` cancels nothing. Once it
+        // has reflected the later columns and `b`, its first slot keeps
+        // `R_jj = α` for the back substitution.
+        let alpha = if column[j] < 0.0 { below } else { -below };
+        column[j] -= alpha;
+        let scale = -1.0 / (alpha * column[j]);
+        let v = &column[j..];
+        let reflect = |target: &mut [f64]| {
+            let s = scale * v.iter().zip(target.iter()).map(|(p, q)| p * q).sum::<f64>();
+            for (t, p) in target.iter_mut().zip(v) {
+                *t -= s * p;
+            }
+        };
+        for later in rest.chunks_exact_mut(n) {
+            reflect(&mut later[j..]);
+        }
+        reflect(&mut b[j..]);
+        column[j] = alpha;
+    }
+    for j in (0..k).rev() {
+        let mut acc = b[j];
+        for l in j + 1..k {
+            acc -= a[l * n + j] * b[l];
+        }
+        b[j] = acc / a[j * n + j];
+    }
+    let mut sse = crate::sum::CompensatedSum::new();
+    for r in &b[k..] {
+        sse.add(r * r);
+    }
+    let sse = sse.value();
+    (sse.is_finite() && b[..k].iter().all(|v| v.is_finite())).then_some(sse)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +512,58 @@ mod tests {
         let mut b = a.clone();
         b[(0, 0)] = f64::NAN;
         assert!(!b.is_finite());
+    }
+
+    /// The QR solve agrees with the normal equations on a well-conditioned
+    /// system, leaves a residual orthogonal to every column, and refuses
+    /// rank-deficient, underdetermined and malformed systems.
+    #[test]
+    fn least_squares_qr_solves_and_refuses() {
+        let ts: Vec<f64> = (0..12).map(f64::from).collect();
+        let ys: Vec<f64> = ts
+            .iter()
+            .map(|t| 0.5 - 0.3 * t + 0.02 * t * t + (t * 1.7).sin() * 0.01)
+            .collect();
+        let columns = |k: usize| -> Vec<f64> {
+            (0..k)
+                .flat_map(|j| ts.iter().map(move |t| t.powi(j as i32)))
+                .collect()
+        };
+        let mut a = columns(3);
+        let mut b = ys.clone();
+        let sse = least_squares_qr(&mut a, &mut b, 3).unwrap();
+        let x = &b[..3];
+        let design = Matrix::from_rows(3, ts.len(), columns(3))
+            .unwrap()
+            .transpose();
+        let normal = design
+            .gram()
+            .solve(&design.transpose_matvec(&ys).unwrap())
+            .unwrap();
+        for (got, want) in x.iter().zip(&normal) {
+            assert!(approx_eq(*got, *want, 1e-10, 1e-12), "{x:?} vs {normal:?}");
+        }
+        let residual: Vec<f64> = ys
+            .iter()
+            .zip(design.matvec(x).unwrap())
+            .map(|(y, p)| y - p)
+            .collect();
+        assert!(approx_eq(sse, dot(&residual, &residual), 1e-12, 1e-18));
+        for column in columns(3).chunks_exact(ts.len()) {
+            assert!(dot(&residual, column).abs() <= 1e-12 * norm2(column));
+        }
+
+        // A repeated column, too few rows, bad lengths, non-finite input.
+        let mut twice: Vec<f64> = [columns(2), columns(2)[12..].to_vec()].concat();
+        assert!(least_squares_qr(&mut twice, &mut ys.clone(), 3).is_none());
+        assert!(least_squares_qr(&mut [1.0, 2.0], &mut [1.0], 2).is_none());
+        assert!(least_squares_qr(&mut columns(2), &mut ys.clone(), 3).is_none());
+        assert!(least_squares_qr(&mut [], &mut [1.0], 0).is_none());
+        let mut nan = columns(2);
+        nan[5] = f64::NAN;
+        assert!(least_squares_qr(&mut nan, &mut ys.clone(), 2).is_none());
+        let mut zero = vec![0.0; 24];
+        assert!(least_squares_qr(&mut zero, &mut ys.clone(), 2).is_none());
     }
 
     #[test]

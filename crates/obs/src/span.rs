@@ -71,6 +71,10 @@ impl SolverSpan {
 pub struct AttemptSpan {
     /// 1-based attempt number.
     pub attempt: u32,
+    /// Multi-start pool size its `fit_started` announced: `Some(0)` for an
+    /// exact fit, which searches nothing; `None` when no `fit_started`
+    /// arrived (a faulted attempt, or telemetry lost).
+    pub starts: Option<u32>,
     /// Solver activations inside this attempt, in order.
     pub solvers: Vec<SolverSpan>,
     /// Objective evaluations charged to this attempt (counter deltas plus
@@ -86,6 +90,7 @@ impl AttemptSpan {
     fn new(attempt: u32) -> Self {
         Self {
             attempt,
+            starts: None,
             solvers: Vec::new(),
             evaluations: 0,
             stopped: None,
@@ -133,8 +138,6 @@ pub enum FitOutcome {
 pub struct FitSpan {
     /// Family name.
     pub family: &'static str,
-    /// Multi-start pool size (0 when the fit never started, e.g. skipped).
-    pub starts: u32,
     /// Attempts in order; empty for fits that never ran (breaker skips).
     pub attempts: Vec<AttemptSpan>,
     /// Terminal state.
@@ -147,7 +150,6 @@ impl FitSpan {
     fn new(family: &'static str) -> Self {
         Self {
             family,
-            starts: 0,
             attempts: Vec::new(),
             outcome: FitOutcome::Lost,
             panicked: false,
@@ -292,8 +294,10 @@ impl Builder {
         self.tree.events += 1;
         match *event {
             Event::JobStarted { cell, family } => self.open_job(cell, family),
-            // A retried attempt re-emits fit_started: only the pool size.
-            Event::FitStarted { family, starts } => self.running(family).starts = starts,
+            // Each attempt announces its own pool.
+            Event::FitStarted { family, starts } => {
+                self.running(family).attempt_mut().starts = Some(starts);
+            }
             Event::FitFinished {
                 family,
                 sse,
@@ -676,7 +680,11 @@ mod tests {
                 family: q,
                 attempt: 2,
             },
-            started(q), // re-emission for attempt 2, NOT a new cell
+            // Re-emission for attempt 2, NOT a new cell: an exact fit.
+            Event::FitStarted {
+                family: q,
+                starts: 0,
+            },
             evals(13),
             finished(q, 13),
         ];
@@ -684,6 +692,9 @@ mod tests {
         assert_eq!(tree.cells.len(), 1);
         let fit = &tree.cells[0].fits[0];
         assert_eq!(fit.attempts.len(), 2);
+        // Each attempt keeps its own pool size.
+        assert_eq!(fit.attempts[0].starts, Some(4));
+        assert_eq!(fit.attempts[1].starts, Some(0));
         assert_eq!(fit.attempts[0].evaluations, 7);
         assert_eq!(fit.attempts[0].stopped, Some(StopKind::Deadline));
         assert_eq!(fit.attempts[1].evaluations, 13);
@@ -922,7 +933,7 @@ mod tests {
         assert_eq!(fit.attempts.len(), 1);
         assert_eq!(fit.attempts[0].chaos, vec![ChaosKind::Deadline]);
         assert_eq!(fit.attempts[0].stopped, Some(StopKind::Deadline));
-        assert_eq!(fit.starts, 4);
+        assert_eq!(fit.attempts[0].starts, Some(4));
         assert_eq!(fit.outcome, FitOutcome::Failed(FailureCode::TimedOut));
         assert_eq!(tree.cells[0].evaluations(), 9);
     }

@@ -184,6 +184,13 @@ impl LevenbergMarquardt {
                 &analytic_jac
             };
             let jtj = jac.gram();
+            // A direction whose curvature is below ε² of the largest is flat
+            // to working precision: Marquardt's relative damping would leave
+            // it all but undamped and send the step off along it (a
+            // competing-risks γ at 1e-20, whose column 2γt is 1e-20 of the
+            // others), so it gets the absolute floor of an exactly flat one.
+            let flat =
+                (0..n).map(|i| jtj[(i, i)]).fold(0.0, f64::max) * f64::EPSILON * f64::EPSILON;
             // The Newton direction for ½‖r‖² is −(JᵀJ)⁻¹Jᵀr; fold the sign
             // into the right-hand side.
             let mut jtr = jac.transpose_matvec(&residuals)?;
@@ -198,8 +205,8 @@ impl LevenbergMarquardt {
                 let mut damped = jtj.clone();
                 for i in 0..n {
                     let d = jtj[(i, i)];
-                    // Guard completely flat directions with an absolute floor.
-                    damped[(i, i)] = d + lambda * if d > 0.0 { d } else { 1.0 };
+                    // Guard flat directions with an absolute floor.
+                    damped[(i, i)] = d + lambda * if d > flat { d } else { 1.0 };
                 }
                 let delta = match damped.solve(&jtr) {
                     Ok(d) => d,

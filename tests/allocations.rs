@@ -13,7 +13,7 @@ use std::cell::{Cell, RefCell};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
 use resilience_core::fit::{
-    fit_least_squares, fit_least_squares_with, solve_linear_coefficient, FitConfig, WarmStart,
+    fit_least_squares, fit_least_squares_with, solve_linear_coefficients, FitConfig, WarmStart,
 };
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
@@ -101,7 +101,10 @@ fn all_families(mixtures: &[MixtureFamily]) -> Vec<&dyn ModelFamily> {
 
 /// One SSE-objective evaluation allocates nothing, for every family: the
 /// exact scratch-buffer pattern `fit_least_squares` uses. The same holds
-/// for the profiled objective of the families with a linear coefficient.
+/// for the profiled objective of the families with linear coefficients,
+/// one column (the mixtures) or several (the bathtub families), at
+/// feasible and infeasible points and, for Competing Risks' two columns,
+/// on a face of its sign bounds.
 #[test]
 fn sse_objective_is_allocation_free() {
     let series = Recession::R1990_93.payroll_index();
@@ -170,35 +173,62 @@ fn sse_objective_is_allocation_free() {
             family.name(),
         );
 
-        if !family.has_linear_coefficient() {
+        let signs = family.linear_coefficients();
+        if signs.is_empty() {
             continue;
         }
-        // The profiled objective of a family with a linear coefficient:
-        // the design hook over reusable offset and column buffers, then
-        // the closed-form coefficient.
+        // The profiled objective of a family with linear coefficients: the
+        // design hook over reusable offset and column buffers, then the
+        // closed form (one column) or the QR solve (k columns).
         let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
-        let u = &internal[..internal.len() - 1];
-        let buffers = RefCell::new((vec![0.0; times.len()], vec![0.0; times.len()]));
-        let profiled = |x: &[f64]| -> f64 {
+        let (n, k) = (times.len(), signs.len());
+        let u = family.nonlinear_coordinates(&internal);
+        let buffers = RefCell::new((vec![0.0; n], vec![0.0; n * k]));
+        let profiled = |x: &[f64], ys: &[f64]| -> f64 {
             let mut guard = buffers.borrow_mut();
-            let (offset, column) = &mut *guard;
-            if !family.linear_design_into(x, times, &ln_times, offset, column) {
+            let (offset, columns) = &mut *guard;
+            if !family.linear_design_into(x, times, &ln_times, offset, columns) {
                 return f64::INFINITY;
             }
-            solve_linear_coefficient(observed, offset, column).map_or(f64::INFINITY, |(_, sse)| sse)
+            solve_linear_coefficients(ys, offset, columns, signs).unwrap_or(f64::INFINITY)
         };
         assert!(
-            profiled(u).is_finite(),
+            profiled(&u, observed).is_finite(),
             "{}: profiled objective",
             family.name()
         );
-        let nan_u = vec![f64::NAN; u.len()];
-        assert_eq!(profiled(&nan_u), f64::INFINITY, "{}", family.name());
-        for (path, x) in [("feasible", u), ("infeasible", &nan_u[..])] {
+        // A NaN point, or for a family with no nonlinear coordinate a point
+        // of the wrong length, is infeasible.
+        let nan_u = vec![f64::NAN; u.len().max(1)];
+        assert_eq!(
+            profiled(&nan_u, observed),
+            f64::INFINITY,
+            "{}",
+            family.name()
+        );
+        let mut points = vec![
+            ("feasible", u.clone(), observed.to_vec()),
+            ("infeasible", nan_u, observed.to_vec()),
+        ];
+        if k == 2 {
+            // A point on a face of the sign bounds: under a slow decay the
+            // two-column optimum of a falling line has γ < 0, which maps
+            // to +∞.
+            let falling: Vec<f64> = times.iter().map(|t| 1.0 - 0.002 * t).collect();
+            let face = vec![-8.0];
+            assert_eq!(
+                profiled(&face, &falling),
+                f64::INFINITY,
+                "{}",
+                family.name()
+            );
+            points.push(("face", face, falling));
+        }
+        for (path, x, ys) in &points {
             let mut acc = 0.0;
             let delta = min_delta(3, || {
                 for _ in 0..100 {
-                    acc += profiled(x);
+                    acc += profiled(x, ys);
                 }
             });
             assert_eq!(

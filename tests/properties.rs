@@ -416,6 +416,122 @@ fn fit_recovers_random_quadratic_truth() {
     );
 }
 
+/// How far an exact fit's residual may lean on one of its design
+/// columns, relative to `‖y‖·‖xⱼ‖`: rounding (the draws below reach
+/// 1.3e-15).
+const EXACT_SLACK: f64 = 1e-12;
+
+/// The same for a polished Competing Risks fit, whose Levenberg–Marquardt
+/// polish stops on its step and decrease tolerances rather than at
+/// rounding: the draws below lean up to 1.4e-10 on the `γ` column.
+const POLISHED_SLACK: f64 = 1e-9;
+
+/// `⟨r, x⟩ / (‖y‖·‖x‖)`: how far the residual `r` of a fit to `y` leans on
+/// the design column `x`.
+fn lean(r: &[f64], y: &[f64], x: &[f64]) -> f64 {
+    let dot: f64 = r.iter().zip(x).map(|(a, b)| a * b).sum();
+    let norm = |v: &[f64]| v.iter().map(|a| a * a).sum::<f64>().sqrt();
+    dot / (norm(y) * norm(x))
+}
+
+/// The residual of `fit` on `series`.
+fn residual(fit: &resilience_core::fit::FittedModel, series: &PerformanceSeries) -> Vec<f64> {
+    series
+        .iter()
+        .map(|(t, y)| y - fit.model.predict(t))
+        .collect()
+}
+
+/// Seeded series from the scenario grammar — every grid scenario, every
+/// noise level of the grids and a heavier one, n ∈ {32, 48, 96}, four
+/// seeds: 480 draws. Every Quartic fit and every Quadratic fit that took
+/// the exact path leaves a residual orthogonal to each design column
+/// (`1, t, …`), the interior half of the KKT certificate: the normal
+/// equations hold to rounding. A polished Competing Risks fit meets them,
+/// to its polish's tolerance, on its `α` column `1/(1+βt)` at its own `β`,
+/// and on its `γ` column `2t` unless `γ` sits on the face `γ → 0`, where
+/// the residual may only lean away from the column (KKT on the bound).
+#[test]
+fn exact_fits_satisfy_the_normal_equations() {
+    use resilience_core::bathtub::QuarticFamily;
+    use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid};
+    let mut rng = XorShift64::new(0xE4AC_7F17);
+    let grid = ScenarioGrid {
+        scenarios: GridScenario::ALL.to_vec(),
+        noises: vec![
+            NoiseLevel::Clean,
+            NoiseLevel::Gaussian { sd: 0.001 },
+            NoiseLevel::Uniform { amplitude: 0.002 },
+            NoiseLevel::Gaussian { sd: 0.01 },
+        ],
+        lengths: vec![32, 48, 96],
+        seeds: (0..4).map(|_| rng.next_u64()).collect(),
+    };
+    let config = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..FitConfig::default()
+    };
+    let fit = |family: &dyn ModelFamily, series: &PerformanceSeries| {
+        fit_least_squares_with(family, series, &config, &Control::unbounded()).unwrap()
+    };
+    let (mut exact_quadratic, mut faces) = (0, 0);
+    for cell in grid.cells() {
+        let series = cell.generate().unwrap();
+        let (ts, y) = (series.times(), series.values());
+        let name = cell.series_name();
+        let monomial = |j: i32| -> Vec<f64> { ts.iter().map(|t| t.powi(j)).collect() };
+
+        let quartic = fit(&QuarticFamily, &series);
+        assert_eq!(quartic.total_evaluations, 1, "{name}: Quartic searched");
+        let quadratic = fit(&QuadraticFamily, &series);
+        let mut polynomial = vec![(quartic, 4)];
+        if quadratic.total_evaluations == 1 {
+            exact_quadratic += 1;
+            polynomial.push((quadratic, 2));
+        }
+        for (fitted, degree) in polynomial {
+            let r = residual(&fitted, &series);
+            for j in 0..=degree {
+                let lean = lean(&r, y, &monomial(j));
+                assert!(
+                    lean.abs() <= EXACT_SLACK,
+                    "{name}: {} leans {lean:e} on t^{j}",
+                    fitted.model.name()
+                );
+            }
+        }
+
+        let cr = fit(&CompetingRisksFamily, &series);
+        let (beta, gamma) = (cr.params[1], cr.params[2]);
+        let r = residual(&cr, &series);
+        let decay: Vec<f64> = ts.iter().map(|t| 1.0 / (1.0 + beta * t)).collect();
+        let recovery: Vec<f64> = ts.iter().map(|t| 2.0 * t).collect();
+        let on_alpha = lean(&r, y, &decay);
+        assert!(
+            on_alpha.abs() <= POLISHED_SLACK,
+            "{name}: Competing Risks leans {on_alpha:e} on its α column"
+        );
+        let on_gamma = lean(&r, y, &recovery);
+        // On the face the γ term vanishes next to the curve.
+        let face = gamma * 2.0 * ts[ts.len() - 1] <= 1e-12;
+        faces += usize::from(face);
+        assert!(
+            if face {
+                on_gamma <= POLISHED_SLACK
+            } else {
+                on_gamma.abs() <= POLISHED_SLACK
+            },
+            "{name}: Competing Risks (γ = {gamma:e}) leans {on_gamma:e} on its γ column"
+        );
+    }
+    // Both paths of each family were exercised.
+    assert!(
+        exact_quadratic >= grid.len() / 2 && exact_quadratic < grid.len(),
+        "{exact_quadratic} exact Quadratic fits"
+    );
+    assert!(faces > 0 && faces < grid.len() / 4, "{faces} faces");
+}
+
 /// Real log lines: every event shape in the vocabulary, then the logs of
 /// observed fits of the two bathtub families the fleet gates run
 /// (Quadratic and Competing Risks) on the 1990–93 series.

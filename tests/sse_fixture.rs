@@ -3,17 +3,21 @@
 //! must fit to an SSE no worse than the fixture's best-known value
 //! (`tests/golden/paper_fit_sse.tsv`, whose header says how it was built
 //! and lists the pairs where a search change found a better optimum).
+//! The same holds for the 1 080 bathtub fits of the 360-cell scenario
+//! grid (`tests/golden/fleet_full_sse.tsv`, with its regenerator below).
 //!
 //! Rank-order and claim tests pass whether or not a fit reaches the best
 //! basin; this one fails as soon as a change to the fitting code settles
 //! for a worse one.
 
-use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
+use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::fit::{fit_least_squares, FitConfig};
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_core::validate::sse;
 use resilience_data::recessions::Recession;
+use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid};
+use std::collections::BTreeMap;
 
 /// How far above the best-known SSE a production fit may land: the
 /// rounding noise between two searches that reach the same optimum.
@@ -126,4 +130,127 @@ fn production_fits_reach_the_best_known_sse() {
             (fit.sse - row.sse) / row.sse
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The 360-cell scenario grid (`tests/golden/fleet_full_sse.tsv`).
+// ---------------------------------------------------------------------
+
+const GRID_FIXTURE_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/fleet_full_sse.tsv"
+);
+
+/// The 360-cell sweep `bench --smoke` fits for `BENCH_fleet_full.json`
+/// (`resilience_bench::fleet::full_grid`): every grid scenario × 3 noises
+/// × 3 lengths × the seed axis 42–45.
+fn full_grid() -> ScenarioGrid {
+    ScenarioGrid {
+        scenarios: GridScenario::ALL.to_vec(),
+        noises: vec![
+            NoiseLevel::Clean,
+            NoiseLevel::Gaussian { sd: 0.001 },
+            NoiseLevel::Uniform { amplitude: 0.002 },
+        ],
+        lengths: vec![32, 48, 96],
+        seeds: vec![42, 43, 44, 45],
+    }
+}
+
+/// The three families of the sweep.
+fn grid_families() -> [&'static dyn ModelFamily; 3] {
+    [&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily]
+}
+
+/// `(cell, family) → SSE` rows of a grid fixture's text.
+fn grid_rows(text: &str) -> BTreeMap<(String, String), f64> {
+    text.lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| {
+            let fields: Vec<&str> = line.split('\t').collect();
+            assert_eq!(fields.len(), 3, "malformed grid fixture row: {line}");
+            let sse = fields[2].parse().expect("fixture SSE");
+            ((fields[0].to_string(), fields[1].to_string()), sse)
+        })
+        .collect()
+}
+
+/// Every production fit of the grid, in cell order then family order.
+fn grid_fits() -> Vec<(String, &'static str, f64)> {
+    let mut fits = Vec::new();
+    for cell in full_grid().cells() {
+        let series = cell.generate().expect("grid cell generates");
+        for family in grid_families() {
+            let fit = fit_least_squares(family, &series, &FitConfig::default())
+                .unwrap_or_else(|e| panic!("{} {}: {e}", cell.series_name(), family.name()));
+            fits.push((cell.series_name(), family.name(), fit.sse));
+        }
+    }
+    fits
+}
+
+#[test]
+fn grid_fixture_covers_every_fit_once() {
+    let rows = grid_rows(&std::fs::read_to_string(GRID_FIXTURE_PATH).expect("grid fixture"));
+    let grid = full_grid();
+    assert_eq!(rows.len(), grid.len() * grid_families().len());
+    for cell in grid.cells() {
+        for family in grid_families() {
+            let key = (cell.series_name(), family.name().to_string());
+            assert!(rows.contains_key(&key), "{key:?} missing");
+        }
+    }
+}
+
+/// Every Quadratic, Competing Risks and Quartic fit of the 360-cell grid
+/// stays at or below its best-known SSE × (1 + 1e-9).
+#[test]
+fn grid_fits_reach_the_best_known_sse() {
+    let rows = grid_rows(&std::fs::read_to_string(GRID_FIXTURE_PATH).expect("grid fixture"));
+    let mut worse = Vec::new();
+    for (cell, family, sse) in grid_fits() {
+        let best = rows[&(cell.clone(), family.to_string())];
+        let within = sse <= best * (1.0 + RELATIVE_SLACK);
+        if !within {
+            worse.push(format!(
+                "{cell} {family}: production SSE {sse:e} above the best known {best:e} ({:+.3e} relative)",
+                (sse - best) / best
+            ));
+        }
+    }
+    assert!(worse.is_empty(), "{}", worse.join("\n"));
+}
+
+/// Regenerates `tests/golden/fleet_full_sse.tsv`: each row becomes the
+/// smaller of its current value and today's production SSE, the header
+/// (every `#` line) is kept, and every row that moves by more than
+/// 1e-9 relative either way is printed, for the header's lists.
+///
+/// ```sh
+/// cargo test --release --test sse_fixture -- --ignored --nocapture regenerate_grid_fixture
+/// ```
+#[test]
+#[ignore = "rewrites tests/golden/fleet_full_sse.tsv"]
+fn regenerate_grid_fixture() {
+    let old = std::fs::read_to_string(GRID_FIXTURE_PATH).unwrap_or_default();
+    let rows = grid_rows(&old);
+    let mut text: String = old
+        .lines()
+        .filter(|line| line.starts_with('#'))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    for (cell, family, sse) in grid_fits() {
+        let best = match rows.get(&(cell.clone(), family.to_string())) {
+            Some(&known) => {
+                let rel = (sse - known) / known;
+                if rel.abs() > RELATIVE_SLACK {
+                    println!("{cell}\t{family}\t{known:.6e} -> {sse:.6e} ({rel:+.3e})");
+                }
+                known.min(sse)
+            }
+            None => sse,
+        };
+        text.push_str(&format!("{cell}\t{family}\t{best:.17e}\n"));
+    }
+    std::fs::write(GRID_FIXTURE_PATH, text).expect("write the grid fixture");
 }
