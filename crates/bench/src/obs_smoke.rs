@@ -36,11 +36,12 @@ use resilience_obs::{Event, Histogram, HistogramId, MetricsSnapshot, SpanTree, W
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
 /// 1.5× the measured totals of the §11 speed layer with the linear
-/// coefficients solved exactly (Quadratic 16 945: 52 exact fits and 12
-/// searches on the boundary; Competing Risks 18 458), so tolerance tweaks
-/// pass but a family that searches its linear coefficients again
-/// (55 192 and 163 506) fails.
-pub const EVAL_CEILINGS: &[(&str, u64)] = &[("Quadratic", 25_500), ("Competing Risks", 27_700)];
+/// coefficients solved exactly (Quadratic 64: one evaluation per fit, 52
+/// inside the bathtub region and 12 on its boundary; Competing Risks
+/// 18 458), so tolerance tweaks pass but a Quadratic fit that searches
+/// again (16 945 when the boundary searched) or a family that searches
+/// its linear coefficients again (55 192 and 163 506) fails.
+pub const EVAL_CEILINGS: &[(&str, u64)] = &[("Quadratic", 96), ("Competing Risks", 27_700)];
 
 /// Ceiling applied to a family with no [`EVAL_CEILINGS`] entry: generous
 /// enough for any single family on the smoke grid, tight enough that a
@@ -49,8 +50,8 @@ pub const DEFAULT_EVAL_CEILING: u64 = 300_000;
 
 /// Committed ceiling on the canonical log's events per `start` line. An
 /// observed solver run writes a bounded number of lines whatever its
-/// iteration count; the smoke grid's log measures 9.89 per start (4 145
-/// events, 419 starts; an exact fit writes its lines without a start),
+/// iteration count; the smoke grid's log measures 9.91 per start (3 807
+/// events, 384 starts; an exact fit writes its lines without a start),
 /// and the ceiling is about 1.5× that. A log with a line per solver
 /// iteration (179 per start) fails the gate.
 pub const EVENTS_PER_START_CEILING: u64 = 14;
@@ -478,9 +479,9 @@ mod tests {
     fn a_log_with_a_line_per_iteration_fails_the_volume_gate() {
         // The smoke grid's 703 starts: 9.46 events per start passes, and
         // 179 per start, the log that wrote every solver iteration, fails.
-        // (With its exact fits, the grid now logs 4 145 events over 419.)
+        // (With its exact fits, the grid now logs 3 807 events over 384.)
         assert!(log_bounded(6_649, 703));
-        assert!(log_bounded(4_145, 419));
+        assert!(log_bounded(3_807, 384));
         assert!(log_bounded(EVENTS_PER_START_CEILING * 703, 703));
         assert!(!log_bounded(EVENTS_PER_START_CEILING * 703 + 1, 703));
         assert!(!log_bounded(179 * 703, 703));
@@ -498,7 +499,7 @@ mod tests {
 
     #[test]
     fn ceilings_cover_the_smoke_families() {
-        assert_eq!(eval_ceiling("Quadratic"), 25_500);
+        assert_eq!(eval_ceiling("Quadratic"), 96);
         assert_eq!(eval_ceiling("Competing Risks"), 27_700);
         assert_eq!(eval_ceiling("Never Heard Of It"), DEFAULT_EVAL_CEILING);
     }

@@ -1,10 +1,9 @@
 //! The competing-risks bathtub model (paper Eq. 4–6).
 
-use crate::model::{ModelFamily, ResilienceModel, Sign, SSE_BATCH_WIDTH};
+use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
-use resilience_math::sum::CompensatedSum;
 
 /// Competing-risks resilience curve `P(t) = 2γt + α/(1 + βt)` with
 /// `α, β, γ > 0` — the Hjorth (1980) bathtub hazard adopted by the
@@ -293,55 +292,6 @@ impl ModelFamily for CompetingRisksFamily {
             out[(i, 0)] = alpha / denom;
             out[(i, 1)] = -alpha * beta * t / (denom * denom);
             out[(i, 2)] = two_gamma * t;
-        }
-        true
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        const W: usize = SSE_BATCH_WIDTH;
-        assert_eq!(
-            internals.len(),
-            3 * out.len(),
-            "CompetingRisksFamily::sse_batch_into: internals.len() must be 3 * out.len()"
-        );
-        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
-        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
-            let base = chunk_idx * W;
-            let k = chunk.len();
-            // SoA lanes (see QuadraticFamily::sse_batch_into).
-            let mut alphas = [0.0; W];
-            let mut betas = [0.0; W];
-            let mut gammas = [0.0; W];
-            let mut live = [false; W];
-            for i in 0..k {
-                let u = &internals[(base + i) * 3..(base + i) * 3 + 3];
-                // Identical arithmetic to `internal_to_params_into`.
-                let (alpha, beta, gamma) = (u[0].exp(), u[1].exp(), u[2].exp());
-                alphas[i] = alpha;
-                betas[i] = beta;
-                gammas[i] = gamma;
-                live[i] = CompetingRisksModel::feasible(alpha, beta, gamma);
-            }
-            let mut sums = [CompensatedSum::new(); W];
-            let mut finite = [true; W];
-            for (&t, &y) in ts.iter().zip(ys) {
-                for i in 0..k {
-                    // Same association as the scalar `predict_into`.
-                    let pred = 2.0 * gammas[i] * t + alphas[i] / (1.0 + betas[i] * t);
-                    if !pred.is_finite() {
-                        finite[i] = false;
-                    }
-                    let d = y - pred;
-                    sums[i].add(d * d);
-                }
-            }
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = if live[i] && finite[i] {
-                    sums[i].value()
-                } else {
-                    f64::INFINITY
-                };
-            }
         }
         true
     }

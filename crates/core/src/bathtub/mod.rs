@@ -26,9 +26,6 @@ pub use competing_risks::{CompetingRisksFamily, CompetingRisksModel};
 pub use quadratic::{QuadraticFamily, QuadraticModel};
 pub use quartic::{QuarticFamily, QuarticModel};
 
-use resilience_data::PerformanceSeries;
-use resilience_math::linalg::least_squares_qr;
-
 /// Writes the monomial design `tʲ`, column `j` at
 /// `columns[j·n .. (j + 1)·n]` for `j < columns.len() / n`, where
 /// `n = ts.len()`: the columns of the polynomial families' linear
@@ -48,70 +45,20 @@ fn monomial_columns_into(ts: &[f64], columns: &mut [f64]) {
 
 /// The polynomial families' [`crate::ModelFamily::linear_design_into`]:
 /// no nonlinear coordinate, a zero offset and the monomial columns. `false`
-/// on a nonempty `nonlinear` or on lengths that disagree.
+/// on a nonempty `nonlinear` or on lengths that disagree. It reads no
+/// `ln t` table: an exact fit builds none.
 fn polynomial_design_into(
     degree: usize,
     nonlinear: &[f64],
     ts: &[f64],
-    ln_ts: &[f64],
     offset: &mut [f64],
     columns: &mut [f64],
 ) -> bool {
     let n = ts.len();
-    if !nonlinear.is_empty()
-        || n == 0
-        || ln_ts.len() != n
-        || offset.len() != n
-        || columns.len() != n * (degree + 1)
-    {
+    if !nonlinear.is_empty() || n == 0 || offset.len() != n || columns.len() != n * (degree + 1) {
         return false;
     }
     offset.fill(0.0);
     monomial_columns_into(ts, columns);
     true
-}
-
-/// Fits a polynomial of the given degree to a series by ordinary least
-/// squares: Householder QR on the monomial design, the solve the exact
-/// polynomial fits make (DESIGN.md §11). Returns ascending coefficients,
-/// or `None` when the design is rank deficient (fewer distinct times than
-/// coefficients).
-///
-/// Seeds the Quadratic search where its exact fit is not representable:
-/// the unconstrained optimum, projected into the bathtub region, is an
-/// excellent starting point for the constrained search.
-pub(crate) fn polynomial_ols(series: &PerformanceSeries, degree: usize) -> Option<Vec<f64>> {
-    let ts = series.times();
-    let mut columns = vec![0.0; ts.len() * (degree + 1)];
-    monomial_columns_into(ts, &mut columns);
-    let mut rhs = series.values().to_vec();
-    least_squares_qr(&mut columns, &mut rhs, degree + 1)?;
-    rhs.truncate(degree + 1);
-    Some(rhs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn polynomial_ols_recovers_exact_coefficients() {
-        let values: Vec<f64> = (0..20)
-            .map(|i| {
-                let t = i as f64;
-                1.0 - 0.02 * t + 0.001 * t * t
-            })
-            .collect();
-        let s = PerformanceSeries::monthly("p", values).unwrap();
-        let c = polynomial_ols(&s, 2).unwrap();
-        assert!((c[0] - 1.0).abs() < 1e-9);
-        assert!((c[1] + 0.02).abs() < 1e-9);
-        assert!((c[2] - 0.001).abs() < 1e-10);
-    }
-
-    #[test]
-    fn polynomial_ols_underdetermined_is_none() {
-        let s = PerformanceSeries::monthly("p", vec![1.0, 0.9, 1.0]).unwrap();
-        assert!(polynomial_ols(&s, 4).is_none());
-    }
 }

@@ -7,6 +7,12 @@ use resilience_math::linalg::Matrix;
 use resilience_math::poly::{quadratic_roots, Polynomial};
 use resilience_math::sum::CompensatedSum;
 
+/// The clamp [`QuadraticFamily`]'s internal map applies to
+/// `s = −β/(2√(αγ))`: `s = 0` is the bathtub cone's face `β = 0`, `s = 1`
+/// its surface `β² = 4αγ`, and no internal point reaches either.
+const S_MIN: f64 = 1e-9;
+const S_MAX: f64 = 1.0 - 1e-9;
+
 /// Quadratic bathtub resilience curve `P(t) = α + βt + γt²`
 /// (paper Eq. 1).
 ///
@@ -207,6 +213,13 @@ impl QuadraticFamily {
         let beta = -2.0 * (alpha * gamma).sqrt() * s;
         vec![alpha, beta, gamma]
     }
+
+    /// `[ln α, logit s, ln γ]`, with `s` clamped as the internal map
+    /// clamps it.
+    fn internal(alpha: f64, s: f64, gamma: f64) -> [f64; 3] {
+        let s = s.clamp(S_MIN, S_MAX);
+        [alpha.ln(), (s / (1.0 - s)).ln(), gamma.ln()]
+    }
 }
 
 impl ModelFamily for QuadraticFamily {
@@ -226,7 +239,7 @@ impl ModelFamily for QuadraticFamily {
         );
         let alpha = internal[0].exp();
         // Numerically safe logistic clamped strictly inside (0, 1).
-        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
+        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(S_MIN, S_MAX);
         let gamma = internal[2].exp();
         QuadraticFamily::external(alpha, s, gamma)
     }
@@ -239,7 +252,7 @@ impl ModelFamily for QuadraticFamily {
         );
         assert_eq!(out.len(), 3, "QuadraticFamily writes 3 external params");
         let alpha = internal[0].exp();
-        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
+        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(S_MIN, S_MAX);
         let gamma = internal[2].exp();
         out[0] = alpha;
         out[1] = -2.0 * (alpha * gamma).sqrt() * s;
@@ -282,8 +295,8 @@ impl ModelFamily for QuadraticFamily {
             return false;
         }
         let (alpha, beta, gamma) = (params[0], params[1], params[2]);
-        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
-        let ds = if s > 1e-9 && s < 1.0 - 1e-9 {
+        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(S_MIN, S_MAX);
+        let ds = if s > S_MIN && s < S_MAX {
             s * (1.0 - s)
         } else {
             0.0
@@ -319,7 +332,7 @@ impl ModelFamily for QuadraticFamily {
                 let u = &internals[(base + i) * 3..(base + i) * 3 + 3];
                 // Identical arithmetic to `internal_to_params_into`.
                 let alpha = u[0].exp();
-                let s = (1.0 / (1.0 + (-u[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
+                let s = (1.0 / (1.0 + (-u[1]).exp())).clamp(S_MIN, S_MAX);
                 let gamma = u[2].exp();
                 let beta = -2.0 * (alpha * gamma).sqrt() * s;
                 alphas[i] = alpha;
@@ -363,18 +376,18 @@ impl ModelFamily for QuadraticFamily {
         &self,
         nonlinear: &[f64],
         ts: &[f64],
-        ln_ts: &[f64],
+        _ln_ts: &[f64],
         offset: &mut [f64],
         columns: &mut [f64],
     ) -> bool {
-        super::polynomial_design_into(2, nonlinear, ts, ln_ts, offset, columns)
+        super::polynomial_design_into(2, nonlinear, ts, offset, columns)
     }
 
     /// `[ln α, logit s, ln γ]` when the coefficients lie strictly inside
     /// the region `internal_to_params` maps onto: `α, γ > 0` and
     /// `s = −β/(2√(αγ))` strictly inside its clamp `[1e-9, 1 − 1e-9]`.
-    /// Elsewhere the constrained optimum lies on the region's boundary,
-    /// which only the search reaches, so `None`.
+    /// Elsewhere the constrained optimum lies on the region's boundary
+    /// ([`ModelFamily::boundary_optimum`]), so `None`.
     fn join_linear(&self, nonlinear: &[f64], coefficients: &[f64]) -> Option<Vec<f64>> {
         let &[alpha, beta, gamma] = coefficients else {
             return None;
@@ -383,7 +396,16 @@ impl ModelFamily for QuadraticFamily {
             return None;
         }
         let s = -beta / (2.0 * (alpha * gamma).sqrt());
-        (s > 1e-9 && s < 1.0 - 1e-9).then(|| vec![alpha.ln(), (s / (1.0 - s)).ln(), gamma.ln()])
+        (s > S_MIN && s < S_MAX).then(|| QuadraticFamily::internal(alpha, s, gamma).to_vec())
+    }
+
+    /// The least-squares optimum over the closed bathtub cone
+    /// `{α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, moved to the nearest point the
+    /// internal map reaches (DESIGN.md §11, "The bathtub cone's
+    /// boundary"). `None` on fewer than three times, where the design is
+    /// rank deficient.
+    fn boundary_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Vec<f64>> {
+        boundary_optimum(ts, ys).map(|internal| internal.to_vec())
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -394,8 +416,7 @@ impl ModelFamily for QuadraticFamily {
         // Validate via the constructor.
         QuadraticModel::new(alpha, beta, gamma)?;
         let s = -beta / (2.0 * (alpha * gamma).sqrt());
-        let s = s.clamp(1e-9, 1.0 - 1e-9);
-        Ok(vec![alpha.ln(), (s / (1.0 - s)).ln(), gamma.ln()])
+        Ok(QuadraticFamily::internal(alpha, s, gamma).to_vec())
     }
 
     fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
@@ -407,18 +428,13 @@ impl ModelFamily for QuadraticFamily {
         )?))
     }
 
+    /// Only a fit on fewer than three times searches (its design is rank
+    /// deficient): every other one is one solve, in the region or on its
+    /// boundary.
     fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
         let mut guesses = Vec::new();
         let nominal = series.nominal().max(1e-6);
-        // Guess 1: the unconstrained least-squares optimum, the exact fit's
-        // solve, projected into the region.
-        if let Some(c) = super::polynomial_ols(series, 2) {
-            let alpha = c[0].max(1e-6);
-            let gamma = c[2].max(1e-9);
-            let s = (-c[1] / (2.0 * (alpha * gamma).sqrt())).clamp(0.05, 0.95);
-            guesses.push(QuadraticFamily::external(alpha, s, gamma));
-        }
-        // Guess 2: trough geometry. P(t) ≈ P_d + γ(t − t_d)² ⇒
+        // Guess 1: trough geometry. P(t) ≈ P_d + γ(t − t_d)² ⇒
         // γ = (P(0) − P_d)/t_d², β = −2γt_d, α = P(0).
         if let Some((t_d, p_d)) = series.trough() {
             if t_d > 0.0 && p_d < nominal {
@@ -427,11 +443,138 @@ impl ModelFamily for QuadraticFamily {
                 guesses.push(QuadraticFamily::external(nominal, s, gamma));
             }
         }
-        // Guess 3: a generic shallow bathtub.
+        // Guess 2: a generic shallow bathtub.
         let t_end = series.times()[series.len() - 1].max(1.0);
         let gamma = 0.02 * nominal / (t_end * t_end);
         guesses.push(QuadraticFamily::external(nominal, 0.5, gamma));
         guesses
+    }
+}
+
+/// What a boundary candidate's zero `α` or `γ` is raised to: positive, so
+/// its logarithm is finite, and small enough that `α·γ` stays a normal
+/// number while the term it adds to the curve vanishes in rounding.
+const RAISED_ZERO: f64 = 1e-150;
+
+/// Where the search of the surface for its trough `ρ = r/T` stops: beyond
+/// it the curve is the constant the face already offers, and `(u − ρ)⁴`
+/// is still finite.
+const RHO_MAX: f64 = 1e75;
+
+/// The least-squares optimum of `P(t) = α + βt + γt²` over the closed
+/// bathtub cone `K = {α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, as the internal point
+/// of its nearest representable neighbour (DESIGN.md §11, "The bathtub
+/// cone's boundary"). `None` on fewer than three times or lengths that
+/// disagree.
+///
+/// When the unconstrained optimum lies outside `K`, the optimum lies on
+/// its boundary, and the candidates are the optimum of each piece:
+///
+/// * the face `β = 0`, `P = α + γt²`: a two-column non-negative least
+///   squares over `[1, t²]`;
+/// * the surface `β² = 4αγ`, `P = γ(t − r)²` with trough `r ≥ 0`, where
+///   `γ(r) = max(0, Σy(t−r)²/Σ(t−r)⁴)`: at `r = 0` and at each sign change
+///   of the stationarity polynomial, of degree at most 4 in `ρ = r/T`.
+///
+/// Each candidate moves to its nearest representable point (`s` clamped
+/// to `1e-9` on the face and `1 − 1e-9` on the surface, a zero `α` or `γ`
+/// raised to [`RAISED_ZERO`]) and is scored with the full objective; the
+/// least SSE wins, the first one on a tie. `K` is convex, so least
+/// squares over it has no local minimum but the global one.
+fn boundary_optimum(ts: &[f64], ys: &[f64]) -> Option<[f64; 3]> {
+    if ts.len() < 3 || ys.len() != ts.len() {
+        return None;
+    }
+    // u = t/T keeps every power sum within n of the others.
+    let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+    let [mut s0, mut s1, mut s2, mut s3, mut s4, mut y0, mut y1, mut y2] = [0.0; 8];
+    for (&t, &v) in ts.iter().zip(ys) {
+        let u = t / scale;
+        let u2 = u * u;
+        s0 += 1.0;
+        s1 += u;
+        s2 += u2;
+        s3 += u2 * u;
+        s4 += u2 * u2;
+        y0 += v;
+        y1 += v * u;
+        y2 += v * u2;
+    }
+    // A curvature `g` in `u` is `γ = g/T²` in `t`.
+    let gamma = |g: f64| g / (scale * scale);
+
+    // The face: NNLS over [1, u²]. Both columns, or else the one column
+    // that removes more of Σy².
+    let det = s0 * s4 - s2 * s2;
+    let (a, g) = ((y0 * s4 - y2 * s2) / det, (s0 * y2 - s2 * y0) / det);
+    let (a, g) = if det > 0.0 && a >= 0.0 && g >= 0.0 {
+        (a, g)
+    } else if y0.max(0.0).powi(2) / s0 >= y2.max(0.0).powi(2) / s4 {
+        ((y0 / s0).max(0.0), 0.0)
+    } else {
+        (0.0, (y2 / s4).max(0.0))
+    };
+    let mut best = Scored::of(ts, ys, a, S_MIN, gamma(g));
+
+    // The surface: r = 0, then every stationary trough.
+    let mut surface = |rho: f64, g: f64| {
+        if g > 0.0 && g.is_finite() {
+            best.keep(Scored::of(ts, ys, g * rho * rho, S_MAX, gamma(g)));
+        }
+    };
+    surface(0.0, y2 / s4);
+    let stationary = Polynomial::new(vec![
+        y1 * s4 - y2 * s3,
+        3.0 * y2 * s2 - 2.0 * y1 * s3 - y0 * s4,
+        3.0 * (y0 * s3 - y2 * s1),
+        y2 * s0 + 2.0 * y1 * s1 - 3.0 * y0 * s2,
+        y0 * s1 - y1 * s0,
+    ]);
+    for rho in stationary.sign_changes(0.0, stationary.root_bound().min(RHO_MAX)) {
+        let (mut num, mut den) = (0.0, 0.0);
+        for (&t, &v) in ts.iter().zip(ys) {
+            let d = t / scale - rho;
+            num += v * d * d;
+            den += d * d * d * d;
+        }
+        surface(rho, num / den);
+    }
+    best.sse.is_finite().then_some(best.internal)
+}
+
+/// A boundary candidate's internal point and its SSE.
+struct Scored {
+    internal: [f64; 3],
+    sse: f64,
+}
+
+impl Scored {
+    /// The candidate `(α, s, γ)` at its nearest representable point,
+    /// scored as the fit's objective scores it: `+∞` where the point is
+    /// infeasible or the SSE is not finite.
+    fn of(ts: &[f64], ys: &[f64], alpha: f64, s: f64, gamma: f64) -> Scored {
+        let internal = QuadraticFamily::internal(alpha.max(RAISED_ZERO), s, gamma.max(RAISED_ZERO));
+        let mut p = [0.0; 3];
+        QuadraticFamily.internal_to_params_into(&internal, &mut p);
+        let mut sse = f64::INFINITY;
+        if QuadraticModel::feasible(p[0], p[1], p[2]) {
+            let mut sum = CompensatedSum::new();
+            for (&t, &v) in ts.iter().zip(ys) {
+                let d = v - (p[0] + p[1] * t + p[2] * t * t);
+                sum.add(d * d);
+            }
+            if sum.value().is_finite() {
+                sse = sum.value();
+            }
+        }
+        Scored { internal, sse }
+    }
+
+    /// Keeps `other` when it scores strictly less.
+    fn keep(&mut self, other: Scored) {
+        if other.sse < self.sse {
+            *self = other;
+        }
     }
 }
 
@@ -572,10 +715,6 @@ mod tests {
                 "infeasible guess {g:?}"
             );
         }
-        // The OLS guess should be essentially exact on noiseless data.
-        let g0 = &guesses[0];
-        assert!((g0[0] - 1.0).abs() < 1e-6);
-        assert!((g0[1] + 0.012).abs() < 1e-6);
     }
 
     #[test]

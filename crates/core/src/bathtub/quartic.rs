@@ -145,11 +145,11 @@ impl ModelFamily for QuarticFamily {
         &self,
         nonlinear: &[f64],
         ts: &[f64],
-        ln_ts: &[f64],
+        _ln_ts: &[f64],
         offset: &mut [f64],
         columns: &mut [f64],
     ) -> bool {
-        super::polynomial_design_into(4, nonlinear, ts, ln_ts, offset, columns)
+        super::polynomial_design_into(4, nonlinear, ts, offset, columns)
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {

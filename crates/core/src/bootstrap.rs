@@ -16,7 +16,7 @@ use resilience_data::PerformanceSeries;
 use resilience_obs::{CounterId, Event};
 use resilience_optim::parallel::run_indexed_catch;
 use resilience_optim::{Control, Parallelism};
-use resilience_stats::describe::quantile;
+use resilience_stats::describe::quantile_sorted;
 use resilience_stats::XorShift64;
 
 /// A pointwise bootstrap *prediction* band: each limit reflects both
@@ -192,7 +192,8 @@ pub struct BootstrapCheckpoint {
     fitted: Vec<f64>,
     residuals: Vec<f64>,
     seed_params: Vec<f64>,
-    per_time: Vec<Vec<f64>>,
+    /// Each successful replicate's predictions, in replicate order.
+    predictions: Vec<Vec<f64>>,
 }
 
 impl BootstrapCheckpoint {
@@ -269,17 +270,17 @@ pub fn bootstrap_band_checkpointed(
             fitted,
             residuals,
             seed_params: base.params,
-            per_time: vec![Vec::new(); n],
+            predictions: Vec::with_capacity(config.replicates),
         });
     }
     let cp = checkpoint.as_mut().expect("checkpoint initialized above");
-    if cp.per_time.len() != n || cp.next_rep > config.replicates {
+    if cp.times.len() != n || cp.next_rep > config.replicates {
         return Err(CoreError::arg(
             "bootstrap_band",
             format!(
                 "checkpoint does not match this run: {} band points for {} observations, \
                  {} of {} replicates done",
-                cp.per_time.len(),
+                cp.times.len(),
                 n,
                 cp.next_rep,
                 config.replicates
@@ -350,11 +351,7 @@ pub fn bootstrap_band_checkpointed(
         let failed_before = cp.failed;
         for outcome in replicate_preds {
             match outcome {
-                Ok(Some(preds)) => {
-                    for (slot, p) in cp.per_time.iter_mut().zip(preds) {
-                        slot.push(p);
-                    }
-                }
+                Ok(Some(preds)) => cp.predictions.push(preds),
                 // Refit failure and replicate panic degrade identically:
                 // one failed replicate, never a lost band.
                 Ok(None) | Err(_) => cp.failed += 1,
@@ -391,9 +388,16 @@ pub fn bootstrap_band_checkpointed(
     }
     let mut lower = Vec::with_capacity(n);
     let mut upper = Vec::with_capacity(n);
-    for values in &cp.per_time {
-        lower.push(quantile(values, config.alpha / 2.0)?);
-        upper.push(quantile(values, 1.0 - config.alpha / 2.0)?);
+    let mut values = Vec::with_capacity(ok);
+    for i in 0..n {
+        // The replicates' predictions at time i, in replicate order. Each is
+        // finite (the guard above), so one stable sort, the one `quantile`
+        // gives its copy, serves both percentiles.
+        values.clear();
+        values.extend(cp.predictions.iter().map(|preds| preds[i]));
+        values.sort_by(|a, b| a.partial_cmp(b).expect("finite replicate predictions"));
+        lower.push(quantile_sorted(&values, config.alpha / 2.0)?);
+        upper.push(quantile_sorted(&values, 1.0 - config.alpha / 2.0)?);
     }
     let finished = checkpoint.take().expect("checkpoint present");
     Ok(Some(BootstrapBand {

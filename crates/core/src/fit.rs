@@ -514,9 +514,12 @@ pub fn fit_least_squares(
 /// the warm probe and the starts), every start in one [`multi_start`] pool
 /// of `config.parallelism` threads, and the finish (reduce, lift, polish,
 /// guard). A family with no nonlinear coordinate left (Quadratic, Quartic;
-/// DESIGN.md §11) whose least-squares optimum it can represent skips the
-/// search and the polish: its fit is that solve, and the control is
-/// polled once before it is rescored.
+/// DESIGN.md §11) skips the search and the polish: its fit is one solve,
+/// the least-squares optimum when the family can represent it, and
+/// otherwise the optimum on its region's boundary
+/// ([`ModelFamily::boundary_optimum`], the Quadratic's bathtub cone), and
+/// the control is polled once before it is rescored. Only a design with
+/// fewer distinct times than coefficients searches.
 ///
 /// # Errors
 ///
@@ -542,7 +545,7 @@ pub(crate) fn fit_from(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    let ln_times = if profiles(family) {
+    let ln_times = if reads_ln_table(family) {
         ln_table(series.times())
     } else {
         Vec::new()
@@ -560,7 +563,14 @@ fn profiles(family: &dyn ModelFamily) -> bool {
     (1..=family.n_params()).contains(&family.linear_coefficients().len())
 }
 
-/// `ln t` for every time: the table a profiled fit's design reads
+/// Whether a fit of `family` may read the `ln t` table: only a profiled
+/// search over nonlinear coordinates does. An exact fit's design is
+/// polynomial, and a fit over every coordinate has no design.
+pub(crate) fn reads_ln_table(family: &dyn ModelFamily) -> bool {
+    (1..family.n_params()).contains(&family.linear_coefficients().len())
+}
+
+/// `ln t` for every time: the table a profiled search's design reads
 /// (DESIGN.md §11).
 pub(crate) fn ln_table(times: &[f64]) -> Vec<f64> {
     times.iter().map(|t| t.ln()).collect()
@@ -609,18 +619,19 @@ impl<'a> FitPlan<'a> {
     ///
     /// A profiled family with no nonlinear coordinate is solved exactly
     /// when [`ModelFamily::join_linear`] accepts the least-squares
-    /// coefficients; the plan logs its `fit_started` with zero starts and
-    /// computes no guesses. A rejected solve logs and counts nothing, and
-    /// the fit searches every internal coordinate, as a family without
-    /// linear coefficients does.
+    /// coefficients, or else when [`ModelFamily::boundary_optimum`] gives
+    /// the optimum on its region's boundary; the plan logs its
+    /// `fit_started` with zero starts and computes no guesses. A rejected
+    /// solve logs and counts nothing, and the fit searches every internal
+    /// coordinate, as a family without linear coefficients does.
     ///
     /// Otherwise the starts are `guesses`, or the family's own when `None`,
     /// in the search space: every internal coordinate, or for a profiled
     /// family its nonlinear coordinates, in which case guesses that
     /// coincide there are merged, keeping the first, before
     /// `config.max_starts` applies. Guesses that do not convert are
-    /// dropped. `ln_times` is [`ln_table`] of the series' times; only a
-    /// profiled family reads it.
+    /// dropped. `ln_times` is [`ln_table`] of the series' times when
+    /// [`reads_ln_table`], and may be empty otherwise.
     ///
     /// # Errors
     ///
@@ -660,9 +671,16 @@ impl<'a> FitPlan<'a> {
         };
         if profiled && k == n_params {
             let (times, observed) = (series.times(), series.values());
+            let finite = |(_, sse): &(Vec<f64>, f64)| sse.is_finite();
             let solved = ProfiledObjective::new(family, times, ln_times, observed)
                 .lift_point(&[])
-                .filter(|(_, sse)| sse.is_finite());
+                .filter(finite)
+                .or_else(|| {
+                    let internal = family.boundary_optimum(times, observed)?;
+                    let sse = SseObjective::new(family, times, observed).eval(&internal);
+                    Some((internal, sse))
+                })
+                .filter(finite);
             if solved.is_some() {
                 if traced {
                     control.emit(Event::FitStarted {
@@ -1038,18 +1056,10 @@ mod tests {
         assert_eq!(a.sse, b.sse);
     }
 
-    /// A falling, concave series: the Quadratic least-squares optimum has
-    /// `γ < 0`, outside the bathtub region, so the fit searches.
-    fn concave_series() -> PerformanceSeries {
-        let mut wiggle = 0.29_f64;
-        let values: Vec<f64> = (0..40)
-            .map(|i| {
-                let t = i as f64;
-                wiggle = (wiggle * 151.0).fract();
-                1.0 - 0.002 * t - 0.00002 * t * t + 0.001 * (wiggle - 0.5)
-            })
-            .collect();
-        PerformanceSeries::monthly("concave", values).unwrap()
+    /// Two points: fewer distinct times than the Quadratic's three
+    /// coefficients, so its design is rank deficient and the fit searches.
+    fn rank_deficient_series() -> PerformanceSeries {
+        PerformanceSeries::monthly("two points", vec![1.0, 0.98]).unwrap()
     }
 
     #[test]
@@ -1060,7 +1070,7 @@ mod tests {
         // (family, series, whether the fit is one exact solve)
         let mut cases: Vec<(&dyn ModelFamily, PerformanceSeries, bool)> = vec![
             (&QuadraticFamily, quadratic_series(0.002), true),
-            (&QuadraticFamily, concave_series(), false),
+            (&QuadraticFamily, rank_deficient_series(), false),
             (&CompetingRisksFamily, recession.clone(), false),
             (&QuarticFamily, recession.clone(), true),
         ];
@@ -1324,8 +1334,8 @@ mod tests {
     /// What an exact fit logs and counts: its plan's `fit_started` with no
     /// starts, one evaluation (the rescoring), `fit_finished` and
     /// `evals_per_fit`; under an expired deadline, its finish's one poll.
-    /// A rejected solve leaves no trace: the boundary fit's log opens with
-    /// the search's three starts.
+    /// A rejected solve leaves no trace: the rank-deficient fit's log
+    /// opens with the search's two starts.
     #[test]
     fn exact_fits_log_one_evaluation_and_rejected_solves_nothing() {
         use resilience_obs::{RecordingObserver, StopKind};
@@ -1383,9 +1393,9 @@ mod tests {
             ]
         );
 
-        let (fit, events) = observed(&concave_series(), Control::unbounded());
+        let (fit, events) = observed(&rank_deficient_series(), Control::unbounded());
         assert!(fit.unwrap().total_evaluations > 1);
-        assert_eq!(events[0], Event::FitStarted { family, starts: 3 });
+        assert_eq!(events[0], Event::FitStarted { family, starts: 2 });
         assert_eq!(events[1], Event::StartBegan { index: 0 });
     }
 

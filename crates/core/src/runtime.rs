@@ -26,7 +26,8 @@
 
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::fit::{
-    fit_from, fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel, WarmStart,
+    fit_from, fit_least_squares_with, ln_table, reads_ln_table, FitConfig, FitPlan, FittedModel,
+    WarmStart,
 };
 use crate::model::ModelFamily;
 use crate::selection::{
@@ -793,7 +794,11 @@ fn pooled_wave(
     recorders: Option<&[Arc<RecordingObserver>]>,
 ) -> Vec<JobOutcome> {
     let nf = families.len();
-    let ln_tables: Vec<Vec<f64>> = cells.iter().map(|s| ln_table(s.times())).collect();
+    let ln_tables: Vec<Vec<f64>> = if families.iter().any(|f| reads_ln_table(*f)) {
+        cells.iter().map(|s| ln_table(s.times())).collect()
+    } else {
+        vec![Vec::new(); cells.len()]
+    };
     let jobs: Vec<Option<Result<PooledJob<'_>, JobPanic>>> = (0..cells.len() * nf)
         .map(|j| {
             (!skip[j]).then(|| {

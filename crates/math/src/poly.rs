@@ -119,6 +119,94 @@ impl Polynomial {
         let anti = self.antiderivative(0.0);
         anti.eval(b) - anti.eval(a)
     }
+
+    /// Cauchy's bound on the real roots: `1 + max |cₖ/c_d|` over the
+    /// coefficients below the leading one, so every root lies in
+    /// `[−bound, bound]`. `0` for a constant, which has no isolated root.
+    #[must_use]
+    pub fn root_bound(&self) -> f64 {
+        let Some((&lead, rest)) = self.coeffs.split_last().filter(|_| self.degree() > 0) else {
+            return 0.0;
+        };
+        1.0 + rest.iter().fold(0.0_f64, |m, c| m.max((c / lead).abs()))
+    }
+
+    /// The points of `[lo, hi]` (`0 ≤ lo < hi`) where the polynomial
+    /// changes sign, ascending: its real roots there of odd multiplicity.
+    /// Empty for a constant or an empty range.
+    ///
+    /// Between two sign changes of its derivative (found the same way,
+    /// down to a line) the polynomial is monotone, so each such piece
+    /// holds at most one root. A Newton step that stays inside the
+    /// piece's bracket, else the midpoint of the bracket's bits, finds it:
+    /// non-negative floats order as their bits, so a bracket spanning many
+    /// binades halves in scale, and no root takes more than 128 steps.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use resilience_math::poly::Polynomial;
+    /// // (x − 1)(x − 2)(x − 1e6)
+    /// let p = Polynomial::new(vec![-2e6, 3e6 + 2.0, -3.0 - 1e6, 1.0]);
+    /// let roots = p.sign_changes(0.0, p.root_bound());
+    /// assert_eq!(roots.len(), 3);
+    /// for (r, want) in roots.iter().zip([1.0, 2.0, 1e6]) {
+    ///     assert!((r - want).abs() <= 1e-12 * want);
+    /// }
+    /// // A double root does not change sign.
+    /// assert!(Polynomial::new(vec![1.0, -2.0, 1.0]).sign_changes(0.0, 3.0).is_empty());
+    /// ```
+    #[must_use]
+    pub fn sign_changes(&self, lo: f64, hi: f64) -> Vec<f64> {
+        if self.degree() == 0 || !(0.0 <= lo && lo < hi) {
+            return Vec::new();
+        }
+        let slope = self.derivative();
+        let mut roots = Vec::new();
+        let mut a = lo;
+        for b in slope.sign_changes(lo, hi).into_iter().chain([hi]) {
+            let negative = self.eval(a) < 0.0;
+            if a < b && (self.eval(b) < 0.0) != negative {
+                roots.push(self.root_in(&slope, a, b, negative));
+            }
+            a = b;
+        }
+        roots
+    }
+
+    /// The one root in `[a, b]` (`0 ≤ a < b`), where the polynomial changes
+    /// sign once and its derivative `slope` keeps its sign; see
+    /// [`Polynomial::sign_changes`].
+    fn root_in(&self, slope: &Polynomial, mut a: f64, mut b: f64, negative_at_a: bool) -> f64 {
+        let midpoint =
+            |a: f64, b: f64| f64::from_bits(a.to_bits() + (b.to_bits() - a.to_bits()) / 2);
+        let mut x = midpoint(a, b);
+        // Bisection alone would take at most 63 steps.
+        for _ in 0..128 {
+            let f = self.eval(x);
+            if f == 0.0 {
+                break;
+            }
+            if (f < 0.0) == negative_at_a {
+                a = x;
+            } else {
+                b = x;
+            }
+            if b.to_bits() - a.to_bits() <= 1 {
+                return a;
+            }
+            let step = f / slope.eval(x);
+            if x - step > a && x - step < b {
+                x -= step;
+                if step.abs() <= 4.0 * f64::EPSILON * x {
+                    break;
+                }
+            } else {
+                x = midpoint(a, b);
+            }
+        }
+        x
+    }
 }
 
 impl std::fmt::Display for Polynomial {
@@ -216,6 +304,36 @@ pub fn quadratic_roots(a: f64, b: f64, c: f64) -> Result<Vec<f64>, MathError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sign_changes_isolates_every_simple_root() {
+        // (x − 0.5)(x − 1)(x − 3)(x − 40), from its roots.
+        let mut p = Polynomial::new(vec![1.0]);
+        for r in [0.5, 1.0, 3.0, 40.0] {
+            let c = p.coeffs();
+            let mut next = vec![0.0; c.len() + 1];
+            for (k, &ck) in c.iter().enumerate() {
+                next[k] -= r * ck;
+                next[k + 1] += ck;
+            }
+            p = Polynomial::new(next);
+        }
+        let roots = p.sign_changes(0.0, p.root_bound());
+        assert_eq!(roots.len(), 4);
+        for (got, want) in roots.iter().zip([0.5, 1.0, 3.0, 40.0]) {
+            assert!((got - want).abs() <= 1e-13 * want, "{got} vs {want}");
+        }
+        // Only the roots inside the range; none for x² + 1 or a constant.
+        assert_eq!(p.sign_changes(2.0, 10.0).len(), 1);
+        assert!(Polynomial::new(vec![1.0, 0.0, 1.0])
+            .sign_changes(0.0, 10.0)
+            .is_empty());
+        assert!(Polynomial::new(vec![2.0])
+            .sign_changes(0.0, 10.0)
+            .is_empty());
+        assert_eq!(Polynomial::new(vec![2.0]).root_bound(), 0.0);
+        assert!(p.sign_changes(-1.0, 10.0).is_empty());
+    }
     use crate::approx_eq;
 
     #[test]

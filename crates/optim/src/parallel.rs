@@ -63,7 +63,9 @@ impl Parallelism {
 
     /// Number of worker threads to use for `jobs` independent jobs.
     ///
-    /// Never exceeds `jobs` and never returns 0.
+    /// Never exceeds `jobs` and never returns 0. At most one job needs no
+    /// pool, so `Auto` asks the OS for its thread count (tens of
+    /// microseconds) only for two jobs or more.
     ///
     /// # Examples
     ///
@@ -73,9 +75,13 @@ impl Parallelism {
     /// assert_eq!(Parallelism::Fixed(4).threads_for(8), 4);
     /// assert_eq!(Parallelism::Fixed(4).threads_for(2), 2);
     /// assert!(Parallelism::Auto.threads_for(8) >= 1);
+    /// assert_eq!(Parallelism::Auto.threads_for(1), 1);
     /// ```
     #[must_use]
     pub fn threads_for(&self, jobs: usize) -> usize {
+        if jobs <= 1 {
+            return 1;
+        }
         let cap = match self.normalized() {
             Parallelism::Serial => 1,
             Parallelism::Fixed(n) => n,
@@ -106,10 +112,11 @@ where
 {
     // On the calling thread the first panic is already the lowest-index
     // one: no catch needed.
-    if parallelism.threads_for(jobs) <= 1 {
+    let threads = parallelism.threads_for(jobs);
+    if threads <= 1 {
         return (0..jobs).map(job).collect();
     }
-    run_caught(parallelism, jobs, job)
+    run_caught(threads, jobs, job)
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
@@ -139,12 +146,13 @@ pub fn run_each<F>(parallelism: Parallelism, jobs: usize, job: F)
 where
     F: Fn(usize) + Sync,
 {
-    if parallelism.threads_for(jobs) <= 1 {
+    let threads = parallelism.threads_for(jobs);
+    if threads <= 1 {
         (0..jobs).for_each(job);
         return;
     }
     let first_panic = Mutex::new(None);
-    workers(parallelism, jobs, |i| {
+    workers(threads, jobs, |i| {
         if let Err(payload) = caught(|| job(i)) {
             let mut first = first_panic.lock().expect("panic slot poisoned");
             if first.as_ref().is_none_or(|(j, _)| i < *j) {
@@ -157,18 +165,18 @@ where
     }
 }
 
-/// The threads of the pool: `parallelism.threads_for(jobs)` scoped
-/// workers, each pulling the next index from one atomic counter until
-/// `jobs` run out. `job` must not panic: every caller catches inside it,
-/// which also keeps a panic's payload intact, where `std::thread::scope`
-/// would replace it with "a scoped thread panicked".
-fn workers<F>(parallelism: Parallelism, jobs: usize, job: F)
+/// The threads of the pool: `threads` scoped workers (the caller's one
+/// [`Parallelism::threads_for`]), each pulling the next index from one
+/// atomic counter until `jobs` run out. `job` must not panic: every caller
+/// catches inside it, which also keeps a panic's payload intact, where
+/// `std::thread::scope` would replace it with "a scoped thread panicked".
+fn workers<F>(threads: usize, jobs: usize, job: F)
 where
     F: Fn(usize) + Sync,
 {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..parallelism.threads_for(jobs) {
+        for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= jobs {
@@ -181,22 +189,22 @@ where
 }
 
 /// The pool behind [`run_indexed`] and [`run_indexed_catch`]: runs every
-/// job [`caught`] and returns each job's result or panic payload in index
-/// order.
-fn run_caught<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
+/// job [`caught`] on `threads` workers (on the calling thread for one) and
+/// returns each job's result or panic payload in index order.
+fn run_caught<T, F>(threads: usize, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let job = |i: usize| caught(|| job(i));
-    if parallelism.threads_for(jobs) <= 1 {
+    if threads <= 1 {
         return (0..jobs).map(job).collect();
     }
     // One slot per job: threads write disjoint slots, so the per-slot
     // mutexes are never contended.
     let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
         (0..jobs).map(|_| Mutex::new(None)).collect();
-    workers(parallelism, jobs, |i| {
+    workers(threads, jobs, |i| {
         let value = job(i);
         *slots[i].lock().expect("result slot poisoned") = Some(value);
     });
@@ -280,7 +288,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_caught(parallelism, jobs, job)
+    run_caught(parallelism.threads_for(jobs), jobs, job)
         .into_iter()
         .enumerate()
         .map(|(index, slot)| slot.map_err(|payload| JobPanic::new(index, payload)))

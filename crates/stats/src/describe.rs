@@ -136,6 +136,40 @@ pub fn quantile(values: &[f64], q: f64) -> Result<f64, StatsError> {
     }
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after check"));
+    quantile_sorted(&sorted, q)
+}
+
+/// [`quantile`] of values already sorted ascending, as [`quantile`] sorts
+/// its copy (a stable sort by `partial_cmp`): the same interpolation, so
+/// several quantiles can share one sort.
+///
+/// # Errors
+///
+/// * [`StatsError::NotEnoughData`] for an empty slice.
+/// * [`StatsError::InvalidProbability`] when `q ∉ [0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_stats::describe::{quantile, quantile_sorted};
+/// let sorted = [1.0, 2.0, 3.0, 4.0];
+/// assert_eq!(quantile_sorted(&sorted, 0.25)?, quantile(&[4.0, 2.0, 1.0, 3.0], 0.25)?);
+/// # Ok::<(), resilience_stats::StatsError>(())
+/// ```
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> Result<f64, StatsError> {
+    if sorted.is_empty() {
+        return Err(StatsError::NotEnoughData {
+            what: "quantile",
+            needed: 1,
+            got: 0,
+        });
+    }
+    if !(0.0..=1.0).contains(&q) {
+        return Err(StatsError::InvalidProbability {
+            what: "quantile",
+            value: q,
+        });
+    }
     let h = q * (sorted.len() - 1) as f64;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;

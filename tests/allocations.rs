@@ -307,7 +307,7 @@ fn batched_sse_kernel_is_allocation_free() {
     let observed = series.values();
     let mixtures = MixtureFamily::paper_combinations();
 
-    let mut families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
+    let mut families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily];
     for fam in &mixtures {
         families.push(fam);
     }

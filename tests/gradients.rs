@@ -185,7 +185,6 @@ fn all_four_paper_mixture_jacobians_match_central_differences() {
 #[test]
 fn batched_sse_is_bit_identical_to_scalar_objective() {
     check_batch(&QuadraticFamily, 0xBA7C_0001, quadratic_point);
-    check_batch(&CompetingRisksFamily, 0xBA7C_0002, competing_risks_point);
     for (k, family) in MixtureFamily::paper_combinations().into_iter().enumerate() {
         check_batch(&family, 0xBA7C_0010 + k as u64, |rng| {
             mixture_point(&family, rng)
