@@ -1,6 +1,6 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
-use crate::model::{ModelFamily, ResilienceModel, Sign, SSE_BATCH_WIDTH};
+use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -307,59 +307,6 @@ impl ModelFamily for QuadraticFamily {
             out[(i, 0)] = alpha + half_beta * t;
             out[(i, 1)] = slope_u1 * t;
             out[(i, 2)] = half_beta * t + gamma * t * t;
-        }
-        true
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        const W: usize = SSE_BATCH_WIDTH;
-        assert_eq!(
-            internals.len(),
-            3 * out.len(),
-            "QuadraticFamily::sse_batch_into: internals.len() must be 3 * out.len()"
-        );
-        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
-        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
-            let base = chunk_idx * W;
-            let k = chunk.len();
-            // SoA lanes: one stack array per parameter so the t-loop below
-            // reads contiguous lanes the autovectorizer can keep in registers.
-            let mut alphas = [0.0; W];
-            let mut betas = [0.0; W];
-            let mut gammas = [0.0; W];
-            let mut live = [false; W];
-            for i in 0..k {
-                let u = &internals[(base + i) * 3..(base + i) * 3 + 3];
-                // Identical arithmetic to `internal_to_params_into`.
-                let alpha = u[0].exp();
-                let s = (1.0 / (1.0 + (-u[1]).exp())).clamp(S_MIN, S_MAX);
-                let gamma = u[2].exp();
-                let beta = -2.0 * (alpha * gamma).sqrt() * s;
-                alphas[i] = alpha;
-                betas[i] = beta;
-                gammas[i] = gamma;
-                live[i] = QuadraticModel::feasible(alpha, beta, gamma);
-            }
-            let mut sums = [CompensatedSum::new(); W];
-            let mut finite = [true; W];
-            for (&t, &y) in ts.iter().zip(ys) {
-                for i in 0..k {
-                    // Same association as the scalar `predict_into`.
-                    let pred = alphas[i] + betas[i] * t + gammas[i] * t * t;
-                    if !pred.is_finite() {
-                        finite[i] = false;
-                    }
-                    let d = y - pred;
-                    sums[i].add(d * d);
-                }
-            }
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = if live[i] && finite[i] {
-                    sums[i].value()
-                } else {
-                    f64::INFINITY
-                };
-            }
         }
         true
     }

@@ -326,6 +326,7 @@ pub fn bootstrap_band_checkpointed(
                     family,
                     &synth,
                     Some(base_optimum),
+                    None,
                     &refit_config,
                     &Control::unbounded(),
                 )

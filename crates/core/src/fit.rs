@@ -21,41 +21,12 @@ use resilience_optim::multi_start::{multi_start, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
 use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
-use resilience_optim::{Control, Objective, OptimError, Parallelism};
+use resilience_optim::{Control, OptimError, Parallelism};
 use std::cell::RefCell;
 
-/// Default evaluation budget under which a converged warm-start probe
-/// short-circuits the cold multi-start phase (see [`WarmStart`]).
-pub const DEFAULT_WARM_EVAL_BUDGET: usize = 600;
-
-/// Warm-start seeding for [`fit_least_squares`].
-///
-/// When present in [`FitConfig::warm_start`], the fit first runs a single
-/// Nelder–Mead probe seeded from `params` (typically a previous point-fit
-/// optimum — bootstrap replicates and runtime retries resample *around*
-/// the same basin, so the old optimum is almost always in it). A probe
-/// that converges within `max_evaluations` objective evaluations
-/// short-circuits the cold multi-start entirely; otherwise the cold phase
-/// runs as usual and the better of the two results wins, with the warm
-/// result keeping ties (it is conceptually start 0).
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// External (feasible) parameters to seed from.
-    pub params: Vec<f64>,
-    /// Evaluation budget for the short-circuit test.
-    pub max_evaluations: usize,
-}
-
-impl WarmStart {
-    /// Warm start from `params` with [`DEFAULT_WARM_EVAL_BUDGET`].
-    #[must_use]
-    pub fn new(params: Vec<f64>) -> Self {
-        WarmStart {
-            params,
-            max_evaluations: DEFAULT_WARM_EVAL_BUDGET,
-        }
-    }
-}
+/// The evaluation budget under which a converged warm probe
+/// short-circuits the cold starts (see [`FitPlan::new`]).
+const WARM_EVAL_BUDGET: usize = 600;
 
 /// Configuration for [`fit_least_squares`].
 #[derive(Debug, Clone)]
@@ -78,8 +49,6 @@ pub struct FitConfig {
     /// starts of all the wave's fits in one pool. Every setting produces
     /// bit-identical results; see `DESIGN.md` §7 (threading model).
     pub parallelism: Parallelism,
-    /// Optional warm start (previous optimum); see [`WarmStart`].
-    pub warm_start: Option<WarmStart>,
 }
 
 impl Default for FitConfig {
@@ -107,7 +76,6 @@ impl Default for FitConfig {
             lm: LmConfig::default(),
             max_starts: 24,
             parallelism: Parallelism::Auto,
-            warm_start: None,
         }
     }
 }
@@ -155,11 +123,7 @@ impl std::fmt::Debug for FittedModel {
 }
 
 /// The SSE objective over a family's internal space, with reusable
-/// scratch so one evaluation allocates nothing. Implements the optimizer
-/// [`Objective`] trait: scalar evaluation for the simplex updates, and a
-/// batched evaluation that routes whole simplexes through the family's
-/// single-pass [`ModelFamily::sse_batch_into`] kernel when it has one
-/// (bit-identical to the scalar path by that method's contract).
+/// scratch so one evaluation allocates nothing.
 struct SseObjective<'a> {
     family: &'a dyn ModelFamily,
     times: &'a [f64],
@@ -176,9 +140,9 @@ impl<'a> SseObjective<'a> {
             scratch: RefCell::new((vec![0.0; family.n_params()], vec![0.0; times.len()])),
         }
     }
-}
 
-impl Objective for SseObjective<'_> {
+    /// The SSE at the internal point `internal`, or `+∞` where the family
+    /// cannot predict or predicts a non-finite value.
     fn eval(&self, internal: &[f64]) -> f64 {
         let mut guard = self.scratch.borrow_mut();
         let (params, predicted) = &mut *guard;
@@ -193,23 +157,6 @@ impl Objective for SseObjective<'_> {
             return f64::INFINITY;
         }
         sum_squared_diff(self.observed, predicted)
-    }
-
-    fn eval_batch(&self, points: &[f64], n_dims: usize, out: &mut [f64]) {
-        assert_eq!(
-            points.len(),
-            n_dims * out.len(),
-            "eval_batch requires points.len() == n_dims * out.len()"
-        );
-        debug_assert_eq!(n_dims, self.family.n_params());
-        if !self
-            .family
-            .sse_batch_into(points, self.times, self.observed, out)
-        {
-            for (o, x) in out.iter_mut().zip(points.chunks_exact(n_dims)) {
-                *o = self.eval(x);
-            }
-        }
     }
 }
 
@@ -243,6 +190,11 @@ impl<'a> ProfiledObjective<'a> {
             observed,
             scratch: RefCell::new((vec![0.0; n], vec![0.0; n * k])),
         }
+    }
+
+    /// The profiled SSE at `u`, or `+∞` where the profile is undefined.
+    fn eval(&self, u: &[f64]) -> f64 {
+        self.solve(u).unwrap_or(f64::INFINITY)
     }
 
     /// The SSE the optimal coefficients at `u` leave, or `None` where the
@@ -295,12 +247,6 @@ impl<'a> ProfiledObjective<'a> {
             evaluations: best.evaluations + 1,
             ..best
         })
-    }
-}
-
-impl Objective for ProfiledObjective<'_> {
-    fn eval(&self, u: &[f64]) -> f64 {
-        self.solve(u).unwrap_or(f64::INFINITY)
     }
 }
 
@@ -511,8 +457,8 @@ pub fn fit_least_squares(
 /// and that winner is returned.
 ///
 /// The fit runs its three phases in a row: the plan (an exact solve, or
-/// the warm probe and the starts), every start in one [`multi_start`] pool
-/// of `config.parallelism` threads, and the finish (reduce, lift, polish,
+/// the starts), every start in one [`multi_start`] pool of
+/// `config.parallelism` threads, and the finish (reduce, lift, polish,
 /// guard). A family with no nonlinear coordinate left (Quadratic, Quartic;
 /// DESIGN.md §11) skips the search and the polish: its fit is one solve,
 /// the least-squares optimum when the family can represent it, and
@@ -532,16 +478,19 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    fit_from(family, series, None, config, control)
+    fit_from(family, series, None, None, config, control)
 }
 
 /// [`fit_least_squares_with`] searching from `guesses` instead of the
 /// family's own [`ModelFamily::initial_guesses`] (`None`): a retry's
-/// jittered points, or a bootstrap replicate's base optimum.
+/// jittered points, or a bootstrap replicate's base optimum. A `warm`
+/// point, a retry's best fit so far, is probed first (see
+/// [`FitPlan::new`]).
 pub(crate) fn fit_from(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
     guesses: Option<&[Vec<f64>]>,
+    warm: Option<&[f64]>,
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
@@ -550,7 +499,7 @@ pub(crate) fn fit_from(
     } else {
         Vec::new()
     };
-    let plan = FitPlan::new(family, series, &ln_times, guesses, config, control)?;
+    let plan = FitPlan::new(family, series, &ln_times, guesses, warm, config, control)?;
     let cold = multi_start(config.parallelism, plan.starts(), control, |i, c| {
         plan.minimize_start(i, c)
     });
@@ -625,11 +574,16 @@ impl<'a> FitPlan<'a> {
     /// solve logs and counts nothing, and the fit searches every internal
     /// coordinate, as a family without linear coefficients does.
     ///
-    /// Otherwise the starts are `guesses`, or the family's own when `None`,
-    /// in the search space: every internal coordinate, or for a profiled
-    /// family its nonlinear coordinates, in which case guesses that
-    /// coincide there are merged, keeping the first, before
-    /// `config.max_starts` applies. Guesses that do not convert are
+    /// Otherwise a `warm` point (external parameters, typically a previous
+    /// optimum in the same basin) is probed first: one serial Nelder–Mead
+    /// run from it. A probe that converges within [`WARM_EVAL_BUDGET`]
+    /// evaluations is the whole plan, with no cold starts; otherwise the
+    /// cold starts follow and the better result wins, the probe keeping
+    /// ties (it is conceptually start 0). The starts are `guesses`, or the
+    /// family's own when `None`, in the search space: every internal
+    /// coordinate, or for a profiled family its nonlinear coordinates, in
+    /// which case guesses that coincide there are merged, keeping the
+    /// first, before `config.max_starts` applies. Guesses that do not convert are
     /// dropped. `ln_times` is [`ln_table`] of the series' times when
     /// [`reads_ln_table`], and may be empty otherwise.
     ///
@@ -642,6 +596,7 @@ impl<'a> FitPlan<'a> {
         series: &'a PerformanceSeries,
         ln_times: &'a [f64],
         guesses: Option<&[Vec<f64>]>,
+        warm: Option<&[f64]>,
         config: &FitConfig,
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
@@ -697,15 +652,14 @@ impl<'a> FitPlan<'a> {
         let dim = if profiled { n_params - k } else { n_params };
         plan.dim = dim;
 
-        // Warm-start probe: one serial Nelder–Mead run seeded from the
-        // provided optimum. Seeded this close, it usually converges in a
-        // fraction of the cold phase's budget and short-circuits it entirely
-        // (see [`WarmStart`]). A probe that fails to convert or start is not
-        // an error — the cold phase covers for it — but a deadline or
-        // cancellation stop propagates like any other.
+        // Warm probe: seeded this close, it usually converges in a fraction
+        // of the cold phase's budget and short-circuits it entirely. A probe
+        // that fails to convert or start is not an error — the cold phase
+        // covers for it — but a deadline or cancellation stop propagates
+        // like any other.
         let mut fit_started_emitted = false;
-        if let Some(warm) = &config.warm_start {
-            if let Some(internal) = plan.search_point(&warm.params) {
+        if let Some(warm) = warm {
+            if let Some(internal) = plan.search_point(warm) {
                 if traced {
                     control.emit(Event::FitStarted {
                         family: family.name(),
@@ -716,7 +670,7 @@ impl<'a> FitPlan<'a> {
                 match plan.minimize(&internal, control) {
                     Ok(report) => {
                         let short_circuit = report.termination == TerminationReason::Converged
-                            && report.evaluations <= warm.max_evaluations;
+                            && report.evaluations <= WARM_EVAL_BUDGET;
                         plan.warm = Some(report);
                         if short_circuit {
                             return Ok(plan);
@@ -792,16 +746,16 @@ impl<'a> FitPlan<'a> {
     fn minimize(&self, x0: &[f64], control: &Control) -> Result<OptimReport, OptimError> {
         let (times, observed) = (self.series.times(), self.series.values());
         match self.ln_times {
-            Some(ln_times) => self.optimizer.minimize(
-                &ProfiledObjective::new(self.family, times, ln_times, observed),
-                x0,
-                control,
-            ),
-            None => self.optimizer.minimize(
-                &SseObjective::new(self.family, times, observed),
-                x0,
-                control,
-            ),
+            Some(ln_times) => {
+                let objective = ProfiledObjective::new(self.family, times, ln_times, observed);
+                self.optimizer
+                    .minimize(&|u: &[f64]| objective.eval(u), x0, control)
+            }
+            None => {
+                let objective = SseObjective::new(self.family, times, observed);
+                self.optimizer
+                    .minimize(&|x: &[f64]| objective.eval(x), x0, control)
+            }
         }
     }
 
@@ -1265,18 +1219,26 @@ mod tests {
     /// its observed `objective_evals` counters — at every thread count,
     /// while `evaluations` keeps counting the winner, the lift and the
     /// polish only. Pinned on 1990-93, with a warm-started Competing Risks
-    /// refit whose probe short-circuits the cold phase.
+    /// refit whose probe short-circuits the cold phase. The `e^{βt}`
+    /// Wei-Exp has no linear coefficient, so its Nelder–Mead searches
+    /// every coordinate of the full objective.
     #[test]
     fn total_evaluations_equal_the_observed_counter_total() {
         use crate::bathtub::QuarticFamily;
+        use crate::mixture::Trend;
         use resilience_obs::RecordingObserver;
         use std::sync::Arc;
 
         let s = Recession::R1990_93.payroll_index();
         let mixtures = MixtureFamily::paper_combinations();
+        let exponential_trend = MixtureFamily {
+            trend: Trend::Exponential,
+            ..mixtures[1]
+        };
         let mut families: Vec<&dyn ModelFamily> =
             vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
         families.extend(mixtures.iter().map(|m| m as &dyn ModelFamily));
+        families.push(&exponential_trend);
         // (all evaluations, winner + lift + polish); Quartic is not in the
         // smoke gate's `evals_per_fit`, so only its total is pinned. The
         // exact fits spend one evaluation, their rescoring.
@@ -1288,11 +1250,12 @@ mod tests {
             (1751, Some(182)),
             (1851, Some(182)),
             (6902, Some(344)),
+            (5999, Some(402)),
         ];
-        let observed_fit = |family: &dyn ModelFamily, config: &FitConfig| {
+        let observed_fit = |family: &dyn ModelFamily, config: &FitConfig, warm: Option<&[f64]>| {
             let rec = Arc::new(RecordingObserver::new());
             let control = Control::unbounded().observe(rec.clone());
-            let fit = fit_least_squares_with(family, &s, config, &control).unwrap();
+            let fit = fit_from(family, &s, None, warm, config, &control).unwrap();
             let counted: u64 = rec
                 .take()
                 .iter()
@@ -1312,20 +1275,17 @@ mod tests {
                 parallelism,
                 ..FitConfig::default()
             };
+            assert_eq!(families.len(), expected.len());
             for (family, (total, winner)) in families.iter().zip(expected) {
-                let fit = observed_fit(*family, &config);
+                let fit = observed_fit(*family, &config, None);
                 let name = family.name();
                 assert_eq!(fit.total_evaluations, total, "{name} {parallelism:?}");
                 if let Some(winner) = winner {
                     assert_eq!(fit.evaluations, winner, "{name} {parallelism:?}");
                 }
             }
-            let cold = observed_fit(&CompetingRisksFamily, &config);
-            let warm_config = FitConfig {
-                warm_start: Some(WarmStart::new(cold.params.clone())),
-                ..config.clone()
-            };
-            let warm = observed_fit(&CompetingRisksFamily, &warm_config);
+            let cold = observed_fit(&CompetingRisksFamily, &config, None);
+            let warm = observed_fit(&CompetingRisksFamily, &config, Some(&cold.params));
             assert!(warm.total_evaluations < cold.total_evaluations);
             assert_eq!(warm.total_evaluations, warm.evaluations, "{parallelism:?}");
         }
@@ -1394,7 +1354,8 @@ mod tests {
         );
 
         let (fit, events) = observed(&rank_deficient_series(), Control::unbounded());
-        assert!(fit.unwrap().total_evaluations > 1);
+        let fit = fit.unwrap();
+        assert_eq!((fit.total_evaluations, fit.evaluations), (345, 188));
         assert_eq!(events[0], Event::FitStarted { family, starts: 2 });
         assert_eq!(events[1], Event::StartBegan { index: 0 });
     }

@@ -20,11 +20,10 @@ use component::cdf_from_hazard;
 pub use component::{BuiltComponent, ComponentKind};
 pub use trend::Trend;
 
-use crate::model::{ModelFamily, ResilienceModel, Sign, SSE_BATCH_WIDTH};
+use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
-use resilience_math::sum::CompensatedSum;
 
 /// A fitted mixture resilience model (paper Eq. 7 with `a₁ = 1`).
 ///
@@ -132,14 +131,14 @@ impl ResilienceModel for MixtureModel {
 }
 
 /// One mixture curve at one parameter point: the per-point evaluator
-/// behind every prediction path — [`MixtureModel`], the fitting
-/// objective's `predict_params_into` and the batched SSE kernel — so all
-/// of them share one expression and agree bit for bit.
+/// behind every prediction path — [`MixtureModel`] and the fitting
+/// objective's `predict_params_into` — so both share one expression and
+/// agree bit for bit.
 ///
 /// `ln t` is computed once per time point and shared by both components
 /// and the `β·ln t` trend; the Weibull cumulative hazard is
 /// `exp(k·ln t − k·ln λ)`, so no evaluation calls `powf` (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Curve {
     f1: BuiltComponent,
     f2: BuiltComponent,
@@ -176,15 +175,10 @@ impl Curve {
         self.trend.eval_at(self.beta, t, ln_t) * self.f2.cdf_at(t, ln_t)
     }
 
-    /// `P(t)` given `ln_t = ln t`.
-    #[inline]
-    fn predict_at(&self, t: f64, ln_t: f64) -> f64 {
-        self.degradation(t, ln_t) + self.recovery(t, ln_t)
-    }
-
     #[inline]
     fn predict(&self, t: f64) -> f64 {
-        self.predict_at(t, t.ln())
+        let ln_t = t.ln();
+        self.degradation(t, ln_t) + self.recovery(t, ln_t)
     }
 
     fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
@@ -330,58 +324,6 @@ impl ModelFamily for MixtureFamily {
             }
             out[(i, n1 + n2)] =
                 beta * self.trend.beta_gradient(beta, t, ln_t) * cdf_from_hazard(z2);
-        }
-        true
-    }
-
-    /// Time-outer / point-inner over chunks of `SSE_BATCH_WIDTH` (8)
-    /// points: the series is traversed once per chunk, `ln t` is computed
-    /// once per time for the whole chunk, and each point accumulates its
-    /// squared residuals in its own [`CompensatedSum`] in time order —
-    /// bit-identical to the scalar objective by construction.
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        const W: usize = SSE_BATCH_WIDTH;
-        let n = self.n_params();
-        assert_eq!(
-            internals.len(),
-            n * out.len(),
-            "MixtureFamily::sse_batch_into: internals.len() must be n_params * out.len()"
-        );
-        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
-        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
-            let base = chunk_idx * W;
-            let k = chunk.len();
-            let mut curves: [Option<Curve>; W] = [None; W];
-            for (i, curve) in curves.iter_mut().enumerate().take(k) {
-                // Identical arithmetic to `internal_to_params_into` + the
-                // feasibility checks of `predict_params_into`.
-                let mut p = [0.0_f64; 8];
-                for (o, &v) in p[..n].iter_mut().zip(&internals[(base + i) * n..]) {
-                    *o = v.exp();
-                }
-                *curve = Curve::try_new(self, &p[..n]);
-            }
-            let mut sums = [CompensatedSum::new(); W];
-            let mut finite = [true; W];
-            for (&t, &y) in ts.iter().zip(ys) {
-                let ln_t = t.ln();
-                for i in 0..k {
-                    if let Some(curve) = &curves[i] {
-                        let pred = curve.predict_at(t, ln_t);
-                        if !pred.is_finite() {
-                            finite[i] = false;
-                        }
-                        let d = y - pred;
-                        sums[i].add(d * d);
-                    }
-                }
-            }
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = match curves[i] {
-                    Some(_) if finite[i] => sums[i].value(),
-                    _ => f64::INFINITY,
-                };
-            }
         }
         true
     }

@@ -253,21 +253,14 @@ pub trait ModelFamily: Send + Sync {
         false
     }
 
-    /// Batched SSE kernel: evaluates the sum of squared residuals against
-    /// `(ts, ys)` at `out.len()` *internal* points packed contiguously
-    /// into `internals` (point `i` occupies
-    /// `internals[i * n_params() .. (i + 1) * n_params()]`), writing
-    /// `out[i]`, and returns `true`; returns `false` (leaving `out`
-    /// unspecified) when the family has no batched kernel.
+    /// A batched SSE kernel that no family has: it returns `false` and
+    /// leaves `out` untouched.
     ///
-    /// Implementations must reproduce the scalar objective exactly:
-    /// infeasible parameters and non-finite predictions map to `+∞`, and
-    /// feasible points accumulate squared residuals in time order with
-    /// the same compensated summation as the scalar path, so batched and
-    /// scalar evaluations are bit-identical. The default opts out;
-    /// families implementing it share one pass over the series (and the
-    /// per-time work hoistable across points) for a whole Nelder–Mead
-    /// simplex.
+    /// No fit calls it (clippy's `disallowed-methods` forbids the call in
+    /// the workspace). Every fit scores one point at a time, through
+    /// [`ModelFamily::predict_params_into`]. The hook stays for the
+    /// repository benchmark's kernel probe (`perf/src/probes.rs`), which
+    /// times eight scalar evaluations when it returns `false`.
     fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
         let _ = (internals, ts, ys, out);
         false
@@ -399,12 +392,6 @@ pub enum Sign {
     /// Any finite value.
     Free,
 }
-
-/// Number of points a family's [`ModelFamily::sse_batch_into`] override
-/// evaluates per chunk. Eight keeps every per-point scratch array on the
-/// stack (SoA lanes of 8 `f64`s — one cache line) while giving the
-/// autovectorizer a full vector's worth of independent accumulations.
-pub(crate) const SSE_BATCH_WIDTH: usize = 8;
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,6 @@
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::fit::{
     fit_from, fit_least_squares_with, ln_table, reads_ln_table, FitConfig, FitPlan, FittedModel,
-    WarmStart,
 };
 use crate::model::ModelFamily;
 use crate::selection::{
@@ -96,12 +95,11 @@ pub struct ExecPolicy {
     /// Wall-clock budget for each family's fit. The clock starts when the
     /// family's own work starts, not when the ranking call starts: when
     /// its job begins on a worker, or, in a wave that pools the starts of
-    /// all its fits ([`rank_fleet_supervised`]), when the family's warm
-    /// probe or first start begins, and for a family with neither, when
-    /// its job finishes. Time spent queueing behind other families' work
-    /// never counts. The budget is capped by the caller's overall
-    /// [`Control`] deadline, never extending it. `None` means no
-    /// per-family limit.
+    /// all its fits ([`rank_fleet_supervised`]), when the family's first
+    /// start begins, and for a family with none, when its job finishes.
+    /// Time spent queueing behind other families' work never counts. The
+    /// budget is capped by the caller's overall [`Control`] deadline,
+    /// never extending it. `None` means no per-family limit.
     pub family_budget: Option<Duration>,
     /// Retry schedule for non-converged fits. `None` means single-shot.
     pub retry: Option<RetryPolicy>,
@@ -405,13 +403,9 @@ fn retry_after(
         // jitter *around* it; without one, the cold grid is all there
         // is. Either way the schedule stays a pure function of the
         // policy — the warm center is itself deterministic.
-        let mut retry_config = config.clone();
-        if let Some(fit) = &best {
-            retry_config.warm_start = Some(WarmStart::new(fit.params.clone()));
-        }
         let center = best.as_ref().map(|fit| fit.params.as_slice());
         let guesses = jittered_guesses(family, series, policy, attempt, center);
-        outcome = fit_from(family, series, Some(&guesses), &retry_config, control);
+        outcome = fit_from(family, series, Some(&guesses), center, config, control);
     }
     match best {
         Some(fit) => {
@@ -659,20 +653,15 @@ impl<'a> PooledJob<'a> {
         cell: u32,
     ) -> PooledJob<'a> {
         let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
-        // Only a warm probe makes the plan do solver work, so only then
-        // does the plan start the family budget's clock. An exact fit's
-        // solve does none: it polls the control in its finish.
-        let plan_control = if config.warm_start.is_some() {
-            job.started()
-        } else {
-            &job.base
-        };
+        // Attempt 1 has no warm point, so its plan does no solver work and
+        // leaves the family budget's clock alone. An exact fit's solve
+        // does none either: it polls the control in its finish.
         let first = first_attempt(
             family,
             policy.retry.as_ref(),
             chaos.as_ref(),
-            plan_control,
-            || FitPlan::new(family, series, ln_times, None, config, plan_control),
+            &job.base,
+            || FitPlan::new(family, series, ln_times, None, None, config, &job.base),
         );
         let starts = first.as_ref().map_or(0, FitPlan::starts);
         // One buffer slot per start, filled as the starts finish.

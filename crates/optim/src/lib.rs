@@ -5,10 +5,11 @@
 //! Eq. 8). The Rust ecosystem offers no batteries-included nonlinear LSE
 //! stack, so this crate implements the required machinery from scratch:
 //!
-//! * [`problem`] — objective and least-squares problem traits plus
-//!   numerical differentiation (forward/central gradients, Jacobians).
+//! * [`problem`] — the least-squares problem trait plus numerical
+//!   differentiation (forward/central gradients, Jacobians).
 //! * [`nelder_mead`] — the Nelder–Mead downhill simplex, the workspace's
-//!   robust derivative-free workhorse.
+//!   robust derivative-free workhorse. It minimizes any
+//!   `Fn(&[f64]) -> f64` and scores one point at a time.
 //! * [`levenberg_marquardt`] — damped Gauss–Newton for fast local
 //!   refinement of least-squares fits.
 //! * [`scalar`] — golden-section and Brent minimization for 1-D
@@ -71,7 +72,6 @@ pub mod error;
 pub mod levenberg_marquardt;
 pub mod multi_start;
 pub mod nelder_mead;
-pub mod objective;
 pub mod parallel;
 pub mod problem;
 pub mod report;
@@ -79,6 +79,5 @@ pub mod scalar;
 
 pub use control::{CancelToken, Control, StopCause};
 pub use error::OptimError;
-pub use objective::Objective;
 pub use parallel::{JobPanic, Parallelism};
 pub use report::{OptimReport, TerminationReason};

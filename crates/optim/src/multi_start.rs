@@ -236,13 +236,12 @@ where
 mod tests {
     use super::*;
     use crate::nelder_mead::{NelderMead, NelderMeadConfig};
-    use crate::objective::Objective;
     use crate::report::TerminationReason;
 
     /// The serial driver: every start in order, first strictly better value
     /// wins. An independent implementation that the production driver must
     /// match bit for bit at every thread count.
-    fn serial_oracle<F: Objective>(
+    fn serial_oracle<F: Fn(&[f64]) -> f64>(
         f: &F,
         starts: &[Vec<f64>],
         config: &NelderMeadConfig,
@@ -272,7 +271,7 @@ mod tests {
         control: &Control,
     ) -> Result<OptimReport, OptimError>
     where
-        F: Objective,
+        F: Fn(&[f64]) -> f64,
         G: Fn() -> F + Sync,
     {
         let optimizer = NelderMead::new(NelderMeadConfig::default());
@@ -282,7 +281,7 @@ mod tests {
         .finish()
     }
 
-    fn serial<F: Objective + Copy + Sync>(
+    fn serial<F: Fn(&[f64]) -> f64 + Copy + Sync>(
         f: F,
         starts: &[Vec<f64>],
     ) -> Result<OptimReport, OptimError> {

@@ -7,7 +7,6 @@
 //! regions.
 
 use crate::control::Control;
-use crate::objective::Objective;
 use crate::report::{OptimReport, TerminationReason};
 use crate::OptimError;
 use resilience_obs::{CounterId, Event, SolverKind};
@@ -115,12 +114,12 @@ impl NelderMead {
 
     /// Minimizes `f` starting from `x0` under an execution [`Control`].
     ///
-    /// Non-finite objective values are treated as `+∞` (the simplex moves
-    /// away from them); only a non-finite value at `x0` itself is an
-    /// error. Multi-point evaluation sites (the initial simplex and the
-    /// shrink step) go through [`Objective::eval_batch`], so objectives
-    /// with a vectorized batch path are amortized automatically; plain
-    /// closures work unchanged.
+    /// `f` is any `Fn(&[f64]) -> f64`, scored one point at a time: `x0`,
+    /// then the initial simplex's vertices in axis order, then per
+    /// iteration a reflection, an expansion or contraction, and on a
+    /// shrink each moved vertex in simplex order. Non-finite objective
+    /// values are treated as `+∞` (the simplex moves away from them); only
+    /// a non-finite value at `x0` itself is an error.
     ///
     /// The iteration loop (and the initial simplex) is a cooperative
     /// cancellation point: when the control's deadline passes or its token
@@ -133,7 +132,7 @@ impl NelderMead {
     /// * [`OptimError::InvalidConfig`] for bad configuration or empty `x0`.
     /// * [`OptimError::BadStartingPoint`] when `f(x0)` is non-finite.
     /// * [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
-    pub fn minimize<F: Objective>(
+    pub fn minimize<F: Fn(&[f64]) -> f64>(
         &self,
         f: &F,
         x0: &[f64],
@@ -149,46 +148,27 @@ impl NelderMead {
         let evaluations = Cell::new(0usize);
         let eval = |x: &[f64]| -> f64 {
             evaluations.set(evaluations.get() + 1);
-            let v = f.eval(x);
+            let v = f(x);
             if v.is_finite() {
                 v
             } else {
                 f64::INFINITY
             }
         };
-        // Batched counterpart: one call evaluates `out.len()` packed
-        // points, with the same non-finite → +∞ mapping per point.
-        let eval_batch = |points: &[f64], out: &mut [f64]| {
-            evaluations.set(evaluations.get() + out.len());
-            f.eval_batch(points, n, out);
-            for v in out.iter_mut() {
-                if !v.is_finite() {
-                    *v = f64::INFINITY;
-                }
-            }
-        };
         let f0 = eval(x0);
         if !f0.is_finite() {
             return Err(OptimError::BadStartingPoint { value: f0 });
         }
-        // Scratch for the batched evaluation sites (initial simplex and
-        // shrink), allocated once: n packed points plus their values.
-        let mut batch_points = vec![0.0; n * n];
-        let mut batch_values = vec![0.0; n];
-        // Build the initial simplex: x0 plus a step along each axis, all n
-        // off-origin vertices evaluated in one batch.
+        // Build the initial simplex: x0 plus a step along each axis.
         let scope = SolverKind::NelderMead.stop_scope();
         control.check_stop(scope, evaluations.get())?;
-        for i in 0..n {
-            let vertex = &mut batch_points[i * n..(i + 1) * n];
-            vertex.copy_from_slice(x0);
-            vertex[i] += self.config.initial_step * (1.0 + x0[i].abs());
-        }
-        eval_batch(&batch_points, &mut batch_values);
         let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
         simplex.push((x0.to_vec(), f0));
         for i in 0..n {
-            simplex.push((batch_points[i * n..(i + 1) * n].to_vec(), batch_values[i]));
+            let mut vertex = x0.to_vec();
+            vertex[i] += self.config.initial_step * (1.0 + x0[i].abs());
+            let fv = eval(&vertex);
+            simplex.push((vertex, fv));
         }
         let sort = |s: &mut Vec<(Vec<f64>, f64)>| {
             s.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN: mapped to +inf"));
@@ -286,19 +266,14 @@ impl NelderMead {
                     simplex[n].1 = fc;
                 } else {
                     shrinks += 1;
-                    // Shrink toward the best vertex (in place; each
-                    // coordinate update only reads its own old value),
-                    // then evaluate all n moved vertices in one batch.
+                    // Shrink toward the best vertex in place (each
+                    // coordinate update only reads its own old value).
                     let (best, rest) = simplex.split_first_mut().expect("simplex non-empty");
-                    for (i, entry) in rest.iter_mut().enumerate() {
+                    for entry in rest {
                         for (x, b) in entry.0.iter_mut().zip(&best.0) {
                             *x = b + cfg.sigma * (*x - b);
                         }
-                        batch_points[i * n..(i + 1) * n].copy_from_slice(&entry.0);
-                    }
-                    eval_batch(&batch_points, &mut batch_values);
-                    for (entry, &fv) in rest.iter_mut().zip(&batch_values) {
-                        entry.1 = fv;
+                        entry.1 = eval(&entry.0);
                     }
                 }
             }

@@ -5,15 +5,12 @@
 //! differences of the full internal → external → predict chain at many
 //! randomized (seeded) feasible internal points, so a sign slip or a
 //! missing chain-rule factor in any hand-derived partial fails loudly
-//! with the offending case in the message. The batched SSE kernels are
-//! held to the stricter standard the fit engine relies on: bit-for-bit
-//! agreement with the scalar objective.
+//! with the offending case in the message.
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_math::linalg::Matrix;
-use resilience_math::sum::sum_squared_diff;
 use resilience_stats::XorShift64;
 
 const CASES: usize = 40;
@@ -91,44 +88,6 @@ fn check_family(family: &dyn ModelFamily, seed: u64, draw: impl Fn(&mut XorShift
     }
 }
 
-/// Checks one family's batched SSE kernel bit-for-bit against the scalar
-/// objective at `CASES` internal points (batched together, so chunk
-/// boundaries and ragged tails are exercised).
-fn check_batch(family: &dyn ModelFamily, seed: u64, draw: impl Fn(&mut XorShift64) -> Vec<f64>) {
-    let ts = time_grid();
-    // A synthetic observation series with a dip, as the objective sees.
-    let ys: Vec<f64> = ts
-        .iter()
-        .map(|&t| 1.0 - 0.04 * (-((t - 10.0) / 6.0) * ((t - 10.0) / 6.0)).exp())
-        .collect();
-    let n = family.n_params();
-    let mut rng = XorShift64::new(seed);
-
-    let points: Vec<Vec<f64>> = (0..CASES).map(|_| draw(&mut rng)).collect();
-    let internals: Vec<f64> = points.iter().flatten().copied().collect();
-    let mut batched = vec![0.0; CASES];
-    assert!(
-        family.sse_batch_into(&internals, &ts, &ys, &mut batched),
-        "{}: no batched SSE kernel",
-        family.name()
-    );
-
-    let mut params = vec![0.0; n];
-    let mut pred = vec![0.0; ts.len()];
-    for (case, internal) in points.iter().enumerate() {
-        family.internal_to_params_into(internal, &mut params);
-        assert!(family.predict_params_into(&params, &ts, &mut pred));
-        let scalar = sum_squared_diff(&ys, &pred);
-        assert_eq!(
-            batched[case].to_bits(),
-            scalar.to_bits(),
-            "{} case {case}: batched {} vs scalar {scalar} (internal {internal:?})",
-            family.name(),
-            batched[case]
-        );
-    }
-}
-
 /// Quadratic internal points, kept away from the logistic clamp at
 /// `σ(u1) ∈ [1e-9, 1 − 1e-9]` where the analytic derivative is
 /// (correctly) zero but a finite difference straddles the kink.
@@ -177,16 +136,6 @@ fn competing_risks_jacobian_matches_central_differences() {
 fn all_four_paper_mixture_jacobians_match_central_differences() {
     for (k, family) in MixtureFamily::paper_combinations().into_iter().enumerate() {
         check_family(&family, 0xC0DE_0010 + k as u64, |rng| {
-            mixture_point(&family, rng)
-        });
-    }
-}
-
-#[test]
-fn batched_sse_is_bit_identical_to_scalar_objective() {
-    check_batch(&QuadraticFamily, 0xBA7C_0001, quadratic_point);
-    for (k, family) in MixtureFamily::paper_combinations().into_iter().enumerate() {
-        check_batch(&family, 0xBA7C_0010 + k as u64, |rng| {
             mixture_point(&family, rng)
         });
     }
