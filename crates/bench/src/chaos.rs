@@ -19,10 +19,11 @@
 //!    (injections, breaker trips and quarantines are all non-zero — a
 //!    chaos smoke that injects nothing proves nothing).
 //!
-//! The verdict is written to `BENCH_chaos.json` with no wall-clock and no
-//! machine identifiers: regenerating it anywhere yields the same bytes.
+//! The verdict is written to `BENCH_chaos.json`, with an FNV-1a digest of
+//! the canonical event log, and with no wall-clock and no machine
+//! identifiers: regenerating it anywhere yields the same bytes.
 
-use crate::fleet::{FleetRun, FleetStore, PASSES, QUARANTINED_BITS};
+use crate::fleet::{fnv1a, FleetRun, FleetStore, PASSES, QUARANTINED_BITS};
 use resilience_core::chaos::ChaosPlan;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{BreakerPolicy, ExecPolicy, RetryPolicy};
@@ -104,6 +105,9 @@ pub struct ChaosReport {
     pub retry_ceiling: u64,
     /// Work roll-up of the canonical run.
     pub rollup: RunReport,
+    /// FNV-1a digest ([`fnv1a`]) of the canonical run's JSONL log, which
+    /// the baseline pins byte for byte.
+    pub log_digest: u64,
 }
 
 fn counter(report: &RunReport, id: CounterId) -> u64 {
@@ -179,6 +183,7 @@ impl ChaosReport {
             retries,
             retry_ceiling,
             rollup: run1.report.clone(),
+            log_digest: fnv1a(log1.as_bytes()),
         }
     }
 
@@ -237,7 +242,8 @@ impl ChaosReport {
              \"transient_per_mille\": {}}},\n  \
              \"chaos_injected\": {},\n  \"breaker_opened\": {},\n  \"breaker_half_open\": {},\n  \
              \"cells_quarantined\": {},\n  \"retries\": {},\n  \"retry_ceiling\": {},\n  \
-             \"store_digest\": \"{:016x}\",\n  \"columns\": {},\n  \"rollup\": {}\n}}\n",
+             \"store_digest\": \"{:016x}\",\n  \"log_digest\": \"{:016x}\",\n  \
+             \"columns\": {},\n  \"rollup\": {}\n}}\n",
             self.store.len(),
             families.join(", "),
             PASSES.len(),
@@ -260,6 +266,7 @@ impl ChaosReport {
             self.retries,
             self.retry_ceiling,
             self.store.digest(),
+            self.log_digest,
             self.store.columns_json(),
             self.rollup.to_json(),
         )

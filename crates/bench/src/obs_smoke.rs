@@ -25,10 +25,12 @@
 //!
 //! The JSON baseline is a pure function of the grid: counter totals,
 //! histogram bucket vectors and percentiles, per-family work against
-//! ceilings, and the top-K hottest cells. No wall-clock, no machine
-//! identifiers — CI regenerates it and `git diff` stays clean.
+//! ceilings, the top-K hottest cells, and an FNV-1a digest of the
+//! canonical log, so a log that changes by one byte changes the
+//! baseline. No wall-clock, no machine identifiers — CI regenerates it
+//! and `git diff` stays clean.
 
-use crate::fleet::{FleetRun, PASSES};
+use crate::fleet::{fnv1a, FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
 use resilience_obs::{Event, Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
@@ -141,6 +143,9 @@ pub struct ObsSmokeReport {
     pub tree_cells: usize,
     /// Evaluations the span tree could not attribute to any cell.
     pub unattributed_evals: u64,
+    /// FNV-1a digest ([`fnv1a`]) of the canonical run's JSONL log, which
+    /// the baseline pins byte for byte.
+    pub log_digest: u64,
 }
 
 /// How many hottest cells the baseline records.
@@ -229,7 +234,8 @@ impl ObsSmokeReport {
              \"identical_tree\": {}, \"identical_metrics\": {}, \"identical_store\": {}, \
              \"cells_covered\": {}, \"work_attributed\": {}, \"within_budget\": {}, \
              \"log_bounded\": {}}},\n  \
-             \"tree_cells\": {},\n  \"unattributed_evals\": {},\n  \"counters\": {{\n{}\n  }},\n  \
+             \"tree_cells\": {},\n  \"unattributed_evals\": {},\n  \"log_digest\": \"{:016x}\",\n  \
+             \"counters\": {{\n{}\n  }},\n  \
              \"histograms\": {{\n{}\n  }},\n  \"family_work\": [\n{}\n  ],\n  \
              \"hottest_cells\": [\n{}\n  ],\n  \"hottest_families\": [\n{}\n  ]\n}}\n",
             self.cells,
@@ -249,6 +255,7 @@ impl ObsSmokeReport {
             self.log_bounded,
             self.tree_cells,
             self.unattributed_evals,
+            self.log_digest,
             counters.join(",\n"),
             histograms.join(",\n"),
             work.join(",\n"),
@@ -348,6 +355,7 @@ impl ObsSmokeReport {
                 .collect(),
             tree_cells: tree.cells.len(),
             unattributed_evals: tree.unattributed_evaluations,
+            log_digest: fnv1a(log1.as_bytes()),
         };
         let artifacts = ObsSmokeArtifacts {
             serial_jsonl: log1,

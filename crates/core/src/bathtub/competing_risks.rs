@@ -228,15 +228,6 @@ impl ModelFamily for CompetingRisksFamily {
         3
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            3,
-            "CompetingRisksFamily expects 3 internal params"
-        );
-        internal.iter().map(|v| v.exp()).collect()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -505,7 +496,6 @@ mod tests {
         let internal = [0.01_f64, -1.6, -5.3];
         let mut params = [0.0; 3];
         fam.internal_to_params_into(&internal, &mut params);
-        assert_eq!(params.to_vec(), fam.internal_to_params(&internal));
 
         let ts = [0.0, 3.0, 11.0, 40.0];
         let mut out = [f64::NAN; 4];

@@ -231,19 +231,6 @@ impl ModelFamily for QuadraticFamily {
         3
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            3,
-            "QuadraticFamily expects 3 internal params"
-        );
-        let alpha = internal[0].exp();
-        // Numerically safe logistic clamped strictly inside (0, 1).
-        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(S_MIN, S_MAX);
-        let gamma = internal[2].exp();
-        QuadraticFamily::external(alpha, s, gamma)
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -252,6 +239,7 @@ impl ModelFamily for QuadraticFamily {
         );
         assert_eq!(out.len(), 3, "QuadraticFamily writes 3 external params");
         let alpha = internal[0].exp();
+        // Numerically safe logistic clamped strictly inside (0, 1).
         let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(S_MIN, S_MAX);
         let gamma = internal[2].exp();
         out[0] = alpha;
@@ -670,7 +658,6 @@ mod tests {
         let internal = [0.02, -0.3, -7.5];
         let mut params = [0.0; 3];
         fam.internal_to_params_into(&internal, &mut params);
-        assert_eq!(params.to_vec(), fam.internal_to_params(&internal));
 
         let ts = [0.0, 5.0, 10.0, 20.0];
         let mut out = [f64::NAN; 4];

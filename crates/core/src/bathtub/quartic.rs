@@ -110,11 +110,6 @@ impl ModelFamily for QuarticFamily {
         5
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(internal.len(), 5, "QuarticFamily expects 5 internal params");
-        internal.to_vec()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(internal.len(), 5, "QuarticFamily expects 5 internal params");
         out.copy_from_slice(internal);
@@ -254,7 +249,6 @@ mod tests {
         let internal = [1.0, -0.24, 0.22, -0.08, 0.01];
         let mut params = [0.0; 5];
         fam.internal_to_params_into(&internal, &mut params);
-        assert_eq!(params.to_vec(), fam.internal_to_params(&internal));
 
         let ts = [0.0, 1.0, 2.5, 4.0];
         let mut out = [f64::NAN; 4];

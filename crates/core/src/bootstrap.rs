@@ -83,6 +83,11 @@ impl BootstrapBand {
     }
 }
 
+/// The Nelder–Mead iteration cap of a replicate refit, in place of the
+/// band's own: replicate surfaces are small perturbations of the original,
+/// and each refit starts at the base optimum.
+const REFIT_MAX_ITERATIONS: usize = 800;
+
 /// Configuration for [`bootstrap_band`].
 #[derive(Debug, Clone)]
 pub struct BootstrapConfig {
@@ -95,10 +100,6 @@ pub struct BootstrapConfig {
     /// ([`XorShift64::stream`]`(seed, i)`), so the band depends only on
     /// the seed — never on scheduling or thread count.
     pub seed: u64,
-    /// Fit configuration for the replicate refits. Defaults to a single
-    /// start at the base fit's optimum with a reduced iteration budget —
-    /// replicate surfaces are small perturbations of the original.
-    pub refit: FitConfig,
     /// Thread fan-out across replicates. Every setting produces
     /// bit-identical bands; the replicate refits themselves run serially
     /// so the fan-out happens at exactly one level.
@@ -107,14 +108,10 @@ pub struct BootstrapConfig {
 
 impl Default for BootstrapConfig {
     fn default() -> Self {
-        let mut refit = FitConfig::default();
-        refit.nelder_mead.max_iterations = 800;
-        refit.max_starts = 1;
         BootstrapConfig {
             replicates: 200,
             alpha: 0.05,
             seed: 0x0B007,
-            refit,
             parallelism: Parallelism::Auto,
         }
     }
@@ -123,10 +120,13 @@ impl Default for BootstrapConfig {
 /// Computes a residual-bootstrap band for `family` fit to `series`,
 /// evaluated at every observation time.
 ///
-/// This is [`bootstrap_band_checkpointed`] with an unbounded control: it
-/// always runs to completion in one call. A replicate whose refit panics
-/// counts as a failed replicate (isolated at the job boundary), like one
-/// whose refit errors.
+/// The base fit uses `base_config`. Each replicate refits a synthetic
+/// series (the fitted curve plus resampled residuals) with the same
+/// configuration, serially, from the base optimum, and with its
+/// Nelder–Mead iterations capped at 800 (times the family's
+/// [`ModelFamily::nm_iteration_scale`]). A replicate whose refit errors,
+/// panics (isolated at the job boundary) or predicts a non-finite value
+/// counts as failed and is left out of the band.
 ///
 /// # Errors
 ///
@@ -144,13 +144,12 @@ pub fn bootstrap_band(
 
 /// [`bootstrap_band`] under a [`Control`]'s telemetry sink.
 ///
-/// Only the control's observer is used: the run always completes in one
-/// call (deadline and cancellation are stripped — use
-/// [`bootstrap_band_checkpointed`] for pausable runs). The sink receives
-/// the base fit's solver trace, a [`Event::BootstrapChunkDone`] progress
-/// event after each replicate chunk, and ok/failed replicate counters.
-/// Replicate refits themselves run unobserved — hundreds of near-identical
-/// solver traces would drown the log without adding information.
+/// Only the control's observer is used: deadline and cancellation are
+/// stripped, so the run always completes. The sink receives the base
+/// fit's solver trace, the ok/failed replicate counters and one
+/// [`Event::BootstrapChunkDone`] once every replicate has run. Replicate
+/// refits themselves run unobserved — hundreds of near-identical solver
+/// traces would drown the log without adding information.
 ///
 /// # Errors
 ///
@@ -162,82 +161,6 @@ pub fn bootstrap_band_with(
     config: &BootstrapConfig,
     control: &Control,
 ) -> Result<BootstrapBand, CoreError> {
-    let mut checkpoint = None;
-    bootstrap_band_checkpointed(
-        family,
-        series,
-        base_config,
-        config,
-        &mut checkpoint,
-        &control.observer_only(),
-    )?
-    // An unbounded control can never pause the run, so the engine always
-    // returns a finished band here; defensive rather than `unwrap`.
-    .ok_or_else(|| CoreError::arg("bootstrap_band", "unbounded run returned no band"))
-}
-
-/// Resumable state of an interrupted [`bootstrap_band_checkpointed`] run:
-/// the base fit's curve and residuals plus every replicate prediction
-/// accumulated so far.
-///
-/// Opaque by design — callers only thread it back into the next call.
-/// Because each replicate is a pure function of `(seed, replicate
-/// index)`, a run resumed from a checkpoint is **bit-identical** to an
-/// uninterrupted one.
-#[derive(Debug, Clone)]
-pub struct BootstrapCheckpoint {
-    next_rep: usize,
-    failed: usize,
-    times: Vec<f64>,
-    fitted: Vec<f64>,
-    residuals: Vec<f64>,
-    seed_params: Vec<f64>,
-    /// Each successful replicate's predictions, in replicate order.
-    predictions: Vec<Vec<f64>>,
-}
-
-impl BootstrapCheckpoint {
-    /// Number of replicates already processed (successful or failed).
-    #[must_use]
-    pub fn replicates_done(&self) -> usize {
-        self.next_rep
-    }
-}
-
-/// [`bootstrap_band`] that can pause at a deadline and resume later.
-///
-/// On the first call pass `&mut None`: the base fit runs (always to
-/// completion — it is the minimum unit of progress) and replicates are
-/// processed in chunks. After each chunk the `control` is polled; if it
-/// signals a stop, the accumulated state is saved into `checkpoint` and
-/// the call returns `Ok(None)`. Calling again with the same arguments and
-/// the saved checkpoint resumes exactly where the run left off. Every
-/// call completes at least one chunk, so a caller looping on an expired
-/// deadline still terminates.
-///
-/// The finished band is bit-identical to an uninterrupted
-/// [`bootstrap_band`] run regardless of how many times the run was
-/// paused, because each replicate's draws come from its own
-/// counter-derived stream ([`XorShift64::stream`]`(seed, rep)`). On
-/// completion the checkpoint is cleared back to `None`.
-///
-/// A replicate whose refit panics is isolated at the job boundary and
-/// counted as failed, exactly like a replicate whose refit errors.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidArgument`] for a bad configuration, a checkpoint
-///   inconsistent with `series`/`config`, or (on the final chunk) too few
-///   successful replicates.
-/// * Propagates the base fit's errors.
-pub fn bootstrap_band_checkpointed(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    base_config: &FitConfig,
-    config: &BootstrapConfig,
-    checkpoint: &mut Option<BootstrapCheckpoint>,
-    control: &Control,
-) -> Result<Option<BootstrapBand>, CoreError> {
     if config.replicates < 20 {
         return Err(CoreError::arg(
             "bootstrap_band",
@@ -250,134 +173,84 @@ pub fn bootstrap_band_checkpointed(
             format!("alpha must be in (0, 1), got {}", config.alpha),
         ));
     }
+    let control = control.observer_only();
     let n = series.len();
-    if checkpoint.is_none() {
-        // The base fit is observed (its solver trace anchors the log) but
-        // never deadline-stopped: it is the minimum unit of progress.
-        let base = fit_least_squares_with(family, series, base_config, &control.observer_only())?;
-        let times = series.times().to_vec();
-        let fitted = base.model.predict_many(&times);
-        let residuals: Vec<f64> = series
-            .values()
-            .iter()
-            .zip(&fitted)
-            .map(|(y, f)| y - f)
-            .collect();
-        *checkpoint = Some(BootstrapCheckpoint {
-            next_rep: 0,
-            failed: 0,
-            times,
-            fitted,
-            residuals,
-            seed_params: base.params,
-            predictions: Vec::with_capacity(config.replicates),
-        });
-    }
-    let cp = checkpoint.as_mut().expect("checkpoint initialized above");
-    if cp.times.len() != n || cp.next_rep > config.replicates {
-        return Err(CoreError::arg(
-            "bootstrap_band",
-            format!(
-                "checkpoint does not match this run: {} band points for {} observations, \
-                 {} of {} replicates done",
-                cp.times.len(),
-                n,
-                cp.next_rep,
-                config.replicates
-            ),
-        ));
-    }
+    // The base fit is observed: its solver trace anchors the log.
+    let base = fit_least_squares_with(family, series, base_config, &control)?;
+    let times = series.times().to_vec();
+    let fitted = base.model.predict_many(&times);
+    let residuals: Vec<f64> = series
+        .values()
+        .iter()
+        .zip(&fitted)
+        .map(|(y, f)| y - f)
+        .collect();
 
     // Replicate refits always start at the base optimum, and run
     // serially — the fan-out happens across replicates, not inside them.
-    let mut refit_config = config.refit.clone();
-    refit_config.max_starts = refit_config.max_starts.max(1);
+    let mut refit_config = base_config.clone();
+    refit_config.nelder_mead.max_iterations = REFIT_MAX_ITERATIONS;
     refit_config.parallelism = Parallelism::Serial;
-
-    while cp.next_rep < config.replicates {
-        let remaining = config.replicates - cp.next_rep;
-        // Unbounded runs take everything in one chunk (no reason to pay
-        // per-chunk pool setup); bounded runs use chunks large enough to
-        // keep every worker busy but small enough that the deadline check
-        // between chunks is responsive.
-        let chunk = if control.is_unbounded() {
-            remaining
-        } else {
-            let threads = config.parallelism.threads_for(remaining);
-            remaining.min((threads * 8).max(32))
-        };
-        let start = cp.next_rep;
-        let (times, fitted, residuals) = (&cp.times, &cp.fitted, &cp.residuals);
-        let base_optimum = std::slice::from_ref(&cp.seed_params);
-        // Each replicate owns a counter-derived RNG stream, so its draws
-        // are a pure function of (seed, replicate index): replicates can
-        // run on any thread, in any order, across any pause/resume split,
-        // and still produce the same band.
-        let replicate_preds =
-            run_indexed_catch(config.parallelism, chunk, |j| -> Option<Vec<f64>> {
-                let rep = start + j;
-                let mut rng = XorShift64::stream(config.seed, rep as u64);
-                let synth_values: Vec<f64> = (0..n)
-                    .map(|i| fitted[i] + residuals[rng.next_index(n)])
-                    .collect();
-                let synth =
-                    PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
-                let fit = fit_from(
-                    family,
-                    &synth,
-                    Some(base_optimum),
-                    None,
-                    &refit_config,
-                    &Control::unbounded(),
-                )
-                .ok()?;
-                let mut preds = vec![0.0; n];
-                fit.model.predict_into(times, &mut preds);
-                for p in &mut preds {
-                    // Prediction band: parameter uncertainty (the refit) plus
-                    // observation noise (one more residual draw) — the bootstrap
-                    // analogue of the paper's Eq. 13 band, which also targets
-                    // observations rather than the mean curve.
-                    *p += residuals[rng.next_index(n)];
-                }
-                // Guard layer (DESIGN.md §8): a replicate whose refit
-                // produced a non-finite prediction counts as failed — it
-                // must not reach the quantile computation, which would
-                // otherwise reject the entire band over one bad replicate.
-                if preds.iter().any(|p| !p.is_finite()) {
-                    return None;
-                }
-                Some(preds)
-            });
-        let failed_before = cp.failed;
-        for outcome in replicate_preds {
-            match outcome {
-                Ok(Some(preds)) => cp.predictions.push(preds),
-                // Refit failure and replicate panic degrade identically:
-                // one failed replicate, never a lost band.
-                Ok(None) | Err(_) => cp.failed += 1,
+    let base_optimum = std::slice::from_ref(&base.params);
+    // Each replicate owns a counter-derived RNG stream, so its draws are a
+    // pure function of (seed, replicate index): replicates can run on any
+    // thread, in any order, and still produce the same band.
+    let outcomes = run_indexed_catch(
+        config.parallelism,
+        config.replicates,
+        |rep| -> Option<Vec<f64>> {
+            let mut rng = XorShift64::stream(config.seed, rep as u64);
+            let synth_values: Vec<f64> = (0..n)
+                .map(|i| fitted[i] + residuals[rng.next_index(n)])
+                .collect();
+            let synth = PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
+            let fit = fit_from(
+                family,
+                &synth,
+                Some(base_optimum),
+                None,
+                &refit_config,
+                &Control::unbounded(),
+            )
+            .ok()?;
+            let mut preds = vec![0.0; n];
+            fit.model.predict_into(&times, &mut preds);
+            for p in &mut preds {
+                // Prediction band: parameter uncertainty (the refit) plus
+                // observation noise (one more residual draw) — the bootstrap
+                // analogue of the paper's Eq. 13 band, which also targets
+                // observations rather than the mean curve.
+                *p += residuals[rng.next_index(n)];
             }
-        }
-        cp.next_rep += chunk;
-        let chunk_failed = cp.failed - failed_before;
-        control.count(
-            CounterId::BootstrapReplicatesOk,
-            (chunk - chunk_failed) as u64,
-        );
-        control.count(CounterId::BootstrapReplicatesFailed, chunk_failed as u64);
-        control.emit(Event::BootstrapChunkDone {
-            done: cp.next_rep as u32,
-            total: config.replicates as u32,
-            failed: cp.failed as u32,
-        });
-        // The stop check runs *after* the chunk: every call makes at
-        // least one chunk of progress even under an expired deadline.
-        if cp.next_rep < config.replicates && control.stop_cause().is_some() {
-            return Ok(None);
+            // Guard layer (DESIGN.md §8): a replicate whose refit produced
+            // a non-finite prediction counts as failed — it must not reach
+            // the quantile computation, which would otherwise reject the
+            // entire band over one bad replicate.
+            if preds.iter().any(|p| !p.is_finite()) {
+                return None;
+            }
+            Some(preds)
+        },
+    );
+    let mut predictions = Vec::with_capacity(config.replicates);
+    let mut failed = 0;
+    for outcome in outcomes {
+        match outcome {
+            Ok(Some(preds)) => predictions.push(preds),
+            // Refit failure and replicate panic degrade identically: one
+            // failed replicate, never a lost band.
+            Ok(None) | Err(_) => failed += 1,
         }
     }
+    let ok = config.replicates - failed;
+    control.count(CounterId::BootstrapReplicatesOk, ok as u64);
+    control.count(CounterId::BootstrapReplicatesFailed, failed as u64);
+    control.emit(Event::BootstrapChunkDone {
+        done: config.replicates as u32,
+        total: config.replicates as u32,
+        failed: failed as u32,
+    });
 
-    let ok = config.replicates - cp.failed;
     if ok < 20 || ok * 2 < config.replicates {
         return Err(CoreError::arg(
             "bootstrap_band",
@@ -395,20 +268,19 @@ pub fn bootstrap_band_checkpointed(
         // finite (the guard above), so one stable sort, the one `quantile`
         // gives its copy, serves both percentiles.
         values.clear();
-        values.extend(cp.predictions.iter().map(|preds| preds[i]));
+        values.extend(predictions.iter().map(|preds| preds[i]));
         values.sort_by(|a, b| a.partial_cmp(b).expect("finite replicate predictions"));
         lower.push(quantile_sorted(&values, config.alpha / 2.0)?);
         upper.push(quantile_sorted(&values, 1.0 - config.alpha / 2.0)?);
     }
-    let finished = checkpoint.take().expect("checkpoint present");
-    Ok(Some(BootstrapBand {
-        times: finished.times,
-        center: finished.fitted,
+    Ok(BootstrapBand {
+        times,
+        center: fitted,
         lower,
         upper,
         replicates: ok,
-        failed: finished.failed,
-    }))
+        failed,
+    })
 }
 
 #[cfg(test)]
@@ -547,58 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_resume_is_bit_identical_to_uninterrupted() {
-        use std::time::Duration;
-        let series = Recession::R1990_93.payroll_index();
-        // Fixed(2) workers → 32-replicate chunks, so 64 replicates take
-        // exactly two chunked calls under an always-expired deadline.
-        let cfg = BootstrapConfig {
-            replicates: 64,
-            parallelism: Parallelism::Fixed(2),
-            ..BootstrapConfig::default()
-        };
-        let uninterrupted =
-            bootstrap_band(&QuadraticFamily, &series, &FitConfig::default(), &cfg).unwrap();
-
-        let expired = Control::with_deadline(Duration::ZERO);
-        let mut checkpoint = None;
-        // First call: base fit + one chunk, then pauses.
-        let first = bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &series,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &expired,
-        )
-        .unwrap();
-        assert!(first.is_none(), "expired deadline must pause the run");
-        let cp = checkpoint.as_ref().expect("pause must leave a checkpoint");
-        assert_eq!(cp.replicates_done(), 32);
-
-        // Resume until done; minimum-progress guarantees termination.
-        let mut resumed = None;
-        for _ in 0..10 {
-            if let Some(band) = bootstrap_band_checkpointed(
-                &QuadraticFamily,
-                &series,
-                &FitConfig::default(),
-                &cfg,
-                &mut checkpoint,
-                &expired,
-            )
-            .unwrap()
-            {
-                resumed = Some(band);
-                break;
-            }
-        }
-        let resumed = resumed.expect("run must finish within 10 chunked calls");
-        assert!(checkpoint.is_none(), "completion must clear the checkpoint");
-        assert_eq!(resumed, uninterrupted);
-    }
-
-    #[test]
     fn telemetry_reports_chunk_progress_and_replicate_counters() {
         use resilience_obs::{CounterId, Event, RecordingObserver};
         use std::sync::Arc;
@@ -616,7 +436,7 @@ mod tests {
         let events = rec.take();
         // The base fit's span anchors the log.
         assert!(events.iter().any(|e| matches!(e, Event::FitStarted { .. })));
-        // An unbounded run takes all replicates in one chunk.
+        // One pass: one progress event for all replicates.
         let chunks: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
@@ -665,40 +485,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(traced, plain);
-    }
-
-    #[test]
-    fn checkpoint_from_a_different_series_is_rejected() {
-        use std::time::Duration;
-        let series = Recession::R1990_93.payroll_index();
-        let cfg = BootstrapConfig {
-            replicates: 64,
-            parallelism: Parallelism::Fixed(2),
-            ..BootstrapConfig::default()
-        };
-        let mut checkpoint = None;
-        let paused = bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &series,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &Control::with_deadline(Duration::ZERO),
-        )
-        .unwrap();
-        assert!(paused.is_none());
-        // Resuming against a series of a different length must error, not
-        // silently mix two runs.
-        let other = Recession::R2020_21.payroll_index();
-        assert_ne!(other.len(), series.len());
-        assert!(bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &other,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &Control::unbounded(),
-        )
-        .is_err());
     }
 }

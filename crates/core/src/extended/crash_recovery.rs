@@ -276,20 +276,6 @@ impl ModelFamily for CrashRecoveryFamily {
         2
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            5,
-            "CrashRecoveryFamily expects 5 internal params"
-        );
-        let crash_time = internal[0].exp();
-        let p_inf = internal[2].exp();
-        let p_min = p_inf * CrashRecoveryFamily::sigmoid(internal[1]);
-        let rate = internal[3].exp();
-        let sharpness = 1.0 + internal[4].exp();
-        vec![crash_time, p_min, p_inf, rate, sharpness]
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -452,10 +438,6 @@ mod tests {
     fn into_variants_match_allocating_paths() {
         let fam = CrashRecoveryFamily;
         let params = [2.0, 0.85, 0.96, 0.15, 3.0];
-        let internal = fam.params_to_internal(&params).unwrap();
-        let mut back = [0.0; 5];
-        fam.internal_to_params_into(&internal, &mut back);
-        assert_eq!(back.to_vec(), fam.internal_to_params(&internal));
 
         let ts = [0.0, 1.0, 2.0, 10.0, 40.0];
         let mut out = [f64::NAN; 5];

@@ -194,15 +194,6 @@ impl ModelFamily for DoubleBathtubFamily {
         2
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            6,
-            "DoubleBathtubFamily expects 6 internal params"
-        );
-        internal.iter().map(|v| v.exp()).collect()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -376,10 +367,6 @@ mod tests {
     fn into_variants_match_allocating_paths() {
         let fam = DoubleBathtubFamily;
         let params = [1.0, 0.5, 0.002, 0.03, 18.0, 8.0];
-        let internal = fam.params_to_internal(&params).unwrap();
-        let mut back = [0.0; 6];
-        fam.internal_to_params_into(&internal, &mut back);
-        assert_eq!(back.to_vec(), fam.internal_to_params(&internal));
 
         let ts = [0.0, 10.0, 26.0, 47.0];
         let mut out = [f64::NAN; 4];

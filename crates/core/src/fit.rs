@@ -16,7 +16,7 @@ use resilience_data::PerformanceSeries;
 use resilience_math::linalg::{least_squares_qr, Matrix};
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, HistogramId};
-use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
+use resilience_optim::levenberg_marquardt;
 use resilience_optim::multi_start::{multi_start, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
 use resilience_optim::problem::LeastSquares;
@@ -31,17 +31,10 @@ const WARM_EVAL_BUDGET: usize = 600;
 /// Configuration for [`fit_least_squares`].
 #[derive(Debug, Clone)]
 pub struct FitConfig {
-    /// Nelder–Mead settings for the multi-start phase.
+    /// Nelder–Mead's stopping rule for the multi-start phase.
     pub nelder_mead: NelderMeadConfig,
     /// Whether to polish the multi-start winner with Levenberg–Marquardt.
     pub lm_polish: bool,
-    /// Levenberg–Marquardt settings for the polish phase.
-    pub lm: LmConfig,
-    /// Cap on the number of starting points taken from
-    /// [`ModelFamily::initial_guesses`], applied after a family with
-    /// linear coefficients has merged the guesses that coincide in its
-    /// nonlinear coordinates.
-    pub max_starts: usize,
     /// Worker threads. A single fit runs its starts on this many; the
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
     /// [`crate::selection::rank_models`]) spends them on its jobs when a
@@ -70,11 +63,8 @@ impl Default for FitConfig {
                 max_iterations: 600,
                 f_tol: 1e-7,
                 x_tol: 1e-5,
-                ..NelderMeadConfig::default()
             },
             lm_polish: true,
-            lm: LmConfig::default(),
-            max_starts: 24,
             parallelism: Parallelism::Auto,
         }
     }
@@ -583,9 +573,9 @@ impl<'a> FitPlan<'a> {
     /// family's own when `None`, in the search space: every internal
     /// coordinate, or for a profiled family its nonlinear coordinates, in
     /// which case guesses that coincide there are merged, keeping the
-    /// first, before `config.max_starts` applies. Guesses that do not convert are
-    /// dropped. `ln_times` is [`ln_table`] of the series' times when
-    /// [`reads_ln_table`], and may be empty otherwise.
+    /// first. Guesses that do not convert are dropped. `ln_times` is
+    /// [`ln_table`] of the series' times when [`reads_ln_table`], and may be
+    /// empty otherwise.
     ///
     /// # Errors
     ///
@@ -693,9 +683,6 @@ impl<'a> FitPlan<'a> {
         let mut starts = Vec::new();
         let mut n_starts = 0;
         for point in guesses.iter().filter_map(|g| plan.search_point(g)) {
-            if n_starts == config.max_starts {
-                break;
-            }
             if !(profiled && starts.chunks_exact(dim).any(|s| s == point)) {
                 starts.extend_from_slice(&point);
                 n_starts += 1;
@@ -866,11 +853,7 @@ impl<'a> FitPlan<'a> {
             // A failed or stopped polish is not a fit failure: the multi-start
             // winner above is already a complete answer, so `Err` here (LM
             // divergence, deadline, cancellation) just skips the refinement.
-            if let Ok(report) = LevenbergMarquardt::new(config.lm.clone()).minimize(
-                &problem,
-                &best_internal,
-                control,
-            ) {
+            if let Ok(report) = levenberg_marquardt::minimize(&problem, &best_internal, control) {
                 evaluations += report.evaluations;
                 total_evaluations += report.evaluations;
                 lm_converged = report.termination == TerminationReason::Converged;

@@ -252,15 +252,6 @@ impl ModelFamily for MixtureFamily {
         self.f1.n_params() + self.f2.n_params() + 1
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            self.n_params(),
-            "internal dimension mismatch"
-        );
-        internal.iter().map(|v| v.exp()).collect()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -587,7 +578,6 @@ mod tests {
             let internal = fam.params_to_internal(&external).unwrap();
             let mut params = vec![0.0; n];
             fam.internal_to_params_into(&internal, &mut params);
-            assert_eq!(params, fam.internal_to_params(&internal), "{}", fam.name());
 
             let mut out = [f64::NAN; 6];
             assert!(fam.predict_params_into(&params, &ts, &mut out));

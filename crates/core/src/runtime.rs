@@ -44,13 +44,18 @@ use std::time::Duration;
 
 pub use resilience_optim::{CancelToken, Control};
 
+/// Relative jitter amplitude on the first retry (attempt 2).
+const INITIAL_JITTER: f64 = 0.05;
+/// Geometric growth factor of the jitter amplitude per further attempt.
+const JITTER_GROWTH: f64 = 2.0;
+
 /// Deterministic retry for non-converged fits.
 ///
 /// Attempt 1 uses the family's own starting points. Each later attempt
-/// perturbs every starting point with zero-mean jitter whose amplitude
-/// grows geometrically — exponential backoff in parameter space — so
-/// retries explore progressively wider basins. The jitter for attempt
-/// `k` is drawn from the counter-derived stream
+/// perturbs every starting point with zero-mean jitter whose relative
+/// amplitude starts at 0.05 and doubles per attempt — exponential backoff
+/// in parameter space — so retries explore progressively wider basins.
+/// The jitter for attempt `k` is drawn from the counter-derived stream
 /// `XorShift64::stream(base_seed, k)`, so the whole retry schedule is a
 /// pure function of this policy: no wall-clock, no global RNG state.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +64,6 @@ pub struct RetryPolicy {
     pub max_attempts: usize,
     /// Seed for the jitter streams.
     pub base_seed: u64,
-    /// Relative jitter amplitude on the first retry (attempt 2).
-    pub initial_jitter: f64,
-    /// Geometric growth factor of the amplitude per further attempt.
-    pub growth: f64,
 }
 
 impl Default for RetryPolicy {
@@ -70,17 +71,7 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             base_seed: 0x5EED,
-            initial_jitter: 0.05,
-            growth: 2.0,
         }
-    }
-}
-
-impl RetryPolicy {
-    /// Jitter amplitude for 1-based `attempt` (attempt 1 is unjittered).
-    fn amplitude(&self, attempt: usize) -> f64 {
-        debug_assert!(attempt >= 2);
-        self.initial_jitter * self.growth.powi(attempt as i32 - 2)
     }
 }
 
@@ -167,9 +158,10 @@ pub struct SupervisedFit {
 }
 
 /// Number of jittered starting points generated around a best-so-far
-/// optimum on warm retries (attempts ≥ 2 that already have a fit). Far
-/// fewer than the cold grids (up to 24 starts): the center is already in
-/// the right basin, the jitter only has to escape a simplex stall.
+/// optimum on warm retries (attempts ≥ 2 that already have a fit). Fewer
+/// than the cold grids (up to 18 starts on the recession curves): the
+/// center is already in the right basin, the jitter only has to escape a
+/// simplex stall.
 const WARM_RETRY_STARTS: usize = 8;
 
 /// The starting points of retry `attempt` (≥ 2): the family's own
@@ -189,7 +181,8 @@ fn jittered_guesses(
     attempt: usize,
     center: Option<&[f64]>,
 ) -> Vec<Vec<f64>> {
-    let amplitude = policy.amplitude(attempt);
+    debug_assert!(attempt >= 2);
+    let amplitude = INITIAL_JITTER * JITTER_GROWTH.powi(attempt as i32 - 2);
     let mut rng = XorShift64::stream(policy.base_seed, attempt as u64);
     let mut guesses = match center {
         Some(center) => vec![center.to_vec(); WARM_RETRY_STARTS],
@@ -1589,8 +1582,8 @@ mod tests {
         fn n_params(&self) -> usize {
             QuadraticFamily.n_params()
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            QuadraticFamily.internal_to_params(internal)
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            QuadraticFamily.internal_to_params_into(internal, out);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             QuadraticFamily.params_to_internal(params)
@@ -1661,8 +1654,8 @@ mod tests {
         fn n_params(&self) -> usize {
             QuadraticFamily.n_params()
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            QuadraticFamily.internal_to_params(internal)
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            QuadraticFamily.internal_to_params_into(internal, out);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             QuadraticFamily.params_to_internal(params)
@@ -1961,8 +1954,8 @@ mod tests {
         fn n_params(&self) -> usize {
             1
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            internal.to_vec()
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            out.copy_from_slice(internal);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             Ok(params.to_vec())

@@ -402,8 +402,8 @@ mod tests {
             fn n_params(&self) -> usize {
                 3
             }
-            fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-                internal.to_vec()
+            fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+                out.copy_from_slice(internal);
             }
             fn params_to_internal(&self, _params: &[f64]) -> Result<Vec<f64>, CoreError> {
                 Err(CoreError::arg("Hopeless", "never feasible"))
@@ -449,9 +449,6 @@ mod tests {
             }
             fn n_params(&self) -> usize {
                 2
-            }
-            fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-                internal.to_vec()
             }
             fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
                 out.copy_from_slice(internal);

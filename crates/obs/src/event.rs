@@ -417,7 +417,8 @@ pub enum Event {
         /// Job index within the scope.
         index: u32,
     },
-    /// A bootstrap chunk finished.
+    /// A bootstrap band's replicates finished: one event per band, after
+    /// its one replicate pass.
     BootstrapChunkDone {
         /// Replicates completed so far (logical clock).
         done: u32,

@@ -192,12 +192,6 @@ impl Control {
         }
     }
 
-    /// Whether this control can never stop a run.
-    #[must_use]
-    pub fn is_unbounded(&self) -> bool {
-        self.cancel.is_none() && self.deadline.is_none()
-    }
-
     /// Polls the stop condition: cancellation first, then the deadline.
     ///
     /// Allocation-free: one atomic load and one monotonic clock read.
@@ -323,7 +317,6 @@ mod tests {
     #[test]
     fn unbounded_never_stops() {
         let c = Control::unbounded();
-        assert!(c.is_unbounded());
         assert!(c.stop_cause().is_none());
     }
 
@@ -331,7 +324,6 @@ mod tests {
     fn cancel_token_is_shared_across_clones() {
         let token = CancelToken::new();
         let control = Control::with_token(&token);
-        assert!(!control.is_unbounded());
         assert!(control.stop_cause().is_none());
         token.cancel();
         assert_eq!(control.stop_cause(), Some(StopCause::Cancelled));

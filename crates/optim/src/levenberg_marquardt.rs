@@ -13,69 +13,42 @@ use crate::OptimError;
 use resilience_math::linalg::{norm2, Matrix};
 use resilience_obs::{CounterId, Event, SolverKind};
 
-/// Configuration for [`LevenbergMarquardt`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LmConfig {
-    /// Maximum number of outer iterations.
-    pub max_iterations: usize,
-    /// Convergence tolerance on the relative SSE decrease.
-    pub f_tol: f64,
-    /// Convergence tolerance on the step norm.
-    pub x_tol: f64,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplicative damping adaptation factor (> 1).
-    pub lambda_factor: f64,
-    /// Upper bound on λ before declaring stagnation.
-    pub max_lambda: f64,
-}
+/// Maximum number of outer iterations.
+const MAX_ITERATIONS: usize = 200;
+/// Convergence tolerance on the relative SSE decrease.
+const F_TOL: f64 = 1e-14;
+/// Convergence tolerance on the step norm.
+const X_TOL: f64 = 1e-12;
+/// Initial damping factor λ.
+const INITIAL_LAMBDA: f64 = 1e-3;
+/// Multiplicative damping adaptation factor.
+const LAMBDA_FACTOR: f64 = 8.0;
+/// Upper bound on λ before declaring stagnation.
+const MAX_LAMBDA: f64 = 1e12;
 
-impl Default for LmConfig {
-    fn default() -> Self {
-        LmConfig {
-            max_iterations: 200,
-            f_tol: 1e-14,
-            x_tol: 1e-12,
-            initial_lambda: 1e-3,
-            lambda_factor: 8.0,
-            max_lambda: 1e12,
-        }
-    }
-}
-
-impl LmConfig {
-    fn validate(&self) -> Result<(), OptimError> {
-        if self.max_iterations == 0 {
-            return Err(OptimError::config(
-                "LevenbergMarquardt",
-                "max_iterations must be > 0",
-            ));
-        }
-        if !(self.f_tol > 0.0) || !(self.x_tol > 0.0) {
-            return Err(OptimError::config(
-                "LevenbergMarquardt",
-                "tolerances must be positive",
-            ));
-        }
-        if !(self.initial_lambda > 0.0)
-            || !(self.lambda_factor > 1.0)
-            || !(self.max_lambda > self.initial_lambda)
-        {
-            return Err(OptimError::config(
-                "LevenbergMarquardt",
-                "need initial_lambda > 0, lambda_factor > 1, max_lambda > initial_lambda",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The Levenberg–Marquardt optimizer for [`LeastSquares`] problems.
+/// Minimizes `‖r(θ)‖²` from the starting point `x0` under an execution
+/// [`Control`].
+///
+/// Each outer iteration and each damped inner step is a cooperative
+/// cancellation point. Pass [`Control::unbounded`] for an uncontrolled
+/// run. The damping starts at λ = 10⁻³ and moves by a factor of 8; the
+/// run stops after 200 outer iterations, on a relative SSE decrease below
+/// 10⁻¹⁴ or a relative step below 10⁻¹², or when λ passes 10¹² without an
+/// improving step.
+///
+/// # Errors
+///
+/// * [`OptimError::InvalidConfig`] for a dimension mismatch.
+/// * [`OptimError::BadStartingPoint`] when residuals are non-finite at
+///   `x0`.
+/// * [`OptimError::Numerical`] when the damped normal equations are
+///   singular beyond recovery.
+/// * [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
 ///
 /// # Examples
 ///
 /// ```
-/// use resilience_optim::levenberg_marquardt::{LevenbergMarquardt, LmConfig};
+/// use resilience_optim::levenberg_marquardt;
 /// use resilience_optim::problem::ClosureLeastSquares;
 /// use resilience_optim::Control;
 ///
@@ -89,193 +62,158 @@ impl LmConfig {
 ///         out[i] = y - p[0] * (-p[1] * t).exp();
 ///     }
 /// });
-/// let report = LevenbergMarquardt::new(LmConfig::default())
-///     .minimize(&problem, &[1.0, 0.1], &Control::unbounded())?;
+/// let report = levenberg_marquardt::minimize(&problem, &[1.0, 0.1], &Control::unbounded())?;
 /// assert!((report.params[0] - 2.0).abs() < 1e-8);
 /// assert!((report.params[1] - 0.3).abs() < 1e-8);
 /// # Ok::<(), resilience_optim::OptimError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct LevenbergMarquardt {
-    config: LmConfig,
-}
-
-impl LevenbergMarquardt {
-    /// Creates an optimizer with the given configuration.
-    #[must_use]
-    pub fn new(config: LmConfig) -> Self {
-        LevenbergMarquardt { config }
+pub fn minimize<P: LeastSquares + ?Sized>(
+    problem: &P,
+    x0: &[f64],
+    control: &Control,
+) -> Result<OptimReport, OptimError> {
+    if x0.len() != problem.n_params() {
+        return Err(OptimError::config(
+            "LevenbergMarquardt",
+            format!(
+                "problem has {} parameters, x0 has {}",
+                problem.n_params(),
+                x0.len()
+            ),
+        ));
     }
+    let m = problem.n_residuals();
+    let n = problem.n_params();
+    if m < n {
+        return Err(OptimError::config(
+            "LevenbergMarquardt",
+            format!("underdetermined: {m} residuals for {n} parameters"),
+        ));
+    }
+    let mut x = x0.to_vec();
+    let mut residuals = vec![0.0; m];
+    problem.residuals(&x, &mut residuals);
+    let mut evaluations = 1usize;
+    if residuals.iter().any(|v| !v.is_finite()) {
+        return Err(OptimError::BadStartingPoint { value: f64::NAN });
+    }
+    let mut sse = norm2(&residuals).powi(2);
+    let mut lambda = INITIAL_LAMBDA;
+    let mut iterations = 0usize;
+    let mut termination = TerminationReason::MaxIterations;
+    // Damping-adaptation tallies, flushed as counter events only at
+    // termination so the solve/step loop stays allocation-free.
+    let (mut damping_up, mut damping_down) = (0u64, 0u64);
+    // Reused across iterations by the analytic-Jacobian path; the
+    // finite-difference fallback replaces it wholesale.
+    let mut analytic_jac = Matrix::zeros(m, n);
 
-    /// Minimizes `‖r(θ)‖²` from the starting point `x0` under an
-    /// execution [`Control`].
-    ///
-    /// Each outer iteration and each damped inner step is a cooperative
-    /// cancellation point. Pass [`Control::unbounded`] for an uncontrolled
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// * [`OptimError::InvalidConfig`] for bad configuration or dimension
-    ///   mismatch.
-    /// * [`OptimError::BadStartingPoint`] when residuals are non-finite at
-    ///   `x0`.
-    /// * [`OptimError::Numerical`] when the damped normal equations are
-    ///   singular beyond recovery.
-    /// * [`OptimError::TimedOut`] / [`OptimError::Cancelled`] on a stop.
-    pub fn minimize<P: LeastSquares + ?Sized>(
-        &self,
-        problem: &P,
-        x0: &[f64],
-        control: &Control,
-    ) -> Result<OptimReport, OptimError> {
-        self.config.validate()?;
-        if x0.len() != problem.n_params() {
-            return Err(OptimError::config(
-                "LevenbergMarquardt",
-                format!(
-                    "problem has {} parameters, x0 has {}",
-                    problem.n_params(),
-                    x0.len()
-                ),
-            ));
+    let scope = SolverKind::LevenbergMarquardt.stop_scope();
+    while iterations < MAX_ITERATIONS {
+        control.check_stop(scope, evaluations)?;
+        iterations += 1;
+        // Analytic Jacobian when the problem provides one (free in
+        // objective evaluations); otherwise forward differences at a
+        // cost of n residual evaluations.
+        let jac = if problem.jacobian_into(&x, &mut analytic_jac).is_some() {
+            if !analytic_jac.is_finite() {
+                return Err(OptimError::BadStartingPoint { value: f64::NAN });
+            }
+            &analytic_jac
+        } else {
+            analytic_jac = forward_jacobian(problem, &x)?;
+            evaluations += n;
+            &analytic_jac
+        };
+        let jtj = jac.gram();
+        // A direction whose curvature is below ε² of the largest is flat
+        // to working precision: Marquardt's relative damping would leave
+        // it all but undamped and send the step off along it (a
+        // competing-risks γ at 1e-20, whose column 2γt is 1e-20 of the
+        // others), so it gets the absolute floor of an exactly flat one.
+        let flat = (0..n).map(|i| jtj[(i, i)]).fold(0.0, f64::max) * f64::EPSILON * f64::EPSILON;
+        // The Newton direction for ½‖r‖² is −(JᵀJ)⁻¹Jᵀr; fold the sign
+        // into the right-hand side.
+        let mut jtr = jac.transpose_matvec(&residuals)?;
+        for v in &mut jtr {
+            *v = -*v;
         }
-        let m = problem.n_residuals();
-        let n = problem.n_params();
-        if m < n {
-            return Err(OptimError::config(
-                "LevenbergMarquardt",
-                format!("underdetermined: {m} residuals for {n} parameters"),
-            ));
-        }
-        let mut x = x0.to_vec();
-        let mut residuals = vec![0.0; m];
-        problem.residuals(&x, &mut residuals);
-        let mut evaluations = 1usize;
-        if residuals.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::BadStartingPoint { value: f64::NAN });
-        }
-        let mut sse = norm2(&residuals).powi(2);
-        let mut lambda = self.config.initial_lambda;
-        let mut iterations = 0usize;
-        let mut termination = TerminationReason::MaxIterations;
-        // Damping-adaptation tallies, flushed as counter events only at
-        // termination so the solve/step loop stays allocation-free.
-        let (mut damping_up, mut damping_down) = (0u64, 0u64);
-        // Reused across iterations by the analytic-Jacobian path; the
-        // finite-difference fallback replaces it wholesale.
-        let mut analytic_jac = Matrix::zeros(m, n);
-
-        let scope = SolverKind::LevenbergMarquardt.stop_scope();
-        while iterations < self.config.max_iterations {
+        // Inner loop: increase λ until a step decreases the SSE.
+        let mut stepped = false;
+        while lambda <= MAX_LAMBDA {
             control.check_stop(scope, evaluations)?;
-            iterations += 1;
-            // Analytic Jacobian when the problem provides one (free in
-            // objective evaluations); otherwise forward differences at a
-            // cost of n residual evaluations.
-            let jac = if problem.jacobian_into(&x, &mut analytic_jac).is_some() {
-                if !analytic_jac.is_finite() {
-                    return Err(OptimError::BadStartingPoint { value: f64::NAN });
+            // (JᵀJ + λ diag(JᵀJ)) δ = Jᵀr
+            let mut damped = jtj.clone();
+            for i in 0..n {
+                let d = jtj[(i, i)];
+                // Guard flat directions with an absolute floor.
+                damped[(i, i)] = d + lambda * if d > flat { d } else { 1.0 };
+            }
+            let delta = match damped.solve(&jtr) {
+                Ok(d) => d,
+                Err(_) => {
+                    lambda *= LAMBDA_FACTOR;
+                    damping_up += 1;
+                    continue;
                 }
-                &analytic_jac
-            } else {
-                analytic_jac = forward_jacobian(problem, &x)?;
-                evaluations += n;
-                &analytic_jac
             };
-            let jtj = jac.gram();
-            // A direction whose curvature is below ε² of the largest is flat
-            // to working precision: Marquardt's relative damping would leave
-            // it all but undamped and send the step off along it (a
-            // competing-risks γ at 1e-20, whose column 2γt is 1e-20 of the
-            // others), so it gets the absolute floor of an exactly flat one.
-            let flat =
-                (0..n).map(|i| jtj[(i, i)]).fold(0.0, f64::max) * f64::EPSILON * f64::EPSILON;
-            // The Newton direction for ½‖r‖² is −(JᵀJ)⁻¹Jᵀr; fold the sign
-            // into the right-hand side.
-            let mut jtr = jac.transpose_matvec(&residuals)?;
-            for v in &mut jtr {
-                *v = -*v;
-            }
-            // Inner loop: increase λ until a step decreases the SSE.
-            let mut stepped = false;
-            while lambda <= self.config.max_lambda {
-                control.check_stop(scope, evaluations)?;
-                // (JᵀJ + λ diag(JᵀJ)) δ = Jᵀr
-                let mut damped = jtj.clone();
-                for i in 0..n {
-                    let d = jtj[(i, i)];
-                    // Guard flat directions with an absolute floor.
-                    damped[(i, i)] = d + lambda * if d > flat { d } else { 1.0 };
+            let candidate: Vec<f64> = x.iter().zip(&delta).map(|(xi, di)| xi + di).collect();
+            let mut cand_res = vec![0.0; m];
+            problem.residuals(&candidate, &mut cand_res);
+            evaluations += 1;
+            let cand_sse = if cand_res.iter().all(|v| v.is_finite()) {
+                norm2(&cand_res).powi(2)
+            } else {
+                f64::INFINITY
+            };
+            if cand_sse < sse {
+                // Accept and relax damping.
+                let step_norm = norm2(&delta);
+                let improvement = sse - cand_sse;
+                x = candidate;
+                residuals = cand_res;
+                sse = cand_sse;
+                lambda = (lambda / LAMBDA_FACTOR).max(1e-12);
+                damping_down += 1;
+                stepped = true;
+                if improvement <= F_TOL * (1.0 + sse) || step_norm <= X_TOL * (1.0 + norm2(&x)) {
+                    termination = TerminationReason::Converged;
                 }
-                let delta = match damped.solve(&jtr) {
-                    Ok(d) => d,
-                    Err(_) => {
-                        lambda *= self.config.lambda_factor;
-                        damping_up += 1;
-                        continue;
-                    }
-                };
-                let candidate: Vec<f64> = x.iter().zip(&delta).map(|(xi, di)| xi + di).collect();
-                let mut cand_res = vec![0.0; m];
-                problem.residuals(&candidate, &mut cand_res);
-                evaluations += 1;
-                let cand_sse = if cand_res.iter().all(|v| v.is_finite()) {
-                    norm2(&cand_res).powi(2)
-                } else {
-                    f64::INFINITY
-                };
-                if cand_sse < sse {
-                    // Accept and relax damping.
-                    let step_norm = norm2(&delta);
-                    let improvement = sse - cand_sse;
-                    x = candidate;
-                    residuals = cand_res;
-                    sse = cand_sse;
-                    lambda = (lambda / self.config.lambda_factor).max(1e-12);
-                    damping_down += 1;
-                    stepped = true;
-                    if improvement <= self.config.f_tol * (1.0 + sse)
-                        || step_norm <= self.config.x_tol * (1.0 + norm2(&x))
-                    {
-                        termination = TerminationReason::Converged;
-                    }
-                    break;
-                }
-                lambda *= self.config.lambda_factor;
-                damping_up += 1;
-            }
-            if !stepped {
-                // Damping maxed out without any acceptable step: the
-                // iterate is at (or numerically at) a local minimum.
-                termination = TerminationReason::Stalled;
                 break;
             }
-            if termination == TerminationReason::Converged {
-                break;
-            }
+            lambda *= LAMBDA_FACTOR;
+            damping_up += 1;
         }
-
-        if control.observed() {
-            control.emit(Event::Converged {
-                solver: SolverKind::LevenbergMarquardt,
-                iterations: iterations as u64,
-                evaluations: evaluations as u64,
-                value: sse,
-                reason: termination.exit_reason(),
-            });
-            control.count(CounterId::ObjectiveEvals, evaluations as u64);
-            control.count(CounterId::LmDampingUp, damping_up);
-            control.count(CounterId::LmDampingDown, damping_down);
+        if !stepped {
+            // Damping maxed out without any acceptable step: the
+            // iterate is at (or numerically at) a local minimum.
+            termination = TerminationReason::Stalled;
+            break;
         }
-        Ok(OptimReport {
-            params: x,
-            value: sse,
-            iterations,
-            evaluations,
-            termination,
-        })
+        if termination == TerminationReason::Converged {
+            break;
+        }
     }
+
+    if control.observed() {
+        control.emit(Event::Converged {
+            solver: SolverKind::LevenbergMarquardt,
+            iterations: iterations as u64,
+            evaluations: evaluations as u64,
+            value: sse,
+            reason: termination.exit_reason(),
+        });
+        control.count(CounterId::ObjectiveEvals, evaluations as u64);
+        control.count(CounterId::LmDampingUp, damping_up);
+        control.count(CounterId::LmDampingDown, damping_down);
+    }
+    Ok(OptimReport {
+        params: x,
+        value: sse,
+        iterations,
+        evaluations,
+        termination,
+    })
 }
 
 #[cfg(test)]
@@ -301,9 +239,7 @@ mod tests {
     #[test]
     fn fits_exponential_decay_exactly() {
         let p = exp_decay_problem(2.0, 0.3, 30);
-        let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
-            .unwrap();
+        let r = minimize(&p, &[1.0, 0.1], &Control::unbounded()).unwrap();
         assert!(r.value < 1e-20, "sse = {}", r.value);
         assert!((r.params[0] - 2.0).abs() < 1e-8);
         assert!((r.params[1] - 0.3).abs() < 1e-8);
@@ -318,9 +254,7 @@ mod tests {
                 out[i] = (3.0 + 2.0 * t) - (params[0] + params[1] * t);
             }
         });
-        let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[0.0, 0.0], &Control::unbounded())
-            .unwrap();
+        let r = minimize(&p, &[0.0, 0.0], &Control::unbounded()).unwrap();
         assert!(r.value < 1e-18);
         assert!(r.iterations <= 5);
         assert!((r.params[0] - 3.0).abs() < 1e-9);
@@ -345,9 +279,7 @@ mod tests {
                 out[i] = y - params[0] * (-params[1] * t).exp();
             }
         });
-        let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
-            .unwrap();
+        let r = minimize(&p, &[1.0, 0.1], &Control::unbounded()).unwrap();
         assert!((r.params[0] - 1.5).abs() < 0.05, "{:?}", r.params);
         assert!((r.params[1] - 0.4).abs() < 0.05);
     }
@@ -355,12 +287,9 @@ mod tests {
     #[test]
     fn rejects_underdetermined_and_mismatched() {
         let p = ClosureLeastSquares::new(3, 2, |_, out| out.fill(0.0));
-        let lm = LevenbergMarquardt::new(LmConfig::default());
-        assert!(lm
-            .minimize(&p, &[0.0, 0.0, 0.0], &Control::unbounded())
-            .is_err());
+        assert!(minimize(&p, &[0.0, 0.0, 0.0], &Control::unbounded()).is_err());
         let p2 = ClosureLeastSquares::new(2, 5, |_, out| out.fill(0.0));
-        assert!(lm.minimize(&p2, &[0.0], &Control::unbounded()).is_err());
+        assert!(minimize(&p2, &[0.0], &Control::unbounded()).is_err());
     }
 
     #[test]
@@ -368,9 +297,8 @@ mod tests {
         let p = ClosureLeastSquares::new(1, 2, |params, out| {
             out.fill(if params[0] < 0.0 { f64::NAN } else { params[0] });
         });
-        let lm = LevenbergMarquardt::new(LmConfig::default());
         assert!(matches!(
-            lm.minimize(&p, &[-1.0], &Control::unbounded()),
+            minimize(&p, &[-1.0], &Control::unbounded()),
             Err(OptimError::BadStartingPoint { .. })
         ));
     }
@@ -378,9 +306,7 @@ mod tests {
     #[test]
     fn already_optimal_terminates_quickly() {
         let p = exp_decay_problem(2.0, 0.3, 20);
-        let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[2.0, 0.3], &Control::unbounded())
-            .unwrap();
+        let r = minimize(&p, &[2.0, 0.3], &Control::unbounded()).unwrap();
         assert!(r.iterations <= 3);
         assert!(r.value < 1e-20);
     }
@@ -391,9 +317,7 @@ mod tests {
         let p = ClosureLeastSquares::new(1, 3, |_, out| {
             out.copy_from_slice(&[1.0, -1.0, 0.5]);
         });
-        let r = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[0.0], &Control::unbounded())
-            .unwrap();
+        let r = minimize(&p, &[0.0], &Control::unbounded()).unwrap();
         assert_eq!(r.termination, TerminationReason::Stalled);
         assert!((r.value - 2.25).abs() < 1e-12);
     }
@@ -404,7 +328,7 @@ mod tests {
         let p = exp_decay_problem(2.0, 0.3, 30);
         let control = Control::with_deadline(Duration::ZERO);
         assert!(matches!(
-            LevenbergMarquardt::new(LmConfig::default()).minimize(&p, &[1.0, 0.1], &control),
+            minimize(&p, &[1.0, 0.1], &control),
             Err(OptimError::TimedOut { .. })
         ));
     }
@@ -416,9 +340,7 @@ mod tests {
         let p = exp_decay_problem(2.0, 0.3, 30);
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::unbounded().observe(rec.clone());
-        let report = LevenbergMarquardt::new(LmConfig::default())
-            .minimize(&p, &[1.0, 0.1], &control)
-            .unwrap();
+        let report = minimize(&p, &[1.0, 0.1], &control).unwrap();
         let events = rec.take();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -450,17 +372,5 @@ mod tests {
             })
             .sum();
         assert_eq!(evals, report.evaluations as u64);
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        let bad = LmConfig {
-            lambda_factor: 0.5,
-            ..LmConfig::default()
-        };
-        let p = exp_decay_problem(1.0, 0.1, 5);
-        assert!(LevenbergMarquardt::new(bad)
-            .minimize(&p, &[1.0, 0.1], &Control::unbounded())
-            .is_err());
     }
 }

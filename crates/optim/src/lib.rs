@@ -5,8 +5,8 @@
 //! Eq. 8). The Rust ecosystem offers no batteries-included nonlinear LSE
 //! stack, so this crate implements the required machinery from scratch:
 //!
-//! * [`problem`] — the least-squares problem trait plus numerical
-//!   differentiation (forward/central gradients, Jacobians).
+//! * [`problem`] — the least-squares problem trait plus its
+//!   forward-difference Jacobian.
 //! * [`nelder_mead`] — the Nelder–Mead downhill simplex, the workspace's
 //!   robust derivative-free workhorse. It minimizes any
 //!   `Fn(&[f64]) -> f64` and scores one point at a time.

@@ -12,7 +12,20 @@ use crate::OptimError;
 use resilience_obs::{CounterId, Event, SolverKind};
 use std::cell::Cell;
 
-/// Configuration for [`NelderMead`].
+/// Relative size of the initial simplex around the starting point.
+const INITIAL_STEP: f64 = 0.1;
+/// Reflection coefficient.
+const ALPHA: f64 = 1.0;
+/// Expansion coefficient.
+const GAMMA: f64 = 2.0;
+/// Contraction coefficient.
+const RHO: f64 = 0.5;
+/// Shrink coefficient.
+const SIGMA: f64 = 0.5;
+
+/// The stopping rule of [`NelderMead`]. The simplex itself uses the
+/// standard coefficients (reflection 1, expansion 2, contraction and
+/// shrink ½) and an initial step of 0.1 × (1 + |x₀ᵢ|) along each axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NelderMeadConfig {
     /// Maximum number of iterations (each iteration is 1–`n+2`
@@ -22,16 +35,6 @@ pub struct NelderMeadConfig {
     pub f_tol: f64,
     /// Convergence tolerance on the simplex's coordinate spread.
     pub x_tol: f64,
-    /// Relative size of the initial simplex around the starting point.
-    pub initial_step: f64,
-    /// Reflection coefficient (standard value 1).
-    pub alpha: f64,
-    /// Expansion coefficient (standard value 2).
-    pub gamma: f64,
-    /// Contraction coefficient (standard value 0.5).
-    pub rho: f64,
-    /// Shrink coefficient (standard value 0.5).
-    pub sigma: f64,
 }
 
 impl Default for NelderMeadConfig {
@@ -40,11 +43,6 @@ impl Default for NelderMeadConfig {
             max_iterations: 2000,
             f_tol: 1e-12,
             x_tol: 1e-10,
-            initial_step: 0.1,
-            alpha: 1.0,
-            gamma: 2.0,
-            rho: 0.5,
-            sigma: 0.5,
         }
     }
 }
@@ -61,22 +59,6 @@ impl NelderMeadConfig {
             return Err(OptimError::config(
                 "NelderMead",
                 "tolerances must be positive",
-            ));
-        }
-        if !(self.initial_step > 0.0) {
-            return Err(OptimError::config(
-                "NelderMead",
-                "initial_step must be positive",
-            ));
-        }
-        if !(self.alpha > 0.0)
-            || !(self.gamma > 1.0)
-            || !(0.0..1.0).contains(&self.rho)
-            || !(0.0..1.0).contains(&self.sigma)
-        {
-            return Err(OptimError::config(
-                "NelderMead",
-                "need alpha > 0, gamma > 1, 0 < rho < 1, 0 < sigma < 1",
             ));
         }
         Ok(())
@@ -166,7 +148,7 @@ impl NelderMead {
         simplex.push((x0.to_vec(), f0));
         for i in 0..n {
             let mut vertex = x0.to_vec();
-            vertex[i] += self.config.initial_step * (1.0 + x0[i].abs());
+            vertex[i] += INITIAL_STEP * (1.0 + x0[i].abs());
             let fv = eval(&vertex);
             simplex.push((vertex, fv));
         }
@@ -225,14 +207,13 @@ impl NelderMead {
 
             // Reflection: x_c + α(x_c − x_worst).
             for j in 0..n {
-                reflected[j] = centroid[j] + cfg.alpha * (centroid[j] - simplex[n].0[j]);
+                reflected[j] = centroid[j] + ALPHA * (centroid[j] - simplex[n].0[j]);
             }
             let fr = eval(&reflected);
             if fr < simplex[0].1 {
                 // Expansion.
                 for j in 0..n {
-                    extra[j] =
-                        centroid[j] + cfg.alpha * cfg.gamma * (centroid[j] - simplex[n].0[j]);
+                    extra[j] = centroid[j] + ALPHA * GAMMA * (centroid[j] - simplex[n].0[j]);
                 }
                 let fe = eval(&extra);
                 if fe < fr {
@@ -251,11 +232,7 @@ impl NelderMead {
             } else {
                 // Contraction (outside if reflection helped at all, inside
                 // otherwise).
-                let t = if fr < simplex[n].1 {
-                    cfg.alpha * cfg.rho
-                } else {
-                    -cfg.rho
-                };
+                let t = if fr < simplex[n].1 { ALPHA * RHO } else { -RHO };
                 for j in 0..n {
                     extra[j] = centroid[j] + t * (centroid[j] - simplex[n].0[j]);
                 }
@@ -271,7 +248,7 @@ impl NelderMead {
                     let (best, rest) = simplex.split_first_mut().expect("simplex non-empty");
                     for entry in rest {
                         for (x, b) in entry.0.iter_mut().zip(&best.0) {
-                            *x = b + cfg.sigma * (*x - b);
+                            *x = b + SIGMA * (*x - b);
                         }
                         entry.1 = eval(&entry.0);
                     }

@@ -1,4 +1,4 @@
-//! Problem traits and numerical differentiation.
+//! The least-squares problem trait and its forward-difference Jacobian.
 
 use crate::OptimError;
 use resilience_math::linalg::Matrix;
@@ -90,47 +90,6 @@ impl<F: Fn(&[f64], &mut [f64])> LeastSquares for ClosureLeastSquares<F> {
     }
 }
 
-/// Central-difference gradient of a scalar objective.
-///
-/// Step size per coordinate is `ε·(1 + |x_i|)` with `ε = cbrt(machine ε)`,
-/// the standard compromise between truncation and rounding error.
-///
-/// # Errors
-///
-/// Returns [`OptimError::BadStartingPoint`] when the objective is
-/// non-finite at a probe point.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::problem::central_gradient;
-/// let f = |p: &[f64]| p[0] * p[0] + 3.0 * p[1];
-/// let g = central_gradient(&f, &[2.0, 0.0])?;
-/// assert!((g[0] - 4.0).abs() < 1e-6);
-/// assert!((g[1] - 3.0).abs() < 1e-6);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn central_gradient<F: Fn(&[f64]) -> f64>(f: &F, x: &[f64]) -> Result<Vec<f64>, OptimError> {
-    let eps = f64::EPSILON.cbrt();
-    let mut grad = vec![0.0; x.len()];
-    let mut probe = x.to_vec();
-    for i in 0..x.len() {
-        let h = eps * (1.0 + x[i].abs());
-        probe[i] = x[i] + h;
-        let fp = f(&probe);
-        probe[i] = x[i] - h;
-        let fm = f(&probe);
-        probe[i] = x[i];
-        if !fp.is_finite() || !fm.is_finite() {
-            return Err(OptimError::BadStartingPoint {
-                value: if fp.is_finite() { fm } else { fp },
-            });
-        }
-        grad[i] = (fp - fm) / (2.0 * h);
-    }
-    Ok(grad)
-}
-
 /// Forward-difference Jacobian of a least-squares problem: `J[i][j] =
 /// ∂r_i/∂θ_j`.
 ///
@@ -182,23 +141,6 @@ mod tests {
         assert_eq!(p.n_params(), 2);
         assert_eq!(p.n_residuals(), 3);
         assert_eq!(p.sse(&[0.0, 0.0]), 3.0);
-    }
-
-    #[test]
-    fn gradient_of_quadratic_bowl() {
-        let f = |p: &[f64]| (p[0] - 1.0).powi(2) + 2.0 * (p[1] + 3.0).powi(2);
-        let g = central_gradient(&f, &[1.0, -3.0]).unwrap();
-        assert!(g[0].abs() < 1e-7);
-        assert!(g[1].abs() < 1e-7);
-        let g2 = central_gradient(&f, &[2.0, -2.0]).unwrap();
-        assert!((g2[0] - 2.0).abs() < 1e-6);
-        assert!((g2[1] - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gradient_rejects_nan_objective() {
-        let f = |p: &[f64]| if p[0] > 0.5 { f64::NAN } else { p[0] };
-        assert!(central_gradient(&f, &[0.5]).is_err());
     }
 
     #[test]

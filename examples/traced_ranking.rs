@@ -53,8 +53,8 @@ impl ModelFamily for GlacialFamily {
     fn n_params(&self) -> usize {
         1
     }
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        internal.to_vec()
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(internal);
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(params.to_vec())
@@ -82,8 +82,8 @@ impl ModelFamily for BuggyFamily {
     fn n_params(&self) -> usize {
         1
     }
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        internal.to_vec()
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(internal);
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(params.to_vec())

@@ -268,15 +268,15 @@ fn predict_into_is_allocation_free() {
 #[test]
 fn nelder_mead_iterations_do_not_allocate() {
     let series = Recession::R1990_93.payroll_index();
-    // One-start Wei-Exp: unconverged at both caps (it converges after
-    // ~150 iterations), so both runs stop at their caps.
+    // Wei-Exp's nine starts: all stop at the cap of 20, and at 100 the
+    // winner still does (three losing starts converge first), so both fits
+    // are unconverged.
     let family = &MixtureFamily::paper_combinations()[1];
 
     let count_fit = |max_iterations: usize| -> u64 {
         let mut config = FitConfig {
             lm_polish: false,
             parallelism: Parallelism::Serial,
-            max_starts: 1,
             ..FitConfig::default()
         };
         config.nelder_mead.max_iterations = max_iterations;
@@ -301,8 +301,8 @@ fn nelder_mead_iterations_do_not_allocate() {
 /// The warm probe (DESIGN.md §11) allocates only at setup: a retried fit
 /// capped at 3× the iterations allocates exactly as much as one capped
 /// at 1×. At both caps neither attempt 1 nor attempt 2's probe from its
-/// optimum converges, so both runs take the probe and then the one cold
-/// start (at 80 the probe would short-circuit).
+/// optimum converges, so both runs take the probe and then the retry's
+/// jittered cold starts (at 80 the probe would short-circuit).
 #[test]
 fn warm_start_fit_path_does_not_allocate_per_iteration() {
     let series = Recession::R1990_93.payroll_index();
@@ -316,7 +316,6 @@ fn warm_start_fit_path_does_not_allocate_per_iteration() {
         let mut config = FitConfig {
             lm_polish: false,
             parallelism: Parallelism::Serial,
-            max_starts: 1,
             ..FitConfig::default()
         };
         config.nelder_mead.max_iterations = max_iterations;
@@ -379,13 +378,12 @@ fn jsonl_encode_is_allocation_free_in_steady_state() {
 #[test]
 fn null_observer_keeps_the_fit_allocation_footprint() {
     let series = Recession::R1990_93.payroll_index();
-    // One-start Wei-Exp: unconverged at this cap, so the run stops at it
-    // and the per-iteration path dominates.
+    // Wei-Exp: the winning start is unconverged at this cap, so the fit
+    // stops at it and the per-iteration path dominates.
     let family = &MixtureFamily::paper_combinations()[1];
     let mut config = FitConfig {
         lm_polish: false,
         parallelism: Parallelism::Serial,
-        max_starts: 1,
         ..FitConfig::default()
     };
     config.nelder_mead.max_iterations = 100;

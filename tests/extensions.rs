@@ -8,9 +8,11 @@ use resilience_core::bootstrap::{bootstrap_band, BootstrapConfig};
 use resilience_core::diagnostics::residual_diagnostics;
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
 use resilience_core::fit::{fit_least_squares, FitConfig};
+use resilience_core::mixture::{ComponentKind, MixtureFamily, Trend};
 use resilience_core::model::ModelFamily;
 use resilience_core::selection::{information_criteria, rank_models};
 use resilience_data::recessions::Recession;
+use resilience_optim::Parallelism;
 
 /// The double-bathtub extension substantially improves the in-sample fit
 /// on the W-shaped 1980 recession relative to both paper families.
@@ -95,6 +97,42 @@ fn bootstrap_band_end_to_end() {
     assert!(band.replicates >= 60);
     let coverage = band.coverage(&series).unwrap();
     assert!(coverage >= 0.8, "coverage = {coverage}");
+}
+
+/// The 60-replicate Wei-Wei band on the W-shaped 1980 curve: its
+/// replicates' Nelder–Mead walks hit the refit's 800-iteration cap, so
+/// the band moves with the cap (at 600 its bits differ). It is the same
+/// at `Fixed(2)` as serially, and its bounds keep the FNV-1a digest
+/// (offset 0xcbf29ce484222325, prime 0x100000001b3, over the
+/// little-endian bytes of each bound's bits, `lower` then `upper`)
+/// recorded when the cap was a `BootstrapConfig` setting.
+#[test]
+fn wei_wei_band_on_1980_keeps_the_refit_iteration_cap() {
+    let wei_wei = MixtureFamily {
+        f1: ComponentKind::Weibull,
+        f2: ComponentKind::Weibull,
+        trend: Trend::Logarithmic,
+    };
+    let series = Recession::R1980.payroll_index();
+    let band = |parallelism| {
+        let cfg = BootstrapConfig {
+            replicates: 60,
+            parallelism,
+            ..BootstrapConfig::default()
+        };
+        bootstrap_band(&wei_wei, &series, &FitConfig::default(), &cfg).unwrap()
+    };
+    let serial = band(Parallelism::Serial);
+    assert_eq!(band(Parallelism::Fixed(2)), serial);
+    assert_eq!(serial.replicates, 60);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in serial.lower.iter().chain(&serial.upper) {
+        for b in v.to_bits().to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(digest, 0x82f6_ab28_f8d1_4e84, "digest {digest:#018x}");
 }
 
 /// Residual diagnostics flag the W misfit that adjusted R² alone

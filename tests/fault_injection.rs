@@ -31,8 +31,8 @@ impl ModelFamily for NanObjectiveFamily {
     fn n_params(&self) -> usize {
         2
     }
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        internal.to_vec()
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(internal);
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(params.to_vec())
@@ -71,8 +71,8 @@ impl ModelFamily for ExplosiveFamily {
     fn n_params(&self) -> usize {
         1
     }
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        internal.to_vec()
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(internal);
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(params.to_vec())

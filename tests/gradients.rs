@@ -16,8 +16,8 @@ use resilience_stats::XorShift64;
 const CASES: usize = 40;
 
 /// Central-difference step: `eps^(1/3)` balances truncation against
-/// round-off for second-order differences (same rule as the optimizer's
-/// own `central_gradient`).
+/// round-off for second-order differences, scaled by `1 + |u|` so that
+/// large coordinates get proportionally large steps.
 fn fd_step(u: f64) -> f64 {
     f64::EPSILON.cbrt() * (1.0 + u.abs())
 }

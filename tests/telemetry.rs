@@ -179,8 +179,8 @@ fn degraded_run_report_is_nan_free() {
         fn n_params(&self) -> usize {
             1
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            internal.to_vec()
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            out.copy_from_slice(internal);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             Ok(params.to_vec())
