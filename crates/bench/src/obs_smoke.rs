@@ -20,8 +20,8 @@
 //!    committed ceiling ([`EVAL_CEILINGS`]), so an optimizer regression
 //!    that silently doubles the work budget fails CI;
 //! 8. **log_bounded** — the canonical log holds at most
-//!    [`EVENTS_PER_START_CEILING`] events per multi-start `start` line, so
-//!    a per-iteration event that creeps back into the log fails CI.
+//!    [`EVENTS_PER_FIT_CEILING`] events per family fit, so a per-iteration
+//!    event that creeps back into the log fails CI.
 //!
 //! The JSON baseline is a pure function of the grid: counter totals,
 //! histogram bucket vectors and percentiles, per-family work against
@@ -33,36 +33,38 @@
 use crate::fleet::{fnv1a, FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
-use resilience_obs::{Event, Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
+use resilience_obs::{Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
-/// 1.5× the measured totals of the §11 speed layer with the linear
-/// coefficients solved exactly (Quadratic 64: one evaluation per fit, 52
-/// inside the bathtub region and 12 on its boundary; Competing Risks
-/// 18 458), so tolerance tweaks pass but a Quadratic fit that searches
-/// again (16 945 when the boundary searched) or a family that searches
-/// its linear coefficients again (55 192 and 163 506) fails.
-pub const EVAL_CEILINGS: &[(&str, u64)] = &[("Quadratic", 96), ("Competing Risks", 27_700)];
+/// 1.5× the measured totals of the §11 speed layer, where every bathtub
+/// fit is exact (Quadratic 64: one evaluation per fit, 52 inside the
+/// bathtub region and 12 on its boundary; Competing Risks 3 074, its
+/// profile over `ln β` and the rescoring), so a Quadratic fit that
+/// searches again (16 945 when the boundary searched) or a Competing Risks
+/// fit that searches `ln β` again (18 458) fails.
+pub const EVAL_CEILINGS: &[(&str, u64)] = &[("Quadratic", 96), ("Competing Risks", 4_600)];
 
 /// Ceiling applied to a family with no [`EVAL_CEILINGS`] entry: generous
 /// enough for any single family on the smoke grid, tight enough that a
 /// runaway solver loop still trips the gate.
 pub const DEFAULT_EVAL_CEILING: u64 = 300_000;
 
-/// Committed ceiling on the canonical log's events per `start` line. An
+/// Committed ceiling on the canonical log's events per family fit. An
 /// observed solver run writes a bounded number of lines whatever its
-/// iteration count; the smoke grid's log measures 9.91 per start (3 807
-/// events, 384 starts; an exact fit writes its lines without a start),
-/// and the ceiling is about 1.5× that. A log with a line per solver
-/// iteration (179 per start) fails the gate.
-pub const EVENTS_PER_START_CEILING: u64 = 14;
+/// iteration count; every fit of the smoke grid is exact, and its log
+/// measures 5.52 per fit (706 events, 128 fits: a fit's job, start,
+/// finish and counter lines, and a Competing Risks profile's one
+/// `converged` line), and the ceiling is about 1.5× that. A log with a
+/// line per solver iteration (Brent's 20–40 in a Competing Risks fit)
+/// fails the gate.
+pub const EVENTS_PER_FIT_CEILING: u64 = 8;
 
-/// The `log_bounded` gate: `events` within [`EVENTS_PER_START_CEILING`]
-/// per start, over a log with at least one start.
+/// The `log_bounded` gate: `events` within [`EVENTS_PER_FIT_CEILING`]
+/// per fit, over a log with at least one fit.
 #[must_use]
-pub fn log_bounded(events: u64, starts: u64) -> bool {
-    starts > 0 && events <= EVENTS_PER_START_CEILING * starts
+pub fn log_bounded(events: u64, fits: u64) -> bool {
+    fits > 0 && events <= EVENTS_PER_FIT_CEILING * fits
 }
 
 /// The evaluation ceiling for `family` ([`EVAL_CEILINGS`] lookup with the
@@ -111,8 +113,8 @@ pub struct ObsSmokeReport {
     pub families: Vec<String>,
     /// Events in the canonical run's log.
     pub events: u64,
-    /// `start` lines (multi-start seeds) in the canonical run's log.
-    pub starts: u64,
+    /// Family fits in the canonical run's span tree.
+    pub fits: u64,
     /// Gate 1: the three JSONL logs are byte-identical.
     pub identical_log: bool,
     /// Gate 2: the three span-tree renders are byte-identical.
@@ -127,7 +129,7 @@ pub struct ObsSmokeReport {
     pub work_attributed: bool,
     /// Gate 7: every family under its evaluation ceiling.
     pub within_budget: bool,
-    /// Gate 8: the log within [`EVENTS_PER_START_CEILING`] events per start.
+    /// Gate 8: the log within [`EVENTS_PER_FIT_CEILING`] events per fit.
     pub log_bounded: bool,
     /// Counter totals of the canonical run, in [`resilience_obs::CounterId`] order.
     pub counters: Vec<(String, u64)>,
@@ -228,8 +230,8 @@ impl ObsSmokeReport {
             .collect();
         format!(
             "{{\n  \"benchmark\": \"obs\",\n  \"cells\": {},\n  \"families\": [{}],\n  \
-             \"runs\": {},\n  \"events\": {},\n  \"starts\": {},\n  \
-             \"events_per_start\": {:.2},\n  \"events_per_start_ceiling\": {},\n  \
+             \"runs\": {},\n  \"events\": {},\n  \"fits\": {},\n  \
+             \"events_per_fit\": {:.2},\n  \"events_per_fit_ceiling\": {},\n  \
              \"gates\": {{\"identical_log\": {}, \
              \"identical_tree\": {}, \"identical_metrics\": {}, \"identical_store\": {}, \
              \"cells_covered\": {}, \"work_attributed\": {}, \"within_budget\": {}, \
@@ -242,9 +244,9 @@ impl ObsSmokeReport {
             families.join(", "),
             PASSES.len(),
             self.events,
-            self.starts,
-            self.events_per_start(),
-            EVENTS_PER_START_CEILING,
+            self.fits,
+            self.events_per_fit(),
+            EVENTS_PER_FIT_CEILING,
             self.identical_log,
             self.identical_tree,
             self.identical_metrics,
@@ -309,17 +311,13 @@ impl ObsSmokeReport {
             })
             .collect();
         let within_budget = family_work.iter().all(|w| w.evaluations <= w.ceiling);
-        let starts = run1
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::StartBegan { .. }))
-            .count() as u64;
+        let fits = tree.fits();
 
         let report = ObsSmokeReport {
             cells,
             families: families.iter().map(|f| f.name().to_string()).collect(),
             events: tree.events,
-            starts,
+            fits,
             identical_log,
             identical_tree,
             identical_metrics,
@@ -327,7 +325,7 @@ impl ObsSmokeReport {
             cells_covered,
             work_attributed,
             within_budget,
-            log_bounded: log_bounded(tree.events, starts),
+            log_bounded: log_bounded(tree.events, fits),
             counters: run1
                 .report
                 .counters
@@ -367,13 +365,13 @@ impl ObsSmokeReport {
         (report, artifacts)
     }
 
-    /// Mean events per `start` line in the canonical log (0 without one).
+    /// Mean events per family fit in the canonical log (0 without one).
     #[must_use]
-    pub fn events_per_start(&self) -> f64 {
-        if self.starts == 0 {
+    pub fn events_per_fit(&self) -> f64 {
+        if self.fits == 0 {
             0.0
         } else {
-            self.events as f64 / self.starts as f64
+            self.events as f64 / self.fits as f64
         }
     }
 
@@ -387,12 +385,12 @@ impl ObsSmokeReport {
             .map(|w| format!("{}={}/{}", w.family, w.evaluations, w.ceiling))
             .collect();
         format!(
-            "obs    cells={} events={} per_start={:.2}/{} log={} tree={} metrics={} store={} \
+            "obs    cells={} events={} per_fit={:.2}/{} log={} tree={} metrics={} store={} \
              covered={} attributed={} budget={} bounded={} evals=[{}]",
             self.cells,
             self.events,
-            self.events_per_start(),
-            EVENTS_PER_START_CEILING,
+            self.events_per_fit(),
+            EVENTS_PER_FIT_CEILING,
             self.identical_log,
             self.identical_tree,
             self.identical_metrics,
@@ -462,7 +460,7 @@ mod tests {
             "\"gates\": {\"identical_log\": true",
             "\"within_budget\": true",
             "\"log_bounded\": true",
-            "\"events_per_start_ceiling\": 14",
+            "\"events_per_fit_ceiling\": 8",
             "\"counters\": {",
             "\"objective_evals\":",
             "\"histograms\": {",
@@ -485,30 +483,31 @@ mod tests {
 
     #[test]
     fn a_log_with_a_line_per_iteration_fails_the_volume_gate() {
-        // The smoke grid's 703 starts: 9.46 events per start passes, and
-        // 179 per start, the log that wrote every solver iteration, fails.
-        // (With its exact fits, the grid now logs 3 807 events over 384.)
-        assert!(log_bounded(6_649, 703));
-        assert!(log_bounded(3_807, 384));
-        assert!(log_bounded(EVENTS_PER_START_CEILING * 703, 703));
-        assert!(!log_bounded(EVENTS_PER_START_CEILING * 703 + 1, 703));
-        assert!(!log_bounded(179 * 703, 703));
-        assert!(!log_bounded(0, 0), "a log without starts proves nothing");
+        // The smoke grid's 128 fits: 5.52 events per fit passes, and a
+        // line per Brent iteration of each Competing Risks profile (20–40
+        // more per fit) fails, as does the log that wrote every
+        // Nelder–Mead iteration (179 per start, thousands per fit).
+        assert!(log_bounded(706, 128));
+        assert!(log_bounded(EVENTS_PER_FIT_CEILING * 128, 128));
+        assert!(!log_bounded(EVENTS_PER_FIT_CEILING * 128 + 1, 128));
+        assert!(!log_bounded(706 + 64 * 20, 128));
+        assert!(!log_bounded(179 * 128, 128));
+        assert!(!log_bounded(0, 0), "a log without fits proves nothing");
 
         let (mut report, _) = check();
         assert!(report.log_bounded, "{report:?}");
-        assert!(report.starts > 0);
-        report.events = 179 * report.starts;
-        report.log_bounded = log_bounded(report.events, report.starts);
+        assert!(report.fits > 0);
+        report.events = 179 * report.fits;
+        report.log_bounded = log_bounded(report.events, report.fits);
         assert!(!report.gates_pass());
         assert!(report.to_json().contains("\"log_bounded\": false"));
-        assert!(report.summary().contains("per_start=179.00/14"));
+        assert!(report.summary().contains("per_fit=179.00/8"));
     }
 
     #[test]
     fn ceilings_cover_the_smoke_families() {
         assert_eq!(eval_ceiling("Quadratic"), 96);
-        assert_eq!(eval_ceiling("Competing Risks"), 27_700);
+        assert_eq!(eval_ceiling("Competing Risks"), 4_600);
         assert_eq!(eval_ceiling("Never Heard Of It"), DEFAULT_EVAL_CEILING);
     }
 }

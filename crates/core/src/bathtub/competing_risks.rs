@@ -1,9 +1,15 @@
 //! The competing-risks bathtub model (paper Eq. 4–6).
 
+use super::RAISED_ZERO;
+use crate::fit::solve_linear_coefficients;
+use crate::guard::Violation;
 use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
-use resilience_math::linalg::Matrix;
+use resilience_math::sum::CompensatedSum;
+use resilience_optim::report::{OptimReport, TerminationReason};
+use resilience_optim::scalar::brent_min;
+use std::cell::{Cell, RefCell};
 
 /// Competing-risks resilience curve `P(t) = 2γt + α/(1 + βt)` with
 /// `α, β, γ > 0` — the Hjorth (1980) bathtub hazard adopted by the
@@ -141,9 +147,11 @@ impl CompetingRisksModel {
             && gamma.is_finite()
     }
 
-    /// Antiderivative (paper Eq. 6): `γt² + (α/β)·ln(1+βt)`.
+    /// Antiderivative (paper Eq. 6): `γt² + (α/β)·ln(1+βt)`, with
+    /// `ln(1+βt)` as `ln_1p(βt)`, which keeps its digits as `β → 0`, where
+    /// the term tends to `αt`.
     fn antiderivative(&self, t: f64) -> f64 {
-        self.gamma * t * t + (self.alpha / self.beta) * (1.0 + self.beta * t).ln()
+        self.gamma * t * t + (self.alpha / self.beta) * (self.beta * t).ln_1p()
     }
 }
 
@@ -216,6 +224,8 @@ impl ResilienceModel for CompetingRisksModel {
 /// The [`ModelFamily`] for [`CompetingRisksModel`].
 ///
 /// Internal parameterization: `[ln α, ln β, ln γ]` (all-positive region).
+/// A fit is one profile over `ln β` ([`ModelFamily::profile_optimum`]), so
+/// the family has no starting points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompetingRisksFamily;
 
@@ -257,84 +267,12 @@ impl ModelFamily for CompetingRisksFamily {
         true
     }
 
-    /// Hand-derived partials through the all-log internal map
-    /// `θ_j = e^{u_j}` (so `∂θ_j/∂u_j = θ_j`):
-    ///
-    /// * `∂P/∂u₀ = α/(1+βt)`
-    /// * `∂P/∂u₁ = −αβt/(1+βt)²`
-    /// * `∂P/∂u₂ = 2γt`
-    fn predict_jacobian_into(
-        &self,
-        internal: &[f64],
-        params: &[f64],
-        ts: &[f64],
-        out: &mut Matrix,
-    ) -> bool {
-        if internal.len() != 3
-            || params.len() != 3
-            || !CompetingRisksModel::feasible(params[0], params[1], params[2])
-        {
-            return false;
-        }
-        let (alpha, beta, gamma) = (params[0], params[1], params[2]);
-        let two_gamma = 2.0 * gamma;
-        for (i, &t) in ts.iter().enumerate() {
-            let denom = 1.0 + beta * t;
-            out[(i, 0)] = alpha / denom;
-            out[(i, 1)] = -alpha * beta * t / (denom * denom);
-            out[(i, 2)] = two_gamma * t;
-        }
-        true
-    }
-
-    /// `α` and `γ` are linear and positive: `P(t) = α·1/(1+βt) + γ·2t`.
-    /// The search moves over `ln β` alone.
-    fn linear_coefficients(&self) -> &'static [Sign] {
-        &[Sign::Positive, Sign::Positive]
-    }
-
-    /// At `nonlinear = [ln β]`: the columns `1/(1+βt)` and `2t`, and a
-    /// zero offset.
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        ln_ts: &[f64],
-        offset: &mut [f64],
-        columns: &mut [f64],
-    ) -> bool {
-        let n = ts.len();
-        let &[ln_beta] = nonlinear else {
-            return false;
-        };
-        let beta = ln_beta.exp();
-        if !(beta > 0.0 && beta.is_finite())
-            || ln_ts.len() != n
-            || offset.len() != n
-            || columns.len() != 2 * n
-        {
-            return false;
-        }
-        offset.fill(0.0);
-        let (decay, recovery) = columns.split_at_mut(n);
-        for ((d, r), &t) in decay.iter_mut().zip(recovery).zip(ts) {
-            *d = 1.0 / (1.0 + beta * t);
-            *r = 2.0 * t;
-        }
-        true
-    }
-
-    /// `[ln β]`, the middle internal coordinate.
-    fn nonlinear_coordinates(&self, internal: &[f64]) -> Vec<f64> {
-        internal.get(1).map(|&u| vec![u]).unwrap_or_default()
-    }
-
-    /// `[ln α, ln β, ln γ]`, with `ln β` copied as is.
-    fn join_linear(&self, nonlinear: &[f64], coefficients: &[f64]) -> Option<Vec<f64>> {
-        match (nonlinear, coefficients) {
-            (&[ln_beta], &[alpha, gamma]) => Some(vec![alpha.ln(), ln_beta, gamma.ln()]),
-            _ => None,
-        }
+    /// The least-squares optimum over `α, γ ≥ 0` and `ln β`: the SSE
+    /// profiled over `ln β` (α and γ by non-negative least squares) at 25
+    /// nodes and the `β → 0` line, Brent in the bracket of each local
+    /// minimum (DESIGN.md §11, "The Competing Risks profile").
+    fn profile_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<OptimReport, CoreError>> {
+        Some(profile_optimum(ts, ys))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -354,25 +292,225 @@ impl ModelFamily for CompetingRisksFamily {
         )?))
     }
 
-    fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        let nominal = series.nominal().max(1e-6);
-        let t_end = series.times()[series.len() - 1].max(1.0);
-        let mut guesses = Vec::new();
-        if let Some((t_d, p_d)) = series.trough() {
-            // Recovery slope from trough to the end of the data.
-            let end_val = series.values()[series.len() - 1];
-            let slope = ((end_val - p_d) / (t_end - t_d).max(1.0)).max(1e-6);
-            let gamma = 0.5 * slope;
-            // β from the trough equation (1+βt_d)² = αβ/(2γ), solved on a
-            // coarse grid (closed form is messy; the optimizer refines).
-            for beta in [0.02, 0.05, 0.1, 0.2, 0.5, 1.0] {
-                guesses.push(vec![nominal, beta, gamma.max(1e-8)]);
-            }
+    /// None: every fit is the profile, which needs no starting point.
+    fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
+        Vec::new()
+    }
+}
+
+/// The profile's `ln β` nodes: [`NODES`] evenly spaced over
+/// `[LN_BETA_MIN, LN_BETA_MAX]`, 2 apart. Poisson-outage series can hold
+/// their optimum in a dip of the profile narrower than 4 in `ln β`, which
+/// nodes 4 apart step over.
+const LN_BETA_MIN: f64 = -40.0;
+const LN_BETA_MAX: f64 = 8.0;
+const NODES: usize = 25;
+
+/// Brent's relative tolerance on `ln β` in each bracket, and its iteration
+/// cap (a bracket 4 wide needs about 45 golden-section steps).
+const BRENT_TOL: f64 = 1e-10;
+const BRENT_MAX_ITERATIONS: usize = 200;
+
+/// How far below each neighbour, relative to its own SSE, a node must lie
+/// to start a Brent search: in the `β → 0` tail the profile is flat to
+/// rounding, whose wiggles would otherwise start searches of some 40
+/// evaluations each there, where the `β → 0` candidate already stands.
+const FLAT: f64 = 1e-12;
+
+/// `β·max|t|` at the `β → 0` candidate: small enough that `1 + βt` rounds
+/// to 1 at every time, so the curve is the line `α + 2γt` exactly, and far
+/// from underflow.
+const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
+
+/// Competing Risks' least-squares optimum over `α, γ ≥ 0` and `ln β`
+/// (DESIGN.md §11, "The Competing Risks profile"), as a converged report:
+/// the internal point `[ln α, ln β, ln γ]`, its profiled SSE, the profile's
+/// evaluations and its Brent iterations.
+///
+/// The curve is linear in `α` and `γ`, so the fit is one-dimensional in
+/// `ln β`. [`Profile::eval`] scores an `ln β` by a two-column non-negative
+/// least squares. The profile scores the `β → 0` limit (the line
+/// `α + 2γt`, at `β = 2⁻⁶⁰/max|t|`), then [`NODES`] nodes over
+/// `[−40, 8]`, then runs Brent in the bracket of every node that lies below
+/// each of its neighbours by more than [`FLAT`] of its SSE (unless an SSE
+/// of 0 has been scored), and keeps the least SSE it scored, the first on
+/// a tie.
+/// When both winning coefficients are positive they are solved again by
+/// the Householder QR of the profiled searches
+/// ([`crate::fit::solve_linear_coefficients`]); a zero one is raised to
+/// [`RAISED_ZERO`], which the internal map can take the logarithm of.
+///
+/// # Errors
+///
+/// [`CoreError::Numerical`] when no point of the profile is finite.
+fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<OptimReport, CoreError> {
+    let profile = Profile::new(ts, ys);
+    profile.eval((LIMIT_BETA_T / profile.scale).ln());
+    let step = (LN_BETA_MAX - LN_BETA_MIN) / (NODES - 1) as f64;
+    let nodes: [f64; NODES] = std::array::from_fn(|i| LN_BETA_MIN + step * i as f64);
+    let values = nodes.map(|ln_beta| profile.eval(ln_beta));
+    let mut iterations = 0;
+    for i in 0..NODES {
+        let (lo, hi) = (i.saturating_sub(1), (i + 1).min(NODES - 1));
+        let below = |j: usize| j == i || values[i] < values[j] - FLAT * values[i];
+        // A zero SSE (data the curve reproduces) leaves nothing to search
+        // for, and the profile around it is rounding alone.
+        if below(lo) && below(hi) && profile.best.get().sse > 0.0 {
+            iterations += brent_min(
+                |ln_beta| profile.eval(ln_beta),
+                nodes[lo],
+                nodes[hi],
+                BRENT_TOL,
+                BRENT_MAX_ITERATIONS,
+            )
+            .map_or(BRENT_MAX_ITERATIONS, |m| m.iterations);
         }
-        // Generic fallbacks spanning decay scales.
-        guesses.push(vec![nominal, 0.1, 0.1 * nominal / t_end]);
-        guesses.push(vec![nominal, 1.0, 0.01 * nominal / t_end]);
-        guesses
+    }
+
+    let best = profile.best.get();
+    if !best.sse.is_finite() {
+        return Err(CoreError::guard(
+            "fit_least_squares",
+            Violation::NonFiniteOutput,
+            "no point of the Competing Risks profile has a finite SSE",
+        ));
+    }
+    let beta = best.ln_beta.exp();
+    let mut alpha = best.alpha;
+    let mut gamma = best.slope / (2.0 * profile.scale);
+    if alpha > 0.0 && gamma > 0.0 {
+        let n = ts.len();
+        let mut offset = vec![0.0; n];
+        let mut columns = vec![0.0; 2 * n];
+        for (i, &t) in ts.iter().enumerate() {
+            columns[i] = 1.0 / (1.0 + beta * t);
+            columns[n + i] = 2.0 * t;
+        }
+        if solve_linear_coefficients(ys, &mut offset, &mut columns, &[Sign::Positive; 2]).is_some()
+        {
+            (alpha, gamma) = (offset[0], offset[1]);
+        }
+    }
+    Ok(OptimReport {
+        params: vec![
+            alpha.max(RAISED_ZERO).ln(),
+            best.ln_beta,
+            gamma.max(RAISED_ZERO).ln(),
+        ],
+        value: best.sse,
+        iterations,
+        evaluations: profile.evaluations.get(),
+        termination: TerminationReason::Converged,
+    })
+}
+
+/// The least profiled SSE scored so far, where, and its coefficients.
+#[derive(Debug, Clone, Copy)]
+struct Best {
+    sse: f64,
+    ln_beta: f64,
+    alpha: f64,
+    /// The coefficient of `t/T`: `γ = slope/(2T)`.
+    slope: f64,
+}
+
+/// Competing Risks' SSE profiled over `ln β`: at each `ln β`, `α` and `γ`
+/// by a two-column non-negative least squares. Owns its scratch, so an
+/// evaluation allocates nothing; counts its evaluations and keeps the
+/// best one.
+struct Profile<'a> {
+    ts: &'a [f64],
+    ys: &'a [f64],
+    /// `T = max|t|`, or 1 when every time is 0: the recovery column is
+    /// `t/T`, as long as the decay column `1/(1+βt)` is at most 1.
+    scale: f64,
+    /// The decay column of the current evaluation.
+    decay: RefCell<Vec<f64>>,
+    evaluations: Cell<usize>,
+    best: Cell<Best>,
+}
+
+impl<'a> Profile<'a> {
+    fn new(ts: &'a [f64], ys: &'a [f64]) -> Self {
+        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+        Profile {
+            ts,
+            ys,
+            scale: if scale > 0.0 { scale } else { 1.0 },
+            decay: RefCell::new(vec![0.0; ts.len()]),
+            evaluations: Cell::new(0),
+            best: Cell::new(Best {
+                sse: f64::INFINITY,
+                ln_beta: f64::NAN,
+                alpha: f64::NAN,
+                slope: f64::NAN,
+            }),
+        }
+    }
+
+    /// The least SSE over `α, γ ≥ 0` at `ln β`, or `+∞` where the curve is
+    /// undefined (`1 + βt ≤ 0`) or the SSE is not finite. The SSE is
+    /// summed over the residuals, compensated, not read off the normal
+    /// equations, so that it keeps its digits near zero.
+    fn eval(&self, ln_beta: f64) -> f64 {
+        self.evaluations.set(self.evaluations.get() + 1);
+        let beta = ln_beta.exp();
+        let mut decay = self.decay.borrow_mut();
+        let [mut dd, mut du, mut uu, mut yd, mut yu] = [0.0; 5];
+        for ((d, &t), &y) in decay.iter_mut().zip(self.ts).zip(self.ys) {
+            let denominator = 1.0 + beta * t;
+            if !(denominator > 0.0) {
+                return f64::INFINITY;
+            }
+            *d = 1.0 / denominator;
+            let u = t / self.scale;
+            dd += *d * *d;
+            du += *d * u;
+            uu += u * u;
+            yd += y * *d;
+            yu += y * u;
+        }
+        let (alpha, slope) = nnls(dd, du, uu, yd, yu);
+        let mut sse = CompensatedSum::new();
+        for ((&d, &t), &y) in decay.iter().zip(self.ts).zip(self.ys) {
+            let r = y - alpha * d - slope * (t / self.scale);
+            sse.add(r * r);
+        }
+        let sse = sse.value();
+        if !sse.is_finite() {
+            return f64::INFINITY;
+        }
+        if sse < self.best.get().sse {
+            self.best.set(Best {
+                sse,
+                ln_beta,
+                alpha,
+                slope,
+            });
+        }
+        sse
+    }
+}
+
+/// The non-negative least-squares coefficients of two columns `d` and `u`
+/// from their normal equations (`dd = ⟨d, d⟩`, `du = ⟨d, u⟩`, …): both
+/// columns when their coefficients are non-negative, else the one column
+/// that removes more of `Σy²`, at a non-negative coefficient. A pair whose
+/// Gram determinant is below `1e-12` of `dd·uu` counts as collinear.
+fn nnls(dd: f64, du: f64, uu: f64, yd: f64, yu: f64) -> (f64, f64) {
+    let det = dd * uu - du * du;
+    if det > 1e-12 * dd * uu {
+        let (a, c) = ((yd * uu - yu * du) / det, (dd * yu - du * yd) / det);
+        if a >= 0.0 && c >= 0.0 {
+            return (a, c);
+        }
+    }
+    let one = |y: f64, s: f64| if s > 0.0 { (y / s).max(0.0) } else { 0.0 };
+    let (a, c) = (one(yd, dd), one(yu, uu));
+    if a * yd >= c * yu {
+        (a, 0.0)
+    } else {
+        (0.0, c)
     }
 }
 
@@ -476,18 +614,93 @@ mod tests {
         }
     }
 
+    /// Eq. 6 keeps its digits as `β → 0`: against adaptive Simpson at
+    /// every `β`, and against the limit `αt + γt²` where `βT` is below
+    /// 1e-12, where the two differ by less than `βT/2` relative.
     #[test]
-    fn initial_guesses_feasible() {
-        let s = resilience_data::recessions::Recession::R1990_93.payroll_index();
-        let fam = CompetingRisksFamily;
-        let guesses = fam.initial_guesses(&s);
-        assert!(guesses.len() >= 3);
-        for g in &guesses {
+    fn area_keeps_its_digits_as_beta_vanishes() {
+        let (alpha, gamma, end) = (0.97, 0.0004, 48.0);
+        for beta in [1e-3, 1e-12, 1e-17, 1e-20] {
+            let m = CompetingRisksModel::new(alpha, beta, gamma).unwrap();
+            let area = m.area(0.0, end).unwrap();
+            let simpson =
+                resilience_math::quad::adaptive_simpson(|t| m.predict(t), 0.0, end, 1e-13, 50)
+                    .unwrap();
             assert!(
-                CompetingRisksModel::new(g[0], g[1], g[2]).is_ok(),
-                "infeasible guess {g:?}"
+                (area - simpson).abs() <= 1e-12 * simpson,
+                "β = {beta:e}: {area} vs Simpson {simpson}"
             );
+            if beta * end < 1e-12 {
+                let limit = alpha * end + gamma * end * end;
+                assert!(
+                    (area - limit).abs() <= 1e-12 * limit,
+                    "β = {beta:e}: {area} vs the limit {limit}"
+                );
+            }
         }
+    }
+
+    fn profile_fit(ys: &[f64]) -> (CompetingRisksModel, OptimReport) {
+        let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
+        let report = CompetingRisksFamily
+            .profile_optimum(&ts, ys)
+            .expect("Competing Risks profiles")
+            .unwrap();
+        let p = CompetingRisksFamily.internal_to_params(&report.params);
+        (CompetingRisksModel::new(p[0], p[1], p[2]).unwrap(), report)
+    }
+
+    #[test]
+    fn profile_recovers_a_bathtub_and_counts_its_work() {
+        let truth = model();
+        let ys: Vec<f64> = (0..48).map(|i| truth.predict(f64::from(i))).collect();
+        let (fit, report) = profile_fit(&ys);
+        assert!(report.value < 1e-24, "{report:?}");
+        for (got, want) in fit.params().iter().zip(truth.params()) {
+            assert!((got - want).abs() <= 1e-6 * want, "{got} vs {want}");
+        }
+        assert_eq!(report.termination, TerminationReason::Converged);
+        // The limit and the nodes, then Brent, one evaluation per
+        // iteration, in at least one bracket.
+        assert!(report.iterations > 0);
+        assert_eq!(report.evaluations, 1 + NODES + report.iterations);
+    }
+
+    /// Whether `v` is [`RAISED_ZERO`] through the internal map's `exp ∘ ln`.
+    fn raised(v: f64) -> bool {
+        (v / RAISED_ZERO - 1.0).abs() < 1e-12
+    }
+
+    #[test]
+    fn profile_faces_and_the_line_limit_are_finite() {
+        // A constant: the β → 0 line with γ = 0 reproduces it exactly.
+        let (fit, report) = profile_fit(&[1.0; 32]);
+        assert_eq!(report.value, 0.0);
+        assert!(raised(fit.gamma()), "{fit:?}");
+        assert!(fit.beta() * 31.0 < f64::EPSILON / 2.0, "{fit:?}");
+        // A rising line: α + 2γt with both positive, at the β → 0 limit.
+        let rising: Vec<f64> = (0..40).map(|i| 0.9 + 0.003 * f64::from(i)).collect();
+        let (fit, report) = profile_fit(&rising);
+        assert!(report.value < 1e-28, "{report:?}");
+        assert!((fit.gamma() - 0.0015).abs() < 1e-12, "{fit:?}");
+        // A falling line: γ = 0 on the face, the decay term alone.
+        let falling: Vec<f64> = (0..40).map(|i| 1.0 - 0.002 * f64::from(i)).collect();
+        let (fit, report) = profile_fit(&falling);
+        assert!(report.value.is_finite());
+        assert!(raised(fit.gamma()), "{fit:?}");
+        // Data at or below zero: α = 0 on the other face.
+        let (fit, _) = profile_fit(&[0.0; 8]);
+        assert!(raised(fit.alpha()) && raised(fit.gamma()), "{fit:?}");
+    }
+
+    #[test]
+    fn profile_with_no_finite_point_is_a_typed_error() {
+        let ys: Vec<f64> = (0..16)
+            .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
+            .collect();
+        let ts: Vec<f64> = (0..16).map(f64::from).collect();
+        let err = CompetingRisksFamily.profile_optimum(&ts, &ys).unwrap();
+        assert!(matches!(err, Err(CoreError::Numerical { .. })), "{err:?}");
     }
 
     #[test]

@@ -26,6 +26,13 @@ pub use competing_risks::{CompetingRisksFamily, CompetingRisksModel};
 pub use quadratic::{QuadraticFamily, QuadraticModel};
 pub use quartic::{QuarticFamily, QuarticModel};
 
+/// What an optimum's zero `α` or `γ` is raised to, on the Quadratic's
+/// boundary and on a face of the Competing Risks profile: positive, so its
+/// logarithm is finite, and small enough that the Quadratic's `α·γ` stays
+/// a normal number while the term it adds to the curve vanishes in
+/// rounding.
+const RAISED_ZERO: f64 = 1e-150;
+
 /// Writes the monomial design `tʲ`, column `j` at
 /// `columns[j·n .. (j + 1)·n]` for `j < columns.len() / n`, where
 /// `n = ts.len()`: the columns of the polynomial families' linear

@@ -1,5 +1,6 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
+use super::RAISED_ZERO;
 use crate::model::{ModelFamily, ResilienceModel, Sign};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
@@ -385,11 +386,6 @@ impl ModelFamily for QuadraticFamily {
         guesses
     }
 }
-
-/// What a boundary candidate's zero `α` or `γ` is raised to: positive, so
-/// its logarithm is finite, and small enough that `α·γ` stays a normal
-/// number while the term it adds to the curve vanishes in rounding.
-const RAISED_ZERO: f64 = 1e-150;
 
 /// Where the search of the surface for its trough `ρ = r/T` stops: beyond
 /// it the curve is the constant the face already offers, and `(u − ρ)⁴`

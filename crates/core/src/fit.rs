@@ -1,13 +1,16 @@
 //! Least-squares model fitting (paper Eq. 8).
 //!
 //! The pipeline minimizes `Σᵢ (R(tᵢ) − P(tᵢ; θ))²` over each family's
-//! feasible parameter set. Because the SSE surfaces are nonconvex
-//! (especially for mixtures), fitting runs multi-start Nelder–Mead from
-//! the family's data-driven guesses in the *internal* (unconstrained)
-//! space, then optionally polishes the winner with Levenberg–Marquardt.
-//! Coefficients a family is linear in are solved exactly at every point
-//! of the search instead of searched; a family linear in all of them is
-//! fit by one least-squares solve (DESIGN.md §11).
+//! feasible parameter set. Because the mixtures' SSE surfaces are
+//! nonconvex, their fits run multi-start Nelder–Mead from the family's
+//! data-driven guesses in the *internal* (unconstrained) space, then
+//! optionally polish the winner with Levenberg–Marquardt. Coefficients a
+//! family is linear in are solved exactly at every point of the search
+//! instead of searched. The bathtub families search nothing (DESIGN.md
+//! §11): the Quadratic and the Quartic, linear in every coefficient, are
+//! one least-squares solve each, and Competing Risks, linear in all but
+//! `β`, is one deterministic profile over `ln β`
+//! ([`ModelFamily::profile_optimum`]).
 
 use crate::guard::{self, Violation};
 use crate::model::{ModelFamily, ResilienceModel, Sign};
@@ -15,7 +18,7 @@ use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::{least_squares_qr, Matrix};
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
-use resilience_obs::{CounterId, Event, HistogramId};
+use resilience_obs::{CounterId, Event, HistogramId, SolverKind};
 use resilience_optim::levenberg_marquardt;
 use resilience_optim::multi_start::{multi_start, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
@@ -31,9 +34,11 @@ const WARM_EVAL_BUDGET: usize = 600;
 /// Configuration for [`fit_least_squares`].
 #[derive(Debug, Clone)]
 pub struct FitConfig {
-    /// Nelder–Mead's stopping rule for the multi-start phase.
+    /// Nelder–Mead's stopping rule for the multi-start phase. An exact fit
+    /// (Quadratic, Quartic, Competing Risks' profile) runs no Nelder–Mead.
     pub nelder_mead: NelderMeadConfig,
     /// Whether to polish the multi-start winner with Levenberg–Marquardt.
+    /// An exact fit is never polished.
     pub lm_polish: bool,
     /// Worker threads. A single fit runs its starts on this many; the
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
@@ -80,14 +85,16 @@ pub struct FittedModel {
     pub sse: f64,
     /// Objective evaluations of the winning Nelder–Mead run plus the
     /// Levenberg–Marquardt polish, plus one when a profiled fit rescores
-    /// its lifted winner (DESIGN.md §11); an exact fit's one, its
-    /// rescoring. The losing starts are not counted here;
-    /// [`FittedModel::total_evaluations`] counts them.
+    /// its lifted winner (DESIGN.md §11); an exact fit's rescoring, after
+    /// every evaluation of its profile if it has one. The losing starts
+    /// are not counted here; [`FittedModel::total_evaluations`] counts
+    /// them.
     pub evaluations: usize,
     /// Every objective evaluation the fit spent: the warm probe, every
-    /// cold start (winner and losers), the lift and the polish. A solver
-    /// run that failed or was stopped is not counted, so this equals the
-    /// total of the fit's observed `objective_evals` counters.
+    /// cold start (winner and losers), the lift and the polish, or an
+    /// exact fit's profile and rescoring. A solver run that failed or was
+    /// stopped is not counted, so this equals the total of the fit's
+    /// observed `objective_evals` counters.
     pub total_evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
@@ -446,22 +453,30 @@ pub fn fit_least_squares(
 /// multi-start winner is already a valid fit, so the polish is skipped
 /// and that winner is returned.
 ///
-/// The fit runs its three phases in a row: the plan (an exact solve, or
+/// The fit runs its three phases in a row: the plan (an exact fit, or
 /// the starts), every start in one [`multi_start`] pool of
 /// `config.parallelism` threads, and the finish (reduce, lift, polish,
-/// guard). A family with no nonlinear coordinate left (Quadratic, Quartic;
-/// DESIGN.md §11) skips the search and the polish: its fit is one solve,
-/// the least-squares optimum when the family can represent it, and
-/// otherwise the optimum on its region's boundary
-/// ([`ModelFamily::boundary_optimum`], the Quadratic's bathtub cone), and
-/// the control is polled once before it is rescored. Only a design with
-/// fewer distinct times than coefficients searches.
+/// guard). An exact fit skips the search and the polish, and its finish
+/// polls the control once before it counts and logs its work (DESIGN.md
+/// §11):
+///
+/// * Competing Risks is one profile over `ln β`
+///   ([`ModelFamily::profile_optimum`]), whose point is rescored. Its one
+///   `converged` line (solver `profile`) carries the profile's evaluations
+///   and Brent iterations.
+/// * A family with no nonlinear coordinate left (Quadratic, Quartic) is
+///   one solve: the least-squares optimum when the family can represent
+///   it, and otherwise the optimum on its region's boundary
+///   ([`ModelFamily::boundary_optimum`], the Quadratic's bathtub cone),
+///   rescored. Only a design with fewer distinct times than coefficients
+///   searches.
 ///
 /// # Errors
 ///
 /// Everything [`fit_least_squares`] returns, plus [`CoreError::TimedOut`]
 /// and [`CoreError::Cancelled`] when the control stops the multi-start
-/// phase or an exact fit.
+/// phase or an exact fit, and a profile's own error when none of its
+/// points is finite.
 pub fn fit_least_squares_with(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
@@ -503,8 +518,10 @@ fn profiles(family: &dyn ModelFamily) -> bool {
 }
 
 /// Whether a fit of `family` may read the `ln t` table: only a profiled
-/// search over nonlinear coordinates does. An exact fit's design is
-/// polynomial, and a fit over every coordinate has no design.
+/// search over nonlinear coordinates does (the mixtures'). An exact fit's
+/// design is polynomial, a fit over every coordinate has no design, and
+/// Competing Risks, whose profile over `ln β` needs no table, declares no
+/// linear coefficient.
 pub(crate) fn reads_ln_table(family: &dyn ModelFamily) -> bool {
     (1..family.n_params()).contains(&family.linear_coefficients().len())
 }
@@ -525,6 +542,15 @@ fn phase_error(e: OptimError) -> CoreError {
     }
 }
 
+/// An exact fit's internal point, its SSE (the rescoring), and the report
+/// of the profile that found it, if one did
+/// ([`ModelFamily::profile_optimum`]; its `params` moved out).
+struct Exact {
+    internal: Vec<f64>,
+    sse: f64,
+    profile: Option<OptimReport>,
+}
+
 /// A fit between its plan and its finish.
 ///
 /// [`FitPlan::new`] is the plan phase: an exact solve, or else the warm
@@ -542,9 +568,8 @@ pub(crate) struct FitPlan<'a> {
     /// then moves over the nonlinear coordinates alone.
     ln_times: Option<&'a [f64]>,
     optimizer: NelderMead,
-    /// An exact fit's internal point and SSE: the plan then has no warm
-    /// probe and no starts.
-    exact: Option<(Vec<f64>, f64)>,
+    /// An exact fit: the plan then has no warm probe and no starts.
+    exact: Option<Exact>,
     /// The warm probe's result, when it ran and did not fail.
     warm: Option<OptimReport>,
     /// The cold starts' search points, [`FitPlan::dim`] coordinates each.
@@ -553,11 +578,14 @@ pub(crate) struct FitPlan<'a> {
 }
 
 impl<'a> FitPlan<'a> {
-    /// The plan phase: an exact solve, or the warm probe and the cold
+    /// The plan phase: an exact fit, or the warm probe and the cold
     /// starts.
     ///
-    /// A profiled family with no nonlinear coordinate is solved exactly
-    /// when [`ModelFamily::join_linear`] accepts the least-squares
+    /// A family with a profile ([`ModelFamily::profile_optimum`]) is fit
+    /// by it, and its point rescored; the plan logs its `fit_started` with
+    /// zero starts and computes no guesses, and the profile's error is the
+    /// plan's. A profiled family with no nonlinear coordinate is solved
+    /// exactly when [`ModelFamily::join_linear`] accepts the least-squares
     /// coefficients, or else when [`ModelFamily::boundary_optimum`] gives
     /// the optimum on its region's boundary; the plan logs its
     /// `fit_started` with zero starts and computes no guesses. A rejected
@@ -591,6 +619,16 @@ impl<'a> FitPlan<'a> {
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
         let traced = control.observed();
+        let exact_fit = |exact: Exact| {
+            if traced {
+                control.emit(Event::FitStarted {
+                    family: family.name(),
+                    starts: 0,
+                });
+            }
+            exact
+        };
+        let (times, observed) = (series.times(), series.values());
         let (n_params, k) = (family.n_params(), family.linear_coefficients().len());
         let mut profiled = profiles(family);
         // Families whose landscapes need longer simplex walks scale the
@@ -614,8 +652,18 @@ impl<'a> FitPlan<'a> {
             starts: Vec::new(),
             dim: 0,
         };
+        if let Some(profile) = family.profile_optimum(times, observed) {
+            let mut report = profile?;
+            let internal = std::mem::take(&mut report.params);
+            let sse = SseObjective::new(family, times, observed).eval(&internal);
+            plan.exact = Some(exact_fit(Exact {
+                internal,
+                sse,
+                profile: Some(report),
+            }));
+            return Ok(plan);
+        }
         if profiled && k == n_params {
-            let (times, observed) = (series.times(), series.values());
             let finite = |(_, sse): &(Vec<f64>, f64)| sse.is_finite();
             let solved = ProfiledObjective::new(family, times, ln_times, observed)
                 .lift_point(&[])
@@ -626,14 +674,12 @@ impl<'a> FitPlan<'a> {
                     Some((internal, sse))
                 })
                 .filter(finite);
-            if solved.is_some() {
-                if traced {
-                    control.emit(Event::FitStarted {
-                        family: family.name(),
-                        starts: 0,
-                    });
-                }
-                plan.exact = solved;
+            if let Some((internal, sse)) = solved {
+                plan.exact = Some(exact_fit(Exact {
+                    internal,
+                    sse,
+                    profile: None,
+                }));
                 return Ok(plan);
             }
             profiled = false;
@@ -758,8 +804,9 @@ impl<'a> FitPlan<'a> {
     /// The finish phase: reduces the warm result and `cold`, the reduction
     /// of every cold start, lifts a profiled winner, polishes it and
     /// guards the result. An exact fit polls `control` once (scope
-    /// `"fit"`), counts its one evaluation, the rescoring, and is guarded
-    /// the same way, unpolished.
+    /// `"fit"`), logs its profile's `converged` line if it has one, counts
+    /// its evaluations (the profile's and the rescoring) and is guarded the
+    /// same way, unpolished.
     ///
     /// # Errors
     ///
@@ -781,10 +828,34 @@ impl<'a> FitPlan<'a> {
             ..
         } = self;
         let (times, observed) = (series.times(), series.values());
-        if let Some((internal, sse)) = exact {
+        if let Some(Exact {
+            internal,
+            sse,
+            profile,
+        }) = exact
+        {
             control.check_stop("fit", 0).map_err(phase_error)?;
-            control.count(CounterId::ObjectiveEvals, 1);
-            return finished(family, control, internal, sse, 1, 1, true);
+            let mut evaluations = 1;
+            if let Some(profile) = profile {
+                control.emit(Event::Converged {
+                    solver: SolverKind::Profile,
+                    iterations: profile.iterations as u64,
+                    evaluations: profile.evaluations as u64,
+                    value: profile.value,
+                    reason: profile.termination.exit_reason(),
+                });
+                evaluations += profile.evaluations;
+            }
+            control.count(CounterId::ObjectiveEvals, evaluations as u64);
+            return finished(
+                family,
+                control,
+                internal,
+                sse,
+                evaluations,
+                evaluations,
+                true,
+            );
         }
         let mut total_evaluations = warm.as_ref().map_or(0, |w| w.evaluations) + cold.evaluations();
         let cold = if starts.is_empty() {
@@ -841,7 +912,7 @@ impl<'a> FitPlan<'a> {
 
         if config.lm_polish {
             // The residual problem carries the family's analytic Jacobian when
-            // it has one (all six paper families; DESIGN.md §11), so LM skips
+            // it has one (the Quadratic and the mixtures; DESIGN.md §11), so LM skips
             // its finite-difference sweeps; reusable scratch keeps the polish
             // allocation-free per iteration either way.
             let problem = FamilyResiduals {
@@ -1201,10 +1272,10 @@ mod tests {
     /// `total_evaluations` is every evaluation a fit spent — the total of
     /// its observed `objective_evals` counters — at every thread count,
     /// while `evaluations` keeps counting the winner, the lift and the
-    /// polish only. Pinned on 1990-93, with a warm-started Competing Risks
-    /// refit whose probe short-circuits the cold phase. The `e^{βt}`
-    /// Wei-Exp has no linear coefficient, so its Nelder–Mead searches
-    /// every coordinate of the full objective.
+    /// polish only. Pinned on 1990-93, with a warm-started Exp-Exp refit
+    /// whose probe short-circuits the cold phase. The `e^{βt}` Wei-Exp has
+    /// no linear coefficient, so its Nelder–Mead searches every coordinate
+    /// of the full objective.
     #[test]
     fn total_evaluations_equal_the_observed_counter_total() {
         use crate::bathtub::QuarticFamily;
@@ -1224,10 +1295,11 @@ mod tests {
         families.push(&exponential_trend);
         // (all evaluations, winner + lift + polish); Quartic is not in the
         // smoke gate's `evals_per_fit`, so only its total is pinned. The
-        // exact fits spend one evaluation, their rescoring.
+        // exact fits spend one evaluation, their rescoring, after Competing
+        // Risks' profile.
         let expected = [
             (1, Some(1)),
-            (277, Some(41)),
+            (47, Some(47)),
             (1, None),
             (981, Some(130)),
             (1751, Some(182)),
@@ -1267,8 +1339,8 @@ mod tests {
                     assert_eq!(fit.evaluations, winner, "{name} {parallelism:?}");
                 }
             }
-            let cold = observed_fit(&CompetingRisksFamily, &config, None);
-            let warm = observed_fit(&CompetingRisksFamily, &config, Some(&cold.params));
+            let cold = observed_fit(&mixtures[0], &config, None);
+            let warm = observed_fit(&mixtures[0], &config, Some(&cold.params));
             assert!(warm.total_evaluations < cold.total_evaluations);
             assert_eq!(warm.total_evaluations, warm.evaluations, "{parallelism:?}");
         }
@@ -1341,6 +1413,87 @@ mod tests {
         assert_eq!((fit.total_evaluations, fit.evaluations), (345, 188));
         assert_eq!(events[0], Event::FitStarted { family, starts: 2 });
         assert_eq!(events[1], Event::StartBegan { index: 0 });
+    }
+
+    /// What a profiled fit logs and counts: its plan's `fit_started` with
+    /// no starts, then in its finish the profile's one `converged` line,
+    /// one `objective_evals` of the profile's evaluations plus the
+    /// rescoring, `fit_finished` and `evals_per_fit`; under an expired
+    /// deadline, its finish's one poll and nothing of the profile. A warm
+    /// point changes nothing: the profile ignores it.
+    #[test]
+    fn profiled_fits_log_their_work_on_one_solver_line() {
+        use resilience_obs::{ExitReason, RecordingObserver, StopKind};
+        use std::sync::Arc;
+
+        let s = Recession::R1990_93.payroll_index();
+        let observed = |control: Control, warm: Option<&[f64]>| {
+            let rec = Arc::new(RecordingObserver::new());
+            let control = control.observe(rec.clone());
+            let fit = fit_from(
+                &CompetingRisksFamily,
+                &s,
+                None,
+                warm,
+                &FitConfig::default(),
+                &control,
+            );
+            (fit, rec.take())
+        };
+        let (fit, events) = observed(Control::unbounded(), None);
+        let fit = fit.unwrap();
+        let family = "Competing Risks";
+        let profile = CompetingRisksFamily
+            .profile_optimum(s.times(), s.values())
+            .unwrap()
+            .unwrap();
+        let total = profile.evaluations + 1;
+        assert_eq!((fit.evaluations, fit.total_evaluations), (total, total));
+        assert!(fit.converged);
+        assert_eq!(
+            events,
+            [
+                Event::FitStarted { family, starts: 0 },
+                Event::Converged {
+                    solver: SolverKind::Profile,
+                    iterations: profile.iterations as u64,
+                    evaluations: profile.evaluations as u64,
+                    value: profile.value,
+                    reason: ExitReason::Converged,
+                },
+                Event::Counter {
+                    id: CounterId::ObjectiveEvals,
+                    delta: total as u64
+                },
+                Event::FitFinished {
+                    family,
+                    sse: fit.sse,
+                    evaluations: total as u64,
+                    converged: true
+                },
+                Event::Hist {
+                    id: HistogramId::EvalsPerFit,
+                    value: total as u64
+                },
+            ]
+        );
+        let (warm, warm_events) = observed(Control::unbounded(), Some(&[1.0, 0.5, 0.01]));
+        assert_eq!(warm.unwrap().params, fit.params);
+        assert_eq!(warm_events, events);
+
+        let (fit, events) = observed(Control::with_deadline(std::time::Duration::ZERO), None);
+        assert!(matches!(fit, Err(CoreError::TimedOut { .. })));
+        assert_eq!(
+            events,
+            [
+                Event::FitStarted { family, starts: 0 },
+                Event::Stop {
+                    scope: "fit",
+                    kind: StopKind::Deadline,
+                    evaluations: 0
+                },
+            ]
+        );
     }
 
     #[test]

@@ -1212,6 +1212,11 @@ mod tests {
         assert_eq!(sup.fit.sse, plain.sse);
     }
 
+    /// Exp-Exp, a family that searches: every bathtub fit is exact.
+    fn exp_exp() -> crate::mixture::MixtureFamily {
+        crate::mixture::MixtureFamily::paper_combinations()[0]
+    }
+
     /// A fit configuration whose 3-iteration Nelder–Mead and skipped
     /// polish leave a searching fit non-converged.
     fn starved() -> FitConfig {
@@ -1229,7 +1234,7 @@ mod tests {
         let s = quadratic_series();
         let config = starved();
         let sup = fit_with_retry(
-            &CompetingRisksFamily,
+            &exp_exp(),
             &s,
             &config,
             &RetryPolicy::default(),
@@ -1239,7 +1244,7 @@ mod tests {
         assert_eq!(sup.attempts, RetryPolicy::default().max_attempts);
         assert!(!sup.fit.converged);
         // Best-by-SSE: never worse than the single-shot fit.
-        let single = crate::fit::fit_least_squares(&CompetingRisksFamily, &s, &config).unwrap();
+        let single = crate::fit::fit_least_squares(&exp_exp(), &s, &config).unwrap();
         assert!(sup.fit.sse <= single.sse);
 
         // An exact fit has no iteration to starve: it converges on attempt
@@ -1263,7 +1268,7 @@ mod tests {
         let config = starved();
         let run = || {
             fit_with_retry(
-                &CompetingRisksFamily,
+                &exp_exp(),
                 &s,
                 &config,
                 &RetryPolicy::default(),
@@ -1385,10 +1390,11 @@ mod tests {
         // iteration budget forces retries, each fleet cell's rows are
         // bit-identical to a one-cell call on its series, and the fleet's
         // event log is the concatenation of the one-cell logs.
-        // Competing Risks searches, so the starved budget retries it;
-        // Quartic's exact fits run alongside as zero-start jobs.
+        // Exp-Exp searches, so the starved budget retries it; Quartic's
+        // exact fits run alongside as zero-start jobs.
         let series_list = batch_series();
-        let families: Vec<&dyn ModelFamily> = vec![&CompetingRisksFamily, &QuarticFamily];
+        let exp_exp = exp_exp();
+        let families: Vec<&dyn ModelFamily> = vec![&exp_exp, &QuarticFamily];
         let starved = starved();
         let retry = ExecPolicy {
             retry: Some(RetryPolicy::default()),
@@ -1529,14 +1535,8 @@ mod tests {
         let config = starved();
         let rec = Arc::new(RecordingObserver::new());
         let control = Control::unbounded().observe(rec.clone());
-        let sup = fit_with_retry(
-            &CompetingRisksFamily,
-            &s,
-            &config,
-            &RetryPolicy::default(),
-            &control,
-        )
-        .unwrap();
+        let sup =
+            fit_with_retry(&exp_exp(), &s, &config, &RetryPolicy::default(), &control).unwrap();
         assert_eq!(sup.attempts, 3);
         let events = rec.take();
         let retries: Vec<u32> = events
@@ -2047,9 +2047,10 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Event::StartBegan { .. }))
             .count();
-        // Quadratic's exact fit has none, Competing Risks' 8 guesses merge
-        // into 6 starts in ln β, and each mixture has 9 (DESIGN.md §11).
-        assert_eq!(starts, 6 + 4 * 9);
+        // The bathtub families' exact fits have none (Competing Risks'
+        // profile is not a multi-start search), and each mixture has 9
+        // (DESIGN.md §11).
+        assert_eq!(starts, 4 * 9);
     }
 
     #[test]

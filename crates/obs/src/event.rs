@@ -17,6 +17,10 @@ pub enum SolverKind {
     NelderMead,
     /// Levenberg–Marquardt damped least squares.
     LevenbergMarquardt,
+    /// A deterministic one-dimensional profile: fixed nodes and a Brent
+    /// search in each bracket (Competing Risks' `ln β`). Its one
+    /// `converged` line carries its evaluations and Brent iterations.
+    Profile,
 }
 
 impl SolverKind {
@@ -25,6 +29,7 @@ impl SolverKind {
         match self {
             SolverKind::NelderMead => "nm",
             SolverKind::LevenbergMarquardt => "lm",
+            SolverKind::Profile => "profile",
         }
     }
 
@@ -33,6 +38,7 @@ impl SolverKind {
         Some(match s {
             "nm" => SolverKind::NelderMead,
             "lm" => SolverKind::LevenbergMarquardt,
+            "profile" => SolverKind::Profile,
             _ => return None,
         })
     }
@@ -42,15 +48,20 @@ impl SolverKind {
         match self {
             SolverKind::NelderMead => "nelder_mead",
             SolverKind::LevenbergMarquardt => "levenberg_marquardt",
+            SolverKind::Profile => "profile",
         }
     }
 
     /// Inverse of [`SolverKind::stop_scope`]: the solver a stop's scope
     /// names, if it names one (a stop can also be scoped to a stage).
     pub fn from_stop_scope(scope: &str) -> Option<SolverKind> {
-        [SolverKind::NelderMead, SolverKind::LevenbergMarquardt]
-            .into_iter()
-            .find(|k| k.stop_scope() == scope)
+        [
+            SolverKind::NelderMead,
+            SolverKind::LevenbergMarquardt,
+            SolverKind::Profile,
+        ]
+        .into_iter()
+        .find(|k| k.stop_scope() == scope)
     }
 }
 
@@ -836,7 +847,11 @@ mod tests {
         for id in HistogramId::ALL {
             assert_eq!(HistogramId::parse(id.as_str()), Some(id));
         }
-        for k in [SolverKind::NelderMead, SolverKind::LevenbergMarquardt] {
+        for k in [
+            SolverKind::NelderMead,
+            SolverKind::LevenbergMarquardt,
+            SolverKind::Profile,
+        ] {
             assert_eq!(SolverKind::parse(k.as_str()), Some(k));
             assert_eq!(SolverKind::from_stop_scope(k.stop_scope()), Some(k));
         }

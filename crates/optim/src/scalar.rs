@@ -4,12 +4,12 @@
 //! Golden-section locates a fitted curve's trough when the model has no
 //! analytic minimum (`ResilienceModel::trough_time` in `resilience-core`),
 //! and the fit tests use it as the reference search over the mixtures'
-//! ln β, which the fit itself solves in closed form. The fit searches
-//! Competing Risks' one nonlinear coordinate, ln β, with the same
-//! multi-start Nelder–Mead as every other family, so that its starts,
-//! events and retries stay one code path; Brent's method stays for the
-//! slow reference search the best-known-SSE oracle still needs there (a
-//! dense ln β grid with a Brent polish from every node).
+//! ln β, which the fit itself solves in closed form. Brent's method fits
+//! Competing Risks: its profile over ln β runs [`brent_min`] in the
+//! bracket of each local minimum of a 25-node grid
+//! (`resilience-core`'s `bathtub::competing_risks`). The tests' dense
+//! references use it too, over 1 001 ln β nodes for Competing Risks and
+//! over the Quadratic's surface troughs.
 
 use crate::OptimError;
 

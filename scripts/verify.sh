@@ -66,7 +66,7 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 #   plain triple feeds the fleet gates (byte-identical stores and obs
 #   roll-ups) and the obs gates (byte-identical logs, span trees,
 #   metrics; full attribution; per-family evaluation ceilings; at most
-#   14 log events per multi-start `start` line); the chaos
+#   8 log events per family fit); the chaos
 #   triple feeds the chaos gates (no abort, finite survivors,
 #   byte-identical stores and event JSONL, exact injection accounting,
 #   bounded retries) -> BENCH_fleet.json, BENCH_obs.json, BENCH_chaos.json;

@@ -103,9 +103,8 @@ fn all_families(mixtures: &[MixtureFamily]) -> Vec<&dyn ModelFamily> {
 /// One SSE-objective evaluation allocates nothing, for every family: the
 /// exact scratch-buffer pattern `fit_least_squares` uses. The same holds
 /// for the profiled objective of the families with linear coefficients,
-/// one column (the mixtures) or several (the bathtub families), at
-/// feasible and infeasible points and, for Competing Risks' two columns,
-/// on a face of its sign bounds.
+/// one column (the mixtures) or several (the polynomial bathtub
+/// families), at feasible and infeasible points.
 #[test]
 fn sse_objective_is_allocation_free() {
     let series = Recession::R1990_93.payroll_index();
@@ -114,9 +113,17 @@ fn sse_objective_is_allocation_free() {
     let mixtures = MixtureFamily::paper_combinations();
 
     for family in all_families(&mixtures) {
-        // Setup (allowed to allocate): a feasible internal point and the
-        // scratch buffers.
-        let guess = family.initial_guesses(&series).remove(0);
+        // Setup (allowed to allocate): a feasible internal point (the first
+        // guess, or the optimum of a family that has no guess because it
+        // never searches) and the scratch buffers.
+        let guess = match family.initial_guesses(&series).into_iter().next() {
+            Some(guess) => guess,
+            None => {
+                fit_least_squares(family, &series, &FitConfig::default())
+                    .expect("fits")
+                    .params
+            }
+        };
         let internal = family
             .params_to_internal(&guess)
             .expect("first guess is feasible");
@@ -207,29 +214,12 @@ fn sse_objective_is_allocation_free() {
             "{}",
             family.name()
         );
-        let mut points = vec![
-            ("feasible", u.clone(), observed.to_vec()),
-            ("infeasible", nan_u, observed.to_vec()),
-        ];
-        if k == 2 {
-            // A point on a face of the sign bounds: under a slow decay the
-            // two-column optimum of a falling line has γ < 0, which maps
-            // to +∞.
-            let falling: Vec<f64> = times.iter().map(|t| 1.0 - 0.002 * t).collect();
-            let face = vec![-8.0];
-            assert_eq!(
-                profiled(&face, &falling),
-                f64::INFINITY,
-                "{}",
-                family.name()
-            );
-            points.push(("face", face, falling));
-        }
-        for (path, x, ys) in &points {
+        let points = [("feasible", u.clone()), ("infeasible", nan_u)];
+        for (path, x) in &points {
             let mut acc = 0.0;
             let delta = min_delta(3, || {
                 for _ in 0..100 {
-                    acc += profiled(x, ys);
+                    acc += profiled(x, observed);
                 }
             });
             assert_eq!(
@@ -259,6 +249,38 @@ fn predict_into_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "predict_into allocated {delta} times over 100 calls"
+    );
+}
+
+/// A Competing Risks profile evaluation allocates nothing: two profiles
+/// that spend different numbers of evaluations, both ending with positive
+/// coefficients (so both re-solve them by QR), allocate exactly as much.
+#[test]
+fn competing_risks_profile_evaluations_do_not_allocate() {
+    let recession = Recession::R1990_93.payroll_index();
+    let times = recession.times();
+    let bathtub: Vec<f64> = times
+        .iter()
+        .map(|t| 0.8 / (1.0 + 0.3 * t) + 0.01 * t)
+        .collect();
+    let profile = |ys: &[f64]| {
+        let mut evaluations = 0;
+        let delta = min_delta(3, || {
+            let report = CompetingRisksFamily
+                .profile_optimum(times, ys)
+                .expect("Competing Risks profiles")
+                .expect("a finite profile");
+            assert!(report.params.iter().all(|u| *u > -100.0), "{report:?}");
+            evaluations = report.evaluations;
+        });
+        (evaluations, delta)
+    };
+    let (a, b) = (profile(recession.values()), profile(&bathtub));
+    assert_ne!(a.0, b.0, "the two profiles must differ in work");
+    assert_eq!(
+        a.1, b.1,
+        "evaluations {} and {} allocate differently",
+        a.0, b.0
     );
 }
 

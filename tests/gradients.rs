@@ -7,7 +7,7 @@
 //! missing chain-rule factor in any hand-derived partial fails loudly
 //! with the offending case in the message.
 
-use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
+use resilience_core::bathtub::QuadraticFamily;
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_math::linalg::Matrix;
@@ -99,10 +99,6 @@ fn quadratic_point(rng: &mut XorShift64) -> Vec<f64> {
     ]
 }
 
-fn competing_risks_point(rng: &mut XorShift64) -> Vec<f64> {
-    (0..3).map(|_| uniform(rng, -4.0, 1.0)).collect()
-}
-
 /// Mixture internal points: log of every positive parameter. Rates stay
 /// in `[e^-4, 1]`, Weibull shapes in `[e^-0.5, e^1.2]`, scales in
 /// `[1, e^3.5]`, and the trend's β in `[e^-2, e]`.
@@ -125,11 +121,6 @@ fn mixture_point(family: &MixtureFamily, rng: &mut XorShift64) -> Vec<f64> {
 #[test]
 fn quadratic_jacobian_matches_central_differences() {
     check_family(&QuadraticFamily, 0xC0DE_0001, quadratic_point);
-}
-
-#[test]
-fn competing_risks_jacobian_matches_central_differences() {
-    check_family(&CompetingRisksFamily, 0xC0DE_0002, competing_risks_point);
 }
 
 #[test]
