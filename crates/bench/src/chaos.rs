@@ -19,15 +19,16 @@
 //!    (injections, breaker trips and quarantines are all non-zero — a
 //!    chaos smoke that injects nothing proves nothing).
 //!
-//! The verdict is written to `BENCH_chaos.json`, with an FNV-1a digest of
-//! the canonical event log, and with no wall-clock and no machine
-//! identifiers: regenerating it anywhere yields the same bytes.
+//! The verdict is written to `BENCH_chaos.json`, with FNV-1a digests of
+//! the canonical event log and of its span-tree render, and with no
+//! wall-clock and no machine identifiers: regenerating it anywhere yields
+//! the same bytes.
 
 use crate::fleet::{fnv1a, FleetRun, FleetStore, PASSES, QUARANTINED_BITS};
 use resilience_core::chaos::ChaosPlan;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{BreakerPolicy, ExecPolicy, RetryPolicy};
-use resilience_obs::{CounterId, Event, RunReport};
+use resilience_obs::{CounterId, Event, RunReport, SpanTree};
 
 /// The fixed chaos plan of the CI smoke. Rates are tuned so the 64-cell
 /// grid exercises every supervisor path — forced panics, deadline
@@ -108,14 +109,9 @@ pub struct ChaosReport {
     /// FNV-1a digest ([`fnv1a`]) of the canonical run's JSONL log, which
     /// the baseline pins byte for byte.
     pub log_digest: u64,
-}
-
-fn counter(report: &RunReport, id: CounterId) -> u64 {
-    report
-        .counters
-        .iter()
-        .find(|(c, _)| *c == id)
-        .map_or(0, |(_, v)| *v)
+    /// FNV-1a digest of the canonical run's span-tree render (all cells,
+    /// full depth), which pins what the tree reconstructs from the log.
+    pub tree_digest: u64,
 }
 
 impl ChaosReport {
@@ -146,15 +142,15 @@ impl ChaosReport {
             }
         });
 
-        let chaos_injected = counter(&run1.report, CounterId::ChaosInjected);
+        let chaos_injected = run1.report.counter(CounterId::ChaosInjected);
         let injected_events = run1
             .events
             .iter()
             .filter(|e| matches!(e, Event::ChaosInjected { .. }))
             .count() as u64;
-        let breaker_opened = counter(&run1.report, CounterId::BreakerOpened);
-        let breaker_half_open = counter(&run1.report, CounterId::BreakerHalfOpen);
-        let cells_quarantined = counter(&run1.report, CounterId::CellsQuarantined);
+        let breaker_opened = run1.report.counter(CounterId::BreakerOpened);
+        let breaker_half_open = run1.report.counter(CounterId::BreakerHalfOpen);
+        let cells_quarantined = run1.report.counter(CounterId::CellsQuarantined);
         let quarantined_cells = store.quarantined.iter().filter(|&&q| q > 0).count() as u64;
         let chaos_accounted = chaos_injected == injected_events
             && chaos_injected > 0
@@ -162,7 +158,7 @@ impl ChaosReport {
             && cells_quarantined == quarantined_cells
             && cells_quarantined > 0;
 
-        let retries = counter(&run1.report, CounterId::Retries);
+        let retries = run1.report.counter(CounterId::Retries);
         let max_attempts = chaos_policy().retry.map_or(1, |r| r.max_attempts) as u64;
         let retry_ceiling = (max_attempts - 1) * (store.len() * families.len()) as u64;
 
@@ -184,6 +180,11 @@ impl ChaosReport {
             retry_ceiling,
             rollup: run1.report.clone(),
             log_digest: fnv1a(log1.as_bytes()),
+            tree_digest: fnv1a(
+                SpanTree::build(&run1.events)
+                    .render(usize::MAX, 4)
+                    .as_bytes(),
+            ),
         }
     }
 
@@ -243,7 +244,7 @@ impl ChaosReport {
              \"chaos_injected\": {},\n  \"breaker_opened\": {},\n  \"breaker_half_open\": {},\n  \
              \"cells_quarantined\": {},\n  \"retries\": {},\n  \"retry_ceiling\": {},\n  \
              \"store_digest\": \"{:016x}\",\n  \"log_digest\": \"{:016x}\",\n  \
-             \"columns\": {},\n  \"rollup\": {}\n}}\n",
+             \"tree_digest\": \"{:016x}\",\n  \"columns\": {},\n  \"rollup\": {}\n}}\n",
             self.store.len(),
             families.join(", "),
             PASSES.len(),
@@ -267,6 +268,7 @@ impl ChaosReport {
             self.retry_ceiling,
             self.store.digest(),
             self.log_digest,
+            self.tree_digest,
             self.store.columns_json(),
             self.rollup.to_json(),
         )
@@ -317,6 +319,7 @@ mod tests {
             "\"benchmark\": \"chaos-fleet\"",
             "\"plan\"",
             "\"chaos_injected\"",
+            "\"tree_digest\": \"",
             "\"quarantined\": [",
             "\"rollup\"",
         ] {
@@ -340,7 +343,7 @@ mod tests {
             &chaos_policy(),
         );
         let from_store = run.store.quarantined.iter().filter(|&&q| q > 0).count();
-        let counted = counter(&run.report, CounterId::CellsQuarantined);
+        let counted = run.report.counter(CounterId::CellsQuarantined);
         assert_eq!(from_store as u64, counted);
         for i in 0..run.store.len() {
             if run.store.quarantined[i] > 0 {

@@ -14,8 +14,10 @@
 //!    span-tree work columns) are byte-identical;
 //! 5. **cells_covered** — the span tree reconstructs exactly one cell
 //!    per grid cell, with zero unattributed evaluations;
-//! 6. **work_attributed** — the per-cell work columns sum to the
-//!    roll-up's per-family evaluation totals;
+//! 6. **work_attributed** — the per-cell work columns, which the span
+//!    tree attributes, sum to the flat `objective_evals` counter, which no
+//!    attribution rule touches: the tree charges every evaluation the
+//!    counters counted to a cell;
 //! 7. **within_budget** — each family's evaluation total stays under its
 //!    committed ceiling ([`EVAL_CEILINGS`]), so an optimizer regression
 //!    that silently doubles the work budget fails CI;
@@ -25,15 +27,16 @@
 //!
 //! The JSON baseline is a pure function of the grid: counter totals,
 //! histogram bucket vectors and percentiles, per-family work against
-//! ceilings, the top-K hottest cells, and an FNV-1a digest of the
-//! canonical log, so a log that changes by one byte changes the
-//! baseline. No wall-clock, no machine identifiers — CI regenerates it
-//! and `git diff` stays clean.
+//! ceilings, the top-K hottest cells, and FNV-1a digests of the
+//! canonical log and of its span-tree render, so a log or a
+//! reconstruction that changes by one byte changes the baseline. No
+//! wall-clock, no machine identifiers — CI regenerates it and `git diff`
+//! stays clean.
 
 use crate::fleet::{fnv1a, FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
-use resilience_obs::{Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
+use resilience_obs::{CounterId, Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
@@ -125,7 +128,7 @@ pub struct ObsSmokeReport {
     pub identical_store: bool,
     /// Gate 5: one span-tree cell per grid cell, zero unattributed work.
     pub cells_covered: bool,
-    /// Gate 6: work columns sum to the roll-up's family totals.
+    /// Gate 6: work columns sum to the `objective_evals` counter.
     pub work_attributed: bool,
     /// Gate 7: every family under its evaluation ceiling.
     pub within_budget: bool,
@@ -148,6 +151,9 @@ pub struct ObsSmokeReport {
     /// FNV-1a digest ([`fnv1a`]) of the canonical run's JSONL log, which
     /// the baseline pins byte for byte.
     pub log_digest: u64,
+    /// FNV-1a digest of the canonical run's span-tree render (all cells,
+    /// full depth), which pins what the tree reconstructs from the log.
+    pub tree_digest: u64,
 }
 
 /// How many hottest cells the baseline records.
@@ -237,7 +243,7 @@ impl ObsSmokeReport {
              \"cells_covered\": {}, \"work_attributed\": {}, \"within_budget\": {}, \
              \"log_bounded\": {}}},\n  \
              \"tree_cells\": {},\n  \"unattributed_evals\": {},\n  \"log_digest\": \"{:016x}\",\n  \
-             \"counters\": {{\n{}\n  }},\n  \
+             \"tree_digest\": \"{:016x}\",\n  \"counters\": {{\n{}\n  }},\n  \
              \"histograms\": {{\n{}\n  }},\n  \"family_work\": [\n{}\n  ],\n  \
              \"hottest_cells\": [\n{}\n  ],\n  \"hottest_families\": [\n{}\n  ]\n}}\n",
             self.cells,
@@ -258,6 +264,7 @@ impl ObsSmokeReport {
             self.tree_cells,
             self.unattributed_evals,
             self.log_digest,
+            self.tree_digest,
             counters.join(",\n"),
             histograms.join(",\n"),
             work.join(",\n"),
@@ -297,8 +304,8 @@ impl ObsSmokeReport {
 
         let cells_covered = tree.cells.len() == cells && tree.unattributed_evaluations == 0;
         let column_total: u64 = run1.store.evals.iter().sum();
-        let family_total: u64 = run1.report.families.iter().map(|f| f.evaluations).sum();
-        let work_attributed = column_total == family_total && column_total > 0;
+        let work_attributed =
+            column_total == run1.report.counter(CounterId::ObjectiveEvals) && column_total > 0;
 
         let family_work: Vec<FamilyWork> = run1
             .report
@@ -354,6 +361,7 @@ impl ObsSmokeReport {
             tree_cells: tree.cells.len(),
             unattributed_evals: tree.unattributed_evaluations,
             log_digest: fnv1a(log1.as_bytes()),
+            tree_digest: fnv1a(tree_text.as_bytes()),
         };
         let artifacts = ObsSmokeArtifacts {
             serial_jsonl: log1,
@@ -458,6 +466,7 @@ mod tests {
             "\"cells\": 4",
             "\"runs\": 3",
             "\"gates\": {\"identical_log\": true",
+            "\"tree_digest\": \"",
             "\"within_budget\": true",
             "\"log_bounded\": true",
             "\"events_per_fit_ceiling\": 8",

@@ -13,7 +13,7 @@ use crate::fit::{fit_from, fit_least_squares_with, FitConfig};
 use crate::model::ModelFamily;
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
-use resilience_obs::{CounterId, Event};
+use resilience_obs::CounterId;
 use resilience_optim::parallel::run_indexed_catch;
 use resilience_optim::{Control, Parallelism};
 use resilience_stats::describe::quantile_sorted;
@@ -146,10 +146,11 @@ pub fn bootstrap_band(
 ///
 /// Only the control's observer is used: deadline and cancellation are
 /// stripped, so the run always completes. The sink receives the base
-/// fit's solver trace, the ok/failed replicate counters and one
-/// [`Event::BootstrapChunkDone`] once every replicate has run. Replicate
-/// refits themselves run unobserved — hundreds of near-identical solver
-/// traces would drown the log without adding information.
+/// fit's solver trace and, once every replicate has run, the
+/// `bootstrap_replicates_ok` and `bootstrap_replicates_failed` counters.
+/// Replicate refits themselves run unobserved — hundreds of
+/// near-identical solver traces would drown the log without adding
+/// information.
 ///
 /// # Errors
 ///
@@ -245,11 +246,6 @@ pub fn bootstrap_band_with(
     let ok = config.replicates - failed;
     control.count(CounterId::BootstrapReplicatesOk, ok as u64);
     control.count(CounterId::BootstrapReplicatesFailed, failed as u64);
-    control.emit(Event::BootstrapChunkDone {
-        done: config.replicates as u32,
-        total: config.replicates as u32,
-        failed: failed as u32,
-    });
 
     if ok < 20 || ok * 2 < config.replicates {
         return Err(CoreError::arg(
@@ -419,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_reports_chunk_progress_and_replicate_counters() {
+    fn telemetry_reports_replicate_counters() {
         use resilience_obs::{CounterId, Event, RecordingObserver};
         use std::sync::Arc;
         let series = Recession::R1990_93.payroll_index();
@@ -436,31 +432,25 @@ mod tests {
         let events = rec.take();
         // The base fit's span anchors the log.
         assert!(events.iter().any(|e| matches!(e, Event::FitStarted { .. })));
-        // One pass: one progress event for all replicates.
-        let chunks: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::BootstrapChunkDone {
-                    done,
-                    total,
-                    failed,
-                } => Some((*done, *total, *failed)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(chunks, vec![(60, 60, band.failed as u32)]);
         // Ok + failed counters account for every replicate.
-        let total_counted: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Counter {
-                    id: CounterId::BootstrapReplicatesOk | CounterId::BootstrapReplicatesFailed,
-                    delta,
-                } => Some(*delta),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(total_counted, 60);
+        let counted = |id: CounterId| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Counter { id: c, delta } if c == id => Some(delta),
+                    _ => None,
+                })
+                .sum()
+        };
+        assert_eq!(
+            counted(CounterId::BootstrapReplicatesFailed),
+            band.failed as u64
+        );
+        assert_eq!(
+            counted(CounterId::BootstrapReplicatesOk)
+                + counted(CounterId::BootstrapReplicatesFailed),
+            60
+        );
     }
 
     #[test]

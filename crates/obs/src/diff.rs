@@ -217,14 +217,6 @@ pub fn diff_reports(left: &RunReport, right: &RunReport) -> Vec<FieldDiff> {
         Some(left.events.to_string()),
         Some(right.events.to_string()),
     );
-    push(
-        "bootstrap".into(),
-        left.bootstrap
-            .map(|b| format!("{}/{} ({} failed)", b.done, b.total, b.failed)),
-        right
-            .bootstrap
-            .map(|b| format!("{}/{} ({} failed)", b.done, b.total, b.failed)),
-    );
     for id in CounterId::ALL {
         push(
             format!("counter.{}", id.as_str()),

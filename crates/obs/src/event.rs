@@ -301,6 +301,12 @@ impl CounterId {
     pub fn parse(s: &str) -> Option<CounterId> {
         CounterId::ALL.into_iter().find(|id| id.as_str() == s)
     }
+
+    /// Position in [`CounterId::ALL`], which lists the ids in declaration
+    /// order.
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Identifier of a histogram.
@@ -340,6 +346,12 @@ impl HistogramId {
     /// Inverse of [`HistogramId::as_str`].
     pub fn parse(s: &str) -> Option<HistogramId> {
         HistogramId::ALL.into_iter().find(|id| id.as_str() == s)
+    }
+
+    /// Position in [`HistogramId::ALL`], which lists the ids in
+    /// declaration order.
+    pub(crate) const fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -427,16 +439,6 @@ pub enum Event {
         scope: &'static str,
         /// Job index within the scope.
         index: u32,
-    },
-    /// A bootstrap band's replicates finished: one event per band, after
-    /// its one replicate pass.
-    BootstrapChunkDone {
-        /// Replicates completed so far (logical clock).
-        done: u32,
-        /// Total replicates requested.
-        total: u32,
-        /// Replicates so far that failed to refit.
-        failed: u32,
     },
     /// A chaos plan injected a fault into one (cell, family) job; the
     /// job's `job` line names the cell.
@@ -544,7 +546,6 @@ impl Event {
             Event::RetryScheduled { .. } => "retry_scheduled",
             Event::Stop { kind, .. } => kind.as_str(),
             Event::WorkerPanic { .. } => "worker_panic",
-            Event::BootstrapChunkDone { .. } => "bootstrap_chunk_done",
             Event::ChaosInjected { .. } => "chaos_injected",
             Event::BreakerOpened { .. } => "breaker_opened",
             Event::BreakerHalfOpen { .. } => "breaker_half_open",
@@ -625,16 +626,6 @@ impl Event {
                 write_json_str(out, scope);
                 let _ = write!(out, ",\"index\":{index}");
             }
-            Event::BootstrapChunkDone {
-                done,
-                total,
-                failed,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"done\":{done},\"total\":{total},\"failed\":{failed}"
-                );
-            }
             Event::ChaosInjected { kind, family } => {
                 let _ = write!(out, ",\"kind\":\"{}\",\"family\":", kind.as_str());
                 write_json_str(out, family);
@@ -709,11 +700,6 @@ impl Event {
             Event::WorkerPanic {
                 scope: family,
                 index: 1,
-            },
-            Event::BootstrapChunkDone {
-                done: 16,
-                total: 64,
-                failed: 1,
             },
             Event::BreakerOpened {
                 family,
@@ -791,7 +777,6 @@ impl Event {
                 | Event::RetryScheduled { .. }
                 | Event::Stop { .. }
                 | Event::WorkerPanic { .. }
-                | Event::BootstrapChunkDone { .. }
                 | Event::ChaosInjected { .. }
                 | Event::BreakerOpened { .. }
                 | Event::BreakerHalfOpen { .. }
@@ -843,9 +828,11 @@ mod tests {
     fn ids_round_trip_through_strings() {
         for id in CounterId::ALL {
             assert_eq!(CounterId::parse(id.as_str()), Some(id));
+            assert_eq!(CounterId::ALL[id.index()], id);
         }
         for id in HistogramId::ALL {
             assert_eq!(HistogramId::parse(id.as_str()), Some(id));
+            assert_eq!(HistogramId::ALL[id.index()], id);
         }
         for k in [
             SolverKind::NelderMead,

@@ -4,10 +4,10 @@
 //! bootstrap bands) emits span-style [`Event`]s — `job` (the (cell,
 //! family) frame the supervised runtime opens before each job's events),
 //! `fit_started`, `start`, `converged`, `retry_scheduled`,
-//! `deadline_exceeded`, `worker_panic`, `bootstrap_chunk_done` — plus
-//! monotonic counters and histograms, into any sink implementing
-//! [`Observer`]. A solver run writes a bounded number of events whatever
-//! its iteration count: nothing is written per iteration.
+//! `deadline_exceeded`, `worker_panic` — plus monotonic counters (a
+//! bootstrap band's replicates among them) and histograms, into any sink
+//! implementing [`Observer`]. A solver run writes a bounded number of
+//! events whatever its iteration count: nothing is written per iteration.
 //!
 //! Two properties are load-bearing and covered by tests:
 //!
@@ -31,8 +31,9 @@
 //! * [`jsonl`] — the JSONL file sink ([`JsonlObserver`]).
 //! * [`parse`] — JSONL → [`Event`] parsing ([`parse_log`]) with string
 //!   interning.
-//! * [`report`] — [`RunReport`] aggregation: per-family totals as a table
-//!   and machine-readable JSON, with `Option`-typed (`NaN`-free) rates.
+//! * [`report`] — [`RunReport`] aggregation: per-family totals (a fold
+//!   over the [`SpanTree`]) as a table and machine-readable JSON, with
+//!   `Option`-typed (`NaN`-free) rates.
 //! * [`metrics`] — [`MetricsSnapshot`], a [`RunReport`]'s totals in a
 //!   deterministic Prometheus-style exposition.
 //! * [`span`] — [`SpanTree`] reconstruction of the fleet → cell → fit →
@@ -80,5 +81,5 @@ pub use jsonl::JsonlObserver;
 pub use metrics::MetricsSnapshot;
 pub use observer::{replay, NullObserver, Observer, RecordingObserver};
 pub use parse::{intern, parse_line, parse_log, ParseError};
-pub use report::{BootstrapProgress, FamilyStats, Histogram, RunReport};
+pub use report::{FamilyStats, Histogram, RunReport};
 pub use span::{AttemptSpan, CellSpan, FitOutcome, FitSpan, SolverSpan, SpanTree, WorkMetric};

@@ -13,25 +13,11 @@
 //! platforms and lets CI `cmp` the file against a golden copy.
 
 use crate::event::{CounterId, HistogramId};
-use crate::report::{BootstrapProgress, FamilyStats, Histogram, RunReport};
+use crate::report::{FamilyStats, Histogram, RunReport};
 use std::fmt::Write as _;
 
 /// Prefix for every exposed metric name.
 const PREFIX: &str = "resilience_";
-
-fn counter_slot(id: CounterId) -> usize {
-    CounterId::ALL
-        .iter()
-        .position(|c| *c == id)
-        .expect("id is in ALL")
-}
-
-fn hist_slot(id: HistogramId) -> usize {
-    HistogramId::ALL
-        .iter()
-        .position(|h| *h == id)
-        .expect("id is in ALL")
-}
 
 /// Point-in-time totals ready for text exposition.
 #[derive(Debug, Clone)]
@@ -42,8 +28,6 @@ pub struct MetricsSnapshot {
     pub histograms: [Histogram; HistogramId::ALL.len()],
     /// Per-family totals.
     pub families: Vec<FamilyStats>,
-    /// Latest bootstrap progress, if any.
-    pub bootstrap: Option<BootstrapProgress>,
     /// Events consumed.
     pub events: u64,
 }
@@ -54,25 +38,24 @@ impl MetricsSnapshot {
     pub fn from_report(report: &RunReport) -> MetricsSnapshot {
         let mut counters = [0u64; CounterId::ALL.len()];
         for (id, v) in &report.counters {
-            counters[counter_slot(*id)] = *v;
+            counters[id.index()] = *v;
         }
         let mut histograms: [Histogram; HistogramId::ALL.len()] =
             std::array::from_fn(|_| Histogram::default());
         for (id, h) in &report.histograms {
-            histograms[hist_slot(*id)] = h.clone();
+            histograms[id.index()] = h.clone();
         }
         MetricsSnapshot {
             counters,
             histograms,
             families: report.families.clone(),
-            bootstrap: report.bootstrap,
             events: report.events,
         }
     }
 
     /// Total for one counter.
     pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[counter_slot(id)]
+        self.counters[id.index()]
     }
 
     /// Renders the Prometheus-style text exposition.
@@ -141,25 +124,6 @@ impl MetricsSnapshot {
             }
         }
 
-        if let Some(b) = self.bootstrap {
-            let _ = writeln!(out, "# TYPE {PREFIX}bootstrap_replicates gauge");
-            let _ = writeln!(
-                out,
-                "{PREFIX}bootstrap_replicates{{state=\"done\"}} {}",
-                b.done
-            );
-            let _ = writeln!(
-                out,
-                "{PREFIX}bootstrap_replicates{{state=\"total\"}} {}",
-                b.total
-            );
-            let _ = writeln!(
-                out,
-                "{PREFIX}bootstrap_replicates{{state=\"failed\"}} {}",
-                b.failed
-            );
-        }
-
         out
     }
 }
@@ -184,11 +148,6 @@ mod tests {
                 scope: intern("nelder_mead"),
                 kind: StopKind::Deadline,
                 evaluations: 4,
-            },
-            Event::BootstrapChunkDone {
-                done: 2,
-                total: 8,
-                failed: 1,
             },
         ]
     }
@@ -217,7 +176,6 @@ mod tests {
         assert!(text.contains("resilience_evals_per_fit_sum 30"));
         assert!(text.contains("resilience_evals_per_fit_count 1"));
         assert!(text.contains("resilience_evals_per_fit_p50 30"));
-        assert!(text.contains("resilience_bootstrap_replicates{state=\"done\"} 2"));
         // Rendering twice yields identical bytes.
         assert_eq!(text, snapshot.render());
     }

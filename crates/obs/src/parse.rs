@@ -395,11 +395,6 @@ impl<'a> Fields<'a> {
                 scope: self.interned("scope")?,
                 index: self.u32("index")?,
             },
-            "bootstrap_chunk_done" => Event::BootstrapChunkDone {
-                done: self.u32("done")?,
-                total: self.u32("total")?,
-                failed: self.u32("failed")?,
-            },
             "chaos_injected" => Event::ChaosInjected {
                 kind: self.tag("kind", "chaos kind", ChaosKind::parse)?,
                 family: self.interned("family")?,
@@ -535,11 +530,6 @@ mod tests {
             scope: intern("ranking"),
             index: 1,
         });
-        round_trip(Event::BootstrapChunkDone {
-            done: 100,
-            total: 400,
-            failed: 3,
-        });
         round_trip(Event::JobStarted {
             cell: 17,
             family: intern("Hjorth"),
@@ -602,6 +592,13 @@ mod tests {
         // Solvers write no per-iteration lines, and no multi-start solver.
         let old = parse_line("{\"ev\":\"iteration\",\"solver\":\"nm\",\"iter\":1,\"evals\":3}");
         assert_eq!(old.unwrap_err().message, "unknown event tag \"iteration\"");
+        // A band's replicates are its two counters; it writes no progress line.
+        let old =
+            parse_line("{\"ev\":\"bootstrap_chunk_done\",\"done\":2,\"total\":2,\"failed\":0}");
+        assert_eq!(
+            old.unwrap_err().message,
+            "unknown event tag \"bootstrap_chunk_done\""
+        );
         assert!(parse_line(
             "{\"ev\":\"converged\",\"solver\":\"ms\",\"iters\":1,\"evals\":2,\
              \"value\":0.5,\"reason\":\"converged\"}"

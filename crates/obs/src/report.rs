@@ -2,19 +2,22 @@
 //!
 //! [`RunReport::from_events`] folds a log (from a [`RecordingObserver`] or a
 //! parsed JSONL file) into per-family totals, global counters, and
-//! histograms. Attribution is span-based: a `fit_started` event opens a
-//! family span, `fit_finished`/`fit_failed` closes it, and solver-scoped
-//! events in between are charged to that family.
+//! histograms, in one pass. Each event goes to the [`SpanTree`] builder,
+//! which files it under the job its ids name; the per-family totals are
+//! then one fold over the tree's fits, the same fold
+//! [`SpanTree::hottest_families`] ranks. Counters and histograms are a
+//! flat fold of their own events, which no attribution rule touches.
 //!
 //! All rate-style derived quantities are typed as `Option<f64>` and return
 //! `None` instead of dividing by zero, so reports are `NaN`-free by
 //! construction.
 //!
 //! [`RecordingObserver`]: crate::observer::RecordingObserver
+//! [`SpanTree`]: crate::span::SpanTree
+//! [`SpanTree::hottest_families`]: crate::span::SpanTree::hottest_families
 
-use crate::event::{
-    write_f64, write_json_str, CounterId, Event, FailureCode, HistogramId, StopKind,
-};
+use crate::event::{write_f64, write_json_str, CounterId, Event, HistogramId, StopKind};
+use crate::span::Builder;
 use std::fmt::Write as _;
 
 /// Power-of-two bucketed histogram over `u64` observations.
@@ -139,23 +142,24 @@ impl Histogram {
     }
 }
 
-/// Aggregated telemetry for one model family.
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregated telemetry for one model family, folded over its fits in
+/// the span tree.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FamilyStats {
     /// Family name.
     pub name: &'static str,
-    /// `fit_started` spans opened.
+    /// Attempts that logged a `fit_started`.
     pub fits_started: u64,
-    /// `fit_finished` spans (a usable model came back).
+    /// Attempts that logged a `fit_finished` (a usable model came back).
     pub fits_completed: u64,
     /// Completed fits whose winning solve met its tolerance.
     pub converged_fits: u64,
-    /// Solver iterations charged to this family.
+    /// Iterations of the family's solver spans.
     pub iterations: u64,
-    /// Objective evaluations charged to this family (counter deltas plus
+    /// Objective evaluations of the family's attempts (counter deltas plus
     /// work recorded by stop events).
     pub evaluations: u64,
-    /// Retry attempts scheduled for this family.
+    /// Attempts beyond each fit's first.
     pub retries: u64,
     /// Fits lost to a deadline.
     pub failed_timeout: u64,
@@ -172,24 +176,6 @@ pub struct FamilyStats {
 }
 
 impl FamilyStats {
-    fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            fits_started: 0,
-            fits_completed: 0,
-            converged_fits: 0,
-            iterations: 0,
-            evaluations: 0,
-            retries: 0,
-            failed_timeout: 0,
-            failed_cancelled: 0,
-            failed_error: 0,
-            panics: 0,
-            skipped: 0,
-            best_sse: None,
-        }
-    }
-
     /// Fraction of completed fits that converged; `None` when the family
     /// never completed a fit (never `NaN`).
     pub fn convergence_rate(&self) -> Option<f64> {
@@ -217,21 +203,30 @@ impl FamilyStats {
     }
 }
 
-/// Latest bootstrap progress seen in the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BootstrapProgress {
-    /// Replicates completed.
-    pub done: u32,
-    /// Replicates requested.
-    pub total: u32,
-    /// Replicates that failed to refit.
-    pub failed: u32,
+/// The nonzero totals, indexed by [`CounterId::index`], in
+/// [`CounterId::ALL`] order.
+fn nonzero_counters(totals: [u64; CounterId::ALL.len()]) -> Vec<(CounterId, u64)> {
+    CounterId::ALL
+        .into_iter()
+        .zip(totals)
+        .filter(|(_, v)| *v > 0)
+        .collect()
+}
+
+/// The histograms with an observation, indexed by [`HistogramId::index`],
+/// in [`HistogramId::ALL`] order.
+fn nonempty_histograms(histograms: Vec<Histogram>) -> Vec<(HistogramId, Histogram)> {
+    HistogramId::ALL
+        .into_iter()
+        .zip(histograms)
+        .filter(|(_, h)| h.count > 0)
+        .collect()
 }
 
 /// Aggregation of one event log.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Per-family totals, in first-seen order.
+    /// Per-family totals, in the order of each family's first fit.
     pub families: Vec<FamilyStats>,
     /// Global counter totals, in [`CounterId::ALL`] order, zero entries
     /// omitted.
@@ -239,8 +234,6 @@ pub struct RunReport {
     /// Histograms with at least one observation, in [`HistogramId::ALL`]
     /// order.
     pub histograms: Vec<(HistogramId, Histogram)>,
-    /// Last `bootstrap_chunk_done` event, if any.
-    pub bootstrap: Option<BootstrapProgress>,
     /// Total events consumed.
     pub events: u64,
 }
@@ -251,157 +244,35 @@ impl RunReport {
     where
         I: IntoIterator<Item = Event>,
     {
-        let mut families: Vec<FamilyStats> = Vec::new();
+        let mut tree = Builder::default();
         let mut counters = [0u64; CounterId::ALL.len()];
-        let mut histograms: Vec<Histogram> = vec![Histogram::default(); HistogramId::ALL.len()];
-        let mut bootstrap = None;
-        let mut total_events = 0u64;
-        // Index into `families` of the currently open fit span.
-        let mut current: Option<usize> = None;
-
-        fn family_index(families: &mut Vec<FamilyStats>, name: &'static str) -> usize {
-            match families.iter().position(|f| f.name == name) {
-                Some(i) => i,
-                None => {
-                    families.push(FamilyStats::new(name));
-                    families.len() - 1
-                }
-            }
-        }
-        fn counter_slot(id: CounterId) -> usize {
-            CounterId::ALL
-                .iter()
-                .position(|c| *c == id)
-                .expect("id is in ALL")
-        }
-        fn hist_slot(id: HistogramId) -> usize {
-            HistogramId::ALL
-                .iter()
-                .position(|h| *h == id)
-                .expect("id is in ALL")
-        }
-
+        let mut histograms = vec![Histogram::default(); HistogramId::ALL.len()];
         for event in events {
-            total_events += 1;
+            tree.consume(&event);
             match event {
-                Event::FitStarted { family, .. } => {
-                    let i = family_index(&mut families, family);
-                    families[i].fits_started += 1;
-                    current = Some(i);
-                }
-                Event::FitFinished {
-                    family,
-                    sse,
-                    converged,
-                    ..
-                } => {
-                    let i = family_index(&mut families, family);
-                    let f = &mut families[i];
-                    f.fits_completed += 1;
-                    if converged {
-                        f.converged_fits += 1;
-                    }
-                    if sse.is_finite() && f.best_sse.is_none_or(|b| sse < b) {
-                        f.best_sse = Some(sse);
-                    }
-                    current = None;
-                }
-                Event::FitFailed { family, kind } => {
-                    let i = family_index(&mut families, family);
-                    let f = &mut families[i];
-                    match kind {
-                        FailureCode::TimedOut => f.failed_timeout += 1,
-                        FailureCode::Cancelled => f.failed_cancelled += 1,
-                        FailureCode::Error => f.failed_error += 1,
-                        FailureCode::Panicked => f.panics += 1,
-                        FailureCode::Skipped => f.skipped += 1,
-                    }
-                    if current == Some(i) {
-                        current = None;
-                    }
-                }
-                Event::StartBegan { .. } => {}
-                Event::Converged { iterations, .. } => {
-                    if let Some(i) = current {
-                        families[i].iterations += iterations;
-                    }
-                }
-                Event::RetryScheduled { family, .. } => {
-                    let i = family_index(&mut families, family);
-                    families[i].retries += 1;
-                }
+                Event::Counter { id, delta } => counters[id.index()] += delta,
+                Event::Hist { id, value } => histograms[id.index()].observe(value),
+                // A stopped solver never flushed its eval counter; the
+                // stop event carries the work done so far.
                 Event::Stop {
                     kind, evaluations, ..
                 } => {
-                    // A stopped solver never flushed its eval counter; the
-                    // stop event carries the work done so far.
-                    if let Some(i) = current {
-                        families[i].evaluations += evaluations;
-                    }
-                    counters[counter_slot(CounterId::ObjectiveEvals)] += evaluations;
+                    counters[CounterId::ObjectiveEvals.index()] += evaluations;
                     let id = match kind {
                         StopKind::Deadline => CounterId::Timeouts,
                         StopKind::Cancelled => CounterId::Cancellations,
                     };
-                    counters[counter_slot(id)] += 1;
+                    counters[id.index()] += 1;
                 }
-                Event::WorkerPanic { scope, .. } => {
-                    // In ranking runs the supervising scope is the family.
-                    let i = family_index(&mut families, scope);
-                    if current == Some(i) {
-                        current = None;
-                    }
-                }
-                Event::BootstrapChunkDone {
-                    done,
-                    total,
-                    failed,
-                } => {
-                    bootstrap = Some(BootstrapProgress {
-                        done,
-                        total,
-                        failed,
-                    });
-                }
-                Event::Counter { id, delta } => {
-                    counters[counter_slot(id)] += delta;
-                    if id == CounterId::ObjectiveEvals {
-                        if let Some(i) = current {
-                            families[i].evaluations += delta;
-                        }
-                    }
-                }
-                Event::Hist { id, value } => {
-                    histograms[hist_slot(id)].observe(value);
-                }
-                // Job frames and chaos/supervision events carry no
-                // span-attributable work; supervision totals arrive as
-                // explicit Counter deltas emitted alongside them.
-                Event::JobStarted { .. } => {}
-                Event::ChaosInjected { .. } => {}
-                Event::BreakerOpened { .. } => {}
-                Event::BreakerHalfOpen { .. } => {}
-                Event::BreakerClosed { .. } => {}
-                Event::CellQuarantined { .. } => {}
+                _ => {}
             }
         }
-
+        let tree = tree.finish();
         RunReport {
-            families,
-            counters: CounterId::ALL
-                .into_iter()
-                .enumerate()
-                .filter(|(slot, _)| counters[*slot] > 0)
-                .map(|(slot, id)| (id, counters[slot]))
-                .collect(),
-            histograms: HistogramId::ALL
-                .into_iter()
-                .enumerate()
-                .filter(|(slot, _)| histograms[*slot].count > 0)
-                .map(|(slot, id)| (id, histograms[slot].clone()))
-                .collect(),
-            bootstrap,
-            events: total_events,
+            families: tree.family_stats(),
+            counters: nonzero_counters(counters),
+            histograms: nonempty_histograms(histograms),
+            events: tree.events,
         }
     }
 
@@ -410,9 +281,8 @@ impl RunReport {
     ///
     /// Per-family totals add by family name (preserving this report's
     /// first-seen order, with `other`'s new families appended),
-    /// `best_sse` keeps the minimum, counters and histograms add in their
-    /// canonical id order, and `other`'s bootstrap progress — being the
-    /// later observation — wins when present.
+    /// `best_sse` keeps the minimum, and counters and histograms add in
+    /// their canonical id order.
     pub fn merge(&mut self, other: &RunReport) {
         for of in &other.families {
             match self.families.iter_mut().find(|f| f.name == of.name) {
@@ -438,33 +308,14 @@ impl RunReport {
         }
         let mut counters = [0u64; CounterId::ALL.len()];
         for (id, v) in self.counters.iter().chain(&other.counters) {
-            let slot = CounterId::ALL
-                .iter()
-                .position(|c| c == id)
-                .expect("id is in ALL");
-            counters[slot] += v;
+            counters[id.index()] += v;
         }
-        self.counters = CounterId::ALL
-            .into_iter()
-            .enumerate()
-            .filter(|(slot, _)| counters[*slot] > 0)
-            .map(|(slot, id)| (id, counters[slot]))
-            .collect();
-        let mut histograms: Vec<Histogram> = vec![Histogram::default(); HistogramId::ALL.len()];
+        self.counters = nonzero_counters(counters);
+        let mut histograms = vec![Histogram::default(); HistogramId::ALL.len()];
         for (id, h) in self.histograms.iter().chain(&other.histograms) {
-            let slot = HistogramId::ALL
-                .iter()
-                .position(|c| c == id)
-                .expect("id is in ALL");
-            histograms[slot].merge(h);
+            histograms[id.index()].merge(h);
         }
-        self.histograms = HistogramId::ALL
-            .into_iter()
-            .enumerate()
-            .filter(|(slot, _)| histograms[*slot].count > 0)
-            .map(|(slot, id)| (id, histograms[slot].clone()))
-            .collect();
-        self.bootstrap = other.bootstrap.or(self.bootstrap);
+        self.histograms = nonempty_histograms(histograms);
         self.events += other.events;
     }
 
@@ -551,13 +402,6 @@ impl RunReport {
                 );
             }
         }
-        if let Some(b) = self.bootstrap {
-            let _ = writeln!(
-                out,
-                "\nbootstrap: {}/{} replicates ({} failed)",
-                b.done, b.total, b.failed
-            );
-        }
         out
     }
 
@@ -628,18 +472,7 @@ impl RunReport {
             opt_f64(&mut out, h.mean());
             out.push('}');
         }
-        out.push_str("},\"bootstrap\":");
-        match self.bootstrap {
-            Some(b) => {
-                let _ = write!(
-                    out,
-                    "{{\"done\":{},\"total\":{},\"failed\":{}}}",
-                    b.done, b.total, b.failed
-                );
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"events\":{}", self.events);
+        let _ = write!(out, "}},\"events\":{}", self.events);
         out.push('}');
         out
     }
@@ -648,7 +481,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ExitReason, SolverKind};
+    use crate::event::{ExitReason, FailureCode, SolverKind};
     use crate::parse::intern;
 
     fn sample_events() -> Vec<Event> {

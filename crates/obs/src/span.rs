@@ -10,9 +10,14 @@
 //! `cell_quarantined`) included. Inside a job, attempt 1 opens at the
 //! first `fit_started`, `chaos_injected`, `worker_panic` or solver-level
 //! event, and `retry_scheduled` opens the attempt it names. A log without
-//! `job` lines — a standalone fit, retry loop or bootstrap band, each one
-//! fit — is one implicit job in cell 0, opened by its first fit-level
-//! event; evaluations outside any job are unattributed.
+//! `job` lines holds the standalone fits, retry loops or bootstrap bands
+//! that one observer recorded, as implicit jobs in cell 0: the first
+//! fit-level event opens one, and so does a fit-level event naming
+//! another family than the open fit's, or a `fit_started` on an attempt
+//! that already has one. Evaluations outside any job are unattributed.
+//!
+//! [`RunReport`](crate::report::RunReport)'s per-family rows and
+//! [`SpanTree::hottest_families`] are one fold over the tree's fits.
 //!
 //! No wall-clock values exist anywhere in the input (the workspace clippy
 //! ban enforces this), so the tree built from a log is a pure function of
@@ -21,7 +26,7 @@
 //! produced them.
 
 use crate::event::{ChaosKind, CounterId, Event, ExitReason, FailureCode, SolverKind, StopKind};
-use crate::report::BootstrapProgress;
+use crate::report::FamilyStats;
 use std::fmt::Write as _;
 
 /// Which work column a top-K query ranks by.
@@ -84,6 +89,9 @@ pub struct AttemptSpan {
     pub stopped: Option<StopKind>,
     /// Chaos faults injected into this attempt.
     pub chaos: Vec<ChaosKind>,
+    /// SSE and convergence of the attempt's `fit_finished`, if one
+    /// arrived: each attempt of a retry loop can finish unconverged.
+    pub finished: Option<(f64, bool)>,
 }
 
 impl AttemptSpan {
@@ -95,6 +103,7 @@ impl AttemptSpan {
             evaluations: 0,
             stopped: None,
             chaos: Vec::new(),
+            finished: None,
         }
     }
 
@@ -221,8 +230,6 @@ impl CellSpan {
 pub struct SpanTree {
     /// Cells in replay (flattened job) order.
     pub cells: Vec<CellSpan>,
-    /// Latest bootstrap progress seen in the log.
-    pub bootstrap: Option<BootstrapProgress>,
     /// Evaluations observed outside any job.
     pub unattributed_evaluations: u64,
     /// Total events consumed.
@@ -231,11 +238,13 @@ pub struct SpanTree {
 
 /// Builder state while replaying the log.
 #[derive(Default)]
-struct Builder {
+pub(crate) struct Builder {
     tree: SpanTree,
     /// Position in `tree.cells` of the open job's cell, whose last fit is
     /// the job's. `None` before the first job.
     job: Option<usize>,
+    /// Whether the open job is implicit: the log has no `job` lines.
+    implicit: bool,
 }
 
 impl Builder {
@@ -249,18 +258,27 @@ impl Builder {
     }
 
     /// Opens a job for `family` in cell `index`, with no attempts yet.
-    fn open_job(&mut self, index: u32, family: &'static str) {
+    fn open_job(&mut self, index: u32, family: &'static str, implicit: bool) {
         let c = self.cell(index);
         self.tree.cells[c].fits.push(FitSpan::new(family));
         self.job = Some(c);
+        self.implicit = implicit;
     }
 
-    /// The open job's fit for a fit-level event naming `family`. Before
-    /// any job, this opens the implicit job (cell 0) of a log without
-    /// `job` lines.
+    /// The open job's fit for a fit-level event naming `family`. In a log
+    /// without `job` lines, this opens an implicit job in cell 0 before
+    /// the first such event, and again when the event names another
+    /// family than the open fit's.
     fn fit(&mut self, family: &'static str) -> &mut FitSpan {
-        if self.job.is_none() {
-            self.open_job(0, family);
+        let open = self.job.is_some_and(|c| {
+            !self.implicit
+                || self.tree.cells[c]
+                    .fits
+                    .last()
+                    .is_some_and(|f| f.family == family)
+        });
+        if !open {
+            self.open_job(0, family, true);
         }
         let c = self.job.expect("a job is open");
         self.tree.cells[c].fits.last_mut().expect("a job has a fit")
@@ -290,12 +308,23 @@ impl Builder {
         Some(attempt)
     }
 
-    fn consume(&mut self, event: &Event) {
+    /// Files one event under its job.
+    pub(crate) fn consume(&mut self, event: &Event) {
         self.tree.events += 1;
         match *event {
-            Event::JobStarted { cell, family } => self.open_job(cell, family),
-            // Each attempt announces its own pool.
+            Event::JobStarted { cell, family } => self.open_job(cell, family, false),
+            // Each attempt announces its own pool. Without `job` lines, a
+            // second `fit_started` on one attempt, with no retry between
+            // them, begins the next standalone fit.
             Event::FitStarted { family, starts } => {
+                let repeated = self
+                    .fit(family)
+                    .attempts
+                    .last()
+                    .is_some_and(|a| a.starts.is_some());
+                if repeated && self.implicit {
+                    self.open_job(0, family, true);
+                }
                 self.running(family).attempt_mut().starts = Some(starts);
             }
             Event::FitFinished {
@@ -304,7 +333,9 @@ impl Builder {
                 evaluations,
                 converged,
             } => {
-                self.fit(family).outcome = FitOutcome::Completed {
+                let fit = self.running(family);
+                fit.attempt_mut().finished = Some((sse, converged));
+                fit.outcome = FitOutcome::Completed {
                     sse,
                     evaluations,
                     converged,
@@ -351,17 +382,6 @@ impl Builder {
                 }
             }
             Event::WorkerPanic { scope, .. } => self.running(scope).panicked = true,
-            Event::BootstrapChunkDone {
-                done,
-                total,
-                failed,
-            } => {
-                self.tree.bootstrap = Some(BootstrapProgress {
-                    done,
-                    total,
-                    failed,
-                });
-            }
             Event::ChaosInjected { kind, family: f } => self.fit(f).attempt_mut().chaos.push(kind),
             Event::BreakerOpened { .. }
             | Event::BreakerHalfOpen { .. }
@@ -383,6 +403,11 @@ impl Builder {
             Event::Counter { .. } | Event::Hist { .. } => {}
         }
     }
+
+    /// The tree of every event consumed so far.
+    pub(crate) fn finish(self) -> SpanTree {
+        self.tree
+    }
 }
 
 impl SpanTree {
@@ -395,7 +420,56 @@ impl SpanTree {
         for event in events {
             builder.consume(event);
         }
-        builder.tree
+        builder.finish()
+    }
+
+    /// Per-family totals, one fold over the fits, with families in the
+    /// order of their first fit. An attempt counts as started when it has
+    /// a `fit_started` and as completed when it has a `fit_finished`;
+    /// iterations are its solver spans', and failures are each fit's
+    /// verdict.
+    pub(crate) fn family_stats(&self) -> Vec<FamilyStats> {
+        let mut families: Vec<FamilyStats> = Vec::new();
+        for fit in self.cells.iter().flat_map(|c| &c.fits) {
+            let i = match families.iter().position(|f| f.name == fit.family) {
+                Some(i) => i,
+                None => {
+                    families.push(FamilyStats {
+                        name: fit.family,
+                        ..FamilyStats::default()
+                    });
+                    families.len() - 1
+                }
+            };
+            let f = &mut families[i];
+            f.evaluations += fit.evaluations();
+            f.retries += fit.retries();
+            for attempt in &fit.attempts {
+                f.fits_started += u64::from(attempt.starts.is_some());
+                f.iterations += attempt
+                    .solvers
+                    .iter()
+                    .filter_map(|s| s.iterations)
+                    .sum::<u64>();
+                if let Some((sse, converged)) = attempt.finished {
+                    f.fits_completed += 1;
+                    f.converged_fits += u64::from(converged);
+                    if sse.is_finite() && f.best_sse.is_none_or(|b| sse < b) {
+                        f.best_sse = Some(sse);
+                    }
+                }
+            }
+            if let FitOutcome::Failed(kind) = fit.outcome {
+                *match kind {
+                    FailureCode::TimedOut => &mut f.failed_timeout,
+                    FailureCode::Cancelled => &mut f.failed_cancelled,
+                    FailureCode::Error => &mut f.failed_error,
+                    FailureCode::Panicked => &mut f.panics,
+                    FailureCode::Skipped => &mut f.skipped,
+                } += 1;
+            }
+        }
+        families
     }
 
     /// Total family fits across all cells.
@@ -429,17 +503,17 @@ impl SpanTree {
     /// The `k` hottest families by `metric`, aggregated across cells,
     /// hottest first; ties break toward first-seen order.
     pub fn hottest_families(&self, k: usize, metric: WorkMetric) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<(&'static str, u64)> = Vec::new();
-        for fit in self.cells.iter().flat_map(|c| &c.fits) {
-            let work = match metric {
-                WorkMetric::Evaluations => fit.evaluations(),
-                WorkMetric::Retries => fit.retries(),
-            };
-            match v.iter_mut().find(|(name, _)| *name == fit.family) {
-                Some((_, total)) => *total += work,
-                None => v.push((fit.family, work)),
-            }
-        }
+        let mut v: Vec<(&'static str, u64)> = self
+            .family_stats()
+            .iter()
+            .map(|f| {
+                let work = match metric {
+                    WorkMetric::Evaluations => f.evaluations,
+                    WorkMetric::Retries => f.retries,
+                };
+                (f.name, work)
+            })
+            .collect();
         v.sort_by_key(|&(_, work)| std::cmp::Reverse(work));
         v.truncate(k);
         v
@@ -546,13 +620,6 @@ impl SpanTree {
         }
         if self.cells.len() > max_cells {
             let _ = writeln!(out, "... ({} more cells)", self.cells.len() - max_cells);
-        }
-        if let Some(b) = self.bootstrap {
-            let _ = writeln!(
-                out,
-                "bootstrap: {}/{} replicates ({} failed)",
-                b.done, b.total, b.failed
-            );
         }
         out
     }

@@ -9,7 +9,8 @@
 //! NaN-free run report.
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
-use resilience_core::fit::FitConfig;
+use resilience_core::fit::{fit_least_squares_with, FitConfig};
+use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy, RetryPolicy};
 use resilience_data::recessions::Recession;
@@ -160,6 +161,78 @@ fn ranking_report_accounts_for_solver_work() {
     assert!(report.counter(CounterId::ObjectiveEvals) > 0);
     let json = report.to_json();
     assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
+}
+
+/// One observer of four standalone fits on the 1990–93 series, so a log
+/// without `job` lines: Competing Risks, Exp-Exp, and the Quartic twice.
+fn four_standalone_fits() -> Vec<Event> {
+    let series = Recession::R1990_93.payroll_index();
+    let mixtures = MixtureFamily::paper_combinations();
+    let recorder = Arc::new(RecordingObserver::new());
+    let control = Control::unbounded().observe(recorder.clone());
+    let fams: [&dyn ModelFamily; 4] = [
+        &CompetingRisksFamily,
+        &mixtures[0],
+        &QuarticFamily,
+        &QuarticFamily,
+    ];
+    for family in fams {
+        fit_least_squares_with(family, &series, &FitConfig::default(), &control)
+            .expect("the family fits 1990-93");
+    }
+    recorder.take()
+}
+
+/// The span tree keeps one observer's standalone fits apart: a fit-level
+/// event naming another family, or a second `fit_started` on one attempt,
+/// opens the next implicit fit in cell 0.
+#[test]
+fn standalone_fits_on_one_observer_are_separate_spans() {
+    let tree = SpanTree::build(&four_standalone_fits());
+    assert_eq!(tree.cells.len(), 1);
+    let fits: Vec<(&str, u64)> = tree.cells[0]
+        .fits
+        .iter()
+        .map(|f| (f.family, f.evaluations()))
+        .collect();
+    assert_eq!(
+        fits,
+        [
+            ("Competing Risks", 47),
+            ("Exp-Exp", 981),
+            ("Quartic", 1),
+            ("Quartic", 1)
+        ]
+    );
+    assert_eq!(tree.unattributed_evaluations, 0);
+}
+
+/// The report folds those four fits into one row per family.
+#[test]
+fn standalone_fits_on_one_observer_report_per_family() {
+    let report = RunReport::from_events(four_standalone_fits());
+    // (family, fits started, fits completed, iterations, evaluations)
+    let rows: Vec<(&str, u64, u64, u64, u64)> = report
+        .families
+        .iter()
+        .map(|f| {
+            (
+                f.name,
+                f.fits_started,
+                f.fits_completed,
+                f.iterations,
+                f.evaluations,
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("Competing Risks", 1, 1, 20, 47),
+            ("Exp-Exp", 1, 1, 513, 981),
+            ("Quartic", 2, 2, 0, 2)
+        ]
+    );
 }
 
 /// A degraded run — a family whose fit panics — still yields a parseable
