@@ -28,7 +28,7 @@ use crate::fleet::{fnv1a, FleetRun, FleetStore, PASSES, QUARANTINED_BITS};
 use resilience_core::chaos::ChaosPlan;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{BreakerPolicy, ExecPolicy, RetryPolicy};
-use resilience_obs::{CounterId, Event, RunReport, SpanTree};
+use resilience_obs::{CounterId, Event, RunReport};
 
 /// The fixed chaos plan of the CI smoke. Rates are tuned so the 64-cell
 /// grid exercises every supervisor path — forced panics, deadline
@@ -180,11 +180,7 @@ impl ChaosReport {
             retry_ceiling,
             rollup: run1.report.clone(),
             log_digest: fnv1a(log1.as_bytes()),
-            tree_digest: fnv1a(
-                SpanTree::build(&run1.events)
-                    .render(usize::MAX, 4)
-                    .as_bytes(),
-            ),
+            tree_digest: fnv1a(run1.tree.render(usize::MAX, 4).as_bytes()),
         }
     }
 

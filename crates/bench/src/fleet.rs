@@ -255,10 +255,12 @@ pub struct FleetRun {
     /// Per-cell results, in cell-index order.
     pub store: FleetStore,
     /// Aggregated telemetry for the whole pass (deterministic work
-    /// counters — no wall-clock).
+    /// counters — no wall-clock): the view of `tree`.
     pub report: RunReport,
-    /// Every event of the pass in replay order — the input for span-tree
-    /// reconstruction, JSONL export, and log diffing.
+    /// The span tree of `events`, built once per pass.
+    pub tree: SpanTree,
+    /// Every event of the pass in replay order — the input for JSONL
+    /// export and log diffing.
     pub events: Vec<Event>,
     /// The runtime's own outcome for each cell, in cell-index order.
     pub outcomes: Vec<CellOutcome>,
@@ -328,7 +330,6 @@ pub fn run_fleet(
         &Control::unbounded().observe(rec.clone()),
     );
     let events = rec.take();
-    let report = RunReport::from_events(events.iter().copied());
     let tree = SpanTree::build(&events);
     let supervised = policy.supervises_cells();
     let mut store = FleetStore::with_capacity(cells.len());
@@ -346,7 +347,8 @@ pub fn run_fleet(
     }
     FleetRun {
         store,
-        report,
+        report: RunReport::from_tree(&tree),
+        tree,
         events,
         outcomes,
     }

@@ -7,7 +7,8 @@
 //! being deterministic, not just the fit results:
 //!
 //! 1. **identical_log** — the three JSONL event logs are byte-identical;
-//! 2. **identical_tree** — the [`SpanTree`] renders are byte-identical;
+//! 2. **identical_tree** — the [`SpanTree`](resilience_obs::SpanTree)
+//!    renders are byte-identical;
 //! 3. **identical_metrics** — the Prometheus-style expositions are
 //!    byte-identical;
 //! 4. **identical_store** — the columnar stores (now carrying the
@@ -36,7 +37,7 @@
 use crate::fleet::{fnv1a, FleetRun, PASSES};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
-use resilience_obs::{CounterId, Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
+use resilience_obs::{CounterId, Histogram, HistogramId, MetricsSnapshot, WorkMetric};
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
@@ -289,8 +290,8 @@ impl ObsSmokeReport {
         let log3 = run3.events_jsonl();
         let identical_log = log1 == log2 && log1 == log3;
 
-        let tree = SpanTree::build(&run1.events);
-        let render = |run: &FleetRun| SpanTree::build(&run.events).render(usize::MAX, 4);
+        let tree = &run1.tree;
+        let render = |run: &FleetRun| run.tree.render(usize::MAX, 4);
         let tree_text = tree.render(usize::MAX, 4);
         let identical_tree = tree_text == render(run2) && tree_text == render(run3);
 

@@ -143,8 +143,7 @@ struct Shapes {
 /// follows (DESIGN.md §11).
 fn rescorings(family: &dyn ModelFamily, attempt: &AttemptSpan) -> u64 {
     let exact = attempt.starts == Some(0) && attempt.stopped.is_none();
-    let searches_nonlinear = (1..family.n_params()).contains(&family.linear_coefficients().len());
-    let lifted = searches_nonlinear
+    let lifted = family.profiles_last_coefficient()
         && attempt
             .solvers
             .iter()

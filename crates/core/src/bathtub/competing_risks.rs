@@ -1,13 +1,12 @@
 //! The competing-risks bathtub model (paper Eq. 4–6).
 
 use super::RAISED_ZERO;
-use crate::fit::solve_linear_coefficients;
+use crate::fit::sse_at;
 use crate::guard::Violation;
-use crate::model::{ModelFamily, ResilienceModel, Sign};
+use crate::model::{ExactOptimum, ModelFamily, ProfileWork, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::sum::CompensatedSum;
-use resilience_optim::report::{OptimReport, TerminationReason};
 use resilience_optim::scalar::brent_min;
 use std::cell::{Cell, RefCell};
 
@@ -224,7 +223,7 @@ impl ResilienceModel for CompetingRisksModel {
 /// The [`ModelFamily`] for [`CompetingRisksModel`].
 ///
 /// Internal parameterization: `[ln α, ln β, ln γ]` (all-positive region).
-/// A fit is one profile over `ln β` ([`ModelFamily::profile_optimum`]), so
+/// A fit is one profile over `ln β` ([`ModelFamily::exact_optimum`]), so
 /// the family has no starting points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompetingRisksFamily;
@@ -270,8 +269,10 @@ impl ModelFamily for CompetingRisksFamily {
     /// The least-squares optimum over `α, γ ≥ 0` and `ln β`: the SSE
     /// profiled over `ln β` (α and γ by non-negative least squares) at 25
     /// nodes and the `β → 0` line, Brent in the bracket of each local
-    /// minimum (DESIGN.md §11, "The Competing Risks profile").
-    fn profile_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<OptimReport, CoreError>> {
+    /// minimum (DESIGN.md §11, "The Competing Risks profile"). Its point
+    /// is the fit, whatever its SSE: a non-finite one fails the fit's
+    /// guard.
+    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         Some(profile_optimum(ts, ys))
     }
 
@@ -323,9 +324,10 @@ const FLAT: f64 = 1e-12;
 const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
 
 /// Competing Risks' least-squares optimum over `α, γ ≥ 0` and `ln β`
-/// (DESIGN.md §11, "The Competing Risks profile"), as a converged report:
-/// the internal point `[ln α, ln β, ln γ]`, its profiled SSE, the profile's
-/// evaluations and its Brent iterations.
+/// (DESIGN.md §11, "The Competing Risks profile"): the internal point
+/// `[ln α, ln β, ln γ]`, its SSE under the fit's objective, and the
+/// profile's work (its evaluations, its Brent iterations and its least
+/// profiled SSE).
 ///
 /// The curve is linear in `α` and `γ`, so the fit is one-dimensional in
 /// `ln β`. [`Profile::eval`] scores an `ln β` by a two-column non-negative
@@ -336,14 +338,15 @@ const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
 /// of 0 has been scored), and keeps the least SSE it scored, the first on
 /// a tie.
 /// When both winning coefficients are positive they are solved again by
-/// the Householder QR of the profiled searches
-/// ([`crate::fit::solve_linear_coefficients`]); a zero one is raised to
-/// [`RAISED_ZERO`], which the internal map can take the logarithm of.
+/// the polynomial families' Householder QR
+/// ([`super::solve_linear_coefficients`]), and kept when both stay
+/// positive; a zero one is raised to [`RAISED_ZERO`], which the internal
+/// map can take the logarithm of.
 ///
 /// # Errors
 ///
 /// [`CoreError::Numerical`] when no point of the profile is finite.
-fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<OptimReport, CoreError> {
+fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<ExactOptimum, CoreError> {
     let profile = Profile::new(ts, ys);
     profile.eval((LIMIT_BETA_T / profile.scale).ln());
     let step = (LN_BETA_MAX - LN_BETA_MIN) / (NODES - 1) as f64;
@@ -380,27 +383,30 @@ fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<OptimReport, CoreError> {
     let mut gamma = best.slope / (2.0 * profile.scale);
     if alpha > 0.0 && gamma > 0.0 {
         let n = ts.len();
-        let mut offset = vec![0.0; n];
         let mut columns = vec![0.0; 2 * n];
         for (i, &t) in ts.iter().enumerate() {
             columns[i] = 1.0 / (1.0 + beta * t);
             columns[n + i] = 2.0 * t;
         }
-        if solve_linear_coefficients(ys, &mut offset, &mut columns, &[Sign::Positive; 2]).is_some()
-        {
-            (alpha, gamma) = (offset[0], offset[1]);
+        if let Some(&[a, g]) = super::solve_linear_coefficients(ys, &mut columns, 2).as_deref() {
+            if a > 0.0 && g > 0.0 {
+                (alpha, gamma) = (a, g);
+            }
         }
     }
-    Ok(OptimReport {
-        params: vec![
-            alpha.max(RAISED_ZERO).ln(),
-            best.ln_beta,
-            gamma.max(RAISED_ZERO).ln(),
-        ],
-        value: best.sse,
-        iterations,
-        evaluations: profile.evaluations.get(),
-        termination: TerminationReason::Converged,
+    let internal = vec![
+        alpha.max(RAISED_ZERO).ln(),
+        best.ln_beta,
+        gamma.max(RAISED_ZERO).ln(),
+    ];
+    Ok(ExactOptimum {
+        sse: sse_at(&CompetingRisksFamily, ts, ys, &internal),
+        internal,
+        profile: Some(ProfileWork {
+            evaluations: profile.evaluations.get(),
+            iterations,
+            value: best.sse,
+        }),
     })
 }
 
@@ -640,14 +646,15 @@ mod tests {
         }
     }
 
-    fn profile_fit(ys: &[f64]) -> (CompetingRisksModel, OptimReport) {
+    fn profile_fit(ys: &[f64]) -> (CompetingRisksModel, ProfileWork) {
         let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
-        let report = CompetingRisksFamily
-            .profile_optimum(&ts, ys)
+        let exact = CompetingRisksFamily
+            .exact_optimum(&ts, ys)
             .expect("Competing Risks profiles")
             .unwrap();
-        let p = CompetingRisksFamily.internal_to_params(&report.params);
-        (CompetingRisksModel::new(p[0], p[1], p[2]).unwrap(), report)
+        let p = CompetingRisksFamily.internal_to_params(&exact.internal);
+        let model = CompetingRisksModel::new(p[0], p[1], p[2]).unwrap();
+        (model, exact.profile.expect("a profile's work"))
     }
 
     #[test]
@@ -659,7 +666,6 @@ mod tests {
         for (got, want) in fit.params().iter().zip(truth.params()) {
             assert!((got - want).abs() <= 1e-6 * want, "{got} vs {want}");
         }
-        assert_eq!(report.termination, TerminationReason::Converged);
         // The limit and the nodes, then Brent, one evaluation per
         // iteration, in at least one bracket.
         assert!(report.iterations > 0);
@@ -699,7 +705,7 @@ mod tests {
             .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
             .collect();
         let ts: Vec<f64> = (0..16).map(f64::from).collect();
-        let err = CompetingRisksFamily.profile_optimum(&ts, &ys).unwrap();
+        let err = CompetingRisksFamily.exact_optimum(&ts, &ys).unwrap();
         assert!(matches!(err, Err(CoreError::Numerical { .. })), "{err:?}");
     }
 

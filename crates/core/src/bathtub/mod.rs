@@ -26,6 +26,10 @@ pub use competing_risks::{CompetingRisksFamily, CompetingRisksModel};
 pub use quadratic::{QuadraticFamily, QuadraticModel};
 pub use quartic::{QuarticFamily, QuarticModel};
 
+use crate::fit::sse_at;
+use crate::model::{ExactOptimum, ModelFamily};
+use resilience_math::linalg::least_squares_qr;
+
 /// What an optimum's zero `α` or `γ` is raised to, on the Quadratic's
 /// boundary and on a face of the Competing Risks profile: positive, so its
 /// logarithm is finite, and small enough that the Quadratic's `α·γ` stays
@@ -33,13 +37,32 @@ pub use quartic::{QuarticFamily, QuarticModel};
 /// rounding.
 const RAISED_ZERO: f64 = 1e-150;
 
-/// Writes the monomial design `tʲ`, column `j` at
-/// `columns[j·n .. (j + 1)·n]` for `j < columns.len() / n`, where
-/// `n = ts.len()`: the columns of the polynomial families' linear
-/// coefficients.
-fn monomial_columns_into(ts: &[f64], columns: &mut [f64]) {
+/// The least-squares coefficients of the `k` design columns in `columns`
+/// (column `j` at `columns[j·n .. (j + 1)·n]`, where `n = ys.len()`), by
+/// Householder QR ([`least_squares_qr`], which overwrites `columns`): the
+/// bathtub families' solves, the only ones of several columns. `None` where
+/// the lengths disagree, the design is rank deficient or a result is not
+/// finite.
+///
+/// QR is backward stable column by column and exactly equivariant under
+/// power-of-two column scaling, so the monomials `tʲ` need no rescaled
+/// variable `u = t/T`: only the normal equations did, because they square
+/// the condition number.
+fn solve_linear_coefficients(ys: &[f64], columns: &mut [f64], k: usize) -> Option<Vec<f64>> {
+    let mut solution = ys.to_vec();
+    least_squares_qr(columns, &mut solution, k)?;
+    solution.truncate(k);
+    Some(solution)
+}
+
+/// The least-squares coefficients `c₀ … c_{k−1}` of the polynomial
+/// `Σⱼ cⱼ·tʲ` through `(ts, ys)`: [`solve_linear_coefficients`] over the
+/// monomial design. `None` on fewer than `k` distinct times, where the
+/// design is rank deficient.
+fn polynomial_least_squares(ts: &[f64], ys: &[f64], k: usize) -> Option<Vec<f64>> {
     let n = ts.len();
-    for j in 0..columns.len() / n.max(1) {
+    let mut columns = vec![0.0; n * k];
+    for j in 0..k {
         for (i, &t) in ts.iter().enumerate() {
             columns[j * n + i] = if j == 0 {
                 1.0
@@ -48,24 +71,23 @@ fn monomial_columns_into(ts: &[f64], columns: &mut [f64]) {
             };
         }
     }
+    solve_linear_coefficients(ys, &mut columns, k)
 }
 
-/// The polynomial families' [`crate::ModelFamily::linear_design_into`]:
-/// no nonlinear coordinate, a zero offset and the monomial columns. `false`
-/// on a nonempty `nonlinear` or on lengths that disagree. It reads no
-/// `ln t` table: an exact fit builds none.
-fn polynomial_design_into(
-    degree: usize,
-    nonlinear: &[f64],
+/// A solve's internal point as an exact fit
+/// ([`crate::ModelFamily::exact_optimum`]), scored with the fit's own
+/// objective; `None` where that SSE is not finite, which rejects the
+/// solve.
+fn solved(
+    family: &dyn ModelFamily,
     ts: &[f64],
-    offset: &mut [f64],
-    columns: &mut [f64],
-) -> bool {
-    let n = ts.len();
-    if !nonlinear.is_empty() || n == 0 || offset.len() != n || columns.len() != n * (degree + 1) {
-        return false;
-    }
-    offset.fill(0.0);
-    monomial_columns_into(ts, columns);
-    true
+    ys: &[f64],
+    internal: Vec<f64>,
+) -> Option<ExactOptimum> {
+    let sse = sse_at(family, ts, ys, &internal);
+    sse.is_finite().then_some(ExactOptimum {
+        internal,
+        sse,
+        profile: None,
+    })
 }

@@ -1,7 +1,7 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
 use super::RAISED_ZERO;
-use crate::model::{ModelFamily, ResilienceModel, Sign};
+use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -300,48 +300,31 @@ impl ModelFamily for QuadraticFamily {
         true
     }
 
-    /// All three parameters are linear (Eq. 1); `α` and `γ` are positive.
-    /// No nonlinear coordinate is left, so a fit is one least-squares
-    /// solve whenever [`ModelFamily::join_linear`] accepts its optimum.
-    fn linear_coefficients(&self) -> &'static [Sign] {
-        &[Sign::Positive, Sign::Free, Sign::Positive]
-    }
-
-    /// The columns `1, t, t²` and a zero offset.
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        _ln_ts: &[f64],
-        offset: &mut [f64],
-        columns: &mut [f64],
-    ) -> bool {
-        super::polynomial_design_into(2, nonlinear, ts, offset, columns)
-    }
-
-    /// `[ln α, logit s, ln γ]` when the coefficients lie strictly inside
-    /// the region `internal_to_params` maps onto: `α, γ > 0` and
-    /// `s = −β/(2√(αγ))` strictly inside its clamp `[1e-9, 1 − 1e-9]`.
-    /// Elsewhere the constrained optimum lies on the region's boundary
-    /// ([`ModelFamily::boundary_optimum`]), so `None`.
-    fn join_linear(&self, nonlinear: &[f64], coefficients: &[f64]) -> Option<Vec<f64>> {
-        let &[alpha, beta, gamma] = coefficients else {
-            return None;
-        };
-        if !(nonlinear.is_empty() && alpha > 0.0 && gamma > 0.0) {
-            return None;
-        }
-        let s = -beta / (2.0 * (alpha * gamma).sqrt());
-        (s > S_MIN && s < S_MAX).then(|| QuadraticFamily::internal(alpha, s, gamma).to_vec())
-    }
-
-    /// The least-squares optimum over the closed bathtub cone
-    /// `{α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, moved to the nearest point the
-    /// internal map reaches (DESIGN.md §11, "The bathtub cone's
-    /// boundary"). `None` on fewer than three times, where the design is
-    /// rank deficient.
-    fn boundary_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Vec<f64>> {
-        boundary_optimum(ts, ys).map(|internal| internal.to_vec())
+    /// All three parameters are linear (Eq. 1), so a fit is one solve
+    /// (DESIGN.md §11, "Exact fits"): the least-squares coefficients over
+    /// `1, t, t²` by Householder QR, as `[ln α, logit s, ln γ]` when they
+    /// lie strictly inside the region `internal_to_params` maps onto
+    /// (`α, γ > 0` and `s = −β/(2√(αγ))` strictly inside its clamp
+    /// `[1e-9, 1 − 1e-9]`), and otherwise
+    /// [`QuadraticFamily::boundary_optimum`]; the first of them whose SSE is
+    /// finite. `None` on fewer than three distinct times, where the design
+    /// is rank deficient: the fit then searches.
+    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        let interior = super::polynomial_least_squares(ts, ys, 3).and_then(|c| {
+            let (alpha, beta, gamma) = (c[0], c[1], c[2]);
+            if !(alpha > 0.0 && gamma > 0.0) {
+                return None;
+            }
+            let s = -beta / (2.0 * (alpha * gamma).sqrt());
+            (s > S_MIN && s < S_MAX).then(|| QuadraticFamily::internal(alpha, s, gamma).to_vec())
+        });
+        interior
+            .and_then(|internal| super::solved(self, ts, ys, internal))
+            .or_else(|| {
+                let internal = self.boundary_optimum(ts, ys)?;
+                super::solved(self, ts, ys, internal.to_vec())
+            })
+            .map(Ok)
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -392,85 +375,90 @@ impl ModelFamily for QuadraticFamily {
 /// is still finite.
 const RHO_MAX: f64 = 1e75;
 
-/// The least-squares optimum of `P(t) = α + βt + γt²` over the closed
-/// bathtub cone `K = {α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, as the internal point
-/// of its nearest representable neighbour (DESIGN.md §11, "The bathtub
-/// cone's boundary"). `None` on fewer than three times or lengths that
-/// disagree.
-///
-/// When the unconstrained optimum lies outside `K`, the optimum lies on
-/// its boundary, and the candidates are the optimum of each piece:
-///
-/// * the face `β = 0`, `P = α + γt²`: a two-column non-negative least
-///   squares over `[1, t²]`;
-/// * the surface `β² = 4αγ`, `P = γ(t − r)²` with trough `r ≥ 0`, where
-///   `γ(r) = max(0, Σy(t−r)²/Σ(t−r)⁴)`: at `r = 0` and at each sign change
-///   of the stationarity polynomial, of degree at most 4 in `ρ = r/T`.
-///
-/// Each candidate moves to its nearest representable point (`s` clamped
-/// to `1e-9` on the face and `1 − 1e-9` on the surface, a zero `α` or `γ`
-/// raised to [`RAISED_ZERO`]) and is scored with the full objective; the
-/// least SSE wins, the first one on a tie. `K` is convex, so least
-/// squares over it has no local minimum but the global one.
-fn boundary_optimum(ts: &[f64], ys: &[f64]) -> Option<[f64; 3]> {
-    if ts.len() < 3 || ys.len() != ts.len() {
-        return None;
-    }
-    // u = t/T keeps every power sum within n of the others.
-    let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
-    let [mut s0, mut s1, mut s2, mut s3, mut s4, mut y0, mut y1, mut y2] = [0.0; 8];
-    for (&t, &v) in ts.iter().zip(ys) {
-        let u = t / scale;
-        let u2 = u * u;
-        s0 += 1.0;
-        s1 += u;
-        s2 += u2;
-        s3 += u2 * u;
-        s4 += u2 * u2;
-        y0 += v;
-        y1 += v * u;
-        y2 += v * u2;
-    }
-    // A curvature `g` in `u` is `γ = g/T²` in `t`.
-    let gamma = |g: f64| g / (scale * scale);
-
-    // The face: NNLS over [1, u²]. Both columns, or else the one column
-    // that removes more of Σy².
-    let det = s0 * s4 - s2 * s2;
-    let (a, g) = ((y0 * s4 - y2 * s2) / det, (s0 * y2 - s2 * y0) / det);
-    let (a, g) = if det > 0.0 && a >= 0.0 && g >= 0.0 {
-        (a, g)
-    } else if y0.max(0.0).powi(2) / s0 >= y2.max(0.0).powi(2) / s4 {
-        ((y0 / s0).max(0.0), 0.0)
-    } else {
-        (0.0, (y2 / s4).max(0.0))
-    };
-    let mut best = Scored::of(ts, ys, a, S_MIN, gamma(g));
-
-    // The surface: r = 0, then every stationary trough.
-    let mut surface = |rho: f64, g: f64| {
-        if g > 0.0 && g.is_finite() {
-            best.keep(Scored::of(ts, ys, g * rho * rho, S_MAX, gamma(g)));
+impl QuadraticFamily {
+    /// The least-squares optimum of `P(t) = α + βt + γt²` over the closed
+    /// bathtub cone `K = {α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, as the internal point
+    /// of its nearest representable neighbour (DESIGN.md §11, "The bathtub
+    /// cone's boundary"): the optimum over the cone's boundary whatever the
+    /// data, which [`ModelFamily::exact_optimum`] takes where the
+    /// unconstrained optimum is not a bathtub. `None` on fewer than three
+    /// times or lengths that disagree.
+    ///
+    /// When the unconstrained optimum lies outside `K`, the optimum lies on
+    /// its boundary, and the candidates are the optimum of each piece:
+    ///
+    /// * the face `β = 0`, `P = α + γt²`: a two-column non-negative least
+    ///   squares over `[1, t²]`;
+    /// * the surface `β² = 4αγ`, `P = γ(t − r)²` with trough `r ≥ 0`, where
+    ///   `γ(r) = max(0, Σy(t−r)²/Σ(t−r)⁴)`: at `r = 0` and at each sign change
+    ///   of the stationarity polynomial, of degree at most 4 in `ρ = r/T`.
+    ///
+    /// Each candidate moves to its nearest representable point (`s` clamped
+    /// to `1e-9` on the face and `1 − 1e-9` on the surface, a zero `α` or `γ`
+    /// raised to `1e-150`) and is scored with the full objective; the
+    /// least SSE wins, the first one on a tie. `K` is convex, so least
+    /// squares over it has no local minimum but the global one.
+    #[must_use]
+    pub fn boundary_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<[f64; 3]> {
+        if ts.len() < 3 || ys.len() != ts.len() {
+            return None;
         }
-    };
-    surface(0.0, y2 / s4);
-    let stationary = Polynomial::new(vec![
-        y1 * s4 - y2 * s3,
-        3.0 * y2 * s2 - 2.0 * y1 * s3 - y0 * s4,
-        3.0 * (y0 * s3 - y2 * s1),
-        y2 * s0 + 2.0 * y1 * s1 - 3.0 * y0 * s2,
-        y0 * s1 - y1 * s0,
-    ]);
-    for rho in stationary.sign_changes(0.0, stationary.root_bound().min(RHO_MAX)) {
-        let (mut num, mut den) = (0.0, 0.0);
+        // u = t/T keeps every power sum within n of the others.
+        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+        let [mut s0, mut s1, mut s2, mut s3, mut s4, mut y0, mut y1, mut y2] = [0.0; 8];
         for (&t, &v) in ts.iter().zip(ys) {
-            let d = t / scale - rho;
-            num += v * d * d;
-            den += d * d * d * d;
+            let u = t / scale;
+            let u2 = u * u;
+            s0 += 1.0;
+            s1 += u;
+            s2 += u2;
+            s3 += u2 * u;
+            s4 += u2 * u2;
+            y0 += v;
+            y1 += v * u;
+            y2 += v * u2;
         }
-        surface(rho, num / den);
+        // A curvature `g` in `u` is `γ = g/T²` in `t`.
+        let gamma = |g: f64| g / (scale * scale);
+
+        // The face: NNLS over [1, u²]. Both columns, or else the one column
+        // that removes more of Σy².
+        let det = s0 * s4 - s2 * s2;
+        let (a, g) = ((y0 * s4 - y2 * s2) / det, (s0 * y2 - s2 * y0) / det);
+        let (a, g) = if det > 0.0 && a >= 0.0 && g >= 0.0 {
+            (a, g)
+        } else if y0.max(0.0).powi(2) / s0 >= y2.max(0.0).powi(2) / s4 {
+            ((y0 / s0).max(0.0), 0.0)
+        } else {
+            (0.0, (y2 / s4).max(0.0))
+        };
+        let mut best = Scored::of(ts, ys, a, S_MIN, gamma(g));
+
+        // The surface: r = 0, then every stationary trough.
+        let mut surface = |rho: f64, g: f64| {
+            if g > 0.0 && g.is_finite() {
+                best.keep(Scored::of(ts, ys, g * rho * rho, S_MAX, gamma(g)));
+            }
+        };
+        surface(0.0, y2 / s4);
+        let stationary = Polynomial::new(vec![
+            y1 * s4 - y2 * s3,
+            3.0 * y2 * s2 - 2.0 * y1 * s3 - y0 * s4,
+            3.0 * (y0 * s3 - y2 * s1),
+            y2 * s0 + 2.0 * y1 * s1 - 3.0 * y0 * s2,
+            y0 * s1 - y1 * s0,
+        ]);
+        for rho in stationary.sign_changes(0.0, stationary.root_bound().min(RHO_MAX)) {
+            let (mut num, mut den) = (0.0, 0.0);
+            for (&t, &v) in ts.iter().zip(ys) {
+                let d = t / scale - rho;
+                num += v * d * d;
+                den += d * d * d * d;
+            }
+            surface(rho, num / den);
+        }
+        best.sse.is_finite().then_some(best.internal)
     }
-    best.sse.is_finite().then_some(best.internal)
 }
 
 /// A boundary candidate's internal point and its SSE.

@@ -9,7 +9,7 @@
 //! scenarios" the paper's abstract calls for. DESIGN.md §5 tracks this as
 //! an extension experiment.
 
-use crate::model::{ModelFamily, ResilienceModel, Sign};
+use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::poly::Polynomial;
@@ -130,21 +130,13 @@ impl ModelFamily for QuarticFamily {
         true
     }
 
-    /// All five coefficients are linear and unconstrained.
-    fn linear_coefficients(&self) -> &'static [Sign] {
-        &[Sign::Free; 5]
-    }
-
-    /// The columns `1, t, …, t⁴` and a zero offset.
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        _ln_ts: &[f64],
-        offset: &mut [f64],
-        columns: &mut [f64],
-    ) -> bool {
-        super::polynomial_design_into(4, nonlinear, ts, offset, columns)
+    /// All five coefficients are linear and unconstrained, so a fit is
+    /// their least-squares solve over `1, t, …, t⁴` by Householder QR,
+    /// whose SSE must be finite. `None` on fewer than five distinct times,
+    /// where the design is rank deficient: the fit then searches.
+    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        let internal = super::polynomial_least_squares(ts, ys, 5)?;
+        super::solved(self, ts, ys, internal).map(Ok)
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {

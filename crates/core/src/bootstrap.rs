@@ -190,7 +190,7 @@ pub fn bootstrap_band_with(
     // Replicate refits always start at the base optimum, and run
     // serially — the fan-out happens across replicates, not inside them.
     let mut refit_config = base_config.clone();
-    refit_config.nelder_mead.max_iterations = REFIT_MAX_ITERATIONS;
+    refit_config.max_iterations = REFIT_MAX_ITERATIONS;
     refit_config.parallelism = Parallelism::Serial;
     let base_optimum = std::slice::from_ref(&base.params);
     // Each replicate owns a counter-derived RNG stream, so its draws are a

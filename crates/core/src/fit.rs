@@ -10,15 +10,15 @@
 //! §11): the Quadratic and the Quartic, linear in every coefficient, are
 //! one least-squares solve each, and Competing Risks, linear in all but
 //! `β`, is one deterministic profile over `ln β`
-//! ([`ModelFamily::profile_optimum`]).
+//! ([`ModelFamily::exact_optimum`]).
 
 use crate::guard::{self, Violation};
-use crate::model::{ModelFamily, ResilienceModel, Sign};
+use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
-use resilience_math::linalg::{least_squares_qr, Matrix};
+use resilience_math::linalg::Matrix;
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
-use resilience_obs::{CounterId, Event, HistogramId, SolverKind};
+use resilience_obs::{CounterId, Event, ExitReason, HistogramId, SolverKind};
 use resilience_optim::levenberg_marquardt;
 use resilience_optim::multi_start::{multi_start, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
@@ -31,12 +31,23 @@ use std::cell::RefCell;
 /// short-circuits the cold starts (see [`FitPlan::new`]).
 const WARM_EVAL_BUDGET: usize = 600;
 
+/// Nelder–Mead's basin-finding tolerances on the objective and on the
+/// simplex. Nelder–Mead only needs to land in the right basin, because the
+/// Levenberg–Marquardt polish (analytic Jacobians, DESIGN.md §11) drives
+/// the winner to machine-precision optimality far faster than simplex
+/// contraction would. Tightening them back to {1e-13, 1e-9} reproduces the
+/// pre-§11 fits but costs ~2.5x the wall clock for SSE changes below
+/// 1e-10.
+const NM_F_TOL: f64 = 1e-7;
+const NM_X_TOL: f64 = 1e-5;
+
 /// Configuration for [`fit_least_squares`].
 #[derive(Debug, Clone)]
 pub struct FitConfig {
-    /// Nelder–Mead's stopping rule for the multi-start phase. An exact fit
-    /// (Quadratic, Quartic, Competing Risks' profile) runs no Nelder–Mead.
-    pub nelder_mead: NelderMeadConfig,
+    /// Nelder–Mead's iteration cap per run, scaled by
+    /// [`ModelFamily::nm_iteration_scale`]. An exact fit (Quadratic,
+    /// Quartic, Competing Risks' profile) runs no Nelder–Mead.
+    pub max_iterations: usize,
     /// Whether to polish the multi-start winner with Levenberg–Marquardt.
     /// An exact fit is never polished.
     pub lm_polish: bool,
@@ -52,23 +63,12 @@ pub struct FitConfig {
 impl Default for FitConfig {
     fn default() -> Self {
         FitConfig {
-            // Basin-finding tolerances: Nelder–Mead only needs to land in
-            // the right basin, because the Levenberg–Marquardt polish
-            // (analytic Jacobians, DESIGN.md §11) drives the winner to
-            // machine-precision optimality far faster than simplex
-            // contraction would. Tightening these back to {1e-13, 1e-9}
-            // reproduces the pre-§11 fits but costs ~2.5x the wall clock
-            // for SSE changes below 1e-10.
             // The iteration cap only binds for the 5–6 parameter extended
             // families (the paper's 3-parameter families converge by
             // tolerance near ~150 iterations); those families scale it
             // via [`ModelFamily::nm_iteration_scale`] — 600×2 covers the
             // ~1000 iterations a double-episode fit needs to settle.
-            nelder_mead: NelderMeadConfig {
-                max_iterations: 600,
-                f_tol: 1e-7,
-                x_tol: 1e-5,
-            },
+            max_iterations: 600,
             lm_polish: true,
             parallelism: Parallelism::Auto,
         }
@@ -157,18 +157,30 @@ impl<'a> SseObjective<'a> {
     }
 }
 
-/// The variable-projection objective (DESIGN.md §11) of a family with
-/// linear coefficients ([`ModelFamily::linear_coefficients`]): Nelder–Mead
-/// moves over the nonlinear coordinates `u`, and at each `u` the
-/// coefficients are solved exactly by [`solve_linear_coefficients`]. Reuses
-/// its offset and column buffers, so an evaluation allocates nothing.
+/// The fit's own SSE at the internal point `internal` of `family`: `+∞`
+/// where the family cannot predict or predicts a non-finite value. An
+/// exact fit scores its point with it ([`ExactOptimum::sse`]).
+pub(crate) fn sse_at(
+    family: &dyn ModelFamily,
+    times: &[f64],
+    observed: &[f64],
+    internal: &[f64],
+) -> f64 {
+    SseObjective::new(family, times, observed).eval(internal)
+}
+
+/// The variable-projection objective (DESIGN.md §11) of a family that
+/// profiles its last coefficient
+/// ([`ModelFamily::profiles_last_coefficient`]): Nelder–Mead moves over the
+/// other coordinates `u`, and at each `u` the coefficient is solved exactly
+/// by [`solve_linear_coefficient`]. Reuses its offset and column buffers,
+/// so an evaluation allocates nothing.
 struct ProfiledObjective<'a> {
     family: &'a dyn ModelFamily,
     times: &'a [f64],
     ln_times: &'a [f64],
     observed: &'a [f64],
-    /// The offset, whose first `k` entries hold the coefficients after a
-    /// solve, and the `k` columns.
+    /// The offset and the column.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -179,65 +191,45 @@ impl<'a> ProfiledObjective<'a> {
         ln_times: &'a [f64],
         observed: &'a [f64],
     ) -> Self {
-        let (n, k) = (times.len(), family.linear_coefficients().len());
+        let n = times.len();
         ProfiledObjective {
             family,
             times,
             ln_times,
             observed,
-            scratch: RefCell::new((vec![0.0; n], vec![0.0; n * k])),
+            scratch: RefCell::new((vec![0.0; n], vec![0.0; n])),
         }
     }
 
     /// The profiled SSE at `u`, or `+∞` where the profile is undefined.
     fn eval(&self, u: &[f64]) -> f64 {
-        self.solve(u).unwrap_or(f64::INFINITY)
+        self.solve(u).map_or(f64::INFINITY, |(_, sse)| sse)
     }
 
-    /// The SSE the optimal coefficients at `u` leave, or `None` where the
-    /// profile is undefined. The coefficients stay in the scratch, for
-    /// [`ProfiledObjective::coefficients`].
-    fn solve(&self, u: &[f64]) -> Option<f64> {
+    /// The optimal coefficient at `u` and the SSE it leaves, or `None`
+    /// where the profile is undefined.
+    fn solve(&self, u: &[f64]) -> Option<(f64, f64)> {
         let mut guard = self.scratch.borrow_mut();
-        let (offset, columns) = &mut *guard;
+        let (offset, column) = &mut *guard;
         if !self
             .family
-            .linear_design_into(u, self.times, self.ln_times, offset, columns)
+            .linear_design_into(u, self.times, self.ln_times, offset, column)
         {
             return None;
         }
-        solve_linear_coefficients(
-            self.observed,
-            offset,
-            columns,
-            self.family.linear_coefficients(),
-        )
+        solve_linear_coefficient(self.observed, offset, column)
     }
 
-    /// The coefficients of the last successful [`ProfiledObjective::solve`].
-    fn coefficients(&self) -> Vec<f64> {
-        let k = self.family.linear_coefficients().len();
-        self.scratch.borrow().0[..k].to_vec()
-    }
-
-    /// The full internal point at the nonlinear point `u`
-    /// ([`ModelFamily::join_linear`] of `u` and its optimal coefficients),
-    /// rescored with the full objective so that the SSE is the fitted
-    /// model's own. `None` where the profile is undefined or the family
-    /// cannot represent the coefficients.
-    fn lift_point(&self, u: &[f64]) -> Option<(Vec<f64>, f64)> {
-        self.solve(u)?;
-        let internal = self.family.join_linear(u, &self.coefficients())?;
-        let value = SseObjective::new(self.family, self.times, self.observed).eval(&internal);
-        Some((internal, value))
-    }
-
-    /// Lifts a Nelder–Mead winner `u` back to the full internal vector,
-    /// leaving `u` untouched, and rescores it — one more evaluation. `None`
-    /// only if the profile is undefined at `u`, which a finite winner rules
-    /// out.
+    /// Lifts a Nelder–Mead winner `u` back to the full internal vector
+    /// `[u, ln c]`, with `c` its optimal coefficient, and rescores it with
+    /// the full objective, so that the SSE is the fitted model's own — one
+    /// more evaluation. `None` only if the profile is undefined at `u`,
+    /// which a finite winner rules out.
     fn lift(&self, best: OptimReport) -> Option<OptimReport> {
-        let (params, value) = self.lift_point(&best.params)?;
+        let (coefficient, _) = self.solve(&best.params)?;
+        let mut params = best.params;
+        params.push(coefficient.ln());
+        let value = sse_at(self.family, self.times, self.observed, &params);
         Some(OptimReport {
             params,
             value,
@@ -295,59 +287,6 @@ pub fn solve_linear_coefficient(
     }
     let sse = sse.value();
     sse.is_finite().then_some((beta, sse))
-}
-
-/// The least-squares coefficients of `k = signs.len()` design columns and
-/// the SSE they leave: for `observed ≈ offset + Σⱼ cⱼ·xⱼ`, with column `xⱼ`
-/// at `columns[j·n .. (j + 1)·n]` (`n = observed.len()`), returns the SSE
-/// and leaves `c` in `offset[..k]`.
-///
-/// One positive column is [`solve_linear_coefficient`], bit for bit, which
-/// only reads `offset` and `columns` before `β` overwrites `offset[0]`. Any
-/// other design is solved by Householder QR ([`least_squares_qr`]): it
-/// overwrites `offset` with `observed − offset` and then with the
-/// solution and the rotated residual, and `columns` with its factors.
-///
-/// Returns `None` — which the fit's profiled objective maps to `+∞`, like
-/// an infeasible point — when the lengths disagree, the design is rank
-/// deficient, a coefficient is not finite or breaks its [`Sign`], or the
-/// SSE is not finite. Allocates nothing.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_core::fit::solve_linear_coefficients;
-/// use resilience_core::model::Sign;
-/// // 1 + 2t at t = 0, 1, 2, as two columns over a zero offset.
-/// let mut offset = [0.0; 3];
-/// let mut columns = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0];
-/// let sse = solve_linear_coefficients(&[1.0, 3.0, 5.0], &mut offset, &mut columns, &[Sign::Free; 2]);
-/// assert!(sse.unwrap() < 1e-28);
-/// assert!((offset[0] - 1.0).abs() < 1e-14 && (offset[1] - 2.0).abs() < 1e-14);
-/// ```
-pub fn solve_linear_coefficients(
-    observed: &[f64],
-    offset: &mut [f64],
-    columns: &mut [f64],
-    signs: &[Sign],
-) -> Option<f64> {
-    if let [Sign::Positive] = signs {
-        let (beta, sse) = solve_linear_coefficient(observed, offset, columns)?;
-        offset[0] = beta;
-        return Some(sse);
-    }
-    if offset.len() != observed.len() {
-        return None;
-    }
-    for (o, &y) in offset.iter_mut().zip(observed) {
-        *o = y - *o;
-    }
-    let sse = least_squares_qr(columns, offset, signs.len())?;
-    let signed = offset.iter().zip(signs).all(|(&c, sign)| match sign {
-        Sign::Positive => c > 0.0,
-        Sign::Free => true,
-    });
-    signed.then_some(sse)
 }
 
 /// The least-squares residual problem `r_i = y_i − P(t_i; θ(u))` over the
@@ -456,20 +395,13 @@ pub fn fit_least_squares(
 /// The fit runs its three phases in a row: the plan (an exact fit, or
 /// the starts), every start in one [`multi_start`] pool of
 /// `config.parallelism` threads, and the finish (reduce, lift, polish,
-/// guard). An exact fit skips the search and the polish, and its finish
-/// polls the control once before it counts and logs its work (DESIGN.md
-/// §11):
-///
-/// * Competing Risks is one profile over `ln β`
-///   ([`ModelFamily::profile_optimum`]), whose point is rescored. Its one
-///   `converged` line (solver `profile`) carries the profile's evaluations
-///   and Brent iterations.
-/// * A family with no nonlinear coordinate left (Quadratic, Quartic) is
-///   one solve: the least-squares optimum when the family can represent
-///   it, and otherwise the optimum on its region's boundary
-///   ([`ModelFamily::boundary_optimum`], the Quadratic's bathtub cone),
-///   rescored. Only a design with fewer distinct times than coefficients
-///   searches.
+/// guard). An exact fit ([`ModelFamily::exact_optimum`]) skips the search
+/// and the polish, and its finish polls the control once before it counts
+/// and logs its work (DESIGN.md §11, "Exact fits"): the Quadratic and the
+/// Quartic are one solve each, and Competing Risks is one profile over
+/// `ln β`, whose one `converged` line (solver `profile`) carries the
+/// profile's evaluations and Brent iterations. Only a design with fewer
+/// distinct times than coefficients searches.
 ///
 /// # Errors
 ///
@@ -499,7 +431,7 @@ pub(crate) fn fit_from(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    let ln_times = if reads_ln_table(family) {
+    let ln_times = if family.profiles_last_coefficient() {
         ln_table(series.times())
     } else {
         Vec::new()
@@ -511,23 +443,9 @@ pub(crate) fn fit_from(
     plan.finish(cold, config, control)
 }
 
-/// Whether `family` solves linear coefficients exactly instead of
-/// searching them (DESIGN.md §11).
-fn profiles(family: &dyn ModelFamily) -> bool {
-    (1..=family.n_params()).contains(&family.linear_coefficients().len())
-}
-
-/// Whether a fit of `family` may read the `ln t` table: only a profiled
-/// search over nonlinear coordinates does (the mixtures'). An exact fit's
-/// design is polynomial, a fit over every coordinate has no design, and
-/// Competing Risks, whose profile over `ln β` needs no table, declares no
-/// linear coefficient.
-pub(crate) fn reads_ln_table(family: &dyn ModelFamily) -> bool {
-    (1..family.n_params()).contains(&family.linear_coefficients().len())
-}
-
 /// `ln t` for every time: the table a profiled search's design reads
-/// (DESIGN.md §11).
+/// (DESIGN.md §11), built only for a family that
+/// [`ModelFamily::profiles_last_coefficient`].
 pub(crate) fn ln_table(times: &[f64]) -> Vec<f64> {
     times.iter().map(|t| t.ln()).collect()
 }
@@ -540,15 +458,6 @@ fn phase_error(e: OptimError) -> CoreError {
         OptimError::Cancelled { .. } => CoreError::cancelled("fit_least_squares"),
         other => CoreError::Fit(other),
     }
-}
-
-/// An exact fit's internal point, its SSE (the rescoring), and the report
-/// of the profile that found it, if one did
-/// ([`ModelFamily::profile_optimum`]; its `params` moved out).
-struct Exact {
-    internal: Vec<f64>,
-    sse: f64,
-    profile: Option<OptimReport>,
 }
 
 /// A fit between its plan and its finish.
@@ -565,11 +474,11 @@ pub(crate) struct FitPlan<'a> {
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
     /// `ln t` per time when the search is profiled (DESIGN.md §11): it
-    /// then moves over the nonlinear coordinates alone.
+    /// then moves over every internal coordinate but the last.
     ln_times: Option<&'a [f64]>,
     optimizer: NelderMead,
     /// An exact fit: the plan then has no warm probe and no starts.
-    exact: Option<Exact>,
+    exact: Option<ExactOptimum>,
     /// The warm probe's result, when it ran and did not fail.
     warm: Option<OptimReport>,
     /// The cold starts' search points, [`FitPlan::dim`] coordinates each.
@@ -581,16 +490,10 @@ impl<'a> FitPlan<'a> {
     /// The plan phase: an exact fit, or the warm probe and the cold
     /// starts.
     ///
-    /// A family with a profile ([`ModelFamily::profile_optimum`]) is fit
-    /// by it, and its point rescored; the plan logs its `fit_started` with
-    /// zero starts and computes no guesses, and the profile's error is the
-    /// plan's. A profiled family with no nonlinear coordinate is solved
-    /// exactly when [`ModelFamily::join_linear`] accepts the least-squares
-    /// coefficients, or else when [`ModelFamily::boundary_optimum`] gives
-    /// the optimum on its region's boundary; the plan logs its
-    /// `fit_started` with zero starts and computes no guesses. A rejected
-    /// solve logs and counts nothing, and the fit searches every internal
-    /// coordinate, as a family without linear coefficients does.
+    /// A family with an exact fit ([`ModelFamily::exact_optimum`]) takes
+    /// it: the plan logs its `fit_started` with zero starts and computes
+    /// no guesses, and the family's error is the plan's. A family without
+    /// one logs and counts nothing here, and the fit searches.
     ///
     /// Otherwise a `warm` point (external parameters, typically a previous
     /// optimum in the same basin) is probed first: one serial Nelder–Mead
@@ -599,16 +502,18 @@ impl<'a> FitPlan<'a> {
     /// cold starts follow and the better result wins, the probe keeping
     /// ties (it is conceptually start 0). The starts are `guesses`, or the
     /// family's own when `None`, in the search space: every internal
-    /// coordinate, or for a profiled family its nonlinear coordinates, in
-    /// which case guesses that coincide there are merged, keeping the
-    /// first. Guesses that do not convert are dropped. `ln_times` is
-    /// [`ln_table`] of the series' times when [`reads_ln_table`], and may be
-    /// empty otherwise.
+    /// coordinate, or for a family that profiles its last coefficient
+    /// every other one, in which case guesses that coincide there are
+    /// merged, keeping the first. Guesses that do not convert are dropped.
+    /// `ln_times` is [`ln_table`] of the series' times when the family
+    /// [`ModelFamily::profiles_last_coefficient`], and may be empty
+    /// otherwise.
     ///
     /// # Errors
     ///
-    /// A stop during the warm probe, and [`OptimError::AllStartsFailed`]
-    /// when no guess converts to a start and there is no warm result.
+    /// An exact fit's error, a stop during the warm probe, and
+    /// [`OptimError::AllStartsFailed`] when no guess converts to a start
+    /// and there is no warm result.
     pub(crate) fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
@@ -619,28 +524,16 @@ impl<'a> FitPlan<'a> {
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
         let traced = control.observed();
-        let exact_fit = |exact: Exact| {
-            if traced {
-                control.emit(Event::FitStarted {
-                    family: family.name(),
-                    starts: 0,
-                });
-            }
-            exact
-        };
-        let (times, observed) = (series.times(), series.values());
-        let (n_params, k) = (family.n_params(), family.linear_coefficients().len());
-        let mut profiled = profiles(family);
         // Families whose landscapes need longer simplex walks scale the
         // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
         // for the paper families the factor is 1 and this is `config`'s cap
         // unchanged. Applies to the warm probe and the cold phase alike.
         let nm_config = NelderMeadConfig {
             max_iterations: config
-                .nelder_mead
                 .max_iterations
                 .saturating_mul(family.nm_iteration_scale()),
-            ..config.nelder_mead.clone()
+            f_tol: NM_F_TOL,
+            x_tol: NM_X_TOL,
         };
         let mut plan = FitPlan {
             family,
@@ -652,40 +545,19 @@ impl<'a> FitPlan<'a> {
             starts: Vec::new(),
             dim: 0,
         };
-        if let Some(profile) = family.profile_optimum(times, observed) {
-            let mut report = profile?;
-            let internal = std::mem::take(&mut report.params);
-            let sse = SseObjective::new(family, times, observed).eval(&internal);
-            plan.exact = Some(exact_fit(Exact {
-                internal,
-                sse,
-                profile: Some(report),
-            }));
+        if let Some(exact) = family.exact_optimum(series.times(), series.values()) {
+            plan.exact = Some(exact?);
+            if traced {
+                control.emit(Event::FitStarted {
+                    family: family.name(),
+                    starts: 0,
+                });
+            }
             return Ok(plan);
         }
-        if profiled && k == n_params {
-            let finite = |(_, sse): &(Vec<f64>, f64)| sse.is_finite();
-            let solved = ProfiledObjective::new(family, times, ln_times, observed)
-                .lift_point(&[])
-                .filter(finite)
-                .or_else(|| {
-                    let internal = family.boundary_optimum(times, observed)?;
-                    let sse = SseObjective::new(family, times, observed).eval(&internal);
-                    Some((internal, sse))
-                })
-                .filter(finite);
-            if let Some((internal, sse)) = solved {
-                plan.exact = Some(exact_fit(Exact {
-                    internal,
-                    sse,
-                    profile: None,
-                }));
-                return Ok(plan);
-            }
-            profiled = false;
-        }
+        let profiled = family.profiles_last_coefficient();
         plan.ln_times = profiled.then_some(ln_times);
-        let dim = if profiled { n_params - k } else { n_params };
+        let dim = family.n_params() - usize::from(profiled);
         plan.dim = dim;
 
         // Warm probe: seeded this close, it usually converges in a fraction
@@ -750,13 +622,11 @@ impl<'a> FitPlan<'a> {
         Ok(plan)
     }
 
-    /// `params` in the search space, or `None` when they do not convert.
+    /// `params` in the search space, its first [`FitPlan::dim`] internal
+    /// coordinates, or `None` when they do not convert.
     fn search_point(&self, params: &[f64]) -> Option<Vec<f64>> {
-        let internal = self.family.params_to_internal(params).ok()?;
-        let point = match self.ln_times {
-            Some(_) => self.family.nonlinear_coordinates(&internal),
-            None => internal,
-        };
+        let mut point = self.family.params_to_internal(params).ok()?;
+        point.truncate(self.dim);
         debug_assert_eq!(point.len(), self.dim, "{}", self.family.name());
         Some(point)
     }
@@ -828,7 +698,7 @@ impl<'a> FitPlan<'a> {
             ..
         } = self;
         let (times, observed) = (series.times(), series.values());
-        if let Some(Exact {
+        if let Some(ExactOptimum {
             internal,
             sse,
             profile,
@@ -842,7 +712,7 @@ impl<'a> FitPlan<'a> {
                     iterations: profile.iterations as u64,
                     evaluations: profile.evaluations as u64,
                     value: profile.value,
-                    reason: profile.termination.exit_reason(),
+                    reason: ExitReason::Converged,
                 });
                 evaluations += profile.evaluations;
             }
@@ -1137,10 +1007,9 @@ mod tests {
                         ComponentKind::Weibull => u.extend([draw(0.5, 5.0), draw(2.0, 60.0)]),
                     }
                 }
-                let Some(sse) = profile.solve(&u) else {
+                let Some((beta, sse)) = profile.solve(&u) else {
                     continue;
                 };
-                let beta = profile.coefficients()[0];
                 let full_at = |b: f64| {
                     let mut x = u.clone();
                     x.push(b.ln());
@@ -1230,7 +1099,7 @@ mod tests {
             trend: Trend::Exponential,
             ..MixtureFamily::paper_combinations()[1]
         };
-        assert!(exponential_trend.linear_coefficients().is_empty());
+        assert!(!exponential_trend.profiles_last_coefficient());
         assert_eq!(starts(&exponential_trend), 18);
     }
 
@@ -1452,8 +1321,10 @@ mod tests {
         let fit = fit.unwrap();
         let family = "Competing Risks";
         let profile = CompetingRisksFamily
-            .profile_optimum(s.times(), s.values())
+            .exact_optimum(s.times(), s.values())
             .unwrap()
+            .unwrap()
+            .profile
             .unwrap();
         let total = profile.evaluations + 1;
         assert_eq!((fit.evaluations, fit.total_evaluations), (total, total));

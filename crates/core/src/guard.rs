@@ -1,5 +1,5 @@
-//! Domain guards: finite-in/finite-out checks for every model
-//! evaluation and pipeline boundary.
+//! Domain guards: finite-in/finite-out checks at the pipeline's
+//! boundaries.
 //!
 //! The optimizer explores the internal parameter space freely, and an
 //! off-domain point can turn a prediction, an SSE, or a metric into NaN
@@ -25,7 +25,6 @@
 //! # Ok::<(), resilience_core::CoreError>(())
 //! ```
 
-use crate::model::ResilienceModel;
 use crate::CoreError;
 
 /// The kinds of numerical-domain violation the guard layer detects.
@@ -108,32 +107,9 @@ pub fn finite_outputs(what: &'static str, values: &[f64]) -> Result<(), CoreErro
     }
 }
 
-/// Domain-checked model evaluation: finite time in, finite prediction
-/// out.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Numerical`] when `t` is non-finite
-/// ([`Violation::NonFiniteInput`]) or `P(t)` is non-finite
-/// ([`Violation::NonFiniteOutput`]).
-pub fn guarded_predict(model: &dyn ResilienceModel, t: f64) -> Result<f64, CoreError> {
-    finite_input(model.name(), t)?;
-    let p = model.predict(t);
-    if p.is_finite() {
-        Ok(p)
-    } else {
-        Err(CoreError::guard(
-            model.name(),
-            Violation::NonFiniteOutput,
-            format!("P({t}) = {p}"),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bathtub::QuadraticModel;
 
     #[test]
     fn scalar_guards_pass_and_fail() {
@@ -151,34 +127,6 @@ mod tests {
         let e = finite_outputs("v", &[1.0, f64::NAN, 3.0]).unwrap_err();
         assert!(e.to_string().contains("element 1"), "{e}");
         assert!(e.to_string().contains("non-finite output"), "{e}");
-    }
-
-    #[test]
-    fn guarded_predict_checks_both_directions() {
-        let m = QuadraticModel::new(1.0, -0.012, 0.0004).unwrap();
-        assert!((guarded_predict(&m, 5.0).unwrap() - m.predict(5.0)).abs() < 1e-15);
-        assert!(guarded_predict(&m, f64::NAN).is_err());
-
-        struct NanModel;
-        impl ResilienceModel for NanModel {
-            fn name(&self) -> &'static str {
-                "NanModel"
-            }
-            fn params(&self) -> Vec<f64> {
-                vec![]
-            }
-            fn predict(&self, _t: f64) -> f64 {
-                f64::NAN
-            }
-        }
-        let e = guarded_predict(&NanModel, 1.0).unwrap_err();
-        assert!(matches!(
-            e,
-            CoreError::Numerical {
-                violation: Violation::NonFiniteOutput,
-                ..
-            }
-        ));
     }
 
     #[test]

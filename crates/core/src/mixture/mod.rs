@@ -20,7 +20,7 @@ use component::cdf_from_hazard;
 pub use component::{BuiltComponent, ComponentKind};
 pub use trend::Trend;
 
-use crate::model::{ModelFamily, ResilienceModel, Sign};
+use crate::model::{ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -321,11 +321,8 @@ impl ModelFamily for MixtureFamily {
 
     /// β, the last parameter, is linear and positive under every trend
     /// but `e^{βt}`.
-    fn linear_coefficients(&self) -> &'static [Sign] {
-        match self.trend {
-            Trend::Exponential => &[],
-            _ => &[Sign::Positive],
-        }
+    fn profiles_last_coefficient(&self) -> bool {
+        self.trend != Trend::Exponential
     }
 
     /// `offset = 1 − F₁(t)` and `column = a₂(1, t)·F₂(t)`, so that
@@ -341,7 +338,7 @@ impl ModelFamily for MixtureFamily {
     ) -> bool {
         let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
         let n = ts.len();
-        if self.linear_coefficients().is_empty()
+        if !self.profiles_last_coefficient()
             || nonlinear.len() != n1 + n2
             || ln_ts.len() != n
             || offset.len() != n

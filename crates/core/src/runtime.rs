@@ -25,9 +25,7 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{
-    fit_from, fit_least_squares_with, ln_table, reads_ln_table, FitConfig, FitPlan, FittedModel,
-};
+use crate::fit::{fit_from, fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel};
 use crate::model::ModelFamily;
 use crate::selection::{
     score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
@@ -776,7 +774,7 @@ fn pooled_wave(
     recorders: Option<&[Arc<RecordingObserver>]>,
 ) -> Vec<JobOutcome> {
     let nf = families.len();
-    let ln_tables: Vec<Vec<f64>> = if families.iter().any(|f| reads_ln_table(*f)) {
+    let ln_tables: Vec<Vec<f64>> = if families.iter().any(|f| f.profiles_last_coefficient()) {
         cells.iter().map(|s| ln_table(s.times())).collect()
     } else {
         vec![Vec::new(); cells.len()]
@@ -1220,10 +1218,11 @@ mod tests {
     /// A fit configuration whose 3-iteration Nelder–Mead and skipped
     /// polish leave a searching fit non-converged.
     fn starved() -> FitConfig {
-        let mut config = FitConfig::default();
-        config.nelder_mead.max_iterations = 3;
-        config.lm_polish = false;
-        config
+        FitConfig {
+            max_iterations: 3,
+            lm_polish: false,
+            ..FitConfig::default()
+        }
     }
 
     #[test]

@@ -24,6 +24,13 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
+    /// Every solver, in declaration order.
+    pub const ALL: [SolverKind; 3] = [
+        SolverKind::NelderMead,
+        SolverKind::LevenbergMarquardt,
+        SolverKind::Profile,
+    ];
+
     /// Stable short tag used in the JSONL encoding.
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -55,13 +62,9 @@ impl SolverKind {
     /// Inverse of [`SolverKind::stop_scope`]: the solver a stop's scope
     /// names, if it names one (a stop can also be scoped to a stage).
     pub fn from_stop_scope(scope: &str) -> Option<SolverKind> {
-        [
-            SolverKind::NelderMead,
-            SolverKind::LevenbergMarquardt,
-            SolverKind::Profile,
-        ]
-        .into_iter()
-        .find(|k| k.stop_scope() == scope)
+        SolverKind::ALL
+            .into_iter()
+            .find(|k| k.stop_scope() == scope)
     }
 }
 
@@ -722,16 +725,19 @@ impl Event {
         ] {
             out.push(Event::FitFailed { family, kind });
         }
-        for (solver, value) in [
-            (SolverKind::NelderMead, f64::NAN),
-            (SolverKind::LevenbergMarquardt, -0.5),
-        ] {
+        for solver in SolverKind::ALL {
+            let (value, reason) = match solver {
+                SolverKind::NelderMead => (f64::NAN, ExitReason::Stalled),
+                SolverKind::LevenbergMarquardt => (-0.5, ExitReason::Stalled),
+                // The one solver line of every Competing Risks fit.
+                SolverKind::Profile => (6.404e-5, ExitReason::Converged),
+            };
             out.push(Event::Converged {
                 solver,
                 iterations: 1,
                 evaluations: 2,
                 value,
-                reason: ExitReason::Stalled,
+                reason,
             });
         }
         for reason in [

@@ -70,6 +70,10 @@ pub fn intern(s: &str) -> &'static str {
 #[derive(Debug, Clone, PartialEq)]
 enum Val<'a> {
     Str(Cow<'a, str>),
+    /// A token of digits alone that fits a `u64`, read exactly: through
+    /// `f64` every integer above 2^53 would round.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     Bool(bool),
 }
@@ -206,14 +210,23 @@ impl<'a> Cursor<'a> {
             Some(b't' | b'f') => err("bad literal"),
             Some(&b) if b == b'-' || b.is_ascii_digit() => {
                 let start = self.pos;
+                let mut digits = true;
                 while let Some(b) = self.peek() {
-                    if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                    if b.is_ascii_digit() {
+                        self.pos += 1;
+                    } else if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                        digits = false;
                         self.pos += 1;
                     } else {
                         break;
                     }
                 }
                 let token = &self.src[start..self.pos];
+                if digits {
+                    if let Ok(n) = token.parse::<u64>() {
+                        return Ok(Val::Int(n));
+                    }
+                }
                 match token.parse::<f64>() {
                     Ok(x) => Ok(Val::Num(x)),
                     Err(_) => err(format!("bad number {token:?}")),
@@ -312,6 +325,9 @@ impl<'a> Fields<'a> {
 
     fn f64(&self, key: &str) -> Result<f64, ParseError> {
         match self.get(key)? {
+            // Rounds as parsing the token as `f64` does: to nearest, ties
+            // to even.
+            Val::Int(n) => Ok(*n as f64),
             Val::Num(x) => Ok(*x),
             // Non-finite floats are encoded as strings.
             Val::Str(s) => match s.as_ref() {
@@ -326,10 +342,11 @@ impl<'a> Fields<'a> {
 
     fn u64(&self, key: &str) -> Result<u64, ParseError> {
         match self.get(key)? {
-            // The upper bound rejects values ≥ 2^64 (including overflow
-            // artifacts like `1e300`), which a plain `as u64` cast would
-            // silently saturate to `u64::MAX`; everything below it with a
-            // zero fraction converts exactly.
+            Val::Int(n) => Ok(*n),
+            // A number written otherwise (`1e3`, `2.0`) is an integer when
+            // it is one in `f64`. The upper bound rejects values ≥ 2^64
+            // (including overflow artifacts like `1e300`), which a plain
+            // `as u64` cast would silently saturate to `u64::MAX`.
             Val::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => Ok(*x as u64),
             _ => err(format!("field {key:?} is not a non-negative integer")),
         }
@@ -617,15 +634,31 @@ mod tests {
             "{\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":18446744073709551616}"
         )
         .is_err());
-        // A large but in-range integer (2^53) still parses exactly.
-        let e = parse_line("{\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":9007199254740992}")
-            .unwrap();
-        assert_eq!(
-            e,
-            Event::Hist {
+        // Negative and fractional integers are still errors.
+        for n in ["-1", "1.5", "-0.5"] {
+            let line = format!("{{\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":{n}}}");
+            assert!(parse_line(&line).is_err(), "{n}");
+        }
+        // Large in-range integers parse exactly, not through `f64`: 2^53,
+        // 2^53 + 1, 12345678901234567 and the largest two `u64`s, which
+        // the encoder writes.
+        for value in [
+            1 << 53,
+            (1 << 53) + 1,
+            12_345_678_901_234_567,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let event = Event::Hist {
                 id: HistogramId::EvalsPerFit,
-                value: 9007199254740992,
-            }
-        );
+                value,
+            };
+            assert_eq!(parse_line(&event.to_json()).unwrap(), event, "{value}");
+            let event = Event::Counter {
+                id: CounterId::ObjectiveEvals,
+                delta: value,
+            };
+            assert_eq!(parse_line(&event.to_json()).unwrap(), event, "{value}");
+        }
     }
 }

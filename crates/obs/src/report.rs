@@ -1,12 +1,13 @@
 //! Aggregating an event stream into a human- and machine-readable run report.
 //!
-//! [`RunReport::from_events`] folds a log (from a [`RecordingObserver`] or a
-//! parsed JSONL file) into per-family totals, global counters, and
-//! histograms, in one pass. Each event goes to the [`SpanTree`] builder,
-//! which files it under the job its ids name; the per-family totals are
-//! then one fold over the tree's fits, the same fold
-//! [`SpanTree::hottest_families`] ranks. Counters and histograms are a
-//! flat fold of their own events, which no attribution rule touches.
+//! A [`RunReport`] is a view of a [`SpanTree`] ([`RunReport::from_tree`]):
+//! per-family totals, global counters, and histograms. The tree's builder
+//! files each event under the job its ids name and folds the counter and
+//! histogram totals, which no attribution rule touches, as it goes; the
+//! per-family totals are then one fold over the tree's fits, the same
+//! fold [`SpanTree::hottest_families`] ranks. [`RunReport::from_events`]
+//! builds the tree from a log (from a [`RecordingObserver`] or a parsed
+//! JSONL file) in one pass and takes the view.
 //!
 //! All rate-style derived quantities are typed as `Option<f64>` and return
 //! `None` instead of dividing by zero, so reports are `NaN`-free by
@@ -16,8 +17,8 @@
 //! [`SpanTree`]: crate::span::SpanTree
 //! [`SpanTree::hottest_families`]: crate::span::SpanTree::hottest_families
 
-use crate::event::{write_f64, write_json_str, CounterId, Event, HistogramId, StopKind};
-use crate::span::Builder;
+use crate::event::{write_f64, write_json_str, CounterId, Event, HistogramId};
+use crate::span::{Builder, SpanTree};
 use std::fmt::Write as _;
 
 /// Power-of-two bucketed histogram over `u64` observations.
@@ -205,7 +206,7 @@ impl FamilyStats {
 
 /// The nonzero totals, indexed by [`CounterId::index`], in
 /// [`CounterId::ALL`] order.
-fn nonzero_counters(totals: [u64; CounterId::ALL.len()]) -> Vec<(CounterId, u64)> {
+pub(crate) fn nonzero_counters(totals: [u64; CounterId::ALL.len()]) -> Vec<(CounterId, u64)> {
     CounterId::ALL
         .into_iter()
         .zip(totals)
@@ -215,7 +216,9 @@ fn nonzero_counters(totals: [u64; CounterId::ALL.len()]) -> Vec<(CounterId, u64)
 
 /// The histograms with an observation, indexed by [`HistogramId::index`],
 /// in [`HistogramId::ALL`] order.
-fn nonempty_histograms(histograms: Vec<Histogram>) -> Vec<(HistogramId, Histogram)> {
+pub(crate) fn nonempty_histograms(
+    histograms: [Histogram; HistogramId::ALL.len()],
+) -> Vec<(HistogramId, Histogram)> {
     HistogramId::ALL
         .into_iter()
         .zip(histograms)
@@ -239,39 +242,27 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Folds an event stream into a report.
+    /// Folds an event stream into a report: builds its span tree, then
+    /// takes [`RunReport::from_tree`].
     pub fn from_events<I>(events: I) -> RunReport
     where
         I: IntoIterator<Item = Event>,
     {
-        let mut tree = Builder::default();
-        let mut counters = [0u64; CounterId::ALL.len()];
-        let mut histograms = vec![Histogram::default(); HistogramId::ALL.len()];
+        let mut builder = Builder::default();
         for event in events {
-            tree.consume(&event);
-            match event {
-                Event::Counter { id, delta } => counters[id.index()] += delta,
-                Event::Hist { id, value } => histograms[id.index()].observe(value),
-                // A stopped solver never flushed its eval counter; the
-                // stop event carries the work done so far.
-                Event::Stop {
-                    kind, evaluations, ..
-                } => {
-                    counters[CounterId::ObjectiveEvals.index()] += evaluations;
-                    let id = match kind {
-                        StopKind::Deadline => CounterId::Timeouts,
-                        StopKind::Cancelled => CounterId::Cancellations,
-                    };
-                    counters[id.index()] += 1;
-                }
-                _ => {}
-            }
+            builder.consume(&event);
         }
-        let tree = tree.finish();
+        RunReport::from_tree(&builder.finish())
+    }
+
+    /// The report of a log whose span tree is `tree`: the per-family fold
+    /// over its fits, and its counters, histograms and event count.
+    #[must_use]
+    pub fn from_tree(tree: &SpanTree) -> RunReport {
         RunReport {
             families: tree.family_stats(),
-            counters: nonzero_counters(counters),
-            histograms: nonempty_histograms(histograms),
+            counters: tree.counters.clone(),
+            histograms: tree.histograms.clone(),
             events: tree.events,
         }
     }
@@ -311,7 +302,7 @@ impl RunReport {
             counters[id.index()] += v;
         }
         self.counters = nonzero_counters(counters);
-        let mut histograms = vec![Histogram::default(); HistogramId::ALL.len()];
+        let mut histograms: [Histogram; HistogramId::ALL.len()] = Default::default();
         for (id, h) in self.histograms.iter().chain(&other.histograms) {
             histograms[id.index()].merge(h);
         }
@@ -481,7 +472,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ExitReason, FailureCode, SolverKind};
+    use crate::event::{ExitReason, FailureCode, SolverKind, StopKind};
     use crate::parse::intern;
 
     fn sample_events() -> Vec<Event> {

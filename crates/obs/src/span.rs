@@ -16,8 +16,11 @@
 //! another family than the open fit's, or a `fit_started` on an attempt
 //! that already has one. Evaluations outside any job are unattributed.
 //!
-//! [`RunReport`](crate::report::RunReport)'s per-family rows and
-//! [`SpanTree::hottest_families`] are one fold over the tree's fits.
+//! The builder also folds the counter and histogram totals of the events
+//! it walks past, which no attribution rule touches.
+//! [`RunReport`](crate::report::RunReport) is a view of the tree: its
+//! per-family rows and [`SpanTree::hottest_families`] are one fold over
+//! the tree's fits, and its counters and histograms are the tree's.
 //!
 //! No wall-clock values exist anywhere in the input (the workspace clippy
 //! ban enforces this), so the tree built from a log is a pure function of
@@ -25,8 +28,10 @@
 //! [`SpanTree::render`] output regardless of the worker count that
 //! produced them.
 
-use crate::event::{ChaosKind, CounterId, Event, ExitReason, FailureCode, SolverKind, StopKind};
-use crate::report::FamilyStats;
+use crate::event::{
+    ChaosKind, CounterId, Event, ExitReason, FailureCode, HistogramId, SolverKind, StopKind,
+};
+use crate::report::{nonempty_histograms, nonzero_counters, FamilyStats, Histogram};
 use std::fmt::Write as _;
 
 /// Which work column a top-K query ranks by.
@@ -234,6 +239,14 @@ pub struct SpanTree {
     pub unattributed_evaluations: u64,
     /// Total events consumed.
     pub events: u64,
+    /// Counter totals, in [`CounterId::ALL`] order, zero entries omitted.
+    /// A stop adds the evaluations it carries to `objective_evals` (a
+    /// stopped solver never flushed its counter) and one to `timeouts` or
+    /// `cancellations`. [`RunReport`](crate::report::RunReport) shows them.
+    pub(crate) counters: Vec<(CounterId, u64)>,
+    /// Histograms with at least one observation, in [`HistogramId::ALL`]
+    /// order.
+    pub(crate) histograms: Vec<(HistogramId, Histogram)>,
 }
 
 /// Builder state while replaying the log.
@@ -245,6 +258,10 @@ pub(crate) struct Builder {
     job: Option<usize>,
     /// Whether the open job is implicit: the log has no `job` lines.
     implicit: bool,
+    /// Counter totals, indexed by [`CounterId::index`].
+    counters: [u64; CounterId::ALL.len()],
+    /// Histograms, indexed by [`HistogramId::index`].
+    histograms: [Histogram; HistogramId::ALL.len()],
 }
 
 impl Builder {
@@ -372,6 +389,12 @@ impl Builder {
                 kind,
                 evaluations,
             } => {
+                self.counters[CounterId::ObjectiveEvals.index()] += evaluations;
+                let stops = match kind {
+                    StopKind::Deadline => CounterId::Timeouts,
+                    StopKind::Cancelled => CounterId::Cancellations,
+                };
+                self.counters[stops.index()] += 1;
                 if let Some(attempt) = self.charge(evaluations) {
                     attempt.stopped = Some(kind);
                     // A solver stopped mid-run writes no `converged` line:
@@ -394,19 +417,23 @@ impl Builder {
                 let c = self.cell(cell);
                 self.tree.cells[c].quarantined = Some(failures);
             }
-            Event::Counter {
-                id: CounterId::ObjectiveEvals,
-                delta,
-            } => {
-                self.charge(delta);
+            Event::Counter { id, delta } => {
+                self.counters[id.index()] += delta;
+                if id == CounterId::ObjectiveEvals {
+                    self.charge(delta);
+                }
             }
-            Event::Counter { .. } | Event::Hist { .. } => {}
+            Event::Hist { id, value } => self.histograms[id.index()].observe(value),
         }
     }
 
     /// The tree of every event consumed so far.
     pub(crate) fn finish(self) -> SpanTree {
-        self.tree
+        SpanTree {
+            counters: nonzero_counters(self.counters),
+            histograms: nonempty_histograms(self.histograms),
+            ..self.tree
+        }
     }
 }
 

@@ -13,7 +13,7 @@ use std::cell::{Cell, RefCell};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
 use resilience_core::fit::{
-    fit_least_squares, fit_least_squares_with, solve_linear_coefficients, FitConfig,
+    fit_least_squares, fit_least_squares_with, solve_linear_coefficient, FitConfig,
 };
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
@@ -102,9 +102,8 @@ fn all_families(mixtures: &[MixtureFamily]) -> Vec<&dyn ModelFamily> {
 
 /// One SSE-objective evaluation allocates nothing, for every family: the
 /// exact scratch-buffer pattern `fit_least_squares` uses. The same holds
-/// for the profiled objective of the families with linear coefficients,
-/// one column (the mixtures) or several (the polynomial bathtub
-/// families), at feasible and infeasible points.
+/// for the profiled objective of the families that profile their last
+/// coefficient (the mixtures), at feasible and infeasible points.
 #[test]
 fn sse_objective_is_allocation_free() {
     let series = Recession::R1990_93.payroll_index();
@@ -181,33 +180,30 @@ fn sse_objective_is_allocation_free() {
             family.name(),
         );
 
-        let signs = family.linear_coefficients();
-        if signs.is_empty() {
+        if !family.profiles_last_coefficient() {
             continue;
         }
-        // The profiled objective of a family with linear coefficients: the
-        // design hook over reusable offset and column buffers, then the
-        // closed form (one column) or the QR solve (k columns).
+        // The profiled objective: the design hook over reusable offset and
+        // column buffers, then the closed form of the one coefficient.
         let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
-        let (n, k) = (times.len(), signs.len());
-        let u = family.nonlinear_coordinates(&internal);
-        let buffers = RefCell::new((vec![0.0; n], vec![0.0; n * k]));
+        let n = times.len();
+        let u = internal[..internal.len() - 1].to_vec();
+        let buffers = RefCell::new((vec![0.0; n], vec![0.0; n]));
         let profiled = |x: &[f64], ys: &[f64]| -> f64 {
             let mut guard = buffers.borrow_mut();
-            let (offset, columns) = &mut *guard;
-            if !family.linear_design_into(x, times, &ln_times, offset, columns) {
+            let (offset, column) = &mut *guard;
+            if !family.linear_design_into(x, times, &ln_times, offset, column) {
                 return f64::INFINITY;
             }
-            solve_linear_coefficients(ys, offset, columns, signs).unwrap_or(f64::INFINITY)
+            solve_linear_coefficient(ys, offset, column).map_or(f64::INFINITY, |(_, sse)| sse)
         };
         assert!(
             profiled(&u, observed).is_finite(),
             "{}: profiled objective",
             family.name()
         );
-        // A NaN point, or for a family with no nonlinear coordinate a point
-        // of the wrong length, is infeasible.
-        let nan_u = vec![f64::NAN; u.len().max(1)];
+        // A NaN point is infeasible.
+        let nan_u = vec![f64::NAN; u.len()];
         assert_eq!(
             profiled(&nan_u, observed),
             f64::INFINITY,
@@ -254,7 +250,8 @@ fn predict_into_is_allocation_free() {
 
 /// A Competing Risks profile evaluation allocates nothing: two profiles
 /// that spend different numbers of evaluations, both ending with positive
-/// coefficients (so both re-solve them by QR), allocate exactly as much.
+/// coefficients (so both re-solve them by QR), allocate exactly as much,
+/// their rescoring included.
 #[test]
 fn competing_risks_profile_evaluations_do_not_allocate() {
     let recession = Recession::R1990_93.payroll_index();
@@ -266,12 +263,12 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
     let profile = |ys: &[f64]| {
         let mut evaluations = 0;
         let delta = min_delta(3, || {
-            let report = CompetingRisksFamily
-                .profile_optimum(times, ys)
+            let exact = CompetingRisksFamily
+                .exact_optimum(times, ys)
                 .expect("Competing Risks profiles")
                 .expect("a finite profile");
-            assert!(report.params.iter().all(|u| *u > -100.0), "{report:?}");
-            evaluations = report.evaluations;
+            assert!(exact.internal.iter().all(|u| *u > -100.0), "{exact:?}");
+            evaluations = exact.profile.expect("a profile's work").evaluations;
         });
         (evaluations, delta)
     };
@@ -301,7 +298,7 @@ fn nelder_mead_iterations_do_not_allocate() {
             parallelism: Parallelism::Serial,
             ..FitConfig::default()
         };
-        config.nelder_mead.max_iterations = max_iterations;
+        config.max_iterations = max_iterations;
         min_delta(5, || {
             let fit = fit_least_squares(family, &series, &config).unwrap();
             assert!(fit.sse.is_finite());
@@ -340,7 +337,7 @@ fn warm_start_fit_path_does_not_allocate_per_iteration() {
             parallelism: Parallelism::Serial,
             ..FitConfig::default()
         };
-        config.nelder_mead.max_iterations = max_iterations;
+        config.max_iterations = max_iterations;
         min_delta(5, || {
             let sup =
                 fit_with_retry(family, &series, &config, &policy, &Control::unbounded()).unwrap();
@@ -408,7 +405,7 @@ fn null_observer_keeps_the_fit_allocation_footprint() {
         parallelism: Parallelism::Serial,
         ..FitConfig::default()
     };
-    config.nelder_mead.max_iterations = 100;
+    config.max_iterations = 100;
 
     let count_fit = |control: &Control| -> u64 {
         min_delta(5, || {

@@ -257,9 +257,4 @@ fn guard_layer_catches_nan_at_the_metric_boundary() {
     use resilience_core::metrics::relative_error;
     assert!(relative_error(f64::NAN, 1.0).is_err());
     assert!(relative_error(1.0, f64::INFINITY).is_err());
-    // And guarded prediction at the model boundary.
-    let series = Recession::R1990_93.payroll_index();
-    let fit = fit_least_squares(&QuadraticFamily, &series, &FitConfig::default()).unwrap();
-    assert!(resilience_core::guard::guarded_predict(fit.model.as_ref(), f64::NAN).is_err());
-    assert!(resilience_core::guard::guarded_predict(fit.model.as_ref(), 5.0).is_ok());
 }

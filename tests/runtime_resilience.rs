@@ -108,7 +108,7 @@ fn patient_config() -> FitConfig {
         parallelism: Parallelism::Serial,
         ..FitConfig::default()
     };
-    config.nelder_mead.max_iterations = 10_000_000;
+    config.max_iterations = 10_000_000;
     config
 }
 
