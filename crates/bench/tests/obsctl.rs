@@ -265,3 +265,18 @@ fn overflowing_integer_field_exits_two_without_a_panic() {
     assert!(text.contains("line 1"), "stderr: {text}");
     assert!(!text.contains("panicked"), "must fail cleanly: {text}");
 }
+
+#[test]
+fn work_totals_past_u64_max_saturate_in_the_report() {
+    // Each line parses, but the two deltas sum past u64::MAX: the report
+    // saturates the total instead of panicking on overflow.
+    let line = "{\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":18446744073709549568}\n";
+    let log = fixture("saturate.jsonl", &line.repeat(2));
+    let out = obsctl(&["report", log.to_str().unwrap(), "--json"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains(&u64::MAX.to_string()),
+        "{}",
+        stdout(&out)
+    );
+}

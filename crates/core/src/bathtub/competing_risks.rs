@@ -3,7 +3,7 @@
 use super::RAISED_ZERO;
 use crate::fit::sse_at;
 use crate::guard::Violation;
-use crate::model::{ExactOptimum, ModelFamily, ProfileWork, ResilienceModel};
+use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ProfileWork, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::sum::CompensatedSum;
@@ -223,7 +223,7 @@ impl ResilienceModel for CompetingRisksModel {
 /// The [`ModelFamily`] for [`CompetingRisksModel`].
 ///
 /// Internal parameterization: `[ln α, ln β, ln γ]` (all-positive region).
-/// A fit is one profile over `ln β` ([`ModelFamily::exact_optimum`]), so
+/// A fit is one profile over `ln β` ([`ModelFamily::exact_design`]), so
 /// the family has no starting points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompetingRisksFamily;
@@ -271,9 +271,9 @@ impl ModelFamily for CompetingRisksFamily {
     /// nodes and the `β → 0` line, Brent in the bracket of each local
     /// minimum (DESIGN.md §11, "The Competing Risks profile"). Its point
     /// is the fit, whatever its SSE: a non-finite one fails the fit's
-    /// guard.
-    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
-        Some(profile_optimum(ts, ys))
+    /// guard. The design is the times: the profile's columns depend on `β`.
+    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+        Some(Box::new(ProfileDesign(ts)))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -296,6 +296,16 @@ impl ModelFamily for CompetingRisksFamily {
     /// None: every fit is the profile, which needs no starting point.
     fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
         Vec::new()
+    }
+}
+
+/// Competing Risks' exact fit at fixed times: [`profile_optimum`] of the
+/// values at them.
+struct ProfileDesign<'a>(&'a [f64]);
+
+impl ExactDesign for ProfileDesign<'_> {
+    fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        Some(profile_optimum(self.0, ys))
     }
 }
 
@@ -649,7 +659,9 @@ mod tests {
     fn profile_fit(ys: &[f64]) -> (CompetingRisksModel, ProfileWork) {
         let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
         let exact = CompetingRisksFamily
-            .exact_optimum(&ts, ys)
+            .exact_design(&ts)
+            .expect("Competing Risks has a design")
+            .optimum(ys)
             .expect("Competing Risks profiles")
             .unwrap();
         let p = CompetingRisksFamily.internal_to_params(&exact.internal);
@@ -705,7 +717,8 @@ mod tests {
             .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
             .collect();
         let ts: Vec<f64> = (0..16).map(f64::from).collect();
-        let err = CompetingRisksFamily.exact_optimum(&ts, &ys).unwrap();
+        let design = CompetingRisksFamily.exact_design(&ts).unwrap();
+        let err = design.optimum(&ys).unwrap();
         assert!(matches!(err, Err(CoreError::Numerical { .. })), "{err:?}");
     }
 

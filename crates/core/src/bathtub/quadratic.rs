@@ -1,7 +1,7 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
-use super::RAISED_ZERO;
-use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
+use super::{Monomials, RAISED_ZERO};
+use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -301,30 +301,21 @@ impl ModelFamily for QuadraticFamily {
     }
 
     /// All three parameters are linear (Eq. 1), so a fit is one solve
-    /// (DESIGN.md §11, "Exact fits"): the least-squares coefficients over
-    /// `1, t, t²` by Householder QR, as `[ln α, logit s, ln γ]` when they
-    /// lie strictly inside the region `internal_to_params` maps onto
-    /// (`α, γ > 0` and `s = −β/(2√(αγ))` strictly inside its clamp
-    /// `[1e-9, 1 − 1e-9]`), and otherwise
-    /// [`QuadraticFamily::boundary_optimum`]; the first of them whose SSE is
-    /// finite. `None` on fewer than three distinct times, where the design
-    /// is rank deficient: the fit then searches.
-    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
-        let interior = super::polynomial_least_squares(ts, ys, 3).and_then(|c| {
-            let (alpha, beta, gamma) = (c[0], c[1], c[2]);
-            if !(alpha > 0.0 && gamma > 0.0) {
-                return None;
-            }
-            let s = -beta / (2.0 * (alpha * gamma).sqrt());
-            (s > S_MIN && s < S_MAX).then(|| QuadraticFamily::internal(alpha, s, gamma).to_vec())
-        });
-        interior
-            .and_then(|internal| super::solved(self, ts, ys, internal))
-            .or_else(|| {
-                let internal = self.boundary_optimum(ts, ys)?;
-                super::solved(self, ts, ys, internal.to_vec())
-            })
-            .map(Ok)
+    /// (DESIGN.md §11, "Exact fits"). The design holds the Householder
+    /// factorization of `1, t, t²`, absent on fewer than three distinct
+    /// times, where it is rank deficient. Its optimum is the least-squares
+    /// coefficients, as `[ln α, logit s, ln γ]` when they lie strictly
+    /// inside the region `internal_to_params` maps onto (`α, γ > 0` and
+    /// `s = −β/(2√(αγ))` strictly inside its clamp `[1e-9, 1 − 1e-9]`),
+    /// and otherwise [`QuadraticFamily::boundary_optimum`], which also
+    /// stands in for a rank-deficient design; the first of them whose SSE
+    /// is finite. `None` where neither SSE is finite, as on fewer than
+    /// three times: the fit then searches.
+    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+        Some(Box::new(QuadraticDesign {
+            ts,
+            monomials: Monomials::new(ts, 3),
+        }))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -370,6 +361,40 @@ impl ModelFamily for QuadraticFamily {
     }
 }
 
+/// The Quadratic's exact fit at fixed times
+/// ([`QuadraticFamily::exact_design`]).
+struct QuadraticDesign<'a> {
+    ts: &'a [f64],
+    /// `None` on fewer than three distinct times.
+    monomials: Option<Monomials>,
+}
+
+impl ExactDesign for QuadraticDesign<'_> {
+    /// The interior solve, else the boundary optimum.
+    fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        let (ts, family) = (self.ts, &QuadraticFamily);
+        let interior = self.monomials.as_ref().and_then(|m| {
+            let mut c = m.coefficients(ys)?;
+            let (alpha, beta, gamma) = (c[0], c[1], c[2]);
+            if !(alpha > 0.0 && gamma > 0.0) {
+                return None;
+            }
+            let s = -beta / (2.0 * (alpha * gamma).sqrt());
+            (s > S_MIN && s < S_MAX).then(|| {
+                c.copy_from_slice(&QuadraticFamily::internal(alpha, s, gamma));
+                c
+            })
+        });
+        interior
+            .and_then(|internal| super::solved(family, ts, ys, internal))
+            .or_else(|| {
+                let internal = family.boundary_optimum(ts, ys)?;
+                super::solved(family, ts, ys, internal.to_vec())
+            })
+            .map(Ok)
+    }
+}
+
 /// Where the search of the surface for its trough `ρ = r/T` stops: beyond
 /// it the curve is the constant the face already offers, and `(u − ρ)⁴`
 /// is still finite.
@@ -380,8 +405,8 @@ impl QuadraticFamily {
     /// bathtub cone `K = {α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, as the internal point
     /// of its nearest representable neighbour (DESIGN.md §11, "The bathtub
     /// cone's boundary"): the optimum over the cone's boundary whatever the
-    /// data, which [`ModelFamily::exact_optimum`] takes where the
-    /// unconstrained optimum is not a bathtub. `None` on fewer than three
+    /// data, which the exact fit ([`ModelFamily::exact_design`]) takes where
+    /// the unconstrained optimum is not a bathtub. `None` on fewer than three
     /// times or lengths that disagree.
     ///
     /// When the unconstrained optimum lies outside `K`, the optimum lies on

@@ -9,7 +9,8 @@
 //! scenarios" the paper's abstract calls for. DESIGN.md §5 tracks this as
 //! an extension experiment.
 
-use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
+use super::Monomials;
+use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::poly::Polynomial;
@@ -131,12 +132,14 @@ impl ModelFamily for QuarticFamily {
     }
 
     /// All five coefficients are linear and unconstrained, so a fit is
-    /// their least-squares solve over `1, t, …, t⁴` by Householder QR,
-    /// whose SSE must be finite. `None` on fewer than five distinct times,
-    /// where the design is rank deficient: the fit then searches.
-    fn exact_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
-        let internal = super::polynomial_least_squares(ts, ys, 5)?;
-        super::solved(self, ts, ys, internal).map(Ok)
+    /// their least-squares solve over `1, t, …, t⁴`, whose Householder
+    /// factorization the design holds. `None` on fewer than five distinct
+    /// times, where the design is rank deficient: the fit then searches.
+    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+        Some(Box::new(QuarticDesign {
+            ts,
+            monomials: Monomials::new(ts, 5)?,
+        }))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -160,6 +163,20 @@ impl ModelFamily for QuarticFamily {
     /// could offer fails too.
     fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
         vec![vec![series.nominal(), 0.0, 0.0, 0.0, 0.0]]
+    }
+}
+
+/// The Quartic's exact fit at fixed times ([`ModelFamily::exact_design`]).
+struct QuarticDesign<'a> {
+    ts: &'a [f64],
+    monomials: Monomials,
+}
+
+impl ExactDesign for QuarticDesign<'_> {
+    /// The least-squares coefficients, where they and their SSE are finite.
+    fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        let internal = self.monomials.coefficients(ys)?;
+        super::solved(&QuarticFamily, self.ts, ys, internal).map(Ok)
     }
 }
 

@@ -9,15 +9,16 @@
 //! where the fit constrains the curve weakly (extrapolation beyond the
 //! training window) — exactly the region the predictive metrics use.
 
-use crate::fit::{fit_from, fit_least_squares_with, FitConfig};
+use crate::fit::{fit_from, fit_least_squares_with, guarded_params, FitConfig};
 use crate::model::ModelFamily;
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::CounterId;
-use resilience_optim::parallel::run_indexed_catch;
+use resilience_optim::parallel::{catch_job, run_each};
 use resilience_optim::{Control, Parallelism};
-use resilience_stats::describe::quantile_sorted;
+use resilience_stats::describe::quantile_select;
 use resilience_stats::XorShift64;
+use std::sync::Mutex;
 
 /// A pointwise bootstrap *prediction* band: each limit reflects both
 /// parameter uncertainty (replicate refits) and observation noise (a
@@ -121,12 +122,16 @@ impl Default for BootstrapConfig {
 /// evaluated at every observation time.
 ///
 /// The base fit uses `base_config`. Each replicate refits a synthetic
-/// series (the fitted curve plus resampled residuals) with the same
-/// configuration, serially, from the base optimum, and with its
-/// Nelder–Mead iterations capped at 800 (times the family's
-/// [`ModelFamily::nm_iteration_scale`]). A replicate whose refit errors,
-/// panics (isolated at the job boundary) or predicts a non-finite value
-/// counts as failed and is left out of the band.
+/// series (the fitted curve plus resampled residuals). A family with an
+/// exact fit ([`ModelFamily::exact_design`]) builds its design once, at
+/// the series' times, and each replicate takes the design's optimum of its
+/// values, under the fit's guard. Otherwise, or where the design gives no
+/// optimum, the replicate refits with the same configuration, serially,
+/// from the base optimum, and with its Nelder–Mead iterations capped at
+/// 800 (times the family's [`ModelFamily::nm_iteration_scale`]). A
+/// replicate whose refit errors, panics (isolated at the replicate) or
+/// predicts a non-finite value counts as failed and is left out of the
+/// band.
 ///
 /// # Errors
 ///
@@ -178,8 +183,8 @@ pub fn bootstrap_band_with(
     let n = series.len();
     // The base fit is observed: its solver trace anchors the log.
     let base = fit_least_squares_with(family, series, base_config, &control)?;
-    let times = series.times().to_vec();
-    let fitted = base.model.predict_many(&times);
+    let times = series.times();
+    let fitted = base.model.predict_many(times);
     let residuals: Vec<f64> = series
         .values()
         .iter()
@@ -187,63 +192,93 @@ pub fn bootstrap_band_with(
         .map(|(y, f)| y - f)
         .collect();
 
+    // Every replicate fits the same times, so an exact family's design is
+    // the band's.
+    let design = family.exact_design(times);
     // Replicate refits always start at the base optimum, and run
     // serially — the fan-out happens across replicates, not inside them.
     let mut refit_config = base_config.clone();
     refit_config.max_iterations = REFIT_MAX_ITERATIONS;
     refit_config.parallelism = Parallelism::Serial;
     let base_optimum = std::slice::from_ref(&base.params);
-    // Each replicate owns a counter-derived RNG stream, so its draws are a
-    // pure function of (seed, replicate index): replicates can run on any
+    // Replicate `rep` fills `row` with its predictions, or returns `None`
+    // when it fails. It owns a counter-derived RNG stream, so its draws are
+    // a pure function of (seed, replicate index): replicates can run on any
     // thread, in any order, and still produce the same band.
-    let outcomes = run_indexed_catch(
-        config.parallelism,
-        config.replicates,
-        |rep| -> Option<Vec<f64>> {
-            let mut rng = XorShift64::stream(config.seed, rep as u64);
-            let synth_values: Vec<f64> = (0..n)
-                .map(|i| fitted[i] + residuals[rng.next_index(n)])
-                .collect();
-            let synth = PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
-            let fit = fit_from(
-                family,
-                &synth,
-                Some(base_optimum),
-                None,
-                &refit_config,
-                &Control::unbounded(),
-            )
-            .ok()?;
-            let mut preds = vec![0.0; n];
-            fit.model.predict_into(&times, &mut preds);
-            for p in &mut preds {
-                // Prediction band: parameter uncertainty (the refit) plus
-                // observation noise (one more residual draw) — the bootstrap
-                // analogue of the paper's Eq. 13 band, which also targets
-                // observations rather than the mean curve.
-                *p += residuals[rng.next_index(n)];
-            }
-            // Guard layer (DESIGN.md §8): a replicate whose refit produced
-            // a non-finite prediction counts as failed — it must not reach
-            // the quantile computation, which would otherwise reject the
-            // entire band over one bad replicate.
-            if preds.iter().any(|p| !p.is_finite()) {
-                return None;
-            }
-            Some(preds)
-        },
-    );
-    let mut predictions = Vec::with_capacity(config.replicates);
-    let mut failed = 0;
-    for outcome in outcomes {
-        match outcome {
-            Ok(Some(preds)) => predictions.push(preds),
-            // Refit failure and replicate panic degrade identically: one
-            // failed replicate, never a lost band.
-            Ok(None) | Err(_) => failed += 1,
+    let replicate = |rep: usize, row: &mut [f64]| -> Option<()> {
+        let mut rng = XorShift64::stream(config.seed, rep as u64);
+        // The synthetic series' values, in the row its predictions replace.
+        for (y, f) in row.iter_mut().zip(&fitted) {
+            *y = f + residuals[rng.next_index(n)];
         }
-    }
-    let ok = config.replicates - failed;
+        // As `PerformanceSeries::new` would reject them.
+        if row.iter().any(|y| !y.is_finite()) {
+            return None;
+        }
+        match design.as_ref().and_then(|design| design.optimum(row)) {
+            // The exact fit's point under its guard; a family predicts from
+            // exactly the parameters it would build a model from.
+            Some(exact) => {
+                let exact = exact.ok()?;
+                let params = guarded_params(family, &exact.internal, exact.sse).ok()?;
+                family
+                    .predict_params_into(&params, times, row)
+                    .then_some(())?;
+            }
+            None => {
+                let synth = PerformanceSeries::new(series.name(), times.to_vec(), row.to_vec());
+                let fit = fit_from(
+                    family,
+                    &synth.ok()?,
+                    Some(base_optimum),
+                    None,
+                    &refit_config,
+                    &Control::unbounded(),
+                )
+                .ok()?;
+                fit.model.predict_into(times, row);
+            }
+        }
+        for p in row.iter_mut() {
+            // Prediction band: parameter uncertainty (the refit) plus
+            // observation noise (one more residual draw) — the bootstrap
+            // analogue of the paper's Eq. 13 band, which also targets
+            // observations rather than the mean curve.
+            *p += residuals[rng.next_index(n)];
+        }
+        // Guard layer (DESIGN.md §8): a replicate whose refit produced a
+        // non-finite prediction counts as failed — it must not reach the
+        // quantile computation, which would otherwise reject the entire
+        // band over one bad replicate.
+        row.iter().all(|p| p.is_finite()).then_some(())
+    };
+    // One row of `n` predictions per replicate, in one buffer, with whether
+    // the replicate succeeded. Each replicate locks only its own row.
+    let mut predictions = vec![0.0; n * config.replicates];
+    let rows: Vec<Mutex<(&mut [f64], bool)>> = predictions
+        .chunks_exact_mut(n)
+        .map(|row| Mutex::new((row, false)))
+        .collect();
+    run_each(config.parallelism, config.replicates, |rep| {
+        let mut slot = rows[rep]
+            .lock()
+            .expect("replicates catch their panics, so no row is poisoned");
+        let (row, ok) = &mut *slot;
+        // Refit failure and replicate panic degrade identically: one failed
+        // replicate, never a lost band.
+        *ok = catch_job(rep, || replicate(rep, row).is_some()).unwrap_or(false);
+    });
+    let rows: Vec<&[f64]> = rows
+        .into_iter()
+        .filter_map(|slot| {
+            let (row, ok) = slot
+                .into_inner()
+                .expect("replicates catch their panics, so no row is poisoned");
+            ok.then_some(&*row)
+        })
+        .collect();
+    let ok = rows.len();
+    let failed = config.replicates - ok;
     control.count(CounterId::BootstrapReplicatesOk, ok as u64);
     control.count(CounterId::BootstrapReplicatesFailed, failed as u64);
 
@@ -258,19 +293,22 @@ pub fn bootstrap_band_with(
     }
     let mut lower = Vec::with_capacity(n);
     let mut upper = Vec::with_capacity(n);
-    let mut values = Vec::with_capacity(ok);
+    let (mut values, mut scratch) = (Vec::with_capacity(ok), Vec::with_capacity(ok));
     for i in 0..n {
-        // The replicates' predictions at time i, in replicate order. Each is
-        // finite (the guard above), so one stable sort, the one `quantile`
-        // gives its copy, serves both percentiles.
+        // The replicates' predictions at time i, in replicate order, each
+        // finite (the guard above): each limit selects the order statistics
+        // it reads.
         values.clear();
-        values.extend(predictions.iter().map(|preds| preds[i]));
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite replicate predictions"));
-        lower.push(quantile_sorted(&values, config.alpha / 2.0)?);
-        upper.push(quantile_sorted(&values, 1.0 - config.alpha / 2.0)?);
+        values.extend(rows.iter().map(|row| row[i]));
+        lower.push(quantile_select(&values, config.alpha / 2.0, &mut scratch)?);
+        upper.push(quantile_select(
+            &values,
+            1.0 - config.alpha / 2.0,
+            &mut scratch,
+        )?);
     }
     Ok(BootstrapBand {
-        times,
+        times: times.to_vec(),
         center: fitted,
         lower,
         upper,

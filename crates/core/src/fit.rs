@@ -10,7 +10,7 @@
 //! §11): the Quadratic and the Quartic, linear in every coefficient, are
 //! one least-squares solve each, and Competing Risks, linear in all but
 //! `β`, is one deterministic profile over `ln β`
-//! ([`ModelFamily::exact_optimum`]).
+//! ([`ModelFamily::exact_design`]).
 
 use crate::guard::{self, Violation};
 use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
@@ -395,7 +395,7 @@ pub fn fit_least_squares(
 /// The fit runs its three phases in a row: the plan (an exact fit, or
 /// the starts), every start in one [`multi_start`] pool of
 /// `config.parallelism` threads, and the finish (reduce, lift, polish,
-/// guard). An exact fit ([`ModelFamily::exact_optimum`]) skips the search
+/// guard). An exact fit ([`ModelFamily::exact_design`]) skips the search
 /// and the polish, and its finish polls the control once before it counts
 /// and logs its work (DESIGN.md §11, "Exact fits"): the Quadratic and the
 /// Quartic are one solve each, and Competing Risks is one profile over
@@ -490,10 +490,12 @@ impl<'a> FitPlan<'a> {
     /// The plan phase: an exact fit, or the warm probe and the cold
     /// starts.
     ///
-    /// A family with an exact fit ([`ModelFamily::exact_optimum`]) takes
-    /// it: the plan logs its `fit_started` with zero starts and computes
-    /// no guesses, and the family's error is the plan's. A family without
-    /// one logs and counts nothing here, and the fit searches.
+    /// A family with an exact fit ([`ModelFamily::exact_design`]) builds
+    /// its design at the series' times and takes the design's optimum of
+    /// its values: the plan logs its `fit_started` with zero starts and
+    /// computes no guesses, and the family's error is the plan's. A family
+    /// without one, or whose design gives no optimum, logs and counts
+    /// nothing here, and the fit searches.
     ///
     /// Otherwise a `warm` point (external parameters, typically a previous
     /// optimum in the same basin) is probed first: one serial Nelder–Mead
@@ -545,7 +547,10 @@ impl<'a> FitPlan<'a> {
             starts: Vec::new(),
             dim: 0,
         };
-        if let Some(exact) = family.exact_optimum(series.times(), series.values()) {
+        if let Some(exact) = family
+            .exact_design(series.times())
+            .and_then(|design| design.optimum(series.values()))
+        {
             plan.exact = Some(exact?);
             if traced {
                 control.emit(Event::FitStarted {
@@ -816,6 +821,32 @@ impl<'a> FitPlan<'a> {
     }
 }
 
+/// The guard of a fit's winner at the internal point `internal`, whose SSE
+/// is `sse` (DESIGN.md §8): the SSE and the external parameters must be
+/// finite. Returns the parameters, which the fit then builds its model
+/// from; a bootstrap replicate predicts from them directly.
+///
+/// The optimizer can only hand back a finite SSE because the objective
+/// maps off-domain points to +∞, but a regression anywhere in that chain
+/// would otherwise leak NaN into every downstream table. Fail loudly
+/// instead.
+pub(crate) fn guarded_params(
+    family: &dyn ModelFamily,
+    internal: &[f64],
+    sse: f64,
+) -> Result<Vec<f64>, CoreError> {
+    if !sse.is_finite() {
+        return Err(CoreError::guard(
+            "fit_least_squares",
+            Violation::NonFiniteOutput,
+            format!("final SSE for {} is {sse}", family.name()),
+        ));
+    }
+    let params = family.internal_to_params(internal);
+    guard::finite_outputs(family.name(), &params)?;
+    Ok(params)
+}
+
 /// A fit's last step: guards the winner, builds its model and closes the
 /// fit span.
 fn finished(
@@ -827,19 +858,7 @@ fn finished(
     total_evaluations: usize,
     converged: bool,
 ) -> Result<FittedModel, CoreError> {
-    // Guard layer (DESIGN.md §8): the optimizer can only hand back a
-    // finite SSE because the objective maps off-domain points to +∞, but
-    // a regression anywhere in that chain would otherwise leak NaN into
-    // every downstream table. Fail loudly instead.
-    if !sse.is_finite() {
-        return Err(CoreError::guard(
-            "fit_least_squares",
-            Violation::NonFiniteOutput,
-            format!("final SSE for {} is {sse}", family.name()),
-        ));
-    }
-    let params = family.internal_to_params(&internal);
-    guard::finite_outputs(family.name(), &params)?;
+    let params = guarded_params(family, &internal, sse)?;
     let model = family.build(&params)?;
     if control.observed() {
         // The fit span closes here; `evaluations` is the winning start
@@ -1321,7 +1340,9 @@ mod tests {
         let fit = fit.unwrap();
         let family = "Competing Risks";
         let profile = CompetingRisksFamily
-            .exact_optimum(s.times(), s.values())
+            .exact_design(s.times())
+            .unwrap()
+            .optimum(s.values())
             .unwrap()
             .unwrap()
             .profile

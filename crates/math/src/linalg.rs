@@ -5,8 +5,9 @@
 //! normal equations `(JᵀJ + λ diag(JᵀJ)) δ = Jᵀr` at every step; the
 //! resilience models have 2–5 parameters, so a simple dense implementation
 //! with partial pivoting is both sufficient and easy to audit. The fits
-//! that solve linear coefficients exactly, and the polynomial fit that
-//! seeds the quadratic search, go through [`least_squares_qr`].
+//! that solve linear coefficients exactly go through [`least_squares_qr`],
+//! or through its two halves, [`qr_factor`] and [`qr_solve`], where many
+//! right-hand sides share one design.
 
 use crate::MathError;
 
@@ -326,17 +327,21 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The most columns [`least_squares_qr`] solves for. The resilience models
+/// have 2–5 coefficients.
+const LEAST_SQUARES_MAX_COLUMNS: usize = 8;
+
 /// Linear least squares by Householder QR: the `x` that minimizes
 /// `‖b − A·x‖₂` for the `n × k` matrix `A` stored column by column in `a`
 /// (column `j` is `a[j·n .. (j + 1)·n]`), where `n = b.len()`. As in
 /// LAPACK's `gels`, the solution overwrites `b[..k]`; `b[k..]` holds the
 /// residual rotated by `Qᵀ`, and the returned value is its sum of squares,
-/// summed with compensation. `a` is overwritten with `R` and scratch.
+/// summed with compensation. `a` is overwritten with the factorization.
 ///
-/// Returns `None`, leaving `a` and `b` unspecified, when `k = 0`,
-/// `a.len() ≠ n·k`, `n < k`, a result is not finite, or `A` is rank
-/// deficient: some column keeps no more than `n·ε` of its norm once the
-/// columns before it are projected out.
+/// This is [`qr_factor`] followed by [`qr_solve`]; a design that several
+/// right-hand sides share is factored once and solved for each. Returns
+/// `None`, leaving `a` and `b` unspecified, where either does, and when
+/// `k` exceeds 8 (it keeps `R`'s diagonal on the stack).
 ///
 /// Householder QR is backward stable column by column and exactly
 /// equivariant under power-of-two column scaling, so it needs no rescaled
@@ -355,7 +360,25 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// assert!((sse - 0.06).abs() < 1e-12);
 /// ```
 pub fn least_squares_qr(a: &mut [f64], b: &mut [f64], k: usize) -> Option<f64> {
-    let n = b.len();
+    let mut diag = [0.0; LEAST_SQUARES_MAX_COLUMNS];
+    let diag = diag.get_mut(..k)?;
+    qr_factor(a, b.len(), diag)?;
+    qr_solve(a, diag, b)
+}
+
+/// The Householder QR factorization of the `n × k` matrix `A` stored
+/// column by column in `a` (column `j` is `a[j·n .. (j + 1)·n]`), where
+/// `k = diag.len()`, in place: the half of [`least_squares_qr`] that
+/// depends on `A` alone. Column `j` keeps `R`'s entries above the diagonal
+/// in its rows `..j` and its reflector `v_j` in its rows `j..`, and
+/// `diag[j] = R_jj`. [`qr_solve`] applies it to a right-hand side.
+///
+/// Returns `None`, leaving `a` and `diag` unspecified, when `k = 0`,
+/// `a.len() ≠ n·k`, `n < k`, a column is not finite, or `A` is rank
+/// deficient: some column keeps no more than `n·ε` of its norm once the
+/// columns before it are projected out. Allocates nothing.
+pub fn qr_factor(a: &mut [f64], n: usize, diag: &mut [f64]) -> Option<()> {
+    let k = diag.len();
     if k == 0 || n < k || a.len() != n * k {
         return None;
     }
@@ -369,31 +392,41 @@ pub fn least_squares_qr(a: &mut [f64], b: &mut [f64], k: usize) -> Option<f64> {
             return None;
         }
         // The reflector `v = column[j..] − α·e₁`, with `α` of the opposite
-        // sign to `column[j]` so that forming `v` cancels nothing. Once it
-        // has reflected the later columns and `b`, its first slot keeps
-        // `R_jj = α` for the back substitution.
+        // sign to `column[j]` so that forming `v` cancels nothing.
         let alpha = if column[j] < 0.0 { below } else { -below };
         column[j] -= alpha;
-        let scale = -1.0 / (alpha * column[j]);
         let v = &column[j..];
-        let reflect = |target: &mut [f64]| {
-            let s = scale * v.iter().zip(target.iter()).map(|(p, q)| p * q).sum::<f64>();
-            for (t, p) in target.iter_mut().zip(v) {
-                *t -= s * p;
-            }
-        };
         for later in rest.chunks_exact_mut(n) {
-            reflect(&mut later[j..]);
+            reflect(v, alpha, &mut later[j..]);
         }
-        reflect(&mut b[j..]);
-        column[j] = alpha;
+        diag[j] = alpha;
+    }
+    Some(())
+}
+
+/// The least-squares solve of [`least_squares_qr`] for the right-hand
+/// side `b` (`n = b.len()`), over the factorization [`qr_factor`] left in
+/// `a` and `diag`: the solution overwrites `b[..k]`, `b[k..]` holds the
+/// residual rotated by `Qᵀ`, and the returned value is its sum of squares,
+/// summed with compensation. The factorization is only read, so any number
+/// of right-hand sides can share it.
+///
+/// Returns `None`, leaving `b` unspecified, when the shapes disagree (as
+/// in [`qr_factor`]) or a result is not finite. Allocates nothing.
+pub fn qr_solve(a: &[f64], diag: &[f64], b: &mut [f64]) -> Option<f64> {
+    let (n, k) = (b.len(), diag.len());
+    if k == 0 || n < k || a.len() != n * k {
+        return None;
+    }
+    for (j, &alpha) in diag.iter().enumerate() {
+        reflect(&a[j * n + j..(j + 1) * n], alpha, &mut b[j..]);
     }
     for j in (0..k).rev() {
         let mut acc = b[j];
         for l in j + 1..k {
             acc -= a[l * n + j] * b[l];
         }
-        b[j] = acc / a[j * n + j];
+        b[j] = acc / diag[j];
     }
     let mut sse = crate::sum::CompensatedSum::new();
     for r in &b[k..] {
@@ -401,6 +434,17 @@ pub fn least_squares_qr(a: &mut [f64], b: &mut [f64], k: usize) -> Option<f64> {
     }
     let sse = sse.value();
     (sse.is_finite() && b[..k].iter().all(|v| v.is_finite())).then_some(sse)
+}
+
+/// Reflects `target` by the Householder reflector `v` whose diagonal entry
+/// of `R` is `alpha`: `target −= v·(vᵀ·target)·2/‖v‖²`, where
+/// `‖v‖² = −2·α·v₀`.
+fn reflect(v: &[f64], alpha: f64, target: &mut [f64]) {
+    let scale = -1.0 / (alpha * v[0]);
+    let s = scale * v.iter().zip(target.iter()).map(|(p, q)| p * q).sum::<f64>();
+    for (t, p) in target.iter_mut().zip(v) {
+        *t -= s * p;
+    }
 }
 
 #[cfg(test)]
@@ -564,6 +608,135 @@ mod tests {
         assert!(least_squares_qr(&mut nan, &mut ys.clone(), 2).is_none());
         let mut zero = vec![0.0; 24];
         assert!(least_squares_qr(&mut zero, &mut ys.clone(), 2).is_none());
+    }
+
+    /// The interleaved loop `least_squares_qr` ran before its split into
+    /// [`qr_factor`] and [`qr_solve`]: each reflector reflects the later
+    /// columns and `b` as soon as it is formed. The reference the split
+    /// must match bit for bit.
+    fn interleaved_least_squares_qr(a: &mut [f64], b: &mut [f64], k: usize) -> Option<f64> {
+        let n = b.len();
+        if k == 0 || n < k || a.len() != n * k {
+            return None;
+        }
+        for j in 0..k {
+            let (done, rest) = a.split_at_mut((j + 1) * n);
+            let column = &mut done[j * n..];
+            let full: f64 = column.iter().map(|v| v * v).sum();
+            let below: f64 = column[j..].iter().map(|v| v * v).sum();
+            let (full, below) = (full.sqrt(), below.sqrt());
+            if !(below > n as f64 * f64::EPSILON * full) || !full.is_finite() {
+                return None;
+            }
+            let alpha = if column[j] < 0.0 { below } else { -below };
+            column[j] -= alpha;
+            let scale = -1.0 / (alpha * column[j]);
+            let v = &column[j..];
+            let reflect = |target: &mut [f64]| {
+                let s = scale * v.iter().zip(target.iter()).map(|(p, q)| p * q).sum::<f64>();
+                for (t, p) in target.iter_mut().zip(v) {
+                    *t -= s * p;
+                }
+            };
+            for later in rest.chunks_exact_mut(n) {
+                reflect(&mut later[j..]);
+            }
+            reflect(&mut b[j..]);
+            column[j] = alpha;
+        }
+        for j in (0..k).rev() {
+            let mut acc = b[j];
+            for l in j + 1..k {
+                acc -= a[l * n + j] * b[l];
+            }
+            b[j] = acc / a[j * n + j];
+        }
+        let mut sse = crate::sum::CompensatedSum::new();
+        for r in &b[k..] {
+            sse.add(r * r);
+        }
+        let sse = sse.value();
+        (sse.is_finite() && b[..k].iter().all(|v| v.is_finite())).then_some(sse)
+    }
+
+    /// A seeded stream of uniform draws in `[0, 1)` (xorshift64).
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One factorization solved for several right-hand sides equals the
+    /// interleaved solve of each, bit for bit: the solution, the rotated
+    /// residual and the SSE, and `None` in the same cases. Monomial
+    /// designs `1, t, …, t^{k−1}` with k = 3 and 5 over seeded times,
+    /// including a rank-deficient one (two distinct times) and non-finite
+    /// right-hand sides; `least_squares_qr`, their composition, too.
+    #[test]
+    fn factored_solves_match_the_interleaved_solve_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut refused = 0;
+        for (seed, k) in [(11_u64, 3_usize), (12, 5), (13, 3), (14, 5)] {
+            for n in [3, 5, 24, 48, 96] {
+                let mut draw = uniform(seed * 1000 + n as u64);
+                let mut times: Vec<f64> = (0..n).map(|_| 48.0 * draw()).collect();
+                if seed > 12 {
+                    // Two distinct times: rank deficient for k ≥ 3.
+                    times = (0..n).map(|i| f64::from(u8::from(i % 2 == 0))).collect();
+                }
+                let design: Vec<f64> = (0..k)
+                    .flat_map(|j| times.iter().map(move |t| t.powi(j as i32)))
+                    .collect();
+                let mut factors = design.clone();
+                let mut diag = vec![0.0; k];
+                let factored = qr_factor(&mut factors, n, &mut diag);
+                assert_eq!(
+                    factored.is_some(),
+                    seed <= 12 && n >= k,
+                    "seed {seed}, n = {n}"
+                );
+                let mut rhs: Vec<Vec<f64>> = (0..4)
+                    .map(|_| (0..n).map(|_| 0.9 + 0.1 * draw()).collect())
+                    .collect();
+                rhs[2][n / 2] = f64::NAN;
+                rhs[3][0] = f64::INFINITY;
+                for ys in &rhs {
+                    let mut want = ys.clone();
+                    let want_sse = interleaved_least_squares_qr(&mut design.clone(), &mut want, k);
+                    let mut got = ys.clone();
+                    let got_sse = factored.and_then(|()| qr_solve(&factors, &diag, &mut got));
+                    let mut composed = ys.clone();
+                    let composed_sse = least_squares_qr(&mut design.clone(), &mut composed, k);
+                    let case = format!("seed {seed}, k = {k}, n = {n}");
+                    assert_eq!(
+                        got_sse.map(f64::to_bits),
+                        want_sse.map(f64::to_bits),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        composed_sse.map(f64::to_bits),
+                        want_sse.map(f64::to_bits),
+                        "{case}"
+                    );
+                    if want_sse.is_some() {
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                        assert_eq!(bits(&composed), bits(&want), "{case}");
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        // Two non-finite right-hand sides of each of the 9 full-rank designs,
+        // and all four of the 11 others.
+        assert_eq!(refused, 2 * 9 + 4 * 11);
+        let mut diag = [0.0; 9];
+        assert!(qr_factor(&mut [1.0; 18], 2, &mut diag).is_none());
+        assert!(least_squares_qr(&mut [1.0; 90], &mut [1.0; 10], 9).is_none());
     }
 
     #[test]

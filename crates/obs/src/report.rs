@@ -273,7 +273,8 @@ impl RunReport {
     /// Per-family totals add by family name (preserving this report's
     /// first-seen order, with `other`'s new families appended),
     /// `best_sse` keeps the minimum, and counters and histograms add in
-    /// their canonical id order.
+    /// their canonical id order. Evaluations, iterations and counters
+    /// saturate at `u64::MAX`, as a histogram's sum does.
     pub fn merge(&mut self, other: &RunReport) {
         for of in &other.families {
             match self.families.iter_mut().find(|f| f.name == of.name) {
@@ -281,8 +282,8 @@ impl RunReport {
                     f.fits_started += of.fits_started;
                     f.fits_completed += of.fits_completed;
                     f.converged_fits += of.converged_fits;
-                    f.iterations += of.iterations;
-                    f.evaluations += of.evaluations;
+                    f.iterations = f.iterations.saturating_add(of.iterations);
+                    f.evaluations = f.evaluations.saturating_add(of.evaluations);
                     f.retries += of.retries;
                     f.failed_timeout += of.failed_timeout;
                     f.failed_cancelled += of.failed_cancelled;
@@ -299,7 +300,7 @@ impl RunReport {
         }
         let mut counters = [0u64; CounterId::ALL.len()];
         for (id, v) in self.counters.iter().chain(&other.counters) {
-            counters[id.index()] += v;
+            counters[id.index()] = counters[id.index()].saturating_add(*v);
         }
         self.counters = nonzero_counters(counters);
         let mut histograms: [Histogram; HistogramId::ALL.len()] = Default::default();

@@ -178,9 +178,10 @@ impl FitSpan {
         self.attempts.last_mut().expect("attempt pushed above")
     }
 
-    /// Objective evaluations attributed to the fit (sum over attempts).
+    /// Objective evaluations attributed to the fit (sum over attempts,
+    /// saturating at `u64::MAX`).
     pub fn evaluations(&self) -> u64 {
-        self.attempts.iter().map(|a| a.evaluations).sum()
+        saturating_sum(self.attempts.iter().map(|a| a.evaluations))
     }
 
     /// Retry attempts beyond the first.
@@ -212,9 +213,10 @@ impl CellSpan {
         }
     }
 
-    /// Objective evaluations attributed to the cell (sum over its fits).
+    /// Objective evaluations attributed to the cell (sum over its fits,
+    /// saturating at `u64::MAX`).
     pub fn evaluations(&self) -> u64 {
-        self.fits.iter().map(FitSpan::evaluations).sum()
+        saturating_sum(self.fits.iter().map(FitSpan::evaluations))
     }
 
     /// Retry attempts attributed to the cell.
@@ -247,6 +249,13 @@ pub struct SpanTree {
     /// Histograms with at least one observation, in [`HistogramId::ALL`]
     /// order.
     pub(crate) histograms: Vec<(HistogramId, Histogram)>,
+}
+
+/// The sum of `values`, saturating at `u64::MAX`: the evaluations and
+/// iterations a log carries are parsed input, so their sum can exceed any
+/// `u64`.
+fn saturating_sum(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(0, u64::saturating_add)
 }
 
 /// Builder state while replaying the log.
@@ -314,14 +323,23 @@ impl Builder {
         Some(fit.attempt_mut())
     }
 
+    /// Adds `delta` to counter `id`, saturating at `u64::MAX`: a log's
+    /// deltas are parsed input, so their sum can exceed any `u64`.
+    fn add(&mut self, id: CounterId, delta: u64) {
+        let total = &mut self.counters[id.index()];
+        *total = total.saturating_add(delta);
+    }
+
     /// Charges `evaluations` to the open job's current attempt, which it
-    /// returns, or to the unattributed total outside any job.
+    /// returns, or to the unattributed total outside any job, saturating
+    /// at `u64::MAX`.
     fn charge(&mut self, evaluations: u64) -> Option<&mut AttemptSpan> {
         if self.job.is_none() {
-            self.tree.unattributed_evaluations += evaluations;
+            let total = &mut self.tree.unattributed_evaluations;
+            *total = total.saturating_add(evaluations);
         }
         let attempt = self.attempt_mut()?;
-        attempt.evaluations += evaluations;
+        attempt.evaluations = attempt.evaluations.saturating_add(evaluations);
         Some(attempt)
     }
 
@@ -389,12 +407,14 @@ impl Builder {
                 kind,
                 evaluations,
             } => {
-                self.counters[CounterId::ObjectiveEvals.index()] += evaluations;
-                let stops = match kind {
-                    StopKind::Deadline => CounterId::Timeouts,
-                    StopKind::Cancelled => CounterId::Cancellations,
-                };
-                self.counters[stops.index()] += 1;
+                self.add(CounterId::ObjectiveEvals, evaluations);
+                self.add(
+                    match kind {
+                        StopKind::Deadline => CounterId::Timeouts,
+                        StopKind::Cancelled => CounterId::Cancellations,
+                    },
+                    1,
+                );
                 if let Some(attempt) = self.charge(evaluations) {
                     attempt.stopped = Some(kind);
                     // A solver stopped mid-run writes no `converged` line:
@@ -418,7 +438,7 @@ impl Builder {
                 self.tree.cells[c].quarantined = Some(failures);
             }
             Event::Counter { id, delta } => {
-                self.counters[id.index()] += delta;
+                self.add(id, delta);
                 if id == CounterId::ObjectiveEvals {
                     self.charge(delta);
                 }
@@ -469,15 +489,12 @@ impl SpanTree {
                 }
             };
             let f = &mut families[i];
-            f.evaluations += fit.evaluations();
+            f.evaluations = f.evaluations.saturating_add(fit.evaluations());
             f.retries += fit.retries();
             for attempt in &fit.attempts {
                 f.fits_started += u64::from(attempt.starts.is_some());
-                f.iterations += attempt
-                    .solvers
-                    .iter()
-                    .filter_map(|s| s.iterations)
-                    .sum::<u64>();
+                let iterations = attempt.solvers.iter().filter_map(|s| s.iterations);
+                f.iterations = f.iterations.saturating_add(saturating_sum(iterations));
                 if let Some((sse, converged)) = attempt.finished {
                     f.fits_completed += 1;
                     f.converged_fits += u64::from(converged);
@@ -504,9 +521,11 @@ impl SpanTree {
         self.cells.iter().map(|c| c.fits.len() as u64).sum()
     }
 
-    /// Total objective evaluations attributed anywhere in the tree.
+    /// Total objective evaluations attributed anywhere in the tree,
+    /// saturating at `u64::MAX`.
     pub fn evaluations(&self) -> u64 {
-        self.unattributed_evaluations + self.cells.iter().map(CellSpan::evaluations).sum::<u64>()
+        let cells = self.cells.iter().map(CellSpan::evaluations);
+        saturating_sum(cells).saturating_add(self.unattributed_evaluations)
     }
 
     /// Total retry attempts.

@@ -3,14 +3,15 @@
 //! The fitting pipeline parallelizes three embarrassingly parallel loops:
 //! multi-start optimization (over starts), model ranking (over series ×
 //! family jobs) and bootstrap bands (over replicates), one level at a
-//! time. All three go through [`run_indexed`] or [`run_indexed_catch`],
-//! which run a job-per-index closure on a scoped thread pool and return
-//! results **in index order** — so any reduction over the output is
-//! independent of scheduling, and parallel results are bit-identical to
-//! serial ones.
+//! time. All three go through [`run_indexed`], [`run_indexed_catch`] or
+//! [`run_each`], which run a job-per-index closure on a scoped thread pool
+//! whose results land **in index order** — so any reduction over the
+//! output is independent of scheduling, and parallel results are
+//! bit-identical to serial ones.
 //!
 //! The pool is `std`-only (`std::thread::scope`), keeping the workspace
-//! hermetic: no rayon, no crates.io.
+//! hermetic: no rayon, no crates.io. The calling thread is one of its
+//! workers.
 
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -165,26 +166,31 @@ where
     }
 }
 
-/// The threads of the pool: `threads` scoped workers (the caller's one
+/// The threads of the pool: `threads` workers (the caller's one
 /// [`Parallelism::threads_for`]), each pulling the next index from one
-/// atomic counter until `jobs` run out. `job` must not panic: every caller
-/// catches inside it, which also keeps a panic's payload intact, where
-/// `std::thread::scope` would replace it with "a scoped thread panicked".
+/// atomic counter until `jobs` run out. The calling thread is one of them,
+/// beside `threads − 1` scoped threads, so it works rather than waits for
+/// them. `job` must not panic: every caller catches inside it, which also
+/// keeps a panic's payload intact, where `std::thread::scope` would
+/// replace it with "a scoped thread panicked" and the caller's own loop
+/// would unwind before joining the others.
 fn workers<F>(threads: usize, jobs: usize, job: F)
 where
     F: Fn(usize) + Sync,
 {
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                job(i);
-            });
+    let pull = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
+        job(i);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(pull);
+        }
+        pull();
     });
 }
 

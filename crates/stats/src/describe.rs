@@ -113,6 +113,14 @@ pub fn centered_sum_of_squares(values: &[f64]) -> Result<f64, StatsError> {
 /// # Ok::<(), resilience_stats::StatsError>(())
 /// ```
 pub fn quantile(values: &[f64], q: f64) -> Result<f64, StatsError> {
+    check_quantile(values, q)?;
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after check"));
+    quantile_sorted(&sorted, q)
+}
+
+/// The errors of [`quantile`], in its order.
+fn check_quantile(values: &[f64], q: f64) -> Result<(), StatsError> {
     if values.is_empty() {
         return Err(StatsError::NotEnoughData {
             what: "quantile",
@@ -134,9 +142,73 @@ pub fn quantile(values: &[f64], q: f64) -> Result<f64, StatsError> {
             constraint: "no NaN values",
         });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after check"));
-    quantile_sorted(&sorted, q)
+    Ok(())
+}
+
+/// [`quantile`] by selection instead of a sort: `scratch` takes a copy of
+/// `values`, in which only the one or two order statistics that
+/// [`quantile_sorted`] interpolates between are put in place, in linear
+/// time. The result is [`quantile`]'s, bit for bit. Its stable sort keeps
+/// equal values in their order, which shows only in the sign of a zero, so
+/// a zero read at a rank takes the sign of the zero the stable sort puts
+/// there.
+///
+/// # Errors
+///
+/// Same conditions as [`quantile`].
+///
+/// # Examples
+///
+/// ```
+/// use resilience_stats::describe::{quantile, quantile_select};
+/// // Sorted stably: [0.0, −0.0, −0.0, 1.0, 4.0].
+/// let values = [4.0, 0.0, -0.0, 1.0, -0.0];
+/// let mut scratch = Vec::new();
+/// let q = quantile_select(&values, 0.5, &mut scratch)?;
+/// assert_eq!(q.to_bits(), quantile(&values, 0.5)?.to_bits());
+/// assert!(q == 0.0 && q.is_sign_negative());
+/// # Ok::<(), resilience_stats::StatsError>(())
+/// ```
+pub fn quantile_select(values: &[f64], q: f64, scratch: &mut Vec<f64>) -> Result<f64, StatsError> {
+    check_quantile(values, q)?;
+    let h = q * (values.len() - 1) as f64;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    scratch.clear();
+    scratch.extend_from_slice(values);
+    let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN after check");
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, order);
+    let at_lo = stable_zero(values, lo, at_lo);
+    if lo == hi {
+        return Ok(at_lo);
+    }
+    // Everything above rank `lo` is at least its value, so rank `hi = lo + 1`
+    // holds their least.
+    let at_hi = above
+        .iter()
+        .copied()
+        .min_by(order)
+        .expect("rank hi lies above rank lo");
+    let at_hi = stable_zero(values, hi, at_hi);
+    let frac = h - lo as f64;
+    Ok(at_lo * (1.0 - frac) + at_hi * frac)
+}
+
+/// The value a stable sort of `values` by `partial_cmp` puts at `rank`,
+/// given the value `v` that belongs there: `v` itself, unless it is a zero,
+/// which then has the sign of the `(rank − b)`-th zero of `values` in their
+/// order, where `b` values lie below zero.
+fn stable_zero(values: &[f64], rank: usize, v: f64) -> f64 {
+    if v != 0.0 {
+        return v;
+    }
+    let below = values.iter().filter(|x| **x < 0.0).count();
+    values
+        .iter()
+        .copied()
+        .filter(|x| *x == 0.0)
+        .nth(rank - below)
+        .expect("a zero's rank lies among the zeros")
 }
 
 /// [`quantile`] of values already sorted ascending, as [`quantile`] sorts
@@ -229,6 +301,33 @@ pub fn autocorrelation(values: &[f64], k: usize) -> Result<f64, StatsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::XorShift64;
+
+    /// Selection reads the quantile [`quantile`]'s stable sort does, sign
+    /// bit included: seeded samples drawn from a few values, so that most
+    /// ranks are ties, among them `−0.0` and `+0.0` in a mixed order.
+    #[test]
+    fn quantile_select_matches_the_stable_sort_bit_for_bit() {
+        let pool = [-1.5, -0.0, 0.0, 0.25, 0.25, 1.0, -0.0, 0.0];
+        let mut scratch = Vec::new();
+        let mut zero_reads = 0;
+        for seed in 0..40 {
+            let mut rng = XorShift64::stream(0x005E_1EC7, seed);
+            for m in [1, 2, 20, 21, 200] {
+                let values: Vec<f64> = (0..m).map(|_| pool[rng.next_index(pool.len())]).collect();
+                for q in [0.0, 0.025, 0.5, 0.975, 1.0] {
+                    let want = quantile(&values, q).unwrap();
+                    let got = quantile_select(&values, q, &mut scratch).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{values:?} at {q}");
+                    zero_reads += usize::from(want == 0.0);
+                }
+            }
+        }
+        assert!(zero_reads > 50, "{zero_reads}");
+        assert!(quantile_select(&[], 0.5, &mut scratch).is_err());
+        assert!(quantile_select(&[1.0], 1.5, &mut scratch).is_err());
+        assert!(quantile_select(&[1.0, f64::NAN], 0.5, &mut scratch).is_err());
+    }
 
     #[test]
     fn mean_basic_and_empty() {

@@ -58,7 +58,7 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 #   and replays their buffers in start order), the median evals-per-fit
 #   and each of the six families' evaluations under the ceilings
 #   recorded in the bench binary -> BENCH_fitting.json;
-# * bootstrap_band on 1990-93: serial vs Fixed(2) bit-identical ->
+# * bootstrap_band on 1990-93: serial vs Fixed(2) and Fixed(3) bit-identical ->
 #   BENCH_bootstrap.json;
 # * the canonical scenario set generates and ranks deterministically;
 # * the 64-cell CI fleet runs as two triples (serial x2, Fixed(2)), one

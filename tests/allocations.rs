@@ -11,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
+use resilience_core::bootstrap::{bootstrap_band, BootstrapConfig};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
 use resilience_core::fit::{
     fit_least_squares, fit_least_squares_with, solve_linear_coefficient, FitConfig,
@@ -260,11 +261,14 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
         .iter()
         .map(|t| 0.8 / (1.0 + 0.3 * t) + 0.01 * t)
         .collect();
+    let design = CompetingRisksFamily
+        .exact_design(times)
+        .expect("Competing Risks has a design");
     let profile = |ys: &[f64]| {
         let mut evaluations = 0;
         let delta = min_delta(3, || {
-            let exact = CompetingRisksFamily
-                .exact_optimum(times, ys)
+            let exact = design
+                .optimum(ys)
                 .expect("Competing Risks profiles")
                 .expect("a finite profile");
             assert!(exact.internal.iter().all(|u| *u > -100.0), "{exact:?}");
@@ -279,6 +283,31 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
         "evaluations {} and {} allocate differently",
         a.0, b.0
     );
+}
+
+/// A serial 200-replicate Quadratic band on 1990-93 allocates 1 169 times
+/// (counted when this test was written; 2 528 before the replicates shared
+/// one factored design and one buffer of predictions): ~5.8 per replicate,
+/// the base fit and the band's buffers included. The bound is 1.5× that
+/// count, so replicates that build a series, a fit or a prediction vector
+/// each again fail it.
+#[test]
+fn serial_quadratic_band_allocations_are_bounded() {
+    let series = Recession::R1990_93.payroll_index();
+    let fit_config = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..FitConfig::default()
+    };
+    let band_config = BootstrapConfig {
+        parallelism: Parallelism::Serial,
+        ..BootstrapConfig::default()
+    };
+    let delta = min_delta(3, || {
+        let band =
+            bootstrap_band(&QuadraticFamily, &series, &fit_config, &band_config).expect("the band");
+        assert_eq!(band.replicates, 200);
+    });
+    assert!(delta <= 1_750, "a serial band allocated {delta} times");
 }
 
 /// The Nelder–Mead iteration loop allocates nothing: a fit capped at 5×

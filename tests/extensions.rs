@@ -3,8 +3,8 @@
 //! diagnostics — each exercised end to end on the recession data.
 
 use resilience_core::analysis::evaluate_model;
-use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
-use resilience_core::bootstrap::{bootstrap_band, BootstrapConfig};
+use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
+use resilience_core::bootstrap::{bootstrap_band, BootstrapBand, BootstrapConfig};
 use resilience_core::diagnostics::residual_diagnostics;
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
 use resilience_core::fit::{fit_least_squares, FitConfig};
@@ -99,12 +99,24 @@ fn bootstrap_band_end_to_end() {
     assert!(coverage >= 0.8, "coverage = {coverage}");
 }
 
+/// The FNV-1a digest (offset 0xcbf29ce484222325, prime 0x100000001b3)
+/// of a band's bounds: the little-endian bytes of each bound's bits,
+/// `lower` then `upper`.
+fn band_digest(band: &BootstrapBand) -> u64 {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in band.lower.iter().chain(&band.upper) {
+        for b in v.to_bits().to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
 /// The 60-replicate Wei-Wei band on the W-shaped 1980 curve: its
 /// replicates' Nelder–Mead walks hit the refit's 800-iteration cap, so
 /// the band moves with the cap (at 600 its bits differ). It is the same
-/// at `Fixed(2)` as serially, and its bounds keep the FNV-1a digest
-/// (offset 0xcbf29ce484222325, prime 0x100000001b3, over the
-/// little-endian bytes of each bound's bits, `lower` then `upper`)
+/// at `Fixed(2)` as serially, and its bounds keep the [`band_digest`]
 /// recorded when the cap was a `BootstrapConfig` setting.
 #[test]
 fn wei_wei_band_on_1980_keeps_the_refit_iteration_cap() {
@@ -125,14 +137,73 @@ fn wei_wei_band_on_1980_keeps_the_refit_iteration_cap() {
     let serial = band(Parallelism::Serial);
     assert_eq!(band(Parallelism::Fixed(2)), serial);
     assert_eq!(serial.replicates, 60);
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in serial.lower.iter().chain(&serial.upper) {
-        for b in v.to_bits().to_le_bytes() {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    let digest = band_digest(&serial);
+    assert_eq!(digest, 0x82f6_ab28_f8d1_4e84, "digest {digest:#018x}");
+}
+
+/// The default 200-replicate band of each exact family on each of the 7
+/// recessions: every replicate succeeds, and the bounds keep the
+/// [`band_digest`] recorded at commit 587d147, before a band's replicates
+/// shared one factored design, serially and at `Fixed(2)`. On 1990-93, 39
+/// of the Quadratic's 200 replicates land on the bathtub cone's boundary.
+#[test]
+fn exact_family_bands_keep_their_digests() {
+    let digests: [(&dyn ModelFamily, [u64; 7]); 3] = [
+        (
+            &QuadraticFamily,
+            [
+                0x6e78_5440_778e_70fd,
+                0x14c5_1dde_3449_38af,
+                0x9102_6dd6_786c_d1d9,
+                0x694d_6971_a7fc_dea4,
+                0xbde2_9474_7ce9_9da5,
+                0x4dc6_40d7_aa05_2168,
+                0x6019_2c1c_a414_dac8,
+            ],
+        ),
+        (
+            &QuarticFamily,
+            [
+                0x5a4a_08f3_7698_61c9,
+                0x21de_36b4_2b4a_aa3f,
+                0x1817_f289_d521_5e6d,
+                0x3752_58f9_60f3_0ff4,
+                0xb257_ea76_acb1_56dd,
+                0x7329_b6f4_3e31_6f61,
+                0xed8f_89f7_672f_640b,
+            ],
+        ),
+        (
+            &CompetingRisksFamily,
+            [
+                0x86e4_cb51_2455_aefd,
+                0xb09a_7101_4732_31ea,
+                0x54c7_ea0c_d26f_48c3,
+                0x2521_4399_6c11_fd88,
+                0xe095_653a_606e_ef9a,
+                0xd78d_68f8_2fb8_9de5,
+                0xd321_76b8_cca0_d7cf,
+            ],
+        ),
+    ];
+    for (family, want) in digests {
+        for (recession, want) in Recession::ALL.into_iter().zip(want) {
+            let series = recession.payroll_index();
+            let band = |parallelism| {
+                let cfg = BootstrapConfig {
+                    parallelism,
+                    ..BootstrapConfig::default()
+                };
+                bootstrap_band(family, &series, &FitConfig::default(), &cfg).unwrap()
+            };
+            let serial = band(Parallelism::Serial);
+            let label = format!("{} {}", family.name(), recession.label());
+            assert_eq!(band(Parallelism::Fixed(2)), serial, "{label}");
+            assert_eq!((serial.replicates, serial.failed), (200, 0), "{label}");
+            let digest = band_digest(&serial);
+            assert_eq!(digest, want, "{label}: digest {digest:#018x}");
         }
     }
-    assert_eq!(digest, 0x82f6_ab28_f8d1_4e84, "digest {digest:#018x}");
 }
 
 /// Residual diagnostics flag the W misfit that adjusted R² alone

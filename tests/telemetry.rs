@@ -163,6 +163,39 @@ fn ranking_report_accounts_for_solver_work() {
     assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
 }
 
+/// A log whose `objective_evals` deltas sum past `u64::MAX` (each line
+/// alone parses) reads `u64::MAX` wherever they are summed: outside a job
+/// and inside one, in the tree, the report and a merge of reports. An
+/// unchecked sum panics a debug build on overflow and wraps in release.
+#[test]
+fn work_totals_past_u64_max_saturate() {
+    let line = "{\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":18446744073709549568}\n";
+    let bare = parse_log(&line.repeat(2)).expect("each line parses");
+    let tree = SpanTree::build(&bare);
+    assert_eq!(tree.unattributed_evaluations, u64::MAX);
+    assert_eq!(tree.evaluations(), u64::MAX);
+    let mut report = RunReport::from_events(bare);
+    assert_eq!(report.counter(CounterId::ObjectiveEvals), u64::MAX);
+    report.merge(&report.clone());
+    assert_eq!(report.counter(CounterId::ObjectiveEvals), u64::MAX);
+
+    // Inside a job, with a stop that charges its evaluations too.
+    let in_job = format!(
+        "{{\"ev\":\"job\",\"cell\":0,\"family\":\"Quadratic\"}}\n{line}\
+         {{\"ev\":\"deadline_exceeded\",\"scope\":\"nm\",\"evals\":18446744073709549568}}\n"
+    );
+    let in_job = parse_log(&in_job).expect("each line parses");
+    let tree = SpanTree::build(&in_job);
+    assert_eq!(tree.cells[0].fits[0].evaluations(), u64::MAX);
+    assert_eq!(tree.cells[0].evaluations(), u64::MAX);
+    assert_eq!(tree.evaluations(), u64::MAX);
+    let mut report = RunReport::from_events(in_job);
+    assert_eq!(report.families[0].evaluations, u64::MAX);
+    assert_eq!(report.counter(CounterId::ObjectiveEvals), u64::MAX);
+    report.merge(&report.clone());
+    assert_eq!(report.families[0].evaluations, u64::MAX);
+}
+
 /// One observer of four standalone fits on the 1990–93 series, so a log
 /// without `job` lines: Competing Risks, Exp-Exp, and the Quartic twice.
 fn four_standalone_fits() -> Vec<Event> {
