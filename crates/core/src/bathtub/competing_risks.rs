@@ -271,9 +271,12 @@ impl ModelFamily for CompetingRisksFamily {
     /// nodes and the `β → 0` line, Brent in the bracket of each local
     /// minimum (DESIGN.md §11, "The Competing Risks profile"). Its point
     /// is the fit, whatever its SSE: a non-finite one fails the fit's
-    /// guard. The design is the times: the profile's columns depend on `β`.
+    /// guard. The design holds what the profile reads of the times alone:
+    /// `T = max|t|`, the recovery column `u = t/T`, `Σu²`, the `ln β` of
+    /// the `β → 0` candidate and the least time. The decay column depends
+    /// on `β`.
     fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
-        Some(Box::new(ProfileDesign(ts)))
+        Some(Box::new(ProfileDesign::new(ts)))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -300,12 +303,43 @@ impl ModelFamily for CompetingRisksFamily {
 }
 
 /// Competing Risks' exact fit at fixed times: [`profile_optimum`] of the
-/// values at them.
-struct ProfileDesign<'a>(&'a [f64]);
+/// values at them, over the parts of the profile that depend on the times
+/// alone, computed once.
+struct ProfileDesign<'a> {
+    ts: &'a [f64],
+    /// `T = max|t|`, or 1 when every time is 0: the recovery column is
+    /// `u = t/T`, as long as the decay column `1/(1+βt)` is at most 1.
+    scale: f64,
+    /// The recovery column `u = t/T`.
+    u: Vec<f64>,
+    /// `Σu²`, summed in index order.
+    uu: f64,
+    /// The `ln β` of the `β → 0` candidate, `β·T = 2⁻⁶⁰`.
+    ln_beta_limit: f64,
+    /// The least time: `1 + βt` is positive at every time when it is at
+    /// this one, since it rounds monotonically in `t` for `β ≥ 0`.
+    t_min: f64,
+}
+
+impl<'a> ProfileDesign<'a> {
+    fn new(ts: &'a [f64]) -> ProfileDesign<'a> {
+        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+        let scale = if scale > 0.0 { scale } else { 1.0 };
+        let u: Vec<f64> = ts.iter().map(|t| t / scale).collect();
+        ProfileDesign {
+            ts,
+            scale,
+            uu: u.iter().fold(0.0, |uu, u| uu + u * u),
+            u,
+            ln_beta_limit: (LIMIT_BETA_T / scale).ln(),
+            t_min: ts.iter().fold(f64::INFINITY, |m, &t| m.min(t)),
+        }
+    }
+}
 
 impl ExactDesign for ProfileDesign<'_> {
     fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
-        Some(profile_optimum(self.0, ys))
+        Some(profile_optimum(self, ys))
     }
 }
 
@@ -356,9 +390,9 @@ const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
 /// # Errors
 ///
 /// [`CoreError::Numerical`] when no point of the profile is finite.
-fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<ExactOptimum, CoreError> {
-    let profile = Profile::new(ts, ys);
-    profile.eval((LIMIT_BETA_T / profile.scale).ln());
+fn profile_optimum(design: &ProfileDesign<'_>, ys: &[f64]) -> Result<ExactOptimum, CoreError> {
+    let profile = Profile::new(design, ys);
+    profile.eval(design.ln_beta_limit);
     let step = (LN_BETA_MAX - LN_BETA_MIN) / (NODES - 1) as f64;
     let nodes: [f64; NODES] = std::array::from_fn(|i| LN_BETA_MIN + step * i as f64);
     let values = nodes.map(|ln_beta| profile.eval(ln_beta));
@@ -380,7 +414,9 @@ fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<ExactOptimum, CoreError> {
         }
     }
 
-    let best = profile.best.get();
+    let (best, evaluations) = (profile.best.get(), profile.evaluations.get());
+    // Its scratch goes before the re-solve's columns come.
+    drop(profile);
     if !best.sse.is_finite() {
         return Err(CoreError::guard(
             "fit_least_squares",
@@ -390,7 +426,8 @@ fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<ExactOptimum, CoreError> {
     }
     let beta = best.ln_beta.exp();
     let mut alpha = best.alpha;
-    let mut gamma = best.slope / (2.0 * profile.scale);
+    let mut gamma = best.slope / (2.0 * design.scale);
+    let ts = design.ts;
     if alpha > 0.0 && gamma > 0.0 {
         let n = ts.len();
         let mut columns = vec![0.0; 2 * n];
@@ -413,7 +450,7 @@ fn profile_optimum(ts: &[f64], ys: &[f64]) -> Result<ExactOptimum, CoreError> {
         sse: sse_at(&CompetingRisksFamily, ts, ys, &internal),
         internal,
         profile: Some(ProfileWork {
-            evaluations: profile.evaluations.get(),
+            evaluations,
             iterations,
             value: best.sse,
         }),
@@ -431,15 +468,14 @@ struct Best {
 }
 
 /// Competing Risks' SSE profiled over `ln β`: at each `ln β`, `α` and `γ`
-/// by a two-column non-negative least squares. Owns its scratch, so an
-/// evaluation allocates nothing; counts its evaluations and keeps the
-/// best one.
+/// by a two-column non-negative least squares over the decay column and
+/// the design's recovery column. Owns its scratch, so an evaluation
+/// allocates nothing; counts its evaluations and keeps the best one.
 struct Profile<'a> {
-    ts: &'a [f64],
+    design: &'a ProfileDesign<'a>,
     ys: &'a [f64],
-    /// `T = max|t|`, or 1 when every time is 0: the recovery column is
-    /// `t/T`, as long as the decay column `1/(1+βt)` is at most 1.
-    scale: f64,
+    /// `Σy·u`, summed in index order: it does not depend on `β`.
+    yu: f64,
     /// The decay column of the current evaluation.
     decay: RefCell<Vec<f64>>,
     evaluations: Cell<usize>,
@@ -447,13 +483,12 @@ struct Profile<'a> {
 }
 
 impl<'a> Profile<'a> {
-    fn new(ts: &'a [f64], ys: &'a [f64]) -> Self {
-        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+    fn new(design: &'a ProfileDesign<'a>, ys: &'a [f64]) -> Self {
         Profile {
-            ts,
+            design,
             ys,
-            scale: if scale > 0.0 { scale } else { 1.0 },
-            decay: RefCell::new(vec![0.0; ts.len()]),
+            yu: design.u.iter().zip(ys).fold(0.0, |yu, (&u, &y)| yu + y * u),
+            decay: RefCell::new(vec![0.0; design.ts.len()]),
             evaluations: Cell::new(0),
             best: Cell::new(Best {
                 sse: f64::INFINITY,
@@ -471,25 +506,26 @@ impl<'a> Profile<'a> {
     fn eval(&self, ln_beta: f64) -> f64 {
         self.evaluations.set(self.evaluations.get() + 1);
         let beta = ln_beta.exp();
-        let mut decay = self.decay.borrow_mut();
-        let [mut dd, mut du, mut uu, mut yd, mut yu] = [0.0; 5];
-        for ((d, &t), &y) in decay.iter_mut().zip(self.ts).zip(self.ys) {
-            let denominator = 1.0 + beta * t;
-            if !(denominator > 0.0) {
-                return f64::INFINITY;
-            }
-            *d = 1.0 / denominator;
-            let u = t / self.scale;
-            dd += *d * *d;
-            du += *d * u;
-            uu += u * u;
-            yd += y * *d;
-            yu += y * u;
+        let ProfileDesign {
+            ts, u, uu, t_min, ..
+        } = self.design;
+        if !(1.0 + beta * t_min > 0.0) {
+            return f64::INFINITY;
         }
-        let (alpha, slope) = nnls(dd, du, uu, yd, yu);
+        let mut decay = self.decay.borrow_mut();
+        for (d, &t) in decay.iter_mut().zip(*ts) {
+            *d = 1.0 / (1.0 + beta * t);
+        }
+        let [mut dd, mut du, mut yd] = [0.0; 3];
+        for ((&d, &u), &y) in decay.iter().zip(u).zip(self.ys) {
+            dd += d * d;
+            du += d * u;
+            yd += y * d;
+        }
+        let (alpha, slope) = nnls(dd, du, *uu, yd, self.yu);
         let mut sse = CompensatedSum::new();
-        for ((&d, &t), &y) in decay.iter().zip(self.ts).zip(self.ys) {
-            let r = y - alpha * d - slope * (t / self.scale);
+        for ((&d, &u), &y) in decay.iter().zip(u).zip(self.ys) {
+            let r = y - alpha * d - slope * u;
             sse.add(r * r);
         }
         let sse = sse.value();

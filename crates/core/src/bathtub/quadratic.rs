@@ -7,6 +7,7 @@ use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
 use resilience_math::poly::{quadratic_roots, Polynomial};
 use resilience_math::sum::CompensatedSum;
+use std::sync::OnceLock;
 
 /// The clamp [`QuadraticFamily`]'s internal map applies to
 /// `s = −β/(2√(αγ))`: `s = 0` is the bathtub cone's face `β = 0`, `s = 1`
@@ -303,7 +304,9 @@ impl ModelFamily for QuadraticFamily {
     /// All three parameters are linear (Eq. 1), so a fit is one solve
     /// (DESIGN.md §11, "Exact fits"). The design holds the Householder
     /// factorization of `1, t, t²`, absent on fewer than three distinct
-    /// times, where it is rank deficient. Its optimum is the least-squares
+    /// times, where it is rank deficient, and, from the first of its fits
+    /// that leaves the region, the boundary solve's `u = t/T` and power
+    /// sums of `u`. Its optimum is the least-squares
     /// coefficients, as `[ln α, logit s, ln γ]` when they lie strictly
     /// inside the region `internal_to_params` maps onto (`α, γ > 0` and
     /// `s = −β/(2√(αγ))` strictly inside its clamp `[1e-9, 1 − 1e-9]`),
@@ -315,6 +318,7 @@ impl ModelFamily for QuadraticFamily {
         Some(Box::new(QuadraticDesign {
             ts,
             monomials: Monomials::new(ts, 3),
+            boundary: OnceLock::new(),
         }))
     }
 
@@ -367,6 +371,9 @@ struct QuadraticDesign<'a> {
     ts: &'a [f64],
     /// `None` on fewer than three distinct times.
     monomials: Option<Monomials>,
+    /// The boundary solve's parts that depend on the times alone, built by
+    /// the first fit that needs them.
+    boundary: OnceLock<Boundary>,
 }
 
 impl ExactDesign for QuadraticDesign<'_> {
@@ -388,7 +395,8 @@ impl ExactDesign for QuadraticDesign<'_> {
         interior
             .and_then(|internal| super::solved(family, ts, ys, internal))
             .or_else(|| {
-                let internal = family.boundary_optimum(ts, ys)?;
+                let boundary = self.boundary.get_or_init(|| Boundary::new(ts));
+                let internal = boundary.optimum(ts, ys)?;
                 super::solved(family, ts, ys, internal.to_vec())
             })
             .map(Ok)
@@ -425,20 +433,48 @@ impl QuadraticFamily {
     /// squares over it has no local minimum but the global one.
     #[must_use]
     pub fn boundary_optimum(&self, ts: &[f64], ys: &[f64]) -> Option<[f64; 3]> {
+        Boundary::new(ts).optimum(ts, ys)
+    }
+}
+
+/// The parts of the boundary solve ([`QuadraticFamily::boundary_optimum`])
+/// that depend on the times alone: `u = t/T`, which keeps every power sum
+/// within `n` of the others, and the power sums of `u`.
+struct Boundary {
+    /// `T = max|t|`.
+    scale: f64,
+    u: Vec<f64>,
+    /// `Σuᵏ` for `k = 0 … 4`, summed in index order.
+    sums: [f64; 5],
+}
+
+impl Boundary {
+    fn new(ts: &[f64]) -> Boundary {
+        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
+        let u: Vec<f64> = ts.iter().map(|t| t / scale).collect();
+        let mut sums = [0.0; 5];
+        for &u in &u {
+            let u2 = u * u;
+            sums[0] += 1.0;
+            sums[1] += u;
+            sums[2] += u2;
+            sums[3] += u2 * u;
+            sums[4] += u2 * u2;
+        }
+        Boundary { scale, u, sums }
+    }
+
+    /// [`QuadraticFamily::boundary_optimum`] of `ys` at `ts`, the times
+    /// this was built from.
+    fn optimum(&self, ts: &[f64], ys: &[f64]) -> Option<[f64; 3]> {
         if ts.len() < 3 || ys.len() != ts.len() {
             return None;
         }
-        // u = t/T keeps every power sum within n of the others.
-        let scale = ts.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
-        let [mut s0, mut s1, mut s2, mut s3, mut s4, mut y0, mut y1, mut y2] = [0.0; 8];
-        for (&t, &v) in ts.iter().zip(ys) {
-            let u = t / scale;
+        let (scale, u) = (self.scale, self.u.as_slice());
+        let [s0, s1, s2, s3, s4] = self.sums;
+        let [mut y0, mut y1, mut y2] = [0.0; 3];
+        for (&u, &v) in u.iter().zip(ys) {
             let u2 = u * u;
-            s0 += 1.0;
-            s1 += u;
-            s2 += u2;
-            s3 += u2 * u;
-            s4 += u2 * u2;
             y0 += v;
             y1 += v * u;
             y2 += v * u2;
@@ -475,8 +511,8 @@ impl QuadraticFamily {
         ]);
         for rho in stationary.sign_changes(0.0, stationary.root_bound().min(RHO_MAX)) {
             let (mut num, mut den) = (0.0, 0.0);
-            for (&t, &v) in ts.iter().zip(ys) {
-                let d = t / scale - rho;
+            for (&u, &v) in u.iter().zip(ys) {
+                let d = u - rho;
                 num += v * d * d;
                 den += d * d * d * d;
             }

@@ -9,7 +9,7 @@
 //! where the fit constrains the curve weakly (extrapolation beyond the
 //! training window) — exactly the region the predictive metrics use.
 
-use crate::fit::{fit_from, fit_least_squares_with, guarded_params, FitConfig};
+use crate::fit::{fit_from, guarded_params, FitConfig};
 use crate::model::ModelFamily;
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
@@ -124,14 +124,14 @@ impl Default for BootstrapConfig {
 /// The base fit uses `base_config`. Each replicate refits a synthetic
 /// series (the fitted curve plus resampled residuals). A family with an
 /// exact fit ([`ModelFamily::exact_design`]) builds its design once, at
-/// the series' times, and each replicate takes the design's optimum of its
-/// values, under the fit's guard. Otherwise, or where the design gives no
-/// optimum, the replicate refits with the same configuration, serially,
-/// from the base optimum, and with its Nelder–Mead iterations capped at
-/// 800 (times the family's [`ModelFamily::nm_iteration_scale`]). A
-/// replicate whose refit errors, panics (isolated at the replicate) or
-/// predicts a non-finite value counts as failed and is left out of the
-/// band.
+/// the series' times, for the base fit and every replicate: each
+/// replicate takes the design's optimum of its values, under the fit's
+/// guard. Otherwise, or where the design gives no optimum, the replicate
+/// refits with the same configuration, serially, from the base optimum,
+/// and with its Nelder–Mead iterations capped at 800 (times the family's
+/// [`ModelFamily::nm_iteration_scale`]). A replicate whose refit errors,
+/// panics (isolated at the replicate) or predicts a non-finite value
+/// counts as failed and is left out of the band.
 ///
 /// # Errors
 ///
@@ -181,9 +181,20 @@ pub fn bootstrap_band_with(
     }
     let control = control.observer_only();
     let n = series.len();
-    // The base fit is observed: its solver trace anchors the log.
-    let base = fit_least_squares_with(family, series, base_config, &control)?;
     let times = series.times();
+    // The base fit and every replicate fit the same times, so an exact
+    // family's design is the band's.
+    let design = family.exact_design(times);
+    // The base fit is observed: its solver trace anchors the log.
+    let base = fit_from(
+        family,
+        series,
+        design.as_deref(),
+        None,
+        None,
+        base_config,
+        &control,
+    )?;
     let fitted = base.model.predict_many(times);
     let residuals: Vec<f64> = series
         .values()
@@ -192,9 +203,6 @@ pub fn bootstrap_band_with(
         .map(|(y, f)| y - f)
         .collect();
 
-    // Every replicate fits the same times, so an exact family's design is
-    // the band's.
-    let design = family.exact_design(times);
     // Replicate refits always start at the base optimum, and run
     // serially — the fan-out happens across replicates, not inside them.
     let mut refit_config = base_config.clone();
@@ -230,6 +238,7 @@ pub fn bootstrap_band_with(
                 let fit = fit_from(
                     family,
                     &synth.ok()?,
+                    design.as_deref(),
                     Some(base_optimum),
                     None,
                     &refit_config,
@@ -268,6 +277,8 @@ pub fn bootstrap_band_with(
         // replicate, never a lost band.
         *ok = catch_job(rep, || replicate(rep, row).is_some()).unwrap_or(false);
     });
+    // The design is the replicates': the limits do not read it.
+    drop(design);
     let rows: Vec<&[f64]> = rows
         .into_iter()
         .filter_map(|slot| {

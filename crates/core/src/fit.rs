@@ -13,7 +13,7 @@
 //! ([`ModelFamily::exact_design`]).
 
 use crate::guard::{self, Violation};
-use crate::model::{ExactOptimum, ModelFamily, ResilienceModel};
+use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -157,16 +157,57 @@ impl<'a> SseObjective<'a> {
     }
 }
 
-/// The fit's own SSE at the internal point `internal` of `family`: `+∞`
-/// where the family cannot predict or predicts a non-finite value. An
-/// exact fit scores its point with it ([`ExactOptimum::sse`]).
+/// The most parameters a family scored by [`sse_at`] may have.
+const SSE_AT_MAX_PARAMS: usize = 8;
+
+/// The predictions [`sse_at`] holds at once.
+const SSE_AT_CHUNK: usize = 64;
+
+/// The fit's own SSE at the internal point `internal` of `family`, bit for
+/// bit as the search's objective scores it: `+∞` where the family cannot
+/// predict or predicts a non-finite value. An exact fit scores its point
+/// with it ([`ExactOptimum::sse`]), and a profiled fit its lifted winner.
+///
+/// It allocates nothing: the parameters live in a fixed array, and the
+/// family predicts [`SSE_AT_CHUNK`] times at a time, whose squared
+/// residuals are summed in index order. That gives the objective's bits
+/// only for a family that predicts point by point, so that its prediction
+/// at a time does not depend on the other times it is asked about, and
+/// refuses a point whatever the times; every family that calls it (the
+/// bathtub families and the profiled mixtures) does.
+///
+/// # Panics
+///
+/// When the family has more than [`SSE_AT_MAX_PARAMS`] parameters, or the
+/// times and the values differ in length.
 pub(crate) fn sse_at(
     family: &dyn ModelFamily,
     times: &[f64],
     observed: &[f64],
     internal: &[f64],
 ) -> f64 {
-    SseObjective::new(family, times, observed).eval(internal)
+    assert_eq!(times.len(), observed.len(), "sse_at: length mismatch");
+    let mut params = [0.0; SSE_AT_MAX_PARAMS];
+    let params = &mut params[..family.n_params()];
+    family.internal_to_params_into(internal, params);
+    let mut predicted = [0.0; SSE_AT_CHUNK];
+    let mut sse = CompensatedSum::new();
+    for (ts, ys) in times
+        .chunks(SSE_AT_CHUNK)
+        .zip(observed.chunks(SSE_AT_CHUNK))
+    {
+        let predicted = &mut predicted[..ts.len()];
+        if !family.predict_params_into(params, ts, predicted)
+            || predicted.iter().any(|v| !v.is_finite())
+        {
+            return f64::INFINITY;
+        }
+        for (y, p) in ys.iter().zip(predicted.iter()) {
+            let d = y - p;
+            sse.add(d * d);
+        }
+    }
+    sse.value()
 }
 
 /// The variable-projection objective (DESIGN.md §11) of a family that
@@ -415,17 +456,19 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    fit_from(family, series, None, None, config, control)
+    fit_from(family, series, None, None, None, config, control)
 }
 
-/// [`fit_least_squares_with`] searching from `guesses` instead of the
+/// [`fit_least_squares_with`] over the family's exact `design` at the
+/// series' times, when the caller holds one (`None`: the fit builds its
+/// own, see [`FitPlan::new`]), searching from `guesses` instead of the
 /// family's own [`ModelFamily::initial_guesses`] (`None`): a retry's
 /// jittered points, or a bootstrap replicate's base optimum. A `warm`
-/// point, a retry's best fit so far, is probed first (see
-/// [`FitPlan::new`]).
+/// point, a retry's best fit so far, is probed first.
 pub(crate) fn fit_from(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
+    design: Option<&dyn ExactDesign>,
     guesses: Option<&[Vec<f64>]>,
     warm: Option<&[f64]>,
     config: &FitConfig,
@@ -436,7 +479,9 @@ pub(crate) fn fit_from(
     } else {
         Vec::new()
     };
-    let plan = FitPlan::new(family, series, &ln_times, guesses, warm, config, control)?;
+    let plan = FitPlan::new(
+        family, series, &ln_times, design, guesses, warm, config, control,
+    )?;
     let cold = multi_start(config.parallelism, plan.starts(), control, |i, c| {
         plan.minimize_start(i, c)
     });
@@ -490,12 +535,13 @@ impl<'a> FitPlan<'a> {
     /// The plan phase: an exact fit, or the warm probe and the cold
     /// starts.
     ///
-    /// A family with an exact fit ([`ModelFamily::exact_design`]) builds
-    /// its design at the series' times and takes the design's optimum of
-    /// its values: the plan logs its `fit_started` with zero starts and
-    /// computes no guesses, and the family's error is the plan's. A family
-    /// without one, or whose design gives no optimum, logs and counts
-    /// nothing here, and the fit searches.
+    /// A family with an exact fit ([`ModelFamily::exact_design`]) takes
+    /// the optimum of the series' values under `design`, the family's
+    /// design at the series' times, or when that is `None` under a design
+    /// it builds at them: the plan logs its `fit_started` with zero starts
+    /// and computes no guesses, and the family's error is the plan's. A
+    /// family without one, or whose design gives no optimum, logs and
+    /// counts nothing here, and the fit searches.
     ///
     /// Otherwise a `warm` point (external parameters, typically a previous
     /// optimum in the same basin) is probed first: one serial Nelder–Mead
@@ -516,10 +562,12 @@ impl<'a> FitPlan<'a> {
     /// An exact fit's error, a stop during the warm probe, and
     /// [`OptimError::AllStartsFailed`] when no guess converts to a start
     /// and there is no warm result.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
         ln_times: &'a [f64],
+        design: Option<&dyn ExactDesign>,
         guesses: Option<&[Vec<f64>]>,
         warm: Option<&[f64]>,
         config: &FitConfig,
@@ -547,10 +595,15 @@ impl<'a> FitPlan<'a> {
             starts: Vec::new(),
             dim: 0,
         };
-        if let Some(exact) = family
-            .exact_design(series.times())
-            .and_then(|design| design.optimum(series.values()))
-        {
+        let own;
+        let design = match design {
+            Some(design) => Some(design),
+            None => {
+                own = family.exact_design(series.times());
+                own.as_deref()
+            }
+        };
+        if let Some(exact) = design.and_then(|design| design.optimum(series.values())) {
             plan.exact = Some(exact?);
             if traced {
                 control.emit(Event::FitStarted {
@@ -1206,7 +1259,7 @@ mod tests {
         let observed_fit = |family: &dyn ModelFamily, config: &FitConfig, warm: Option<&[f64]>| {
             let rec = Arc::new(RecordingObserver::new());
             let control = Control::unbounded().observe(rec.clone());
-            let fit = fit_from(family, &s, None, warm, config, &control).unwrap();
+            let fit = fit_from(family, &s, None, None, warm, config, &control).unwrap();
             let counted: u64 = rec
                 .take()
                 .iter()
@@ -1329,6 +1382,7 @@ mod tests {
             let fit = fit_from(
                 &CompetingRisksFamily,
                 &s,
+                None,
                 None,
                 warm,
                 &FitConfig::default(),

@@ -26,7 +26,7 @@
 
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::fit::{fit_from, fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel};
-use crate::model::ModelFamily;
+use crate::model::{ExactDesign, ModelFamily};
 use crate::selection::{
     score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
 };
@@ -37,6 +37,8 @@ use resilience_optim::multi_start::{run_start, StartReduction};
 use resilience_optim::parallel::{catch_job, run_each, run_indexed_catch, JobPanic};
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -242,7 +244,7 @@ pub fn fit_with_retry(
     let first = first_attempt(family, Some(policy), None, control, || {
         fit_least_squares_with(family, series, config, control)
     });
-    retry_after(family, series, config, policy, control, None, first)
+    retry_after(family, series, None, config, policy, control, None, first)
 }
 
 /// Chaos context threaded into the retry loop by the supervised jobs:
@@ -313,10 +315,12 @@ fn first_attempt<T>(
 }
 
 /// A job's fit after attempt 1, whose outcome is `first`: with the
-/// retries `policy.retry` asks for, if any.
+/// retries `policy.retry` asks for, if any, each over `design`.
+#[allow(clippy::too_many_arguments)]
 fn retried(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
+    design: Option<&dyn ExactDesign>,
     config: &FitConfig,
     policy: &ExecPolicy,
     control: &Control,
@@ -325,7 +329,7 @@ fn retried(
 ) -> Result<FittedModel, CoreError> {
     match &policy.retry {
         Some(retry) => {
-            retry_after(family, series, config, retry, control, chaos, first).map(|s| s.fit)
+            retry_after(family, series, design, config, retry, control, chaos, first).map(|s| s.fit)
         }
         None => first,
     }
@@ -333,11 +337,14 @@ fn retried(
 
 /// The retry schedule after attempt 1, whose outcome is `first`: attempts
 /// 2 to `policy.max_attempts` until one converges, keeping the best fit by
-/// SSE. With zero attempts allowed, `first` is [`first_attempt`]'s error
-/// and nothing more runs.
+/// SSE, each over the family's exact `design` at the series' times when
+/// the caller holds one ([`fit_from`]). With zero attempts allowed,
+/// `first` is [`first_attempt`]'s error and nothing more runs.
+#[allow(clippy::too_many_arguments)]
 fn retry_after(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
+    design: Option<&dyn ExactDesign>,
     config: &FitConfig,
     policy: &RetryPolicy,
     control: &Control,
@@ -396,7 +403,15 @@ fn retry_after(
         // policy — the warm center is itself deterministic.
         let center = best.as_ref().map(|fit| fit.params.as_slice());
         let guesses = jittered_guesses(family, series, policy, attempt, center);
-        outcome = fit_from(family, series, Some(&guesses), center, config, control);
+        outcome = fit_from(
+            family,
+            series,
+            design,
+            Some(&guesses),
+            center,
+            config,
+            control,
+        );
     }
     match best {
         Some(fit) => {
@@ -570,10 +585,13 @@ fn skipped(family: &dyn ModelFamily) -> FamilyFailure {
 /// over its jobs: sets up the job's control (the family budget's clock
 /// starts here, on the worker, so queueing behind other jobs does not
 /// consume a family's budget), fits — with retry when the policy asks for
-/// it — and scores.
+/// it, every attempt over the wave's shared `design` if it has one — and
+/// scores.
+#[allow(clippy::too_many_arguments)]
 fn supervised_family_job(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
+    design: Option<&dyn ExactDesign>,
     inner: &FitConfig,
     policy: &ExecPolicy,
     control: &Control,
@@ -587,11 +605,12 @@ fn supervised_family_job(
         policy.retry.as_ref(),
         chaos.as_ref(),
         control,
-        || fit_least_squares_with(family, series, inner, control),
+        || fit_from(family, series, design, None, None, inner, control),
     );
     let outcome = retried(
         family,
         series,
+        design,
         inner,
         policy,
         control,
@@ -636,6 +655,7 @@ impl<'a> PooledJob<'a> {
     fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
+        design: Option<&dyn ExactDesign>,
         ln_times: &'a [f64],
         config: &FitConfig,
         policy: &'a ExecPolicy,
@@ -652,7 +672,11 @@ impl<'a> PooledJob<'a> {
             policy.retry.as_ref(),
             chaos.as_ref(),
             &job.base,
-            || FitPlan::new(family, series, ln_times, None, None, config, &job.base),
+            || {
+                FitPlan::new(
+                    family, series, ln_times, design, None, None, config, &job.base,
+                )
+            },
         );
         let starts = first.as_ref().map_or(0, FitPlan::starts);
         // One buffer slot per start, filled as the starts finish.
@@ -710,10 +734,17 @@ impl<'a> PooledJob<'a> {
 
     /// The finish phase, on the calling thread: replays the start buffers
     /// in start order, finishes attempt 1, runs the retries the policy
-    /// asks for and scores. A panicked start fails the job with the lowest
-    /// panicking start's message, and none of the start buffers, as when
-    /// its fit's own pool re-raises that panic.
-    fn finish(self, job: usize, config: &FitConfig, policy: &ExecPolicy) -> JobOutcome {
+    /// asks for, over the wave's shared `design` as attempt 1 did, and
+    /// scores. A panicked start fails the job with the lowest panicking
+    /// start's message, and none of the start buffers, as when its fit's
+    /// own pool re-raises that panic.
+    fn finish(
+        self,
+        job: usize,
+        design: Option<&dyn ExactDesign>,
+        config: &FitConfig,
+        policy: &ExecPolicy,
+    ) -> JobOutcome {
         let run = self.run.into_inner().expect("start state poisoned");
         if let Some(panic) = run.panic {
             return Err(JobPanic {
@@ -734,6 +765,7 @@ impl<'a> PooledJob<'a> {
             let outcome = retried(
                 self.family,
                 self.series,
+                design,
                 config,
                 policy,
                 control,
@@ -742,6 +774,110 @@ impl<'a> PooledJob<'a> {
             );
             score(self.family, self.series, outcome)
         })
+    }
+}
+
+/// A series' times as a key: equal to another's when both hold the same
+/// times, bit for bit.
+struct Grid<'a>(&'a [f64]);
+
+impl PartialEq for Grid<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for Grid<'_> {}
+
+impl Hash for Grid<'_> {
+    /// The length and at most eight evenly spaced times, the last among
+    /// them: equal grids hash alike, the equality test reads every time,
+    /// and a cell's hash costs nanoseconds whatever its length.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let n = self.0.len();
+        state.write_usize(n);
+        for t in self.0.iter().rev().step_by(n / 8 + 1) {
+            state.write_u64(t.to_bits());
+        }
+    }
+}
+
+/// The exact designs a wave's jobs share (DESIGN.md §13): for each time
+/// grid (bit-equal times) on which two or more of the wave's unskipped jobs
+/// of one family fit, that family's [`ModelFamily::exact_design`], built
+/// once on the calling thread before the wave's pool and dropped with the
+/// wave. Every other job builds its design inside its fit, as a one-cell
+/// ranking does, and so does every job whose shared build panicked: its own
+/// build then fails it exactly as it would without sharing. A wave with
+/// nothing to share holds nothing.
+struct WaveDesigns<'a> {
+    nf: usize,
+    /// Each cell's grid, in order of first appearance; empty when the wave
+    /// shares nothing.
+    grids: Vec<usize>,
+    /// Family `f`'s shared design on grid `g` at `g·nf + f`.
+    designs: Vec<Option<Box<dyn ExactDesign + 'a>>>,
+}
+
+impl<'a> WaveDesigns<'a> {
+    fn new(
+        families: &[&'a dyn ModelFamily],
+        cells: &'a [PerformanceSeries],
+        skip: &[bool],
+    ) -> WaveDesigns<'a> {
+        let nf = families.len();
+        let none = WaveDesigns {
+            nf,
+            grids: Vec::new(),
+            designs: Vec::new(),
+        };
+        if cells.len() < 2 {
+            return none;
+        }
+        // Each grid's first cell, and each cell's grid.
+        let mut firsts = Vec::new();
+        let mut index = HashMap::with_capacity(cells.len());
+        let grids: Vec<usize> = cells
+            .iter()
+            .enumerate()
+            .map(|(w, cell)| {
+                *index.entry(Grid(cell.times())).or_insert_with(|| {
+                    firsts.push(w);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        if firsts.len() == cells.len() {
+            return none;
+        }
+        // The unskipped jobs of each family on each grid.
+        let mut jobs = vec![0usize; firsts.len() * nf];
+        for j in (0..skip.len()).filter(|&j| !skip[j]) {
+            jobs[grids[j / nf] * nf + j % nf] += 1;
+        }
+        let designs = jobs
+            .iter()
+            .enumerate()
+            .map(|(k, &jobs)| {
+                let (family, times) = (families[k % nf], cells[firsts[k / nf]].times());
+                (jobs >= 2)
+                    .then(|| catch_job(k, || family.exact_design(times)).ok().flatten())
+                    .flatten()
+            })
+            .collect();
+        WaveDesigns { nf, grids, designs }
+    }
+
+    /// The shared design of the wave's job `j` (cell `j / nf`, family
+    /// `j % nf`), if it has one.
+    fn get(&self, j: usize) -> Option<&dyn ExactDesign> {
+        let grid = self.grids.get(j / self.nf)?;
+        self.designs[grid * self.nf + j % self.nf].as_deref()
     }
 }
 
@@ -771,6 +907,7 @@ fn pooled_wave(
     policy: &ExecPolicy,
     control: &Control,
     skip: &[bool],
+    designs: &WaveDesigns<'_>,
     recorders: Option<&[Arc<RecordingObserver>]>,
 ) -> Vec<JobOutcome> {
     let nf = families.len();
@@ -786,6 +923,7 @@ fn pooled_wave(
                     PooledJob::new(
                         families[j % nf],
                         &cells[j / nf],
+                        designs.get(j),
                         &ln_tables[j / nf],
                         config,
                         policy,
@@ -826,7 +964,7 @@ fn pooled_wave(
         .map(|(j, job)| match job {
             None => Ok(Err(skipped(families[j % nf]))),
             Some(Err(panic)) => Err(panic),
-            Some(Ok(job)) => job.finish(j, config, policy),
+            Some(Ok(job)) => job.finish(j, designs.get(j), config, policy),
         })
         .collect()
 }
@@ -1043,18 +1181,21 @@ pub fn rank_fleet_supervised(
                 .map(|_| Arc::new(RecordingObserver::new()))
                 .collect()
         });
+        let wave = &series_list[wave_start..wave_end];
+        let designs = WaveDesigns::new(families, wave, &skip);
         // One fan-out level per wave: over the wave's jobs, or — when the
         // wave has fewer cells than threads — over the starts of all its
-        // fits at once.
-        let outcomes = if wave_end - wave_start < threads {
+        // fits at once. Both solve against the wave's shared designs.
+        let outcomes = if wave.len() < threads {
             pooled_wave(
                 families,
-                &series_list[wave_start..wave_end],
+                wave,
                 wave_start,
                 config,
                 policy,
                 control,
                 &skip,
+                &designs,
                 recorders.as_deref(),
             )
         } else {
@@ -1064,7 +1205,8 @@ pub fn rank_fleet_supervised(
                 }
                 supervised_family_job(
                     families[j % nf],
-                    &series_list[wave_start + j / nf],
+                    &wave[j / nf],
+                    designs.get(j),
                     &inner,
                     policy,
                     control,
@@ -1073,6 +1215,9 @@ pub fn rank_fleet_supervised(
                 )
             })
         };
+        // The designs go before the reduction assembles the cells, where a
+        // fleet pass holds the most memory.
+        drop(designs);
 
         // Serial reduction in flattened input order: open each job's
         // frame, replay its event buffer, update the breaker machine, and

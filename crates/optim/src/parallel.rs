@@ -17,7 +17,7 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// How many worker threads a parallel loop may use.
 ///
@@ -28,7 +28,10 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Use [`std::thread::available_parallelism`] threads (falling back
-    /// to 1 when it is unavailable).
+    /// to 1 when it is unavailable), asked once per process: the first
+    /// pool decision at `Auto` asks the OS (tens of microseconds), and
+    /// every later one reuses its answer, so a process whose CPU affinity
+    /// or quota changes after that keeps its first thread count.
     #[default]
     Auto,
     /// Use exactly `n` worker threads. `Fixed(0)` is a degenerate request
@@ -65,8 +68,8 @@ impl Parallelism {
     /// Number of worker threads to use for `jobs` independent jobs.
     ///
     /// Never exceeds `jobs` and never returns 0. At most one job needs no
-    /// pool, so `Auto` asks the OS for its thread count (tens of
-    /// microseconds) only for two jobs or more.
+    /// pool, so `Auto` resolves its thread count only for two jobs or
+    /// more, and once per process (see [`Parallelism::Auto`]).
     ///
     /// # Examples
     ///
@@ -86,12 +89,24 @@ impl Parallelism {
         let cap = match self.normalized() {
             Parallelism::Serial => 1,
             Parallelism::Fixed(n) => n,
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
+            Parallelism::Auto => available_threads(),
         };
         cap.min(jobs).max(1)
     }
+}
+
+/// [`Parallelism::Auto`]'s thread count: the OS's, asked on the first call
+/// and kept for the life of the process, or 1 when it cannot tell.
+// The one call site of `available_parallelism` that clippy.toml allows:
+// asked per pool decision, it cost more than a one-cell ranking's fits.
+#[allow(clippy::disallowed_methods)]
+fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `job(0..jobs)` and returns the results in index order.
@@ -320,6 +335,17 @@ mod tests {
     #[test]
     fn auto_is_at_least_one() {
         assert!(Parallelism::Auto.threads_for(16) >= 1);
+    }
+
+    #[test]
+    fn auto_is_resolved_once_and_repeated_calls_agree() {
+        let first = Parallelism::Auto.threads_for(usize::MAX);
+        assert_eq!(first, available_threads());
+        for jobs in [2, 3, 64, usize::MAX] {
+            for _ in 0..100 {
+                assert_eq!(Parallelism::Auto.threads_for(jobs), first.min(jobs));
+            }
+        }
     }
 
     #[test]

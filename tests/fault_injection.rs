@@ -11,8 +11,11 @@
 use resilience_core::analysis::{evaluate_model, evaluate_models};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::fit::{fit_least_squares, FitConfig};
-use resilience_core::model::{ModelFamily, ResilienceModel};
-use resilience_core::selection::rank_models;
+use resilience_core::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
+use resilience_core::runtime::{
+    rank_fleet_supervised, rank_models_supervised, Control, ExecPolicy,
+};
+use resilience_core::selection::{rank_models, FailureKind, Ranking};
 use resilience_core::validate::pmse_at;
 use resilience_core::CoreError;
 use resilience_data::csv::read_series;
@@ -20,6 +23,9 @@ use resilience_data::fault::{Fault, FaultError};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::catalog;
 use resilience_data::PerformanceSeries;
+use resilience_obs::{Event, RecordingObserver};
+use resilience_optim::Parallelism;
+use std::sync::{Arc, Mutex};
 
 /// A family whose curve is NaN everywhere: the worst-case objective.
 struct NanObjectiveFamily;
@@ -257,4 +263,167 @@ fn guard_layer_catches_nan_at_the_metric_boundary() {
     use resilience_core::metrics::relative_error;
     assert!(relative_error(f64::NAN, 1.0).is_err());
     assert!(relative_error(1.0, f64::INFINITY).is_err());
+}
+
+static QUADRATIC: QuadraticFamily = QuadraticFamily;
+
+/// The Quadratic, but for its exact design: building one panics on 24
+/// times, and one built on 20 times gives no optimum, so the fit searches.
+/// It keeps the number of times of every design built for it.
+struct FaultyDesigns {
+    builds: Mutex<Vec<usize>>,
+}
+
+/// A design with no optimum, as a rank-deficient one.
+struct NoOptimum;
+
+impl ExactDesign for NoOptimum {
+    fn optimum(&self, _ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
+        None
+    }
+}
+
+impl ModelFamily for FaultyDesigns {
+    fn name(&self) -> &'static str {
+        "Faulty Quadratic"
+    }
+    fn n_params(&self) -> usize {
+        QUADRATIC.n_params()
+    }
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        QUADRATIC.internal_to_params_into(internal, out);
+    }
+    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
+        QUADRATIC.predict_params_into(params, ts, out)
+    }
+    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+        self.builds.lock().unwrap().push(ts.len());
+        match ts.len() {
+            24 => panic!("design fault on {} times", ts.len()),
+            20 => Some(Box::new(NoOptimum)),
+            _ => QUADRATIC.exact_design(ts),
+        }
+    }
+    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
+        QUADRATIC.params_to_internal(params)
+    }
+    fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
+        QUADRATIC.build(params)
+    }
+    fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
+        QUADRATIC.initial_guesses(series)
+    }
+}
+
+/// A ranking's rows (family and SSE bits) and failures, or its error.
+fn render(result: &Result<Ranking, CoreError>) -> String {
+    match result {
+        Ok(ranking) => {
+            let rows = ranking
+                .rows
+                .iter()
+                .map(|row| format!("{} {:x};", row.family_name, row.sse.to_bits()));
+            let failures = ranking
+                .failures
+                .iter()
+                .map(|f| format!("failed {} {:?} {};", f.family_name, f.kind, f.reason));
+            rows.chain(failures).collect()
+        }
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// A fleet whose grids share designs, one of which cannot be built: the
+/// design of the 24-time grid panics, so exactly that grid's three jobs of
+/// the family fail, as they do in one-cell rankings that never share, with
+/// the same failure rows and events. The 20-time grid's shared design has
+/// no optimum, so its fits search. The 32-time grid shares a working
+/// design, the lone 28-time cell builds its own, and the rest of the fleet
+/// ranks, at every thread count.
+#[test]
+fn a_shared_design_that_panics_fails_only_its_grids_jobs() {
+    let lengths = [24, 32, 20, 24, 28, 32, 20, 24];
+    let fleet: Vec<PerformanceSeries> = lengths
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let mut wiggle = 0.23 + 0.05 * i as f64;
+            let values = (0..n)
+                .map(|k| {
+                    let t = f64::from(k);
+                    wiggle = (wiggle * 181.0).fract();
+                    1.0 - 0.02 * t + 0.0007 * t * t + 0.003 * (wiggle - 0.5)
+                })
+                .collect();
+            PerformanceSeries::monthly(format!("cell {i}"), values).unwrap()
+        })
+        .collect();
+    let faulty = FaultyDesigns {
+        builds: Mutex::new(Vec::new()),
+    };
+    let families: Vec<&dyn ModelFamily> = vec![&faulty, &CompetingRisksFamily];
+    let policy = ExecPolicy::default();
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let runs: Vec<_> = [Parallelism::Serial, Parallelism::Fixed(2)]
+        .into_iter()
+        .map(|parallelism| {
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            faulty.builds.lock().unwrap().clear();
+            let rec = Arc::new(RecordingObserver::new());
+            let control = Control::unbounded().observe(rec.clone());
+            let outcomes = rank_fleet_supervised(&families, &fleet, &config, &policy, &control);
+            let mut builds = std::mem::take(&mut *faulty.builds.lock().unwrap());
+            builds.sort_unstable();
+            let one_cell: Vec<_> = fleet
+                .iter()
+                .map(|series| {
+                    let rec = Arc::new(RecordingObserver::new());
+                    let control = Control::unbounded().observe(rec.clone());
+                    let ranking =
+                        rank_models_supervised(&families, series, &config, &policy, &control);
+                    (ranking, rec.take())
+                })
+                .collect();
+            (parallelism, outcomes, rec.take(), builds, one_cell)
+        })
+        .collect();
+    std::panic::set_hook(hook);
+    for (parallelism, outcomes, log, builds, one_cell) in runs {
+        // The 24-time grid's shared build panics and each of its three fits
+        // builds again; the 20- and 32-time grids are built once, shared.
+        assert_eq!(builds, [20, 24, 24, 24, 24, 28, 32], "{parallelism:?}");
+        let mut one_cell_log = Vec::new();
+        for (i, (outcome, (one, events))) in outcomes.into_iter().zip(one_cell).enumerate() {
+            let ranking = outcome.into_result();
+            assert_eq!(render(&ranking), render(&one), "{parallelism:?}: cell {i}");
+            let ranking = ranking.unwrap();
+            let faulty_failed = ranking.failures.iter().any(|f| {
+                f.family_name == "Faulty Quadratic"
+                    && f.kind == FailureKind::Panicked
+                    && f.reason == "fit: design fault on 24 times"
+            });
+            assert_eq!(faulty_failed, lengths[i] == 24, "{parallelism:?}: cell {i}");
+            assert_eq!(ranking.rows.len(), 2 - usize::from(faulty_failed));
+            // A design with no optimum leaves the fit to its starts.
+            let searched = events.iter().any(|e| {
+                matches!(
+                    e,
+                    Event::FitStarted { family: "Faulty Quadratic", starts } if *starts > 0
+                )
+            });
+            assert_eq!(searched, lengths[i] == 20, "{parallelism:?}: cell {i}");
+            one_cell_log.extend(events.into_iter().map(|e| match e {
+                Event::JobStarted { cell: 0, family } => Event::JobStarted {
+                    cell: i as u32,
+                    family,
+                },
+                e => e,
+            }));
+        }
+        assert_eq!(log, one_cell_log, "{parallelism:?}");
+    }
 }

@@ -12,15 +12,21 @@
 // `Instant` in result paths).
 #![allow(clippy::disallowed_types)]
 
-use resilience_core::bathtub::QuadraticFamily;
+use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
+use resilience_core::chaos::ChaosPlan;
 use resilience_core::fit::{fit_least_squares_with, FitConfig};
-use resilience_core::model::{ModelFamily, ResilienceModel};
-use resilience_core::runtime::{rank_models_supervised, CancelToken, Control, ExecPolicy};
-use resilience_core::selection::FailureKind;
+use resilience_core::model::{ExactDesign, ModelFamily, ResilienceModel};
+use resilience_core::runtime::{
+    rank_fleet_supervised, rank_models_supervised, BreakerPolicy, CancelToken, CellOutcome,
+    Control, ExecPolicy, RetryPolicy,
+};
+use resilience_core::selection::{FailureKind, FamilyFailure, Ranking};
 use resilience_core::CoreError;
 use resilience_data::recessions::Recession;
 use resilience_data::PerformanceSeries;
+use resilience_obs::{replay, Event, JsonlObserver, RecordingObserver};
 use resilience_optim::Parallelism;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A constant-curve family whose every objective evaluation sleeps: the
@@ -242,5 +248,288 @@ fn family_budget_times_out_the_slow_family_only() {
         assert_eq!(ranking.failures.len(), 1, "{parallelism:?}");
         assert_eq!(ranking.failures[0].family_name, "Sleepy");
         assert_eq!(ranking.failures[0].kind, FailureKind::TimedOut);
+    }
+}
+
+/// A fleet built to share exact designs: ten cells on three time grids.
+/// Grid A (32 monthly times) holds six cells, grid A′ (A with its last time
+/// one bit up) three, and grid B (24 monthly times) one. A and A′ differ in
+/// that bit alone, so they must not share a design. In 8-cell waves the
+/// first wave holds A ×4, A′ ×3 and B, the second A ×2. The curves cycle
+/// through a bathtub, a competing-risks dip, a step outage and a rising
+/// line, whose Quadratic optimum lies on the bathtub cone's boundary.
+fn shared_grid_fleet() -> Vec<PerformanceSeries> {
+    let a: Vec<f64> = (0..32).map(f64::from).collect();
+    let mut a_next = a.clone();
+    a_next[31] = f64::from_bits(31f64.to_bits() + 1);
+    let b: Vec<f64> = (0..24).map(f64::from).collect();
+    let grids = [&a, &a_next, &a, &b, &a_next, &a, &a, &a_next, &a, &a];
+    grids
+        .iter()
+        .enumerate()
+        .map(|(i, ts)| {
+            let mut wiggle = 0.31 + 0.07 * i as f64;
+            let values = ts
+                .iter()
+                .map(|&t| {
+                    wiggle = (wiggle * 173.0).fract();
+                    let curve = match i % 4 {
+                        0 => 1.0 - 0.02 * t + 0.0006 * t * t,
+                        1 => 0.8 / (1.0 + 0.3 * t) + 0.006 * t,
+                        2 if (4.0..12.0).contains(&t) => 0.7,
+                        2 => 1.0,
+                        _ => 0.9 + 0.002 * t,
+                    };
+                    curve + 0.002 * (wiggle - 0.5)
+                })
+                .collect();
+            PerformanceSeries::new(format!("cell {i}"), ts.to_vec(), values).unwrap()
+        })
+        .collect()
+}
+
+/// `inner`, counting the exact designs built for it by their last time's
+/// bits. It delegates every hook an exact fit calls.
+struct Counted<'f> {
+    inner: &'f dyn ModelFamily,
+    builds: Mutex<Vec<u64>>,
+}
+
+impl Counted<'_> {
+    /// The designs built since the last call, by their last time's bits,
+    /// sorted.
+    fn take(&self) -> Vec<u64> {
+        let mut builds = std::mem::take(&mut *self.builds.lock().unwrap());
+        builds.sort_unstable();
+        builds
+    }
+}
+
+impl ModelFamily for Counted<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn n_params(&self) -> usize {
+        self.inner.n_params()
+    }
+    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+        self.inner.internal_to_params_into(internal, out);
+    }
+    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
+        self.inner.predict_params_into(params, ts, out)
+    }
+    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+        let last = ts.last().map_or(0, |t| t.to_bits());
+        self.builds.lock().unwrap().push(last);
+        self.inner.exact_design(ts)
+    }
+    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
+        self.inner.params_to_internal(params)
+    }
+    fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
+        self.inner.build(params)
+    }
+    fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
+        self.inner.initial_guesses(series)
+    }
+}
+
+/// A ranking's rows (family, SSE and adjusted R² bits) and failures, or
+/// its error.
+fn render_ranking(result: &Result<Ranking, CoreError>) -> String {
+    match result {
+        Ok(ranking) => {
+            let mut out = String::new();
+            for row in &ranking.rows {
+                out += &format!(
+                    "{} {:x} {:x};",
+                    row.family_name,
+                    row.sse.to_bits(),
+                    row.r2_adj.to_bits()
+                );
+            }
+            out + &render_failures(&ranking.failures)
+        }
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+fn render_failures(failures: &[FamilyFailure]) -> String {
+    failures
+        .iter()
+        .map(|f| format!("failed {} {:?} {};", f.family_name, f.kind, f.reason))
+        .collect()
+}
+
+/// A log as the JSONL its sink would write.
+fn jsonl(events: &[Event]) -> Vec<u8> {
+    let sink = JsonlObserver::new(Vec::new());
+    replay(events, &sink);
+    let (bytes, dropped) = sink.into_parts();
+    assert_eq!(dropped, 0);
+    bytes
+}
+
+/// The fleet's outcomes and event log.
+fn run_fleet(
+    families: &[&dyn ModelFamily],
+    cells: &[PerformanceSeries],
+    config: &FitConfig,
+    policy: &ExecPolicy,
+) -> (Vec<CellOutcome>, Vec<Event>) {
+    let rec = Arc::new(RecordingObserver::new());
+    let control = Control::unbounded().observe(rec.clone());
+    let outcomes = rank_fleet_supervised(families, cells, config, policy, &control);
+    (outcomes, rec.take())
+}
+
+/// Cells that share a time grid share its exact designs, and nothing else
+/// changes: under the default policy every cell's ranking, failures and
+/// log equal a one-cell `rank_models_supervised` call on its series, which
+/// never shares, at every thread count. The whole fleet fans out over its
+/// jobs; its last two cells alone pool their fits at `Fixed(3)`. The fleet
+/// builds one design per grid: one shared design for A and one for A′,
+/// and B's in its one fit.
+#[test]
+fn fleet_cells_that_share_designs_equal_one_cell_rankings() {
+    let fleet = shared_grid_fleet();
+    let inner: [&dyn ModelFamily; 3] = [&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+    let counted = inner.map(|inner| Counted {
+        inner,
+        builds: Mutex::new(Vec::new()),
+    });
+    let families: Vec<&dyn ModelFamily> = counted.iter().map(|c| c as &dyn ModelFamily).collect();
+    let policy = ExecPolicy::default();
+    for parallelism in [
+        Parallelism::Serial,
+        Parallelism::Fixed(2),
+        Parallelism::Fixed(3),
+    ] {
+        let config = FitConfig {
+            parallelism,
+            ..FitConfig::default()
+        };
+        for cells in [&fleet[..], &fleet[8..]] {
+            let (outcomes, log) = run_fleet(&families, cells, &config, &policy);
+            let mut grids: Vec<u64> = cells
+                .iter()
+                .map(|c| c.times()[c.len() - 1].to_bits())
+                .collect();
+            grids.sort_unstable();
+            grids.dedup();
+            for family in &counted {
+                assert_eq!(family.take(), grids, "{parallelism:?}: {}", family.name());
+            }
+            let mut one_cell_log = Vec::new();
+            for (i, (series, outcome)) in cells.iter().zip(outcomes).enumerate() {
+                let rec = Arc::new(RecordingObserver::new());
+                let one = rank_models_supervised(
+                    &families,
+                    series,
+                    &config,
+                    &policy,
+                    &Control::unbounded().observe(rec.clone()),
+                );
+                assert_eq!(
+                    render_ranking(&outcome.into_result()),
+                    render_ranking(&one),
+                    "{parallelism:?}: cell {i}"
+                );
+                // A one-cell call is cell 0: renumber its `job` lines.
+                one_cell_log.extend(rec.take().into_iter().map(|e| match e {
+                    Event::JobStarted { cell: 0, family } => Event::JobStarted {
+                        cell: i as u32,
+                        family,
+                    },
+                    e => e,
+                }));
+            }
+            counted.iter().for_each(|family| drop(family.take()));
+            assert!(jsonl(&log) == jsonl(&one_cell_log), "{parallelism:?}");
+        }
+    }
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Five rounds of the shared-grid fleet (50 cells) under the CI chaos
+/// policy (forced panics, deadline blowouts, retry exhaustion, observer
+/// loss and transient faults, two attempts, and breakers over 8-cell
+/// waves), at every thread count: its outcomes and its JSONL log. Breakers
+/// open, half-open and close, cells are quarantined, retries refit over
+/// shared designs, and at `Fixed(3)` the last wave (two cells on grid A)
+/// pools its fits. A one-cell call cannot stand in for a cell here, since
+/// the faults are drawn per fleet cell and the breakers carry state from
+/// cell to cell, so the digests pin the fleet as a ranker that builds every
+/// design inside its own fit produced it, bit for bit.
+#[test]
+fn chaos_fleet_that_shares_designs_keeps_its_outcomes_and_log() {
+    const OUTCOMES: u64 = 0x99D5_2501_2EB9_BBC3;
+    const LOG: u64 = 0xF0A1_2F65_4F82_9849;
+    let policy = ExecPolicy {
+        family_budget: None,
+        retry: Some(RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        }),
+        breaker: Some(BreakerPolicy {
+            threshold: 2,
+            cooldown: 2,
+            wave: 8,
+        }),
+        chaos: Some(ChaosPlan {
+            seed: 0x0C4A_0511,
+            panic_per_mille: 70,
+            deadline_per_mille: 60,
+            exhaustion_per_mille: 50,
+            observer_loss_per_mille: 100,
+            transient_per_mille: 150,
+        }),
+    };
+    let fleet: Vec<PerformanceSeries> = shared_grid_fleet().into_iter().cycle().take(50).collect();
+    let families: Vec<&dyn ModelFamily> =
+        vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let runs: Vec<_> = [
+        Parallelism::Serial,
+        Parallelism::Fixed(2),
+        Parallelism::Fixed(3),
+    ]
+    .into_iter()
+    .map(|parallelism| {
+        let config = FitConfig {
+            parallelism,
+            ..FitConfig::default()
+        };
+        (parallelism, run_fleet(&families, &fleet, &config, &policy))
+    })
+    .collect();
+    std::panic::set_hook(hook);
+    for (parallelism, (outcomes, log)) in runs {
+        let rendered: String = outcomes
+            .iter()
+            .map(|outcome| match outcome {
+                CellOutcome::Ranked(ranking) => render_ranking(&Ok(ranking.clone())) + "\n",
+                CellOutcome::Quarantined { failures } => {
+                    format!("quarantined {}\n", render_failures(failures))
+                }
+                CellOutcome::Stopped(e) => format!("stopped {e}\n"),
+            })
+            .collect();
+        let basis = 0xCBF2_9CE4_8422_2325;
+        assert_eq!(
+            (
+                fnv1a(basis, rendered.as_bytes()),
+                fnv1a(basis, &jsonl(&log))
+            ),
+            (OUTCOMES, LOG),
+            "{parallelism:?}:\n{rendered}"
+        );
     }
 }
