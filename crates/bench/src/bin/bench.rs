@@ -43,6 +43,7 @@ use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy};
 use resilience_core::selection::{rank_models, Ranking};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::catalog;
+use resilience_data::PerformanceSeries;
 use resilience_obs::{RecordingObserver, RunReport};
 use resilience_optim::Parallelism;
 use std::path::Path;
@@ -111,40 +112,39 @@ fn write_baseline(path: &str, pass: bool, verdict: &str, json: &str) -> Result<b
     Ok(true)
 }
 
-/// CI ceiling for the median evals-per-fit of one `rank_models` pass
-/// over the six paper families on 1990-93.
+/// CI ceiling for the median evals-per-fit of the `rank_models` passes
+/// over the six paper families on the seven recessions.
 /// The §11 speed layer (basin-finding Nelder–Mead, analytic-Jacobian
-/// polish, the mixtures' profiled coefficient) lands the median at 156,
-/// the mean of the middle pair 130 and 182 of the six families' counts;
-/// the ceiling leaves headroom for tolerance tweaks while still catching
-/// a regression to the pre-§11 exhaustive-simplex profile (median well
-/// above 2000).
+/// polish, the mixtures' profiled coefficient, the raced starts) lands
+/// the median far below it; the ceiling leaves headroom for tolerance
+/// tweaks while still catching a regression to the pre-§11
+/// exhaustive-simplex profile (median well above 2000).
 const SMOKE_EVALS_PER_FIT_CEILING: u64 = 1200;
 
 /// CI ceilings on each paper family's objective evaluations over every
-/// start of the same observed pass, about 1.5× the 1990-93 totals
-/// (Quadratic 1, Competing Risks 47, Exp-Exp 981, Wei-Exp 1 751,
-/// Exp-Wei 1 851, Wei-Wei 6 902) — the obs gate's headroom. The four
-/// mixtures are ~97% of a ranking's time, so these gate the work that
+/// start of the seven observed passes, about 1.5× the seven-curve totals
+/// (Quadratic 7, Competing Risks 338, Exp-Exp 6 634, Wei-Exp 8 622,
+/// Exp-Wei 8 839, Wei-Wei 16 667) — the obs gate's headroom. The four
+/// mixtures are >99.9% of a ranking's time, so these gate the work that
 /// costs it, where the median above is set by the cheap families. A
-/// family that searches what it solves fails its ceiling: Quadratic
-/// searching (746), Competing Risks searching `ln β` (277) or also α and
-/// γ (1 734), and the mixtures searching β (4 839, 11 159, 14 283 and
-/// 15 793).
+/// family that searches what it solves fails its ceiling, and so do
+/// mixtures whose starts stopped racing: run to their ends, the starts
+/// without the screened one spent 11 093, 17 610, 15 237 and 40 029
+/// (DESIGN.md §11, "Racing the starts").
 const SMOKE_FAMILY_EVAL_CEILINGS: [(&str, u64); 6] = [
-    ("Quadratic", 2),
-    ("Competing Risks", 70),
-    ("Exp-Exp", 1_500),
-    ("Wei-Exp", 2_600),
-    ("Exp-Wei", 2_800),
-    ("Wei-Wei", 10_400),
+    ("Quadratic", 11),
+    ("Competing Risks", 510),
+    ("Exp-Exp", 10_000),
+    ("Wei-Exp", 13_000),
+    ("Exp-Wei", 13_300),
+    ("Wei-Wei", 25_000),
 ];
 
 /// The work half of the `rank_models` gate: the median of the observed
 /// evals-per-fit must stay under [`SMOKE_EVALS_PER_FIT_CEILING`] and each
 /// family's evaluations under its [`SMOKE_FAMILY_EVAL_CEILINGS`] entry.
 /// Returns one message per broken gate. An empty list of observations, a
-/// ceiling family the pass never reported and an observed family without
+/// ceiling family the passes never reported and an observed family without
 /// a ceiling each break it too, so a pass that lost its observer or a
 /// renamed family cannot pass every ceiling with zero work.
 fn work_gate_failures(evals_per_fit: &[u64], per_family: &[(String, u64)]) -> Vec<String> {
@@ -174,36 +174,26 @@ fn work_gate_failures(evals_per_fit: &[u64], per_family: &[(String, u64)]) -> Ve
 }
 
 /// The `rank_models` gate → `BENCH_fitting.json`: over the six paper
-/// families on 1990-93, the serial and `Fixed(2)` rankings must be
-/// bit-identical, an observed `Fixed(2)` pass must log exactly the events
-/// of an observed serial pass (both fold into `identical`), and the
-/// serial pass must pass [`work_gate_failures`]. The observed serial pass
-/// also supplies the baseline's counters and per-family evaluations;
-/// supervised ranking under the default policy is numerically identical
-/// to plain `rank_models`.
+/// families on each of the seven recessions' `payroll_index()` curves,
+/// the serial and `Fixed(2)` rankings must be bit-identical, an observed
+/// `Fixed(2)` pass must log exactly the events of an observed serial pass
+/// (both fold into `identical`), and the serial passes together must pass
+/// [`work_gate_failures`]. The observed serial passes also supply the
+/// baseline's counters, its per-family evaluations and each curve's
+/// evaluations per family; supervised ranking under the default policy is
+/// numerically identical to plain `rank_models`.
 fn rank_models_gate() -> Result<bool, ExitCode> {
-    let series = Recession::R1990_93.payroll_index();
     let mixtures = MixtureFamily::paper_combinations();
     let families = paper_families(&mixtures);
     let config = |p: Parallelism| FitConfig {
         parallelism: p,
         ..FitConfig::default()
     };
-
-    let serial =
-        rank_models(&families, &series, &config(Parallelism::Serial)).expect("serial rank_models");
-    let fixed2 = rank_models(&families, &series, &config(Parallelism::Fixed(2)))
-        .expect("fixed(2) rank_models");
-    let rankings_match = rankings_identical(&serial, &fixed2);
-    if !rankings_match {
-        eprintln!("rank_models: serial vs Fixed(2) outputs differ — determinism broken");
-    }
-
-    let observed_log = |p: Parallelism| {
+    let observed_log = |series: &PerformanceSeries, p: Parallelism| {
         let rec = Arc::new(RecordingObserver::new());
         rank_models_supervised(
             &families,
-            &series,
+            series,
             &config(p),
             &ExecPolicy::default(),
             &Control::unbounded().observe(rec.clone()),
@@ -211,17 +201,42 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         .expect("observed rank_models");
         rec.take()
     };
-    let events = observed_log(Parallelism::Serial);
-    // At Fixed(2) a one-cell ranking pools every family's starts and
-    // replays each start's event buffer at its family's finish: the log
-    // must still be the serial one, event for event.
-    let logs_match = observed_log(Parallelism::Fixed(2)) == events;
-    if !logs_match {
-        eprintln!("rank_models: serial vs Fixed(2) event logs differ — start replay out of order");
+
+    let mut identical = true;
+    let mut evals = Vec::new();
+    let mut observed = RunReport::default();
+    let mut per_series = Vec::new();
+    for recession in Recession::ALL {
+        let series = recession.payroll_index();
+        let label = recession.label();
+        let serial = rank_models(&families, &series, &config(Parallelism::Serial))
+            .expect("serial rank_models");
+        let fixed2 = rank_models(&families, &series, &config(Parallelism::Fixed(2)))
+            .expect("fixed(2) rank_models");
+        if !rankings_identical(&serial, &fixed2) {
+            eprintln!(
+                "rank_models {label}: serial vs Fixed(2) outputs differ — determinism broken"
+            );
+            identical = false;
+        }
+        let events = observed_log(&series, Parallelism::Serial);
+        // At Fixed(2) a one-cell ranking pools every family's starts and
+        // replays each start's event buffer at its family's finish: the
+        // log must still be the serial one, event for event.
+        if observed_log(&series, Parallelism::Fixed(2)) != events {
+            eprintln!(
+                "rank_models {label}: serial vs Fixed(2) event logs differ — start replay out of order"
+            );
+            identical = false;
+        }
+        evals.extend(evals_per_fit(&events));
+        let report = RunReport::from_events(events);
+        per_series.push((
+            label.to_string(),
+            report.families.iter().map(|f| f.evaluations).collect(),
+        ));
+        observed.merge(&report);
     }
-    let identical = rankings_match && logs_match;
-    let evals = evals_per_fit(&events);
-    let observed = RunReport::from_events(events);
     let per_family: Vec<(String, u64)> = observed
         .families
         .iter()
@@ -242,7 +257,8 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         )
         .collect();
     let verdict = format!(
-        "rank_models identical={identical} evals_per_fit={evals:?} median={} (ceiling {SMOKE_EVALS_PER_FIT_CEILING}) evals=[{}]",
+        "rank_models identical={identical} curves={} evals_per_fit={evals:?} median={} (ceiling {SMOKE_EVALS_PER_FIT_CEILING}) evals=[{}]",
+        Recession::ALL.len(),
         median_u64(&evals).map_or_else(|| "none".to_string(), |m| m.to_string()),
         budget.join(", ")
     );
@@ -252,8 +268,9 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         counters: run_counters(&observed),
         evals_per_fit: evals,
         per_family,
+        per_series,
         context: vec![
-            ("series".into(), "1990-93 payroll index".into()),
+            ("series".into(), "the 7 recessions' payroll indexes".into()),
             ("families".into(), families.len().to_string()),
         ],
     };
@@ -309,6 +326,7 @@ fn bootstrap_gate() -> Result<bool, ExitCode> {
         evals_per_fit: evals_per_fit(&events),
         counters: run_counters(&RunReport::from_events(events)),
         per_family: Vec::new(),
+        per_series: Vec::new(),
         context: vec![
             ("series".into(), "1990-93 payroll index".into()),
             ("family".into(), "Quadratic".into()),
@@ -482,19 +500,23 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The 1990-93 observations: evals per fit, and each paper family's
-    /// evaluations.
+    /// The seven curves' observations: evals per fit, and each paper
+    /// family's evaluations.
     fn observed() -> (Vec<u64>, Vec<(String, u64)>) {
         let per_family = [
-            ("Quadratic", 1),
-            ("Competing Risks", 47),
-            ("Exp-Exp", 981),
-            ("Wei-Exp", 1_751),
-            ("Exp-Wei", 1_851),
-            ("Wei-Wei", 6_902),
+            ("Quadratic", 7),
+            ("Competing Risks", 338),
+            ("Exp-Exp", 6_634),
+            ("Wei-Exp", 8_622),
+            ("Exp-Wei", 8_839),
+            ("Wei-Wei", 16_667),
         ];
         (
-            vec![1, 47, 130, 182, 182, 344],
+            vec![
+                1, 48, 100, 164, 180, 268, 1, 49, 299, 164, 132, 549, 1, 49, 100, 146, 140, 374, 1,
+                47, 106, 177, 213, 672, 1, 49, 247, 613, 209, 997, 1, 46, 255, 420, 192, 578, 1,
+                50, 91, 198, 157, 268,
+            ],
             per_family
                 .iter()
                 .map(|&(name, evals)| (name.to_string(), evals))
@@ -506,20 +528,23 @@ mod tests {
     fn work_gate_passes_the_committed_profile_and_fails_over_a_ceiling() {
         let (mut evals, mut per_family) = observed();
         assert!(work_gate_failures(&evals, &per_family).is_empty());
-        // The bathtub families searching again (Competing Risks over
-        // `ln β`, as it did before its profile), and a mixture searching
-        // its β.
-        per_family[0].1 = 746;
-        per_family[1].1 = 277;
-        per_family[2].1 = 4_839;
+        // The bathtub families searching again (seven times their 1990-93
+        // counts: the Quadratic over every coefficient, Competing Risks
+        // over `ln β`, as it did before its profile), and mixtures whose
+        // starts all run to their ends.
+        per_family[0].1 = 5_222;
+        per_family[1].1 = 1_939;
+        per_family[2].1 = 11_093;
+        per_family[5].1 = 40_029;
         evals.iter_mut().for_each(|e| *e += 2_000);
         assert_eq!(
             work_gate_failures(&evals, &per_family),
             [
-                "median evals-per-fit 2156 exceeds ceiling 1200",
-                "Quadratic spent 746 evaluations, over its ceiling 2",
-                "Competing Risks spent 277 evaluations, over its ceiling 70",
-                "Exp-Exp spent 4839 evaluations, over its ceiling 1500",
+                "median evals-per-fit 2152 exceeds ceiling 1200",
+                "Quadratic spent 5222 evaluations, over its ceiling 11",
+                "Competing Risks spent 1939 evaluations, over its ceiling 510",
+                "Exp-Exp spent 11093 evaluations, over its ceiling 10000",
+                "Wei-Wei spent 40029 evaluations, over its ceiling 25000",
             ]
         );
     }

@@ -32,6 +32,11 @@ pub struct WorkReport {
     /// order; empty when the benchmark runs a single family already
     /// named in `context`.
     pub per_family: Vec<(String, u64)>,
+    /// Objective evaluations per family of each series of a benchmark
+    /// that runs several, in `per_family`'s order, so work that moves
+    /// from one series to another shows in that series' row; empty (and
+    /// left out of the JSON) for a benchmark of one series.
+    pub per_series: Vec<(String, Vec<u64>)>,
     /// Free-form context keys (series name, replicate count, …).
     pub context: Vec<(String, String)>,
 }
@@ -61,8 +66,26 @@ impl WorkReport {
                 )
             })
             .collect();
+        let per_series: String = self
+            .per_series
+            .iter()
+            .map(|(name, evaluations)| {
+                let evaluations: Vec<String> = evaluations.iter().map(u64::to_string).collect();
+                format!(
+                    "\n    {{\"name\": \"{}\", \"evaluations\": [{}]}}",
+                    json_escape(name),
+                    evaluations.join(", ")
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let per_series = if per_series.is_empty() {
+            String::new()
+        } else {
+            format!("  \"per_series\": [{per_series}\n  ],\n")
+        };
         format!(
-            "{{\n  \"benchmark\": \"{}\",\n  \"identical\": {},\n  \"counters\": {{{}}},\n  \"evals_per_fit\": [{}],\n  \"per_family\": [{}],\n  \"context\": {{{}}}\n}}\n",
+            "{{\n  \"benchmark\": \"{}\",\n  \"identical\": {},\n  \"counters\": {{{}}},\n  \"evals_per_fit\": [{}],\n  \"per_family\": [{}],\n{per_series}  \"context\": {{{}}}\n}}\n",
             json_escape(&self.benchmark),
             self.identical,
             counters.join(", "),
@@ -150,10 +173,12 @@ mod tests {
             counters: vec![("objective_evals".into(), 1234)],
             evals_per_fit: vec![400, 350],
             per_family: vec![("Quadratic".into(), 400)],
+            per_series: vec![("1990-93".into(), vec![400])],
             context: vec![("series".into(), "1990-93".into())],
         };
         let json = report.to_json();
         for needle in [
+            "\"per_series\": [\n    {\"name\": \"1990-93\", \"evaluations\": [400]}\n  ]",
             "\"benchmark\": \"rank_models\"",
             "\"identical\": true",
             "\"objective_evals\": 1234",

@@ -280,3 +280,44 @@ fn work_totals_past_u64_max_saturate_in_the_report() {
         stdout(&out)
     );
 }
+
+/// The log of a raced mixture fit (DESIGN.md §11, "Racing the starts"):
+/// `obsctl tree` shows each start that lost at the cut with the exit
+/// reason `retired`, and charges its work to its fit, so the fit's
+/// evaluations are all of the fit's and none is unattributed.
+#[test]
+fn tree_shows_the_retired_starts_of_a_raced_fit() {
+    use resilience_core::fit::{fit_least_squares_with, FitConfig};
+    use resilience_core::mixture::MixtureFamily;
+    use resilience_core::runtime::Control;
+    use resilience_data::recessions::Recession;
+    use resilience_obs::JsonlObserver;
+    use std::sync::Arc;
+
+    let sink = Arc::new(JsonlObserver::new(Vec::new()));
+    let fit = fit_least_squares_with(
+        &MixtureFamily::paper_combinations()[3],
+        &Recession::R1990_93.payroll_index(),
+        &FitConfig::default(),
+        &Control::unbounded().observe(sink.clone()),
+    )
+    .expect("Wei-Wei fits 1990-93");
+    let (bytes, dropped) = Arc::into_inner(sink).expect("one owner").into_parts();
+    assert_eq!(dropped, 0);
+    let log = fixture("raced.jsonl", &String::from_utf8(bytes).expect("utf8 log"));
+    let out = obsctl(&["tree", log.to_str().unwrap(), "--depth", "4"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.starts_with(&format!(
+            "fleet: 1 cells, 1 fits, {} evals, 0 retries, 0 unattributed evals",
+            fit.total_evaluations
+        )),
+        "{text}"
+    );
+    let retired = text.matches("exit=retired").count();
+    assert!(
+        (1..10).contains(&retired),
+        "{retired} retired starts: {text}"
+    );
+}

@@ -20,8 +20,8 @@ use resilience_math::linalg::Matrix;
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, ExitReason, HistogramId, SolverKind};
 use resilience_optim::levenberg_marquardt;
-use resilience_optim::multi_start::{multi_start, StartReduction};
-use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+use resilience_optim::multi_start::{multi_start, Race, StartReduction};
+use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig, NelderMeadRun};
 use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
 use resilience_optim::{Control, OptimError, Parallelism};
@@ -30,6 +30,15 @@ use std::cell::RefCell;
 /// The evaluation budget under which a converged warm probe
 /// short-circuits the cold starts (see [`FitPlan::new`]).
 const WARM_EVAL_BUDGET: usize = 600;
+
+/// The evaluations of a raced start's first leg (DESIGN.md §11, "Racing
+/// the starts"): it pauses at the first iteration boundary at which it has
+/// spent this many.
+const RACE_CUT: usize = 50;
+
+/// The raced starts that run on from the cut, the least values at the cut.
+/// A profiled search with this many starts or fewer keeps every one.
+const RACE_KEEP: usize = 4;
 
 /// Nelder–Mead's basin-finding tolerances on the objective and on the
 /// simplex. Nelder–Mead only needs to land in the right basin, because the
@@ -55,8 +64,9 @@ pub struct FitConfig {
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
     /// [`crate::selection::rank_models`]) spends them on its jobs when a
     /// wave has at least as many cells as threads, and otherwise on the
-    /// starts of all the wave's fits in one pool. Every setting produces
-    /// bit-identical results; see `DESIGN.md` §7 (threading model).
+    /// starts of all the wave's fits, in one pool per leg of their races.
+    /// Every setting produces bit-identical results; see `DESIGN.md` §7
+    /// (threading model).
     pub parallelism: Parallelism,
 }
 
@@ -91,10 +101,11 @@ pub struct FittedModel {
     /// them.
     pub evaluations: usize,
     /// Every objective evaluation the fit spent: the warm probe, every
-    /// cold start (winner and losers), the lift and the polish, or an
-    /// exact fit's profile and rescoring. A solver run that failed or was
-    /// stopped is not counted, so this equals the total of the fit's
-    /// observed `objective_evals` counters.
+    /// cold start (winner, losers and the starts that retired at a race's
+    /// cut), the lift and the polish, or an exact fit's profile and
+    /// rescoring. A solver run that failed or was stopped is not counted,
+    /// so this equals the total of the fit's observed `objective_evals`
+    /// counters.
     pub total_evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
@@ -280,6 +291,22 @@ impl<'a> ProfiledObjective<'a> {
     }
 }
 
+/// A fit's search objective: the full SSE over every internal
+/// coordinate, or a profiled family's variable-projection SSE.
+enum Objective<'a> {
+    Full(SseObjective<'a>),
+    Profiled(ProfiledObjective<'a>),
+}
+
+impl Objective<'_> {
+    fn eval(&self, x: &[f64]) -> f64 {
+        match self {
+            Objective::Full(objective) => objective.eval(x),
+            Objective::Profiled(objective) => objective.eval(x),
+        }
+    }
+}
+
 /// The least-squares coefficient of one design column and the SSE it
 /// leaves: for `observed ≈ offset + β·column`,
 /// `β = ⟨observed − offset, column⟩ / ⟨column, column⟩` and
@@ -434,15 +461,16 @@ pub fn fit_least_squares(
 /// and that winner is returned.
 ///
 /// The fit runs its three phases in a row: the plan (an exact fit, or
-/// the starts), every start in one [`multi_start`] pool of
-/// `config.parallelism` threads, and the finish (reduce, lift, polish,
-/// guard). An exact fit ([`ModelFamily::exact_design`]) skips the search
-/// and the polish, and its finish polls the control once before it counts
-/// and logs its work (DESIGN.md §11, "Exact fits"): the Quadratic and the
-/// Quartic are one solve each, and Competing Risks is one profile over
-/// `ln β`, whose one `converged` line (solver `profile`) carries the
-/// profile's evaluations and Brent iterations. Only a design with fewer
-/// distinct times than coefficients searches.
+/// the starts), the starts' race in [`multi_start`]'s pools of
+/// `config.parallelism` threads (DESIGN.md §11, "Racing the starts"), and
+/// the finish (reduce, lift, polish, guard). An exact fit
+/// ([`ModelFamily::exact_design`]) skips the search and the polish, and
+/// its finish polls the control once before it counts and logs its work
+/// (DESIGN.md §11, "Exact fits"): the Quadratic and the Quartic are one
+/// solve each, and Competing Risks is one profile over `ln β`, whose one
+/// `converged` line (solver `profile`) carries the profile's evaluations
+/// and Brent iterations. Only a design with fewer distinct times than
+/// coefficients searches.
 ///
 /// # Errors
 ///
@@ -482,9 +510,13 @@ pub(crate) fn fit_from(
     let plan = FitPlan::new(
         family, series, &ln_times, design, guesses, warm, config, control,
     )?;
-    let cold = multi_start(config.parallelism, plan.starts(), control, |i, c| {
-        plan.minimize_start(i, c)
-    });
+    let cold = multi_start(
+        config.parallelism,
+        plan.race(control),
+        control,
+        |i, budget, c| plan.first_leg(i, budget, c),
+        |_, run, c| plan.second_leg(run, c),
+    );
     plan.finish(cold, config, control)
 }
 
@@ -508,13 +540,15 @@ fn phase_error(e: OptimError) -> CoreError {
 /// A fit between its plan and its finish.
 ///
 /// [`FitPlan::new`] is the plan phase: an exact solve, or else the warm
-/// probe, if any, and the cold starts. Each start then runs on its own
-/// through [`FitPlan::minimize_start`], in any order and on any thread, and
-/// its result goes into a [`StartReduction`]. [`FitPlan::finish`] reduces,
-/// lifts, polishes and guards. [`fit_least_squares_with`] runs the phases
-/// in a row; the ranker plans every family of a small wave, runs all their
-/// starts in one pool, then finishes each (DESIGN.md §13). Both give
-/// bit-identical fits and event logs.
+/// probe, if any, and the cold starts. The starts then race
+/// ([`FitPlan::race`]): each runs its legs on its own through
+/// [`FitPlan::first_leg`] and [`FitPlan::second_leg`], in any order and on
+/// any thread, and the race leaves a [`StartReduction`]. [`FitPlan::finish`]
+/// reduces, lifts, polishes and guards. [`fit_least_squares_with`] runs
+/// the phases in a row; the ranker plans every family of a small wave,
+/// runs all their first legs in one pool and their survivors in another,
+/// then finishes each (DESIGN.md §13). Both give bit-identical fits and
+/// event logs.
 pub(crate) struct FitPlan<'a> {
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
@@ -700,33 +734,71 @@ impl<'a> FitPlan<'a> {
         self.dim
     }
 
-    /// Nelder–Mead from `x0` over a private instance of the fit's
-    /// objective: the full SSE, or the profiled one. Either maps
-    /// infeasible points to +∞, so the simplex contracts away from them,
-    /// and owns scratch buffers, so an evaluation allocates nothing.
-    fn minimize(&self, x0: &[f64], control: &Control) -> Result<OptimReport, OptimError> {
+    /// A private instance of the fit's objective: the full SSE, or the
+    /// profiled one. Either maps infeasible points to +∞, so the simplex
+    /// contracts away from them, and owns scratch buffers, so an
+    /// evaluation allocates nothing.
+    fn objective(&self) -> Objective<'a> {
         let (times, observed) = (self.series.times(), self.series.values());
         match self.ln_times {
-            Some(ln_times) => {
-                let objective = ProfiledObjective::new(self.family, times, ln_times, observed);
-                self.optimizer
-                    .minimize(&|u: &[f64]| objective.eval(u), x0, control)
-            }
-            None => {
-                let objective = SseObjective::new(self.family, times, observed);
-                self.optimizer
-                    .minimize(&|x: &[f64]| objective.eval(x), x0, control)
-            }
+            Some(ln_times) => Objective::Profiled(ProfiledObjective::new(
+                self.family,
+                times,
+                ln_times,
+                observed,
+            )),
+            None => Objective::Full(SseObjective::new(self.family, times, observed)),
         }
     }
 
-    /// Runs cold start `i` under `control`.
-    pub(crate) fn minimize_start(
+    /// Nelder–Mead from `x0` over a private instance of the fit's
+    /// objective: the warm probe.
+    fn minimize(&self, x0: &[f64], control: &Control) -> Result<OptimReport, OptimError> {
+        let objective = self.objective();
+        self.optimizer
+            .minimize(&|x: &[f64]| objective.eval(x), x0, control)
+    }
+
+    /// The race over the cold starts (DESIGN.md §11, "Racing the
+    /// starts"): a profiled search with more than [`RACE_KEEP`] starts
+    /// keeps the [`RACE_KEEP`] best after [`RACE_CUT`] evaluations each;
+    /// any other search keeps every start, which is the plain multi-start.
+    pub(crate) fn race(&self, control: &Control) -> Race {
+        let keep = if self.ln_times.is_some() {
+            RACE_KEEP
+        } else {
+            usize::MAX
+        };
+        Race::new(self.starts(), keep, RACE_CUT, control.observed())
+    }
+
+    /// Cold start `i`'s first leg under `control`: its Nelder–Mead run,
+    /// begun and advanced to `budget` evaluations.
+    pub(crate) fn first_leg(
         &self,
         i: usize,
+        budget: usize,
         control: &Control,
-    ) -> Result<OptimReport, OptimError> {
-        self.minimize(&self.starts[i * self.dim..(i + 1) * self.dim], control)
+    ) -> Result<NelderMeadRun, OptimError> {
+        let objective = self.objective();
+        let f = |x: &[f64]| objective.eval(x);
+        let mut run =
+            self.optimizer
+                .begin(&f, &self.starts[i * self.dim..(i + 1) * self.dim], control)?;
+        self.optimizer.advance(&f, &mut run, budget, control)?;
+        Ok(run)
+    }
+
+    /// A surviving cold start's second leg under `control`: its paused
+    /// `run`, advanced to its end.
+    pub(crate) fn second_leg(
+        &self,
+        run: &mut NelderMeadRun,
+        control: &Control,
+    ) -> Result<bool, OptimError> {
+        let objective = self.objective();
+        self.optimizer
+            .advance(&|x: &[f64]| objective.eval(x), run, usize::MAX, control)
     }
 
     /// The finish phase: reduces the warm result and `cold`, the reduction
@@ -1163,15 +1235,19 @@ mod tests {
                 })
                 .expect("a fit_started event")
         };
+        // 18 data-driven guesses, which merge to 9 starts, and the
+        // screen's best node.
         for family in MixtureFamily::paper_combinations() {
-            assert_eq!(family.initial_guesses(&s).len(), 18);
-            assert_eq!(starts(&family), 9, "{}", family.name());
+            assert_eq!(family.initial_guesses(&s).len(), 19);
+            assert_eq!(starts(&family), 10, "{}", family.name());
         }
+        // A search over β has no screen, and merges nothing.
         let exponential_trend = MixtureFamily {
             trend: Trend::Exponential,
             ..MixtureFamily::paper_combinations()[1]
         };
         assert!(!exponential_trend.profiles_last_coefficient());
+        assert_eq!(exponential_trend.initial_guesses(&s).len(), 18);
         assert_eq!(starts(&exponential_trend), 18);
     }
 
@@ -1219,9 +1295,10 @@ mod tests {
     }
 
     /// `total_evaluations` is every evaluation a fit spent — the total of
-    /// its observed `objective_evals` counters — at every thread count,
-    /// while `evaluations` keeps counting the winner, the lift and the
-    /// polish only. Pinned on 1990-93, with a warm-started Exp-Exp refit
+    /// its observed `objective_evals` counters, the retired starts' of a
+    /// raced mixture included — at every thread count, while
+    /// `evaluations` keeps counting the winner, the lift and the polish
+    /// only. Pinned on 1990-93, with a warm-started Exp-Exp refit
     /// whose probe short-circuits the cold phase. The `e^{βt}` Wei-Exp has
     /// no linear coefficient, so its Nelder–Mead searches every coordinate
     /// of the full objective.
@@ -1250,10 +1327,10 @@ mod tests {
             (1, Some(1)),
             (47, Some(47)),
             (1, None),
-            (981, Some(130)),
-            (1751, Some(182)),
-            (1851, Some(182)),
-            (6902, Some(344)),
+            (727, Some(106)),
+            (995, Some(177)),
+            (1263, Some(213)),
+            (3571, Some(672)),
             (5999, Some(402)),
         ];
         let observed_fit = |family: &dyn ModelFamily, config: &FitConfig, warm: Option<&[f64]>| {

@@ -200,6 +200,55 @@ pub fn combo_name(f1: ComponentKind, f2: ComponentKind) -> &'static str {
     }
 }
 
+/// Weibull shapes on the screen's grid, log-spaced over
+/// [`SCREEN_SHAPE_RANGE`].
+const SCREEN_SHAPES: usize = 5;
+
+/// Cumulative hazards at the last time on the screen's grid, log-spaced
+/// over [`SCREEN_HAZARD_RANGE`].
+const SCREEN_HAZARDS: usize = 7;
+
+/// The range of the screen's Weibull shapes.
+const SCREEN_SHAPE_RANGE: (f64, f64) = (0.2, 12.0);
+
+/// The range of the screen's cumulative hazards at the last time.
+const SCREEN_HAZARD_RANGE: (f64, f64) = (1e-3, 1e2);
+
+/// The most nodes a component has on the screen's grid: a Weibull's.
+const SCREEN_NODES: usize = SCREEN_SHAPES * SCREEN_HAZARDS;
+
+/// The time points the screen holds per node at once, on the stack.
+const SCREEN_BLOCK: usize = 16;
+
+/// Point `i` of `m` log-spaced over `range`.
+fn log_spaced(range: (f64, f64), i: usize, m: usize) -> f64 {
+    let (lo, hi) = (range.0.ln(), range.1.ln());
+    (lo + (hi - lo) * i as f64 / (m - 1) as f64).exp()
+}
+
+/// The screen's node `j` of a `kind` component, whose cumulative hazard at
+/// the last time `t_end` is `z`: an Exponential's rate `z / t_end`, or a
+/// Weibull's shape `k` and scale `t_end·z^(−1/k)`, shape-major. Only the
+/// first [`ComponentKind::n_params`] values are used.
+fn screen_node(kind: ComponentKind, j: usize, t_end: f64) -> [f64; 2] {
+    let z = log_spaced(SCREEN_HAZARD_RANGE, j % SCREEN_HAZARDS, SCREEN_HAZARDS);
+    match kind {
+        ComponentKind::Exponential => [z / t_end, 0.0],
+        ComponentKind::Weibull => {
+            let k = log_spaced(SCREEN_SHAPE_RANGE, j / SCREEN_HAZARDS, SCREEN_SHAPES);
+            [k, t_end * z.powf(-1.0 / k)]
+        }
+    }
+}
+
+/// The number of a `kind` component's nodes on the screen's grid.
+fn screen_nodes(kind: ComponentKind) -> usize {
+    match kind {
+        ComponentKind::Exponential => SCREEN_HAZARDS,
+        ComponentKind::Weibull => SCREEN_NODES,
+    }
+}
+
 /// The [`ModelFamily`] for mixture models with fixed component kinds and
 /// trend.
 ///
@@ -240,6 +289,110 @@ impl MixtureFamily {
         let n1 = self.f1.n_params();
         let n2 = self.f2.n_params();
         (&params[..n1], &params[n1..n1 + n2], params[n1 + n2])
+    }
+
+    /// The best node of the separable screen (DESIGN.md §11, "The
+    /// separable screen"), as a full parameter vector with its optimal
+    /// `β`, or `None` when the family does not profile `β`, the last time
+    /// is not positive, or no node has a positive `β`.
+    ///
+    /// Each component takes its nodes from a grid over its cumulative
+    /// hazard at the last time `T`, 7 values log-spaced over [10⁻³, 10²]:
+    /// an Exponential's rate is `z/T`, and a Weibull crosses them with 5
+    /// shapes `k` log-spaced over [0.2, 12], with scale `T·z^(−1/k)`.
+    /// Every pair of an `F₁` node and an `F₂` node is scored by its
+    /// profiled SSE, and the least wins, ties to the lower pair index. A
+    /// pair's offset `1 − F₁` depends on its `F₁` node alone and its column
+    /// `a₂(1, t)·F₂(t)` on its `F₂` node alone, so the pair costs one dot
+    /// product of the two: with `r = y − offset` and column `g`,
+    /// `β = ⟨r, g⟩/⟨g, g⟩` and `SSE = ⟨r, r⟩ − β·⟨r, g⟩`.
+    ///
+    /// A pure function of the series' times and values, blocked over time
+    /// on the stack: it allocates only the guess it returns.
+    #[must_use]
+    pub fn screen_guess(&self, series: &PerformanceSeries) -> Option<Vec<f64>> {
+        let (ts, ys) = (series.times(), series.values());
+        let t_end = *ts.last()?;
+        if !(self.profiles_last_coefficient() && t_end > 0.0 && t_end.is_finite()) {
+            return None;
+        }
+        let (n1, n2) = (screen_nodes(self.f1), screen_nodes(self.f2));
+        let nodes = |kind: ComponentKind| {
+            let mut built = [None; SCREEN_NODES];
+            for (j, node) in built.iter_mut().enumerate().take(screen_nodes(kind)) {
+                *node = kind.try_build(&screen_node(kind, j, t_end)[..kind.n_params()]);
+            }
+            built
+        };
+        let (f1, f2) = (nodes(self.f1), nodes(self.f2));
+        // ⟨r, r⟩ per F₁ node, ⟨g, g⟩ and ⟨y, g⟩ per F₂ node, and ⟨o, g⟩
+        // per pair, summed block by block in time order.
+        let mut rr = [0.0; SCREEN_NODES];
+        let mut gg = [0.0; SCREEN_NODES];
+        let mut yg = [0.0; SCREEN_NODES];
+        let mut og = [[0.0; SCREEN_NODES]; SCREEN_NODES];
+        let mut offsets = [[0.0; SCREEN_BLOCK]; SCREEN_NODES];
+        let mut columns = [[0.0; SCREEN_BLOCK]; SCREEN_NODES];
+        let mut ln_ts = [0.0; SCREEN_BLOCK];
+        for (ts, ys) in ts.chunks(SCREEN_BLOCK).zip(ys.chunks(SCREEN_BLOCK)) {
+            let m = ts.len();
+            for (l, &t) in ln_ts.iter_mut().zip(ts) {
+                *l = t.ln();
+            }
+            let points = || ts.iter().zip(&ln_ts).zip(ys);
+            for ((f1, offset), rr) in f1.iter().zip(&mut offsets).zip(&mut rr).take(n1) {
+                let Some(f1) = f1 else { continue };
+                for (o, ((&t, &ln_t), &y)) in offset.iter_mut().zip(points()) {
+                    *o = f1.survival_at(t, ln_t);
+                    *rr += (y - *o) * (y - *o);
+                }
+            }
+            let columns_of_f2 = columns.iter_mut().zip(&mut gg).zip(&mut yg);
+            for (f2, ((column, gg), yg)) in f2.iter().zip(columns_of_f2).take(n2) {
+                let Some(f2) = f2 else { continue };
+                for (g, ((&t, &ln_t), &y)) in column.iter_mut().zip(points()) {
+                    *g = self.trend.eval_at(1.0, t, ln_t) * f2.cdf_at(t, ln_t);
+                    *gg += *g * *g;
+                    *yg += y * *g;
+                }
+            }
+            for (og, offset) in og.iter_mut().zip(&offsets).take(n1) {
+                for (og, column) in og.iter_mut().zip(&columns).take(n2) {
+                    *og += offset[..m]
+                        .iter()
+                        .zip(&column[..m])
+                        .map(|(o, g)| o * g)
+                        .sum::<f64>();
+                }
+            }
+        }
+        let mut best: Option<(f64, usize, usize, f64)> = None;
+        for (a, (rr, og)) in rr.iter().zip(&og).enumerate().take(n1) {
+            if f1[a].is_none() {
+                continue;
+            }
+            for (b, ((gg, yg), og)) in gg.iter().zip(&yg).zip(og).enumerate().take(n2) {
+                if f2[b].is_none() || !(*gg >= f64::MIN_POSITIVE && gg.is_finite()) {
+                    continue;
+                }
+                let rg = yg - og;
+                let beta = rg / gg;
+                let sse = rr - beta * rg;
+                if beta > 0.0
+                    && beta.is_finite()
+                    && sse.is_finite()
+                    && best.is_none_or(|(least, ..)| sse < least)
+                {
+                    best = Some((sse, a, b, beta));
+                }
+            }
+        }
+        let (_, a, b, beta) = best?;
+        let mut guess = Vec::with_capacity(self.n_params());
+        guess.extend_from_slice(&screen_node(self.f1, a, t_end)[..self.f1.n_params()]);
+        guess.extend_from_slice(&screen_node(self.f2, b, t_end)[..self.f2.n_params()]);
+        guess.push(beta);
+        Some(guess)
     }
 }
 
@@ -434,6 +587,8 @@ impl ModelFamily for MixtureFamily {
                 }
             }
         }
+        // The screen's best node goes last, so it loses every tie.
+        guesses.extend(self.screen_guess(series));
         guesses
     }
 }

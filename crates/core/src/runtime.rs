@@ -33,7 +33,7 @@ use crate::selection::{
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
-use resilience_optim::multi_start::{run_start, StartReduction};
+use resilience_optim::multi_start::{Race, StartLeg};
 use resilience_optim::parallel::{catch_job, run_each, run_indexed_catch, JobPanic};
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
@@ -634,16 +634,16 @@ struct PooledJob<'a> {
     /// start ran (a chaos fault, a planning failure, a retry policy that
     /// allows no attempt).
     first: Result<FitPlan<'a>, CoreError>,
+    /// The evaluations of attempt 1's first legs ([`Race::budget`]).
+    budget: usize,
     /// What attempt 1's starts left as they finished, in any order.
     run: Mutex<StartsRun>,
 }
 
 /// The running state of one job's pooled starts.
-#[derive(Default)]
 struct StartsRun {
-    reduction: StartReduction,
-    /// Each start's event buffer by start index, when observed.
-    events: Vec<Option<Vec<Event>>>,
+    /// Attempt 1's race (DESIGN.md §11, "Racing the starts").
+    race: Race,
     /// The lowest-index start that panicked, with its message.
     panic: Option<JobPanic>,
 }
@@ -678,12 +678,9 @@ impl<'a> PooledJob<'a> {
                 )
             },
         );
-        let starts = first.as_ref().map_or(0, FitPlan::starts);
-        // One buffer slot per start, filled as the starts finish.
-        let events = if job.base.observed() {
-            (0..starts).map(|_| None).collect()
-        } else {
-            Vec::new()
+        let race = match &first {
+            Ok(plan) => plan.race(&job.base),
+            Err(_) => Race::new(0, 0, 0, false),
         };
         PooledJob {
             family,
@@ -691,10 +688,8 @@ impl<'a> PooledJob<'a> {
             control: job,
             chaos,
             first,
-            run: Mutex::new(StartsRun {
-                events,
-                ..StartsRun::default()
-            }),
+            budget: race.budget(),
+            run: Mutex::new(StartsRun { race, panic: None }),
         }
     }
 
@@ -708,27 +703,61 @@ impl<'a> PooledJob<'a> {
         self.first.as_ref().map_or(0, FitPlan::dim)
     }
 
-    /// Attempt 1's start `i`, on a pool worker. A panic is confined to the
-    /// start and fails the job at its finish.
-    fn run_start(&self, i: usize) {
+    /// The job's start state.
+    fn lock(&self) -> std::sync::MutexGuard<'_, StartsRun> {
+        self.run.lock().expect("start state poisoned")
+    }
+
+    /// The plan of a job with starts.
+    fn plan(&self) -> &FitPlan<'a> {
         let Ok(plan) = &self.first else {
             unreachable!("only planned fits have starts")
         };
+        plan
+    }
+
+    /// Attempt 1's start `i`'s first leg, on a pool worker. A panic is
+    /// confined to the start and fails the job at its finish.
+    fn first_leg(&self, i: usize) {
+        let plan = self.plan();
         let control = self.control.started();
-        let start = catch_job(i, || run_start(i, control, |c| plan.minimize_start(i, c)));
-        let mut run = self.run.lock().expect("start state poisoned");
-        match start {
-            Ok(start) => {
-                if let Some(events) = start.events {
-                    run.events[i] = Some(events);
-                }
-                run.reduction.add(i, start.result);
-            }
-            Err(panic) => {
-                if run.panic.as_ref().is_none_or(|p| i < p.index) {
-                    run.panic = Some(panic);
-                }
-            }
+        let leg = catch_job(i, || {
+            StartLeg::first(i, control, |c| plan.first_leg(i, self.budget, c))
+        });
+        let mut run = self.lock();
+        match leg {
+            Ok(leg) => run.race.file(leg, control),
+            Err(panic) => run.panicked(panic),
+        }
+    }
+
+    /// The cut, on the calling thread once every first leg is over: the
+    /// number of paused survivors, or none when a first leg panicked, as
+    /// the job's own pool would re-raise that panic before its second
+    /// legs.
+    fn cut(&self) -> usize {
+        let mut run = self.lock();
+        if run.panic.is_some() {
+            0
+        } else {
+            run.race.cut()
+        }
+    }
+
+    /// Survivor `s`'s second leg, on a pool worker.
+    fn second_leg(&self, s: usize) {
+        let plan = self.plan();
+        let control = self.control.started();
+        let mut leg = self.lock().race.survivor(s);
+        let i = leg.index();
+        let leg = catch_job(i, move || {
+            leg.second(control, |run, c| plan.second_leg(run, c));
+            leg
+        });
+        let mut run = self.lock();
+        match leg {
+            Ok(leg) => run.race.close_survivor(leg, control),
+            Err(panic) => run.panicked(panic),
         }
     }
 
@@ -754,14 +783,9 @@ impl<'a> PooledJob<'a> {
         }
         catch_job(job, || {
             let control = self.control.started();
-            let first = self.first.and_then(|plan| {
-                if let Some(sink) = control.observer() {
-                    for events in run.events.iter().flatten() {
-                        replay(events, sink.as_ref());
-                    }
-                }
-                plan.finish(run.reduction, config, control)
-            });
+            let first = self
+                .first
+                .and_then(|plan| plan.finish(run.race.finish(control), config, control));
             let outcome = retried(
                 self.family,
                 self.series,
@@ -775,6 +799,37 @@ impl<'a> PooledJob<'a> {
             score(self.family, self.series, outcome)
         })
     }
+}
+
+impl StartsRun {
+    /// Keeps the lowest-index panicking start's panic.
+    fn panicked(&mut self, panic: JobPanic) {
+        if self.panic.as_ref().is_none_or(|p| panic.index < p.index) {
+            self.panic = Some(panic);
+        }
+    }
+}
+
+/// Runs leg `i` of job `order[s]` for every `i < counts[s]` of every `s`,
+/// in one pool, in that order.
+fn pooled_legs<'a>(
+    parallelism: Parallelism,
+    order: &[&PooledJob<'a>],
+    counts: &[usize],
+    leg: impl Fn(&PooledJob<'a>, usize) + Sync,
+) {
+    // `ends[s]` is one past the last pool index of `order[s]`.
+    let ends: Vec<usize> = counts
+        .iter()
+        .scan(0, |end, &count| {
+            *end += count;
+            Some(*end)
+        })
+        .collect();
+    run_each(parallelism, ends.last().copied().unwrap_or(0), |k| {
+        let slot = ends.partition_point(|&end| end <= k);
+        leg(order[slot], k + counts[slot] - ends[slot]);
+    });
 }
 
 /// A series' times as a key: equal to another's when both hold the same
@@ -886,18 +941,22 @@ impl<'a> WaveDesigns<'a> {
 /// 1. plans every job on the calling thread, in input order, with its
 ///    chaos draw and attempt 1 up to its starts — an exact fit's plan is
 ///    its solve, with no start;
-/// 2. runs every start of every planned fit in one pool, longest search
-///    first: jobs by descending search dimension, ties in input order,
-///    each job's starts in start order — an order the plans fix, never
-///    the timing; a job with no start waits for its finish;
-/// 3. finishes the jobs on the calling thread, in input order: replays
+/// 2. runs the first leg of every start of every planned fit in one
+///    pool, longest search first: jobs by descending search dimension,
+///    ties in input order, each job's starts in start order — an order
+///    the plans fix, never the timing; a job with no start waits for its
+///    finish;
+/// 3. cuts each job's race on the calling thread (DESIGN.md §11, "Racing
+///    the starts"), then runs every survivor's second leg in a second
+///    pool, in the same order;
+/// 4. finishes the jobs on the calling thread, in input order: replays
 ///    each job's start buffers in start order, reduces, polishes, retries
 ///    and scores.
 ///
 /// Rows, failures and the event log equal a run of the jobs one after
-/// another, because the reduction of each job's starts is index-ordered
-/// whatever order they finish in, and every buffer is replayed in start
-/// order.
+/// another, because what a race keeps at its cut and the reduction of
+/// its starts are index-ordered whatever order the legs finish in, and
+/// every buffer is replayed in start order.
 #[allow(clippy::too_many_arguments)]
 fn pooled_wave(
     families: &[&dyn ModelFamily],
@@ -938,7 +997,7 @@ fn pooled_wave(
 
     // The dispatch order, a function of the plans: jobs by descending
     // search dimension, ties in input order, each job's starts in start
-    // order. `ends[s]` is one past the last pool index of `order[s]`.
+    // order. The second legs keep it, each job's survivors in start order.
     let mut order: Vec<&PooledJob<'_>> = jobs
         .iter()
         .flatten()
@@ -946,18 +1005,15 @@ fn pooled_wave(
         .filter(|job| job.starts() > 0)
         .collect();
     order.sort_by_key(|job| std::cmp::Reverse(job.dim()));
-    let ends: Vec<usize> = order
-        .iter()
-        .scan(0, |end, job| {
-            *end += job.starts();
-            Some(*end)
-        })
-        .collect();
-    run_each(config.parallelism, ends.last().copied().unwrap_or(0), |k| {
-        let slot = ends.partition_point(|&end| end <= k);
-        let job = order[slot];
-        job.run_start(k + job.starts() - ends[slot]);
-    });
+    let starts: Vec<usize> = order.iter().map(|job| job.starts()).collect();
+    pooled_legs(config.parallelism, &order, &starts, PooledJob::first_leg);
+    let survivors: Vec<usize> = order.iter().map(|job| job.cut()).collect();
+    pooled_legs(
+        config.parallelism,
+        &order,
+        &survivors,
+        PooledJob::second_leg,
+    );
 
     jobs.into_iter()
         .enumerate()
@@ -1101,9 +1157,10 @@ impl Breaker {
 /// finishes; each fit's multi-start runs serial. A smaller wave — every
 /// one-cell ranking at two or more threads is one — has too few cells to
 /// keep the threads busy on a handful of very unequal family jobs. It
-/// plans every job on the calling thread, runs the starts of all its fits
-/// in one pool, longest search first, and finishes each job on the
-/// calling thread in input order; retries after attempt 1 run there too,
+/// plans every job on the calling thread, runs the first legs of all its
+/// fits' starts in one pool, longest search first, and the survivors of
+/// each fit's cut in a second, and finishes each job on the calling
+/// thread in input order; retries after attempt 1 run there too,
 /// with the caller's `parallelism`. Both paths give the same rows,
 /// failures and event log.
 ///
@@ -2192,9 +2249,22 @@ mod tests {
             .filter(|e| matches!(e, Event::StartBegan { .. }))
             .count();
         // The bathtub families' exact fits have none (Competing Risks'
-        // profile is not a multi-start search), and each mixture has 9
-        // (DESIGN.md §11).
-        assert_eq!(starts, 4 * 9);
+        // profile is not a multi-start search), and each mixture has 10,
+        // whose losers at the cut retire (DESIGN.md §11).
+        assert_eq!(starts, 4 * 10);
+        let retired = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::Converged {
+                        reason: resilience_obs::ExitReason::Retired,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!((4..=4 * 6).contains(&retired), "{retired} retired");
     }
 
     #[test]
@@ -2385,5 +2455,197 @@ mod tests {
             matches!(err, CoreError::TimedOut { what } if what == "rank_models"),
             "{err}"
         );
+    }
+
+    /// What a [`Tripwire`] does when the search comes near its point.
+    enum Trip {
+        Panic,
+        Cancel(CancelToken),
+        Sleep(Duration),
+    }
+
+    /// Wei-Wei with a tripwire: a point of the profiled search within
+    /// 1e-3 (in every log coordinate) of `near` trips it. With `near` the
+    /// 1990-93 optimum, only the raced survivors' second legs get there.
+    struct Tripwire {
+        inner: crate::mixture::MixtureFamily,
+        near: Vec<f64>,
+        trip: Trip,
+    }
+
+    impl Tripwire {
+        fn new(trip: Trip) -> Tripwire {
+            let inner = crate::mixture::MixtureFamily::paper_combinations()[3];
+            let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+            let fit = crate::fit::fit_least_squares(&inner, &series, &FitConfig::default())
+                .expect("Wei-Wei fits 1990-93");
+            let near = fit.params[..4].iter().map(|p| p.ln()).collect();
+            Tripwire { inner, near, trip }
+        }
+    }
+
+    impl ModelFamily for Tripwire {
+        fn name(&self) -> &'static str {
+            "Tripwire"
+        }
+        fn n_params(&self) -> usize {
+            self.inner.n_params()
+        }
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            self.inner.internal_to_params_into(internal, out);
+        }
+        fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
+            self.inner.params_to_internal(params)
+        }
+        fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
+            self.inner.build(params)
+        }
+        fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
+            self.inner.initial_guesses(series)
+        }
+        fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
+            self.inner.predict_params_into(params, ts, out)
+        }
+        fn profiles_last_coefficient(&self) -> bool {
+            true
+        }
+        fn linear_design_into(
+            &self,
+            nonlinear: &[f64],
+            ts: &[f64],
+            ln_ts: &[f64],
+            offset: &mut [f64],
+            column: &mut [f64],
+        ) -> bool {
+            if nonlinear
+                .iter()
+                .zip(&self.near)
+                .all(|(u, v)| (u - v).abs() < 1e-3)
+            {
+                match &self.trip {
+                    Trip::Panic => panic!("tripped near the optimum"),
+                    Trip::Cancel(token) => token.cancel(),
+                    Trip::Sleep(nap) => std::thread::sleep(*nap),
+                }
+            }
+            self.inner
+                .linear_design_into(nonlinear, ts, ln_ts, offset, column)
+        }
+    }
+
+    /// A stop in either pool of a raced ranking — the first legs' or the
+    /// survivors' — is the ranking's outcome, a typed `Cancelled` or
+    /// `TimedOut`, at every thread count: never a partial best of the
+    /// starts that ran before it.
+    #[test]
+    fn a_stop_in_either_pool_of_a_race_is_typed() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let config = |parallelism| FitConfig {
+            parallelism,
+            ..FitConfig::default()
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            // The first pool: the token fires before any start runs.
+            let token = CancelToken::new();
+            token.cancel();
+            let wei_wei = crate::mixture::MixtureFamily::paper_combinations()[3];
+            let outcome = rank_models_supervised(
+                &[&wei_wei],
+                &series,
+                &config(parallelism),
+                &ExecPolicy::default(),
+                &Control::with_token(&token),
+            );
+            assert!(
+                matches!(outcome, Err(CoreError::Cancelled { .. })),
+                "{parallelism:?}: {outcome:?}"
+            );
+            // The second pool: a survivor fires the token, or dawdles past
+            // the deadline, near the optimum.
+            let token = CancelToken::new();
+            let cancelling = Tripwire::new(Trip::Cancel(token.clone()));
+            let outcome = rank_models_supervised(
+                &[&cancelling],
+                &series,
+                &config(parallelism),
+                &ExecPolicy::default(),
+                &Control::with_token(&token),
+            );
+            assert!(
+                matches!(outcome, Err(CoreError::Cancelled { .. })),
+                "{parallelism:?}: {outcome:?}"
+            );
+            let dawdling = Tripwire::new(Trip::Sleep(Duration::from_millis(400)));
+            let outcome = rank_models_supervised(
+                &[&dawdling],
+                &series,
+                &config(parallelism),
+                &ExecPolicy::default(),
+                &Control::with_deadline(Duration::from_millis(300)),
+            );
+            assert!(
+                matches!(outcome, Err(CoreError::TimedOut { .. })),
+                "{parallelism:?}: {outcome:?}"
+            );
+        }
+    }
+
+    /// A survivor that panics in its second leg fails its family with the
+    /// lowest panicking start's message, as a serial ranking does, and the
+    /// other families still rank.
+    #[test]
+    fn a_panic_in_a_second_leg_fails_only_its_family() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let tripwire = Tripwire::new(Trip::Panic);
+        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &tripwire];
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (ranking, events) = assert_pooled_matches_serial(
+            &families,
+            &series,
+            &FitConfig::default(),
+            &ExecPolicy::default(),
+        );
+        std::panic::set_hook(hook);
+        assert!(
+            ranking.contains(r#"reason: "fit: tripped near the optimum", kind: Panicked"#),
+            "{ranking}"
+        );
+        assert!(ranking.contains("Quadratic"), "{ranking}");
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::WorkerPanic {
+                scope: "Tripwire",
+                ..
+            }
+        )));
+    }
+
+    /// Raced rankings of noise draws of 1974-76 and 1980, whose Wei-Wei
+    /// optima lie in a narrow diagonal valley and a flat-F₁ basin, are the
+    /// serial ones at every thread count: rows, failures and event log,
+    /// with the retired starts' lines.
+    #[test]
+    fn raced_rankings_of_noise_draws_match_serial() {
+        use resilience_data::recessions::Recession;
+        let mixtures = crate::mixture::MixtureFamily::paper_combinations();
+        for (recession, noise_seed) in [
+            (Recession::R1974_76, 12_733_510_595_226_798_953),
+            (Recession::R1980, 11_114_362_001_351_097_166),
+        ] {
+            let (_, events) = assert_pooled_matches_serial(
+                &paper_families(&mixtures),
+                &recession.noise_draw(noise_seed),
+                &FitConfig::default(),
+                &ExecPolicy::default(),
+            );
+            assert!(events.iter().any(|e| matches!(
+                e,
+                Event::Converged {
+                    reason: resilience_obs::ExitReason::Retired,
+                    ..
+                }
+            )));
+        }
     }
 }

@@ -203,6 +203,33 @@ impl Recession {
             .generate(self.label())
             .expect("embedded recession specs are valid")
     }
+
+    /// Another noise draw of the curve: its [`Recession::scenario`] with
+    /// the noise stream seeded by `noise_seed` instead of the curve's own
+    /// seed, which gives [`Recession::payroll_index`] itself. A pure
+    /// function of the seed, for oracles over many draws of one curve.
+    ///
+    /// # Panics
+    ///
+    /// Never panics: the embedded specifications are valid for every
+    /// noise seed.
+    #[must_use]
+    pub fn noise_draw(&self, noise_seed: u64) -> PerformanceSeries {
+        let mut spec = self.scenario();
+        spec.noise = match spec.noise {
+            Noise::Gaussian { sd, .. } => Noise::Gaussian {
+                sd,
+                seed: noise_seed,
+            },
+            Noise::Uniform { amplitude, .. } => Noise::Uniform {
+                amplitude,
+                seed: noise_seed,
+            },
+            Noise::None => Noise::None,
+        };
+        spec.generate(self.label())
+            .expect("recession specs are valid for any noise seed")
+    }
 }
 
 impl std::fmt::Display for Recession {
@@ -222,6 +249,19 @@ mod tests {
             let s = r.payroll_index();
             assert_eq!(s.len(), r.n_observations(), "{r}");
             assert_eq!(s.name(), r.label());
+        }
+    }
+
+    #[test]
+    fn the_curves_own_noise_seed_draws_the_curve() {
+        for r in Recession::ALL {
+            let Noise::Gaussian { seed, .. } = r.scenario().noise else {
+                panic!("{r}: the curves carry Gaussian noise");
+            };
+            assert_eq!(r.noise_draw(seed), r.payroll_index(), "{r}");
+            let other = r.noise_draw(seed ^ 1);
+            assert_eq!(other.times(), r.payroll_index().times());
+            assert_ne!(other.values(), r.payroll_index().values(), "{r}");
         }
     }
 

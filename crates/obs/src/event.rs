@@ -192,6 +192,10 @@ pub enum ExitReason {
     MaxIterations,
     /// Progress stalled before the tolerance was met.
     Stalled,
+    /// A raced start that lost at the cut: its line carries its work and
+    /// its best value when it stopped (DESIGN.md §11, "Racing the
+    /// starts").
+    Retired,
 }
 
 impl ExitReason {
@@ -201,6 +205,7 @@ impl ExitReason {
             ExitReason::Converged => "converged",
             ExitReason::MaxIterations => "max_iterations",
             ExitReason::Stalled => "stalled",
+            ExitReason::Retired => "retired",
         }
     }
 
@@ -210,6 +215,7 @@ impl ExitReason {
             "converged" => ExitReason::Converged,
             "max_iterations" => ExitReason::MaxIterations,
             "stalled" => ExitReason::Stalled,
+            "retired" => ExitReason::Retired,
             _ => return None,
         })
     }
@@ -744,6 +750,7 @@ impl Event {
             ExitReason::Converged,
             ExitReason::MaxIterations,
             ExitReason::Stalled,
+            ExitReason::Retired,
         ] {
             out.push(Event::Converged {
                 solver: SolverKind::NelderMead,
@@ -854,6 +861,7 @@ mod tests {
             ExitReason::Converged,
             ExitReason::MaxIterations,
             ExitReason::Stalled,
+            ExitReason::Retired,
         ] {
             assert_eq!(ExitReason::parse(r.as_str()), Some(r));
         }

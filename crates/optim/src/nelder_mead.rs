@@ -9,8 +9,7 @@
 use crate::control::Control;
 use crate::report::{OptimReport, TerminationReason};
 use crate::OptimError;
-use resilience_obs::{CounterId, Event, SolverKind};
-use std::cell::Cell;
+use resilience_obs::{CounterId, Event, ExitReason, SolverKind};
 
 /// Relative size of the initial simplex around the starting point.
 const INITIAL_STEP: f64 = 0.1;
@@ -94,7 +93,9 @@ impl NelderMead {
         NelderMead { config }
     }
 
-    /// Minimizes `f` starting from `x0` under an execution [`Control`].
+    /// Minimizes `f` starting from `x0` under an execution [`Control`]:
+    /// [`NelderMead::begin`], [`NelderMead::advance`] to the run's end and
+    /// [`NelderMeadRun::finish`].
     ///
     /// `f` is any `Fn(&[f64]) -> f64`, scored one point at a time: `x0`,
     /// then the initial simplex's vertices in axis order, then per
@@ -120,72 +121,121 @@ impl NelderMead {
         x0: &[f64],
         control: &Control,
     ) -> Result<OptimReport, OptimError> {
+        let mut run = self.begin(f, x0, control)?;
+        self.advance(f, &mut run, usize::MAX, control)?;
+        Ok(run.finish(control))
+    }
+
+    /// The first step of a run: scores `x0`, polls the control, and builds
+    /// and sorts the initial simplex (`x0` plus a step along each axis).
+    ///
+    /// # Errors
+    ///
+    /// As [`NelderMead::minimize`], apart from a stop inside the
+    /// iterations.
+    pub fn begin<F: Fn(&[f64]) -> f64>(
+        &self,
+        f: &F,
+        x0: &[f64],
+        control: &Control,
+    ) -> Result<NelderMeadRun, OptimError> {
         self.config.validate()?;
         if x0.is_empty() {
             return Err(OptimError::config("NelderMead", "empty starting point"));
         }
         let n = x0.len();
-        // Behind a Cell (not `mut`) so the cancellation points below can
-        // read the count while `eval` is live.
-        let evaluations = Cell::new(0usize);
-        let eval = |x: &[f64]| -> f64 {
-            evaluations.set(evaluations.get() + 1);
-            let v = f(x);
-            if v.is_finite() {
-                v
-            } else {
-                f64::INFINITY
-            }
-        };
-        let f0 = eval(x0);
+        let dim = u32::try_from(n)
+            .map_err(|_| OptimError::config("NelderMead", "too many coordinates"))?;
+        let width = n + 1;
+        let mut evaluations = 0;
+        let f0 = score(f, x0, &mut evaluations);
         if !f0.is_finite() {
             return Err(OptimError::BadStartingPoint { value: f0 });
         }
-        // Build the initial simplex: x0 plus a step along each axis.
-        let scope = SolverKind::NelderMead.stop_scope();
-        control.check_stop(scope, evaluations.get())?;
-        let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
-        simplex.push((x0.to_vec(), f0));
+        control.check_stop(SolverKind::NelderMead.stop_scope(), evaluations)?;
+        let mut simplex = Vec::with_capacity(width * width);
+        simplex.extend_from_slice(x0);
+        simplex.push(f0);
         for i in 0..n {
-            let mut vertex = x0.to_vec();
-            vertex[i] += INITIAL_STEP * (1.0 + x0[i].abs());
-            let fv = eval(&vertex);
-            simplex.push((vertex, fv));
+            let row = simplex.len();
+            simplex.extend_from_slice(x0);
+            simplex[row + i] += INITIAL_STEP * (1.0 + x0[i].abs());
+            let fv = score(f, &simplex[row..row + n], &mut evaluations);
+            simplex.push(fv);
         }
-        let sort = |s: &mut Vec<(Vec<f64>, f64)>| {
-            s.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN: mapped to +inf"));
-        };
-        sort(&mut simplex);
+        sort_rows(&mut simplex, width);
+        Ok(NelderMeadRun {
+            dim,
+            simplex,
+            iterations: 0,
+            evaluations,
+            steps: [0; 4],
+            termination: None,
+        })
+    }
 
+    /// The iterations of `run`, a run this optimizer began: runs until
+    /// the run ends, or pauses at the first iteration boundary at which it
+    /// has spent at least `until` evaluations. Returns whether the run has
+    /// ended. A run that has ended stays as it is.
+    ///
+    /// A run pauses only between iterations and keeps its whole state, so
+    /// a run advanced to its end in any number of calls equals one
+    /// advanced in one, bit for bit: its point, value, counts and events.
+    /// The buffers the iterations reuse are allocated once per call, and
+    /// no iteration allocates.
+    ///
+    /// # Errors
+    ///
+    /// [`OptimError::TimedOut`] / [`OptimError::Cancelled`] when the
+    /// control stops the run at an iteration boundary.
+    pub fn advance<F: Fn(&[f64]) -> f64>(
+        &self,
+        f: &F,
+        run: &mut NelderMeadRun,
+        until: usize,
+        control: &Control,
+    ) -> Result<bool, OptimError> {
+        if run.termination.is_some() {
+            return Ok(true);
+        }
+        let n = run.dim();
+        let width = n + 1;
+        let worst = n * width;
+        let scope = SolverKind::NelderMead.stop_scope();
         let cfg = &self.config;
-        let mut iterations = 0usize;
-        // Step-type tallies, batched as plain integer locals and flushed as
-        // counter events only at termination — the iteration loop stays
-        // allocation-free whether or not a sink is attached.
-        let (mut reflections, mut expansions, mut contractions, mut shrinks) =
-            (0u64, 0u64, 0u64, 0u64);
         // Work buffers reused across iterations — the simplex update loop
         // below performs no heap allocation (the stop poll is one atomic
         // load plus one clock read).
-        let mut centroid = vec![0.0; n];
-        let mut reflected = vec![0.0; n];
-        let mut extra = vec![0.0; n];
+        let mut scratch = vec![0.0; 3 * n];
+        let (centroid, rest) = scratch.split_at_mut(n);
+        let (reflected, extra) = rest.split_at_mut(n);
+        let NelderMeadRun {
+            simplex,
+            iterations,
+            evaluations,
+            steps,
+            ..
+        } = &mut *run;
         let termination = loop {
-            control.check_stop(scope, evaluations.get())?;
-            if iterations >= cfg.max_iterations {
+            control.check_stop(scope, *evaluations)?;
+            if *iterations >= cfg.max_iterations {
                 break TerminationReason::MaxIterations;
             }
-            iterations += 1;
-            let best = simplex[0].1;
-            let worst = simplex[n].1;
+            if *evaluations >= until {
+                return Ok(false);
+            }
+            *iterations += 1;
+            let best = simplex[n];
+            let worst_value = simplex[worst + n];
             // Convergence: objective spread and coordinate spread.
-            let f_spread = (worst - best).abs();
+            let f_spread = (worst_value - best).abs();
             let x_spread = (0..n)
                 .map(|j| {
                     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for (v, _) in &simplex {
-                        lo = lo.min(v[j]);
-                        hi = hi.max(v[j]);
+                    for vertex in simplex.chunks_exact(width) {
+                        lo = lo.min(vertex[j]);
+                        hi = hi.max(vertex[j]);
                     }
                     hi - lo
                 })
@@ -196,89 +246,208 @@ impl NelderMead {
 
             // Centroid of all but the worst vertex.
             centroid.fill(0.0);
-            for (v, _) in simplex.iter().take(n) {
-                for (c, x) in centroid.iter_mut().zip(v) {
+            for vertex in simplex.chunks_exact(width).take(n) {
+                for (c, x) in centroid.iter_mut().zip(vertex) {
                     *c += x;
                 }
             }
-            for c in &mut centroid {
+            for c in centroid.iter_mut() {
                 *c /= n as f64;
             }
 
             // Reflection: x_c + α(x_c − x_worst).
             for j in 0..n {
-                reflected[j] = centroid[j] + ALPHA * (centroid[j] - simplex[n].0[j]);
+                reflected[j] = centroid[j] + ALPHA * (centroid[j] - simplex[worst + j]);
             }
-            let fr = eval(&reflected);
-            if fr < simplex[0].1 {
+            let fr = score(f, reflected, evaluations);
+            if fr < simplex[n] {
                 // Expansion.
                 for j in 0..n {
-                    extra[j] = centroid[j] + ALPHA * GAMMA * (centroid[j] - simplex[n].0[j]);
+                    extra[j] = centroid[j] + ALPHA * GAMMA * (centroid[j] - simplex[worst + j]);
                 }
-                let fe = eval(&extra);
+                let fe = score(f, extra, evaluations);
                 if fe < fr {
-                    expansions += 1;
-                    simplex[n].0.copy_from_slice(&extra);
-                    simplex[n].1 = fe;
+                    tally(&mut steps[EXPANSION]);
+                    simplex[worst..worst + n].copy_from_slice(extra);
+                    simplex[worst + n] = fe;
                 } else {
-                    reflections += 1;
-                    simplex[n].0.copy_from_slice(&reflected);
-                    simplex[n].1 = fr;
+                    tally(&mut steps[REFLECTION]);
+                    simplex[worst..worst + n].copy_from_slice(reflected);
+                    simplex[worst + n] = fr;
                 }
-            } else if fr < simplex[n - 1].1 {
-                reflections += 1;
-                simplex[n].0.copy_from_slice(&reflected);
-                simplex[n].1 = fr;
+            } else if fr < simplex[worst - 1] {
+                tally(&mut steps[REFLECTION]);
+                simplex[worst..worst + n].copy_from_slice(reflected);
+                simplex[worst + n] = fr;
             } else {
                 // Contraction (outside if reflection helped at all, inside
                 // otherwise).
-                let t = if fr < simplex[n].1 { ALPHA * RHO } else { -RHO };
-                for j in 0..n {
-                    extra[j] = centroid[j] + t * (centroid[j] - simplex[n].0[j]);
-                }
-                let fc = eval(&extra);
-                if fc < simplex[n].1.min(fr) {
-                    contractions += 1;
-                    simplex[n].0.copy_from_slice(&extra);
-                    simplex[n].1 = fc;
+                let t = if fr < simplex[worst + n] {
+                    ALPHA * RHO
                 } else {
-                    shrinks += 1;
+                    -RHO
+                };
+                for j in 0..n {
+                    extra[j] = centroid[j] + t * (centroid[j] - simplex[worst + j]);
+                }
+                let fc = score(f, extra, evaluations);
+                if fc < simplex[worst + n].min(fr) {
+                    tally(&mut steps[CONTRACTION]);
+                    simplex[worst..worst + n].copy_from_slice(extra);
+                    simplex[worst + n] = fc;
+                } else {
+                    tally(&mut steps[SHRINK]);
                     // Shrink toward the best vertex in place (each
                     // coordinate update only reads its own old value).
-                    let (best, rest) = simplex.split_first_mut().expect("simplex non-empty");
-                    for entry in rest {
-                        for (x, b) in entry.0.iter_mut().zip(&best.0) {
+                    let (best, rest) = simplex.split_at_mut(width);
+                    for vertex in rest.chunks_exact_mut(width) {
+                        for (x, b) in vertex.iter_mut().zip(&best[..n]) {
                             *x = b + SIGMA * (*x - b);
                         }
-                        entry.1 = eval(&entry.0);
+                        let value = score(f, &vertex[..n], evaluations);
+                        vertex[n] = value;
                     }
                 }
             }
-            sort(&mut simplex);
+            sort_rows(simplex, width);
         };
+        run.termination = Some(termination);
+        Ok(true)
+    }
+}
 
-        let (params, value) = simplex.swap_remove(0);
+/// Indices of the step tallies in [`NelderMeadRun`].
+const REFLECTION: usize = 0;
+const EXPANSION: usize = 1;
+const CONTRACTION: usize = 2;
+const SHRINK: usize = 3;
+
+/// One more step of a kind, saturating.
+fn tally(step: &mut u32) {
+    *step = step.saturating_add(1);
+}
+
+/// `f(x)` with one more evaluation counted, a non-finite value read as
+/// `+∞`.
+fn score<F: Fn(&[f64]) -> f64>(f: &F, x: &[f64], evaluations: &mut usize) -> f64 {
+    *evaluations += 1;
+    let v = f(x);
+    if v.is_finite() {
+        v
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Sorts the rows of `simplex`, `width` values each with the objective
+/// value last, by value, keeping the order of equal values: a stable
+/// insertion sort, which for the few rows of a simplex moves the least.
+fn sort_rows(simplex: &mut [f64], width: usize) {
+    let rows = simplex.len() / width;
+    for i in 1..rows {
+        let mut j = i;
+        while j > 0 && simplex[j * width - 1] > simplex[(j + 1) * width - 1] {
+            let (before, after) = simplex.split_at_mut(j * width);
+            before[(j - 1) * width..].swap_with_slice(&mut after[..width]);
+            j -= 1;
+        }
+    }
+}
+
+/// One Nelder–Mead run between its steps ([`NelderMead::begin`],
+/// [`NelderMead::advance`], then [`NelderMeadRun::finish`] or
+/// [`NelderMeadRun::retire`]): its simplex, packed into one buffer of
+/// `dim + 1` rows, each a vertex's `dim` coordinates and its value, sorted
+/// by value; its iteration and evaluation counts; its step tallies; and
+/// how it ended, once it has.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NelderMeadRun {
+    simplex: Vec<f64>,
+    iterations: usize,
+    evaluations: usize,
+    /// Accepted reflections, expansions, contractions and shrinks,
+    /// saturating: a paused run is held as small as it can be.
+    steps: [u32; 4],
+    dim: u32,
+    termination: Option<TerminationReason>,
+}
+
+impl NelderMeadRun {
+    /// The least value the run has seen: its best vertex's.
+    #[must_use]
+    pub fn value(&self) -> f64 {
+        self.simplex[self.dim()]
+    }
+
+    /// The number of coordinates.
+    fn dim(&self) -> usize {
+        self.dim as usize
+    }
+
+    /// Iterations so far.
+    #[must_use]
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// Objective evaluations so far.
+    #[must_use]
+    pub fn evaluations(&self) -> usize {
+        self.evaluations
+    }
+
+    /// Whether the run has ended: converged or out of iterations.
+    #[must_use]
+    pub fn ended(&self) -> bool {
+        self.termination.is_some()
+    }
+
+    /// Closes a run that has ended: its report, after logging its
+    /// `converged` line and flushing its evaluation and step counters when
+    /// the control is observed.
+    ///
+    /// # Panics
+    ///
+    /// When the run has not ended.
+    #[must_use]
+    pub fn finish(self, control: &Control) -> OptimReport {
+        let termination = self
+            .termination
+            .expect("NelderMeadRun::finish: the run has not ended");
+        self.log(termination.exit_reason(), control);
+        OptimReport {
+            params: self.simplex[..self.dim()].to_vec(),
+            value: self.value(),
+            iterations: self.iterations,
+            evaluations: self.evaluations,
+            termination,
+        }
+    }
+
+    /// Closes a paused run that will not resume, as [`NelderMeadRun::finish`]
+    /// closes one that ended, with the exit reason
+    /// [`ExitReason::Retired`]: its
+    /// `converged` line carries its counts and its best value so far.
+    pub fn retire(self, control: &Control) {
+        self.log(ExitReason::Retired, control);
+    }
+
+    /// The run's `converged` line and counter flushes.
+    fn log(&self, reason: ExitReason, control: &Control) {
         if control.observed() {
             control.emit(Event::Converged {
                 solver: SolverKind::NelderMead,
-                iterations: iterations as u64,
-                evaluations: evaluations.get() as u64,
-                value,
-                reason: termination.exit_reason(),
+                iterations: self.iterations as u64,
+                evaluations: self.evaluations as u64,
+                value: self.value(),
+                reason,
             });
-            control.count(CounterId::ObjectiveEvals, evaluations.get() as u64);
-            control.count(CounterId::NmReflections, reflections);
-            control.count(CounterId::NmExpansions, expansions);
-            control.count(CounterId::NmContractions, contractions);
-            control.count(CounterId::NmShrinks, shrinks);
+            control.count(CounterId::ObjectiveEvals, self.evaluations as u64);
+            control.count(CounterId::NmReflections, self.steps[REFLECTION].into());
+            control.count(CounterId::NmExpansions, self.steps[EXPANSION].into());
+            control.count(CounterId::NmContractions, self.steps[CONTRACTION].into());
+            control.count(CounterId::NmShrinks, self.steps[SHRINK].into());
         }
-        Ok(OptimReport {
-            params,
-            value,
-            iterations,
-            evaluations: evaluations.get(),
-            termination,
-        })
     }
 }
 
@@ -523,6 +692,90 @@ mod tests {
             .minimize(&sphere, &[3.0, -4.0], &control)
             .unwrap();
         assert_eq!(plain, traced);
+    }
+
+    /// A run paused at any evaluation count and resumed to its end is the
+    /// one-shot run, bit for bit: its report, and with an observer its
+    /// `converged` line and counter flushes.
+    #[test]
+    fn a_resumed_run_equals_a_one_shot_run() {
+        use resilience_obs::RecordingObserver;
+        use resilience_stats::XorShift64;
+        use std::sync::Arc;
+        let rosenbrock = |p: &[f64]| (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2);
+        let two_basins = |p: &[f64]| {
+            let x = p[0];
+            ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2) + 0.5 * p[1] * p[1]
+        };
+        type Objective<'a> = &'a dyn Fn(&[f64]) -> f64;
+        let objectives: [(&str, Objective<'_>, usize); 3] = [
+            ("sphere", &sphere, 3),
+            ("rosenbrock", &rosenbrock, 2),
+            ("two basins", &two_basins, 2),
+        ];
+        let nm = NelderMead::new(NelderMeadConfig {
+            max_iterations: 400,
+            ..NelderMeadConfig::default()
+        });
+        let mut rng = XorShift64::new(0x0005_EED5);
+        for (name, f, dim) in objectives {
+            for _ in 0..3 {
+                let x0: Vec<f64> = (0..dim).map(|_| 8.0 * rng.next_f64() - 4.0).collect();
+                let traced = |run: &dyn Fn(&Control) -> OptimReport| {
+                    let rec = Arc::new(RecordingObserver::new());
+                    let report = run(&Control::unbounded().observe(rec.clone()));
+                    (report, rec.take())
+                };
+                let one_shot = traced(&|c| nm.minimize(&f, &x0, c).unwrap());
+                for cut in 0..=one_shot.0.evaluations + 1 {
+                    let resumed = traced(&|c| {
+                        let mut run = nm.begin(&f, &x0, c).unwrap();
+                        let ended = nm.advance(&f, &mut run, cut, c).unwrap();
+                        assert!(ended || run.evaluations() >= cut, "{name} cut {cut}");
+                        assert!(nm.advance(&f, &mut run, usize::MAX, c).unwrap());
+                        run.finish(c)
+                    });
+                    assert_eq!(resumed, one_shot, "{name} from {x0:?}, cut {cut}");
+                }
+            }
+        }
+    }
+
+    /// A run pauses at the first iteration boundary past its budget, and
+    /// a retired run logs its counts and best value with the reason
+    /// `retired`.
+    #[test]
+    fn a_paused_run_stops_at_an_iteration_boundary_and_retires() {
+        use resilience_obs::RecordingObserver;
+        use std::sync::Arc;
+        let nm = NelderMead::new(NelderMeadConfig::default());
+        let rec = Arc::new(RecordingObserver::new());
+        let control = Control::unbounded().observe(rec.clone());
+        let x0 = [3.0, -4.0, 5.0];
+        let mut run = nm.begin(&sphere, &x0, &control).unwrap();
+        assert_eq!((run.iterations(), run.evaluations()), (0, 4));
+        assert!(!nm.advance(&sphere, &mut run, 20, &control).unwrap());
+        // An iteration spends at most n + 2 = 5 evaluations.
+        assert!((20..25).contains(&run.evaluations()), "{run:?}");
+        assert!(!run.ended());
+        assert!(rec.take().is_empty(), "a paused run logs nothing");
+        let (iterations, evaluations, value) = (run.iterations(), run.evaluations(), run.value());
+        run.retire(&control);
+        let events = rec.take();
+        assert_eq!(
+            events[0],
+            Event::Converged {
+                solver: SolverKind::NelderMead,
+                iterations: iterations as u64,
+                evaluations: evaluations as u64,
+                value,
+                reason: ExitReason::Retired,
+            }
+        );
+        assert!(events.contains(&Event::Counter {
+            id: CounterId::ObjectiveEvals,
+            delta: evaluations as u64,
+        }));
     }
 
     #[test]

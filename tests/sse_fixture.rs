@@ -267,3 +267,185 @@ fn regenerate_grid_fixture() {
     }
     std::fs::write(GRID_FIXTURE_PATH, text).expect("write the grid fixture");
 }
+
+// ---------------------------------------------------------------------
+// Noise draws of the recession curves (`tests/golden/recession_draws_sse.tsv`).
+// ---------------------------------------------------------------------
+
+const DRAW_FIXTURE_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/recession_draws_sse.tsv"
+);
+
+/// One row of the draw fixture: a mixture fit to
+/// `Recession::noise_draw(noise_seed)`.
+struct DrawRow {
+    recession: Recession,
+    noise_seed: u64,
+    family: String,
+    sse: f64,
+    params: Vec<f64>,
+}
+
+impl DrawRow {
+    fn series(&self) -> resilience_data::PerformanceSeries {
+        self.recession.noise_draw(self.noise_seed)
+    }
+}
+
+/// The rows of a draw fixture's text.
+fn draw_rows(text: &str) -> Vec<DrawRow> {
+    text.lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| {
+            let fields: Vec<&str> = line.split('\t').collect();
+            assert_eq!(fields.len(), 5, "malformed draw fixture row: {line}");
+            DrawRow {
+                recession: *Recession::ALL
+                    .iter()
+                    .find(|r| r.label() == fields[0])
+                    .unwrap_or_else(|| panic!("unknown recession {}", fields[0])),
+                noise_seed: fields[1].parse().expect("fixture noise seed"),
+                family: fields[2].to_string(),
+                sse: fields[3].parse().expect("fixture SSE"),
+                params: fields[4]
+                    .split(',')
+                    .map(|v| v.parse().expect("fixture parameter"))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+fn draw_fixture() -> Vec<DrawRow> {
+    draw_rows(&std::fs::read_to_string(DRAW_FIXTURE_PATH).expect("draw fixture"))
+}
+
+/// Every curve has at least three draws of every mixture, and no draw
+/// and mixture comes twice.
+#[test]
+fn draw_fixture_covers_every_curve_and_mixture() {
+    let rows = draw_fixture();
+    let mixtures = MixtureFamily::paper_combinations();
+    for r in Recession::ALL {
+        for m in &mixtures {
+            let n = rows
+                .iter()
+                .filter(|row| row.recession == r && row.family == m.name())
+                .count();
+            assert!(n >= 3, "{} {}: {n} draws", r.label(), m.name());
+        }
+    }
+    let mut keys: Vec<(&str, u64, &str)> = rows
+        .iter()
+        .map(|row| (row.recession.label(), row.noise_seed, row.family.as_str()))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), rows.len(), "a draw and mixture repeats");
+}
+
+#[test]
+fn draw_fixture_parameters_reach_their_sse() {
+    let mixtures = MixtureFamily::paper_combinations();
+    let families = paper_families(&mixtures);
+    for row in draw_fixture() {
+        let model = family(&families, &row.family)
+            .build(&row.params)
+            .expect("feasible fixture point");
+        let got = sse(model.as_ref(), &row.series());
+        assert!(
+            got <= row.sse * (1.0 + RELATIVE_SLACK),
+            "{} {} {}: parameters give {got:e}, fixture {:e}",
+            row.recession.label(),
+            row.noise_seed,
+            row.family,
+            row.sse
+        );
+    }
+}
+
+/// Every production mixture fit of the fixture's draws stays at or below
+/// its best-known SSE × (1 + 1e-9): the race (DESIGN.md §11, "Racing the
+/// starts") loses no fit of the closest calls of its sweep.
+#[test]
+fn production_fits_of_noise_draws_reach_the_best_known_sse() {
+    let mixtures = MixtureFamily::paper_combinations();
+    let families = paper_families(&mixtures);
+    let mut worse = Vec::new();
+    for row in draw_fixture() {
+        let fit = fit_least_squares(
+            family(&families, &row.family),
+            &row.series(),
+            &FitConfig::default(),
+        )
+        .unwrap();
+        if fit.sse > row.sse * (1.0 + RELATIVE_SLACK) {
+            worse.push(format!(
+                "{} {} {}: production SSE {:e} above the best known {:e} ({:+.3e} relative)",
+                row.recession.label(),
+                row.noise_seed,
+                row.family,
+                fit.sse,
+                row.sse,
+                (fit.sse - row.sse) / row.sse
+            ));
+        }
+    }
+    assert!(worse.is_empty(), "{}", worse.join("\n"));
+}
+
+/// Regenerates `tests/golden/recession_draws_sse.tsv` over its own keys:
+/// each row becomes the smaller of its SSE and today's production fit,
+/// with the parameters that reached it, the header (every `#` line) is
+/// kept, and every row that moves by more than 1e-9 relative either way
+/// is printed, for the header's list.
+///
+/// ```sh
+/// cargo test --release --test sse_fixture -- --ignored --nocapture regenerate_draw_fixture
+/// ```
+#[test]
+#[ignore = "rewrites tests/golden/recession_draws_sse.tsv"]
+fn regenerate_draw_fixture() {
+    let old = std::fs::read_to_string(DRAW_FIXTURE_PATH).expect("draw fixture");
+    let mixtures = MixtureFamily::paper_combinations();
+    let families = paper_families(&mixtures);
+    let mut text: String = old
+        .lines()
+        .filter(|line| line.starts_with('#'))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    for row in draw_rows(&old) {
+        let fit = fit_least_squares(
+            family(&families, &row.family),
+            &row.series(),
+            &FitConfig::default(),
+        )
+        .unwrap();
+        let rel = (fit.sse - row.sse) / row.sse;
+        if rel.abs() > RELATIVE_SLACK {
+            println!(
+                "{}\t{}\t{}\t{:.6e} -> {:.6e} ({rel:+.3e})",
+                row.recession.label(),
+                row.noise_seed,
+                row.family,
+                row.sse,
+                fit.sse
+            );
+        }
+        let (best, params) = if fit.sse < row.sse {
+            (fit.sse, fit.params)
+        } else {
+            (row.sse, row.params)
+        };
+        let params: Vec<String> = params.iter().map(|p| format!("{p:e}")).collect();
+        text.push_str(&format!(
+            "{}\t{}\t{}\t{best:.17e}\t{}\n",
+            row.recession.label(),
+            row.noise_seed,
+            row.family,
+            params.join(",")
+        ));
+    }
+    std::fs::write(DRAW_FIXTURE_PATH, text).expect("write the draw fixture");
+}

@@ -232,7 +232,7 @@ fn standalone_fits_on_one_observer_are_separate_spans() {
         fits,
         [
             ("Competing Risks", 47),
-            ("Exp-Exp", 981),
+            ("Exp-Exp", 727),
             ("Quartic", 1),
             ("Quartic", 1)
         ]
@@ -262,7 +262,7 @@ fn standalone_fits_on_one_observer_report_per_family() {
         rows,
         [
             ("Competing Risks", 1, 1, 20, 47),
-            ("Exp-Exp", 1, 1, 513, 981),
+            ("Exp-Exp", 1, 1, 376, 727),
             ("Quartic", 2, 2, 0, 2)
         ]
     );
