@@ -64,7 +64,8 @@ pub struct FitConfig {
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
     /// [`crate::selection::rank_models`]) spends them on its jobs when a
     /// wave has at least as many cells as threads, and otherwise on the
-    /// starts of all the wave's fits, in one pool per leg of their races.
+    /// starts of all the wave's fits, in one crew phase per leg of their
+    /// races.
     /// Every setting produces bit-identical results; see `DESIGN.md` §7
     /// (threading model).
     pub parallelism: Parallelism,
@@ -461,7 +462,7 @@ pub fn fit_least_squares(
 /// and that winner is returned.
 ///
 /// The fit runs its three phases in a row: the plan (an exact fit, or
-/// the starts), the starts' race in [`multi_start`]'s pools of
+/// the starts), the starts' race on [`multi_start`]'s crew of
 /// `config.parallelism` threads (DESIGN.md §11, "Racing the starts"), and
 /// the finish (reduce, lift, polish, guard). An exact fit
 /// ([`ModelFamily::exact_design`]) skips the search and the polish, and

@@ -34,7 +34,7 @@ use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
 use resilience_optim::multi_start::{Race, StartLeg};
-use resilience_optim::parallel::{catch_job, run_each, run_indexed_catch, JobPanic};
+use resilience_optim::parallel::{catch_job, crew, Crew, JobPanic};
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
 use std::collections::HashMap;
@@ -716,7 +716,7 @@ impl<'a> PooledJob<'a> {
         plan
     }
 
-    /// Attempt 1's start `i`'s first leg, on a pool worker. A panic is
+    /// Attempt 1's start `i`'s first leg, on a crew thread. A panic is
     /// confined to the start and fails the job at its finish.
     fn first_leg(&self, i: usize) {
         let plan = self.plan();
@@ -733,7 +733,7 @@ impl<'a> PooledJob<'a> {
 
     /// The cut, on the calling thread once every first leg is over: the
     /// number of paused survivors, or none when a first leg panicked, as
-    /// the job's own pool would re-raise that panic before its second
+    /// the job's own fit would re-raise that panic before its second
     /// legs.
     fn cut(&self) -> usize {
         let mut run = self.lock();
@@ -744,7 +744,7 @@ impl<'a> PooledJob<'a> {
         }
     }
 
-    /// Survivor `s`'s second leg, on a pool worker.
+    /// Survivor `s`'s second leg, on a crew thread.
     fn second_leg(&self, s: usize) {
         let plan = self.plan();
         let control = self.control.started();
@@ -765,8 +765,8 @@ impl<'a> PooledJob<'a> {
     /// in start order, finishes attempt 1, runs the retries the policy
     /// asks for, over the wave's shared `design` as attempt 1 did, and
     /// scores. A panicked start fails the job with the lowest panicking
-    /// start's message, and none of the start buffers, as when its fit's
-    /// own pool re-raises that panic.
+    /// start's message, and none of the start buffers, as when its own
+    /// fit re-raises that panic.
     fn finish(
         self,
         job: usize,
@@ -811,14 +811,14 @@ impl StartsRun {
 }
 
 /// Runs leg `i` of job `order[s]` for every `i < counts[s]` of every `s`,
-/// in one pool, in that order.
-fn pooled_legs<'a>(
-    parallelism: Parallelism,
-    order: &[&PooledJob<'a>],
+/// as one phase of `crew`, in that order.
+fn pooled_legs<'a: 'env, 'env>(
+    crew: &Crew<'_, 'env>,
+    order: &'env [&'env PooledJob<'a>],
     counts: &[usize],
-    leg: impl Fn(&PooledJob<'a>, usize) + Sync,
+    leg: fn(&PooledJob<'a>, usize),
 ) {
-    // `ends[s]` is one past the last pool index of `order[s]`.
+    // `ends[s]` is one past the last phase index of `order[s]`.
     let ends: Vec<usize> = counts
         .iter()
         .scan(0, |end, &count| {
@@ -826,9 +826,10 @@ fn pooled_legs<'a>(
             Some(*end)
         })
         .collect();
-    run_each(parallelism, ends.last().copied().unwrap_or(0), |k| {
+    crew.run_each(ends.last().copied().unwrap_or(0), move |k| {
         let slot = ends.partition_point(|&end| end <= k);
-        leg(order[slot], k + counts[slot] - ends[slot]);
+        let first = slot.checked_sub(1).map_or(0, |s| ends[s]);
+        leg(order[slot], k - first);
     });
 }
 
@@ -865,11 +866,11 @@ impl Hash for Grid<'_> {
 /// The exact designs a wave's jobs share (DESIGN.md §13): for each time
 /// grid (bit-equal times) on which two or more of the wave's unskipped jobs
 /// of one family fit, that family's [`ModelFamily::exact_design`], built
-/// once on the calling thread before the wave's pool and dropped with the
-/// wave. Every other job builds its design inside its fit, as a one-cell
-/// ranking does, and so does every job whose shared build panicked: its own
-/// build then fails it exactly as it would without sharing. A wave with
-/// nothing to share holds nothing.
+/// once on the calling thread before the wave's fan-out and dropped with
+/// the wave's phase. Every other job builds its design inside its fit, as
+/// a one-cell ranking does, and so does every job whose shared build
+/// panicked: its own build then fails it exactly as it would without
+/// sharing. A wave with nothing to share holds nothing.
 struct WaveDesigns<'a> {
     nf: usize,
     /// Each cell's grid, in order of first appearance; empty when the wave
@@ -941,14 +942,14 @@ impl<'a> WaveDesigns<'a> {
 /// 1. plans every job on the calling thread, in input order, with its
 ///    chaos draw and attempt 1 up to its starts — an exact fit's plan is
 ///    its solve, with no start;
-/// 2. runs the first leg of every start of every planned fit in one
-///    pool, longest search first: jobs by descending search dimension,
-///    ties in input order, each job's starts in start order — an order
-///    the plans fix, never the timing; a job with no start waits for its
-///    finish;
+/// 2. runs the first leg of every start of every planned fit as one
+///    phase of the wave's crew, longest search first: jobs by descending
+///    search dimension, ties in input order, each job's starts in start
+///    order — an order the plans fix, never the timing; a job with no
+///    start waits for its finish;
 /// 3. cuts each job's race on the calling thread (DESIGN.md §11, "Racing
-///    the starts"), then runs every survivor's second leg in a second
-///    pool, in the same order;
+///    the starts"), then runs every survivor's second leg as the crew's
+///    second phase, in the same order;
 /// 4. finishes the jobs on the calling thread, in input order: replays
 ///    each job's start buffers in start order, reduces, polishes, retries
 ///    and scores.
@@ -1006,14 +1007,13 @@ fn pooled_wave(
         .collect();
     order.sort_by_key(|job| std::cmp::Reverse(job.dim()));
     let starts: Vec<usize> = order.iter().map(|job| job.starts()).collect();
-    pooled_legs(config.parallelism, &order, &starts, PooledJob::first_leg);
-    let survivors: Vec<usize> = order.iter().map(|job| job.cut()).collect();
-    pooled_legs(
-        config.parallelism,
-        &order,
-        &survivors,
-        PooledJob::second_leg,
-    );
+    // Both legs run on one crew. The plans borrow the wave's `ln t`
+    // tables, so the legs cannot be phases of the fleet's crew.
+    crew(config.parallelism, |crew| {
+        pooled_legs(crew, &order, &starts, PooledJob::first_leg);
+        let survivors: Vec<usize> = order.iter().map(|job| job.cut()).collect();
+        pooled_legs(crew, &order, &survivors, PooledJob::second_leg);
+    });
 
     jobs.into_iter()
         .enumerate()
@@ -1151,18 +1151,18 @@ impl Breaker {
 ///
 /// The fan-out happens at exactly one level, chosen per wave. A wave with
 /// at least as many cells as `config.parallelism` has threads hands its
-/// jobs out one at a time from a shared atomic counter
-/// ([`run_indexed_catch`]), so a cell whose families are all cheap does
+/// jobs out one at a time from a shared atomic counter, as one phase of
+/// the pass's one [`crew`], so a cell whose families are all cheap does
 /// not leave workers idle while one expensive series × family pair
 /// finishes; each fit's multi-start runs serial. A smaller wave — every
 /// one-cell ranking at two or more threads is one — has too few cells to
 /// keep the threads busy on a handful of very unequal family jobs. It
 /// plans every job on the calling thread, runs the first legs of all its
-/// fits' starts in one pool, longest search first, and the survivors of
-/// each fit's cut in a second, and finishes each job on the calling
-/// thread in input order; retries after attempt 1 run there too,
-/// with the caller's `parallelism`. Both paths give the same rows,
-/// failures and event log.
+/// fits' starts in one phase of a crew of its own, longest search first,
+/// and the survivors of each fit's cut in a second, and finishes each job
+/// on the calling thread in input order; retries after attempt 1 run
+/// there too, with the caller's `parallelism`. Both paths give the same
+/// rows, failures and event log.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -1203,174 +1203,183 @@ pub fn rank_fleet_supervised(
         .map_or(usize::MAX, |b| b.wave.max(1));
     let mut breakers: Vec<Breaker> = vec![Breaker::closed(); nf];
     let mut cells: Vec<CellOutcome> = Vec::with_capacity(series_list.len());
+    let inner = &inner;
 
-    let mut wave_start = 0usize;
-    while wave_start < series_list.len() {
-        let wave_end = wave_start.saturating_add(wave_cells).min(series_list.len());
-        let wave_jobs = (wave_end - wave_start) * nf;
-        // Skip mask frozen from the state at wave start. A HalfOpen
-        // breaker lets exactly one probe job (the first of its family in
-        // flattened order) through; everything else of that family waits
-        // on the probe's verdict.
-        let mut probed = vec![false; nf];
-        let skip: Vec<bool> = (0..wave_jobs)
-            .map(|j| {
-                let f = j % nf;
-                match breakers[f].state {
-                    BreakerState::Closed => false,
-                    BreakerState::Open { .. } => true,
-                    BreakerState::HalfOpen => {
-                        if probed[f] {
-                            true
-                        } else {
-                            probed[f] = true;
-                            false
-                        }
-                    }
-                }
-            })
-            .collect();
-        // Per-job event buffers, replayed into the caller's sink in input
-        // order below. Created outside the jobs: a panicking family keeps
-        // the events it buffered before dying.
-        let recorders: Option<Vec<Arc<RecordingObserver>>> = control.observed().then(|| {
-            (0..wave_jobs)
-                .map(|_| Arc::new(RecordingObserver::new()))
-                .collect()
-        });
-        let wave = &series_list[wave_start..wave_end];
-        let designs = WaveDesigns::new(families, wave, &skip);
-        // One fan-out level per wave: over the wave's jobs, or — when the
-        // wave has fewer cells than threads — over the starts of all its
-        // fits at once. Both solve against the wave's shared designs.
-        let outcomes = if wave.len() < threads {
-            pooled_wave(
-                families,
-                wave,
-                wave_start,
-                config,
-                policy,
-                control,
-                &skip,
-                &designs,
-                recorders.as_deref(),
-            )
-        } else {
-            run_indexed_catch(config.parallelism, wave_jobs, |j| {
-                if skip[j] {
-                    return Err(skipped(families[j % nf]));
-                }
-                supervised_family_job(
-                    families[j % nf],
-                    &wave[j / nf],
-                    designs.get(j),
-                    &inner,
-                    policy,
-                    control,
-                    recorders.as_ref().map(|recs| &recs[j]),
-                    (wave_start + j / nf) as u32,
-                )
-            })
-        };
-        // The designs go before the reduction assembles the cells, where a
-        // fleet pass holds the most memory.
-        drop(designs);
-
-        // Serial reduction in flattened input order: open each job's
-        // frame, replay its event buffer, update the breaker machine, and
-        // assemble cells. The job's verdicts below fall inside its frame.
-        let mut outcomes = outcomes.into_iter();
-        for (w, cell) in (wave_start..wave_end).enumerate() {
-            let mut rows = Vec::new();
-            let mut failures = Vec::new();
-            for f in 0..nf {
-                let j = w * nf + f;
-                let clock = (cell * nf + f) as u64;
-                let family = families[f].name();
-                control.emit(Event::JobStarted {
-                    cell: cell as u32,
-                    family,
-                });
-                if let (Some(recs), Some(sink)) = (recorders.as_ref(), control.observer()) {
-                    replay(&recs[j].take(), sink.as_ref());
-                }
-                let outcome = outcomes.next().expect("one outcome per wave job");
-                match outcome {
-                    Ok(Ok(row)) => {
-                        breakers[f].on_success(family, clock, control);
-                        rows.push(row);
-                    }
-                    Ok(Err(failure)) => {
-                        control.emit(Event::FitFailed {
-                            family: failure.family_name,
-                            kind: failure.kind.code(),
-                        });
-                        match failure.kind {
-                            FailureKind::Skipped => breakers[f].on_skip(family, clock, control),
-                            // A cancelled run is a property of the whole
-                            // fleet, not evidence against this family.
-                            FailureKind::Cancelled => {}
-                            _ => {
-                                if let Some(bp) = &policy.breaker {
-                                    breakers[f].on_failure(bp, family, clock, control);
-                                }
+    // One crew for the whole pass: each flattened wave is one of its
+    // phases, so the pass spawns its helpers once, not once per wave.
+    crew(config.parallelism, |crew| {
+        let mut wave_start = 0usize;
+        while wave_start < series_list.len() {
+            let wave_end = wave_start.saturating_add(wave_cells).min(series_list.len());
+            let wave_jobs = (wave_end - wave_start) * nf;
+            // Skip mask frozen from the state at wave start. A HalfOpen
+            // breaker lets exactly one probe job (the first of its family in
+            // flattened order) through; everything else of that family waits
+            // on the probe's verdict.
+            let mut probed = vec![false; nf];
+            let skip: Vec<bool> = (0..wave_jobs)
+                .map(|j| {
+                    let f = j % nf;
+                    match breakers[f].state {
+                        BreakerState::Closed => false,
+                        BreakerState::Open { .. } => true,
+                        BreakerState::HalfOpen => {
+                            if probed[f] {
+                                true
+                            } else {
+                                probed[f] = true;
+                                false
                             }
                         }
-                        failures.push(failure);
                     }
-                    Err(panic) => {
-                        control.emit(Event::WorkerPanic {
-                            scope: family,
-                            index: f as u32,
-                        });
-                        control.emit(Event::FitFailed {
-                            family,
-                            kind: FailureCode::Panicked,
-                        });
-                        if let Some(bp) = &policy.breaker {
-                            breakers[f].on_failure(bp, family, clock, control);
-                        }
-                        failures.push(FamilyFailure {
-                            family_name: family,
-                            reason: format!("fit: {}", panic.message),
-                            kind: FailureKind::Panicked,
-                        });
-                    }
-                }
-            }
-            if rows.is_empty() {
-                // A stopped run with no survivors propagates the stop;
-                // otherwise the cell is quarantined.
-                match control.stop_cause() {
-                    Some(StopCause::DeadlineExceeded) => {
-                        cells.push(CellOutcome::Stopped(CoreError::timed_out("rank_models")));
-                    }
-                    Some(StopCause::Cancelled) => {
-                        cells.push(CellOutcome::Stopped(CoreError::cancelled("rank_models")));
-                    }
-                    None => {
-                        if supervised && !failures.is_empty() {
-                            control.emit(Event::CellQuarantined {
-                                cell: cell as u32,
-                                failures: failures.len() as u32,
-                            });
-                            control.count(CounterId::CellsQuarantined, 1);
-                        }
-                        cells.push(CellOutcome::Quarantined { failures });
-                    }
-                }
+                })
+                .collect();
+            // Per-job event buffers, replayed into the caller's sink in input
+            // order below. Created outside the jobs: a panicking family keeps
+            // the events it buffered before dying.
+            let recorders: Option<Arc<[Arc<RecordingObserver>]>> = control.observed().then(|| {
+                (0..wave_jobs)
+                    .map(|_| Arc::new(RecordingObserver::new()))
+                    .collect()
+            });
+            let wave = &series_list[wave_start..wave_end];
+            let designs = WaveDesigns::new(families, wave, &skip);
+            // One fan-out level per wave: over the wave's jobs, or — when the
+            // wave has fewer cells than threads — over the starts of all its
+            // fits at once. Both solve against the wave's shared designs, and
+            // drop them before the reduction assembles the cells, where a
+            // fleet pass holds the most memory.
+            let outcomes = if wave.len() < threads {
+                let outcomes = pooled_wave(
+                    families,
+                    wave,
+                    wave_start,
+                    config,
+                    policy,
+                    control,
+                    &skip,
+                    &designs,
+                    recorders.as_deref(),
+                );
+                drop(designs);
+                outcomes
             } else {
-                sort_rows(&mut rows);
-                let degraded = !failures.is_empty();
-                cells.push(CellOutcome::Ranked(Ranking {
-                    rows,
-                    failures,
-                    degraded,
-                }));
+                // The wave's phase owns its skip mask and designs: they drop
+                // with it.
+                let recorders = recorders.clone();
+                crew.run_indexed_catch(wave_jobs, move |j| {
+                    if skip[j] {
+                        return Err(skipped(families[j % nf]));
+                    }
+                    supervised_family_job(
+                        families[j % nf],
+                        &wave[j / nf],
+                        designs.get(j),
+                        inner,
+                        policy,
+                        control,
+                        recorders.as_ref().map(|recs| &recs[j]),
+                        (wave_start + j / nf) as u32,
+                    )
+                })
+            };
+
+            // Serial reduction in flattened input order: open each job's
+            // frame, replay its event buffer, update the breaker machine, and
+            // assemble cells. The job's verdicts below fall inside its frame.
+            let mut outcomes = outcomes.into_iter();
+            for (w, cell) in (wave_start..wave_end).enumerate() {
+                let mut rows = Vec::new();
+                let mut failures = Vec::new();
+                for f in 0..nf {
+                    let j = w * nf + f;
+                    let clock = (cell * nf + f) as u64;
+                    let family = families[f].name();
+                    control.emit(Event::JobStarted {
+                        cell: cell as u32,
+                        family,
+                    });
+                    if let (Some(recs), Some(sink)) = (recorders.as_ref(), control.observer()) {
+                        replay(&recs[j].take(), sink.as_ref());
+                    }
+                    let outcome = outcomes.next().expect("one outcome per wave job");
+                    match outcome {
+                        Ok(Ok(row)) => {
+                            breakers[f].on_success(family, clock, control);
+                            rows.push(row);
+                        }
+                        Ok(Err(failure)) => {
+                            control.emit(Event::FitFailed {
+                                family: failure.family_name,
+                                kind: failure.kind.code(),
+                            });
+                            match failure.kind {
+                                FailureKind::Skipped => breakers[f].on_skip(family, clock, control),
+                                // A cancelled run is a property of the whole
+                                // fleet, not evidence against this family.
+                                FailureKind::Cancelled => {}
+                                _ => {
+                                    if let Some(bp) = &policy.breaker {
+                                        breakers[f].on_failure(bp, family, clock, control);
+                                    }
+                                }
+                            }
+                            failures.push(failure);
+                        }
+                        Err(panic) => {
+                            control.emit(Event::WorkerPanic {
+                                scope: family,
+                                index: f as u32,
+                            });
+                            control.emit(Event::FitFailed {
+                                family,
+                                kind: FailureCode::Panicked,
+                            });
+                            if let Some(bp) = &policy.breaker {
+                                breakers[f].on_failure(bp, family, clock, control);
+                            }
+                            failures.push(FamilyFailure {
+                                family_name: family,
+                                reason: format!("fit: {}", panic.message),
+                                kind: FailureKind::Panicked,
+                            });
+                        }
+                    }
+                }
+                if rows.is_empty() {
+                    // A stopped run with no survivors propagates the stop;
+                    // otherwise the cell is quarantined.
+                    match control.stop_cause() {
+                        Some(StopCause::DeadlineExceeded) => {
+                            cells.push(CellOutcome::Stopped(CoreError::timed_out("rank_models")));
+                        }
+                        Some(StopCause::Cancelled) => {
+                            cells.push(CellOutcome::Stopped(CoreError::cancelled("rank_models")));
+                        }
+                        None => {
+                            if supervised && !failures.is_empty() {
+                                control.emit(Event::CellQuarantined {
+                                    cell: cell as u32,
+                                    failures: failures.len() as u32,
+                                });
+                                control.count(CounterId::CellsQuarantined, 1);
+                            }
+                            cells.push(CellOutcome::Quarantined { failures });
+                        }
+                    }
+                } else {
+                    sort_rows(&mut rows);
+                    let degraded = !failures.is_empty();
+                    cells.push(CellOutcome::Ranked(Ranking {
+                        rows,
+                        failures,
+                        degraded,
+                    }));
+                }
             }
+            wave_start = wave_end;
         }
-        wave_start = wave_end;
-    }
+    });
     cells
 }
 
@@ -1379,6 +1388,16 @@ mod tests {
     use super::*;
     use crate::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
     use crate::model::ResilienceModel;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    /// Records the calling thread in `threads`.
+    fn note_thread(threads: &Mutex<HashSet<ThreadId>>) {
+        threads
+            .lock()
+            .expect("thread set poisoned")
+            .insert(std::thread::current().id());
+    }
 
     fn quadratic_series() -> PerformanceSeries {
         let mut wiggle = 0.41_f64;
@@ -2113,13 +2132,14 @@ mod tests {
     /// a family whose starts can be made to fail, panic or dawdle one by
     /// one. Its prediction sleeps for `nap`, panics, naming `c`, once `c`
     /// exceeds `panic_above`, and is non-finite everywhere when `finite`
-    /// is false.
+    /// is false. It records every thread that predicts.
     struct ConstantProbe {
         name: &'static str,
         guesses: &'static [f64],
         panic_above: f64,
         finite: bool,
         nap: Duration,
+        threads: Mutex<HashSet<ThreadId>>,
     }
 
     impl ConstantProbe {
@@ -2130,6 +2150,7 @@ mod tests {
                 panic_above: f64::INFINITY,
                 finite: true,
                 nap: Duration::ZERO,
+                threads: Mutex::new(HashSet::new()),
             }
         }
     }
@@ -2168,6 +2189,7 @@ mod tests {
             self.guesses.iter().map(|&g| vec![g]).collect()
         }
         fn predict_params_into(&self, params: &[f64], _ts: &[f64], out: &mut [f64]) -> bool {
+            note_thread(&self.threads);
             std::thread::sleep(self.nap);
             let c = params[0];
             if c > self.panic_above {
@@ -2467,10 +2489,12 @@ mod tests {
     /// Wei-Wei with a tripwire: a point of the profiled search within
     /// 1e-3 (in every log coordinate) of `near` trips it. With `near` the
     /// 1990-93 optimum, only the raced survivors' second legs get there.
+    /// It records every thread its search runs on.
     struct Tripwire {
         inner: crate::mixture::MixtureFamily,
         near: Vec<f64>,
         trip: Trip,
+        threads: Mutex<HashSet<ThreadId>>,
     }
 
     impl Tripwire {
@@ -2480,7 +2504,12 @@ mod tests {
             let fit = crate::fit::fit_least_squares(&inner, &series, &FitConfig::default())
                 .expect("Wei-Wei fits 1990-93");
             let near = fit.params[..4].iter().map(|p| p.ln()).collect();
-            Tripwire { inner, near, trip }
+            Tripwire {
+                inner,
+                near,
+                trip,
+                threads: Mutex::new(HashSet::new()),
+            }
         }
     }
 
@@ -2517,6 +2546,7 @@ mod tests {
             offset: &mut [f64],
             column: &mut [f64],
         ) -> bool {
+            note_thread(&self.threads);
             if nonlinear
                 .iter()
                 .zip(&self.near)
@@ -2647,5 +2677,138 @@ mod tests {
                 }
             )));
         }
+    }
+
+    /// A 40-cell fleet in waves of 8 at `Fixed(2)` runs every fit on at
+    /// most two threads: the caller and the one helper of the pass's crew,
+    /// for all five waves.
+    /// Under the CI chaos policy the fleet's outcomes and JSONL log are the
+    /// same at `Serial`, `Fixed(2)`, `Fixed(3)` and `Auto`.
+    #[test]
+    fn a_fleet_runs_its_waves_on_one_crew() {
+        use crate::chaos::ChaosPlan;
+        use resilience_obs::JsonlObserver;
+        let probes = [
+            ConstantProbe {
+                nap: Duration::from_micros(20),
+                ..ConstantProbe::new("Low", &[0.2, 0.4])
+            },
+            ConstantProbe {
+                nap: Duration::from_micros(20),
+                ..ConstantProbe::new("High", &[1.3])
+            },
+        ];
+        let families: Vec<&dyn ModelFamily> =
+            probes.iter().map(|p| p as &dyn ModelFamily).collect();
+        let cells = breaker_series((0, 40));
+        let waves = BreakerPolicy {
+            wave: 8,
+            ..BreakerPolicy::default()
+        };
+        let run = |parallelism: Parallelism, policy: &ExecPolicy| {
+            let sink = Arc::new(JsonlObserver::new(Vec::new()));
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            let outcomes = rank_fleet_supervised(
+                &families,
+                &cells,
+                &config,
+                policy,
+                &Control::unbounded().observe(sink.clone()),
+            );
+            let (jsonl, dropped) = Arc::try_unwrap(sink)
+                .ok()
+                .expect("the fleet keeps no sink")
+                .into_parts();
+            assert_eq!(dropped, 0);
+            (format!("{outcomes:?}"), jsonl)
+        };
+        let calm = ExecPolicy {
+            breaker: Some(waves.clone()),
+            ..ExecPolicy::default()
+        };
+        run(Parallelism::Fixed(2), &calm);
+        let threads: HashSet<ThreadId> = probes
+            .iter()
+            .flat_map(|p| p.threads.lock().unwrap().clone())
+            .collect();
+        assert!(threads.len() <= 2, "{} threads ran the fits", threads.len());
+
+        let chaos = ExecPolicy {
+            family_budget: None,
+            retry: Some(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            }),
+            breaker: Some(BreakerPolicy {
+                threshold: 2,
+                cooldown: 2,
+                ..waves
+            }),
+            chaos: Some(ChaosPlan {
+                seed: 0x0C4A_0511,
+                panic_per_mille: 70,
+                deadline_per_mille: 60,
+                exhaustion_per_mille: 50,
+                observer_loss_per_mille: 100,
+                transient_per_mille: 150,
+            }),
+        };
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let runs: Vec<_> = [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(3),
+            Parallelism::Auto,
+        ]
+        .into_iter()
+        .map(|p| (p, run(p, &chaos)))
+        .collect();
+        std::panic::set_hook(hook);
+        let serial = &runs[0].1;
+        assert!(serial.0.contains("Panicked"), "the plan injected no panic");
+        assert!(serial.0.contains("Quarantined"), "no cell was quarantined");
+        for (p, run) in &runs[1..] {
+            assert_eq!(run.0, serial.0, "{p:?}");
+            assert!(run.1 == serial.1, "{p:?}: the JSONL log differs");
+        }
+    }
+
+    /// A raced Wei-Wei fit through `fit_least_squares` at `Fixed(2)` runs
+    /// the first legs of its starts and its survivors' second legs on at
+    /// most two threads: one crew for both.
+    #[test]
+    fn a_raced_fit_runs_both_legs_on_one_crew() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        // A tripwire that sleeps for no time: a plain raced Wei-Wei.
+        let raced = Tripwire::new(Trip::Sleep(Duration::ZERO));
+        raced.threads.lock().unwrap().clear();
+        let rec = Arc::new(resilience_obs::RecordingObserver::new());
+        let fit = crate::fit::fit_least_squares_with(
+            &raced,
+            &series,
+            &FitConfig {
+                parallelism: Parallelism::Fixed(2),
+                ..FitConfig::default()
+            },
+            &Control::unbounded().observe(rec.clone()),
+        )
+        .expect("Wei-Wei fits 1990-93");
+        assert!(fit.converged);
+        assert!(
+            rec.take().iter().any(|e| matches!(
+                e,
+                Event::Converged {
+                    reason: resilience_obs::ExitReason::Retired,
+                    ..
+                }
+            )),
+            "the fit did not race its starts"
+        );
+        let threads = raced.threads.into_inner().unwrap().len();
+        assert!(threads <= 2, "{threads} threads ran the legs");
     }
 }

@@ -19,12 +19,13 @@
 //!   serial loop would keep whatever order the starts finish in, and
 //!   their composition over one pool, bit-identical for every thread
 //!   count.
-//! * [`parallel`] — a `std`-only scoped thread pool ([`Parallelism`],
-//!   [`parallel::run_indexed`]) whose index-ordered results make parallel
-//!   runs bit-identical to serial ones, plus a panic-isolating variant
+//! * [`parallel`] — a `std`-only crew of threads per library call
+//!   ([`Parallelism`], [`parallel::crew`]) that runs the call's parallel
+//!   phases, whose index-ordered results make parallel runs bit-identical
+//!   to serial ones; [`parallel::run_indexed`], a panic-isolating variant
 //!   ([`parallel::run_indexed_catch`]) for supervised fan-out and a
 //!   slot-free one ([`parallel::run_each`]) for jobs that keep their own
-//!   results.
+//!   results are one-phase crews.
 //! * [`control`] — cooperative execution control ([`Control`],
 //!   [`CancelToken`]): per-call deadlines and cancellation tokens that
 //!   every iterative solver polls between iterations, turning runaway

@@ -20,8 +20,8 @@
 //!   reduction and event buffers.
 //! * [`StartReduction`] folds start results, fed in any order, into the
 //!   winner a serial loop in start order would keep.
-//! * [`multi_start`] runs both legs of one search, each in one
-//!   [`run_each`] pool, replays the buffers in start order and reduces.
+//! * [`multi_start`] runs both legs of one search, each as one phase of
+//!   one [`crew`], replays the buffers in start order and reduces.
 //!
 //! A caller that pools the starts of several searches — the one-cell
 //! ranker in `resilience-core` — uses the pieces directly; both it and
@@ -30,7 +30,7 @@
 
 use crate::control::Control;
 use crate::nelder_mead::NelderMeadRun;
-use crate::parallel::{run_each, Parallelism};
+use crate::parallel::{crew, Parallelism};
 use crate::report::OptimReport;
 use crate::OptimError;
 use resilience_obs::{replay, Event, HistogramId, RecordingObserver};
@@ -402,14 +402,15 @@ impl StartReduction {
 /// Runs `race`, both legs of every start, and reduces the results,
 /// bit-identically for every thread count.
 ///
-/// The first legs share one [`run_each`] pool: `first(i, budget,
-/// control)` begins start `i`'s run and advances it to `budget`
-/// evaluations, and each leg is filed as it ends. After the cut the
-/// paused survivors share a second pool, in which `second(i, run,
-/// control)` advances start `i`'s run to its end. Both closures must be
-/// `Sync`, but the objective they minimize need not be: build it inside
-/// them, so every leg gets a private instance (and private scratch
-/// buffers). A panic in a leg reaches the caller as [`run_each`] raises
+/// Both legs run on one [`crew`], so the search spawns its helpers once.
+/// The first legs are one phase: `first(i, budget, control)` begins start
+/// `i`'s run and advances it to `budget` evaluations, and each leg is
+/// filed as it ends. After the cut the paused survivors are a second
+/// phase, in which `second(i, run, control)` advances start `i`'s run to
+/// its end. Both closures must be `Sync`, but the objective they minimize
+/// need not be: build it inside them, so every leg gets a private
+/// instance (and private scratch buffers). A panic in a leg reaches the
+/// caller as [`Crew::run_each`](crate::parallel::Crew::run_each) raises
 /// it, and a panic in a first leg before any second leg runs.
 ///
 /// The control is shared by every start: once the deadline passes or the
@@ -463,16 +464,18 @@ where
     let starts = race.starts();
     let budget = race.budget();
     let race = Mutex::new(race);
-    run_each(parallelism, starts, |i| {
-        let leg = StartLeg::first(i, control, |c| first(i, budget, c));
-        lock(&race).file(leg, control);
-    });
-    let survivors = lock(&race).cut();
-    run_each(parallelism, survivors, |s| {
-        let mut leg = lock(&race).survivor(s);
-        let i = leg.index();
-        leg.second(control, |run, c| second(i, run, c));
-        lock(&race).close_survivor(leg, control);
+    crew(parallelism, |crew| {
+        crew.run_each(starts, |i| {
+            let leg = StartLeg::first(i, control, |c| first(i, budget, c));
+            lock(&race).file(leg, control);
+        });
+        let survivors = lock(&race).cut();
+        crew.run_each(survivors, |s| {
+            let mut leg = lock(&race).survivor(s);
+            let i = leg.index();
+            leg.second(control, |run, c| second(i, run, c));
+            lock(&race).close_survivor(leg, control);
+        });
     });
     race.into_inner()
         .expect("race state poisoned")

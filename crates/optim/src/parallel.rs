@@ -3,21 +3,32 @@
 //! The fitting pipeline parallelizes three embarrassingly parallel loops:
 //! multi-start optimization (over starts), model ranking (over series ×
 //! family jobs) and bootstrap bands (over replicates), one level at a
-//! time. All three go through [`run_indexed`], [`run_indexed_catch`] or
-//! [`run_each`], which run a job-per-index closure on a scoped thread pool
-//! whose results land **in index order** — so any reduction over the
-//! output is independent of scheduling, and parallel results are
-//! bit-identical to serial ones.
+//! time. All three run on a [`crew`]: the threads of one library call,
+//! which runs the call's parallel *phases* one after another. A phase is
+//! a job-per-index closure whose indices go out from one atomic counter,
+//! in index order, and whose results land **in index order** — so any
+//! reduction over them is independent of scheduling, and parallel results
+//! are bit-identical to serial ones. [`run_indexed`], [`run_indexed_catch`]
+//! and [`run_each`] are one-phase crews.
 //!
-//! The pool is `std`-only (`std::thread::scope`), keeping the workspace
+//! The crew is `std`-only (`std::thread::scope`), keeping the workspace
 //! hermetic: no rayon, no crates.io. The calling thread is one of its
-//! workers.
+//! workers, and it spawns its helpers once a phase can use them.
 
+use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// How many times an idle crew thread polls before it parks, with a
+/// [`std::hint::spin_loop`] between polls: a helper between phases, for
+/// the next phase or the close, and a poster at the end of its phase, for
+/// the helpers still in it. What is posted within the spin costs no
+/// condvar handshake (DESIGN.md §7).
+const SPIN: u32 = 1 << 14;
 
 /// How many worker threads a parallel loop may use.
 ///
@@ -109,13 +120,381 @@ fn available_threads() -> usize {
     })
 }
 
-/// Runs `job(0..jobs)` and returns the results in index order.
+/// Runs `calls` with a crew of at most `parallelism`'s threads, and
+/// returns what it returns.
 ///
-/// Jobs are dispatched to a scoped thread pool via an atomic work
-/// counter, so heterogeneous job costs balance automatically; the output
-/// ordering (and therefore any deterministic reduction over it) does not
-/// depend on the thread count or scheduling. With one thread (or one
-/// job) everything runs on the calling thread.
+/// The calling thread is one of the crew, and runs the phases that
+/// `calls` posts ([`Crew::run_each`], [`Crew::run_indexed_catch`]) one
+/// after another. A phase of `jobs` jobs brings the crew up to
+/// [`Parallelism::threads_for`]`(jobs) − 1` helpers, and at most that many
+/// of them join it. So the crew never holds more threads than its largest
+/// phase can use, and a crew whose phases all have at most one job spawns
+/// nothing. Between phases the helpers park, and when `calls` returns or
+/// unwinds they are joined.
+///
+/// A phase's job is `Send + Sync + 'env`, and `'env` outlives this call:
+/// a phase borrows only what existed before the crew, and owns whatever
+/// `calls` makes for it, which it drops when it ends.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_optim::parallel::crew;
+/// use resilience_optim::Parallelism;
+/// use std::sync::atomic::{AtomicUsize, Ordering};
+///
+/// let weights = [1, 2, 3, 4];
+/// let total = AtomicUsize::new(0);
+/// crew(Parallelism::Fixed(2), |crew| {
+///     // A phase borrows what existed before the crew...
+///     crew.run_each(4, |i| {
+///         total.fetch_add(weights[i], Ordering::Relaxed);
+///     });
+///     // ...and owns what the calls made for it.
+///     let doubled: Vec<usize> = weights.iter().map(|w| 2 * w).collect();
+///     let total = &total;
+///     crew.run_each(4, move |i| {
+///         total.fetch_add(doubled[i], Ordering::Relaxed);
+///     });
+/// });
+/// assert_eq!(total.into_inner(), 30);
+/// ```
+///
+/// A phase cannot borrow what the calls made:
+///
+/// ```compile_fail,E0373
+/// use resilience_optim::parallel::crew;
+/// use resilience_optim::Parallelism;
+///
+/// crew(Parallelism::Fixed(2), |crew| {
+///     let made = vec![1, 2, 3];
+///     crew.run_each(3, |i| assert!(made[i] > 0));
+/// });
+/// ```
+// The one call site of `std::thread::scope` that clippy.toml allows:
+// every thread the library starts is a crew's helper.
+#[allow(clippy::disallowed_methods)]
+pub fn crew<'env, R>(parallelism: Parallelism, calls: impl FnOnce(&Crew<'_, 'env>) -> R) -> R {
+    let board = &Board::default();
+    if parallelism.threads_for(usize::MAX) <= 1 {
+        return calls(&Crew::new(parallelism, board, None));
+    }
+    std::thread::scope(|scope| {
+        let _close = Close(board);
+        let spawn = |seen| {
+            scope.spawn(move || board.serve(seen));
+        };
+        calls(&Crew::new(parallelism, board, Some(&spawn)))
+    })
+}
+
+/// A crew for one phase of `jobs` jobs, which opens no scope when the
+/// phase cannot use a helper.
+fn one_phase<'env, R>(
+    parallelism: Parallelism,
+    jobs: usize,
+    phase: impl FnOnce(&Crew<'_, 'env>) -> R,
+) -> R {
+    if parallelism.threads_for(jobs) > 1 {
+        crew(parallelism, phase)
+    } else {
+        crew(Parallelism::Serial, phase)
+    }
+}
+
+/// The threads of one library call: the calling thread and the helpers
+/// that its phases have spawned (see [`crew`]).
+pub struct Crew<'c, 'env> {
+    parallelism: Parallelism,
+    board: &'c Board<'env>,
+    /// Spawns a helper that has seen the given post. `None` when no phase
+    /// can use a helper: every phase then runs on the calling thread, and
+    /// the crew opens no scope.
+    spawn: Option<&'c dyn Fn(usize)>,
+    helpers: Cell<usize>,
+}
+
+impl<'c, 'env> Crew<'c, 'env> {
+    fn new(
+        parallelism: Parallelism,
+        board: &'c Board<'env>,
+        spawn: Option<&'c dyn Fn(usize)>,
+    ) -> Crew<'c, 'env> {
+        Crew {
+            parallelism,
+            board,
+            spawn,
+            helpers: Cell::new(0),
+        }
+    }
+
+    /// Runs `job(0..jobs)` for its effects, as one phase of the crew.
+    ///
+    /// Threads pull indices from one atomic counter, so jobs start in index
+    /// order and unequal jobs balance; with one thread (or one job)
+    /// everything runs on the calling thread, in index order. A panic in
+    /// `job` reaches the caller with the payload of the lowest-index
+    /// panicking job — the one a serial run raises — at every thread count;
+    /// with more than one thread, once every job of the phase has run. The
+    /// crew's next phase still runs every job.
+    pub fn run_each<F>(&self, jobs: usize, job: F)
+    where
+        F: Fn(usize) + Send + Sync + 'env,
+    {
+        let threads = self.parallelism.threads_for(jobs);
+        if threads <= 1 {
+            // On the calling thread the first panic is already the
+            // lowest-index one: no catch needed.
+            (0..jobs).for_each(job);
+            return;
+        }
+        self.hire(threads - 1);
+        self.board.run(Arc::new(job), jobs, threads - 1);
+        if let Some((_, payload)) = self.board.take_panic() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Runs `job(0..jobs)` as one phase of the crew, with a panic in one
+    /// job confined to that job: [`run_indexed_catch`]'s phase.
+    pub fn run_indexed_catch<T, F>(&self, jobs: usize, job: F) -> Vec<Result<T, JobPanic>>
+    where
+        T: Send + 'env,
+        F: Fn(usize) -> T + Send + Sync + 'env,
+    {
+        if self.parallelism.threads_for(jobs) <= 1 {
+            return (0..jobs).map(|i| catch_job(i, || job(i))).collect();
+        }
+        // One slot per job: threads write disjoint slots, so the per-slot
+        // mutexes are never contended.
+        let slots: Arc<[Mutex<_>]> = (0..jobs).map(|_| Mutex::new(None)).collect();
+        let filled = Arc::clone(&slots);
+        self.run_each(jobs, move |i| {
+            let result = catch_job(i, || job(i));
+            *filled[i].lock().expect("result slot poisoned") = Some(result);
+        });
+        slots
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    .expect("result slot poisoned")
+                    .take()
+                    .expect("the crew ran every job")
+            })
+            .collect()
+    }
+
+    /// Spawns helpers until the crew has `helpers` of them.
+    fn hire(&self, helpers: usize) {
+        let Some(spawn) = self.spawn else {
+            return;
+        };
+        while self.helpers.get() < helpers {
+            spawn(self.board.posts.load(Ordering::Relaxed));
+            self.helpers.set(self.helpers.get() + 1);
+        }
+    }
+}
+
+/// A phase's job, as the crew's threads share it.
+type Job<'env> = Arc<dyn Fn(usize) + Send + Sync + 'env>;
+
+/// What a crew's threads share: the posted phase, and where they meet at
+/// its start and its end.
+#[derive(Default)]
+struct Board<'env> {
+    state: Mutex<State<'env>>,
+    /// Bumped under `state`'s lock whenever a phase is posted or the crew
+    /// closes: what a helper polls between phases. A helper that sees it
+    /// move takes the lock before it reads the phase.
+    posts: AtomicUsize,
+    /// The helpers inside the posted phase, changed under `state`'s lock:
+    /// what the poster polls at the end of its phase. A helper leaves with
+    /// a `Release` decrement, after its last job and after dropping its
+    /// handle on the job, and the poster reads it with `Acquire`: a poster
+    /// that reads 0 sees everything the phase's jobs wrote.
+    working: AtomicUsize,
+    /// The dispatch counter: the posted phase's next job index. It
+    /// publishes nothing (`Relaxed`), and is reset under `state`'s lock,
+    /// which every helper takes before it joins a phase.
+    next: AtomicUsize,
+    /// The posted phase's lowest-index panic.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    /// Where helpers park between phases.
+    posted: Condvar,
+    /// Where the poster parks until the helpers have left its phase.
+    left: Condvar,
+}
+
+/// The board's locked part.
+#[derive(Default)]
+struct State<'env> {
+    /// The posted phase's job and job count, while it takes helpers.
+    phase: Option<(Job<'env>, usize)>,
+    /// How many more helpers the posted phase takes.
+    seats: usize,
+    /// The helpers parked on `posted`.
+    parked: usize,
+    /// Whether the poster is parked on `left`.
+    waiting: bool,
+    /// Whether the crew's call is over.
+    closed: bool,
+}
+
+impl<'env> Board<'env> {
+    /// The board's state. No code that can panic runs under this lock, so
+    /// it is never poisoned, and each update under it is one field write
+    /// that leaves the state valid; the guard is recovered rather than
+    /// raising a panic in `Close::drop`, which runs while unwinding.
+    fn lock(&self) -> MutexGuard<'_, State<'env>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The poster's side of a phase: resets the counter and posts `job`
+    /// for up to `seats` helpers, runs jobs on the calling thread until
+    /// they run out, stops taking helpers, and waits only for the helpers
+    /// that joined. The job, and whatever it owns, goes with the phase.
+    fn run(&self, job: Job<'env>, jobs: usize, seats: usize) {
+        let wake = {
+            let mut state = self.lock();
+            self.next.store(0, Ordering::Relaxed);
+            state.phase = Some((Arc::clone(&job), jobs));
+            state.seats = seats;
+            self.posts.fetch_add(1, Ordering::Release);
+            state.parked.min(seats)
+        };
+        for _ in 0..wake {
+            self.posted.notify_one();
+        }
+        self.pull(&*job, jobs);
+        let posted = {
+            let mut state = self.lock();
+            state.seats = 0;
+            state.phase.take()
+        };
+        drop(posted);
+        if !spin(|| self.working.load(Ordering::Acquire) == 0) {
+            let mut state = self.lock();
+            state.waiting = true;
+            while self.working.load(Ordering::Acquire) > 0 {
+                state = self
+                    .left
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.waiting = false;
+        }
+    }
+
+    /// Runs jobs of the posted phase until its counter passes `jobs`,
+    /// catching each, and keeps the lowest-index panic's payload.
+    fn pull(&self, job: &(dyn Fn(usize) + Send + Sync + 'env), jobs: usize) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return;
+            }
+            if let Err(payload) = caught(|| job(i)) {
+                let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *first = Some((i, payload));
+                }
+            }
+        }
+    }
+
+    /// The last phase's lowest-index panic, if a job panicked.
+    fn take_panic(&self) -> Option<(usize, Box<dyn Any + Send>)> {
+        self.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
+
+    /// A helper's life: it joins each phase posted after `seen` that has a
+    /// seat for it and runs its jobs, until the crew closes.
+    fn serve(&self, mut seen: usize) {
+        while let Some((job, jobs)) = self.claim(&mut seen) {
+            self.pull(&*job, jobs);
+            // The job goes before the poster can see this helper leave, so
+            // it drops with its phase, on the calling thread.
+            drop(job);
+            let state = self.lock();
+            if self.working.fetch_sub(1, Ordering::Release) == 1 && state.waiting {
+                self.left.notify_one();
+            }
+        }
+    }
+
+    /// Waits for a phase posted after `seen` and takes a seat in it, or
+    /// `None` once the crew closes. A phase that no longer takes helpers
+    /// is passed over: its jobs ran out.
+    fn claim(&self, seen: &mut usize) -> Option<(Job<'env>, usize)> {
+        spin(|| self.posts.load(Ordering::Acquire) != *seen);
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            let posts = self.posts.load(Ordering::Relaxed);
+            if posts != *seen {
+                *seen = posts;
+                if let (true, Some((job, jobs))) = (state.seats > 0, &state.phase) {
+                    let claimed = (Arc::clone(job), *jobs);
+                    state.seats -= 1;
+                    self.working.fetch_add(1, Ordering::Relaxed);
+                    return Some(claimed);
+                }
+            }
+            state.parked += 1;
+            state = self
+                .posted
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
+        }
+    }
+}
+
+/// Closes its crew when dropped, on return or while unwinding: the
+/// helpers leave, so the scope's join ends.
+struct Close<'a, 'env>(&'a Board<'env>);
+
+impl Drop for Close<'_, '_> {
+    fn drop(&mut self) {
+        let board = self.0;
+        let wake = {
+            let mut state = board.lock();
+            state.closed = true;
+            board.posts.fetch_add(1, Ordering::Release);
+            state.parked > 0
+        };
+        if wake {
+            board.posted.notify_all();
+        }
+    }
+}
+
+/// Polls `ready` up to [`SPIN`] times, with a spin-loop hint between
+/// polls: whether it came true.
+fn spin(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..SPIN {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    ready()
+}
+
+/// Runs `job(0..jobs)` and returns the results in index order: a
+/// one-phase [`crew`].
+///
+/// Jobs are dispatched via an atomic work counter, so heterogeneous job
+/// costs balance automatically; the output ordering (and therefore any
+/// deterministic reduction over it) does not depend on the thread count
+/// or scheduling. With one thread (or one job) everything runs on the
+/// calling thread.
 ///
 /// A panic in `job` reaches the caller with the payload of the
 /// lowest-index panicking job — the one a serial run raises — at every
@@ -126,20 +505,29 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // On the calling thread the first panic is already the lowest-index
-    // one: no catch needed.
-    let threads = parallelism.threads_for(jobs);
-    if threads <= 1 {
+    if parallelism.threads_for(jobs) <= 1 {
         return (0..jobs).map(job).collect();
     }
-    run_caught(threads, jobs, job)
+    // One slot per job: threads write disjoint slots, so the per-slot
+    // mutexes are never contended. A panicking job writes none, and its
+    // panic is raised before the slots are read.
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    run_each(parallelism, jobs, |i| {
+        let value = job(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
+    });
+    slots
         .into_iter()
-        .map(|slot| slot.unwrap_or_else(|payload| resume_unwind(payload)))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("the crew ran every job")
+        })
         .collect()
 }
 
-/// Runs `job` under [`catch_unwind`]: the one catch site of
-/// [`run_indexed`], [`run_indexed_catch`] and [`catch_job`].
+/// Runs `job` under [`catch_unwind`]: the one catch site of the crew and
+/// of [`catch_job`].
 ///
 /// The closure is wrapped in [`AssertUnwindSafe`]: jobs here are pure
 /// functions over shared *read-only* state, or write only state that
@@ -149,94 +537,16 @@ fn caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
     catch_unwind(AssertUnwindSafe(job))
 }
 
-/// Runs `job(0..jobs)` for its effects: the pool of [`run_indexed`]
-/// without its per-job result slots, for jobs that leave their results
-/// where the caller keeps them. Workers pull indices from the same atomic
-/// counter, so jobs start in index order and unequal jobs balance; with
-/// one thread (or one job) everything runs on the calling thread, in
-/// index order.
-///
-/// A panic in `job` reaches the caller as in [`run_indexed`]: with the
-/// payload of the lowest-index panicking job, at every thread count.
+/// Runs `job(0..jobs)` for its effects: a one-phase [`crew`] without
+/// [`run_indexed`]'s per-job result slots, for jobs that leave their
+/// results where the caller keeps them. See [`Crew::run_each`] for the
+/// dispatch order and the panic rule.
 pub fn run_each<F>(parallelism: Parallelism, jobs: usize, job: F)
 where
     F: Fn(usize) + Sync,
 {
-    let threads = parallelism.threads_for(jobs);
-    if threads <= 1 {
-        (0..jobs).for_each(job);
-        return;
-    }
-    let first_panic = Mutex::new(None);
-    workers(threads, jobs, |i| {
-        if let Err(payload) = caught(|| job(i)) {
-            let mut first = first_panic.lock().expect("panic slot poisoned");
-            if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                *first = Some((i, payload));
-            }
-        }
-    });
-    if let Some((_, payload)) = first_panic.into_inner().expect("panic slot poisoned") {
-        resume_unwind(payload);
-    }
-}
-
-/// The threads of the pool: `threads` workers (the caller's one
-/// [`Parallelism::threads_for`]), each pulling the next index from one
-/// atomic counter until `jobs` run out. The calling thread is one of them,
-/// beside `threads − 1` scoped threads, so it works rather than waits for
-/// them. `job` must not panic: every caller catches inside it, which also
-/// keeps a panic's payload intact, where `std::thread::scope` would
-/// replace it with "a scoped thread panicked" and the caller's own loop
-/// would unwind before joining the others.
-fn workers<F>(threads: usize, jobs: usize, job: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let pull = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= jobs {
-            break;
-        }
-        job(i);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(pull);
-        }
-        pull();
-    });
-}
-
-/// The pool behind [`run_indexed`] and [`run_indexed_catch`]: runs every
-/// job [`caught`] on `threads` workers (on the calling thread for one) and
-/// returns each job's result or panic payload in index order.
-fn run_caught<T, F>(threads: usize, jobs: usize, job: F) -> Vec<std::thread::Result<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let job = |i: usize| caught(|| job(i));
-    if threads <= 1 {
-        return (0..jobs).map(job).collect();
-    }
-    // One slot per job: threads write disjoint slots, so the per-slot
-    // mutexes are never contended.
-    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-    workers(threads, jobs, |i| {
-        let value = job(i);
-        *slots[i].lock().expect("result slot poisoned") = Some(value);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool ran every job")
-        })
-        .collect()
+    let job = &job;
+    one_phase(parallelism, jobs, |crew| crew.run_each(jobs, job));
 }
 
 /// A job that panicked inside [`run_indexed_catch`].
@@ -294,7 +604,8 @@ pub fn catch_job<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic
     caught(job).map_err(|payload| JobPanic::new(index, payload))
 }
 
-/// Like [`run_indexed`], but a panic in one job is confined to that job.
+/// Like [`run_indexed`], but a panic in one job is confined to that job:
+/// a one-phase [`crew`].
 ///
 /// A panicking job yields `Err(JobPanic)` in its slot while every other
 /// job still runs and returns its result. Output stays in index order, so
@@ -309,16 +620,15 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_caught(parallelism.threads_for(jobs), jobs, job)
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| slot.map_err(|payload| JobPanic::new(index, payload)))
-        .collect()
+    let job = &job;
+    one_phase(parallelism, jobs, |crew| crew.run_indexed_catch(jobs, job))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     #[test]
     fn serial_is_one_thread() {
@@ -479,6 +789,145 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(panic_message(payload), "boom at 1", "run_each {p:?}");
+        }
+    }
+
+    /// Records the thread that runs a job.
+    fn note(seen: &Mutex<HashSet<ThreadId>>) {
+        seen.lock().unwrap().insert(std::thread::current().id());
+    }
+
+    /// A job of uneven cost, so that helpers get jobs too.
+    fn work(i: usize) -> f64 {
+        (0..2_000 + (i % 7) * 500).map(|k| (k as f64).sqrt()).sum()
+    }
+
+    #[test]
+    fn a_crew_keeps_its_threads_across_phases() {
+        let seen = Mutex::new(HashSet::new());
+        let phases = [8, 3, 64, 2, 20];
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        crew(Parallelism::Fixed(3), |crew| {
+            for jobs in phases {
+                crew.run_each(jobs, |i| {
+                    note(&seen);
+                    std::hint::black_box(work(i));
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        let threads = seen.into_inner().unwrap().len();
+        assert!(threads <= 3, "{threads} threads over five phases");
+        // Every phase ran each of its jobs once.
+        for (i, runs) in runs.iter().enumerate() {
+            let phases_with_i = phases.iter().filter(|&&jobs| i < jobs).count();
+            assert_eq!(runs.load(Ordering::Relaxed), phases_with_i, "job {i}");
+        }
+    }
+
+    #[test]
+    fn a_crew_of_single_jobs_stays_on_the_calling_thread() {
+        let seen = Mutex::new(HashSet::new());
+        let out = crew(Parallelism::Fixed(4), |crew| {
+            crew.run_each(1, |_| note(&seen));
+            crew.run_each(0, |_| note(&seen));
+            let out = crew.run_indexed_catch(1, |i| {
+                note(&seen);
+                i + 7
+            });
+            crew.run_each(1, |_| note(&seen));
+            out
+        });
+        assert_eq!(out, vec![Ok(7)]);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, HashSet::from([std::thread::current().id()]));
+    }
+
+    #[test]
+    fn a_crew_spawns_only_what_its_largest_phase_can_use() {
+        let seen = Mutex::new(HashSet::new());
+        crew(Parallelism::Fixed(8), |crew| {
+            for _ in 0..5 {
+                crew.run_each(2, |i| {
+                    note(&seen);
+                    std::hint::black_box(work(i));
+                });
+            }
+        });
+        let threads = seen.into_inner().unwrap().len();
+        assert!(threads <= 2, "{threads} threads for phases of 2 jobs");
+    }
+
+    #[test]
+    fn each_phase_raises_its_lowest_panic_and_the_crew_runs_on() {
+        let runs: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
+        let (first, second, caught) = silence_panics(|| {
+            crew(Parallelism::Fixed(3), |crew| {
+                let first = catch_unwind(AssertUnwindSafe(|| {
+                    crew.run_each(9, |i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        if i % 3 == 1 {
+                            panic!("boom at {i}");
+                        }
+                        std::hint::black_box(work(i));
+                    })
+                }));
+                let second = catch_unwind(AssertUnwindSafe(|| {
+                    crew.run_each(10, |i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        if i == 8 {
+                            panic!("boom at {i}");
+                        }
+                    })
+                }));
+                let caught = crew.run_indexed_catch(6, |i| {
+                    if i == 4 {
+                        panic!("boom at {i}");
+                    }
+                    i * 10
+                });
+                (first, second, caught)
+            })
+        });
+        // Each phase raised its own lowest panic, once all its jobs ran.
+        assert_eq!(panic_message(first.unwrap_err()), "boom at 1");
+        assert_eq!(panic_message(second.unwrap_err()), "boom at 8");
+        let runs: Vec<usize> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        assert_eq!(runs, [2, 2, 2, 2, 2, 2, 2, 2, 2, 1]);
+        assert_eq!(
+            caught[4].as_ref().unwrap_err().to_string(),
+            "job 4 panicked: boom at 4"
+        );
+        for i in [0, 1, 2, 3, 5] {
+            assert_eq!(caught[i], Ok(i * 10));
+        }
+    }
+
+    #[test]
+    fn a_panic_between_phases_leaves_the_crew() {
+        for p in [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(4),
+        ] {
+            let ran = AtomicUsize::new(0);
+            let unwound: std::thread::Result<()> = silence_panics(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    crew(p, |crew| {
+                        crew.run_each(16, |i| {
+                            std::hint::black_box(work(i));
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        });
+                        panic!("between phases");
+                    })
+                }))
+            });
+            assert_eq!(
+                panic_message(unwound.unwrap_err()),
+                "between phases",
+                "{p:?}"
+            );
+            assert_eq!(ran.into_inner(), 16, "{p:?}");
         }
     }
 

@@ -153,6 +153,9 @@ fn cancel_token_stops_a_running_fit_from_another_thread() {
         nap: Duration::from_millis(5),
     };
     let token = CancelToken::new();
+    // A thread of the test's own, outside any crew: the canceller must
+    // run beside the fit it stops.
+    #[allow(clippy::disallowed_methods)]
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || {
@@ -462,11 +465,12 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// loss and transient faults, two attempts, and breakers over 8-cell
 /// waves), at every thread count: its outcomes and its JSONL log. Breakers
 /// open, half-open and close, cells are quarantined, retries refit over
-/// shared designs, and at `Fixed(3)` the last wave (two cells on grid A)
-/// pools its fits. A one-cell call cannot stand in for a cell here, since
-/// the faults are drawn per fleet cell and the breakers carry state from
-/// cell to cell, so the digests pin the fleet as a ranker that builds every
-/// design inside its own fit produced it, bit for bit.
+/// shared designs, the flattened waves share one crew, and at `Fixed(3)`
+/// the last wave (two cells on grid A) pools its fits. A one-cell call
+/// cannot stand in for a cell here, since the faults are drawn per fleet
+/// cell and the breakers carry state from cell to cell, so the digests pin
+/// the fleet as a ranker that builds every design inside its own fit
+/// produced it, bit for bit.
 #[test]
 fn chaos_fleet_that_shares_designs_keeps_its_outcomes_and_log() {
     const OUTCOMES: u64 = 0x99D5_2501_2EB9_BBC3;
@@ -500,6 +504,7 @@ fn chaos_fleet_that_shares_designs_keeps_its_outcomes_and_log() {
         Parallelism::Serial,
         Parallelism::Fixed(2),
         Parallelism::Fixed(3),
+        Parallelism::Auto,
     ]
     .into_iter()
     .map(|parallelism| {

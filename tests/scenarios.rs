@@ -232,6 +232,9 @@ fn poisson_realization_is_identical_across_spawned_threads() {
     let spec = poisson_scenario();
     let reference = bits_of(spec.generate("ref").unwrap().values());
     let events_reference = spec.events.unwrap().realize(239.0).unwrap();
+    // Threads of the test's own, outside any crew: the generators race on
+    // purpose, which is what this test checks.
+    #[allow(clippy::disallowed_methods)]
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let spec = spec.clone();
