@@ -7,10 +7,11 @@
 //!
 //! `--smoke` is the only invocation. In order, it runs
 //!
-//! 1. the `rank_models` gate over the six paper families on 1990-93:
-//!    serial vs `Fixed(2)` bit-identity of the rankings and of the event
-//!    logs, the median evals-per-fit and each family's evaluations under
-//!    their ceilings → `BENCH_fitting.json`;
+//! 1. the `rank_models` gate over the six paper families on each of the
+//!    seven recessions' `payroll_index()` curves: serial vs `Fixed(2)`
+//!    bit-identity of the rankings and of the event logs, the median
+//!    evals-per-fit and each family's seven-curve evaluations under their
+//!    ceilings → `BENCH_fitting.json`;
 //! 2. the `bootstrap_band` gate: serial vs `Fixed(2)` bit-identity of the
 //!    200-replicate Quadratic band → `BENCH_bootstrap.json`;
 //! 3. the canonical scenario guard;

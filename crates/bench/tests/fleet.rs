@@ -140,10 +140,10 @@ struct Shapes {
 /// has one: the rescoring of an exact fit (its `fit_started` announced no
 /// starts, and no stop cut it short) or of a profiled winner lifted back
 /// to every coordinate, which the Levenberg–Marquardt polish always
-/// follows (DESIGN.md §11).
-fn rescorings(family: &dyn ModelFamily, attempt: &AttemptSpan) -> u64 {
+/// follows (DESIGN.md §11): a fit whose design at its `times` is profiled.
+fn rescorings(family: &dyn ModelFamily, times: &[f64], attempt: &AttemptSpan) -> u64 {
     let exact = attempt.starts == Some(0) && attempt.stopped.is_none();
-    let lifted = family.profiles_last_coefficient()
+    let lifted = family.design(times).is_some_and(|design| design.profiled())
         && attempt
             .solvers
             .iter()
@@ -159,6 +159,7 @@ fn rescorings(family: &dyn ModelFamily, attempt: &AttemptSpan) -> u64 {
 /// a solver that a stop cut short is charged from its stop line.
 fn check_tree_against_runtime(
     run: &FleetRun,
+    grid: &ScenarioGrid,
     families: &[&dyn ModelFamily],
     context: &str,
 ) -> Shapes {
@@ -166,8 +167,15 @@ fn check_tree_against_runtime(
     assert_eq!(tree.cells.len(), run.outcomes.len(), "{context}");
     let names: Vec<&str> = families.iter().map(|f| f.name()).collect();
     let mut shapes = Shapes::default();
-    for (i, (cell, outcome)) in tree.cells.iter().zip(&run.outcomes).enumerate() {
+    for (i, ((cell, outcome), spec)) in tree
+        .cells
+        .iter()
+        .zip(&run.outcomes)
+        .zip(grid.cells())
+        .enumerate()
+    {
         assert_eq!(cell.cell as usize, i, "{context}");
+        let series = spec.generate().expect("grid cells generate");
         let fitted: Vec<&str> = cell.fits.iter().map(|f| f.family).collect();
         assert_eq!(fitted, names, "{context}: cell {i}");
         let (rows, failures) = match outcome {
@@ -207,7 +215,7 @@ fn check_tree_against_runtime(
                 let solver_evals: u64 = attempt.solvers.iter().map(|s| s.evaluations).sum();
                 assert_eq!(
                     attempt.evaluations,
-                    solver_evals + rescorings(*family, attempt),
+                    solver_evals + rescorings(*family, series.times(), attempt),
                     "{context}: cell {i} {} attempt {}",
                     fit.family,
                     attempt.attempt
@@ -226,9 +234,10 @@ fn chaos_span_tree_agrees_with_the_runtime_cell_by_cell() {
     // Under the CI chaos plan, the tree built from the log agrees with
     // the runtime's own outcome for every one of the 64 cells.
     let fams = families();
-    let run = run_fleet(&smoke_grid(), &fams, Parallelism::Fixed(2), &chaos_policy());
+    let grid = smoke_grid();
+    let run = run_fleet(&grid, &fams, Parallelism::Fixed(2), &chaos_policy());
     assert_eq!(run.outcomes.len(), 64);
-    let shapes = check_tree_against_runtime(&run, &fams, "CI chaos plan");
+    let shapes = check_tree_against_runtime(&run, &grid, &fams, "CI chaos plan");
     // The plan exercised every shape the check covers.
     assert!(
         shapes.lost > 0 && shapes.failed > 0 && shapes.quarantined > 0,
@@ -311,7 +320,7 @@ fn random_chaos_plans_keep_the_supervisor_contract() {
             retries <= (max_attempts as u64 - 1) * jobs,
             "{context}: {retries} retries"
         );
-        let shapes = check_tree_against_runtime(&serial, &fams, &context);
+        let shapes = check_tree_against_runtime(&serial, &grid, &fams, &context);
         seen.lost += shapes.lost;
         seen.failed += shapes.failed;
         seen.quarantined += shapes.quarantined;

@@ -3,12 +3,13 @@
 use super::RAISED_ZERO;
 use crate::fit::sse_at;
 use crate::guard::Violation;
-use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ProfileWork, ResilienceModel};
+use crate::model::{Design, ExactOptimum, ModelFamily, ProfileWork, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::sum::CompensatedSum;
 use resilience_optim::scalar::brent_min;
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// Competing-risks resilience curve `P(t) = 2γt + α/(1 + βt)` with
 /// `α, β, γ > 0` — the Hjorth (1980) bathtub hazard adopted by the
@@ -223,7 +224,7 @@ impl ResilienceModel for CompetingRisksModel {
 /// The [`ModelFamily`] for [`CompetingRisksModel`].
 ///
 /// Internal parameterization: `[ln α, ln β, ln γ]` (all-positive region).
-/// A fit is one profile over `ln β` ([`ModelFamily::exact_design`]), so
+/// A fit is one profile over `ln β` ([`ModelFamily::design`]), so
 /// the family has no starting points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompetingRisksFamily;
@@ -275,8 +276,8 @@ impl ModelFamily for CompetingRisksFamily {
     /// `T = max|t|`, the recovery column `u = t/T`, `Σu²`, the `ln β` of
     /// the `β → 0` candidate and the least time. The decay column depends
     /// on `β`.
-    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
-        Some(Box::new(ProfileDesign::new(ts)))
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
+        Some(Arc::new(ProfileDesign::new(ts)))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -337,7 +338,7 @@ impl<'a> ProfileDesign<'a> {
     }
 }
 
-impl ExactDesign for ProfileDesign<'_> {
+impl Design for ProfileDesign<'_> {
     fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         Some(profile_optimum(self, ys))
     }
@@ -695,7 +696,7 @@ mod tests {
     fn profile_fit(ys: &[f64]) -> (CompetingRisksModel, ProfileWork) {
         let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
         let exact = CompetingRisksFamily
-            .exact_design(&ts)
+            .design(&ts)
             .expect("Competing Risks has a design")
             .optimum(ys)
             .expect("Competing Risks profiles")
@@ -753,7 +754,7 @@ mod tests {
             .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
             .collect();
         let ts: Vec<f64> = (0..16).map(f64::from).collect();
-        let design = CompetingRisksFamily.exact_design(&ts).unwrap();
+        let design = CompetingRisksFamily.design(&ts).unwrap();
         let err = design.optimum(&ys).unwrap();
         assert!(matches!(err, Err(CoreError::Numerical { .. })), "{err:?}");
     }

@@ -99,7 +99,7 @@ impl Monomials {
 }
 
 /// A solve's internal point as an exact fit
-/// ([`crate::model::ExactDesign::optimum`]), scored with the fit's own
+/// ([`crate::model::Design::optimum`]), scored with the fit's own
 /// objective; `None` where that SSE is not finite, which rejects the
 /// solve.
 fn solved(

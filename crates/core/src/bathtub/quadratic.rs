@@ -1,13 +1,13 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
 use super::{Monomials, RAISED_ZERO};
-use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
+use crate::model::{Design, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
 use resilience_math::poly::{quadratic_roots, Polynomial};
 use resilience_math::sum::CompensatedSum;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The clamp [`QuadraticFamily`]'s internal map applies to
 /// `s = −β/(2√(αγ))`: `s = 0` is the bathtub cone's face `β = 0`, `s = 1`
@@ -314,8 +314,8 @@ impl ModelFamily for QuadraticFamily {
     /// stands in for a rank-deficient design; the first of them whose SSE
     /// is finite. `None` where neither SSE is finite, as on fewer than
     /// three times: the fit then searches.
-    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
-        Some(Box::new(QuadraticDesign {
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
+        Some(Arc::new(QuadraticDesign {
             ts,
             monomials: Monomials::new(ts, 3),
             boundary: OnceLock::new(),
@@ -366,7 +366,7 @@ impl ModelFamily for QuadraticFamily {
 }
 
 /// The Quadratic's exact fit at fixed times
-/// ([`QuadraticFamily::exact_design`]).
+/// ([`QuadraticFamily::design`]).
 struct QuadraticDesign<'a> {
     ts: &'a [f64],
     /// `None` on fewer than three distinct times.
@@ -376,7 +376,7 @@ struct QuadraticDesign<'a> {
     boundary: OnceLock<Boundary>,
 }
 
-impl ExactDesign for QuadraticDesign<'_> {
+impl Design for QuadraticDesign<'_> {
     /// The interior solve, else the boundary optimum.
     fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         let (ts, family) = (self.ts, &QuadraticFamily);
@@ -413,7 +413,7 @@ impl QuadraticFamily {
     /// bathtub cone `K = {α, γ ≥ 0, β ≤ 0, β² ≤ 4αγ}`, as the internal point
     /// of its nearest representable neighbour (DESIGN.md §11, "The bathtub
     /// cone's boundary"): the optimum over the cone's boundary whatever the
-    /// data, which the exact fit ([`ModelFamily::exact_design`]) takes where
+    /// data, which the exact fit ([`ModelFamily::design`]) takes where
     /// the unconstrained optimum is not a bathtub. `None` on fewer than three
     /// times or lengths that disagree.
     ///

@@ -10,10 +10,11 @@
 //! an extension experiment.
 
 use super::Monomials;
-use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
+use crate::model::{Design, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::poly::Polynomial;
+use std::sync::Arc;
 
 /// Unconstrained quartic resilience curve
 /// `P(t) = c₀ + c₁t + c₂t² + c₃t³ + c₄t⁴`.
@@ -135,8 +136,8 @@ impl ModelFamily for QuarticFamily {
     /// their least-squares solve over `1, t, …, t⁴`, whose Householder
     /// factorization the design holds. `None` on fewer than five distinct
     /// times, where the design is rank deficient: the fit then searches.
-    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
-        Some(Box::new(QuarticDesign {
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
+        Some(Arc::new(QuarticDesign {
             ts,
             monomials: Monomials::new(ts, 5)?,
         }))
@@ -166,13 +167,13 @@ impl ModelFamily for QuarticFamily {
     }
 }
 
-/// The Quartic's exact fit at fixed times ([`ModelFamily::exact_design`]).
+/// The Quartic's exact fit at fixed times ([`ModelFamily::design`]).
 struct QuarticDesign<'a> {
     ts: &'a [f64],
     monomials: Monomials,
 }
 
-impl ExactDesign for QuarticDesign<'_> {
+impl Design for QuarticDesign<'_> {
     /// The least-squares coefficients, where they and their SSE are finite.
     fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         let internal = self.monomials.coefficients(ys)?;

@@ -122,12 +122,13 @@ impl Default for BootstrapConfig {
 /// evaluated at every observation time.
 ///
 /// The base fit uses `base_config`. Each replicate refits a synthetic
-/// series (the fitted curve plus resampled residuals). A family with an
-/// exact fit ([`ModelFamily::exact_design`]) builds its design once, at
-/// the series' times, for the base fit and every replicate: each
-/// replicate takes the design's optimum of its values, under the fit's
-/// guard. Otherwise, or where the design gives no optimum, the replicate
-/// refits with the same configuration, serially, from the base optimum,
+/// series (the fitted curve plus resampled residuals). The family's design
+/// ([`ModelFamily::design`]) is built once, at the series' times, for the
+/// base fit and every replicate. A design with an exact fit gives each
+/// replicate its optimum of the replicate's values, under the fit's guard.
+/// Otherwise, or where the design gives no optimum, the replicate refits
+/// over the band's design (a mixture's profiled search reads its `ln t`)
+/// with the same configuration, serially, from the base optimum,
 /// and with its Nelder–Mead iterations capped at 800 (times the family's
 /// [`ModelFamily::nm_iteration_scale`]). A replicate whose refit errors,
 /// panics (isolated at the replicate) or predicts a non-finite value
@@ -182,14 +183,14 @@ pub fn bootstrap_band_with(
     let control = control.observer_only();
     let n = series.len();
     let times = series.times();
-    // The base fit and every replicate fit the same times, so an exact
-    // family's design is the band's.
-    let design = family.exact_design(times);
+    // The base fit and every replicate fit the same times, so the family's
+    // design is the band's.
+    let design = family.design(times);
     // The base fit is observed: its solver trace anchors the log.
     let base = fit_from(
         family,
         series,
-        design.as_deref(),
+        design.as_ref(),
         None,
         None,
         base_config,
@@ -238,7 +239,7 @@ pub fn bootstrap_band_with(
                 let fit = fit_from(
                     family,
                     &synth.ok()?,
-                    design.as_deref(),
+                    design.as_ref(),
                     Some(base_optimum),
                     None,
                     &refit_config,

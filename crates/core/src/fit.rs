@@ -10,10 +10,10 @@
 //! §11): the Quadratic and the Quartic, linear in every coefficient, are
 //! one least-squares solve each, and Competing Risks, linear in all but
 //! `β`, is one deterministic profile over `ln β`
-//! ([`ModelFamily::exact_design`]).
+//! ([`ModelFamily::design`]).
 
 use crate::guard::{self, Violation};
-use crate::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
+use crate::model::{Design, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
@@ -26,6 +26,7 @@ use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
 use resilience_optim::{Control, OptimError, Parallelism};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// The evaluation budget under which a converged warm probe
 /// short-circuits the cold starts (see [`FitPlan::new`]).
@@ -64,8 +65,8 @@ pub struct FitConfig {
     /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
     /// [`crate::selection::rank_models`]) spends them on its jobs when a
     /// wave has at least as many cells as threads, and otherwise on the
-    /// starts of all the wave's fits, in one crew phase per leg of their
-    /// races.
+    /// starts of all the wave's fits, one phase per leg of their races.
+    /// Either way every wave runs on the call's one crew of threads.
     /// Every setting produces bit-identical results; see `DESIGN.md` §7
     /// (threading model).
     pub parallelism: Parallelism,
@@ -222,33 +223,23 @@ pub(crate) fn sse_at(
     sse.value()
 }
 
-/// The variable-projection objective (DESIGN.md §11) of a family that
-/// profiles its last coefficient
-/// ([`ModelFamily::profiles_last_coefficient`]): Nelder–Mead moves over the
+/// The variable-projection objective (DESIGN.md §11) over a profiled
+/// search's design ([`Design::profiled`]): Nelder–Mead moves over the
 /// other coordinates `u`, and at each `u` the coefficient is solved exactly
 /// by [`solve_linear_coefficient`]. Reuses its offset and column buffers,
 /// so an evaluation allocates nothing.
 struct ProfiledObjective<'a> {
-    family: &'a dyn ModelFamily,
-    times: &'a [f64],
-    ln_times: &'a [f64],
+    design: &'a dyn Design,
     observed: &'a [f64],
     /// The offset and the column.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
 impl<'a> ProfiledObjective<'a> {
-    fn new(
-        family: &'a dyn ModelFamily,
-        times: &'a [f64],
-        ln_times: &'a [f64],
-        observed: &'a [f64],
-    ) -> Self {
-        let n = times.len();
+    fn new(design: &'a dyn Design, observed: &'a [f64]) -> Self {
+        let n = observed.len();
         ProfiledObjective {
-            family,
-            times,
-            ln_times,
+            design,
             observed,
             scratch: RefCell::new((vec![0.0; n], vec![0.0; n])),
         }
@@ -264,10 +255,7 @@ impl<'a> ProfiledObjective<'a> {
     fn solve(&self, u: &[f64]) -> Option<(f64, f64)> {
         let mut guard = self.scratch.borrow_mut();
         let (offset, column) = &mut *guard;
-        if !self
-            .family
-            .linear_design_into(u, self.times, self.ln_times, offset, column)
-        {
+        if !self.design.linear_columns_into(u, offset, column) {
             return None;
         }
         solve_linear_coefficient(self.observed, offset, column)
@@ -275,14 +263,19 @@ impl<'a> ProfiledObjective<'a> {
 
     /// Lifts a Nelder–Mead winner `u` back to the full internal vector
     /// `[u, ln c]`, with `c` its optimal coefficient, and rescores it with
-    /// the full objective, so that the SSE is the fitted model's own — one
-    /// more evaluation. `None` only if the profile is undefined at `u`,
-    /// which a finite winner rules out.
-    fn lift(&self, best: OptimReport) -> Option<OptimReport> {
+    /// `family`'s full objective at `times`, so that the SSE is the fitted
+    /// model's own — one more evaluation. `None` only if the profile is
+    /// undefined at `u`, which a finite winner rules out.
+    fn lift(
+        &self,
+        family: &dyn ModelFamily,
+        times: &[f64],
+        best: OptimReport,
+    ) -> Option<OptimReport> {
         let (coefficient, _) = self.solve(&best.params)?;
         let mut params = best.params;
         params.push(coefficient.ln());
-        let value = sse_at(self.family, self.times, self.observed, &params);
+        let value = sse_at(family, times, self.observed, &params);
         Some(OptimReport {
             params,
             value,
@@ -465,7 +458,7 @@ pub fn fit_least_squares(
 /// the starts), the starts' race on [`multi_start`]'s crew of
 /// `config.parallelism` threads (DESIGN.md §11, "Racing the starts"), and
 /// the finish (reduce, lift, polish, guard). An exact fit
-/// ([`ModelFamily::exact_design`]) skips the search and the polish, and
+/// ([`Design::optimum`]) skips the search and the polish, and
 /// its finish polls the control once before it counts and logs its work
 /// (DESIGN.md §11, "Exact fits"): the Quadratic and the Quartic are one
 /// solve each, and Competing Risks is one profile over `ln β`, whose one
@@ -488,28 +481,29 @@ pub fn fit_least_squares_with(
     fit_from(family, series, None, None, None, config, control)
 }
 
-/// [`fit_least_squares_with`] over the family's exact `design` at the
-/// series' times, when the caller holds one (`None`: the fit builds its
-/// own, see [`FitPlan::new`]), searching from `guesses` instead of the
-/// family's own [`ModelFamily::initial_guesses`] (`None`): a retry's
-/// jittered points, or a bootstrap replicate's base optimum. A `warm`
-/// point, a retry's best fit so far, is probed first.
-pub(crate) fn fit_from(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    design: Option<&dyn ExactDesign>,
+/// [`fit_least_squares_with`] over the family's `design` at the series'
+/// times, when the caller holds one (`None`: the fit builds its own, see
+/// [`FitPlan::new`]), searching from `guesses` instead of the family's own
+/// [`ModelFamily::initial_guesses`] (`None`): a retry's jittered points, or
+/// a bootstrap replicate's base optimum. A `warm` point, a retry's best fit
+/// so far, is probed first.
+pub(crate) fn fit_from<'a>(
+    family: &'a dyn ModelFamily,
+    series: &'a PerformanceSeries,
+    design: Option<&Arc<dyn Design + 'a>>,
     guesses: Option<&[Vec<f64>]>,
     warm: Option<&[f64]>,
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    let ln_times = if family.profiles_last_coefficient() {
-        ln_table(series.times())
-    } else {
-        Vec::new()
-    };
     let plan = FitPlan::new(
-        family, series, &ln_times, design, guesses, warm, config, control,
+        family,
+        series,
+        design.cloned(),
+        guesses,
+        warm,
+        config,
+        control,
     )?;
     let cold = multi_start(
         config.parallelism,
@@ -519,13 +513,6 @@ pub(crate) fn fit_from(
         |_, run, c| plan.second_leg(run, c),
     );
     plan.finish(cold, config, control)
-}
-
-/// `ln t` for every time: the table a profiled search's design reads
-/// (DESIGN.md §11), built only for a family that
-/// [`ModelFamily::profiles_last_coefficient`].
-pub(crate) fn ln_table(times: &[f64]) -> Vec<f64> {
-    times.iter().map(|t| t.ln()).collect()
 }
 
 /// The typed error of a Nelder–Mead phase, or of an exact fit's poll, that
@@ -553,9 +540,9 @@ fn phase_error(e: OptimError) -> CoreError {
 pub(crate) struct FitPlan<'a> {
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
-    /// `ln t` per time when the search is profiled (DESIGN.md §11): it
-    /// then moves over every internal coordinate but the last.
-    ln_times: Option<&'a [f64]>,
+    /// The family's design when the search is profiled (DESIGN.md §11):
+    /// it then moves over every internal coordinate but the last.
+    profile: Option<Arc<dyn Design + 'a>>,
     optimizer: NelderMead,
     /// An exact fit: the plan then has no warm probe and no starts.
     exact: Option<ExactOptimum>,
@@ -570,13 +557,15 @@ impl<'a> FitPlan<'a> {
     /// The plan phase: an exact fit, or the warm probe and the cold
     /// starts.
     ///
-    /// A family with an exact fit ([`ModelFamily::exact_design`]) takes
-    /// the optimum of the series' values under `design`, the family's
-    /// design at the series' times, or when that is `None` under a design
-    /// it builds at them: the plan logs its `fit_started` with zero starts
-    /// and computes no guesses, and the family's error is the plan's. A
-    /// family without one, or whose design gives no optimum, logs and
-    /// counts nothing here, and the fit searches.
+    /// The plan reads the times through `design`, the family's design at
+    /// the series' times ([`ModelFamily::design`]), or when that is `None`
+    /// through a design it builds at them. A design with an exact fit
+    /// ([`Design::optimum`]) gives the optimum of the series' values: the
+    /// plan logs its `fit_started` with zero starts, computes no guesses
+    /// and keeps no design, and the family's error is the plan's. A family
+    /// without a design, or whose design gives no optimum, logs and counts
+    /// nothing here, and the fit searches; a plan whose search is profiled
+    /// ([`Design::profiled`]) keeps its design for it.
     ///
     /// Otherwise a `warm` point (external parameters, typically a previous
     /// optimum in the same basin) is probed first: one serial Nelder–Mead
@@ -588,9 +577,6 @@ impl<'a> FitPlan<'a> {
     /// coordinate, or for a family that profiles its last coefficient
     /// every other one, in which case guesses that coincide there are
     /// merged, keeping the first. Guesses that do not convert are dropped.
-    /// `ln_times` is [`ln_table`] of the series' times when the family
-    /// [`ModelFamily::profiles_last_coefficient`], and may be empty
-    /// otherwise.
     ///
     /// # Errors
     ///
@@ -601,8 +587,7 @@ impl<'a> FitPlan<'a> {
     pub(crate) fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
-        ln_times: &'a [f64],
-        design: Option<&dyn ExactDesign>,
+        design: Option<Arc<dyn Design + 'a>>,
         guesses: Option<&[Vec<f64>]>,
         warm: Option<&[f64]>,
         config: &FitConfig,
@@ -623,22 +608,18 @@ impl<'a> FitPlan<'a> {
         let mut plan = FitPlan {
             family,
             series,
-            ln_times: None,
+            profile: None,
             optimizer: NelderMead::new(nm_config),
             exact: None,
             warm: None,
             starts: Vec::new(),
             dim: 0,
         };
-        let own;
-        let design = match design {
-            Some(design) => Some(design),
-            None => {
-                own = family.exact_design(series.times());
-                own.as_deref()
-            }
-        };
-        if let Some(exact) = design.and_then(|design| design.optimum(series.values())) {
+        let design = design.or_else(|| family.design(series.times()));
+        if let Some(exact) = design
+            .as_ref()
+            .and_then(|design| design.optimum(series.values()))
+        {
             plan.exact = Some(exact?);
             if traced {
                 control.emit(Event::FitStarted {
@@ -648,8 +629,8 @@ impl<'a> FitPlan<'a> {
             }
             return Ok(plan);
         }
-        let profiled = family.profiles_last_coefficient();
-        plan.ln_times = profiled.then_some(ln_times);
+        plan.profile = design.filter(|design| design.profiled());
+        let profiled = plan.profile.is_some();
         let dim = family.n_params() - usize::from(profiled);
         plan.dim = dim;
 
@@ -739,15 +720,10 @@ impl<'a> FitPlan<'a> {
     /// profiled one. Either maps infeasible points to +∞, so the simplex
     /// contracts away from them, and owns scratch buffers, so an
     /// evaluation allocates nothing.
-    fn objective(&self) -> Objective<'a> {
+    fn objective(&self) -> Objective<'_> {
         let (times, observed) = (self.series.times(), self.series.values());
-        match self.ln_times {
-            Some(ln_times) => Objective::Profiled(ProfiledObjective::new(
-                self.family,
-                times,
-                ln_times,
-                observed,
-            )),
+        match &self.profile {
+            Some(design) => Objective::Profiled(ProfiledObjective::new(&**design, observed)),
             None => Objective::Full(SseObjective::new(self.family, times, observed)),
         }
     }
@@ -765,7 +741,7 @@ impl<'a> FitPlan<'a> {
     /// keeps the [`RACE_KEEP`] best after [`RACE_CUT`] evaluations each;
     /// any other search keeps every start, which is the plain multi-start.
     pub(crate) fn race(&self, control: &Control) -> Race {
-        let keep = if self.ln_times.is_some() {
+        let keep = if self.profile.is_some() {
             RACE_KEEP
         } else {
             usize::MAX
@@ -822,7 +798,7 @@ impl<'a> FitPlan<'a> {
         let FitPlan {
             family,
             series,
-            ln_times,
+            profile,
             exact,
             warm,
             starts,
@@ -888,10 +864,10 @@ impl<'a> FitPlan<'a> {
         };
         // A profiled winner is lifted back to the full internal vector
         // (DESIGN.md §11).
-        let best = match ln_times {
-            Some(ln_times) => {
-                let lifted = ProfiledObjective::new(family, times, ln_times, observed)
-                    .lift(best)
+        let best = match profile {
+            Some(design) => {
+                let lifted = ProfiledObjective::new(&*design, observed)
+                    .lift(family, times, best)
                     .ok_or_else(|| {
                         CoreError::guard(
                             "fit_least_squares",
@@ -1137,10 +1113,10 @@ mod tests {
 
         let s = Recession::R1990_93.payroll_index();
         let (times, observed) = (s.times(), s.values());
-        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
         let mut rng = XorShift64::new(0x0B57_A7E5);
         for family in MixtureFamily::paper_combinations() {
-            let profile = ProfiledObjective::new(&family, times, &ln_times, observed);
+            let design = family.design(times).expect("a profiled design");
+            let profile = ProfiledObjective::new(&*design, observed);
             let full = SseObjective::new(&family, times, observed);
             let mut checked = 0;
             for case in 0..200 {
@@ -1187,16 +1163,16 @@ mod tests {
         let family = MixtureFamily::paper_combinations()[1]; // Wei-Exp
         let u = [1.5_f64.ln(), 12.0_f64.ln(), 0.05_f64.ln()];
         let times: Vec<f64> = (0..48).map(f64::from).collect();
-        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        let design = family.design(&times).expect("a profiled design");
         let ones = vec![1.0; times.len()];
         let zeros = vec![0.0; times.len()];
 
         // Data at zero lies below the degradation term, so β* < 0.
-        let below = ProfiledObjective::new(&family, &times, &ln_times, &zeros);
+        let below = ProfiledObjective::new(&*design, &zeros);
         assert!(below.solve(&u).is_none());
         assert_eq!(below.eval(&u), f64::INFINITY);
 
-        let profile = ProfiledObjective::new(&family, &times, &ln_times, &ones);
+        let profile = ProfiledObjective::new(&*design, &ones);
         assert!(profile.eval(&u).is_finite());
         // F₂'s rate so small that the column squares to zero.
         let vanishing = [u[0], u[1], -700.0];
@@ -1207,8 +1183,8 @@ mod tests {
 
         // The log trend is zero on t ≤ 1, so there the column is zero.
         let early = [0.0, 0.25, 0.5, 1.0];
-        let ln_early = early.map(f64::ln);
-        let clamped = ProfiledObjective::new(&family, &early, &ln_early, &ones[..4]);
+        let early = family.design(&early).expect("a profiled design");
+        let clamped = ProfiledObjective::new(&*early, &ones[..4]);
         assert_eq!(clamped.eval(&u), f64::INFINITY);
 
         assert!(solve_linear_coefficient(&[1.0, 2.0], &[1.0], &[1.0, 1.0]).is_none());
@@ -1247,7 +1223,7 @@ mod tests {
             trend: Trend::Exponential,
             ..MixtureFamily::paper_combinations()[1]
         };
-        assert!(!exponential_trend.profiles_last_coefficient());
+        assert!(exponential_trend.design(s.times()).is_none());
         assert_eq!(exponential_trend.initial_guesses(&s).len(), 18);
         assert_eq!(starts(&exponential_trend), 18);
     }
@@ -1472,7 +1448,7 @@ mod tests {
         let fit = fit.unwrap();
         let family = "Competing Risks";
         let profile = CompetingRisksFamily
-            .exact_design(s.times())
+            .design(s.times())
             .unwrap()
             .optimum(s.values())
             .unwrap()

@@ -20,10 +20,11 @@ use component::cdf_from_hazard;
 pub use component::{BuiltComponent, ComponentKind};
 pub use trend::Trend;
 
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::model::{Design, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
+use std::sync::Arc;
 
 /// A fitted mixture resilience model (paper Eq. 7 with `a₁ = 1`).
 ///
@@ -285,6 +286,11 @@ impl MixtureFamily {
         .collect()
     }
 
+    /// Whether the curve is linear in β: under every trend but `e^{βt}`.
+    fn linear_in_beta(&self) -> bool {
+        self.trend != Trend::Exponential
+    }
+
     fn split_params<'a>(&self, params: &'a [f64]) -> (&'a [f64], &'a [f64], f64) {
         let n1 = self.f1.n_params();
         let n2 = self.f2.n_params();
@@ -313,7 +319,7 @@ impl MixtureFamily {
     pub fn screen_guess(&self, series: &PerformanceSeries) -> Option<Vec<f64>> {
         let (ts, ys) = (series.times(), series.values());
         let t_end = *ts.last()?;
-        if !(self.profiles_last_coefficient() && t_end > 0.0 && t_end.is_finite()) {
+        if !(self.linear_in_beta() && t_end > 0.0 && t_end.is_finite()) {
             return None;
         }
         let (n1, n2) = (screen_nodes(self.f1), screen_nodes(self.f2));
@@ -472,48 +478,19 @@ impl ModelFamily for MixtureFamily {
         true
     }
 
-    /// β, the last parameter, is linear and positive under every trend
-    /// but `e^{βt}`.
-    fn profiles_last_coefficient(&self) -> bool {
-        self.trend != Trend::Exponential
-    }
-
-    /// `offset = 1 − F₁(t)` and `column = a₂(1, t)·F₂(t)`, so that
-    /// `P(t) = offset + β·column`; the components are built from
-    /// `exp(nonlinear)` exactly as `internal_to_params_into` would.
-    fn linear_design_into(
-        &self,
-        nonlinear: &[f64],
-        ts: &[f64],
-        ln_ts: &[f64],
-        offset: &mut [f64],
-        column: &mut [f64],
-    ) -> bool {
-        let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
-        let n = ts.len();
-        if !self.profiles_last_coefficient()
-            || nonlinear.len() != n1 + n2
-            || ln_ts.len() != n
-            || offset.len() != n
-            || column.len() != n
-        {
-            return false;
+    /// β, the last parameter, is linear and positive under every trend but
+    /// `e^{βt}`, so under those the design serves a profiled search: it
+    /// holds `ln t` at each time, which every evaluation of the search
+    /// reads. `None` under `e^{βt}`: the fit searches β too.
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
+        if !self.linear_in_beta() {
+            return None;
         }
-        let mut p = [0.0_f64; 4];
-        for (o, &v) in p.iter_mut().zip(nonlinear) {
-            *o = v.exp();
-        }
-        let (Some(f1), Some(f2)) = (
-            self.f1.try_build(&p[..n1]),
-            self.f2.try_build(&p[n1..n1 + n2]),
-        ) else {
-            return false;
-        };
-        for (i, (&t, &ln_t)) in ts.iter().zip(ln_ts).enumerate() {
-            offset[i] = f1.survival_at(t, ln_t);
-            column[i] = self.trend.eval_at(1.0, t, ln_t) * f2.cdf_at(t, ln_t);
-        }
-        true
+        Some(Arc::new(LinearDesign {
+            family: self,
+            ts,
+            ln_ts: ts.iter().map(|t| t.ln()).collect(),
+        }))
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
@@ -590,6 +567,52 @@ impl ModelFamily for MixtureFamily {
         // The screen's best node goes last, so it loses every tie.
         guesses.extend(self.screen_guess(series));
         guesses
+    }
+}
+
+/// A profiled mixture's design ([`MixtureFamily::design`]).
+struct LinearDesign<'a> {
+    family: &'a MixtureFamily,
+    ts: &'a [f64],
+    /// `ln t` at each time.
+    ln_ts: Vec<f64>,
+}
+
+impl Design for LinearDesign<'_> {
+    fn profiled(&self) -> bool {
+        true
+    }
+
+    /// `offset = 1 − F₁(t)` and `column = a₂(1, t)·F₂(t)`, so that
+    /// `P(t) = offset + β·column`; the components are built from
+    /// `exp(nonlinear)` exactly as `internal_to_params_into` would.
+    fn linear_columns_into(
+        &self,
+        nonlinear: &[f64],
+        offset: &mut [f64],
+        column: &mut [f64],
+    ) -> bool {
+        let family = self.family;
+        let (n1, n2) = (family.f1.n_params(), family.f2.n_params());
+        let n = self.ts.len();
+        if nonlinear.len() != n1 + n2 || offset.len() != n || column.len() != n {
+            return false;
+        }
+        let mut p = [0.0_f64; 4];
+        for (o, &v) in p.iter_mut().zip(nonlinear) {
+            *o = v.exp();
+        }
+        let (Some(f1), Some(f2)) = (
+            family.f1.try_build(&p[..n1]),
+            family.f2.try_build(&p[n1..n1 + n2]),
+        ) else {
+            return false;
+        };
+        for (i, (&t, &ln_t)) in self.ts.iter().zip(&self.ln_ts).enumerate() {
+            offset[i] = f1.survival_at(t, ln_t);
+            column[i] = family.trend.eval_at(1.0, t, ln_t) * f2.cdf_at(t, ln_t);
+        }
+        true
     }
 }
 
@@ -754,7 +777,6 @@ mod tests {
     #[test]
     fn linear_design_reconstructs_the_curve() {
         let ts = [0.0, 0.5, 1.0, 4.0, 15.0, 40.0];
-        let ln_ts = ts.map(f64::ln);
         let (mut offset, mut column, mut curve) = ([0.0; 6], [0.0; 6], [0.0; 6]);
         for base in MixtureFamily::paper_combinations() {
             for trend in Trend::ALL {
@@ -770,11 +792,13 @@ mod tests {
                 external.push(beta);
                 let internal = fam.params_to_internal(&external).unwrap();
                 let u = &internal[..internal.len() - 1];
-                let ok = fam.linear_design_into(u, &ts, &ln_ts, &mut offset, &mut column);
-                assert_eq!(ok, trend != Trend::Exponential, "{} {trend}", fam.name());
-                if !ok {
+                let Some(design) = fam.design(&ts) else {
+                    assert_eq!(trend, Trend::Exponential, "{}", fam.name());
                     continue;
-                }
+                };
+                assert_ne!(trend, Trend::Exponential, "{}", fam.name());
+                assert!(design.profiled() && design.optimum(&[1.0; 6]).is_none());
+                assert!(design.linear_columns_into(u, &mut offset, &mut column));
                 let params = fam.internal_to_params(&internal);
                 assert!(fam.predict_params_into(&params, &ts, &mut curve));
                 for i in 0..ts.len() {
@@ -789,11 +813,11 @@ mod tests {
                 }
                 // Infeasible points and mismatched buffers are refusals.
                 let nan = vec![f64::NAN; u.len()];
-                assert!(!fam.linear_design_into(&nan, &ts, &ln_ts, &mut offset, &mut column));
-                assert!(!fam.linear_design_into(&internal, &ts, &ln_ts, &mut offset, &mut column));
-                assert!(!fam.linear_design_into(u, &ts, &ln_ts[..5], &mut offset, &mut column));
-                assert!(!fam.linear_design_into(u, &ts, &ln_ts, &mut offset[..5], &mut column));
-                assert!(!fam.linear_design_into(u, &ts[..5], &ln_ts, &mut offset, &mut column));
+                assert!(!design.linear_columns_into(&nan, &mut offset, &mut column));
+                assert!(!design.linear_columns_into(&internal, &mut offset, &mut column));
+                assert!(!design.linear_columns_into(u, &mut offset[..5], &mut column));
+                let short = fam.design(&ts[..5]).unwrap();
+                assert!(!short.linear_columns_into(u, &mut offset, &mut column));
             }
         }
     }

@@ -25,8 +25,8 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{fit_from, fit_least_squares_with, ln_table, FitConfig, FitPlan, FittedModel};
-use crate::model::{ExactDesign, ModelFamily};
+use crate::fit::{fit_from, fit_least_squares_with, FitConfig, FitPlan, FittedModel};
+use crate::model::{Design, ModelFamily};
 use crate::selection::{
     score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
 };
@@ -320,7 +320,7 @@ fn first_attempt<T>(
 fn retried(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
-    design: Option<&dyn ExactDesign>,
+    design: Option<&Arc<dyn Design + '_>>,
     config: &FitConfig,
     policy: &ExecPolicy,
     control: &Control,
@@ -337,14 +337,14 @@ fn retried(
 
 /// The retry schedule after attempt 1, whose outcome is `first`: attempts
 /// 2 to `policy.max_attempts` until one converges, keeping the best fit by
-/// SSE, each over the family's exact `design` at the series' times when
-/// the caller holds one ([`fit_from`]). With zero attempts allowed,
+/// SSE, each over the family's `design` at the series' times when the
+/// caller holds one ([`fit_from`]). With zero attempts allowed,
 /// `first` is [`first_attempt`]'s error and nothing more runs.
 #[allow(clippy::too_many_arguments)]
 fn retry_after(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
-    design: Option<&dyn ExactDesign>,
+    design: Option<&Arc<dyn Design + '_>>,
     config: &FitConfig,
     policy: &RetryPolicy,
     control: &Control,
@@ -591,7 +591,7 @@ fn skipped(family: &dyn ModelFamily) -> FamilyFailure {
 fn supervised_family_job(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
-    design: Option<&dyn ExactDesign>,
+    design: Option<&Arc<dyn Design + '_>>,
     inner: &FitConfig,
     policy: &ExecPolicy,
     control: &Control,
@@ -655,8 +655,7 @@ impl<'a> PooledJob<'a> {
     fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
-        design: Option<&dyn ExactDesign>,
-        ln_times: &'a [f64],
+        design: Option<Arc<dyn Design + 'a>>,
         config: &FitConfig,
         policy: &'a ExecPolicy,
         control: &Control,
@@ -672,11 +671,7 @@ impl<'a> PooledJob<'a> {
             policy.retry.as_ref(),
             chaos.as_ref(),
             &job.base,
-            || {
-                FitPlan::new(
-                    family, series, ln_times, design, None, None, config, &job.base,
-                )
-            },
+            || FitPlan::new(family, series, design, None, None, config, &job.base),
         );
         let race = match &first {
             Ok(plan) => plan.race(&job.base),
@@ -770,7 +765,7 @@ impl<'a> PooledJob<'a> {
     fn finish(
         self,
         job: usize,
-        design: Option<&dyn ExactDesign>,
+        design: Option<&Arc<dyn Design + '_>>,
         config: &FitConfig,
         policy: &ExecPolicy,
     ) -> JobOutcome {
@@ -810,26 +805,40 @@ impl StartsRun {
     }
 }
 
-/// Runs leg `i` of job `order[s]` for every `i < counts[s]` of every `s`,
-/// as one phase of `crew`, in that order.
-fn pooled_legs<'a: 'env, 'env>(
+/// A wave job in [`pooled_wave`]: `None` when its breaker skipped it, and
+/// otherwise its planned job or its plan's panic.
+type PooledSlot<'a> = Option<Result<PooledJob<'a>, JobPanic>>;
+
+/// The planned job in `slot`, if it has one.
+fn planned<'s, 'a>(slot: &'s PooledSlot<'a>) -> Option<&'s PooledJob<'a>> {
+    slot.as_ref()?.as_ref().ok()
+}
+
+/// Runs leg `i` of job `order[s]` of `jobs` for every `i < counts[s]` of
+/// every `s`, as one phase of `crew`, in that order. The phase holds a
+/// handle on `jobs`, which it drops before it returns.
+fn pooled_legs<'env>(
     crew: &Crew<'_, 'env>,
-    order: &'env [&'env PooledJob<'a>],
+    jobs: &Arc<Vec<PooledSlot<'env>>>,
+    order: &[usize],
     counts: &[usize],
-    leg: fn(&PooledJob<'a>, usize),
+    leg: fn(&PooledJob<'env>, usize),
 ) {
-    // `ends[s]` is one past the last phase index of `order[s]`.
-    let ends: Vec<usize> = counts
+    // `ends[s]` is one past the last phase index of `order[s]`, with its job.
+    let ends: Vec<(usize, usize)> = order
         .iter()
-        .scan(0, |end, &count| {
+        .zip(counts)
+        .scan(0, |end, (&j, &count)| {
             *end += count;
-            Some(*end)
+            Some((*end, j))
         })
         .collect();
-    crew.run_each(ends.last().copied().unwrap_or(0), move |k| {
-        let slot = ends.partition_point(|&end| end <= k);
-        let first = slot.checked_sub(1).map_or(0, |s| ends[s]);
-        leg(order[slot], k - first);
+    let jobs = Arc::clone(jobs);
+    crew.run_each(ends.last().map_or(0, |&(end, _)| end), move |k| {
+        let s = ends.partition_point(|&(end, _)| end <= k);
+        let first = s.checked_sub(1).map_or(0, |s| ends[s].0);
+        let job = planned(&jobs[ends[s].1]).expect("only planned jobs have legs");
+        leg(job, k - first);
     });
 }
 
@@ -863,12 +872,14 @@ impl Hash for Grid<'_> {
     }
 }
 
-/// The exact designs a wave's jobs share (DESIGN.md §13): for each time
-/// grid (bit-equal times) on which two or more of the wave's unskipped jobs
-/// of one family fit, that family's [`ModelFamily::exact_design`], built
-/// once on the calling thread before the wave's fan-out and dropped with
-/// the wave's phase. Every other job builds its design inside its fit, as
-/// a one-cell ranking does, and so does every job whose shared build
+/// The designs a wave's jobs share (DESIGN.md §13): for each time grid
+/// (bit-equal times) on which two or more of the wave's unskipped jobs of
+/// one family fit, that family's [`ModelFamily::design`], built once on
+/// the calling thread before the wave's fan-out, whether it gives exact
+/// fits or serves profiled searches. A plan that searches holds a handle
+/// on its design, so a design goes with the wave's phase or with the last
+/// plan that holds it. Every other job builds its design inside its fit,
+/// as a one-cell ranking does, and so does every job whose shared build
 /// panicked: its own build then fails it exactly as it would without
 /// sharing. A wave with nothing to share holds nothing.
 struct WaveDesigns<'a> {
@@ -877,7 +888,7 @@ struct WaveDesigns<'a> {
     /// shares nothing.
     grids: Vec<usize>,
     /// Family `f`'s shared design on grid `g` at `g·nf + f`.
-    designs: Vec<Option<Box<dyn ExactDesign + 'a>>>,
+    designs: Vec<Option<Arc<dyn Design + 'a>>>,
 }
 
 impl<'a> WaveDesigns<'a> {
@@ -922,7 +933,7 @@ impl<'a> WaveDesigns<'a> {
             .map(|(k, &jobs)| {
                 let (family, times) = (families[k % nf], cells[firsts[k / nf]].times());
                 (jobs >= 2)
-                    .then(|| catch_job(k, || family.exact_design(times)).ok().flatten())
+                    .then(|| catch_job(k, || family.design(times)).ok().flatten())
                     .flatten()
             })
             .collect();
@@ -931,90 +942,87 @@ impl<'a> WaveDesigns<'a> {
 
     /// The shared design of the wave's job `j` (cell `j / nf`, family
     /// `j % nf`), if it has one.
-    fn get(&self, j: usize) -> Option<&dyn ExactDesign> {
+    fn get(&self, j: usize) -> Option<&Arc<dyn Design + 'a>> {
         let grid = self.grids.get(j / self.nf)?;
-        self.designs[grid * self.nf + j % self.nf].as_deref()
+        self.designs[grid * self.nf + j % self.nf].as_ref()
     }
 }
 
-/// Runs a wave with fewer cells than `config.parallelism` has threads:
+/// Runs a wave with fewer cells than `config.parallelism` has threads, on
+/// `crew`, the fleet pass's crew:
 ///
 /// 1. plans every job on the calling thread, in input order, with its
 ///    chaos draw and attempt 1 up to its starts — an exact fit's plan is
 ///    its solve, with no start;
 /// 2. runs the first leg of every start of every planned fit as one
-///    phase of the wave's crew, longest search first: jobs by descending
+///    phase of the crew, longest search first: jobs by descending
 ///    search dimension, ties in input order, each job's starts in start
 ///    order — an order the plans fix, never the timing; a job with no
 ///    start waits for its finish;
 /// 3. cuts each job's race on the calling thread (DESIGN.md §11, "Racing
 ///    the starts"), then runs every survivor's second leg as the crew's
-///    second phase, in the same order;
+///    next phase, in the same order;
 /// 4. finishes the jobs on the calling thread, in input order: replays
 ///    each job's start buffers in start order, reduces, polishes, retries
 ///    and scores.
+///
+/// A plan borrows only what the pass borrows, and holds its design by a
+/// handle, so the two phases own the planned jobs: they share them
+/// through one `Arc`, which the finishes take back.
 ///
 /// Rows, failures and the event log equal a run of the jobs one after
 /// another, because what a race keeps at its cut and the reduction of
 /// its starts are index-ordered whatever order the legs finish in, and
 /// every buffer is replayed in start order.
 #[allow(clippy::too_many_arguments)]
-fn pooled_wave(
-    families: &[&dyn ModelFamily],
-    cells: &[PerformanceSeries],
+fn pooled_wave<'env>(
+    crew: &Crew<'_, 'env>,
+    families: &'env [&'env dyn ModelFamily],
+    cells: &'env [PerformanceSeries],
     first_cell: usize,
     config: &FitConfig,
-    policy: &ExecPolicy,
+    policy: &'env ExecPolicy,
     control: &Control,
     skip: &[bool],
-    designs: &WaveDesigns<'_>,
+    designs: &WaveDesigns<'env>,
     recorders: Option<&[Arc<RecordingObserver>]>,
 ) -> Vec<JobOutcome> {
     let nf = families.len();
-    let ln_tables: Vec<Vec<f64>> = if families.iter().any(|f| f.profiles_last_coefficient()) {
-        cells.iter().map(|s| ln_table(s.times())).collect()
-    } else {
-        vec![Vec::new(); cells.len()]
-    };
-    let jobs: Vec<Option<Result<PooledJob<'_>, JobPanic>>> = (0..cells.len() * nf)
-        .map(|j| {
-            (!skip[j]).then(|| {
-                catch_job(j, || {
-                    PooledJob::new(
-                        families[j % nf],
-                        &cells[j / nf],
-                        designs.get(j),
-                        &ln_tables[j / nf],
-                        config,
-                        policy,
-                        control,
-                        recorders.map(|recs| &recs[j]),
-                        (first_cell + j / nf) as u32,
-                    )
+    let jobs: Arc<Vec<PooledSlot<'env>>> = Arc::new(
+        (0..cells.len() * nf)
+            .map(|j| {
+                (!skip[j]).then(|| {
+                    catch_job(j, || {
+                        PooledJob::new(
+                            families[j % nf],
+                            &cells[j / nf],
+                            designs.get(j).cloned(),
+                            config,
+                            policy,
+                            control,
+                            recorders.map(|recs| &recs[j]),
+                            (first_cell + j / nf) as u32,
+                        )
+                    })
                 })
             })
-        })
-        .collect();
+            .collect(),
+    );
 
     // The dispatch order, a function of the plans: jobs by descending
     // search dimension, ties in input order, each job's starts in start
     // order. The second legs keep it, each job's survivors in start order.
-    let mut order: Vec<&PooledJob<'_>> = jobs
-        .iter()
-        .flatten()
-        .flatten()
-        .filter(|job| job.starts() > 0)
+    let job = |j: usize| planned(&jobs[j]).expect("only planned jobs have starts");
+    let mut order: Vec<usize> = (0..jobs.len())
+        .filter(|&j| planned(&jobs[j]).is_some_and(|job| job.starts() > 0))
         .collect();
-    order.sort_by_key(|job| std::cmp::Reverse(job.dim()));
-    let starts: Vec<usize> = order.iter().map(|job| job.starts()).collect();
-    // Both legs run on one crew. The plans borrow the wave's `ln t`
-    // tables, so the legs cannot be phases of the fleet's crew.
-    crew(config.parallelism, |crew| {
-        pooled_legs(crew, &order, &starts, PooledJob::first_leg);
-        let survivors: Vec<usize> = order.iter().map(|job| job.cut()).collect();
-        pooled_legs(crew, &order, &survivors, PooledJob::second_leg);
-    });
+    order.sort_by_key(|&j| std::cmp::Reverse(job(j).dim()));
+    let starts: Vec<usize> = order.iter().map(|&j| job(j).starts()).collect();
+    pooled_legs(crew, &jobs, &order, &starts, PooledJob::first_leg);
+    let survivors: Vec<usize> = order.iter().map(|&j| job(j).cut()).collect();
+    pooled_legs(crew, &jobs, &order, &survivors, PooledJob::second_leg);
 
+    let jobs = Arc::into_inner(jobs).expect("the crew drops its phases' jobs");
     jobs.into_iter()
         .enumerate()
         .map(|(j, job)| match job {
@@ -1158,11 +1166,12 @@ impl Breaker {
 /// one-cell ranking at two or more threads is one — has too few cells to
 /// keep the threads busy on a handful of very unequal family jobs. It
 /// plans every job on the calling thread, runs the first legs of all its
-/// fits' starts in one phase of a crew of its own, longest search first,
-/// and the survivors of each fit's cut in a second, and finishes each job
-/// on the calling thread in input order; retries after attempt 1 run
-/// there too, with the caller's `parallelism`. Both paths give the same
-/// rows, failures and event log.
+/// fits' starts in one phase of the same crew, longest search first, and
+/// the survivors of each fit's cut in a second, and finishes each job on
+/// the calling thread in input order; retries after attempt 1 run there
+/// too, with the caller's `parallelism`. So a call holds one crew
+/// whatever its waves, and spawns its helpers once. Both paths give the
+/// same rows, failures and event log.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -1251,6 +1260,7 @@ pub fn rank_fleet_supervised(
             // fleet pass holds the most memory.
             let outcomes = if wave.len() < threads {
                 let outcomes = pooled_wave(
+                    crew,
                     families,
                     wave,
                     wave_start,
@@ -2535,31 +2545,43 @@ mod tests {
         fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
             self.inner.predict_params_into(params, ts, out)
         }
-        fn profiles_last_coefficient(&self) -> bool {
+        fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
+            Some(Arc::new(TripDesign {
+                inner: self.inner.design(ts)?,
+                wire: self,
+            }))
+        }
+    }
+
+    /// Wei-Wei's design, with the [`Tripwire`] on its columns.
+    struct TripDesign<'a> {
+        inner: Arc<dyn Design + 'a>,
+        wire: &'a Tripwire,
+    }
+
+    impl Design for TripDesign<'_> {
+        fn profiled(&self) -> bool {
             true
         }
-        fn linear_design_into(
+        fn linear_columns_into(
             &self,
             nonlinear: &[f64],
-            ts: &[f64],
-            ln_ts: &[f64],
             offset: &mut [f64],
             column: &mut [f64],
         ) -> bool {
-            note_thread(&self.threads);
+            note_thread(&self.wire.threads);
             if nonlinear
                 .iter()
-                .zip(&self.near)
+                .zip(&self.wire.near)
                 .all(|(u, v)| (u - v).abs() < 1e-3)
             {
-                match &self.trip {
+                match &self.wire.trip {
                     Trip::Panic => panic!("tripped near the optimum"),
                     Trip::Cancel(token) => token.cancel(),
                     Trip::Sleep(nap) => std::thread::sleep(*nap),
                 }
             }
-            self.inner
-                .linear_design_into(nonlinear, ts, ln_ts, offset, column)
+            self.inner.linear_columns_into(nonlinear, offset, column)
         }
     }
 
@@ -2810,5 +2832,40 @@ mod tests {
         );
         let threads = raced.threads.into_inner().unwrap().len();
         assert!(threads <= 2, "{threads} threads ran the legs");
+    }
+
+    /// Four one-cell breaker waves of a raced Wei-Wei at `Fixed(2)` each
+    /// pool their starts, and every leg of every wave runs on at most two
+    /// threads: the caller and the one helper of the pass's crew.
+    #[test]
+    fn a_fleet_of_pooled_waves_runs_on_one_crew() {
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let raced = Tripwire::new(Trip::Sleep(Duration::ZERO));
+        raced.threads.lock().unwrap().clear();
+        let policy = ExecPolicy {
+            breaker: Some(BreakerPolicy {
+                wave: 1,
+                ..BreakerPolicy::default()
+            }),
+            ..ExecPolicy::default()
+        };
+        let outcomes = rank_fleet_supervised(
+            &[&raced],
+            &vec![series; 4],
+            &FitConfig {
+                parallelism: Parallelism::Fixed(2),
+                ..FitConfig::default()
+            },
+            &policy,
+            &Control::unbounded(),
+        );
+        assert!(
+            outcomes
+                .iter()
+                .all(|o| matches!(o, CellOutcome::Ranked(r) if r.rows.len() == 1)),
+            "{outcomes:?}"
+        );
+        let threads = raced.threads.into_inner().unwrap().len();
+        assert!(threads <= 2, "{threads} threads ran the legs of four waves");
     }
 }

@@ -22,10 +22,10 @@
 //! * [`parallel`] — a `std`-only crew of threads per library call
 //!   ([`Parallelism`], [`parallel::crew`]) that runs the call's parallel
 //!   phases, whose index-ordered results make parallel runs bit-identical
-//!   to serial ones; [`parallel::run_indexed`], a panic-isolating variant
-//!   ([`parallel::run_indexed_catch`]) for supervised fan-out and a
-//!   slot-free one ([`parallel::run_each`]) for jobs that keep their own
-//!   results are one-phase crews.
+//!   to serial ones; a phase may confine each job's panic to its job
+//!   ([`parallel::Crew::run_indexed_catch`]) for supervised fan-out, and
+//!   [`parallel::run_each`] is a one-phase crew for jobs that keep their
+//!   own results.
 //! * [`control`] — cooperative execution control ([`Control`],
 //!   [`CancelToken`]): per-call deadlines and cancellation tokens that
 //!   every iterative solver polls between iterations, turning runaway

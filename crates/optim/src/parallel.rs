@@ -8,8 +8,7 @@
 //! a job-per-index closure whose indices go out from one atomic counter,
 //! in index order, and whose results land **in index order** — so any
 //! reduction over them is independent of scheduling, and parallel results
-//! are bit-identical to serial ones. [`run_indexed`], [`run_indexed_catch`]
-//! and [`run_each`] are one-phase crews.
+//! are bit-identical to serial ones. [`run_each`] is a one-phase crew.
 //!
 //! The crew is `std`-only (`std::thread::scope`), keeping the workspace
 //! hermetic: no rayon, no crates.io. The calling thread is one of its
@@ -188,20 +187,6 @@ pub fn crew<'env, R>(parallelism: Parallelism, calls: impl FnOnce(&Crew<'_, 'env
     })
 }
 
-/// A crew for one phase of `jobs` jobs, which opens no scope when the
-/// phase cannot use a helper.
-fn one_phase<'env, R>(
-    parallelism: Parallelism,
-    jobs: usize,
-    phase: impl FnOnce(&Crew<'_, 'env>) -> R,
-) -> R {
-    if parallelism.threads_for(jobs) > 1 {
-        crew(parallelism, phase)
-    } else {
-        crew(Parallelism::Serial, phase)
-    }
-}
-
 /// The threads of one library call: the calling thread and the helpers
 /// that its phases have spawned (see [`crew`]).
 pub struct Crew<'c, 'env> {
@@ -256,7 +241,12 @@ impl<'c, 'env> Crew<'c, 'env> {
     }
 
     /// Runs `job(0..jobs)` as one phase of the crew, with a panic in one
-    /// job confined to that job: [`run_indexed_catch`]'s phase.
+    /// job confined to that job, and returns the results in index order.
+    ///
+    /// A panicking job yields `Err(JobPanic)` in its slot while every other
+    /// job still runs and returns its result. The output is in index order
+    /// whatever the thread count, so which jobs fail, and with which
+    /// message, is too.
     pub fn run_indexed_catch<T, F>(&self, jobs: usize, job: F) -> Vec<Result<T, JobPanic>>
     where
         T: Send + 'env,
@@ -487,45 +477,6 @@ fn spin(ready: impl Fn() -> bool) -> bool {
     ready()
 }
 
-/// Runs `job(0..jobs)` and returns the results in index order: a
-/// one-phase [`crew`].
-///
-/// Jobs are dispatched via an atomic work counter, so heterogeneous job
-/// costs balance automatically; the output ordering (and therefore any
-/// deterministic reduction over it) does not depend on the thread count
-/// or scheduling. With one thread (or one job) everything runs on the
-/// calling thread.
-///
-/// A panic in `job` reaches the caller with the payload of the
-/// lowest-index panicking job — the one a serial run raises — at every
-/// thread count; with more than one thread, once every job has run. Use
-/// [`run_indexed_catch`] to isolate panics per job instead.
-pub fn run_indexed<T, F>(parallelism: Parallelism, jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if parallelism.threads_for(jobs) <= 1 {
-        return (0..jobs).map(job).collect();
-    }
-    // One slot per job: threads write disjoint slots, so the per-slot
-    // mutexes are never contended. A panicking job writes none, and its
-    // panic is raised before the slots are read.
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    run_each(parallelism, jobs, |i| {
-        let value = job(i);
-        *slots[i].lock().expect("result slot poisoned") = Some(value);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("the crew ran every job")
-        })
-        .collect()
-}
-
 /// Runs `job` under [`catch_unwind`]: the one catch site of the crew and
 /// of [`catch_job`].
 ///
@@ -537,19 +488,23 @@ fn caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
     catch_unwind(AssertUnwindSafe(job))
 }
 
-/// Runs `job(0..jobs)` for its effects: a one-phase [`crew`] without
-/// [`run_indexed`]'s per-job result slots, for jobs that leave their
-/// results where the caller keeps them. See [`Crew::run_each`] for the
+/// Runs `job(0..jobs)` for its effects, as a one-phase [`crew`], for jobs
+/// that leave their results where the caller keeps them; a phase that
+/// cannot use a helper opens no scope. See [`Crew::run_each`] for the
 /// dispatch order and the panic rule.
 pub fn run_each<F>(parallelism: Parallelism, jobs: usize, job: F)
 where
     F: Fn(usize) + Sync,
 {
+    if parallelism.threads_for(jobs) <= 1 {
+        (0..jobs).for_each(job);
+        return;
+    }
     let job = &job;
-    one_phase(parallelism, jobs, |crew| crew.run_each(jobs, job));
+    crew(parallelism, |crew| crew.run_each(jobs, job));
 }
 
-/// A job that panicked inside [`run_indexed_catch`].
+/// A job that panicked inside [`Crew::run_indexed_catch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     /// Index of the job that panicked.
@@ -587,8 +542,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs job `index` on the calling thread with its panic confined to it:
-/// a panic becomes `Err(JobPanic)`, with the message [`run_indexed_catch`]
-/// would give it. For jobs that run on the caller between pooled phases.
+/// a panic becomes `Err(JobPanic)`, with the message
+/// [`Crew::run_indexed_catch`] would give it. For jobs that run on the
+/// caller between a crew's phases.
 ///
 /// # Examples
 ///
@@ -602,26 +558,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 pub fn catch_job<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic> {
     caught(job).map_err(|payload| JobPanic::new(index, payload))
-}
-
-/// Like [`run_indexed`], but a panic in one job is confined to that job:
-/// a one-phase [`crew`].
-///
-/// A panicking job yields `Err(JobPanic)` in its slot while every other
-/// job still runs and returns its result. Output stays in index order, so
-/// the serial/parallel bit-identity guarantee of [`run_indexed`] carries
-/// over — including which jobs fail and with which message.
-pub fn run_indexed_catch<T, F>(
-    parallelism: Parallelism,
-    jobs: usize,
-    job: F,
-) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let job = &job;
-    one_phase(parallelism, jobs, |crew| crew.run_indexed_catch(jobs, job))
 }
 
 #[cfg(test)]
@@ -663,6 +599,21 @@ mod tests {
         assert_eq!(Parallelism::default(), Parallelism::Auto);
     }
 
+    /// `job(0..jobs)`'s results in index order, as the one phase of a crew
+    /// with each job's panic confined to it.
+    fn indexed<'env, T, F>(p: Parallelism, jobs: usize, job: F) -> Vec<Result<T, JobPanic>>
+    where
+        T: Send + 'env,
+        F: Fn(usize) -> T + Send + Sync + 'env,
+    {
+        crew(p, |crew| crew.run_indexed_catch(jobs, job))
+    }
+
+    /// [`indexed`]'s results, none of which may be a panic.
+    fn unwrapped<T>(results: Vec<Result<T, JobPanic>>) -> Vec<T> {
+        results.into_iter().map(Result::unwrap).collect()
+    }
+
     #[test]
     fn results_are_in_index_order() {
         for p in [
@@ -671,7 +622,7 @@ mod tests {
             Parallelism::Fixed(7),
             Parallelism::Auto,
         ] {
-            let out = run_indexed(p, 100, |i| i * i);
+            let out = unwrapped(indexed(p, 100, |i| i * i));
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
             // The slot-free pool runs every index exactly once.
             let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
@@ -684,8 +635,9 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_empty() {
-        let out: Vec<usize> = run_indexed(Parallelism::Auto, 0, |i| i);
+        let out: Vec<Result<usize, JobPanic>> = indexed(Parallelism::Auto, 0, |i| i);
         assert!(out.is_empty());
+        run_each(Parallelism::Auto, 0, |i| panic!("job {i} of none ran"));
     }
 
     #[test]
@@ -699,9 +651,9 @@ mod tests {
             }
             acc
         };
-        let serial = run_indexed(Parallelism::Serial, 40, job);
+        let serial = unwrapped(indexed(Parallelism::Serial, 40, job));
         for threads in [1, 2, 3, 4, 8] {
-            let parallel = run_indexed(Parallelism::Fixed(threads), 40, job);
+            let parallel = unwrapped(indexed(Parallelism::Fixed(threads), 40, job));
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -709,8 +661,11 @@ mod tests {
     #[test]
     fn non_send_free_jobs_can_borrow_environment() {
         let data: Vec<u64> = (0..50).map(|i| i * 3).collect();
-        let out = run_indexed(Parallelism::Fixed(4), data.len(), |i| data[i] + 1);
-        assert_eq!(out[49], 49 * 3 + 1);
+        let out: Vec<Mutex<u64>> = (0..50).map(|_| Mutex::new(0)).collect();
+        run_each(Parallelism::Fixed(4), data.len(), |i| {
+            *out[i].lock().unwrap() = data[i] + 1;
+        });
+        assert_eq!(*out[49].lock().unwrap(), 49 * 3 + 1);
     }
 
     #[test]
@@ -722,8 +677,12 @@ mod tests {
         // And the normalized form drives scheduling: zero workers means
         // "run on the calling thread", not a panic or a zero thread count.
         assert_eq!(Parallelism::Fixed(0).threads_for(10), 1);
-        let out = run_indexed(Parallelism::Fixed(0), 5, |i| i + 1);
+        let out = unwrapped(indexed(Parallelism::Fixed(0), 5, |i| i + 1));
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
+        let seen = Mutex::new(HashSet::new());
+        run_each(Parallelism::Fixed(0), 5, |_| note(&seen));
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, HashSet::from([std::thread::current().id()]));
     }
 
     fn silence_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -738,7 +697,7 @@ mod tests {
     fn catch_isolates_panicking_jobs() {
         for p in [Parallelism::Serial, Parallelism::Fixed(3)] {
             let out = silence_panics(|| {
-                run_indexed_catch(p, 6, |i| {
+                indexed(p, 6, |i| {
                     if i == 2 {
                         panic!("boom at {i}");
                     }
@@ -760,35 +719,22 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_and_run_each_raise_the_serial_panic_at_every_thread_count() {
+    fn run_each_raises_the_serial_panic_at_every_thread_count() {
         for p in [
             Parallelism::Serial,
             Parallelism::Fixed(2),
             Parallelism::Fixed(4),
         ] {
-            let payload = silence_panics(|| {
-                catch_unwind(|| {
-                    run_indexed(p, 8, |i| {
-                        if i % 3 == 1 {
-                            panic!("boom at {i}");
-                        }
-                        i
-                    })
-                })
-            })
-            .unwrap_err();
-            assert_eq!(panic_message(payload), "boom at 1", "{p:?}");
-            let payload = silence_panics(|| {
-                catch_unwind(|| {
-                    run_each(p, 8, |i| {
-                        if i % 3 == 1 {
-                            panic!("boom at {i}");
-                        }
-                    })
-                })
-            })
-            .unwrap_err();
+            let job = |i: usize| {
+                if i % 3 == 1 {
+                    panic!("boom at {i}");
+                }
+            };
+            let payload = silence_panics(|| catch_unwind(|| run_each(p, 8, job))).unwrap_err();
             assert_eq!(panic_message(payload), "boom at 1", "run_each {p:?}");
+            let payload = silence_panics(|| catch_unwind(|| crew(p, |crew| crew.run_each(8, job))))
+                .unwrap_err();
+            assert_eq!(panic_message(payload), "boom at 1", "Crew::run_each {p:?}");
         }
     }
 
@@ -934,7 +880,7 @@ mod tests {
     #[test]
     fn catch_reports_non_string_payloads() {
         let out = silence_panics(|| {
-            run_indexed_catch(Parallelism::Serial, 1, |_| -> usize {
+            indexed(Parallelism::Serial, 1, |_| -> usize {
                 std::panic::panic_any(42_i32)
             })
         });
@@ -945,10 +891,13 @@ mod tests {
     }
 
     #[test]
-    fn catch_matches_run_indexed_when_nothing_panics() {
-        let plain = run_indexed(Parallelism::Fixed(2), 20, |i| i * i);
-        let caught = run_indexed_catch(Parallelism::Fixed(2), 20, |i| i * i);
-        let caught: Vec<usize> = caught.into_iter().map(|r| r.unwrap()).collect();
+    fn catch_matches_run_each_when_nothing_panics() {
+        let plain: Vec<Mutex<usize>> = (0..20).map(|_| Mutex::new(0)).collect();
+        run_each(Parallelism::Fixed(2), 20, |i| {
+            *plain[i].lock().unwrap() = i * i
+        });
+        let plain: Vec<usize> = plain.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        let caught = unwrapped(indexed(Parallelism::Fixed(2), 20, |i| i * i));
         assert_eq!(plain, caught);
     }
 }

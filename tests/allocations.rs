@@ -181,19 +181,18 @@ fn sse_objective_is_allocation_free() {
             family.name(),
         );
 
-        if !family.profiles_last_coefficient() {
+        let Some(design) = family.design(times).filter(|design| design.profiled()) else {
             continue;
-        }
-        // The profiled objective: the design hook over reusable offset and
-        // column buffers, then the closed form of the one coefficient.
-        let ln_times: Vec<f64> = times.iter().map(|t| t.ln()).collect();
+        };
+        // The profiled objective: the design's columns over reusable offset
+        // and column buffers, then the closed form of the one coefficient.
         let n = times.len();
         let u = internal[..internal.len() - 1].to_vec();
         let buffers = RefCell::new((vec![0.0; n], vec![0.0; n]));
         let profiled = |x: &[f64], ys: &[f64]| -> f64 {
             let mut guard = buffers.borrow_mut();
             let (offset, column) = &mut *guard;
-            if !family.linear_design_into(x, times, &ln_times, offset, column) {
+            if !design.linear_columns_into(x, offset, column) {
                 return f64::INFINITY;
             }
             solve_linear_coefficient(ys, offset, column).map_or(f64::INFINITY, |(_, sse)| sse)
@@ -262,7 +261,7 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
         .map(|t| 0.8 / (1.0 + 0.3 * t) + 0.01 * t)
         .collect();
     let design = CompetingRisksFamily
-        .exact_design(times)
+        .design(times)
         .expect("Competing Risks has a design");
     let profile = |ys: &[f64]| {
         let mut evaluations = 0;
@@ -303,7 +302,7 @@ fn scoring_an_exact_point_allocates_nothing() {
         (&QuarticFamily, series.values()),
     ];
     for (family, ys) in exact {
-        let design = family.exact_design(times).expect("an exact family");
+        let design = family.design(times).expect("an exact family");
         let delta = min_delta(3, || {
             let exact = design
                 .optimum(ys)

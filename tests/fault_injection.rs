@@ -11,7 +11,7 @@
 use resilience_core::analysis::{evaluate_model, evaluate_models};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::fit::{fit_least_squares, FitConfig};
-use resilience_core::model::{ExactDesign, ExactOptimum, ModelFamily, ResilienceModel};
+use resilience_core::model::{Design, ExactOptimum, ModelFamily, ResilienceModel};
 use resilience_core::runtime::{
     rank_fleet_supervised, rank_models_supervised, Control, ExecPolicy,
 };
@@ -277,7 +277,7 @@ struct FaultyDesigns {
 /// A design with no optimum, as a rank-deficient one.
 struct NoOptimum;
 
-impl ExactDesign for NoOptimum {
+impl Design for NoOptimum {
     fn optimum(&self, _ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         None
     }
@@ -296,12 +296,12 @@ impl ModelFamily for FaultyDesigns {
     fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
         QUADRATIC.predict_params_into(params, ts, out)
     }
-    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
         self.builds.lock().unwrap().push(ts.len());
         match ts.len() {
             24 => panic!("design fault on {} times", ts.len()),
-            20 => Some(Box::new(NoOptimum)),
-            _ => QUADRATIC.exact_design(ts),
+            20 => Some(Arc::new(NoOptimum)),
+            _ => QUADRATIC.design(ts),
         }
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {

@@ -13,9 +13,11 @@
 #![allow(clippy::disallowed_types)]
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
+use resilience_core::bootstrap::{bootstrap_band, BootstrapConfig};
 use resilience_core::chaos::ChaosPlan;
 use resilience_core::fit::{fit_least_squares_with, FitConfig};
-use resilience_core::model::{ExactDesign, ModelFamily, ResilienceModel};
+use resilience_core::mixture::MixtureFamily;
+use resilience_core::model::{Design, ModelFamily, ResilienceModel};
 use resilience_core::runtime::{
     rank_fleet_supervised, rank_models_supervised, BreakerPolicy, CancelToken, CellOutcome,
     Control, ExecPolicy, RetryPolicy,
@@ -24,6 +26,7 @@ use resilience_core::selection::{FailureKind, FamilyFailure, Ranking};
 use resilience_core::CoreError;
 use resilience_data::recessions::Recession;
 use resilience_data::PerformanceSeries;
+use resilience_math::linalg::Matrix;
 use resilience_obs::{replay, Event, JsonlObserver, RecordingObserver};
 use resilience_optim::Parallelism;
 use std::sync::{Arc, Mutex};
@@ -291,8 +294,8 @@ fn shared_grid_fleet() -> Vec<PerformanceSeries> {
         .collect()
 }
 
-/// `inner`, counting the exact designs built for it by their last time's
-/// bits. It delegates every hook an exact fit calls.
+/// `inner`, counting the designs built for it by their last time's bits.
+/// It delegates every hook a fit calls.
 struct Counted<'f> {
     inner: &'f dyn ModelFamily,
     builds: Mutex<Vec<u64>>,
@@ -321,10 +324,19 @@ impl ModelFamily for Counted<'_> {
     fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
         self.inner.predict_params_into(params, ts, out)
     }
-    fn exact_design<'a>(&'a self, ts: &'a [f64]) -> Option<Box<dyn ExactDesign + 'a>> {
+    fn predict_jacobian_into(
+        &self,
+        internal: &[f64],
+        params: &[f64],
+        ts: &[f64],
+        out: &mut Matrix,
+    ) -> bool {
+        self.inner.predict_jacobian_into(internal, params, ts, out)
+    }
+    fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
         let last = ts.last().map_or(0, |t| t.to_bits());
         self.builds.lock().unwrap().push(last);
-        self.inner.exact_design(ts)
+        self.inner.design(ts)
     }
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
         self.inner.params_to_internal(params)
@@ -386,17 +398,24 @@ fn run_fleet(
     (outcomes, rec.take())
 }
 
-/// Cells that share a time grid share its exact designs, and nothing else
+/// Cells that share a time grid share its designs, and nothing else
 /// changes: under the default policy every cell's ranking, failures and
 /// log equal a one-cell `rank_models_supervised` call on its series, which
 /// never shares, at every thread count. The whole fleet fans out over its
 /// jobs; its last two cells alone pool their fits at `Fixed(3)`. The fleet
-/// builds one design per grid: one shared design for A and one for A′,
-/// and B's in its one fit.
+/// builds one design per grid for each family, the exact ones and Exp-Exp's
+/// profiled search alike: one shared design for A and one for A′, and B's
+/// in its one fit.
 #[test]
 fn fleet_cells_that_share_designs_equal_one_cell_rankings() {
     let fleet = shared_grid_fleet();
-    let inner: [&dyn ModelFamily; 3] = [&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+    let exp_exp = MixtureFamily::paper_combinations()[0];
+    let inner: [&dyn ModelFamily; 4] = [
+        &QuadraticFamily,
+        &CompetingRisksFamily,
+        &QuarticFamily,
+        &exp_exp,
+    ];
     let counted = inner.map(|inner| Counted {
         inner,
         builds: Mutex::new(Vec::new()),
@@ -450,6 +469,37 @@ fn fleet_cells_that_share_designs_equal_one_cell_rankings() {
             counted.iter().for_each(|family| drop(family.take()));
             assert!(jsonl(&log) == jsonl(&one_cell_log), "{parallelism:?}");
         }
+    }
+}
+
+/// A band builds one design for its base fit and all its replicates, a
+/// profiled search's as well as an exact one's: a 20-replicate Exp-Exp band
+/// builds one, and equals the band of the family it wraps, bit for bit.
+#[test]
+fn a_searching_band_builds_one_design() {
+    let series = Recession::R1990_93.payroll_index();
+    let exp_exp = MixtureFamily::paper_combinations()[0];
+    let counted = Counted {
+        inner: &exp_exp,
+        builds: Mutex::new(Vec::new()),
+    };
+    let config = BootstrapConfig {
+        replicates: 20,
+        parallelism: Parallelism::Fixed(2),
+        ..BootstrapConfig::default()
+    };
+    let band = bootstrap_band(&counted, &series, &FitConfig::default(), &config).unwrap();
+    let last = series.times()[series.len() - 1].to_bits();
+    assert_eq!(counted.take(), [last]);
+    let plain = bootstrap_band(&exp_exp, &series, &FitConfig::default(), &config).unwrap();
+    assert_eq!((band.replicates, band.failed), (20, 0));
+    for (a, b) in [
+        (&band.center, &plain.center),
+        (&band.lower, &plain.lower),
+        (&band.upper, &plain.upper),
+    ] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
     }
 }
 
