@@ -9,9 +9,10 @@
 //!
 //! 1. the `rank_models` gate over the six paper families on each of the
 //!    seven recessions' `payroll_index()` curves: serial vs `Fixed(2)`
-//!    bit-identity of the rankings and of the event logs, the median
-//!    evals-per-fit and each family's seven-curve evaluations under their
-//!    ceilings → `BENCH_fitting.json`;
+//!    bit-identity of the rankings and of the event logs, plain and under
+//!    a retry policy that retries every mixture, the median evals-per-fit
+//!    and each family's seven-curve evaluations under their ceilings →
+//!    `BENCH_fitting.json`;
 //! 2. the `bootstrap_band` gate: serial vs `Fixed(2)` bit-identity of the
 //!    200-replicate Quadratic band → `BENCH_bootstrap.json`;
 //! 3. the canonical scenario guard;
@@ -40,12 +41,12 @@ use resilience_core::bootstrap::{
 use resilience_core::fit::FitConfig;
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy};
+use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy, RetryPolicy};
 use resilience_core::selection::{rank_models, Ranking};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::catalog;
 use resilience_data::PerformanceSeries;
-use resilience_obs::{RecordingObserver, RunReport};
+use resilience_obs::{Event, RecordingObserver, RunReport};
 use resilience_optim::Parallelism;
 use std::path::Path;
 use std::process::ExitCode;
@@ -177,8 +178,10 @@ fn work_gate_failures(evals_per_fit: &[u64], per_family: &[(String, u64)]) -> Ve
 /// The `rank_models` gate → `BENCH_fitting.json`: over the six paper
 /// families on each of the seven recessions' `payroll_index()` curves,
 /// the serial and `Fixed(2)` rankings must be bit-identical, an observed
-/// `Fixed(2)` pass must log exactly the events of an observed serial pass
-/// (both fold into `identical`), and the serial passes together must pass
+/// `Fixed(2)` pass must log exactly the events of an observed serial pass,
+/// and so must a `Fixed(2)` ranking under [`RetryPolicy::default`] with a
+/// 3-iteration, unpolished config, in which every mixture retries (all
+/// fold into `identical`); and the serial passes together must pass
 /// [`work_gate_failures`]. The observed serial passes also supply the
 /// baseline's counters, its per-family evaluations and each curve's
 /// evaluations per family; supervised ranking under the default policy is
@@ -190,17 +193,31 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         parallelism: p,
         ..FitConfig::default()
     };
-    let observed_log = |series: &PerformanceSeries, p: Parallelism| {
+    let ranked = |series: &PerformanceSeries, config: &FitConfig, policy: &ExecPolicy| {
         let rec = Arc::new(RecordingObserver::new());
-        rank_models_supervised(
+        let ranking = rank_models_supervised(
             &families,
             series,
-            &config(p),
-            &ExecPolicy::default(),
+            config,
+            policy,
             &Control::unbounded().observe(rec.clone()),
         )
         .expect("observed rank_models");
-        rec.take()
+        (ranking, rec.take())
+    };
+    let observed_log = |series: &PerformanceSeries, p: Parallelism| {
+        ranked(series, &config(p), &ExecPolicy::default()).1
+    };
+    // No mixture converges in 3 iterations without its polish, so each
+    // retries; at Fixed(2) the retries race on the one cell's crew.
+    let retry = ExecPolicy {
+        retry: Some(RetryPolicy::default()),
+        ..ExecPolicy::default()
+    };
+    let starved = |p: Parallelism| FitConfig {
+        max_iterations: 3,
+        lm_polish: false,
+        parallelism: p,
     };
 
     let mut identical = true;
@@ -229,6 +246,24 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
                 "rank_models {label}: serial vs Fixed(2) event logs differ — start replay out of order"
             );
             identical = false;
+        }
+        let (serial, serial_log) = ranked(&series, &starved(Parallelism::Serial), &retry);
+        let (fixed2, fixed2_log) = ranked(&series, &starved(Parallelism::Fixed(2)), &retry);
+        if !rankings_identical(&serial, &fixed2) || fixed2_log != serial_log {
+            eprintln!(
+                "rank_models {label}: serial vs Fixed(2) retried rankings or event logs differ — a retry replayed out of order"
+            );
+            identical = false;
+        }
+        for mixture in &mixtures {
+            let name = mixture.name();
+            if !serial_log
+                .iter()
+                .any(|e| matches!(e, Event::RetryScheduled { family, .. } if *family == name))
+            {
+                eprintln!("rank_models {label}: {name} did not retry under the starved config");
+                identical = false;
+            }
         }
         evals.extend(evals_per_fit(&events));
         let report = RunReport::from_events(events);

@@ -1,12 +1,12 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
 use super::{Monomials, RAISED_ZERO};
+use crate::fit::sse_at;
 use crate::model::{Design, ExactOptimum, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
 use resilience_math::poly::{quadratic_roots, Polynomial};
-use resilience_math::sum::CompensatedSum;
 use std::sync::{Arc, OnceLock};
 
 /// The clamp [`QuadraticFamily`]'s internal map applies to
@@ -530,24 +530,16 @@ struct Scored {
 
 impl Scored {
     /// The candidate `(α, s, γ)` at its nearest representable point,
-    /// scored as the fit's objective scores it: `+∞` where the point is
-    /// infeasible or the SSE is not finite.
+    /// scored as the fit's objective scores it ([`sse_at`]): `+∞` where the
+    /// point is infeasible or the SSE is not finite, as when its sum
+    /// overflows to a NaN.
     fn of(ts: &[f64], ys: &[f64], alpha: f64, s: f64, gamma: f64) -> Scored {
         let internal = QuadraticFamily::internal(alpha.max(RAISED_ZERO), s, gamma.max(RAISED_ZERO));
-        let mut p = [0.0; 3];
-        QuadraticFamily.internal_to_params_into(&internal, &mut p);
-        let mut sse = f64::INFINITY;
-        if QuadraticModel::feasible(p[0], p[1], p[2]) {
-            let mut sum = CompensatedSum::new();
-            for (&t, &v) in ts.iter().zip(ys) {
-                let d = v - (p[0] + p[1] * t + p[2] * t * t);
-                sum.add(d * d);
-            }
-            if sum.value().is_finite() {
-                sse = sum.value();
-            }
+        let sse = sse_at(&QuadraticFamily, ts, ys, &internal);
+        Scored {
+            internal,
+            sse: if sse.is_finite() { sse } else { f64::INFINITY },
         }
-        Scored { internal, sse }
     }
 
     /// Keeps `other` when it scores strictly less.

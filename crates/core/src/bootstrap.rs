@@ -14,7 +14,7 @@ use crate::model::ModelFamily;
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::CounterId;
-use resilience_optim::parallel::{catch_job, run_each};
+use resilience_optim::parallel::{catch_job, crew, run_each};
 use resilience_optim::{Control, Parallelism};
 use resilience_stats::describe::quantile_select;
 use resilience_stats::XorShift64;
@@ -101,9 +101,11 @@ pub struct BootstrapConfig {
     /// ([`XorShift64::stream`]`(seed, i)`), so the band depends only on
     /// the seed — never on scheduling or thread count.
     pub seed: u64,
-    /// Thread fan-out across replicates. Every setting produces
-    /// bit-identical bands; the replicate refits themselves run serially
-    /// so the fan-out happens at exactly one level.
+    /// Thread fan-out across replicates: the band's second crew, beside
+    /// the base fit's of `FitConfig::parallelism`, since the replicates
+    /// borrow what the base fit makes. Every setting produces bit-identical
+    /// bands; a replicate that refits races its starts on a one-thread crew
+    /// of its own, so the fan-out happens at exactly one level.
     pub parallelism: Parallelism,
 }
 
@@ -128,11 +130,11 @@ impl Default for BootstrapConfig {
 /// replicate its optimum of the replicate's values, under the fit's guard.
 /// Otherwise, or where the design gives no optimum, the replicate refits
 /// over the band's design (a mixture's profiled search reads its `ln t`)
-/// with the same configuration, serially, from the base optimum,
-/// and with its Nelder–Mead iterations capped at 800 (times the family's
-/// [`ModelFamily::nm_iteration_scale`]). A replicate whose refit errors,
-/// panics (isolated at the replicate) or predicts a non-finite value
-/// counts as failed and is left out of the band.
+/// with the same configuration, on its replicate's thread, from the base
+/// optimum, and with its Nelder–Mead iterations capped at 800 (times the
+/// family's [`ModelFamily::nm_iteration_scale`]). A replicate whose refit
+/// errors, panics (isolated at the replicate) or predicts a non-finite
+/// value counts as failed and is left out of the band.
 ///
 /// # Errors
 ///
@@ -187,15 +189,18 @@ pub fn bootstrap_band_with(
     // design is the band's.
     let design = family.design(times);
     // The base fit is observed: its solver trace anchors the log.
-    let base = fit_from(
-        family,
-        series,
-        design.as_ref(),
-        None,
-        None,
-        base_config,
-        &control,
-    )?;
+    let base = crew(base_config.parallelism, |crew| {
+        fit_from(
+            crew,
+            family,
+            series,
+            design.as_ref(),
+            None,
+            None,
+            base_config,
+            &control,
+        )
+    })?;
     let fitted = base.model.predict_many(times);
     let residuals: Vec<f64> = series
         .values()
@@ -204,11 +209,9 @@ pub fn bootstrap_band_with(
         .map(|(y, f)| y - f)
         .collect();
 
-    // Replicate refits always start at the base optimum, and run
-    // serially — the fan-out happens across replicates, not inside them.
+    // Replicate refits always start at the base optimum.
     let mut refit_config = base_config.clone();
     refit_config.max_iterations = REFIT_MAX_ITERATIONS;
-    refit_config.parallelism = Parallelism::Serial;
     let base_optimum = std::slice::from_ref(&base.params);
     // Replicate `rep` fills `row` with its predictions, or returns `None`
     // when it fails. It owns a counter-derived RNG stream, so its draws are
@@ -235,16 +238,23 @@ pub fn bootstrap_band_with(
                     .then_some(())?;
             }
             None => {
-                let synth = PerformanceSeries::new(series.name(), times.to_vec(), row.to_vec());
-                let fit = fit_from(
-                    family,
-                    &synth.ok()?,
-                    design.as_ref(),
-                    Some(base_optimum),
-                    None,
-                    &refit_config,
-                    &Control::unbounded(),
-                )
+                let synth =
+                    PerformanceSeries::new(series.name(), times.to_vec(), row.to_vec()).ok()?;
+                // The fan-out happens across replicates, not inside them:
+                // the refit races its starts on a crew of one thread, which
+                // opens no scope.
+                let fit = crew(Parallelism::Serial, |crew| {
+                    fit_from(
+                        crew,
+                        family,
+                        &synth,
+                        design.as_ref(),
+                        Some(base_optimum),
+                        None,
+                        &refit_config,
+                        &Control::unbounded(),
+                    )
+                })
                 .ok()?;
                 fit.model.predict_into(times, row);
             }

@@ -20,8 +20,9 @@ use resilience_math::linalg::Matrix;
 use resilience_math::sum::{sum_squared_diff, CompensatedSum};
 use resilience_obs::{CounterId, Event, ExitReason, HistogramId, SolverKind};
 use resilience_optim::levenberg_marquardt;
-use resilience_optim::multi_start::{multi_start, Race, StartReduction};
+use resilience_optim::multi_start::{multi_start, Race, Search, StartReduction};
 use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig, NelderMeadRun};
+use resilience_optim::parallel::{crew, Crew};
 use resilience_optim::problem::LeastSquares;
 use resilience_optim::report::{OptimReport, TerminationReason};
 use resilience_optim::{Control, OptimError, Parallelism};
@@ -61,14 +62,19 @@ pub struct FitConfig {
     /// Whether to polish the multi-start winner with Levenberg–Marquardt.
     /// An exact fit is never polished.
     pub lm_polish: bool,
-    /// Worker threads. A single fit runs its starts on this many; the
-    /// ranker ([`crate::runtime::rank_fleet_supervised`], behind
-    /// [`crate::selection::rank_models`]) spends them on its jobs when a
-    /// wave has at least as many cells as threads, and otherwise on the
-    /// starts of all the wave's fits, one phase per leg of their races.
-    /// Either way every wave runs on the call's one crew of threads.
-    /// Every setting produces bit-identical results; see `DESIGN.md` §7
-    /// (threading model).
+    /// Worker threads: the size of the one crew that a call taking this
+    /// config opens ([`fit_least_squares_with`],
+    /// [`crate::runtime::fit_with_retry`],
+    /// [`crate::runtime::rank_fleet_supervised`]); every race and retry of
+    /// the call runs on it. A lone fit races its starts on this many. The
+    /// ranker, behind [`crate::selection::rank_models`], spends them on its
+    /// jobs when a wave has at least as many cells as threads, and
+    /// otherwise on the starts of all the wave's fits, one phase per leg of
+    /// their races. Two calls open a second crew: a bootstrap band's
+    /// replicates run on [`crate::bootstrap::BootstrapConfig::parallelism`]
+    /// threads, and [`crate::selection::forward_chain_cv`] fits each fold
+    /// as a call of its own. Every setting produces bit-identical results;
+    /// see `DESIGN.md` §7 (threading model).
     pub parallelism: Parallelism,
 }
 
@@ -178,8 +184,11 @@ const SSE_AT_CHUNK: usize = 64;
 
 /// The fit's own SSE at the internal point `internal` of `family`, bit for
 /// bit as the search's objective scores it: `+∞` where the family cannot
-/// predict or predicts a non-finite value. An exact fit scores its point
-/// with it ([`ExactOptimum::sse`]), and a profiled fit its lifted winner.
+/// predict or predicts a non-finite value. A sum that overflows comes out
+/// non-finite, possibly NaN: a fit's guard rejects it, and a caller that
+/// compares scores reads it as `+∞`. An exact fit scores its point with it
+/// ([`ExactOptimum::sse`]), a profiled fit its lifted winner, and the
+/// Quadratic's boundary solve each of its candidates.
 ///
 /// It allocates nothing: the parameters live in a fixed array, and the
 /// family predicts [`SSE_AT_CHUNK`] times at a time, whose squared
@@ -454,10 +463,10 @@ pub fn fit_least_squares(
 /// multi-start winner is already a valid fit, so the polish is skipped
 /// and that winner is returned.
 ///
-/// The fit runs its three phases in a row: the plan (an exact fit, or
-/// the starts), the starts' race on [`multi_start`]'s crew of
-/// `config.parallelism` threads (DESIGN.md §11, "Racing the starts"), and
-/// the finish (reduce, lift, polish, guard). An exact fit
+/// The fit opens one crew of `config.parallelism` threads and runs its
+/// three phases in a row: the plan (an exact fit, or the starts), the
+/// starts' race on the crew ([`multi_start`], DESIGN.md §11, "Racing the
+/// starts"), and the finish (reduce, lift, polish, guard). An exact fit
 /// ([`Design::optimum`]) skips the search and the polish, and
 /// its finish polls the control once before it counts and logs its work
 /// (DESIGN.md §11, "Exact fits"): the Quadratic and the Quartic are one
@@ -478,16 +487,22 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    fit_from(family, series, None, None, None, config, control)
+    crew(config.parallelism, |crew| {
+        fit_from(crew, family, series, None, None, None, config, control)
+    })
 }
 
-/// [`fit_least_squares_with`] over the family's `design` at the series'
-/// times, when the caller holds one (`None`: the fit builds its own, see
-/// [`FitPlan::new`]), searching from `guesses` instead of the family's own
-/// [`ModelFamily::initial_guesses`] (`None`): a retry's jittered points, or
-/// a bootstrap replicate's base optimum. A `warm` point, a retry's best fit
-/// so far, is probed first.
+/// [`fit_least_squares_with`] on the caller's `crew`, over the family's
+/// `design` at the series' times, when the caller holds one (`None`: the
+/// fit builds its own, see [`FitPlan::new`]), searching from `guesses`
+/// instead of the family's own [`ModelFamily::initial_guesses`] (`None`): a
+/// retry's jittered points, or a bootstrap replicate's base optimum. A
+/// `warm` point, a retry's best fit so far, is probed first. It reads no
+/// `config.parallelism`: its race runs on `crew`, and a panic in a start
+/// is re-raised with the lowest panicking start's payload.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fit_from<'a>(
+    crew: &Crew<'_, 'a>,
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
     design: Option<&Arc<dyn Design + 'a>>,
@@ -505,14 +520,47 @@ pub(crate) fn fit_from<'a>(
         config,
         control,
     )?;
-    let cold = multi_start(
-        config.parallelism,
-        plan.race(control),
-        control,
-        |i, budget, c| plan.first_leg(i, budget, c),
-        |_, run, c| plan.second_leg(run, c),
-    );
-    plan.finish(cold, config, control)
+    let lone = Lone {
+        plan,
+        control: control.clone(),
+    };
+    let (Lone { plan, .. }, race) = multi_start(crew, [lone]).pop().expect("one search");
+    let race = race.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    plan.finish(race.finish(control), config, control)
+}
+
+/// A lone fit's search: its plan, whose starts run under one control.
+struct Lone<'a> {
+    plan: FitPlan<'a>,
+    control: Control,
+}
+
+impl Search for Lone<'_> {
+    fn race(&self) -> Race {
+        self.plan.race(&self.control)
+    }
+
+    fn control(&self) -> &Control {
+        &self.control
+    }
+
+    fn first_leg(
+        &self,
+        i: usize,
+        budget: usize,
+        control: &Control,
+    ) -> Result<NelderMeadRun, OptimError> {
+        self.plan.first_leg(i, budget, control)
+    }
+
+    fn second_leg(
+        &self,
+        _: usize,
+        run: &mut NelderMeadRun,
+        control: &Control,
+    ) -> Result<bool, OptimError> {
+        self.plan.second_leg(run, control)
+    }
 }
 
 /// The typed error of a Nelder–Mead phase, or of an exact fit's poll, that
@@ -528,15 +576,15 @@ fn phase_error(e: OptimError) -> CoreError {
 /// A fit between its plan and its finish.
 ///
 /// [`FitPlan::new`] is the plan phase: an exact solve, or else the warm
-/// probe, if any, and the cold starts. The starts then race
-/// ([`FitPlan::race`]): each runs its legs on its own through
-/// [`FitPlan::first_leg`] and [`FitPlan::second_leg`], in any order and on
-/// any thread, and the race leaves a [`StartReduction`]. [`FitPlan::finish`]
-/// reduces, lifts, polishes and guards. [`fit_least_squares_with`] runs
-/// the phases in a row; the ranker plans every family of a small wave,
-/// runs all their first legs in one pool and their survivors in another,
-/// then finishes each (DESIGN.md §13). Both give bit-identical fits and
-/// event logs.
+/// probe, if any, and the cold starts. The starts then race on the
+/// caller's crew ([`FitPlan::race`], [`multi_start`]): each runs its legs
+/// on its own through [`FitPlan::first_leg`] and [`FitPlan::second_leg`],
+/// in any order and on any thread, and the race leaves a
+/// [`StartReduction`]. [`FitPlan::finish`] reduces, lifts, polishes and
+/// guards. A lone fit ([`fit_from`]) races its one search; the ranker
+/// plans every job of a small wave, races all their searches at once, then
+/// finishes each (DESIGN.md §13). Both give bit-identical fits and event
+/// logs.
 pub(crate) struct FitPlan<'a> {
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
@@ -1313,7 +1361,10 @@ mod tests {
         let observed_fit = |family: &dyn ModelFamily, config: &FitConfig, warm: Option<&[f64]>| {
             let rec = Arc::new(RecordingObserver::new());
             let control = Control::unbounded().observe(rec.clone());
-            let fit = fit_from(family, &s, None, None, warm, config, &control).unwrap();
+            let fit = crew(config.parallelism, |crew| {
+                fit_from(crew, family, &s, None, None, warm, config, &control)
+            })
+            .unwrap();
             let counted: u64 = rec
                 .take()
                 .iter()
@@ -1433,15 +1484,18 @@ mod tests {
         let observed = |control: Control, warm: Option<&[f64]>| {
             let rec = Arc::new(RecordingObserver::new());
             let control = control.observe(rec.clone());
-            let fit = fit_from(
-                &CompetingRisksFamily,
-                &s,
-                None,
-                None,
-                warm,
-                &FitConfig::default(),
-                &control,
-            );
+            let fit = crew(Parallelism::Auto, |crew| {
+                fit_from(
+                    crew,
+                    &CompetingRisksFamily,
+                    &s,
+                    None,
+                    None,
+                    warm,
+                    &FitConfig::default(),
+                    &control,
+                )
+            });
             (fit, rec.take())
         };
         let (fit, events) = observed(Control::unbounded(), None);

@@ -25,7 +25,7 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{fit_from, fit_least_squares_with, FitConfig, FitPlan, FittedModel};
+use crate::fit::{fit_from, FitConfig, FitPlan, FittedModel};
 use crate::model::{Design, ModelFamily};
 use crate::selection::{
     score_family, sort_rows, FailureKind, FamilyFailure, Ranking, SelectionRow,
@@ -33,13 +33,16 @@ use crate::selection::{
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
-use resilience_optim::multi_start::{Race, StartLeg};
+use resilience_optim::multi_start::{multi_start, Race, Search};
+use resilience_optim::nelder_mead::NelderMeadRun;
 use resilience_optim::parallel::{catch_job, crew, Crew, JobPanic};
-use resilience_optim::{Parallelism, StopCause};
+use resilience_optim::{OptimError, Parallelism, StopCause};
 use resilience_stats::XorShift64;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 pub use resilience_optim::{CancelToken, Control};
@@ -85,10 +88,11 @@ impl Default for RetryPolicy {
 pub struct ExecPolicy {
     /// Wall-clock budget for each family's fit. The clock starts when the
     /// family's own work starts, not when the ranking call starts: when
-    /// its job begins on a worker, or, in a wave that pools the starts of
-    /// all its fits ([`rank_fleet_supervised`]), when the family's first
-    /// start begins, and for a family with none, when its job finishes.
-    /// Time spent queueing behind other families' work never counts. The
+    /// its job begins on a worker, or, in a wave that races the starts of
+    /// all its fits at once ([`rank_fleet_supervised`]), when the family's
+    /// first start begins, and for a family with none, when its job
+    /// finishes. Time spent queueing behind other families' work never
+    /// counts; a job's retries run under the clock of its attempt 1. The
     /// budget is capped by the caller's overall [`Control`] deadline,
     /// never extending it. `None` means no per-family limit.
     pub family_budget: Option<Duration>,
@@ -200,7 +204,9 @@ fn jittered_guesses(
 /// The schedule keeps the best successful fit by SSE across attempts and
 /// stops early at the first converged one. Deadline/cancellation stops
 /// ([`CoreError::is_stop`]) abort the schedule immediately and propagate
-/// — a stop is a property of the whole run, not of one attempt.
+/// — a stop is a property of the whole run, not of one attempt. The call
+/// opens one crew of `config.parallelism` threads, and every attempt races
+/// its starts on it.
 ///
 /// # Errors
 ///
@@ -241,10 +247,14 @@ pub fn fit_with_retry(
     policy: &RetryPolicy,
     control: &Control,
 ) -> Result<SupervisedFit, CoreError> {
-    let first = first_attempt(family, Some(policy), None, control, || {
-        fit_least_squares_with(family, series, config, control)
-    });
-    retry_after(family, series, None, config, policy, control, None, first)
+    crew(config.parallelism, |crew| {
+        let first = first_attempt(family, Some(policy), None, control, || {
+            fit_from(crew, family, series, None, None, None, config, control)
+        });
+        retry_after(
+            crew, family, series, None, config, policy, control, None, first,
+        )
+    })
 }
 
 /// Chaos context threaded into the retry loop by the supervised jobs:
@@ -289,8 +299,7 @@ impl ChaosCtx<'_> {
 }
 
 /// Attempt 1 of a job: the error of a retry policy that allows no
-/// attempt, a chaos fault, or `run` — the fit, or in a pooled wave its
-/// plan.
+/// attempt, a chaos fault, or `run` — the fit, or in a fleet job its plan.
 fn first_attempt<T>(
     family: &dyn ModelFamily,
     retry: Option<&RetryPolicy>,
@@ -314,37 +323,18 @@ fn first_attempt<T>(
     }
 }
 
-/// A job's fit after attempt 1, whose outcome is `first`: with the
-/// retries `policy.retry` asks for, if any, each over `design`.
-#[allow(clippy::too_many_arguments)]
-fn retried(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    design: Option<&Arc<dyn Design + '_>>,
-    config: &FitConfig,
-    policy: &ExecPolicy,
-    control: &Control,
-    chaos: Option<&ChaosCtx<'_>>,
-    first: Result<FittedModel, CoreError>,
-) -> Result<FittedModel, CoreError> {
-    match &policy.retry {
-        Some(retry) => {
-            retry_after(family, series, design, config, retry, control, chaos, first).map(|s| s.fit)
-        }
-        None => first,
-    }
-}
-
 /// The retry schedule after attempt 1, whose outcome is `first`: attempts
 /// 2 to `policy.max_attempts` until one converges, keeping the best fit by
-/// SSE, each over the family's `design` at the series' times when the
-/// caller holds one ([`fit_from`]). With zero attempts allowed,
-/// `first` is [`first_attempt`]'s error and nothing more runs.
+/// SSE, each racing its starts on `crew` over the family's `design` at the
+/// series' times when the caller holds one ([`fit_from`]). With zero
+/// attempts allowed, `first` is [`first_attempt`]'s error and nothing more
+/// runs.
 #[allow(clippy::too_many_arguments)]
-fn retry_after(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    design: Option<&Arc<dyn Design + '_>>,
+fn retry_after<'a>(
+    crew: &Crew<'_, 'a>,
+    family: &'a dyn ModelFamily,
+    series: &'a PerformanceSeries,
+    design: Option<&Arc<dyn Design + 'a>>,
     config: &FitConfig,
     policy: &RetryPolicy,
     control: &Control,
@@ -404,6 +394,7 @@ fn retry_after(
         let center = best.as_ref().map(|fit| fit.params.as_slice());
         let guesses = jittered_guesses(family, series, policy, attempt, center);
         outcome = fit_from(
+            crew,
             family,
             series,
             design,
@@ -471,33 +462,31 @@ pub fn rank_models_supervised(
 /// The control a family's job fits under: the caller's control with the
 /// job's event buffer attached and its chaos fault applied, narrowed to
 /// `ExecPolicy::family_budget` when the family's solver work begins.
-struct JobControl {
+struct JobControl<'p> {
     base: Control,
     budget: Option<Duration>,
     started: OnceLock<Control>,
+    /// The chaos context of the job's retry schedule, under a chaos plan.
+    chaos: Option<ChaosCtx<'p>>,
 }
 
-impl JobControl {
-    /// Sets up job (`cell`, `family`): attaches `recorder`, draws the
-    /// job's chaos fault (DESIGN.md §14) and applies it. The fault's
-    /// accounting event goes into the job's recorder *before* the fault
-    /// takes effect, so even a forced panic or an observer loss leaves the
-    /// injection on the record — the smoke gate reconciles injected faults
-    /// against these events.
+impl<'p> JobControl<'p> {
+    /// Sets up the wave's job `j`: attaches its event buffer, draws its
+    /// chaos fault (DESIGN.md §14) and applies it. The fault's accounting
+    /// event goes into the job's buffer *before* the fault takes effect, so
+    /// even a forced panic or an observer loss leaves the injection on the
+    /// record — the smoke gate reconciles injected faults against these
+    /// events.
     ///
     /// # Panics
     ///
     /// On purpose, under a forced-panic fault.
-    fn new<'p>(
-        family: &dyn ModelFamily,
-        policy: &'p ExecPolicy,
-        control: &Control,
-        recorder: Option<&Arc<RecordingObserver>>,
-        cell: u32,
-    ) -> (JobControl, Option<ChaosCtx<'p>>) {
-        let observed = match recorder {
-            Some(rec) => control.with_observer(rec.clone()),
-            None => control.clone(),
+    fn new(wave: &Wave<'p>, j: usize) -> JobControl<'p> {
+        let (family, policy) = (wave.family(j), wave.policy);
+        let cell = (wave.first_cell + j / wave.families.len()) as u32;
+        let observed = match &wave.recorders {
+            Some(recs) => wave.control.with_observer(recs[j].clone()),
+            None => wave.control.clone(),
         };
         let fault = policy
             .chaos
@@ -527,17 +516,16 @@ impl JobControl {
                 }
             }
         };
-        let chaos = policy.chaos.as_ref().map(|plan| ChaosCtx {
-            plan,
-            cell,
-            exhaust: fault == Some(ChaosFault::RetryExhaustion),
-        });
-        let job = JobControl {
+        JobControl {
             base,
             budget: policy.family_budget,
             started: OnceLock::new(),
-        };
-        (job, chaos)
+            chaos: policy.chaos.as_ref().map(|plan| ChaosCtx {
+                plan,
+                cell,
+                exhaust: fault == Some(ChaosFault::RetryExhaustion),
+            }),
+        }
     }
 
     /// The control with the family budget's clock running: the first call
@@ -581,126 +569,50 @@ fn skipped(family: &dyn ModelFamily) -> FamilyFailure {
     }
 }
 
-/// One supervised series × family job, whole, for a wave that fans out
-/// over its jobs: sets up the job's control (the family budget's clock
-/// starts here, on the worker, so queueing behind other jobs does not
-/// consume a family's budget), fits — with retry when the policy asks for
-/// it, every attempt over the wave's shared `design` if it has one — and
-/// scores.
-#[allow(clippy::too_many_arguments)]
-fn supervised_family_job(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    design: Option<&Arc<dyn Design + '_>>,
-    inner: &FitConfig,
-    policy: &ExecPolicy,
-    control: &Control,
-    recorder: Option<&Arc<RecordingObserver>>,
-    cell: u32,
-) -> Result<SelectionRow, FamilyFailure> {
-    let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
-    let control = job.started();
-    let first = first_attempt(
-        family,
-        policy.retry.as_ref(),
-        chaos.as_ref(),
-        control,
-        || fit_from(family, series, design, None, None, inner, control),
-    );
-    let outcome = retried(
-        family,
-        series,
-        design,
-        inner,
-        policy,
-        control,
-        chaos.as_ref(),
-        first,
-    );
-    score(family, series, outcome)
-}
-
 /// The outcome of one wave job: its row or failure, or its panic.
 type JobOutcome = Result<Result<SelectionRow, FamilyFailure>, JobPanic>;
 
-/// One job of a wave that pools its starts, between its plan and its
-/// finish (see [`pooled_wave`]).
-struct PooledJob<'a> {
+/// One supervised series × family job of a fleet wave (DESIGN.md §13),
+/// between its plan ([`FleetJob::new`]) and its finish
+/// ([`FleetJob::finish`]). In between, attempt 1's starts race on a crew
+/// ([`multi_start`]): the job is their [`Search`].
+struct FleetJob<'a> {
+    /// The job's index in its wave.
+    index: usize,
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
-    control: JobControl,
-    chaos: Option<ChaosCtx<'a>>,
+    control: JobControl<'a>,
     /// Attempt 1: its planned fit, or the error that ended it before any
     /// start ran (a chaos fault, a planning failure, a retry policy that
     /// allows no attempt).
     first: Result<FitPlan<'a>, CoreError>,
-    /// The evaluations of attempt 1's first legs ([`Race::budget`]).
-    budget: usize,
-    /// What attempt 1's starts left as they finished, in any order.
-    run: Mutex<StartsRun>,
 }
 
-/// The running state of one job's pooled starts.
-struct StartsRun {
-    /// Attempt 1's race (DESIGN.md §11, "Racing the starts").
-    race: Race,
-    /// The lowest-index start that panicked, with its message.
-    panic: Option<JobPanic>,
-}
-
-impl<'a> PooledJob<'a> {
-    /// The plan phase, on the calling thread: the job's control and chaos
-    /// draw, then attempt 1 up to its starts.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        family: &'a dyn ModelFamily,
-        series: &'a PerformanceSeries,
-        design: Option<Arc<dyn Design + 'a>>,
-        config: &FitConfig,
-        policy: &'a ExecPolicy,
-        control: &Control,
-        recorder: Option<&Arc<RecordingObserver>>,
-        cell: u32,
-    ) -> PooledJob<'a> {
-        let (job, chaos) = JobControl::new(family, policy, control, recorder, cell);
+impl<'a> FleetJob<'a> {
+    /// The plan phase of the wave's job `j` under its `control`: attempt 1
+    /// up to its starts, over the wave's shared design if it has one.
+    fn new(wave: &Wave<'a>, j: usize, control: JobControl<'a>) -> FleetJob<'a> {
+        let (family, series) = (wave.family(j), &wave.cells[j / wave.families.len()]);
+        let (base, design) = (&control.base, wave.designs.get(j).cloned());
         // Attempt 1 has no warm point, so its plan does no solver work and
         // leaves the family budget's clock alone. An exact fit's solve
         // does none either: it polls the control in its finish.
-        let first = first_attempt(
-            family,
-            policy.retry.as_ref(),
-            chaos.as_ref(),
-            &job.base,
-            || FitPlan::new(family, series, design, None, None, config, &job.base),
-        );
-        let race = match &first {
-            Ok(plan) => plan.race(&job.base),
-            Err(_) => Race::new(0, 0, 0, false),
-        };
-        PooledJob {
+        let retry = wave.policy.retry.as_ref();
+        let first = first_attempt(family, retry, control.chaos.as_ref(), base, || {
+            FitPlan::new(family, series, design, None, None, wave.config, base)
+        });
+        FleetJob {
+            index: j,
             family,
             series,
-            control: job,
-            chaos,
+            control,
             first,
-            budget: race.budget(),
-            run: Mutex::new(StartsRun { race, panic: None }),
         }
-    }
-
-    /// Attempt 1's cold starts: none unless it is a planned fit.
-    fn starts(&self) -> usize {
-        self.first.as_ref().map_or(0, FitPlan::starts)
     }
 
     /// The dimension of attempt 1's search (0 unless it is a planned fit).
     fn dim(&self) -> usize {
         self.first.as_ref().map_or(0, FitPlan::dim)
-    }
-
-    /// The job's start state.
-    fn lock(&self) -> std::sync::MutexGuard<'_, StartsRun> {
-        self.run.lock().expect("start state poisoned")
     }
 
     /// The plan of a job with starts.
@@ -711,135 +623,74 @@ impl<'a> PooledJob<'a> {
         plan
     }
 
-    /// Attempt 1's start `i`'s first leg, on a crew thread. A panic is
-    /// confined to the start and fails the job at its finish.
-    fn first_leg(&self, i: usize) {
-        let plan = self.plan();
-        let control = self.control.started();
-        let leg = catch_job(i, || {
-            StartLeg::first(i, control, |c| plan.first_leg(i, self.budget, c))
-        });
-        let mut run = self.lock();
-        match leg {
-            Ok(leg) => run.race.file(leg, control),
-            Err(panic) => run.panicked(panic),
-        }
-    }
-
-    /// The cut, on the calling thread once every first leg is over: the
-    /// number of paused survivors, or none when a first leg panicked, as
-    /// the job's own fit would re-raise that panic before its second
-    /// legs.
-    fn cut(&self) -> usize {
-        let mut run = self.lock();
-        if run.panic.is_some() {
-            0
-        } else {
-            run.race.cut()
-        }
-    }
-
-    /// Survivor `s`'s second leg, on a crew thread.
-    fn second_leg(&self, s: usize) {
-        let plan = self.plan();
-        let control = self.control.started();
-        let mut leg = self.lock().race.survivor(s);
-        let i = leg.index();
-        let leg = catch_job(i, move || {
-            leg.second(control, |run, c| plan.second_leg(run, c));
-            leg
-        });
-        let mut run = self.lock();
-        match leg {
-            Ok(leg) => run.race.close_survivor(leg, control),
-            Err(panic) => run.panicked(panic),
-        }
-    }
-
-    /// The finish phase, on the calling thread: replays the start buffers
-    /// in start order, finishes attempt 1, runs the retries the policy
-    /// asks for, over the wave's shared `design` as attempt 1 did, and
-    /// scores. A panicked start fails the job with the lowest panicking
-    /// start's message, and none of the start buffers, as when its own
-    /// fit re-raises that panic.
+    /// The finish phase, once `race`, attempt 1's race on `crew`, is over:
+    /// replays the start buffers in start order, finishes attempt 1, runs
+    /// the retries the policy asks for on `crew`, over the wave's shared
+    /// design as attempt 1 did, and scores. A panicked start fails the job
+    /// with the lowest panicking start's message, and none of the start
+    /// buffers, as when its own fit re-raises that panic.
     fn finish(
         self,
-        job: usize,
-        design: Option<&Arc<dyn Design + '_>>,
-        config: &FitConfig,
-        policy: &ExecPolicy,
+        wave: &Wave<'a>,
+        crew: &Crew<'_, 'a>,
+        race: std::thread::Result<Race>,
     ) -> JobOutcome {
-        let run = self.run.into_inner().expect("start state poisoned");
-        if let Some(panic) = run.panic {
-            return Err(JobPanic {
-                index: job,
-                message: panic.message,
-            });
-        }
-        catch_job(job, || {
+        catch_job(self.index, || {
+            let race = race.unwrap_or_else(|payload| resume_unwind(payload));
+            let (family, series) = (self.family, self.series);
             let control = self.control.started();
             let first = self
                 .first
-                .and_then(|plan| plan.finish(run.race.finish(control), config, control));
-            let outcome = retried(
-                self.family,
-                self.series,
-                design,
-                config,
-                policy,
-                control,
-                self.chaos.as_ref(),
-                first,
-            );
-            score(self.family, self.series, outcome)
+                .and_then(|plan| plan.finish(race.finish(control), wave.config, control));
+            let outcome = match &wave.policy.retry {
+                Some(retry) => retry_after(
+                    crew,
+                    family,
+                    series,
+                    wave.designs.get(self.index),
+                    wave.config,
+                    retry,
+                    control,
+                    self.control.chaos.as_ref(),
+                    first,
+                )
+                .map(|retried| retried.fit),
+                None => first,
+            };
+            score(family, series, outcome)
         })
     }
 }
 
-impl StartsRun {
-    /// Keeps the lowest-index panicking start's panic.
-    fn panicked(&mut self, panic: JobPanic) {
-        if self.panic.as_ref().is_none_or(|p| panic.index < p.index) {
-            self.panic = Some(panic);
+impl Search for FleetJob<'_> {
+    fn race(&self) -> Race {
+        match &self.first {
+            Ok(plan) => plan.race(&self.control.base),
+            Err(_) => Race::new(0, 0, 0, false),
         }
     }
-}
 
-/// A wave job in [`pooled_wave`]: `None` when its breaker skipped it, and
-/// otherwise its planned job or its plan's panic.
-type PooledSlot<'a> = Option<Result<PooledJob<'a>, JobPanic>>;
+    fn control(&self) -> &Control {
+        self.control.started()
+    }
 
-/// The planned job in `slot`, if it has one.
-fn planned<'s, 'a>(slot: &'s PooledSlot<'a>) -> Option<&'s PooledJob<'a>> {
-    slot.as_ref()?.as_ref().ok()
-}
+    fn first_leg(
+        &self,
+        i: usize,
+        budget: usize,
+        control: &Control,
+    ) -> Result<NelderMeadRun, OptimError> {
+        self.plan().first_leg(i, budget, control)
+    }
 
-/// Runs leg `i` of job `order[s]` of `jobs` for every `i < counts[s]` of
-/// every `s`, as one phase of `crew`, in that order. The phase holds a
-/// handle on `jobs`, which it drops before it returns.
-fn pooled_legs<'env>(
-    crew: &Crew<'_, 'env>,
-    jobs: &Arc<Vec<PooledSlot<'env>>>,
-    order: &[usize],
-    counts: &[usize],
-    leg: fn(&PooledJob<'env>, usize),
-) {
-    // `ends[s]` is one past the last phase index of `order[s]`, with its job.
-    let ends: Vec<(usize, usize)> = order
-        .iter()
-        .zip(counts)
-        .scan(0, |end, (&j, &count)| {
-            *end += count;
-            Some((*end, j))
-        })
-        .collect();
-    let jobs = Arc::clone(jobs);
-    crew.run_each(ends.last().map_or(0, |&(end, _)| end), move |k| {
-        let s = ends.partition_point(|&(end, _)| end <= k);
-        let first = s.checked_sub(1).map_or(0, |s| ends[s].0);
-        let job = planned(&jobs[ends[s].1]).expect("only planned jobs have legs");
-        leg(job, k - first);
-    });
+    fn second_leg(
+        &self,
+        _: usize,
+        run: &mut NelderMeadRun,
+        control: &Control,
+    ) -> Result<bool, OptimError> {
+        self.plan().second_leg(run, control)
+    }
 }
 
 /// A series' times as a key: equal to another's when both hold the same
@@ -948,89 +799,97 @@ impl<'a> WaveDesigns<'a> {
     }
 }
 
-/// Runs a wave with fewer cells than `config.parallelism` has threads, on
-/// `crew`, the fleet pass's crew:
-///
-/// 1. plans every job on the calling thread, in input order, with its
-///    chaos draw and attempt 1 up to its starts — an exact fit's plan is
-///    its solve, with no start;
-/// 2. runs the first leg of every start of every planned fit as one
-///    phase of the crew, longest search first: jobs by descending
-///    search dimension, ties in input order, each job's starts in start
-///    order — an order the plans fix, never the timing; a job with no
-///    start waits for its finish;
-/// 3. cuts each job's race on the calling thread (DESIGN.md §11, "Racing
-///    the starts"), then runs every survivor's second leg as the crew's
-///    next phase, in the same order;
-/// 4. finishes the jobs on the calling thread, in input order: replays
-///    each job's start buffers in start order, reduces, polishes, retries
-///    and scores.
-///
-/// A plan borrows only what the pass borrows, and holds its design by a
-/// handle, so the two phases own the planned jobs: they share them
-/// through one `Arc`, which the finishes take back.
-///
-/// Rows, failures and the event log equal a run of the jobs one after
-/// another, because what a race keeps at its cut and the reduction of
-/// its starts are index-ordered whatever order the legs finish in, and
-/// every buffer is replayed in start order.
-#[allow(clippy::too_many_arguments)]
-fn pooled_wave<'env>(
-    crew: &Crew<'_, 'env>,
-    families: &'env [&'env dyn ModelFamily],
-    cells: &'env [PerformanceSeries],
+/// One wave of a fleet pass: its cells and everything its jobs share —
+/// the skip mask frozen at the wave's start, the designs of its time grids
+/// and the jobs' event buffers. Job `j` fits family `j % nf` on cell
+/// `j / nf`.
+struct Wave<'a> {
+    families: &'a [&'a dyn ModelFamily],
+    cells: &'a [PerformanceSeries],
+    /// The fleet index of the wave's first cell.
     first_cell: usize,
-    config: &FitConfig,
-    policy: &'env ExecPolicy,
-    control: &Control,
-    skip: &[bool],
-    designs: &WaveDesigns<'env>,
-    recorders: Option<&[Arc<RecordingObserver>]>,
-) -> Vec<JobOutcome> {
-    let nf = families.len();
-    let jobs: Arc<Vec<PooledSlot<'env>>> = Arc::new(
-        (0..cells.len() * nf)
-            .map(|j| {
-                (!skip[j]).then(|| {
-                    catch_job(j, || {
-                        PooledJob::new(
-                            families[j % nf],
-                            &cells[j / nf],
-                            designs.get(j).cloned(),
-                            config,
-                            policy,
-                            control,
-                            recorders.map(|recs| &recs[j]),
-                            (first_cell + j / nf) as u32,
-                        )
-                    })
-                })
+    config: &'a FitConfig,
+    policy: &'a ExecPolicy,
+    control: &'a Control,
+    skip: Vec<bool>,
+    designs: WaveDesigns<'a>,
+    /// Each job's event buffer, when the pass is observed.
+    recorders: Option<Arc<[Arc<RecordingObserver>]>>,
+}
+
+impl<'a> Wave<'a> {
+    /// Job `j`'s family.
+    fn family(&self, j: usize) -> &'a dyn ModelFamily {
+        self.families[j % self.families.len()]
+    }
+
+    /// Runs a wave with at least as many cells as the pass's crew has
+    /// threads: each job is one job of a phase of `pass`, handed out one at
+    /// a time. A job begins on the worker that runs it, and its family
+    /// budget's clock starts there; it plans, races its own starts on a
+    /// one-thread crew, which opens no scope, and finishes, all on that
+    /// worker. The phase owns the wave, so its designs drop with it.
+    fn flattened(self, pass: &Crew<'_, 'a>) -> Vec<JobOutcome> {
+        pass.run_indexed_catch(self.skip.len(), move |j| {
+            if self.skip[j] {
+                return Ok(Err(skipped(self.family(j))));
+            }
+            let control = JobControl::new(&self, j);
+            control.started();
+            let job = FleetJob::new(&self, j, control);
+            crew(Parallelism::Serial, |lone| {
+                let (job, race) = multi_start(lone, [job]).pop().expect("one search");
+                job.finish(&self, lone, race)
             })
-            .collect(),
-    );
-
-    // The dispatch order, a function of the plans: jobs by descending
-    // search dimension, ties in input order, each job's starts in start
-    // order. The second legs keep it, each job's survivors in start order.
-    let job = |j: usize| planned(&jobs[j]).expect("only planned jobs have starts");
-    let mut order: Vec<usize> = (0..jobs.len())
-        .filter(|&j| planned(&jobs[j]).is_some_and(|job| job.starts() > 0))
-        .collect();
-    order.sort_by_key(|&j| std::cmp::Reverse(job(j).dim()));
-    let starts: Vec<usize> = order.iter().map(|&j| job(j).starts()).collect();
-    pooled_legs(crew, &jobs, &order, &starts, PooledJob::first_leg);
-    let survivors: Vec<usize> = order.iter().map(|&j| job(j).cut()).collect();
-    pooled_legs(crew, &jobs, &order, &survivors, PooledJob::second_leg);
-
-    let jobs = Arc::into_inner(jobs).expect("the crew drops its phases' jobs");
-    jobs.into_iter()
-        .enumerate()
-        .map(|(j, job)| match job {
-            None => Ok(Err(skipped(families[j % nf]))),
-            Some(Err(panic)) => Err(panic),
-            Some(Ok(job)) => job.finish(j, designs.get(j), config, policy),
         })
+        .into_iter()
+        .map(|outcome| outcome.and_then(|outcome| outcome))
         .collect()
+    }
+
+    /// Runs a wave with fewer cells than the pass's crew has threads, on
+    /// `pass`:
+    ///
+    /// 1. plans every job on the calling thread, in input order, with its
+    ///    chaos draw and attempt 1 up to its starts — an exact fit's plan
+    ///    is its solve, with no start;
+    /// 2. races the starts of every planned fit on `pass` at once
+    ///    ([`multi_start`]), longest search first: jobs by descending
+    ///    search dimension, ties in input order — an order the plans fix,
+    ///    never the timing; a job with no start waits for its finish;
+    /// 3. finishes the jobs on the calling thread, in input order: replays
+    ///    each job's start buffers in start order, reduces, polishes,
+    ///    retries on `pass` and scores.
+    ///
+    /// Rows, failures and the event log equal a run of the jobs one after
+    /// another, because what a race keeps at its cut and the reduction of
+    /// its starts are index-ordered whatever order the legs finish in, and
+    /// every buffer is replayed in start order. The wave, with its designs,
+    /// drops when the finishes are over.
+    fn pooled(self, pass: &Crew<'_, 'a>) -> Vec<JobOutcome> {
+        let mut planned = Vec::new();
+        let mut panics = Vec::new();
+        for j in (0..self.skip.len()).filter(|&j| !self.skip[j]) {
+            match catch_job(j, || FleetJob::new(&self, j, JobControl::new(&self, j))) {
+                Ok(job) => planned.push(job),
+                Err(panic) => panics.push(panic),
+            }
+        }
+        planned.sort_unstable_by_key(|job| (Reverse(job.dim()), job.index));
+        let mut raced = multi_start(pass, planned);
+        raced.sort_unstable_by_key(|(job, _)| job.index);
+        let mut raced = raced.into_iter().peekable();
+        let mut panics = panics.into_iter().peekable();
+        (0..self.skip.len())
+            .map(|j| match raced.next_if(|(job, _)| job.index == j) {
+                Some((job, race)) => job.finish(&self, pass, race),
+                None => match panics.next_if(|panic| panic.index == j) {
+                    Some(panic) => Err(panic),
+                    None => Ok(Err(skipped(self.family(j)))),
+                },
+            })
+            .collect()
+    }
 }
 
 /// Outcome of one fleet cell under [`rank_fleet_supervised`].
@@ -1157,21 +1016,22 @@ impl Breaker {
 /// [`rank_models`](crate::selection::rank_models) are one-cell calls of
 /// this function.
 ///
-/// The fan-out happens at exactly one level, chosen per wave. A wave with
-/// at least as many cells as `config.parallelism` has threads hands its
-/// jobs out one at a time from a shared atomic counter, as one phase of
-/// the pass's one [`crew`], so a cell whose families are all cheap does
-/// not leave workers idle while one expensive series × family pair
-/// finishes; each fit's multi-start runs serial. A smaller wave — every
+/// The call opens one [`crew`] of `config.parallelism` threads, and every
+/// job runs one pipeline: its plan, the race of its starts
+/// ([`multi_start`]), and its finish, retries included. The fan-out
+/// happens at exactly one level, chosen per wave. A wave with at least as
+/// many cells as the crew has threads hands its jobs out one at a time
+/// from a shared atomic counter, as one phase of the crew, so a cell whose
+/// families are all cheap does not leave workers idle while one expensive
+/// series × family pair finishes; each job runs its pipeline on its
+/// worker, racing its starts on a one-thread crew. A smaller wave — every
 /// one-cell ranking at two or more threads is one — has too few cells to
 /// keep the threads busy on a handful of very unequal family jobs. It
-/// plans every job on the calling thread, runs the first legs of all its
-/// fits' starts in one phase of the same crew, longest search first, and
-/// the survivors of each fit's cut in a second, and finishes each job on
-/// the calling thread in input order; retries after attempt 1 run there
-/// too, with the caller's `parallelism`. So a call holds one crew
-/// whatever its waves, and spawns its helpers once. Both paths give the
-/// same rows, failures and event log.
+/// plans every job on the calling thread, races all their starts at once
+/// on the crew, longest search first, and finishes each job on the calling
+/// thread in input order, its retries racing on the crew too. So a call
+/// holds one crew whatever its waves and retries, and spawns its helpers
+/// once. Both paths give the same rows, failures and event log.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -1199,10 +1059,6 @@ pub fn rank_fleet_supervised(
     policy: &ExecPolicy,
     control: &Control,
 ) -> Vec<CellOutcome> {
-    let inner = FitConfig {
-        parallelism: Parallelism::Serial,
-        ..config.clone()
-    };
     let threads = config.parallelism.threads_for(usize::MAX);
     let nf = families.len();
     let supervised = policy.supervises_cells();
@@ -1212,7 +1068,6 @@ pub fn rank_fleet_supervised(
         .map_or(usize::MAX, |b| b.wave.max(1));
     let mut breakers: Vec<Breaker> = vec![Breaker::closed(); nf];
     let mut cells: Vec<CellOutcome> = Vec::with_capacity(series_list.len());
-    let inner = &inner;
 
     // One crew for the whole pass: each flattened wave is one of its
     // phases, so the pass spawns its helpers once, not once per wave.
@@ -1251,47 +1106,27 @@ pub fn rank_fleet_supervised(
                     .map(|_| Arc::new(RecordingObserver::new()))
                     .collect()
             });
-            let wave = &series_list[wave_start..wave_end];
-            let designs = WaveDesigns::new(families, wave, &skip);
+            let series = &series_list[wave_start..wave_end];
+            let wave = Wave {
+                families,
+                cells: series,
+                first_cell: wave_start,
+                config,
+                policy,
+                control,
+                designs: WaveDesigns::new(families, series, &skip),
+                skip,
+                recorders: recorders.clone(),
+            };
             // One fan-out level per wave: over the wave's jobs, or — when the
             // wave has fewer cells than threads — over the starts of all its
             // fits at once. Both solve against the wave's shared designs, and
             // drop them before the reduction assembles the cells, where a
             // fleet pass holds the most memory.
-            let outcomes = if wave.len() < threads {
-                let outcomes = pooled_wave(
-                    crew,
-                    families,
-                    wave,
-                    wave_start,
-                    config,
-                    policy,
-                    control,
-                    &skip,
-                    &designs,
-                    recorders.as_deref(),
-                );
-                drop(designs);
-                outcomes
+            let outcomes = if series.len() < threads {
+                wave.pooled(crew)
             } else {
-                // The wave's phase owns its skip mask and designs: they drop
-                // with it.
-                let recorders = recorders.clone();
-                crew.run_indexed_catch(wave_jobs, move |j| {
-                    if skip[j] {
-                        return Err(skipped(families[j % nf]));
-                    }
-                    supervised_family_job(
-                        families[j % nf],
-                        &wave[j / nf],
-                        designs.get(j),
-                        inner,
-                        policy,
-                        control,
-                        recorders.as_ref().map(|recs| &recs[j]),
-                        (wave_start + j / nf) as u32,
-                    )
-                })
+                wave.flattened(crew)
             };
 
             // Serial reduction in flattened input order: open each job's
@@ -1399,6 +1234,7 @@ mod tests {
     use crate::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
     use crate::model::ResilienceModel;
     use std::collections::HashSet;
+    use std::sync::Mutex;
     use std::thread::ThreadId;
 
     /// Records the calling thread in `threads`.
@@ -2499,11 +2335,13 @@ mod tests {
     /// Wei-Wei with a tripwire: a point of the profiled search within
     /// 1e-3 (in every log coordinate) of `near` trips it. With `near` the
     /// 1990-93 optimum, only the raced survivors' second legs get there.
-    /// It records every thread its search runs on.
+    /// It records every thread its search runs on, and sleeps for `nap` at
+    /// every point.
     struct Tripwire {
         inner: crate::mixture::MixtureFamily,
         near: Vec<f64>,
         trip: Trip,
+        nap: Duration,
         threads: Mutex<HashSet<ThreadId>>,
     }
 
@@ -2518,6 +2356,7 @@ mod tests {
                 inner,
                 near,
                 trip,
+                nap: Duration::ZERO,
                 threads: Mutex::new(HashSet::new()),
             }
         }
@@ -2570,6 +2409,7 @@ mod tests {
             column: &mut [f64],
         ) -> bool {
             note_thread(&self.wire.threads);
+            std::thread::sleep(self.wire.nap);
             if nonlinear
                 .iter()
                 .zip(&self.wire.near)
@@ -2867,5 +2707,72 @@ mod tests {
         );
         let threads = raced.threads.into_inner().unwrap().len();
         assert!(threads <= 2, "{threads} threads ran the legs of four waves");
+    }
+
+    /// A one-cell ranking of the raced Wei-Wei under the default retry
+    /// policy, and `fit_with_retry` of the same fit, at `Fixed(2)` with a
+    /// starved budget that retries every attempt: each runs every leg of
+    /// every attempt on at most two threads, the call's one crew, and
+    /// equals its `Serial` run bit for bit. A nap at every point keeps
+    /// each phase long enough for a crew's helper to join it.
+    #[test]
+    fn retries_race_on_the_calls_one_crew() {
+        use resilience_obs::RecordingObserver;
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        let raced = Tripwire {
+            nap: Duration::from_micros(20),
+            ..Tripwire::new(Trip::Sleep(Duration::ZERO))
+        };
+        let config = |parallelism| FitConfig {
+            parallelism,
+            ..starved()
+        };
+        let policy = ExecPolicy {
+            retry: Some(RetryPolicy::default()),
+            ..ExecPolicy::default()
+        };
+        // What a call returns and logs, and how many threads ran its legs.
+        let traced = |call: &dyn Fn(&Control) -> String| {
+            raced.threads.lock().unwrap().clear();
+            let rec = Arc::new(RecordingObserver::new());
+            let out = call(&Control::unbounded().observe(rec.clone()));
+            let threads = raced.threads.lock().unwrap().len();
+            (out, rec.take(), threads)
+        };
+        let ranking = |parallelism| {
+            traced(&|control| {
+                let ranking = rank_models_supervised(
+                    &[&raced],
+                    &series,
+                    &config(parallelism),
+                    &policy,
+                    control,
+                );
+                format!("{ranking:?}")
+            })
+        };
+        let retried = |parallelism| {
+            traced(&|control| {
+                let policy = RetryPolicy::default();
+                let sup = fit_with_retry(&raced, &series, &config(parallelism), &policy, control);
+                format!("{sup:?}")
+            })
+        };
+        for (call, run) in [
+            ("ranking", &ranking as &dyn Fn(_) -> _),
+            ("fit_with_retry", &retried),
+        ] {
+            let (serial, serial_log, _) = run(Parallelism::Serial);
+            assert!(
+                serial_log
+                    .iter()
+                    .any(|e| matches!(e, Event::RetryScheduled { attempt: 3, .. })),
+                "{call}: {serial}"
+            );
+            let (out, log, threads) = run(Parallelism::Fixed(2));
+            assert!(threads <= 2, "{call}: {threads} threads ran the legs");
+            assert_eq!(out, serial, "{call}");
+            assert_eq!(log, serial_log, "{call}");
+        }
     }
 }

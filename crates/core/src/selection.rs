@@ -304,10 +304,10 @@ pub(crate) fn sort_rows(rows: &mut [SelectionRow]) {
 /// ties and zero-SSE fits sort first).
 ///
 /// Fits run in parallel according to `config.parallelism`: with two or
-/// more threads, the starts of every family's fit share one pool, longest
-/// search first, and each fit then finishes on the calling thread (a
-/// one-cell ranking has fewer cells than threads; see
-/// [`rank_fleet_supervised`](crate::runtime::rank_fleet_supervised));
+/// more threads, the starts of every family's fit race at once on the
+/// call's one crew, longest search first, and each fit then finishes on
+/// the calling thread (a one-cell ranking has fewer cells than threads;
+/// see [`rank_fleet_supervised`](crate::runtime::rank_fleet_supervised));
 /// results are identical for every thread count. Families
 /// that fail — including by panicking, which is isolated per family —
 /// are reported in [`Ranking::failures`] with the underlying error, not

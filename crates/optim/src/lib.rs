@@ -16,9 +16,10 @@
 //!   subproblems (e.g. locating a curve's trough).
 //! * [`multi_start`] — the multi-start driver: a start runner that buffers
 //!   each start's events, a start reduction that keeps the winner a
-//!   serial loop would keep whatever order the starts finish in, and
-//!   their composition over one pool, bit-identical for every thread
-//!   count.
+//!   serial loop would keep whatever order the starts finish in, and the
+//!   workspace's one race driver, which races any number of searches'
+//!   starts in two phases of the caller's crew, bit-identically for every
+//!   thread count.
 //! * [`parallel`] — a `std`-only crew of threads per library call
 //!   ([`Parallelism`], [`parallel::crew`]) that runs the call's parallel
 //!   phases, whose index-ordered results make parallel runs bit-identical

@@ -1,5 +1,5 @@
-//! The multi-start driver: a race over one search's starts, in shared
-//! pieces and their composition.
+//! The multi-start driver: races over searches' starts, in shared pieces
+//! and the one driver that composes them.
 //!
 //! The resilience fits are nonconvex (the mixture SSE surface in
 //! particular has local minima corresponding to "all degradation" or "all
@@ -13,88 +13,31 @@
 //! and the rest retire. A search that keeps every start runs each to its
 //! end in its first leg, which is the plain multi-start.
 //!
-//! * [`StartLeg`] runs one start's legs, buffering its events privately
-//!   when the control is observed.
 //! * [`Race`] holds one search between and after its legs: the cut's
 //!   board of at most `keep` paused starts, and the closed starts'
-//!   reduction and event buffers.
+//!   reduction and event buffers, one per start when observed.
 //! * [`StartReduction`] folds start results, fed in any order, into the
 //!   winner a serial loop in start order would keep.
-//! * [`multi_start`] runs both legs of one search, each as one phase of
-//!   one [`crew`], replays the buffers in start order and reduces.
+//! * [`Search`] is one search as the driver sees it: its race, the
+//!   control its legs run under, and the legs.
+//! * [`multi_start`] races any number of searches on the caller's
+//!   [`Crew`]: every start's first leg in one phase, each race cut on the
+//!   calling thread, every survivor's second leg in a second phase.
 //!
-//! A caller that pools the starts of several searches — the one-cell
-//! ranker in `resilience-core` — uses the pieces directly; both it and
-//! [`multi_start`] give bit-identical winners and event logs for every
-//! thread count and completion order.
+//! [`multi_start`] is the workspace's one race driver: a lone fit races
+//! one search on its call's crew, and a small fleet wave all of its fits'
+//! searches at once. Its winners and, once each race replays its buffers
+//! in start order ([`Race::finish`]), its event logs are bit-identical for
+//! every thread count and completion order.
 
 use crate::control::Control;
 use crate::nelder_mead::NelderMeadRun;
-use crate::parallel::{crew, Parallelism};
+use crate::parallel::{caught, Crew};
 use crate::report::OptimReport;
 use crate::OptimError;
 use resilience_obs::{replay, Event, HistogramId, RecordingObserver};
-use std::sync::{Arc, Mutex};
-
-/// One start of a race: its Nelder–Mead run, paused at the cut or
-/// ended, or the error that ended it, and when its control was observed
-/// the private buffer its events go to.
-#[derive(Debug)]
-pub struct StartLeg {
-    index: usize,
-    run: Result<NelderMeadRun, OptimError>,
-    recorder: Option<Arc<RecordingObserver>>,
-}
-
-impl StartLeg {
-    /// Start `index`'s first leg under `control`: `run` begins the start's
-    /// run and advances it to the race's [`Race::budget`].
-    ///
-    /// When the control is observed, the start records into a private
-    /// buffer instead of the shared sink: a `start` line, then whatever
-    /// its run emits, in both legs and when it closes. Replaying the
-    /// buffers in start order makes the log independent of which thread
-    /// ran which start, and when.
-    pub fn first<R>(index: usize, control: &Control, run: R) -> StartLeg
-    where
-        R: FnOnce(&Control) -> Result<NelderMeadRun, OptimError>,
-    {
-        let recorder = control
-            .observed()
-            .then(|| Arc::new(RecordingObserver::new()));
-        let run = buffered(control, recorder.as_ref(), |c| {
-            c.emit(Event::StartBegan {
-                index: index as u32,
-            });
-            run(c)
-        });
-        StartLeg {
-            index,
-            run,
-            recorder,
-        }
-    }
-
-    /// The second leg of a survivor of the cut: `advance` runs its paused
-    /// run on to its end.
-    pub fn second<A>(&mut self, control: &Control, advance: A)
-    where
-        A: FnOnce(&mut NelderMeadRun, &Control) -> Result<bool, OptimError>,
-    {
-        let StartLeg { run, recorder, .. } = self;
-        if let Ok(paused) = run {
-            if let Err(e) = buffered(control, recorder.as_ref(), |c| advance(paused, c)) {
-                *run = Err(e);
-            }
-        }
-    }
-
-    /// The start's index.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-}
+use std::any::Any;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// `f` under `control`, or when a start's `recorder` is given under
 /// `control` with the recorder as its sink.
@@ -111,16 +54,22 @@ fn buffered<T>(
 
 /// One search's race, between and after its legs.
 ///
-/// Starts are filed as their first legs end, in any order
-/// ([`Race::file`]). A start that failed is no candidate and closes at
-/// once. A start that ended is closed at once too, but competes at the
-/// cut with its final value: if it survives, it is already done. The
-/// candidates rank by their least value so far, ties to the lower index,
-/// and the board keeps the best `keep`; a paused start that falls off it
-/// retires there and then, so the race never holds more than `keep`
-/// paused runs, in a board allocated once. [`Race::cut`] leaves the paused
-/// survivors, in start order, for their second legs, and [`Race::finish`]
-/// replays every buffer in start order and hands over the reduction.
+/// Starts are filed as their first legs end, in any order. A start that
+/// failed is no candidate and closes at once. A start that ended is closed
+/// at once too, but competes at the cut with its final value: if it
+/// survives, it is already done. The candidates rank by their least value
+/// so far, ties to the lower index, and the board keeps the best `keep`; a
+/// paused start that falls off it retires there and then, so the race
+/// never holds more than `keep` paused runs, in a board allocated once.
+/// The cut leaves the paused survivors, in start order, for their second
+/// legs, and [`Race::finish`] replays every buffer in start order and
+/// hands over the reduction.
+///
+/// When the search's control is observed, each start records into a
+/// private buffer instead of the shared sink: a `start` line, then
+/// whatever its run emits, in both legs and when it closes. Replaying the
+/// buffers in start order makes the log independent of which thread ran
+/// which start, and when.
 ///
 /// What the race keeps is order-independent: the board at the cut holds
 /// the best `keep` candidates whatever order they were filed in, and every
@@ -141,11 +90,11 @@ pub struct Race {
 
 impl Race {
     /// The race over `starts` starts that keeps the best `keep` (at least
-    /// one) after a first leg of `budget` evaluations. With `starts ≤
-    /// keep` nothing is cut: every first leg runs to its end
-    /// ([`Race::budget`] is `usize::MAX`) and the board holds nothing. The
-    /// board's storage is allocated here, once; the buffer slots only
-    /// when `observed`.
+    /// one) after a first leg of `budget` evaluations: a run pauses at the
+    /// first iteration boundary at which it has spent that many. With
+    /// `starts ≤ keep` nothing is cut: every first leg runs to its end and
+    /// the board holds nothing. The board's storage is allocated here,
+    /// once; the buffer slots only when `observed`.
     #[must_use]
     pub fn new(starts: usize, keep: usize, budget: usize, observed: bool) -> Race {
         let keep = keep.max(1);
@@ -168,29 +117,18 @@ impl Race {
         }
     }
 
-    /// The number of starts.
-    #[must_use]
-    pub fn starts(&self) -> usize {
-        self.starts
-    }
-
-    /// The evaluations of a first leg: a run pauses at the first
-    /// iteration boundary at which it has spent this many.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Files a start whose first leg is over, closing what leaves the
-    /// race: the start itself when it failed, ended or ranks below the
-    /// board, and a paused start it pushes off the board. `control` is
-    /// the search's control, under which the start ran.
-    pub fn file(&mut self, leg: StartLeg, control: &Control) {
-        let StartLeg {
-            index,
-            run,
-            recorder,
-        } = leg;
+    /// Files start `index`, whose first leg ended with `run` and recorded
+    /// into `recorder`, closing what leaves the race: the start itself when
+    /// it failed, ended or ranks below the board, and a paused start it
+    /// pushes off the board. `control` is the search's control, under
+    /// which the start ran.
+    fn file(
+        &mut self,
+        index: usize,
+        run: Result<NelderMeadRun, OptimError>,
+        recorder: Option<Arc<RecordingObserver>>,
+        control: &Control,
+    ) {
         if let Some(rec) = recorder {
             self.recorders[index] = Some(rec);
         }
@@ -224,30 +162,18 @@ impl Race {
 
     /// The cut, once every first leg is filed: keeps the paused
     /// survivors, in start order, and returns how many there are.
-    pub fn cut(&mut self) -> usize {
+    fn cut(&mut self) -> usize {
         self.board.retain(|(_, _, run)| run.is_some());
         self.board.sort_by_key(|&(_, index, _)| index);
         self.board.len()
     }
 
-    /// Paused survivor `s` (in start order) for its second leg.
-    ///
-    /// # Panics
-    ///
-    /// When survivor `s` does not exist or was taken already.
-    pub fn survivor(&mut self, s: usize) -> StartLeg {
+    /// Paused survivor `s` (in start order) for its second leg: its start
+    /// index, its run and its buffer.
+    fn survivor(&mut self, s: usize) -> (usize, NelderMeadRun, Option<Arc<RecordingObserver>>) {
         let (_, index, run) = &mut self.board[s];
         let run = run.take().expect("each survivor runs its second leg once");
-        StartLeg {
-            index: *index,
-            run: Ok(run),
-            recorder: self.recorders.get(*index).cloned().flatten(),
-        }
-    }
-
-    /// Closes a survivor whose second leg is over.
-    pub fn close_survivor(&mut self, leg: StartLeg, control: &Control) {
-        self.close(leg.index, leg.run, control);
+        (*index, run, self.recorders.get(*index).cloned().flatten())
     }
 
     /// Replays every start's buffer into `control`'s sink, in start
@@ -399,98 +325,260 @@ impl StartReduction {
     }
 }
 
-/// Runs `race`, both legs of every start, and reduces the results,
-/// bit-identically for every thread count.
+/// One search as [`multi_start`] races it: a race over starts whose legs
+/// run in any order, on any thread of the caller's crew. The legs must be
+/// `Sync`, but the objective they minimize need not be: build it inside
+/// them, so every leg gets a private instance (and private scratch
+/// buffers).
+pub trait Search {
+    /// The race over the search's starts, asked once, on the calling
+    /// thread, before any leg runs.
+    fn race(&self) -> Race;
+
+    /// The control that the search's starts run and are filed under,
+    /// asked as each leg begins, on the thread that runs it: a clock the
+    /// search keeps can start with its first start.
+    fn control(&self) -> &Control;
+
+    /// Start `i`'s first leg under `control`: begins its run and advances
+    /// it to `budget` evaluations, or fails at its start point or stops.
+    fn first_leg(
+        &self,
+        i: usize,
+        budget: usize,
+        control: &Control,
+    ) -> Result<NelderMeadRun, OptimError>;
+
+    /// Survivor `i`'s second leg under `control`: advances its paused
+    /// `run` to its end, or stops.
+    fn second_leg(
+        &self,
+        i: usize,
+        run: &mut NelderMeadRun,
+        control: &Control,
+    ) -> Result<bool, OptimError>;
+}
+
+/// Races `searches`, given in dispatch order, on `crew`, and hands each
+/// back, in that order, with its race, bit-identically for every thread
+/// count.
 ///
-/// Both legs run on one [`crew`], so the search spawns its helpers once.
-/// The first legs are one phase: `first(i, budget, control)` begins start
-/// `i`'s run and advances it to `budget` evaluations, and each leg is
-/// filed as it ends. After the cut the paused survivors are a second
-/// phase, in which `second(i, run, control)` advances start `i`'s run to
-/// its end. Both closures must be `Sync`, but the objective they minimize
-/// need not be: build it inside them, so every leg gets a private
-/// instance (and private scratch buffers). A panic in a leg reaches the
-/// caller as [`Crew::run_each`](crate::parallel::Crew::run_each) raises
-/// it, and a panic in a first leg before any second leg runs.
+/// Every start's first leg is one job of one phase: the searches in the
+/// order given, each search's starts in start order. Each leg is filed
+/// with its race as it ends, under the search's [`Search::control`]. Then
+/// each race is cut on the calling thread, and every survivor's second leg
+/// is one job of a second phase, in the same order. A search with no start
+/// adds no job, and when no search has one the crew runs no phase. The
+/// phases own the searches, behind one `Arc` the driver takes back once
+/// the second returns, so a search may borrow only what existed before the
+/// crew; no phase keeps a result slot per start. A call without starts
+/// only asks each search for its race.
 ///
-/// The control is shared by every start: once the deadline passes or the
-/// token fires, in-flight starts stop at their next iteration and pending
-/// starts return immediately, and [`StartReduction::finish`] reports the
-/// stop.
+/// A start's panic stays inside its search: the search keeps the payload
+/// of its lowest-index start that panicked, and runs no second leg when a
+/// first leg panicked. Its race then comes back as that payload, which a
+/// lone search's caller re-raises ([`std::panic::resume_unwind`]) as a
+/// serial loop over its starts would raise it. Otherwise the race has
+/// closed every start: [`Race::finish`] replays its buffers in start order
+/// and hands over the reduction.
+///
+/// The control is shared by every start of a search: once the deadline
+/// passes or the token fires, in-flight starts stop at their next
+/// iteration and pending starts return immediately, and
+/// [`StartReduction::finish`] reports the stop.
 ///
 /// # Examples
 ///
 /// ```
-/// use resilience_optim::multi_start::{multi_start, Race};
-/// use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
-/// use resilience_optim::{Control, Parallelism};
+/// use resilience_optim::multi_start::{multi_start, Race, Search};
+/// use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig, NelderMeadRun};
+/// use resilience_optim::{parallel::crew, Control, OptimError, Parallelism};
 ///
 /// // Two-basin objective: global minimum at x = 3, local at x = -2.
-/// let f = |p: &[f64]| {
-///     let x = p[0];
-///     ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
-/// };
-/// let starts = [-3.0, -2.5, 0.0, 1.0, 4.0, 6.0];
+/// fn f(p: &[f64]) -> f64 {
+///     ((p[0] - 3.0) * (p[0] + 2.0)).powi(2) + 0.1 * (p[0] - 3.0).powi(2)
+/// }
+/// struct Starts(Vec<f64>, NelderMead, Control);
+/// impl Search for Starts {
+///     // Six starts, twenty evaluations each, the best two run on.
+///     fn race(&self) -> Race {
+///         Race::new(self.0.len(), 2, 20, self.2.observed())
+///     }
+///     fn control(&self) -> &Control {
+///         &self.2
+///     }
+///     fn first_leg(&self, i: usize, n: usize, c: &Control) -> Result<NelderMeadRun, OptimError> {
+///         let mut run = self.1.begin(&f, &self.0[i..=i], c)?;
+///         self.1.advance(&f, &mut run, n, c).map(|_| run)
+///     }
+///     fn second_leg(&self, _: usize, run: &mut NelderMeadRun, c: &Control) -> Result<bool, OptimError> {
+///         self.1.advance(&f, run, usize::MAX, c)
+///     }
+/// }
 /// let nm = NelderMead::new(NelderMeadConfig::default());
-/// let control = Control::unbounded();
-/// // Six starts, twenty evaluations each, the best two run on.
-/// let race = Race::new(starts.len(), 2, 20, false);
-/// let best = multi_start(
-///     Parallelism::Auto,
-///     race,
-///     &control,
-///     |i, budget, c| {
-///         let mut run = nm.begin(&f, &starts[i..=i], c)?;
-///         nm.advance(&f, &mut run, budget, c)?;
-///         Ok(run)
-///     },
-///     |_, run, c| nm.advance(&f, run, usize::MAX, c),
-/// )
-/// .finish()?;
+/// let starts = Starts(vec![-3.0, -2.5, 0.0, 1.0, 4.0, 6.0], nm, Control::unbounded());
+/// let mut raced = crew(Parallelism::Auto, |crew| multi_start(crew, [starts]));
+/// let (starts, race) = raced.pop().expect("one search");
+/// let race = race.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+/// let best = race.finish(&starts.2).finish()?;
 /// assert!((best.params[0] - 3.0).abs() < 1e-4);
 /// # Ok::<(), resilience_optim::OptimError>(())
 /// ```
-pub fn multi_start<B, A>(
-    parallelism: Parallelism,
-    race: Race,
-    control: &Control,
-    first: B,
-    second: A,
-) -> StartReduction
+pub fn multi_start<'env, S>(
+    crew: &Crew<'_, 'env>,
+    searches: impl IntoIterator<Item = S>,
+) -> Vec<(S, std::thread::Result<Race>)>
 where
-    B: Fn(usize, usize, &Control) -> Result<NelderMeadRun, OptimError> + Sync,
-    A: Fn(usize, &mut NelderMeadRun, &Control) -> Result<bool, OptimError> + Sync,
+    S: Search + Send + Sync + 'env,
 {
-    let starts = race.starts();
-    let budget = race.budget();
-    let race = Mutex::new(race);
-    crew(parallelism, |crew| {
-        crew.run_each(starts, |i| {
-            let leg = StartLeg::first(i, control, |c| first(i, budget, c));
-            lock(&race).file(leg, control);
-        });
-        let survivors = lock(&race).cut();
-        crew.run_each(survivors, |s| {
-            let mut leg = lock(&race).survivor(s);
-            let i = leg.index();
-            leg.second(control, |run, c| second(i, run, c));
-            lock(&race).close_survivor(leg, control);
-        });
-    });
-    race.into_inner()
-        .expect("race state poisoned")
-        .finish(control)
+    let raced: Vec<(S, std::thread::Result<Race>)> = searches
+        .into_iter()
+        .map(|search| {
+            let race = search.race();
+            (search, Ok(race))
+        })
+        .collect();
+    let starts =
+        |(_, race): &(S, std::thread::Result<Race>)| race.as_ref().map_or(0, |race| race.starts);
+    if raced.iter().all(|raced| starts(raced) == 0) {
+        return raced;
+    }
+    let counts = raced.iter().map(starts).collect();
+    let runs: Vec<Running<S>> = raced.into_iter().map(Running::new).collect();
+    let runs = Arc::new(runs);
+    legs(crew, &runs, counts, Running::first_leg);
+    let survivors = runs.iter().map(Running::cut).collect();
+    legs(crew, &runs, survivors, Running::second_leg);
+    Arc::into_inner(runs)
+        .expect("the crew drops its phases' jobs")
+        .into_iter()
+        .map(Running::into_parts)
+        .collect()
 }
 
-/// The race behind `race`'s lock.
-fn lock(race: &Mutex<Race>) -> std::sync::MutexGuard<'_, Race> {
-    race.lock().expect("race state poisoned")
+/// Runs leg `i` of search `s` for every `i < counts[s]` of every `s`, as
+/// one phase of `crew`, in that order. The phase holds a handle on `runs`,
+/// which it drops before it returns.
+fn legs<'env, S>(
+    crew: &Crew<'_, 'env>,
+    runs: &Arc<Vec<Running<S>>>,
+    counts: Vec<usize>,
+    leg: fn(&Running<S>, usize),
+) where
+    S: Search + Send + Sync + 'env,
+{
+    // `ends[s]` is one past the last phase index of search `s`.
+    let ends: Vec<usize> = counts
+        .into_iter()
+        .scan(0, |end, count| {
+            *end += count;
+            Some(*end)
+        })
+        .collect();
+    let runs = Arc::clone(runs);
+    crew.run_each(ends.last().copied().unwrap_or(0), move |k| {
+        let s = ends.partition_point(|&end| end <= k);
+        let first = s.checked_sub(1).map_or(0, |s| ends[s]);
+        leg(&runs[s], k - first);
+    });
+}
+
+/// A start's index and its panic's payload.
+type Panic = (usize, Box<dyn Any + Send>);
+
+/// One search in [`multi_start`]'s phases: the search, its first legs'
+/// budget, and behind one lock its race and its lowest-index start that
+/// panicked.
+struct Running<S> {
+    search: S,
+    budget: usize,
+    state: Mutex<(Race, Option<Panic>)>,
+}
+
+impl<S: Search> Running<S> {
+    /// A search and its race, which no leg has run.
+    fn new((search, race): (S, std::thread::Result<Race>)) -> Running<S> {
+        let race = race.unwrap_or_else(|_| unreachable!("no leg has run"));
+        Running {
+            budget: race.budget,
+            search,
+            state: Mutex::new((race, None)),
+        }
+    }
+
+    /// The search's race and panic.
+    fn lock(&self) -> MutexGuard<'_, (Race, Option<Panic>)> {
+        self.state.lock().expect("race state poisoned")
+    }
+
+    /// The search and its race, every start closed and every buffer
+    /// filed, or the payload of its lowest-index start that panicked.
+    fn into_parts(self) -> (S, std::thread::Result<Race>) {
+        let (race, panic) = self.state.into_inner().expect("race state poisoned");
+        let race = panic.map_or(Ok(race), |(_, payload)| Err(payload));
+        (self.search, race)
+    }
+
+    /// Start `i`'s first leg, on a crew thread, filed as it ends.
+    fn first_leg(&self, i: usize) {
+        let control = self.search.control();
+        let recorder = control
+            .observed()
+            .then(|| Arc::new(RecordingObserver::new()));
+        let run = caught(|| {
+            buffered(control, recorder.as_ref(), |c| {
+                c.emit(Event::StartBegan { index: i as u32 });
+                self.search.first_leg(i, self.budget, c)
+            })
+        });
+        let mut state = self.lock();
+        match run {
+            Ok(run) => state.0.file(i, run, recorder, control),
+            Err(payload) => panicked(&mut state.1, i, payload),
+        }
+    }
+
+    /// The cut, on the calling thread once every first leg is over: the
+    /// number of paused survivors, or none when a first leg panicked.
+    fn cut(&self) -> usize {
+        let mut state = self.lock();
+        if state.1.is_some() {
+            0
+        } else {
+            state.0.cut()
+        }
+    }
+
+    /// Survivor `s`'s second leg, on a crew thread, closed as it ends.
+    fn second_leg(&self, s: usize) {
+        let control = self.search.control();
+        let (i, mut run, recorder) = self.lock().0.survivor(s);
+        let run = caught(move || {
+            buffered(control, recorder.as_ref(), |c| {
+                self.search.second_leg(i, &mut run, c)
+            })
+            .map(|_| run)
+        });
+        let mut state = self.lock();
+        match run {
+            Ok(run) => state.0.close(i, run, control),
+            Err(payload) => panicked(&mut state.1, i, payload),
+        }
+    }
+}
+
+/// Keeps start `i`'s panic in `first` when it is the lowest-index one.
+fn panicked(first: &mut Option<Panic>, i: usize, payload: Box<dyn Any + Send>) {
+    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+        *first = Some((i, payload));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nelder_mead::{NelderMead, NelderMeadConfig};
+    use crate::parallel::{crew, Parallelism};
     use crate::report::TerminationReason;
 
     /// The serial driver: every start in order, first strictly better value
@@ -515,6 +603,74 @@ mod tests {
             }
         }
         best.ok_or(OptimError::AllStartsFailed { attempts: failures })
+    }
+
+    /// A start's first leg, as a test writes it.
+    type First<'f> =
+        &'f (dyn Fn(usize, usize, &Control) -> Result<NelderMeadRun, OptimError> + Sync);
+    /// A survivor's second leg, as a test writes it.
+    type Second<'f> =
+        &'f (dyn Fn(usize, &mut NelderMeadRun, &Control) -> Result<bool, OptimError> + Sync);
+
+    /// A search of `starts` starts that keeps `keep` after `budget`
+    /// evaluations, whose legs are two closures.
+    struct Legs<'f> {
+        starts: usize,
+        keep: usize,
+        budget: usize,
+        control: Control,
+        first: First<'f>,
+        second: Second<'f>,
+    }
+
+    impl Search for Legs<'_> {
+        fn race(&self) -> Race {
+            Race::new(self.starts, self.keep, self.budget, self.control.observed())
+        }
+        fn control(&self) -> &Control {
+            &self.control
+        }
+        fn first_leg(
+            &self,
+            i: usize,
+            budget: usize,
+            control: &Control,
+        ) -> Result<NelderMeadRun, OptimError> {
+            (self.first)(i, budget, control)
+        }
+        fn second_leg(
+            &self,
+            i: usize,
+            run: &mut NelderMeadRun,
+            control: &Control,
+        ) -> Result<bool, OptimError> {
+            (self.second)(i, run, control)
+        }
+    }
+
+    /// The race of `(starts, keep, budget)` whose legs are `first` and
+    /// `second`, alone on a crew of `parallelism`: a panic re-raised, the
+    /// buffers replayed into `control`'s sink, and the reduction.
+    fn race_alone(
+        parallelism: Parallelism,
+        (starts, keep, budget): (usize, usize, usize),
+        control: &Control,
+        first: First<'_>,
+        second: Second<'_>,
+    ) -> StartReduction {
+        let legs = Legs {
+            starts,
+            keep,
+            budget,
+            control: control.clone(),
+            first,
+            second,
+        };
+        let (_, race) = crew(parallelism, |crew| multi_start(crew, [legs]))
+            .pop()
+            .expect("one search");
+        race.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            .finish(control)
     }
 
     /// Multi-start Nelder–Mead from `starts` with the default config, each
@@ -548,18 +704,17 @@ mod tests {
         G: Fn() -> F + Sync,
     {
         let optimizer = NelderMead::new(NelderMeadConfig::default());
-        let race = Race::new(starts.len(), keep, budget, control.observed());
-        multi_start(
+        race_alone(
             parallelism,
-            race,
+            (starts.len(), keep, budget),
             control,
-            |i, budget, c| {
+            &|i, budget, c| {
                 let f = make();
                 let mut run = optimizer.begin(&f, &starts[i], c)?;
                 optimizer.advance(&f, &mut run, budget, c)?;
                 Ok(run)
             },
-            |_, run, c| optimizer.advance(&make(), run, usize::MAX, c),
+            &|_, run, c| optimizer.advance(&make(), run, usize::MAX, c),
         )
         .finish()
     }
@@ -847,18 +1002,17 @@ mod tests {
                 let race = |parallelism: Parallelism| {
                     let rec = Arc::new(RecordingObserver::new());
                     let control = Control::unbounded().observe(rec.clone());
-                    let race = Race::new(starts.len(), keep, budget, true);
-                    let reduction = multi_start(
+                    let reduction = race_alone(
                         parallelism,
-                        race,
+                        (starts.len(), keep, budget),
                         &control,
-                        |i, budget, c| {
+                        &|i, budget, c| {
                             let f = objective(i);
                             let mut run = optimizer(i).begin(&f, &starts[i..=i], c)?;
                             optimizer(i).advance(&f, &mut run, budget, c)?;
                             Ok(run)
                         },
-                        |i, run, c| optimizer(i).advance(&objective(i), run, usize::MAX, c),
+                        &|i, run, c| optimizer(i).advance(&objective(i), run, usize::MAX, c),
                     );
                     let spent = reduction.evaluations();
                     (reduction.finish().unwrap(), spent, rec.take())
@@ -914,11 +1068,11 @@ mod tests {
                 let token = CancelToken::new();
                 let control = Control::with_token(&token);
                 let f = |p: &[f64]| (p[0] - 1.0).powi(2);
-                let outcome = multi_start(
+                let outcome = race_alone(
                     parallelism,
-                    Race::new(starts.len(), 2, 10, false),
+                    (starts.len(), 2, 10),
                     &control,
-                    |i, budget, c| {
+                    &|i, budget, c| {
                         if !stop_in_second_leg && i == 3 {
                             token.cancel();
                         }
@@ -926,7 +1080,7 @@ mod tests {
                         optimizer.advance(&f, &mut run, budget, c)?;
                         Ok(run)
                     },
-                    |_, run, c| {
+                    &|_, run, c| {
                         token.cancel();
                         optimizer.advance(&f, run, usize::MAX, c)
                     },
@@ -938,6 +1092,108 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Three searches share one crew: one whose start 2 panics in its first
+    /// leg, one that races and one that keeps every start. At every thread
+    /// count each search that did not panic has the winner, evaluations and
+    /// replayed log of its lone serial run, and the panicking search hands
+    /// back start 2's payload and runs no second leg.
+    #[test]
+    fn searches_on_one_crew_race_as_they_do_alone() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let two_basins = |p: &[f64]| {
+            let x = p[0];
+            ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
+        };
+        let starts: Vec<f64> = (0..8).map(|i| f64::from(i) - 3.3).collect();
+        let optimizer = NelderMead::new(NelderMeadConfig::default());
+        let first = |i: usize, budget: usize, c: &Control| {
+            let mut run = optimizer.begin(&two_basins, &starts[i..=i], c)?;
+            optimizer.advance(&two_basins, &mut run, budget, c)?;
+            Ok(run)
+        };
+        let second = |_: usize, run: &mut NelderMeadRun, c: &Control| {
+            optimizer.advance(&two_basins, run, usize::MAX, c)
+        };
+        let panicking = |i: usize, budget: usize, c: &Control| {
+            if i == 2 {
+                std::panic::panic_any(format!("start {i}"));
+            }
+            first(i, budget, c)
+        };
+        let second_legs = AtomicUsize::new(0);
+        let counted = |i: usize, run: &mut NelderMeadRun, c: &Control| {
+            second_legs.fetch_add(1, Ordering::Relaxed);
+            second(i, run, c)
+        };
+        // (starts, keep, budget): the panicking search would race too.
+        let shapes = [(6, 2, 10), (8, 3, 12), (5, usize::MAX, 0)];
+        let observed = || {
+            let rec = Arc::new(RecordingObserver::new());
+            (Control::unbounded().observe(rec.clone()), rec)
+        };
+        // The lone serial runs of the two searches that do not panic.
+        let alone: Vec<_> = shapes[1..]
+            .iter()
+            .map(|&shape| {
+                let (control, rec) = observed();
+                let reduction = race_alone(Parallelism::Serial, shape, &control, &first, &second);
+                let spent = reduction.evaluations();
+                (reduction.finish().unwrap(), spent, rec.take())
+            })
+            .collect();
+        assert!(alone[0].2.iter().any(|e| matches!(
+            e,
+            Event::Converged {
+                reason: resilience_obs::ExitReason::Retired,
+                ..
+            }
+        )));
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(3),
+            Parallelism::Auto,
+        ] {
+            let legs: [(First<'_>, Second<'_>); 3] =
+                [(&panicking, &counted), (&first, &second), (&first, &second)];
+            let searches: Vec<_> = shapes
+                .iter()
+                .zip(legs)
+                .map(|(&(starts, keep, budget), (first, second))| {
+                    let (control, rec) = observed();
+                    let legs = Legs {
+                        starts,
+                        keep,
+                        budget,
+                        control,
+                        first,
+                        second,
+                    };
+                    (legs, rec)
+                })
+                .collect();
+            let (searches, recorders): (Vec<_>, Vec<_>) = searches.into_iter().unzip();
+            let mut raced = crew(parallelism, |crew| multi_start(crew, searches)).into_iter();
+            let (_, race) = raced.next().unwrap();
+            let payload = race.expect_err("start 2 panicked");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("start 2"),
+                "{parallelism:?}"
+            );
+            assert_eq!(second_legs.load(Ordering::Relaxed), 0, "{parallelism:?}");
+            for (((legs, race), rec), lone) in raced.zip(&recorders[1..]).zip(&alone) {
+                let reduction = race.unwrap().finish(&legs.control);
+                let spent = reduction.evaluations();
+                let run = (reduction.finish().unwrap(), spent, rec.take());
+                assert_eq!(&run, lone, "{parallelism:?}");
+            }
+        }
+        std::panic::set_hook(hook);
     }
 
     /// The reduction's outcome does not depend on the order results

@@ -477,14 +477,15 @@ fn spin(ready: impl Fn() -> bool) -> bool {
     ready()
 }
 
-/// Runs `job` under [`catch_unwind`]: the one catch site of the crew and
-/// of [`catch_job`].
+/// Runs `job` under [`catch_unwind`]: the one catch site of the crew, of
+/// [`catch_job`] and of the race driver's starts
+/// ([`crate::multi_start::multi_start`]).
 ///
 /// The closure is wrapped in [`AssertUnwindSafe`]: jobs here are pure
 /// functions over shared *read-only* state, or write only state that
 /// belongs to the job, so no other job can observe a partial update
 /// after a panic.
-fn caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
+pub(crate) fn caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
     catch_unwind(AssertUnwindSafe(job))
 }
 

@@ -55,10 +55,12 @@ echo "==> bench smoke: every CI gate set in one run (hard cap ${SMOKE_TIMEOUT}s)
 # fails when any of them breaks:
 # * rank_models on each of the seven recessions' payroll_index() curves:
 #   serial vs Fixed(2) bit-identical rankings and event logs (at Fixed(2)
-#   the one cell pools every family's starts and replays their buffers in
-#   start order), the median evals-per-fit and each of the six families'
-#   seven-curve evaluations under the ceilings recorded in the bench
-#   binary -> BENCH_fitting.json;
+#   the one cell races every family's starts at once and replays their
+#   buffers in start order), plain and under the default retry policy
+#   with a 3-iteration, unpolished config in which every mixture retries
+#   on the cell's crew, the median evals-per-fit and each of the six
+#   families' seven-curve evaluations under the ceilings recorded in the
+#   bench binary -> BENCH_fitting.json;
 # * bootstrap_band on 1990-93: serial vs Fixed(2) and Fixed(3) bit-identical ->
 #   BENCH_bootstrap.json;
 # * the canonical scenario set generates and ranks deterministically;
