@@ -9,7 +9,8 @@ use resilience_data::PerformanceSeries;
 use resilience_math::sum::CompensatedSum;
 use resilience_optim::scalar::brent_min;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Competing-risks resilience curve `P(t) = 2γt + α/(1 + βt)` with
 /// `α, β, γ > 0` — the Hjorth (1980) bathtub hazard adopted by the
@@ -274,8 +275,9 @@ impl ModelFamily for CompetingRisksFamily {
     /// is the fit, whatever its SSE: a non-finite one fails the fit's
     /// guard. The design holds what the profile reads of the times alone:
     /// `T = max|t|`, the recovery column `u = t/T`, `Σu²`, the `ln β` of
-    /// the `β → 0` candidate and the least time. The decay column depends
-    /// on `β`.
+    /// the `β → 0` candidate and the least time, and from its second fit on
+    /// the decay columns at the candidate and the nodes, with their sums.
+    /// Elsewhere the decay column is each evaluation's own.
     fn design<'a>(&'a self, ts: &'a [f64]) -> Option<Arc<dyn Design + 'a>> {
         Some(Arc::new(ProfileDesign::new(ts)))
     }
@@ -320,6 +322,11 @@ struct ProfileDesign<'a> {
     /// The least time: `1 + βt` is positive at every time when it is at
     /// this one, since it rounds monotonically in `t` for `β ≥ 0`.
     t_min: f64,
+    /// The fits the design has served.
+    fits: AtomicUsize,
+    /// The decay columns at the profile's fixed points, built at the
+    /// design's second fit: a design that serves one fit never holds them.
+    table: OnceLock<NodeTable>,
 }
 
 impl<'a> ProfileDesign<'a> {
@@ -334,13 +341,89 @@ impl<'a> ProfileDesign<'a> {
             u,
             ln_beta_limit: (LIMIT_BETA_T / scale).ln(),
             t_min: ts.iter().fold(f64::INFINITY, |m, &t| m.min(t)),
+            fits: AtomicUsize::new(0),
+            table: OnceLock::new(),
         }
+    }
+
+    /// The `ln β` the profile scores first, whatever the values: the
+    /// `β → 0` candidate, then the [`NODES`] nodes.
+    fn fixed_points(&self) -> [f64; FIXED] {
+        let step = (LN_BETA_MAX - LN_BETA_MIN) / (NODES - 1) as f64;
+        std::array::from_fn(|k| match k {
+            0 => self.ln_beta_limit,
+            k => LN_BETA_MIN + step * (k - 1) as f64,
+        })
+    }
+
+    /// Counts a fit, and gives it the node table from the design's second
+    /// fit on, building it at the first fit that asks.
+    fn table(&self) -> Option<&NodeTable> {
+        (self.fits.fetch_add(1, Ordering::Relaxed) > 0)
+            .then(|| self.table.get_or_init(|| NodeTable::new(self)))
+    }
+
+    /// Writes the decay column `1/(1+βt)` at `ln β` into `decay` and
+    /// returns its sums `Σd²` and `Σd·u`, each summed in index order, or
+    /// `None` (leaving `decay` as it was) where the curve is undefined,
+    /// `1 + βt ≤ 0`.
+    fn decay_into(&self, ln_beta: f64, decay: &mut [f64]) -> Option<Sums> {
+        let beta = ln_beta.exp();
+        if !(1.0 + beta * self.t_min > 0.0) {
+            return None;
+        }
+        for (d, &t) in decay.iter_mut().zip(self.ts) {
+            *d = 1.0 / (1.0 + beta * t);
+        }
+        let [mut dd, mut du] = [0.0; 2];
+        for (&d, &u) in decay.iter().zip(&self.u) {
+            dd += d * d;
+            du += d * u;
+        }
+        Some(Sums { dd, du })
     }
 }
 
 impl Design for ProfileDesign<'_> {
     fn optimum(&self, ys: &[f64]) -> Option<Result<ExactOptimum, CoreError>> {
         Some(profile_optimum(self, ys))
+    }
+}
+
+/// A decay column's sums that depend on the times alone.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    /// `Σd²`.
+    dd: f64,
+    /// `Σd·u`.
+    du: f64,
+}
+
+/// The decay columns at the profile's [`FIXED`] fixed points
+/// ([`ProfileDesign::fixed_points`]), one after another, and their sums,
+/// each computed by [`ProfileDesign::decay_into`] as an evaluation computes
+/// it: a fit that reads them scores every fixed point with the bits it
+/// would compute.
+struct NodeTable {
+    columns: Vec<f64>,
+    /// Each point's sums, or `None` where the curve is undefined.
+    sums: [Option<Sums>; FIXED],
+}
+
+impl NodeTable {
+    fn new(design: &ProfileDesign<'_>) -> NodeTable {
+        let n = design.ts.len();
+        let points = design.fixed_points();
+        let mut columns = vec![0.0; FIXED * n];
+        let sums =
+            std::array::from_fn(|k| design.decay_into(points[k], &mut columns[k * n..(k + 1) * n]));
+        NodeTable { columns, sums }
+    }
+
+    /// Fixed point `k`'s decay column and its sums.
+    fn column(&self, k: usize) -> Option<(&[f64], Sums)> {
+        let n = self.columns.len() / FIXED;
+        self.sums[k].map(|sums| (&self.columns[k * n..(k + 1) * n], sums))
     }
 }
 
@@ -351,6 +434,9 @@ impl Design for ProfileDesign<'_> {
 const LN_BETA_MIN: f64 = -40.0;
 const LN_BETA_MAX: f64 = 8.0;
 const NODES: usize = 25;
+
+/// The profile's fixed points: the `β → 0` candidate and the nodes.
+const FIXED: usize = NODES + 1;
 
 /// Brent's relative tolerance on `ln β` in each bracket, and its iteration
 /// cap (a bracket 4 wide needs about 45 golden-section steps).
@@ -378,7 +464,8 @@ const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
 /// `ln β`. [`Profile::eval`] scores an `ln β` by a two-column non-negative
 /// least squares. The profile scores the `β → 0` limit (the line
 /// `α + 2γt`, at `β = 2⁻⁶⁰/max|t|`), then [`NODES`] nodes over
-/// `[−40, 8]`, then runs Brent in the bracket of every node that lies below
+/// `[−40, 8]` (these [`FIXED`] points from the design's [`NodeTable`] from
+/// its second fit on), then runs Brent in the bracket of every node that lies below
 /// each of its neighbours by more than [`FLAT`] of its SSE (unless an SSE
 /// of 0 has been scored), and keeps the least SSE it scored, the first on
 /// a tie.
@@ -393,10 +480,9 @@ const LIMIT_BETA_T: f64 = 1.0 / (1u64 << 60) as f64;
 /// [`CoreError::Numerical`] when no point of the profile is finite.
 fn profile_optimum(design: &ProfileDesign<'_>, ys: &[f64]) -> Result<ExactOptimum, CoreError> {
     let profile = Profile::new(design, ys);
-    profile.eval(design.ln_beta_limit);
-    let step = (LN_BETA_MAX - LN_BETA_MIN) / (NODES - 1) as f64;
-    let nodes: [f64; NODES] = std::array::from_fn(|i| LN_BETA_MIN + step * i as f64);
-    let values = nodes.map(|ln_beta| profile.eval(ln_beta));
+    let points = design.fixed_points();
+    let values: [f64; FIXED] = std::array::from_fn(|k| profile.fixed(k, points[k]));
+    let (nodes, values) = (&points[1..], &values[1..]);
     let mut iterations = 0;
     for i in 0..NODES {
         let (lo, hi) = (i.saturating_sub(1), (i + 1).min(NODES - 1));
@@ -475,6 +561,8 @@ struct Best {
 struct Profile<'a> {
     design: &'a ProfileDesign<'a>,
     ys: &'a [f64],
+    /// The design's node table, when it has one for this fit.
+    table: Option<&'a NodeTable>,
     /// `Σy·u`, summed in index order: it does not depend on `β`.
     yu: f64,
     /// The decay column of the current evaluation.
@@ -488,6 +576,7 @@ impl<'a> Profile<'a> {
         Profile {
             design,
             ys,
+            table: design.table(),
             yu: design.u.iter().zip(ys).fold(0.0, |yu, (&u, &y)| yu + y * u),
             decay: RefCell::new(vec![0.0; design.ts.len()]),
             evaluations: Cell::new(0),
@@ -500,30 +589,38 @@ impl<'a> Profile<'a> {
         }
     }
 
+    /// [`Profile::eval`] at fixed point `k`, `ln β`, from the design's node
+    /// table when the fit has one.
+    fn fixed(&self, k: usize, ln_beta: f64) -> f64 {
+        match self.table {
+            Some(table) => self.score(ln_beta, table.column(k)),
+            None => self.eval(ln_beta),
+        }
+    }
+
     /// The least SSE over `α, γ ≥ 0` at `ln β`, or `+∞` where the curve is
-    /// undefined (`1 + βt ≤ 0`) or the SSE is not finite. The SSE is
+    /// undefined (`1 + βt ≤ 0`) or the SSE is not finite.
+    fn eval(&self, ln_beta: f64) -> f64 {
+        let mut decay = self.decay.borrow_mut();
+        let sums = self.design.decay_into(ln_beta, &mut decay);
+        self.score(ln_beta, sums.map(|sums| (&decay[..], sums)))
+    }
+
+    /// Scores `ln β` over its decay column and the column's sums, `None`
+    /// where the curve is undefined: `Σy·d`, the coefficients, and the SSE,
     /// summed over the residuals, compensated, not read off the normal
     /// equations, so that it keeps its digits near zero.
-    fn eval(&self, ln_beta: f64) -> f64 {
+    fn score(&self, ln_beta: f64, column: Option<(&[f64], Sums)>) -> f64 {
         self.evaluations.set(self.evaluations.get() + 1);
-        let beta = ln_beta.exp();
-        let ProfileDesign {
-            ts, u, uu, t_min, ..
-        } = self.design;
-        if !(1.0 + beta * t_min > 0.0) {
+        let Some((decay, Sums { dd, du })) = column else {
             return f64::INFINITY;
-        }
-        let mut decay = self.decay.borrow_mut();
-        for (d, &t) in decay.iter_mut().zip(*ts) {
-            *d = 1.0 / (1.0 + beta * t);
-        }
-        let [mut dd, mut du, mut yd] = [0.0; 3];
-        for ((&d, &u), &y) in decay.iter().zip(u).zip(self.ys) {
-            dd += d * d;
-            du += d * u;
-            yd += y * d;
-        }
-        let (alpha, slope) = nnls(dd, du, *uu, yd, self.yu);
+        };
+        let (u, uu) = (&self.design.u, self.design.uu);
+        let yd = decay
+            .iter()
+            .zip(self.ys)
+            .fold(0.0, |yd, (&d, &y)| yd + y * d);
+        let (alpha, slope) = nnls(dd, du, uu, yd, self.yu);
         let mut sse = CompensatedSum::new();
         for ((&d, &u), &y) in decay.iter().zip(u).zip(self.ys) {
             let r = y - alpha * d - slope * u;

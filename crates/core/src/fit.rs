@@ -524,7 +524,7 @@ pub(crate) fn fit_from<'a>(
         plan,
         control: control.clone(),
     };
-    let (Lone { plan, .. }, race) = multi_start(crew, [lone]).pop().expect("one search");
+    let (Lone { plan, .. }, race) = multi_start(crew, [lone]).next().expect("one search");
     let race = race.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     plan.finish(race.finish(control), config, control)
 }

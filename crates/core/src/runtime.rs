@@ -838,7 +838,7 @@ impl<'a> Wave<'a> {
             control.started();
             let job = FleetJob::new(&self, j, control);
             crew(Parallelism::Serial, |lone| {
-                let (job, race) = multi_start(lone, [job]).pop().expect("one search");
+                let (job, race) = multi_start(lone, [job]).next().expect("one search");
                 job.finish(&self, lone, race)
             })
         })
@@ -876,7 +876,7 @@ impl<'a> Wave<'a> {
             }
         }
         planned.sort_unstable_by_key(|job| (Reverse(job.dim()), job.index));
-        let mut raced = multi_start(pass, planned);
+        let mut raced: Vec<_> = multi_start(pass, planned).collect();
         raced.sort_unstable_by_key(|(job, _)| job.index);
         let mut raced = raced.into_iter().peekable();
         let mut panics = panics.into_iter().peekable();

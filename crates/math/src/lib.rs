@@ -15,7 +15,7 @@
 //!   by the quadratic bathtub model.
 //! * [`linalg`] — small dense matrices with the LU solver used by the
 //!   Levenberg–Marquardt optimizer in `resilience-optim`.
-//! * [`sum`] — compensated (Neumaier) summation used to keep
+//! * [`sum`] — compensated (TwoSum) summation used to keep
 //!   goodness-of-fit accumulations stable.
 //! * [`interp`] — piecewise-linear interpolation over sampled curves.
 //!

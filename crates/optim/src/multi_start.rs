@@ -372,7 +372,9 @@ pub trait Search {
 /// phases own the searches, behind one `Arc` the driver takes back once
 /// the second returns, so a search may borrow only what existed before the
 /// crew; no phase keeps a result slot per start. A call without starts
-/// only asks each search for its race.
+/// only asks each search for its race, and a lone search comes back
+/// without a heap allocation: the driver keeps the first search out of
+/// the vector it collects the others into.
 ///
 /// A start's panic stays inside its search: the search keeps the payload
 /// of its lowest-index start that panicked, and runs no second leg when a
@@ -418,7 +420,7 @@ pub trait Search {
 /// let nm = NelderMead::new(NelderMeadConfig::default());
 /// let starts = Starts(vec![-3.0, -2.5, 0.0, 1.0, 4.0, 6.0], nm, Control::unbounded());
 /// let mut raced = crew(Parallelism::Auto, |crew| multi_start(crew, [starts]));
-/// let (starts, race) = raced.pop().expect("one search");
+/// let (starts, race) = raced.next().expect("one search");
 /// let race = race.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 /// let best = race.finish(&starts.2).finish()?;
 /// assert!((best.params[0] - 3.0).abs() < 1e-4);
@@ -427,33 +429,35 @@ pub trait Search {
 pub fn multi_start<'env, S>(
     crew: &Crew<'_, 'env>,
     searches: impl IntoIterator<Item = S>,
-) -> Vec<(S, std::thread::Result<Race>)>
+) -> impl Iterator<Item = (S, std::thread::Result<Race>)>
 where
     S: Search + Send + Sync + 'env,
 {
-    let raced: Vec<(S, std::thread::Result<Race>)> = searches
-        .into_iter()
-        .map(|search| {
-            let race = search.race();
-            (search, Ok(race))
-        })
-        .collect();
+    let mut raced = searches.into_iter().map(|search| {
+        let race = search.race();
+        (search, Ok(race))
+    });
+    // The first search stays out of the vector, so that a lone search
+    // comes back without one.
+    let first = raced.next();
+    let rest: Vec<(S, std::thread::Result<Race>)> = raced.collect();
     let starts =
         |(_, race): &(S, std::thread::Result<Race>)| race.as_ref().map_or(0, |race| race.starts);
-    if raced.iter().all(|raced| starts(raced) == 0) {
-        return raced;
+    if first.iter().chain(&rest).all(|raced| starts(raced) == 0) {
+        return first.into_iter().chain(rest);
     }
-    let counts = raced.iter().map(starts).collect();
-    let runs: Vec<Running<S>> = raced.into_iter().map(Running::new).collect();
+    let counts = first.iter().chain(&rest).map(starts).collect();
+    let runs: Vec<Running<S>> = first.into_iter().chain(rest).map(Running::new).collect();
     let runs = Arc::new(runs);
     legs(crew, &runs, counts, Running::first_leg);
     let survivors = runs.iter().map(Running::cut).collect();
     legs(crew, &runs, survivors, Running::second_leg);
-    Arc::into_inner(runs)
+    let raced: Vec<_> = Arc::into_inner(runs)
         .expect("the crew drops its phases' jobs")
         .into_iter()
         .map(Running::into_parts)
-        .collect()
+        .collect();
+    None.into_iter().chain(raced)
 }
 
 /// Runs leg `i` of search `s` for every `i < counts[s]` of every `s`, as
@@ -667,7 +671,7 @@ mod tests {
             second,
         };
         let (_, race) = crew(parallelism, |crew| multi_start(crew, [legs]))
-            .pop()
+            .next()
             .expect("one search");
         race.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             .finish(control)
@@ -1177,7 +1181,7 @@ mod tests {
                 })
                 .collect();
             let (searches, recorders): (Vec<_>, Vec<_>) = searches.into_iter().unzip();
-            let mut raced = crew(parallelism, |crew| multi_start(crew, searches)).into_iter();
+            let mut raced = crew(parallelism, |crew| multi_start(crew, searches));
             let (_, race) = raced.next().unwrap();
             let payload = race.expect_err("start 2 panicked");
             assert_eq!(

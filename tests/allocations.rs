@@ -17,9 +17,10 @@ use resilience_core::fit::{
     fit_least_squares, fit_least_squares_with, solve_linear_coefficient, FitConfig,
 };
 use resilience_core::mixture::MixtureFamily;
-use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{fit_with_retry, RetryPolicy};
+use resilience_core::model::{Design, ModelFamily};
+use resilience_core::runtime::{fit_with_retry, rank_fleet_supervised, ExecPolicy, RetryPolicy};
 use resilience_data::recessions::Recession;
+use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid};
 use resilience_obs::{
     parse_log, Event, ExitReason, JsonlObserver, NullObserver, Observer, SolverKind,
 };
@@ -251,7 +252,11 @@ fn predict_into_is_allocation_free() {
 /// A Competing Risks profile evaluation allocates nothing: two profiles
 /// that spend different numbers of evaluations, both ending with positive
 /// coefficients (so both re-solve them by QR), allocate exactly as much,
-/// their rescoring included.
+/// their rescoring included. The design has served two fits before, so
+/// this pins the path of a shared design's later fits: the fixed points
+/// read from its node table, the Brent points through the fit's own decay
+/// column. A design's first fit, which computes every point,
+/// allocates as much (`competing_risks_node_table_is_built_once`).
 #[test]
 fn competing_risks_profile_evaluations_do_not_allocate() {
     let recession = Recession::R1990_93.payroll_index();
@@ -263,6 +268,9 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
     let design = CompetingRisksFamily
         .design(times)
         .expect("Competing Risks has a design");
+    for _ in 0..2 {
+        assert!(design.optimum(&bathtub).expect("a profile").is_ok());
+    }
     let profile = |ys: &[f64]| {
         let mut evaluations = 0;
         let delta = min_delta(3, || {
@@ -282,6 +290,69 @@ fn competing_risks_profile_evaluations_do_not_allocate() {
         "evaluations {} and {} allocate differently",
         a.0, b.0
     );
+}
+
+/// Competing Risks' node table keeps the memory rule (DESIGN.md §13,
+/// "Shared designs"): a fresh design's first fit allocates 4 times, as
+/// before the design could hold a table (the fit's decay column, the QR
+/// re-solve's columns, its point and the QR's coefficients); its second
+/// fit builds the table once, one allocation more; every later fit
+/// allocates as the first. So a design that serves one fit, as in every
+/// one-cell ranking, holds no table.
+#[test]
+fn competing_risks_node_table_is_built_once() {
+    let series = Recession::R1990_93.payroll_index();
+    let fit = |design: &Arc<dyn Design + '_>| {
+        let before = allocations();
+        let exact = design
+            .optimum(series.values())
+            .expect("Competing Risks profiles")
+            .expect("a finite profile");
+        let delta = allocations() - before;
+        assert_eq!(exact.profile.expect("a profile's work").evaluations, 46);
+        delta
+    };
+    let design = || {
+        CompetingRisksFamily
+            .design(series.times())
+            .expect("Competing Risks has a design")
+    };
+    // Warm-up on a design of its own, outside the measured fits.
+    fit(&design());
+    let design = design();
+    let counts: [u64; 5] = std::array::from_fn(|_| fit(&design));
+    assert_eq!(counts, [4, 5, 4, 4, 4], "a fresh design's fits #1–#5");
+}
+
+/// An exact fit through `fit_least_squares` allocates a fixed count,
+/// counted when this test was written: 5 for the Quadratic and the
+/// Quartic, and 8 for Competing Risks, whose profile makes 4 of them. Each
+/// was one more (6, 6 and 9) while the race driver handed a lone search
+/// with no start back in a vector of one.
+#[test]
+fn an_exact_fit_allocates_a_fixed_count() {
+    let series = Recession::R1990_93.payroll_index();
+    let config = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..FitConfig::default()
+    };
+    let exact: [(&dyn ModelFamily, u64); 3] = [
+        (&QuadraticFamily, 5),
+        (&QuarticFamily, 5),
+        (&CompetingRisksFamily, 8),
+    ];
+    for (family, count) in exact {
+        let delta = min_delta(3, || {
+            let fit = fit_least_squares(family, &series, &config).expect("the fit");
+            assert!(fit.converged && fit.total_evaluations <= 50);
+        });
+        assert_eq!(
+            delta,
+            count,
+            "{}: an exact fit allocated {delta} times",
+            family.name()
+        );
+    }
 }
 
 /// An exact fit scores its point without allocating: the Quartic's optimum
@@ -346,6 +417,55 @@ fn serial_quadratic_band_allocations_are_bounded() {
         assert_eq!(band.replicates, 200);
     });
     assert!(delta <= 1_150, "a serial band allocated {delta} times");
+}
+
+/// A serial `rank_fleet_supervised` pass of the Quadratic, Competing Risks
+/// and the Quartic over the 360-cell grid of `BENCH_fleet_full.json`
+/// allocates 7 065 times (counted when this test was written, with three
+/// Competing Risks node tables; 8 142 while each of its 1 080 exact fits
+/// handed its search back in a vector): ~6.5 per job, the shared designs,
+/// rows and the reduction included. The bound is 1.5× that count, so a
+/// job path that grows by some 3.3 allocations per job fails it. Smaller
+/// steps pass it and are pinned exactly elsewhere: the driver's vector
+/// (+1 per job) by `an_exact_fit_allocates_a_fixed_count`, a design built
+/// per job (+2.1 per job: 9 339 when a wave shares none) by the design
+/// counts of `tests/runtime_resilience.rs`, and the node table's one build
+/// by `competing_risks_node_table_is_built_once`.
+#[test]
+fn serial_scenario_fleet_allocations_are_bounded() {
+    let grid = ScenarioGrid {
+        scenarios: GridScenario::ALL.to_vec(),
+        noises: vec![
+            NoiseLevel::Clean,
+            NoiseLevel::Gaussian { sd: 0.001 },
+            NoiseLevel::Uniform { amplitude: 0.002 },
+        ],
+        lengths: vec![32, 48, 96],
+        seeds: vec![42, 43, 44, 45],
+    };
+    let cells: Vec<_> = grid
+        .cells()
+        .map(|cell| cell.generate().expect("grid cell generates"))
+        .collect();
+    let families: [&dyn ModelFamily; 3] = [&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+    let config = FitConfig {
+        parallelism: Parallelism::Serial,
+        ..FitConfig::default()
+    };
+    let delta = min_delta(3, || {
+        let outcomes = rank_fleet_supervised(
+            &families,
+            &cells,
+            &config,
+            &ExecPolicy::default(),
+            &Control::unbounded(),
+        );
+        assert_eq!(outcomes.len(), 360);
+    });
+    assert!(
+        delta <= 10_600,
+        "a serial 360-cell pass allocated {delta} times"
+    );
 }
 
 /// The Nelder–Mead iteration loop allocates nothing, also in a run that

@@ -1275,6 +1275,74 @@ fn scenario_specs_survive_hostile_fields() {
     assert!(rejected > 1000, "only {rejected} specs rejected");
 }
 
+/// A Competing Risks fit's bits, or its error's text.
+type ProfileBits = Result<(Vec<u64>, u64, usize, usize, u64), String>;
+
+/// Competing Risks' node table keeps every bit (DESIGN.md §11, "The
+/// Competing Risks profile"): on one design, fit #1 computes every point
+/// of the profile, #2 builds the table of the fixed points and reads it,
+/// and #3 reads it, and the three give the same optimum to the bit: its
+/// internal point, its SSE and its profile's work, or the same error. On
+/// the 1 080 cells of the 360-cell grid's axes at seeds 42–53, and on
+/// the 1 163 series the hostile specs of
+/// `scenario_specs_survive_hostile_fields` generate, 80 of which have no
+/// finite point of the profile.
+#[test]
+fn competing_risks_node_table_keeps_every_bit() {
+    use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid};
+    let grid = ScenarioGrid {
+        scenarios: GridScenario::ALL.to_vec(),
+        noises: vec![
+            NoiseLevel::Clean,
+            NoiseLevel::Gaussian { sd: 0.001 },
+            NoiseLevel::Uniform { amplitude: 0.002 },
+        ],
+        lengths: vec![32, 48, 96],
+        seeds: (42..54).collect(),
+    };
+    let mut inputs: Vec<PerformanceSeries> = grid.cells().map(|c| c.generate().unwrap()).collect();
+    assert_eq!(inputs.len(), 1_080);
+    let mut rng = XorShift64::new(0xA013);
+    for _ in 0..10_000 {
+        if let Ok(series) = fuzz_spec(&mut rng).generate("fuzz") {
+            inputs.push(series);
+        }
+    }
+    assert!(inputs.len() > 1_580, "{} series", inputs.len());
+    let mut failed = 0;
+    for (case, series) in inputs.iter().enumerate() {
+        let design = CompetingRisksFamily
+            .design(series.times())
+            .expect("Competing Risks has a design");
+        let fit = || -> ProfileBits {
+            let exact = design
+                .optimum(series.values())
+                .expect("Competing Risks profiles")
+                .map_err(|e| e.to_string())?;
+            let work = exact.profile.expect("a profile's work");
+            Ok((
+                exact.internal.iter().map(|v| v.to_bits()).collect(),
+                exact.sse.to_bits(),
+                work.evaluations,
+                work.iterations,
+                work.value.to_bits(),
+            ))
+        };
+        let [first, second, third] = [fit(), fit(), fit()];
+        failed += usize::from(first.is_err());
+        assert!(
+            second == first && third == first,
+            "case {case}, {}: fits #1–#3 {first:?} / {second:?} / {third:?}",
+            series.name()
+        );
+    }
+    // Both outcomes are compared.
+    assert!(
+        failed > 0 && failed < inputs.len() / 10,
+        "{failed} profiles failed"
+    );
+}
+
 /// Family and scope names that need escaping, or that are multi-byte,
 /// survive the round trip through one log line each.
 #[test]
