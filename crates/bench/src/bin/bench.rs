@@ -46,7 +46,7 @@ use resilience_core::selection::{rank_models, Ranking};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::catalog;
 use resilience_data::PerformanceSeries;
-use resilience_obs::{Event, RecordingObserver, RunReport};
+use resilience_obs::{Event, RecordingObserver, RunReport, SolverKind, SpanTree};
 use resilience_optim::Parallelism;
 use std::path::Path;
 use std::process::ExitCode;
@@ -175,13 +175,45 @@ fn work_gate_failures(evals_per_fit: &[u64], per_family: &[(String, u64)]) -> Ve
     failures
 }
 
+/// The span half of the retried `rank_models` pass: every Nelder–Mead run
+/// of a fit is a numbered start of its attempt's race, so in `tree`, built
+/// from a retried ranking's log, each attempt's spans with a start index
+/// number exactly the `starts` its `fit_started` announced, and no
+/// Nelder–Mead span lacks a start index. Returns one message per attempt
+/// that breaks it.
+fn retried_span_failures(tree: &SpanTree) -> Vec<String> {
+    let mut failures = Vec::new();
+    for fit in tree.cells.iter().flat_map(|cell| &cell.fits) {
+        for attempt in &fit.attempts {
+            let numbered = attempt
+                .solvers
+                .iter()
+                .filter(|s| s.start_index.is_some())
+                .count();
+            let unnumbered = attempt
+                .solvers
+                .iter()
+                .filter(|s| s.start_index.is_none() && s.solver == Some(SolverKind::NelderMead))
+                .count();
+            if attempt.starts != Some(numbered as u32) || unnumbered > 0 {
+                failures.push(format!(
+                    "{} attempt {} announced {:?} starts and raced {numbered} numbered and {unnumbered} unnumbered Nelder–Mead runs",
+                    fit.family, attempt.attempt, attempt.starts
+                ));
+            }
+        }
+    }
+    failures
+}
+
 /// The `rank_models` gate → `BENCH_fitting.json`: over the six paper
 /// families on each of the seven recessions' `payroll_index()` curves,
 /// the serial and `Fixed(2)` rankings must be bit-identical, an observed
 /// `Fixed(2)` pass must log exactly the events of an observed serial pass,
 /// and so must a `Fixed(2)` ranking under [`RetryPolicy::default`] with a
 /// 3-iteration, unpolished config, in which every mixture retries (all
-/// fold into `identical`); and the serial passes together must pass
+/// fold into `identical`), whose serial log must pass
+/// [`retried_span_failures`]; and the serial passes together must pass
 /// [`work_gate_failures`]. The observed serial passes also supply the
 /// baseline's counters, its per-family evaluations and each curve's
 /// evaluations per family; supervised ranking under the default policy is
@@ -221,6 +253,7 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
     };
 
     let mut identical = true;
+    let mut span_failures = Vec::new();
     let mut evals = Vec::new();
     let mut observed = RunReport::default();
     let mut per_series = Vec::new();
@@ -265,6 +298,11 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
                 identical = false;
             }
         }
+        span_failures.extend(
+            retried_span_failures(&SpanTree::build(&serial_log))
+                .into_iter()
+                .map(|failure| format!("{label}: {failure}")),
+        );
         evals.extend(evals_per_fit(&events));
         let report = RunReport::from_events(events);
         per_series.push((
@@ -278,7 +316,8 @@ fn rank_models_gate() -> Result<bool, ExitCode> {
         .iter()
         .map(|f| (f.name.to_string(), f.evaluations))
         .collect();
-    let failures = work_gate_failures(&evals, &per_family);
+    let mut failures = work_gate_failures(&evals, &per_family);
+    failures.extend(span_failures);
     for failure in &failures {
         eprintln!("rank_models: {failure}");
     }

@@ -196,7 +196,6 @@ pub fn bootstrap_band_with(
             series,
             design.as_ref(),
             None,
-            None,
             base_config,
             &control,
         )
@@ -250,7 +249,6 @@ pub fn bootstrap_band_with(
                         &synth,
                         design.as_ref(),
                         Some(base_optimum),
-                        None,
                         &refit_config,
                         &Control::unbounded(),
                     )

@@ -29,10 +29,6 @@ use resilience_optim::{Control, OptimError, Parallelism};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// The evaluation budget under which a converged warm probe
-/// short-circuits the cold starts (see [`FitPlan::new`]).
-const WARM_EVAL_BUDGET: usize = 600;
-
 /// The evaluations of a raced start's first leg (DESIGN.md §11, "Racing
 /// the starts"): it pauses at the first iteration boundary at which it has
 /// spent this many.
@@ -65,16 +61,16 @@ pub struct FitConfig {
     /// Worker threads: the size of the one crew that a call taking this
     /// config opens ([`fit_least_squares_with`],
     /// [`crate::runtime::fit_with_retry`],
-    /// [`crate::runtime::rank_fleet_supervised`]); every race and retry of
-    /// the call runs on it. A lone fit races its starts on this many. The
-    /// ranker, behind [`crate::selection::rank_models`], spends them on its
-    /// jobs when a wave has at least as many cells as threads, and
+    /// [`crate::runtime::rank_fleet_supervised`],
+    /// [`crate::selection::forward_chain_cv`]); every race, retry and fold
+    /// of the call runs on it. A lone fit races its starts on this many.
+    /// The ranker, behind [`crate::selection::rank_models`], spends them on
+    /// its jobs when a wave has at least as many cells as threads, and
     /// otherwise on the starts of all the wave's fits, one phase per leg of
-    /// their races. Two calls open a second crew: a bootstrap band's
+    /// their races. One call opens a second crew: a bootstrap band's
     /// replicates run on [`crate::bootstrap::BootstrapConfig::parallelism`]
-    /// threads, and [`crate::selection::forward_chain_cv`] fits each fold
-    /// as a call of its own. Every setting produces bit-identical results;
-    /// see `DESIGN.md` §7 (threading model).
+    /// threads. Every setting produces bit-identical results; see
+    /// `DESIGN.md` §7 (threading model).
     pub parallelism: Parallelism,
 }
 
@@ -108,12 +104,11 @@ pub struct FittedModel {
     /// are not counted here; [`FittedModel::total_evaluations`] counts
     /// them.
     pub evaluations: usize,
-    /// Every objective evaluation the fit spent: the warm probe, every
-    /// cold start (winner, losers and the starts that retired at a race's
-    /// cut), the lift and the polish, or an exact fit's profile and
-    /// rescoring. A solver run that failed or was stopped is not counted,
-    /// so this equals the total of the fit's observed `objective_evals`
-    /// counters.
+    /// Every objective evaluation the fit spent: every start (winner,
+    /// losers and the starts that retired at a race's cut), the lift and
+    /// the polish, or an exact fit's profile and rescoring. A solver run
+    /// that failed or was stopped is not counted, so this equals the total
+    /// of the fit's observed `objective_evals` counters.
     pub total_evaluations: usize,
     /// Whether the winning Nelder–Mead run *or* the Levenberg–Marquardt
     /// polish terminated by convergence (rather than hitting an iteration
@@ -488,7 +483,7 @@ pub fn fit_least_squares_with(
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
     crew(config.parallelism, |crew| {
-        fit_from(crew, family, series, None, None, None, config, control)
+        fit_from(crew, family, series, None, None, config, control)
     })
 }
 
@@ -496,30 +491,20 @@ pub fn fit_least_squares_with(
 /// `design` at the series' times, when the caller holds one (`None`: the
 /// fit builds its own, see [`FitPlan::new`]), searching from `guesses`
 /// instead of the family's own [`ModelFamily::initial_guesses`] (`None`): a
-/// retry's jittered points, or a bootstrap replicate's base optimum. A
-/// `warm` point, a retry's best fit so far, is probed first. It reads no
-/// `config.parallelism`: its race runs on `crew`, and a panic in a start
+/// retry's incumbent and its jittered copies, or a bootstrap replicate's
+/// base optimum. Every guess is a numbered start of the one race. It reads
+/// no `config.parallelism`: its race runs on `crew`, and a panic in a start
 /// is re-raised with the lowest panicking start's payload.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fit_from<'a>(
     crew: &Crew<'_, 'a>,
     family: &'a dyn ModelFamily,
     series: &'a PerformanceSeries,
     design: Option<&Arc<dyn Design + 'a>>,
     guesses: Option<&[Vec<f64>]>,
-    warm: Option<&[f64]>,
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
-    let plan = FitPlan::new(
-        family,
-        series,
-        design.cloned(),
-        guesses,
-        warm,
-        config,
-        control,
-    )?;
+    let plan = FitPlan::new(family, series, design.cloned(), guesses, config, control)?;
     let lone = Lone {
         plan,
         control: control.clone(),
@@ -575,12 +560,12 @@ fn phase_error(e: OptimError) -> CoreError {
 
 /// A fit between its plan and its finish.
 ///
-/// [`FitPlan::new`] is the plan phase: an exact solve, or else the warm
-/// probe, if any, and the cold starts. The starts then race on the
-/// caller's crew ([`FitPlan::race`], [`multi_start`]): each runs its legs
-/// on its own through [`FitPlan::first_leg`] and [`FitPlan::second_leg`],
-/// in any order and on any thread, and the race leaves a
-/// [`StartReduction`]. [`FitPlan::finish`] reduces, lifts, polishes and
+/// [`FitPlan::new`] is the plan phase: an exact solve, or else the
+/// starts, which it only lists: every Nelder–Mead run of a fit is a start
+/// of its race. The starts race on the caller's crew ([`FitPlan::race`],
+/// [`multi_start`]): each runs its legs on its own through
+/// [`FitPlan::first_leg`] and [`FitPlan::second_leg`], in any order and on
+/// any thread, and the race leaves a [`StartReduction`]. [`FitPlan::finish`] reduces, lifts, polishes and
 /// guards. A lone fit ([`fit_from`]) races its one search; the ranker
 /// plans every job of a small wave, races all their searches at once, then
 /// finishes each (DESIGN.md §13). Both give bit-identical fits and event
@@ -592,18 +577,16 @@ pub(crate) struct FitPlan<'a> {
     /// it then moves over every internal coordinate but the last.
     profile: Option<Arc<dyn Design + 'a>>,
     optimizer: NelderMead,
-    /// An exact fit: the plan then has no warm probe and no starts.
+    /// An exact fit: the plan then has no starts.
     exact: Option<ExactOptimum>,
-    /// The warm probe's result, when it ran and did not fail.
-    warm: Option<OptimReport>,
-    /// The cold starts' search points, [`FitPlan::dim`] coordinates each.
+    /// The starts' search points, [`FitPlan::dim`] coordinates each.
     starts: Vec<f64>,
     dim: usize,
 }
 
 impl<'a> FitPlan<'a> {
-    /// The plan phase: an exact fit, or the warm probe and the cold
-    /// starts.
+    /// The plan phase: an exact fit, or the starts. It runs no search and
+    /// polls no control.
     ///
     /// The plan reads the times through `design`, the family's design at
     /// the series' times ([`ModelFamily::design`]), or when that is `None`
@@ -615,29 +598,24 @@ impl<'a> FitPlan<'a> {
     /// nothing here, and the fit searches; a plan whose search is profiled
     /// ([`Design::profiled`]) keeps its design for it.
     ///
-    /// Otherwise a `warm` point (external parameters, typically a previous
-    /// optimum in the same basin) is probed first: one serial Nelder–Mead
-    /// run from it. A probe that converges within [`WARM_EVAL_BUDGET`]
-    /// evaluations is the whole plan, with no cold starts; otherwise the
-    /// cold starts follow and the better result wins, the probe keeping
-    /// ties (it is conceptually start 0). The starts are `guesses`, or the
-    /// family's own when `None`, in the search space: every internal
-    /// coordinate, or for a family that profiles its last coefficient
-    /// every other one, in which case guesses that coincide there are
-    /// merged, keeping the first. Guesses that do not convert are dropped.
+    /// Otherwise the starts are `guesses`, or the family's own when
+    /// `None`, in the search space: every internal coordinate, or for a
+    /// family that profiles its last coefficient every other one, in which
+    /// case guesses that coincide there are merged, keeping the first.
+    /// Guesses that do not convert are dropped, and the plan logs its
+    /// `fit_started` with the number of starts left. Start 0 is the first
+    /// guess that converts, and it wins every tie ([`StartReduction`]): a
+    /// retry passes its incumbent first.
     ///
     /// # Errors
     ///
-    /// An exact fit's error, a stop during the warm probe, and
-    /// [`OptimError::AllStartsFailed`] when no guess converts to a start
-    /// and there is no warm result.
-    #[allow(clippy::too_many_arguments)]
+    /// An exact fit's error, and [`OptimError::AllStartsFailed`] when no
+    /// guess converts to a start.
     pub(crate) fn new(
         family: &'a dyn ModelFamily,
         series: &'a PerformanceSeries,
         design: Option<Arc<dyn Design + 'a>>,
         guesses: Option<&[Vec<f64>]>,
-        warm: Option<&[f64]>,
         config: &FitConfig,
         control: &Control,
     ) -> Result<FitPlan<'a>, CoreError> {
@@ -645,7 +623,7 @@ impl<'a> FitPlan<'a> {
         // Families whose landscapes need longer simplex walks scale the
         // configured iteration cap (see [`ModelFamily::nm_iteration_scale`]);
         // for the paper families the factor is 1 and this is `config`'s cap
-        // unchanged. Applies to the warm probe and the cold phase alike.
+        // unchanged.
         let nm_config = NelderMeadConfig {
             max_iterations: config
                 .max_iterations
@@ -659,7 +637,6 @@ impl<'a> FitPlan<'a> {
             profile: None,
             optimizer: NelderMead::new(nm_config),
             exact: None,
-            warm: None,
             starts: Vec::new(),
             dim: 0,
         };
@@ -681,37 +658,6 @@ impl<'a> FitPlan<'a> {
         let profiled = plan.profile.is_some();
         let dim = family.n_params() - usize::from(profiled);
         plan.dim = dim;
-
-        // Warm probe: seeded this close, it usually converges in a fraction
-        // of the cold phase's budget and short-circuits it entirely. A probe
-        // that fails to convert or start is not an error — the cold phase
-        // covers for it — but a deadline or cancellation stop propagates
-        // like any other.
-        let mut fit_started_emitted = false;
-        if let Some(warm) = warm {
-            if let Some(internal) = plan.search_point(warm) {
-                if traced {
-                    control.emit(Event::FitStarted {
-                        family: family.name(),
-                        starts: 1,
-                    });
-                    fit_started_emitted = true;
-                }
-                match plan.minimize(&internal, control) {
-                    Ok(report) => {
-                        let short_circuit = report.termination == TerminationReason::Converged
-                            && report.evaluations <= WARM_EVAL_BUDGET;
-                        plan.warm = Some(report);
-                        if short_circuit {
-                            return Ok(plan);
-                        }
-                    }
-                    Err(e) if e.is_stop() => return Err(phase_error(e)),
-                    Err(_) => {}
-                }
-            }
-        }
-
         let own;
         let guesses = match guesses {
             Some(guesses) => guesses,
@@ -732,10 +678,10 @@ impl<'a> FitPlan<'a> {
         // finish, so keep only what they use.
         starts.shrink_to_fit();
         plan.starts = starts;
-        if n_starts == 0 && plan.warm.is_none() {
+        if n_starts == 0 {
             return Err(CoreError::Fit(OptimError::AllStartsFailed { attempts: 0 }));
         }
-        if traced && !fit_started_emitted {
+        if traced {
             control.emit(Event::FitStarted {
                 family: family.name(),
                 starts: n_starts as u32,
@@ -753,8 +699,7 @@ impl<'a> FitPlan<'a> {
         Some(point)
     }
 
-    /// The number of cold starts (zero for an exact fit and after a
-    /// short-circuiting warm probe).
+    /// The number of starts (zero for an exact fit).
     pub(crate) fn starts(&self) -> usize {
         self.starts.len().checked_div(self.dim).unwrap_or(0)
     }
@@ -776,15 +721,7 @@ impl<'a> FitPlan<'a> {
         }
     }
 
-    /// Nelder–Mead from `x0` over a private instance of the fit's
-    /// objective: the warm probe.
-    fn minimize(&self, x0: &[f64], control: &Control) -> Result<OptimReport, OptimError> {
-        let objective = self.objective();
-        self.optimizer
-            .minimize(&|x: &[f64]| objective.eval(x), x0, control)
-    }
-
-    /// The race over the cold starts (DESIGN.md §11, "Racing the
+    /// The race over the starts (DESIGN.md §11, "Racing the
     /// starts"): a profiled search with more than [`RACE_KEEP`] starts
     /// keeps the [`RACE_KEEP`] best after [`RACE_CUT`] evaluations each;
     /// any other search keeps every start, which is the plain multi-start.
@@ -797,7 +734,7 @@ impl<'a> FitPlan<'a> {
         Race::new(self.starts(), keep, RACE_CUT, control.observed())
     }
 
-    /// Cold start `i`'s first leg under `control`: its Nelder–Mead run,
+    /// Start `i`'s first leg under `control`: its Nelder–Mead run,
     /// begun and advanced to `budget` evaluations.
     pub(crate) fn first_leg(
         &self,
@@ -814,7 +751,7 @@ impl<'a> FitPlan<'a> {
         Ok(run)
     }
 
-    /// A surviving cold start's second leg under `control`: its paused
+    /// A surviving start's second leg under `control`: its paused
     /// `run`, advanced to its end.
     pub(crate) fn second_leg(
         &self,
@@ -826,20 +763,19 @@ impl<'a> FitPlan<'a> {
             .advance(&|x: &[f64]| objective.eval(x), run, usize::MAX, control)
     }
 
-    /// The finish phase: reduces the warm result and `cold`, the reduction
-    /// of every cold start, lifts a profiled winner, polishes it and
-    /// guards the result. An exact fit polls `control` once (scope
-    /// `"fit"`), logs its profile's `converged` line if it has one, counts
-    /// its evaluations (the profile's and the rescoring) and is guarded the
-    /// same way, unpolished.
+    /// The finish phase: takes the winner of `reduction`, the reduction of
+    /// every start, lifts a profiled winner, polishes it and guards the
+    /// result. An exact fit polls `control` once (scope `"fit"`), logs its
+    /// profile's `converged` line if it has one, counts its evaluations (the
+    /// profile's and the rescoring) and is guarded the same way, unpolished.
     ///
     /// # Errors
     ///
-    /// A stopped cold start or exact fit, every cold start failing without
-    /// a warm result, and the guard errors of [`fit_least_squares`].
+    /// A stopped start or exact fit, every start failing, and the guard
+    /// errors of [`fit_least_squares`].
     pub(crate) fn finish(
         self,
-        cold: StartReduction,
+        reduction: StartReduction,
         config: &FitConfig,
         control: &Control,
     ) -> Result<FittedModel, CoreError> {
@@ -848,8 +784,6 @@ impl<'a> FitPlan<'a> {
             series,
             profile,
             exact,
-            warm,
-            starts,
             ..
         } = self;
         let (times, observed) = (series.times(), series.values());
@@ -882,34 +816,8 @@ impl<'a> FitPlan<'a> {
                 true,
             );
         }
-        let mut total_evaluations = warm.as_ref().map_or(0, |w| w.evaluations) + cold.evaluations();
-        let cold = if starts.is_empty() {
-            None
-        } else {
-            match cold.finish() {
-                Ok(report) => Some(report),
-                Err(e) if e.is_stop() => return Err(phase_error(e)),
-                // Every cold start failed: fatal only without a warm fit.
-                Err(e) => match warm {
-                    Some(_) => None,
-                    None => return Err(phase_error(e)),
-                },
-            }
-        };
-        // Reduce: the warm result is conceptually start 0, so it wins ties
-        // (same strict `<` rule as the start reduction).
-        let best = match (warm, cold) {
-            (Some(w), Some(c)) => {
-                if c.value < w.value {
-                    c
-                } else {
-                    w
-                }
-            }
-            (Some(w), None) => w,
-            (None, Some(c)) => c,
-            (None, None) => unreachable!("a plan has a warm result or cold starts"),
-        };
+        let mut total_evaluations = reduction.evaluations();
+        let best = reduction.finish().map_err(phase_error)?;
         // A profiled winner is lifted back to the full internal vector
         // (DESIGN.md §11).
         let best = match profile {
@@ -1323,10 +1231,10 @@ mod tests {
     /// its observed `objective_evals` counters, the retired starts' of a
     /// raced mixture included — at every thread count, while
     /// `evaluations` keeps counting the winner, the lift and the polish
-    /// only. Pinned on 1990-93, with a warm-started Exp-Exp refit
-    /// whose probe short-circuits the cold phase. The `e^{βt}` Wei-Exp has
-    /// no linear coefficient, so its Nelder–Mead searches every coordinate
-    /// of the full objective.
+    /// only. Pinned on 1990-93, with an Exp-Exp refit seeded with its cold
+    /// optimum as its only guess, whose one start is all its work. The
+    /// `e^{βt}` Wei-Exp has no linear coefficient, so its Nelder–Mead
+    /// searches every coordinate of the full objective.
     #[test]
     fn total_evaluations_equal_the_observed_counter_total() {
         use crate::bathtub::QuarticFamily;
@@ -1358,27 +1266,28 @@ mod tests {
             (3571, Some(672)),
             (5999, Some(402)),
         ];
-        let observed_fit = |family: &dyn ModelFamily, config: &FitConfig, warm: Option<&[f64]>| {
-            let rec = Arc::new(RecordingObserver::new());
-            let control = Control::unbounded().observe(rec.clone());
-            let fit = crew(config.parallelism, |crew| {
-                fit_from(crew, family, &s, None, None, warm, config, &control)
-            })
-            .unwrap();
-            let counted: u64 = rec
-                .take()
-                .iter()
-                .filter_map(|e| match e {
-                    Event::Counter {
-                        id: CounterId::ObjectiveEvals,
-                        delta,
-                    } => Some(*delta),
-                    _ => None,
+        let observed_fit =
+            |family: &dyn ModelFamily, config: &FitConfig, guesses: Option<&[Vec<f64>]>| {
+                let rec = Arc::new(RecordingObserver::new());
+                let control = Control::unbounded().observe(rec.clone());
+                let fit = crew(config.parallelism, |crew| {
+                    fit_from(crew, family, &s, None, guesses, config, &control)
                 })
-                .sum();
-            assert_eq!(fit.total_evaluations as u64, counted, "{}", family.name());
-            fit
-        };
+                .unwrap();
+                let counted: u64 = rec
+                    .take()
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::Counter {
+                            id: CounterId::ObjectiveEvals,
+                            delta,
+                        } => Some(*delta),
+                        _ => None,
+                    })
+                    .sum();
+                assert_eq!(fit.total_evaluations as u64, counted, "{}", family.name());
+                fit
+            };
         for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
             let config = FitConfig {
                 parallelism,
@@ -1394,9 +1303,16 @@ mod tests {
                 }
             }
             let cold = observed_fit(&mixtures[0], &config, None);
-            let warm = observed_fit(&mixtures[0], &config, Some(&cold.params));
-            assert!(warm.total_evaluations < cold.total_evaluations);
-            assert_eq!(warm.total_evaluations, warm.evaluations, "{parallelism:?}");
+            let refit = observed_fit(
+                &mixtures[0],
+                &config,
+                Some(std::slice::from_ref(&cold.params)),
+            );
+            assert!(refit.total_evaluations < cold.total_evaluations);
+            assert_eq!(
+                refit.total_evaluations, refit.evaluations,
+                "{parallelism:?}"
+            );
         }
     }
 
@@ -1473,15 +1389,15 @@ mod tests {
     /// no starts, then in its finish the profile's one `converged` line,
     /// one `objective_evals` of the profile's evaluations plus the
     /// rescoring, `fit_finished` and `evals_per_fit`; under an expired
-    /// deadline, its finish's one poll and nothing of the profile. A warm
-    /// point changes nothing: the profile ignores it.
+    /// deadline, its finish's one poll and nothing of the profile. Starting
+    /// points change nothing: the profile reads none.
     #[test]
     fn profiled_fits_log_their_work_on_one_solver_line() {
         use resilience_obs::{ExitReason, RecordingObserver, StopKind};
         use std::sync::Arc;
 
         let s = Recession::R1990_93.payroll_index();
-        let observed = |control: Control, warm: Option<&[f64]>| {
+        let observed = |control: Control, guesses: Option<&[Vec<f64>]>| {
             let rec = Arc::new(RecordingObserver::new());
             let control = control.observe(rec.clone());
             let fit = crew(Parallelism::Auto, |crew| {
@@ -1490,8 +1406,7 @@ mod tests {
                     &CompetingRisksFamily,
                     &s,
                     None,
-                    None,
-                    warm,
+                    guesses,
                     &FitConfig::default(),
                     &control,
                 )
@@ -1539,9 +1454,9 @@ mod tests {
                 },
             ]
         );
-        let (warm, warm_events) = observed(Control::unbounded(), Some(&[1.0, 0.5, 0.01]));
-        assert_eq!(warm.unwrap().params, fit.params);
-        assert_eq!(warm_events, events);
+        let (seeded, seeded_events) = observed(Control::unbounded(), Some(&[vec![1.0, 0.5, 0.01]]));
+        assert_eq!(seeded.unwrap().params, fit.params);
+        assert_eq!(seeded_events, events);
 
         let (fit, events) = observed(Control::with_deadline(std::time::Duration::ZERO), None);
         assert!(matches!(fit, Err(CoreError::TimedOut { .. })));

@@ -335,7 +335,8 @@ pub trait Design: Send + Sync {
     /// The family's least-squares fit of `ys`, one value per time of the
     /// design: the Quadratic's and the Quartic's one solve, Competing
     /// Risks' profile over `ln β`. The fit takes the point as it is: no
-    /// starts, no search, no polish, no retry, and a warm point is ignored.
+    /// starts, no search, no polish, no retry, and any starting points the
+    /// fit is passed are ignored.
     ///
     /// `None` where the design gives no exact fit (a profiled search's
     /// design, or a rank-deficient one): the fit then searches. The default

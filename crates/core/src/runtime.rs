@@ -161,23 +161,23 @@ pub struct SupervisedFit {
     pub attempts: usize,
 }
 
-/// Number of jittered starting points generated around a best-so-far
-/// optimum on warm retries (attempts ≥ 2 that already have a fit). Fewer
-/// than the cold grids (up to 18 starts on the recession curves): the
-/// center is already in the right basin, the jitter only has to escape a
-/// simplex stall.
+/// Number of jittered copies of a best-so-far optimum that a retry with
+/// one (an attempt ≥ 2 after a fit) races beside it. Fewer than the cold
+/// grids (up to 18 starts on the recession curves): the center is already
+/// in the right basin, the jitter only has to escape a simplex stall.
 const WARM_RETRY_STARTS: usize = 8;
 
-/// The starting points of retry `attempt` (≥ 2): the family's own
-/// guesses, or with a `center` (the best fit so far) `WARM_RETRY_STARTS`
-/// copies of it, each jittered by zero-mean noise, guess by guess and
-/// coordinate by coordinate, drawn from `XorShift64::stream(base_seed,
-/// attempt)` — resampling the basin already found rather than
-/// re-exploring from scratch. A fresh stream per (seed, attempt) keeps
-/// every retry schedule a pure function of the policy. Jitter is relative
-/// (`1 + |g|`) so parameters spanning orders of magnitude are all
-/// perturbed proportionally; infeasible jittered guesses are dropped by
-/// the fit, like infeasible data-driven ones.
+/// The starting points of retry `attempt` (≥ 2): the family's own guesses,
+/// each jittered, or with a `center` (the best fit so far) the center
+/// itself, unjittered, then `WARM_RETRY_STARTS` jittered copies of it —
+/// resampling the basin already found rather than re-exploring from
+/// scratch. The center is the race's start 0, so it wins every tie. The
+/// jitter is zero-mean noise, guess by guess and coordinate by coordinate,
+/// drawn from `XorShift64::stream(base_seed, attempt)`: a fresh stream per
+/// (seed, attempt) keeps every retry schedule a pure function of the
+/// policy. Jitter is relative (`1 + |g|`) so parameters spanning orders of
+/// magnitude are all perturbed proportionally; infeasible jittered guesses
+/// are dropped by the fit, like infeasible data-driven ones.
 fn jittered_guesses(
     family: &dyn ModelFamily,
     series: &PerformanceSeries,
@@ -188,11 +188,11 @@ fn jittered_guesses(
     debug_assert!(attempt >= 2);
     let amplitude = INITIAL_JITTER * JITTER_GROWTH.powi(attempt as i32 - 2);
     let mut rng = XorShift64::stream(policy.base_seed, attempt as u64);
-    let mut guesses = match center {
-        Some(center) => vec![center.to_vec(); WARM_RETRY_STARTS],
-        None => family.initial_guesses(series),
+    let (mut guesses, jittered) = match center {
+        Some(center) => (vec![center.to_vec(); WARM_RETRY_STARTS + 1], 1..),
+        None => (family.initial_guesses(series), 0..),
     };
-    for g in guesses.iter_mut().flatten() {
+    for g in guesses[jittered].iter_mut().flatten() {
         *g += amplitude * (2.0 * rng.next_f64() - 1.0) * (1.0 + g.abs());
     }
     guesses
@@ -249,7 +249,7 @@ pub fn fit_with_retry(
 ) -> Result<SupervisedFit, CoreError> {
     crew(config.parallelism, |crew| {
         let first = first_attempt(family, Some(policy), None, control, || {
-            fit_from(crew, family, series, None, None, None, config, control)
+            fit_from(crew, family, series, None, None, config, control)
         });
         retry_after(
             crew, family, series, None, config, policy, control, None, first,
@@ -386,11 +386,10 @@ fn retry_after<'a>(
             outcome = Err(fault);
             continue;
         }
-        // With a best-so-far fit, retries warm-start from its optimum
-        // (the probe usually short-circuits the whole cold phase) and
-        // jitter *around* it; without one, the cold grid is all there
-        // is. Either way the schedule stays a pure function of the
-        // policy — the warm center is itself deterministic.
+        // With a best-so-far fit, a retry races its optimum as start 0
+        // beside copies jittered *around* it; without one, the jittered
+        // cold grid is all there is. Either way the schedule stays a pure
+        // function of the policy — the center is itself deterministic.
         let center = best.as_ref().map(|fit| fit.params.as_slice());
         let guesses = jittered_guesses(family, series, policy, attempt, center);
         outcome = fit_from(
@@ -399,7 +398,6 @@ fn retry_after<'a>(
             series,
             design,
             Some(&guesses),
-            center,
             config,
             control,
         );
@@ -594,12 +592,11 @@ impl<'a> FleetJob<'a> {
     fn new(wave: &Wave<'a>, j: usize, control: JobControl<'a>) -> FleetJob<'a> {
         let (family, series) = (wave.family(j), &wave.cells[j / wave.families.len()]);
         let (base, design) = (&control.base, wave.designs.get(j).cloned());
-        // Attempt 1 has no warm point, so its plan does no solver work and
-        // leaves the family budget's clock alone. An exact fit's solve
-        // does none either: it polls the control in its finish.
+        // A plan runs no search, so it leaves the family budget's clock
+        // alone; an exact fit's solve polls the control in its finish.
         let retry = wave.policy.retry.as_ref();
         let first = first_attempt(family, retry, control.chaos.as_ref(), base, || {
-            FitPlan::new(family, series, design, None, None, wave.config, base)
+            FitPlan::new(family, series, design, None, wave.config, base)
         });
         FleetJob {
             index: j,
@@ -2774,5 +2771,80 @@ mod tests {
             assert_eq!(out, serial, "{call}");
             assert_eq!(log, serial_log, "{call}");
         }
+    }
+
+    /// Every Nelder–Mead run of a retried fit is a numbered start of its
+    /// attempt's race: for each paper mixture on 1990-93 under a starved
+    /// config, each attempt's `fit_started` announces as many starts as it
+    /// logs `start` lines, and each Nelder–Mead `converged` line follows
+    /// its own `start` line. A retry with an incumbent races it as start 0
+    /// beside its jittered copies.
+    #[test]
+    fn a_retried_attempt_logs_what_it_races() {
+        use resilience_obs::{RecordingObserver, SolverKind};
+        let series = resilience_data::recessions::Recession::R1990_93.payroll_index();
+        for family in crate::mixture::MixtureFamily::paper_combinations() {
+            let name = family.name();
+            let rec = Arc::new(RecordingObserver::new());
+            let control = Control::unbounded().observe(rec.clone());
+            let policy = RetryPolicy::default();
+            let sup = fit_with_retry(&family, &series, &starved(), &policy, &control).unwrap();
+            assert_eq!(sup.attempts, policy.max_attempts, "{name}");
+            // Per attempt: its `fit_started` count, its `start` lines and
+            // its Nelder–Mead `converged` lines.
+            let mut attempts = vec![(None, 0, 0)];
+            for event in rec.take() {
+                let (announced, starts, solved) = attempts.last_mut().unwrap();
+                match event {
+                    Event::RetryScheduled { .. } => attempts.push((None, 0, 0)),
+                    Event::FitStarted { starts: n, .. } => *announced = Some(n),
+                    Event::StartBegan { .. } => *starts += 1,
+                    Event::Converged {
+                        solver: SolverKind::NelderMead,
+                        ..
+                    } => {
+                        *solved += 1;
+                        assert!(solved <= starts, "{name}: a solver line without a start");
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(attempts.len(), policy.max_attempts, "{name}");
+            for (i, &(announced, starts, solved)) in attempts.iter().enumerate() {
+                assert_eq!(announced, Some(starts), "{name} attempt {}", i + 1);
+                assert_eq!(solved, starts, "{name} attempt {}", i + 1);
+                if i > 0 {
+                    assert!((2..=9).contains(&starts), "{name} attempt {}", i + 1);
+                }
+            }
+        }
+    }
+
+    /// Forward-chaining cross validation races every fold's fit on one
+    /// crew: at `Fixed(2)` the four folds of a searched family run on at
+    /// most two threads, and score as at `Serial`. A nap at every point
+    /// keeps each phase long enough for a crew's helper to join it.
+    #[test]
+    fn forward_chain_cv_races_its_folds_on_one_crew() {
+        use crate::selection::forward_chain_cv;
+        let probe = ConstantProbe {
+            nap: Duration::from_micros(20),
+            ..ConstantProbe::new("Probe", &[0.2, 0.4])
+        };
+        let series = quadratic_series();
+        let cv = |parallelism| {
+            probe.threads.lock().unwrap().clear();
+            let config = FitConfig {
+                parallelism,
+                ..FitConfig::default()
+            };
+            let score = forward_chain_cv(&probe, &series, 30, 3, 5, &config).unwrap();
+            (score, probe.threads.lock().unwrap().len())
+        };
+        let (serial, _) = cv(Parallelism::Serial);
+        assert_eq!(serial.fold_pmse.len(), 4);
+        let (fixed2, threads) = cv(Parallelism::Fixed(2));
+        assert!(threads <= 2, "{threads} threads ran the folds");
+        assert_eq!(fixed2, serial);
     }
 }

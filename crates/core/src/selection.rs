@@ -10,12 +10,14 @@
 //! out-of-sample prediction — the criterion the paper's PMSE gestures at,
 //! averaged over many split points instead of one.
 
-use crate::fit::{fit_least_squares, FitConfig};
+use crate::fit::{fit_from, FitConfig};
 use crate::guard::Violation;
 use crate::model::ModelFamily;
 use crate::validate;
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
+use resilience_optim::parallel::crew;
+use resilience_optim::Control;
 
 /// Information criteria for a least-squares fit under the Gaussian
 /// likelihood: `AIC = n·ln(SSE/n) + 2k`, the small-sample `AICc`, and
@@ -78,7 +80,8 @@ pub struct CvScore {
 
 /// Expanding-window cross validation: fit on `[0, split)`, score squared
 /// prediction error on the next `horizon` observations, for every split
-/// in `min_train ..= n − horizon` stepping by `step`.
+/// in `min_train ..= n − horizon` stepping by `step`. Every fold's fit
+/// races its starts on one crew of `config.parallelism` threads.
 ///
 /// # Errors
 ///
@@ -105,34 +108,40 @@ pub fn forward_chain_cv(
             format!("need 4 <= min_train and min_train + horizon <= n, got {min_train} + {horizon} vs {n}"),
         ));
     }
+    // The folds outlive the crew their fits race on.
+    let folds: Vec<_> = (min_train..=n - horizon)
+        .step_by(step)
+        .map(|split| series.split_at(split))
+        .collect();
     let mut fold_pmse = Vec::new();
     let mut failed = 0usize;
-    let mut split = min_train;
-    while split + horizon <= n {
-        match series.split_at(split) {
-            Ok(parts) => match fit_least_squares(family, &parts.train, config) {
-                Ok(fit) => {
-                    // Score only the next `horizon` points.
-                    let times = &parts.test.times()[..horizon];
-                    let values = &parts.test.values()[..horizon];
-                    let mut acc = 0.0;
-                    for (&t, &y) in times.iter().zip(values) {
-                        let d = y - fit.model.predict(t);
-                        acc += d * d;
-                    }
-                    let p = acc / horizon as f64;
-                    if p.is_finite() {
-                        fold_pmse.push(p);
-                    } else {
-                        failed += 1;
-                    }
-                }
-                Err(_) => failed += 1,
-            },
-            Err(_) => failed += 1,
+    let control = Control::unbounded();
+    crew(config.parallelism, |crew| {
+        for fold in &folds {
+            let Ok(parts) = fold else {
+                failed += 1;
+                continue;
+            };
+            let Ok(fit) = fit_from(crew, family, &parts.train, None, None, config, &control) else {
+                failed += 1;
+                continue;
+            };
+            // Score only the next `horizon` points.
+            let times = &parts.test.times()[..horizon];
+            let values = &parts.test.values()[..horizon];
+            let mut acc = 0.0;
+            for (&t, &y) in times.iter().zip(values) {
+                let d = y - fit.model.predict(t);
+                acc += d * d;
+            }
+            let p = acc / horizon as f64;
+            if p.is_finite() {
+                fold_pmse.push(p);
+            } else {
+                failed += 1;
+            }
         }
-        split += step;
-    }
+    });
     if fold_pmse.is_empty() {
         return Err(CoreError::arg(
             "forward_chain_cv",

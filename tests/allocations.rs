@@ -506,14 +506,13 @@ fn nelder_mead_iterations_do_not_allocate() {
     );
 }
 
-/// The warm probe (DESIGN.md §11) allocates only at setup: a retried fit
-/// capped at 3× the iterations allocates exactly as much as one capped
-/// at 1×. At both caps neither attempt 1 nor attempt 2's probe from its
-/// optimum converges, so both runs take the probe and then the retry's
-/// jittered cold starts, which race (at 240 the retry converges). Both
+/// A retried fit allocates only at setup: capped at 3× the iterations, it
+/// allocates exactly as much as capped at 1×. At both caps attempt 1 does
+/// not converge, and neither does attempt 2, which races the incumbent, as
+/// its start 0, and the incumbent's jittered copies (DESIGN.md §11). Both
 /// caps let every first leg reach the cut.
 #[test]
-fn warm_start_fit_path_does_not_allocate_per_iteration() {
+fn retried_fit_path_does_not_allocate_per_iteration() {
     let series = Recession::R1990_93.payroll_index();
     let family = &MixtureFamily::paper_combinations()[3];
     let policy = RetryPolicy {
@@ -544,7 +543,7 @@ fn warm_start_fit_path_does_not_allocate_per_iteration() {
     assert_eq!(
         short, long,
         "3x the iterations changed the retried fit's allocation \
-         count ({short} vs {long}) - the warm path allocates per iteration"
+         count ({short} vs {long}) - the retried path allocates per iteration"
     );
 }
 
